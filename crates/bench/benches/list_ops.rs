@@ -1,6 +1,4 @@
-//! Microbenchmarks of the list algebra (Section 6.4), including the
-//! ablation `join` (fold-on-pop structural merge) vs. `join_paper`
-//! (per-ancestor interval rescan, the paper's O(s·l) formulation).
+//! Microbenchmarks of the list algebra (Section 6.4).
 
 use approxql_core::list::{self, Entry, List};
 use approxql_tree::Cost;
@@ -49,11 +47,6 @@ fn bench_joins(c: &mut Criterion) {
             BenchmarkId::new("fold_on_pop", format!("{n}x{per}")),
             &(&a, &d),
             |b, (a, d)| b.iter(|| list::join(a, d, Cost::ZERO)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("paper_rescan", format!("{n}x{per}")),
-            &(&a, &d),
-            |b, (a, d)| b.iter(|| list::join_paper(a, d, Cost::ZERO)),
         );
     }
     group.finish();

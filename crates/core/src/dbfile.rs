@@ -8,11 +8,13 @@
 //! the last committed document boundary — never to a half-indexed state —
 //! which is what the mutation crash-torture suite sweeps for.
 
+use crate::database::MutationDelta;
 use crate::database::{doc_key, load_from_store, write_full_image, Database, DatabaseError};
-use approxql_index::persist::{label_key, save_blob, save_secondary_index, sec_key};
+use approxql_index::persist::{label_key, put_lists, save_blob, sec_key};
+use approxql_index::SecondaryIndex;
 use approxql_metrics::Metric;
 use approxql_storage::Store;
-use approxql_tree::{encode_docmap, encode_interner, DocSpan, NodeId};
+use approxql_tree::{encode_docmap, encode_interner, DocSpan, LabelId, NodeId};
 use approxql_xml::Document;
 use std::path::Path;
 
@@ -84,33 +86,13 @@ impl DbFile {
                 &doc_key(delta.span.start),
                 &self.db.tree().doc_segment_bytes(delta.span),
             )?;
-            self.write_label_updates(&delta.touched_labels, &delta.removed_labels)?;
+            self.write_updates(&delta)?;
             if delta.schema.rebuilt {
-                // A structural extension remapped schema preorder numbers:
-                // every secondary key may have moved, so clear and rewrite
-                // the whole `sec#` keyspace along with the schema tree.
-                let stale: Vec<Vec<u8>> = self
-                    .store
-                    .scan_prefix(b"sec#")?
-                    .collect_all()?
-                    .into_iter()
-                    .map(|(k, _)| k)
-                    .collect();
-                for k in stale {
-                    self.store.delete(&k)?;
-                }
-                save_secondary_index(
-                    &mut self.store,
-                    self.db.schema().secondary(),
-                    self.db.tree().interner(),
-                )?;
                 save_blob(
                     &mut self.store,
                     "schema",
                     &self.db.schema().tree().to_bytes(),
                 )?;
-            } else {
-                self.write_secondary_updates(&delta.schema.touched_sec, &delta.schema.removed_sec)?;
             }
             self.store.commit()?;
             Metric::StoreDocInserts.incr();
@@ -132,56 +114,57 @@ impl DbFile {
             &encode_docmap(self.db.tree().len() as u32, self.db.tree().documents()),
         )?;
         self.store.delete(&doc_key(delta.span.start))?;
-        self.write_label_updates(&delta.touched_labels, &delta.removed_labels)?;
         // Deletion never restructures the schema tree (instance-less
         // nodes are retained so preorder numbers stay stable).
-        self.write_secondary_updates(&delta.schema.touched_sec, &delta.schema.removed_sec)?;
+        self.write_updates(&delta)?;
         self.store.commit()?;
         Metric::StoreDocDeletes.incr();
         Ok(Some(delta.span))
     }
 
-    /// Rewrites the changed label-index keys and deletes the emptied ones.
-    fn write_label_updates(
-        &mut self,
-        touched: &[(approxql_cost::NodeType, approxql_tree::LabelId)],
-        removed: &[(approxql_cost::NodeType, approxql_tree::LabelId)],
-    ) -> Result<(), DatabaseError> {
-        for &(ty, label) in touched {
-            let name = self.db.tree().interner().resolve(label);
-            let Some(blocks) = self.db.labels().blocks(ty, label) else {
-                debug_assert!(false, "touched label posting missing from index");
-                continue;
-            };
-            self.store.put(&label_key(ty, name), &blocks.to_bytes())?;
+    /// The one update writer: deletes the key of every posting list the
+    /// mutation emptied and puts the current value of every list it
+    /// touched — `ls#`/`lt#` and `sec#` alike, in sorted key order.
+    fn write_updates(&mut self, delta: &MutationDelta) -> Result<(), DatabaseError> {
+        let (labels, secondary) = (self.db.labels(), self.db.schema().secondary());
+        let name = |label| self.db.tree().interner().resolve(label);
+        let mut gone: Vec<Vec<u8>> = delta
+            .removed_labels
+            .iter()
+            .map(|&(ty, l)| label_key(ty, name(l)))
+            .collect();
+        let touched_sec: Vec<(u32, LabelId)> = if delta.schema.rebuilt {
+            // A structural extension renumbered the schema nodes: every
+            // `sec#` key may have moved, so all stored ones go and all
+            // current ones are put.
+            let stored = self.store.scan_prefix(b"sec#")?.collect_all()?;
+            gone.extend(stored.into_iter().map(|(key, _)| key));
+            secondary.iter().map(|(key, _)| key).collect()
+        } else {
+            let removed = &delta.schema.removed_sec;
+            gone.extend(removed.iter().map(|&(pre, l)| sec_key(pre, name(l))));
+            delta.schema.touched_sec.clone()
+        };
+        gone.sort_unstable();
+        for key in gone {
+            self.store.delete(&key)?;
         }
-        for &(ty, label) in removed {
-            let name = self.db.tree().interner().resolve(label);
-            self.store.delete(&label_key(ty, name))?;
-        }
-        Ok(())
-    }
-
-    /// Rewrites the changed secondary-index keys and deletes the emptied
-    /// ones.
-    fn write_secondary_updates(
-        &mut self,
-        touched: &[(u32, approxql_tree::LabelId)],
-        removed: &[(u32, approxql_tree::LabelId)],
-    ) -> Result<(), DatabaseError> {
-        for &(pre, label) in touched {
-            let name = self.db.tree().interner().resolve(label);
-            let Some(blocks) = self.db.schema().secondary().blocks(pre, label) else {
-                debug_assert!(false, "touched secondary posting missing from index");
-                continue;
-            };
-            self.store.put(&sec_key(pre, name), &blocks.to_bytes())?;
-        }
-        for &(pre, label) in removed {
-            let name = self.db.tree().interner().resolve(label);
-            self.store.delete(&sec_key(pre, name))?;
-        }
-        Ok(())
+        let puts = delta
+            .touched_labels
+            .iter()
+            .map(|&(ty, l)| {
+                let list = labels.blocks(ty, l).map(|list| list.to_bytes());
+                (label_key(ty, name(l)), list)
+            })
+            .chain(touched_sec.iter().map(|&(pre, l)| {
+                let list = secondary.get(pre, l).map(SecondaryIndex::list_bytes);
+                (sec_key(pre, name(l)), list)
+            }))
+            .filter_map(|(key, list)| {
+                debug_assert!(list.is_some(), "touched posting missing from its index");
+                Some((key, list?))
+            });
+        Ok(put_lists(&mut self.store, puts)?)
     }
 }
 
@@ -217,6 +200,122 @@ mod tests {
             .query_direct(r#"cd[title]"#, None)
             .unwrap();
         assert_eq!(live, persisted);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// Every stored posting list of the file at `path`, keyed by store key.
+    fn stored_lists(path: &Path) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut store = Store::open_file(path).unwrap();
+        let mut lists = Vec::new();
+        for prefix in [&b"ls#"[..], b"lt#", b"sec#"] {
+            lists.extend(store.scan_prefix(prefix).unwrap().collect_all().unwrap());
+        }
+        lists
+    }
+
+    /// Twelve documents over a handful of paths; the first holds them all.
+    fn path_reusing_docs() -> Vec<String> {
+        let words = ["piano", "cello", "vivace", "concerto", "sonata"];
+        (0..12)
+            .map(|i| {
+                let (a, b) = (words[i % 5], words[(i * 3 + 1) % 5]);
+                format!(
+                    "<cd><title>{a} {b}</title><tracks><track><title>{b}</title></track>\
+                     <track><title>{a}</title></track></tracks></cd>"
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn insert_cycles_leave_the_lists_of_a_fresh_build() {
+        let path = temp_path("cycles");
+        let fresh_path = path.with_file_name("fresh.axql");
+        let xmls = path_reusing_docs();
+        let db = Database::from_xml_str(&xmls[0], CostModel::new()).unwrap();
+        drop(DbFile::create(&path, db).unwrap());
+        // What `approxql insert` does, once per document.
+        for xml in &xmls[1..] {
+            let mut file = DbFile::open(&path).unwrap();
+            file.insert_documents(&[doc(xml)]).unwrap();
+        }
+        let refs: Vec<&str> = xmls.iter().map(String::as_str).collect();
+        let fresh = Database::from_xml_strs(&refs, CostModel::new()).unwrap();
+        drop(DbFile::create(&fresh_path, fresh).unwrap());
+        let (grown, built) = (stored_lists(&path), stored_lists(&fresh_path));
+        assert!(grown.iter().any(|(k, _)| k.starts_with(b"sec#")));
+        assert_eq!(grown.len(), built.len());
+        for (g, b) in grown.iter().zip(&built) {
+            assert_eq!(g, b, "list {}", String::from_utf8_lossy(&g.0));
+        }
+        Database::check_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn check_rejects_a_fragmented_secondary_list_and_mutation_heals_it() {
+        use approxql_index::codec::BlockList;
+        use approxql_index::InstancePosting;
+        let path = temp_path("fragmented");
+        let xmls = path_reusing_docs();
+        let refs: Vec<&str> = xmls.iter().map(String::as_str).collect();
+        let db = Database::from_xml_strs(&refs[..11], CostModel::new()).unwrap();
+        let query = r#"cd[title["piano"]]"#;
+        let want = db.query_schema(query, 20).unwrap();
+        drop(DbFile::create(&path, db).unwrap());
+        // Re-frame the `cd` instance list one entry per frame — the shape
+        // the retired tail-buffer codec left behind after insert cycles.
+        let (key, value) = stored_lists(&path)
+            .into_iter()
+            .find(|(k, _)| k.starts_with(b"sec#") && k.ends_with(b"#cd"))
+            .unwrap();
+        let instances = BlockList::<InstancePosting>::from_bytes(&value)
+            .unwrap()
+            .try_decode()
+            .unwrap();
+        assert_eq!(instances.len(), 11);
+        let (mut headers, mut payload) = (Vec::new(), Vec::new());
+        for instance in &instances {
+            let one = BlockList::from_entries(std::slice::from_ref(instance)).to_bytes();
+            headers.extend_from_slice(&one[4..20]);
+            headers.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            payload.extend_from_slice(&one[24..]);
+        }
+        let fragmented = [&11u32.to_le_bytes()[..], &headers, &payload].concat();
+        let mut store = Store::open_file(&path).unwrap();
+        store.put(&key, &fragmented).unwrap();
+        store.commit().unwrap();
+        drop(store);
+        // Reported by check, yet it opens and answers as before …
+        assert!(matches!(
+            Database::check_file(&path),
+            Err(DatabaseError::Persist(_))
+        ));
+        let mut file = DbFile::open(&path).unwrap();
+        assert_eq!(file.database().query_schema(query, 20).unwrap(), want);
+        // … and the next mutation that touches the list rewrites it whole.
+        file.insert_documents(&[doc(&xmls[11])]).unwrap();
+        drop(file);
+        Database::check_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn building_the_same_collection_twice_gives_identical_files() {
+        let path = temp_path("twice");
+        let again = path.with_file_name("again.axql");
+        let mut cfg = approxql_gen::DataGenConfig::paper_scale_divided(1000);
+        cfg.seed = 7;
+        for p in [&path, &again] {
+            // A fresh `Database` each time: its hash maps iterate in a
+            // different order in every instance.
+            let tree =
+                approxql_gen::DataGenerator::new(cfg.clone()).generate_tree(&CostModel::new());
+            let db = Database::from_tree(tree, CostModel::new());
+            assert!(db.labels().len() > 100);
+            drop(DbFile::create(p, db).unwrap());
+        }
+        assert!(std::fs::read(&path).unwrap() == std::fs::read(&again).unwrap());
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

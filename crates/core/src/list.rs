@@ -11,9 +11,8 @@
 //! each descendant updates only the innermost open ancestor, and an
 //! ancestor's accumulated minimum is folded into the enclosing one when it
 //! closes. This makes the join O(|A| + |D|) amortised — the paper's
-//! O(s·l) bound is a safe upper bound for the same scheme (an
-//! intentionally literal O(s·l) variant is kept in
-//! [`join_paper`]/[`outerjoin_paper`] for the ablation benchmark).
+//! O(s·l) bound is a safe upper bound for the same scheme (the unit tests
+//! keep a literal O(s·l) rescan as the oracle both joins are held to).
 
 use approxql_index::codec::{BlockList, BLOCK_SIZE};
 use approxql_index::{LabelIndex, Posting};
@@ -53,8 +52,6 @@ fn debug_check_sorted(l: &List) {
 #[cfg(not(debug_assertions))]
 fn debug_check_sorted(_: &List) {}
 
-/// `fetch` (Section 6.4): initializes a list from an index posting.
-///
 /// Counts one invocation of `op` plus the entries its output carries.
 fn record_op(op: Metric, out: List) -> List {
     op.incr();
@@ -77,23 +74,15 @@ fn posting_entry(p: &Posting, is_leaf: bool) -> Entry {
     }
 }
 
+/// `fetch` (Section 6.4): initializes a list from an index posting,
+/// without decoding it — the compressed frames go to the lazy operators so
+/// joins and intersections can skip whole blocks via the skip headers
+/// (the logical entry count is known from the headers).
+///
 /// For leaf selectors the matched node *is* an original query leaf, so
 /// both cost channels start at zero; for inner selectors the entries serve
 /// as ancestor candidates whose costs are computed by the child evaluation,
 /// and the leaf channel starts at infinity.
-pub fn fetch(index: &LabelIndex, ty: NodeType, label: LabelId, is_leaf: bool) -> List {
-    let out: List = index
-        .fetch(ty, label)
-        .iter()
-        .map(|p: &Posting| posting_entry(p, is_leaf))
-        .collect();
-    record_op(Metric::ListFetchOps, out)
-}
-
-/// [`fetch`] without decoding: hands the compressed frames to the lazy
-/// operators so joins and intersections can skip whole blocks via the
-/// skip headers. Records the same `list.*` counters as [`fetch`] (the
-/// logical entry count is known from the headers).
 pub fn fetch_lazy<'a>(
     index: &'a LabelIndex,
     ty: NodeType,
@@ -162,7 +151,7 @@ fn decode_frames(blocks: &BlockList, is_leaf: bool, mut keep: impl FnMut(usize) 
     let mut buf: Vec<Posting> = Vec::with_capacity(BLOCK_SIZE);
     for i in 0..blocks.headers().len() {
         if !keep(i) {
-            BlockList::record_skip();
+            Metric::PostingsBlocksSkipped.incr();
             continue;
         }
         buf.clear();
@@ -466,68 +455,6 @@ fn decode_overlapping<'x>(x: &'x LazyList<'_>, other: &LazyList<'_>) -> Cow<'x, 
     }
 }
 
-/// Literal-complexity variant of [`join`] that, for every ancestor,
-/// rescans its descendant interval by binary search + linear scan — the
-/// O(s·l)-style formulation closest to the paper's description. Only
-/// compiled for the ablation benchmarks (`--features ablation`, enabled
-/// by the bench crate); results are identical to [`join`].
-#[cfg(feature = "ablation")]
-pub fn join_paper(ancestors: &List, descendants: &List, c_edge: Cost) -> List {
-    Metric::ListJoinOps.incr();
-    let mut out = Vec::new();
-    for a in ancestors {
-        let start = descendants.partition_point(|d| d.pre <= a.pre);
-        let mut min_any = Cost::INFINITY;
-        let mut min_leaf = Cost::INFINITY;
-        for d in &descendants[start..] {
-            if d.pre > a.bound {
-                break;
-            }
-            min_any = min_any.min(d.pathcost + d.cost_any);
-            min_leaf = min_leaf.min(d.pathcost + d.cost_leaf);
-        }
-        let cost_any = finish_costs(a, min_any) + c_edge;
-        if !cost_any.is_finite() {
-            continue;
-        }
-        out.push(Entry {
-            cost_any,
-            cost_leaf: finish_costs(a, min_leaf) + c_edge,
-            ..*a
-        });
-    }
-    record_entries(out)
-}
-
-/// Literal-complexity variant of [`outerjoin`]; see [`join_paper`].
-#[cfg(feature = "ablation")]
-pub fn outerjoin_paper(ancestors: &List, descendants: &List, c_edge: Cost, c_del: Cost) -> List {
-    Metric::ListOuterjoinOps.incr();
-    let mut out = Vec::new();
-    for a in ancestors {
-        let start = descendants.partition_point(|d| d.pre <= a.pre);
-        let mut min_any = Cost::INFINITY;
-        let mut min_leaf = Cost::INFINITY;
-        for d in &descendants[start..] {
-            if d.pre > a.bound {
-                break;
-            }
-            min_any = min_any.min(d.pathcost + d.cost_any);
-            min_leaf = min_leaf.min(d.pathcost + d.cost_leaf);
-        }
-        let cost_any = finish_costs(a, min_any).min(c_del) + c_edge;
-        if !cost_any.is_finite() {
-            continue;
-        }
-        out.push(Entry {
-            cost_any,
-            cost_leaf: finish_costs(a, min_leaf) + c_edge,
-            ..*a
-        });
-    }
-    record_entries(out)
-}
-
 /// `intersect` (Section 6.4): keeps nodes present in both lists; costs are
 /// the channel-wise sums (+ `c_edge`). The leaf channel requires a leaf
 /// match on at least one side.
@@ -794,6 +721,40 @@ mod tests {
         assert_eq!(oj[0].pre, 1);
     }
 
+    /// The paper's formulation taken literally, as the oracle for the
+    /// structural merges: for every ancestor, rescan its descendant
+    /// interval by binary search + linear scan (O(s·l)).
+    fn outerjoin_paper(ancestors: &List, descendants: &List, c_edge: Cost, c_del: Cost) -> List {
+        let mut out = Vec::new();
+        for a in ancestors {
+            let start = descendants.partition_point(|d| d.pre <= a.pre);
+            let mut min_any = Cost::INFINITY;
+            let mut min_leaf = Cost::INFINITY;
+            for d in &descendants[start..] {
+                if d.pre > a.bound {
+                    break;
+                }
+                min_any = min_any.min(d.pathcost + d.cost_any);
+                min_leaf = min_leaf.min(d.pathcost + d.cost_leaf);
+            }
+            let cost_any = finish_costs(a, min_any).min(c_del) + c_edge;
+            if !cost_any.is_finite() {
+                continue;
+            }
+            out.push(Entry {
+                cost_any,
+                cost_leaf: finish_costs(a, min_leaf) + c_edge,
+                ..*a
+            });
+        }
+        out
+    }
+
+    /// A join is an outerjoin whose deletion alternative is unaffordable.
+    fn join_paper(ancestors: &List, descendants: &List, c_edge: Cost) -> List {
+        outerjoin_paper(ancestors, descendants, c_edge, Cost::INFINITY)
+    }
+
     #[test]
     fn paper_variants_agree_with_fast_joins() {
         let anc = vec![
@@ -891,7 +852,7 @@ mod tests {
                 inscost: Cost::ZERO,
             })
             .collect();
-        BlockList::from_postings(&postings)
+        BlockList::from_entries(&postings)
     }
 
     #[test]

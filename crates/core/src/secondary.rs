@@ -37,7 +37,7 @@ fn semijoin(
 /// instances of its root whose subtrees contain instances of every child
 /// skeleton (Figure 5).
 pub fn execute(skeleton: &Skeleton, index: &SecondaryIndex) -> Vec<InstancePosting> {
-    let mut ancestors = index.fetch(skeleton.pre, skeleton.label);
+    let mut ancestors = index.fetch(skeleton.pre, skeleton.label).to_vec();
     for child in &skeleton.children {
         if ancestors.is_empty() {
             break;

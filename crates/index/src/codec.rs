@@ -1,21 +1,20 @@
-//! Byte encodings of posting lists (for the storage layer).
+//! The byte encoding of posting lists (DESIGN.md §14).
 //!
-//! Two families live here:
-//!
-//! * the original fixed-width codecs ([`encode_postings`] /
-//!   [`decode_postings`], 24 bytes per entry) — kept for tests and as the
-//!   reference layout the block format is measured against;
-//! * the block-compressed representation ([`BlockList`] /
-//!   [`InstanceBlocks`], DESIGN.md §14): delta-encoded varint frames of up
-//!   to [`BLOCK_SIZE`] entries, each fronted by a [`BlockHeader`] skip
-//!   entry (`min_pre`/`max_pre`/`max_bound`/count/byte offset) so that
-//!   consumers can decide from the headers alone whether a frame can
-//!   contribute to a join or intersection, and decode only those that can.
+//! Every posting list the store holds — `ls#`/`lt#` label postings and
+//! `sec#` instance lists alike — is one [`BlockList`]: delta-encoded
+//! varint frames of up to [`BLOCK_SIZE`] entries, each fronted by a
+//! [`BlockHeader`] skip entry (`min_pre`/`max_pre`/`max_bound`/count/byte
+//! offset) so that consumers can decide from the headers alone whether a
+//! frame can contribute to a join or intersection, and decode only those
+//! that can. The codec is generic over the entry type ([`FrameEntry`]):
+//! an entry is `pre`, `bound` and whatever extra varint columns its type
+//! adds (two costs for [`Posting`], none for [`InstancePosting`]).
 
 use crate::{InstancePosting, Posting};
 use approxql_metrics::Metric;
 use approxql_tree::Cost;
 use std::fmt;
+use std::marker::PhantomData;
 
 /// Decode errors for serialized postings.
 #[derive(Debug, PartialEq, Eq)]
@@ -28,67 +27,6 @@ impl fmt::Display for PostingDecodeError {
 }
 
 impl std::error::Error for PostingDecodeError {}
-
-/// Encodes a posting list: each entry as `pre, bound, pathcost, inscost`
-/// (little endian, 24 bytes per entry).
-pub fn encode_postings(postings: &[Posting]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(postings.len() * 24);
-    for p in postings {
-        out.extend_from_slice(&p.pre.to_le_bytes());
-        out.extend_from_slice(&p.bound.to_le_bytes());
-        out.extend_from_slice(&p.pathcost.raw().to_le_bytes());
-        out.extend_from_slice(&p.inscost.raw().to_le_bytes());
-    }
-    out
-}
-
-/// Decodes [`encode_postings`] output.
-pub fn decode_postings(data: &[u8]) -> Result<Vec<Posting>, PostingDecodeError> {
-    if !data.len().is_multiple_of(24) {
-        return Err(PostingDecodeError("length is not a multiple of 24"));
-    }
-    Metric::IndexBytesDecoded.add(data.len() as u64);
-    let mut out = Vec::with_capacity(data.len() / 24);
-    for chunk in data.chunks_exact(24) {
-        out.push(Posting {
-            pre: u32::from_le_bytes(chunk[0..4].try_into().unwrap()),
-            bound: u32::from_le_bytes(chunk[4..8].try_into().unwrap()),
-            pathcost: Cost::from_raw(u64::from_le_bytes(chunk[8..16].try_into().unwrap())),
-            inscost: Cost::from_raw(u64::from_le_bytes(chunk[16..24].try_into().unwrap())),
-        });
-    }
-    Ok(out)
-}
-
-/// Encodes instance postings (8 bytes per entry).
-pub fn encode_instances(postings: &[InstancePosting]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(postings.len() * 8);
-    for p in postings {
-        out.extend_from_slice(&p.pre.to_le_bytes());
-        out.extend_from_slice(&p.bound.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes [`encode_instances`] output.
-pub fn decode_instances(data: &[u8]) -> Result<Vec<InstancePosting>, PostingDecodeError> {
-    if !data.len().is_multiple_of(8) {
-        return Err(PostingDecodeError("length is not a multiple of 8"));
-    }
-    Metric::IndexBytesDecoded.add(data.len() as u64);
-    let mut out = Vec::with_capacity(data.len() / 8);
-    for chunk in data.chunks_exact(8) {
-        out.push(InstancePosting {
-            pre: u32::from_le_bytes(chunk[0..4].try_into().unwrap()),
-            bound: u32::from_le_bytes(chunk[4..8].try_into().unwrap()),
-        });
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Block-compressed postings (DESIGN.md §14)
-// ---------------------------------------------------------------------------
 
 /// Entries per compressed frame (the last frame of a list may be shorter).
 pub const BLOCK_SIZE: usize = 128;
@@ -116,7 +54,12 @@ pub struct BlockHeader {
     pub offset: u32,
 }
 
+// The frame loops are generic, so an optimized build instantiates them in
+// the crate that uses them (`approxql-core`'s list algebra); the varint
+// and cost helpers they call per entry must be inlinable from there.
+
 /// Unsigned LEB128.
+#[inline]
 fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let b = (v & 0x7f) as u8;
@@ -129,6 +72,7 @@ fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+#[inline]
 fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64, PostingDecodeError> {
     let mut v = 0u64;
     let mut shift = 0u32;
@@ -154,6 +98,7 @@ fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64, PostingDecodeError> 
 /// Bijection that keeps the (frequent, small) finite costs one byte wide:
 /// infinity maps to 0, a finite raw value `v` to `v + 1`. Safe because
 /// infinity is the reserved `u64::MAX` raw value.
+#[inline]
 fn encode_cost(c: Cost) -> u64 {
     match c.value() {
         None => 0,
@@ -161,6 +106,7 @@ fn encode_cost(c: Cost) -> u64 {
     }
 }
 
+#[inline]
 fn decode_cost(v: u64) -> Cost {
     match v {
         0 => Cost::INFINITY,
@@ -168,60 +114,135 @@ fn decode_cost(v: u64) -> Cost {
     }
 }
 
+/// An entry type the frame codec can store. The codec itself writes the
+/// `pre` delta and `varint(bound − pre)`; the entry type adds its extra
+/// columns after them.
+pub trait FrameEntry: Copy + PartialEq + fmt::Debug {
+    /// Varints one entry occupies in a frame: pre delta, bound delta and
+    /// the extra columns. Every varint is ≥ 1 byte, so this is the
+    /// per-entry byte floor [`BlockList::from_bytes`] holds each frame's
+    /// entry count against.
+    const VARINTS: usize;
+
+    /// Preorder number of the entry's node.
+    fn pre(&self) -> u32;
+
+    /// Largest preorder number in the node's subtree.
+    fn bound(&self) -> u32;
+
+    /// Appends the extra columns.
+    fn write_columns(&self, out: &mut Vec<u8>);
+
+    /// Reads the extra columns at `pos` and assembles the entry.
+    fn read_columns(
+        pre: u32,
+        bound: u32,
+        frame: &[u8],
+        pos: &mut usize,
+    ) -> Result<Self, PostingDecodeError>;
+}
+
+/// Two extra columns: `varint(cost(pathcost))`, `varint(cost(inscost))`
+/// under the infinity-to-0 cost bijection.
+impl FrameEntry for Posting {
+    const VARINTS: usize = 4;
+
+    fn pre(&self) -> u32 {
+        self.pre
+    }
+
+    fn bound(&self) -> u32 {
+        self.bound
+    }
+
+    #[inline]
+    fn write_columns(&self, out: &mut Vec<u8>) {
+        write_varint(out, encode_cost(self.pathcost));
+        write_varint(out, encode_cost(self.inscost));
+    }
+
+    #[inline]
+    fn read_columns(
+        pre: u32,
+        bound: u32,
+        frame: &[u8],
+        pos: &mut usize,
+    ) -> Result<Posting, PostingDecodeError> {
+        Ok(Posting {
+            pre,
+            bound,
+            pathcost: decode_cost(read_varint(frame, pos)?),
+            inscost: decode_cost(read_varint(frame, pos)?),
+        })
+    }
+}
+
+/// No extra columns.
+impl FrameEntry for InstancePosting {
+    const VARINTS: usize = 2;
+
+    fn pre(&self) -> u32 {
+        self.pre
+    }
+
+    fn bound(&self) -> u32 {
+        self.bound
+    }
+
+    fn write_columns(&self, _: &mut Vec<u8>) {}
+
+    fn read_columns(
+        pre: u32,
+        bound: u32,
+        _: &[u8],
+        _: &mut usize,
+    ) -> Result<InstancePosting, PostingDecodeError> {
+        Ok(InstancePosting { pre, bound })
+    }
+}
+
 /// A posting list stored as delta-compressed varint frames with skip
-/// headers. Construct with [`BlockList::from_postings`] (input must be
-/// strictly pre-sorted); persist with [`BlockList::to_bytes`] /
-/// [`BlockList::from_bytes`].
+/// headers. `BlockList` without a parameter is the label-posting
+/// instantiation the list algebra consumes; `BlockList<InstancePosting>`
+/// is the stored form of a `sec#` instance list. Construct with
+/// [`BlockList::from_entries`] (input must be strictly pre-sorted);
+/// persist with [`BlockList::to_bytes`] / [`BlockList::from_bytes`].
 ///
 /// Frame layout (per entry, in entry order): the first entry's `pre` is
 /// the header's `min_pre` (not stored); later entries store
-/// `varint(pre − prev_pre)`. Every entry stores `varint(bound − pre)`,
-/// `varint(cost(pathcost))`, `varint(cost(inscost))` with the
-/// infinity-to-0 cost bijection. Deltas use wrapping arithmetic so no
-/// input can make the decoder panic.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BlockList {
+/// `varint(pre − prev_pre)`. Every entry stores `varint(bound − pre)`
+/// followed by its [`FrameEntry::write_columns`]. Deltas use wrapping
+/// arithmetic so no input can make the decoder panic.
+///
+/// Every list this codec builds or mutates is in *canonical form* — each
+/// frame but the last is full — so equal entry sequences have equal bytes
+/// however the list was grown ([`BlockList::check_integrity`] demands it
+/// of stored bytes too).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockList<E = Posting> {
     headers: Vec<BlockHeader>,
     payload: Vec<u8>,
     entries: usize,
+    entry: PhantomData<E>,
 }
 
-impl BlockList {
-    /// Compresses a strictly pre-sorted posting list into frames.
-    pub fn from_postings(postings: &[Posting]) -> BlockList {
-        debug_assert!(
-            postings.windows(2).all(|w| w[0].pre < w[1].pre),
-            "postings must have strictly increasing preorder numbers"
-        );
-        let mut headers = Vec::with_capacity(postings.len().div_ceil(BLOCK_SIZE));
-        let mut payload = Vec::new();
-        for frame in postings.chunks(BLOCK_SIZE) {
-            let offset = payload.len() as u32;
-            let mut prev_pre = frame[0].pre;
-            let mut max_bound = 0u32;
-            for (k, p) in frame.iter().enumerate() {
-                if k > 0 {
-                    write_varint(&mut payload, u64::from(p.pre.wrapping_sub(prev_pre)));
-                    prev_pre = p.pre;
-                }
-                write_varint(&mut payload, u64::from(p.bound.wrapping_sub(p.pre)));
-                write_varint(&mut payload, encode_cost(p.pathcost));
-                write_varint(&mut payload, encode_cost(p.inscost));
-                max_bound = max_bound.max(p.bound);
-            }
-            headers.push(BlockHeader {
-                min_pre: frame[0].pre,
-                max_pre: prev_pre,
-                max_bound,
-                count: frame.len() as u32,
-                offset,
-            });
-        }
+impl<E> Default for BlockList<E> {
+    fn default() -> Self {
         BlockList {
-            headers,
-            payload,
-            entries: postings.len(),
+            headers: Vec::new(),
+            payload: Vec::new(),
+            entries: 0,
+            entry: PhantomData,
         }
+    }
+}
+
+impl<E: FrameEntry> BlockList<E> {
+    /// Compresses a strictly pre-sorted list into frames.
+    pub fn from_entries(entries: &[E]) -> Self {
+        let mut list = Self::default();
+        list.encode_frames(entries);
+        list
     }
 
     /// The skip headers, one per frame, in preorder.
@@ -229,14 +250,9 @@ impl BlockList {
         &self.headers
     }
 
-    /// Total number of postings across all frames.
+    /// Total number of entries across all frames.
     pub fn entry_count(&self) -> usize {
         self.entries
-    }
-
-    /// True when the list holds no postings.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
     }
 
     /// Size of the serialized representation ([`BlockList::to_bytes`]).
@@ -255,11 +271,16 @@ impl BlockList {
         (start, end)
     }
 
-    fn decode_frame_into(
-        &self,
-        i: usize,
-        out: &mut Vec<Posting>,
-    ) -> Result<(), PostingDecodeError> {
+    /// Entries in frames `from..`, each frame's count clamped to what a
+    /// frame can hold — the allocation bound of every decode below.
+    fn capacity_from(&self, from: usize) -> usize {
+        self.headers[from..]
+            .iter()
+            .map(|h| (h.count as usize).min(BLOCK_SIZE))
+            .sum()
+    }
+
+    fn decode_frame_into(&self, i: usize, out: &mut Vec<E>) -> Result<(), PostingDecodeError> {
         let h = self.headers[i];
         let (start, end) = self.frame_range(i);
         let Some(frame) = self.payload.get(start..end) else {
@@ -272,14 +293,7 @@ impl BlockList {
                 pre = pre.wrapping_add(read_varint(frame, &mut pos)? as u32);
             }
             let bound = pre.wrapping_add(read_varint(frame, &mut pos)? as u32);
-            let pathcost = decode_cost(read_varint(frame, &mut pos)?);
-            let inscost = decode_cost(read_varint(frame, &mut pos)?);
-            out.push(Posting {
-                pre,
-                bound,
-                pathcost,
-                inscost,
-            });
+            out.push(E::read_columns(pre, bound, frame, &mut pos)?);
         }
         if pos != frame.len() {
             return Err(PostingDecodeError("trailing bytes in frame"));
@@ -287,22 +301,11 @@ impl BlockList {
         Ok(())
     }
 
-    /// Decodes frame `i`, recording the query-time decode metrics
-    /// (`postings.blocks_decoded`, `postings.bytes`). A corrupt frame —
-    /// impossible for lists built by [`BlockList::from_postings`] —
-    /// degrades to the entries decoded so far instead of panicking.
-    pub fn decode_block(&self, i: usize) -> Vec<Posting> {
-        let mut out = Vec::with_capacity(
-            self.headers
-                .get(i)
-                .map_or(0, |h| (h.count as usize).min(BLOCK_SIZE)),
-        );
-        self.decode_block_into(i, &mut out);
-        out
-    }
-
-    /// [`BlockList::decode_block`] appending into an existing buffer.
-    pub fn decode_block_into(&self, i: usize, out: &mut Vec<Posting>) {
+    /// Decodes frame `i` onto `out`, recording the query-time decode
+    /// metrics (`postings.blocks_decoded`, `postings.bytes`). A corrupt
+    /// frame — impossible for lists built by [`BlockList::from_entries`] —
+    /// contributes nothing instead of panicking.
+    pub fn decode_block_into(&self, i: usize, out: &mut Vec<E>) {
         if i >= self.headers.len() {
             return;
         }
@@ -317,23 +320,29 @@ impl BlockList {
         }
     }
 
-    /// Records one skipped frame (`postings.blocks_skipped`). Kept here so
-    /// every skip decision in the list algebra counts identically.
-    pub fn record_skip() {
-        Metric::PostingsBlocksSkipped.incr();
-    }
-
-    /// Decodes every frame (the flat-compatibility path).
-    pub fn decode_all(&self) -> Vec<Posting> {
-        // `entries` is re-derived by `from_bytes`, which bounds every
-        // frame's count against its payload byte span, so the sum is ≤
-        // the input length.
-        // lint:allow(untrusted-length)
-        let mut out = Vec::with_capacity(self.entries);
+    /// Decodes every frame at query time (counts like
+    /// [`BlockList::decode_block_into`]).
+    pub fn decode_all(&self) -> Vec<E> {
+        let mut out = Vec::with_capacity(self.capacity_from(0));
         for i in 0..self.headers.len() {
             self.decode_block_into(i, &mut out);
         }
         out
+    }
+
+    /// Decodes every frame off the query path — load, mutation and
+    /// integrity check — so the `postings.*` counters stay untouched, and
+    /// fails on the first frame that does not decode.
+    pub fn try_decode(&self) -> Result<Vec<E>, PostingDecodeError> {
+        self.decode_from(0)
+    }
+
+    fn decode_from(&self, from: usize) -> Result<Vec<E>, PostingDecodeError> {
+        let mut out = Vec::with_capacity(self.capacity_from(from));
+        for i in from..self.headers.len() {
+            self.decode_frame_into(i, &mut out)?;
+        }
+        Ok(out)
     }
 
     /// Serializes headers + payload: `u32` frame count, then per frame
@@ -355,43 +364,36 @@ impl BlockList {
 
     /// Deserializes [`BlockList::to_bytes`] output, validating the skip
     /// headers structurally (monotone offsets and pre ranges, entry counts
-    /// in range) without decoding the frames. Records the persistence-side
+    /// in range) without decoding the frames. Every frame must span at
+    /// least `E::VARINTS × count − 1` payload bytes (the first entry's pre
+    /// delta is elided), which caps the decoded `entries` total by the
+    /// input length: a hostile header cannot claim counts the payload
+    /// could never hold. Records the persistence-side
     /// `index.bytes_decoded` metric; the full decode round-trip check is
     /// [`BlockList::check_integrity`].
-    pub fn from_bytes(data: &[u8]) -> Result<BlockList, PostingDecodeError> {
-        // A posting frame carries 4 varints per entry (pre delta, bound
-        // delta, two costs), the first entry's pre delta elided.
-        BlockList::from_bytes_with_entry_floor(data, 4)
-    }
-
-    /// [`BlockList::from_bytes`] with a caller-chosen entry byte floor:
-    /// every frame must span at least `min_varints_per_entry × count − 1`
-    /// payload bytes (each varint is ≥ 1 byte). This caps the decoded
-    /// `entries` total by the input length, so a hostile header cannot
-    /// claim counts the payload could never hold. Instance frames
-    /// ([`InstanceBlocks`]) carry 2 varints per entry.
-    fn from_bytes_with_entry_floor(
-        data: &[u8],
-        min_varints_per_entry: usize,
-    ) -> Result<BlockList, PostingDecodeError> {
+    pub fn from_bytes(data: &[u8]) -> Result<Self, PostingDecodeError> {
         Metric::IndexBytesDecoded.add(data.len() as u64);
-        let Some(n_bytes) = data.get(0..4) else {
+        let Some(n_bytes) = data.first_chunk::<4>() else {
             return Err(PostingDecodeError("block list shorter than its header"));
         };
-        let n = u32::from_le_bytes(le_array(n_bytes)) as usize;
+        let n = u32::from_le_bytes(*n_bytes) as usize;
         let Some(header_bytes) = data.get(4..4 + n.saturating_mul(HEADER_BYTES)) else {
             return Err(PostingDecodeError("skip headers truncated"));
         };
         let payload = data[4 + n * HEADER_BYTES..].to_vec();
+        let too_short = |h: &BlockHeader, end: usize| {
+            (end - h.offset as usize) + 1 < E::VARINTS * h.count as usize
+        };
         let mut headers: Vec<BlockHeader> = Vec::with_capacity(n);
         let mut entries = 0usize;
-        for chunk in header_bytes.chunks_exact(HEADER_BYTES) {
+        let (header_words, _) = header_bytes.as_chunks::<4>();
+        for words in header_words.chunks_exact(HEADER_BYTES / 4) {
             let h = BlockHeader {
-                min_pre: u32::from_le_bytes(le_array(&chunk[0..4])),
-                max_pre: u32::from_le_bytes(le_array(&chunk[4..8])),
-                max_bound: u32::from_le_bytes(le_array(&chunk[8..12])),
-                count: u32::from_le_bytes(le_array(&chunk[12..16])),
-                offset: u32::from_le_bytes(le_array(&chunk[16..20])),
+                min_pre: u32::from_le_bytes(words[0]),
+                max_pre: u32::from_le_bytes(words[1]),
+                max_bound: u32::from_le_bytes(words[2]),
+                count: u32::from_le_bytes(words[3]),
+                offset: u32::from_le_bytes(words[4]),
             };
             if h.count == 0 || h.count as usize > BLOCK_SIZE {
                 return Err(PostingDecodeError("frame entry count out of range"));
@@ -403,8 +405,7 @@ impl BlockList {
                 if h.offset <= prev.offset || prev.max_pre >= h.min_pre {
                     return Err(PostingDecodeError("skip headers not monotone"));
                 }
-                let span = (h.offset - prev.offset) as usize;
-                if span + 1 < min_varints_per_entry * prev.count as usize {
+                if too_short(prev, h.offset as usize) {
                     return Err(PostingDecodeError("frame too short for its entry count"));
                 }
             } else if h.offset != 0 {
@@ -416,11 +417,8 @@ impl BlockList {
             entries += h.count as usize;
             headers.push(h);
         }
-        if let Some(last) = headers.last() {
-            let span = payload.len() - last.offset as usize;
-            if span + 1 < min_varints_per_entry * last.count as usize {
-                return Err(PostingDecodeError("frame too short for its entry count"));
-            }
+        if headers.last().is_some_and(|h| too_short(h, payload.len())) {
+            return Err(PostingDecodeError("frame too short for its entry count"));
         }
         if n == 0 && !payload.is_empty() {
             return Err(PostingDecodeError("payload without frames"));
@@ -429,87 +427,65 @@ impl BlockList {
             headers,
             payload,
             entries,
+            entry: PhantomData,
         })
     }
 
-    /// Appends strictly pre-sorted postings whose preorder numbers all
+    /// Appends strictly pre-sorted entries whose preorder numbers all
     /// exceed the list's current maximum (document inserts allocate fresh
     /// preorder numbers past the end, so this is the only append shape the
     /// mutation path needs).
     ///
-    /// The merge is canonical-form preserving: full frames are kept as-is,
-    /// a partial tail frame is decoded and re-chunked together with the
-    /// new entries, so the result is byte-identical to
-    /// [`BlockList::from_postings`] over the concatenated list (which
-    /// [`BlockList::check_integrity`] demands).
-    pub fn append_postings(&mut self, new: &[Posting]) {
+    /// Full frames are kept as they are; a partial tail frame is decoded
+    /// and re-chunked together with the new entries, so the result is
+    /// byte-identical to [`BlockList::from_entries`] over the concatenated
+    /// list.
+    pub fn append(&mut self, new: &[E]) {
         if new.is_empty() {
             return;
         }
         debug_assert!(
-            new.windows(2).all(|w| w[0].pre < w[1].pre),
-            "appended postings must have strictly increasing preorder numbers"
+            self.headers.last().is_none_or(|h| h.max_pre < new[0].pre()),
+            "appended entries must start past the current maximum"
         );
-        debug_assert!(
-            self.headers.last().is_none_or(|h| h.max_pre < new[0].pre),
-            "appended postings must start past the current maximum"
-        );
-        // Re-chunk from the first frame that is not full (only the tail
-        // frame can be partial in canonical form).
+        // Only the tail frame can be partial in canonical form.
         let keep = self
             .headers
             .iter()
             .position(|h| (h.count as usize) < BLOCK_SIZE)
             .unwrap_or(self.headers.len());
-        // Mutation path over in-memory headers: every `count` was
-        // bounds-checked (≤ BLOCK_SIZE, frame byte floor) when the list
-        // was decoded or built by `encode_frames`.
-        // lint:allow(untrusted-length)
-        let mut pending = Vec::with_capacity(
-            self.headers[keep..]
-                .iter()
-                .map(|h| h.count as usize)
-                .sum::<usize>()
-                + new.len(),
-        );
-        for i in keep..self.headers.len() {
-            // Not `decode_block_into`: mutations must not count toward the
-            // query-time decode metrics.
-            let r = self.decode_frame_into(i, &mut pending);
-            debug_assert!(r.is_ok(), "tail frame {i} failed to decode: {r:?}");
-        }
+        let mut pending = self.decode_for_mutation(keep);
         pending.extend_from_slice(new);
         self.truncate_frames(keep);
         self.encode_frames(&pending);
     }
 
-    /// Removes every posting with `pre` in `[lo, hi]`, returning the number
+    /// Removes every entry with `pre` in `[lo, hi]`, returning the number
     /// removed. Frames entirely below `lo` are kept untouched; the list is
     /// re-chunked from the first affected frame, so the result stays a
     /// canonical encoding.
     pub fn remove_range(&mut self, lo: u32, hi: u32) -> usize {
-        let keep = self
-            .headers
-            .iter()
-            .position(|h| h.max_pre >= lo)
-            .unwrap_or(self.headers.len());
-        if keep == self.headers.len() {
+        let Some(keep) = self.headers.iter().position(|h| h.max_pre >= lo) else {
             return 0;
-        }
-        let mut tail = Vec::new();
-        for i in keep..self.headers.len() {
-            let r = self.decode_frame_into(i, &mut tail);
-            debug_assert!(r.is_ok(), "frame {i} failed to decode: {r:?}");
-        }
+        };
+        let mut tail = self.decode_for_mutation(keep);
         let before = tail.len();
-        tail.retain(|p| p.pre < lo || p.pre > hi);
+        tail.retain(|p| p.pre() < lo || p.pre() > hi);
         let removed = before - tail.len();
-        if removed == 0 {
-            return 0;
+        if removed > 0 {
+            self.truncate_frames(keep);
+            self.encode_frames(&tail);
         }
-        self.truncate_frames(keep);
-        self.encode_frames(&tail);
         removed
+    }
+
+    /// Frames `from..` decoded for re-chunking. A frame that does not
+    /// decode (only [`BlockList::check_integrity`] looks inside frames)
+    /// drops the re-chunked tail instead of panicking.
+    fn decode_for_mutation(&self, from: usize) -> Vec<E> {
+        let r = self.decode_from(from);
+        debug_assert!(r.is_ok(), "frames {from}.. failed to decode: {r:?}");
+        r.unwrap_or_default()
     }
 
     /// Drops frames `from..` (headers and payload).
@@ -525,33 +501,37 @@ impl BlockList {
         self.entries -= dropped;
     }
 
-    /// Encodes `postings` as frames appended after the existing ones.
-    /// Callers must guarantee the existing frames are all full and the new
-    /// entries start past the current maximum (canonical-form invariants).
-    fn encode_frames(&mut self, postings: &[Posting]) {
-        for frame in postings.chunks(BLOCK_SIZE) {
+    /// The one encode loop: appends `entries` as frames after the existing
+    /// ones. Callers guarantee the existing frames are all full and the
+    /// new entries start past the current maximum.
+    fn encode_frames(&mut self, entries: &[E]) {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].pre() < w[1].pre()),
+            "entries must have strictly increasing preorder numbers"
+        );
+        for frame in entries.chunks(BLOCK_SIZE) {
             let offset = self.payload.len() as u32;
-            let mut prev_pre = frame[0].pre;
+            let mut prev_pre = frame[0].pre();
             let mut max_bound = 0u32;
-            for (k, p) in frame.iter().enumerate() {
+            for (k, e) in frame.iter().enumerate() {
+                let (pre, bound) = (e.pre(), e.bound());
                 if k > 0 {
-                    write_varint(&mut self.payload, u64::from(p.pre.wrapping_sub(prev_pre)));
-                    prev_pre = p.pre;
+                    write_varint(&mut self.payload, u64::from(pre.wrapping_sub(prev_pre)));
+                    prev_pre = pre;
                 }
-                write_varint(&mut self.payload, u64::from(p.bound.wrapping_sub(p.pre)));
-                write_varint(&mut self.payload, encode_cost(p.pathcost));
-                write_varint(&mut self.payload, encode_cost(p.inscost));
-                max_bound = max_bound.max(p.bound);
+                write_varint(&mut self.payload, u64::from(bound.wrapping_sub(pre)));
+                e.write_columns(&mut self.payload);
+                max_bound = max_bound.max(bound);
             }
             self.headers.push(BlockHeader {
-                min_pre: frame[0].pre,
+                min_pre: frame[0].pre(),
                 max_pre: prev_pre,
                 max_bound,
                 count: frame.len() as u32,
                 offset,
             });
         }
-        self.entries += postings.len();
+        self.entries += entries.len();
     }
 
     /// Full integrity check used by `approxql check`: every frame must
@@ -560,401 +540,33 @@ impl BlockList {
     /// and re-encoding the decoded list must reproduce this representation
     /// byte for byte.
     pub fn check_integrity(&self) -> Result<(), PostingDecodeError> {
-        // `entries` was capped against the payload byte length by
-        // `from_bytes`' per-frame floor check.
-        // lint:allow(untrusted-length)
-        let mut all = Vec::with_capacity(self.entries);
-        for (i, h) in self.headers.iter().enumerate() {
-            let before = all.len();
-            self.decode_frame_into(i, &mut all)?;
-            let frame = &all[before..];
-            let max_bound = frame.iter().map(|p| p.bound).max().unwrap_or(0);
-            let sorted = frame.windows(2).all(|w| w[0].pre < w[1].pre);
+        let all = self.try_decode()?;
+        let mut rest = &all[..];
+        for h in &self.headers {
+            let Some((frame, tail)) = rest.split_at_checked(h.count as usize) else {
+                return Err(PostingDecodeError("frame contents contradict skip header"));
+            };
+            rest = tail;
+            let max_bound = frame.iter().map(|e| e.bound()).max().unwrap_or(0);
+            let sorted = frame.windows(2).all(|w| w[0].pre() < w[1].pre());
             if !sorted
-                || frame.first().map(|p| p.pre) != Some(h.min_pre)
-                || frame.last().map(|p| p.pre) != Some(h.max_pre)
+                || frame.first().map(|e| e.pre()) != Some(h.min_pre)
+                || frame.last().map(|e| e.pre()) != Some(h.max_pre)
                 || max_bound != h.max_bound
             {
                 return Err(PostingDecodeError("frame contents contradict skip header"));
             }
         }
-        if BlockList::from_postings(&all) != *self {
+        if Self::from_entries(&all) != *self {
             return Err(PostingDecodeError("block list is not a canonical encoding"));
         }
         Ok(())
     }
 }
 
-/// Seeking cursor over a [`BlockList`]: yields postings in preorder and
-/// can jump to the first posting with `pre ≥ target` via the skip
-/// headers, decoding only the frame the target lands in.
-pub struct BlockCursor<'a> {
-    list: &'a BlockList,
-    block: usize,
-    buf: Vec<Posting>,
-    pos: usize,
-}
-
-impl<'a> BlockCursor<'a> {
-    /// A cursor positioned before the first posting.
-    pub fn new(list: &'a BlockList) -> BlockCursor<'a> {
-        BlockCursor {
-            list,
-            block: 0,
-            buf: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    fn fill(&mut self) {
-        while self.pos >= self.buf.len() && self.block < self.list.headers.len() {
-            self.buf.clear();
-            self.pos = 0;
-            self.list.decode_block_into(self.block, &mut self.buf);
-            self.block += 1;
-        }
-    }
-
-    /// The posting under the cursor, if any (does not advance).
-    pub fn peek(&mut self) -> Option<Posting> {
-        self.fill();
-        self.buf.get(self.pos).copied()
-    }
-
-    /// Positions the cursor at the first posting with `pre ≥ target`
-    /// at or after the current position, skipping (and counting) whole
-    /// frames whose `max_pre` falls below the target.
-    pub fn seek(&mut self, target: u32) -> Option<Posting> {
-        // Drop already-decoded entries below the target.
-        if let Some(p) = self.buf.get(self.pos) {
-            if p.pre >= target {
-                return Some(*p);
-            }
-            self.pos += self.buf[self.pos..].partition_point(|p| p.pre < target);
-            if let Some(p) = self.buf.get(self.pos) {
-                return Some(*p);
-            }
-        }
-        // Skip whole frames strictly below the target.
-        while self
-            .list
-            .headers
-            .get(self.block)
-            .is_some_and(|h| h.max_pre < target)
-        {
-            BlockList::record_skip();
-            self.block += 1;
-        }
-        self.fill();
-        self.pos += self.buf[self.pos..].partition_point(|p| p.pre < target);
-        self.buf.get(self.pos).copied()
-    }
-}
-
-impl Iterator for BlockCursor<'_> {
-    type Item = Posting;
-
-    /// Advances past the current posting and returns it.
-    fn next(&mut self) -> Option<Posting> {
-        let p = self.peek();
-        if p.is_some() {
-            self.pos += 1;
-        }
-        p
-    }
-}
-
-/// Little-endian helper: copies a slice into a fixed array, zero-padding
-/// a short slice (callers always pass exactly 4 bytes).
-fn le_array<const N: usize>(slice: &[u8]) -> [u8; N] {
-    let mut out = [0u8; N];
-    let n = slice.len().min(N);
-    out[..n].copy_from_slice(&slice[..n]);
-    out
-}
-
-/// Block-compressed instance postings (`pre`/`bound` pairs) with an
-/// uncompressed tail buffer so the secondary index can keep appending
-/// while earlier entries are already sealed into frames.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct InstanceBlocks {
-    headers: Vec<BlockHeader>,
-    payload: Vec<u8>,
-    sealed: usize,
-    tail: Vec<InstancePosting>,
-}
-
-impl InstanceBlocks {
-    /// Compresses a strictly pre-sorted instance list.
-    pub fn from_instances(postings: &[InstancePosting]) -> InstanceBlocks {
-        let mut out = InstanceBlocks::default();
-        for &p in postings {
-            out.push(p);
-        }
-        out
-    }
-
-    /// Appends one instance (callers push in strictly increasing `pre`
-    /// order); seals a frame whenever the tail reaches [`BLOCK_SIZE`].
-    pub fn push(&mut self, p: InstancePosting) {
-        debug_assert!(
-            self.tail.last().is_none_or(|last| last.pre < p.pre)
-                && self.headers.last().is_none_or(|h| h.max_pre < p.pre),
-            "instances must be pushed in increasing preorder"
-        );
-        self.tail.push(p);
-        if self.tail.len() == BLOCK_SIZE {
-            self.seal_tail();
-        }
-    }
-
-    fn seal_tail(&mut self) {
-        if self.tail.is_empty() {
-            return;
-        }
-        let offset = self.payload.len() as u32;
-        let mut prev_pre = self.tail[0].pre;
-        let mut max_bound = 0u32;
-        for (k, p) in self.tail.iter().enumerate() {
-            if k > 0 {
-                write_varint(&mut self.payload, u64::from(p.pre.wrapping_sub(prev_pre)));
-                prev_pre = p.pre;
-            }
-            write_varint(&mut self.payload, u64::from(p.bound.wrapping_sub(p.pre)));
-            max_bound = max_bound.max(p.bound);
-        }
-        self.headers.push(BlockHeader {
-            min_pre: self.tail[0].pre,
-            max_pre: prev_pre,
-            max_bound,
-            count: self.tail.len() as u32,
-            offset,
-        });
-        self.sealed += self.tail.len();
-        self.tail.clear();
-    }
-
-    /// Total number of instances (sealed + tail).
-    pub fn entry_count(&self) -> usize {
-        self.sealed + self.tail.len()
-    }
-
-    /// True when no instance was pushed.
-    pub fn is_empty(&self) -> bool {
-        self.entry_count() == 0
-    }
-
-    /// Size of the serialized representation ([`InstanceBlocks::to_bytes`]).
-    pub fn byte_len(&self) -> usize {
-        // The tail seals into at most one extra frame; size it exactly.
-        let mut tail_payload = 0usize;
-        let mut prev = self.tail.first().map(|p| p.pre).unwrap_or(0);
-        for (k, p) in self.tail.iter().enumerate() {
-            if k > 0 {
-                tail_payload += varint_len(u64::from(p.pre.wrapping_sub(prev)));
-                prev = p.pre;
-            }
-            tail_payload += varint_len(u64::from(p.bound.wrapping_sub(p.pre)));
-        }
-        let tail_header = if self.tail.is_empty() {
-            0
-        } else {
-            HEADER_BYTES
-        };
-        4 + self.headers.len() * HEADER_BYTES + self.payload.len() + tail_header + tail_payload
-    }
-
-    /// Decodes every instance, sealed frames first, then the tail. Sealed
-    /// frames record the query-time decode metrics.
-    pub fn decode_all(&self) -> Vec<InstancePosting> {
-        let mut out = Vec::with_capacity(self.entry_count());
-        for (i, h) in self.headers.iter().enumerate() {
-            Metric::PostingsBlocksDecoded.incr();
-            let start = h.offset as usize;
-            let end = self
-                .headers
-                .get(i + 1)
-                .map(|h| h.offset as usize)
-                .unwrap_or(self.payload.len());
-            Metric::PostingsBytes.add(end.saturating_sub(start) as u64);
-            let before = out.len();
-            let r = decode_instance_frame(&self.payload, start, end, h, &mut out);
-            debug_assert!(r.is_ok(), "instance frame {i} failed to decode: {r:?}");
-            if r.is_err() {
-                out.truncate(before);
-            }
-        }
-        out.extend_from_slice(&self.tail);
-        out
-    }
-
-    /// Serializes like [`BlockList::to_bytes`], sealing the tail into a
-    /// final (possibly short) frame without mutating `self`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut full = self.clone();
-        full.seal_tail();
-        let mut out = Vec::with_capacity(full.byte_len());
-        out.extend_from_slice(&(full.headers.len() as u32).to_le_bytes());
-        for h in &full.headers {
-            out.extend_from_slice(&h.min_pre.to_le_bytes());
-            out.extend_from_slice(&h.max_pre.to_le_bytes());
-            out.extend_from_slice(&h.max_bound.to_le_bytes());
-            out.extend_from_slice(&h.count.to_le_bytes());
-            out.extend_from_slice(&h.offset.to_le_bytes());
-        }
-        out.extend_from_slice(&full.payload);
-        out
-    }
-
-    /// Deserializes [`InstanceBlocks::to_bytes`] output with the same
-    /// structural header validation as [`BlockList::from_bytes`].
-    pub fn from_bytes(data: &[u8]) -> Result<InstanceBlocks, PostingDecodeError> {
-        // Headers share the BlockList layout; reuse its validation, then
-        // reinterpret the payload as instance frames. Instance entries
-        // carry 2 varints (pre delta, bound delta), so the frame byte
-        // floor is lower than the posting one.
-        let bl = BlockList::from_bytes_with_entry_floor(data, 2)?;
-        Ok(InstanceBlocks {
-            headers: bl.headers,
-            payload: bl.payload,
-            sealed: bl.entries,
-            tail: Vec::new(),
-        })
-    }
-
-    /// Removes every instance with `pre` in `[lo, hi]`, returning the
-    /// number removed. Instance lists are per `(schema node, label)` and
-    /// small, so this decodes and rebuilds rather than splicing frames.
-    pub fn remove_range(&mut self, lo: u32, hi: u32) -> usize {
-        if self
-            .headers
-            .last()
-            .map(|h| h.max_pre)
-            .max(self.tail.last().map(|p| p.pre))
-            .is_none_or(|max| max < lo)
-        {
-            return 0;
-        }
-        let mut all = Vec::with_capacity(self.entry_count());
-        for (i, h) in self.headers.iter().enumerate() {
-            let start = h.offset as usize;
-            let end = self
-                .headers
-                .get(i + 1)
-                .map(|h| h.offset as usize)
-                .unwrap_or(self.payload.len());
-            let r = decode_instance_frame(&self.payload, start, end, h, &mut all);
-            debug_assert!(r.is_ok(), "instance frame {i} failed to decode: {r:?}");
-        }
-        all.extend_from_slice(&self.tail);
-        let before = all.len();
-        all.retain(|p| p.pre < lo || p.pre > hi);
-        let removed = before - all.len();
-        if removed > 0 {
-            *self = InstanceBlocks::from_instances(&all);
-        }
-        removed
-    }
-
-    /// Full decode round-trip check used by `approxql check`.
-    pub fn check_integrity(&self) -> Result<(), PostingDecodeError> {
-        let mut all = Vec::with_capacity(self.sealed);
-        for (i, h) in self.headers.iter().enumerate() {
-            let start = h.offset as usize;
-            let end = self
-                .headers
-                .get(i + 1)
-                .map(|h| h.offset as usize)
-                .unwrap_or(self.payload.len());
-            let before = all.len();
-            decode_instance_frame(&self.payload, start, end, h, &mut all)?;
-            let frame = &all[before..];
-            let max_bound = frame.iter().map(|p| p.bound).max().unwrap_or(0);
-            let sorted = frame.windows(2).all(|w| w[0].pre < w[1].pre);
-            if !sorted
-                || frame.first().map(|p| p.pre) != Some(h.min_pre)
-                || frame.last().map(|p| p.pre) != Some(h.max_pre)
-                || max_bound != h.max_bound
-            {
-                return Err(PostingDecodeError("frame contents contradict skip header"));
-            }
-        }
-        Ok(())
-    }
-}
-
-fn decode_instance_frame(
-    payload: &[u8],
-    start: usize,
-    end: usize,
-    h: &BlockHeader,
-    out: &mut Vec<InstancePosting>,
-) -> Result<(), PostingDecodeError> {
-    let Some(frame) = payload.get(start..end) else {
-        return Err(PostingDecodeError("frame offset outside payload"));
-    };
-    let mut pos = 0usize;
-    let mut pre = h.min_pre;
-    for k in 0..h.count {
-        if k > 0 {
-            pre = pre.wrapping_add(read_varint(frame, &mut pos)? as u32);
-        }
-        let bound = pre.wrapping_add(read_varint(frame, &mut pos)? as u32);
-        out.push(InstancePosting { pre, bound });
-    }
-    if pos != frame.len() {
-        return Err(PostingDecodeError("trailing bytes in frame"));
-    }
-    Ok(())
-}
-
-fn varint_len(v: u64) -> usize {
-    (64 - v.max(1).leading_zeros() as usize).div_ceil(7)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn postings_roundtrip() {
-        let ps = vec![
-            Posting {
-                pre: 1,
-                bound: 9,
-                pathcost: Cost::finite(3),
-                inscost: Cost::finite(2),
-            },
-            Posting {
-                pre: 10,
-                bound: 10,
-                pathcost: Cost::finite(0),
-                inscost: Cost::INFINITY,
-            },
-        ];
-        assert_eq!(decode_postings(&encode_postings(&ps)).unwrap(), ps);
-    }
-
-    #[test]
-    fn instances_roundtrip() {
-        let ps = vec![
-            InstancePosting { pre: 1, bound: 2 },
-            InstancePosting { pre: 3, bound: 3 },
-        ];
-        assert_eq!(decode_instances(&encode_instances(&ps)).unwrap(), ps);
-    }
-
-    #[test]
-    fn empty_roundtrips() {
-        assert_eq!(decode_postings(&[]).unwrap(), vec![]);
-        assert_eq!(decode_instances(&[]).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn bad_lengths_rejected() {
-        assert!(decode_postings(&[0u8; 23]).is_err());
-        assert!(decode_instances(&[0u8; 7]).is_err());
-    }
 
     fn sample_postings(n: u32) -> Vec<Posting> {
         (0..n)
@@ -971,24 +583,81 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn block_list_roundtrips_across_frame_boundaries() {
-        for n in [0u32, 1, 127, 128, 129, 300] {
-            let ps = sample_postings(n);
-            let bl = BlockList::from_postings(&ps);
-            assert_eq!(bl.entry_count(), ps.len());
-            assert_eq!(bl.decode_all(), ps, "n = {n}");
-            let loaded = BlockList::from_bytes(&bl.to_bytes()).unwrap();
-            assert_eq!(loaded, bl, "n = {n}");
-            loaded.check_integrity().unwrap();
-        }
+    fn sample_instances(n: u32) -> Vec<InstancePosting> {
+        sample_postings(n)
+            .iter()
+            .map(|p| InstancePosting {
+                pre: p.pre,
+                bound: p.bound,
+            })
+            .collect()
+    }
+
+    fn roundtrips<E: FrameEntry + Eq>(entries: &[E]) {
+        let bl = BlockList::from_entries(entries);
+        assert_eq!(bl.entry_count(), entries.len());
+        assert_eq!(bl.decode_all(), entries);
+        assert_eq!(bl.try_decode().unwrap(), entries);
+        assert_eq!(bl.byte_len(), bl.to_bytes().len());
+        let loaded = BlockList::<E>::from_bytes(&bl.to_bytes()).unwrap();
+        assert_eq!(loaded, bl);
+        loaded.check_integrity().unwrap();
     }
 
     #[test]
-    fn block_list_is_smaller_than_flat_encoding() {
+    fn block_list_roundtrips_across_frame_boundaries() {
+        for n in [0u32, 1, 127, 128, 129, 300] {
+            roundtrips(&sample_postings(n));
+            roundtrips(&sample_instances(n));
+        }
+    }
+
+    /// The v3 value bytes, spelled out: any change here is a format change.
+    #[test]
+    fn frame_bytes_are_the_v3_layout() {
+        let postings = [
+            Posting {
+                pre: 1,
+                bound: 9,
+                pathcost: Cost::finite(3),
+                inscost: Cost::INFINITY,
+            },
+            Posting {
+                pre: 300,
+                bound: 300,
+                pathcost: Cost::ZERO,
+                inscost: Cost::finite(200),
+            },
+        ];
+        let header = |max_bound: u8| {
+            let mut h = vec![1, 0, 0, 0]; // one frame
+            h.extend([1, 0, 0, 0, 44, 1, 0, 0, max_bound, 1, 0, 0]); // pre 1..=300
+            h.extend([2, 0, 0, 0, 0, 0, 0, 0]); // 2 entries at offset 0
+            h
+        };
+        let mut want = header(44);
+        // bound−pre, pathcost+1, ∞→0 | pre delta 299, bound−pre, 0+1, 200+1
+        want.extend([8, 4, 0, 0xab, 0x02, 0, 1, 0xc9, 0x01]);
+        assert_eq!(BlockList::from_entries(&postings).to_bytes(), want);
+
+        let instances = [
+            InstancePosting { pre: 1, bound: 9 },
+            InstancePosting {
+                pre: 300,
+                bound: 301,
+            },
+        ];
+        let mut want = header(45);
+        want.extend([8, 0xab, 0x02, 1]);
+        assert_eq!(BlockList::from_entries(&instances).to_bytes(), want);
+    }
+
+    #[test]
+    fn block_list_is_smaller_than_fixed_width_entries() {
         let ps = sample_postings(1000);
-        let bl = BlockList::from_postings(&ps);
-        let flat = encode_postings(&ps).len();
+        let bl = BlockList::from_entries(&ps);
+        // pre, bound: u32; two u64 costs.
+        let flat = ps.len() * 24;
         assert!(
             bl.byte_len() * 2 < flat,
             "compressed {} vs flat {flat}",
@@ -999,11 +668,12 @@ mod tests {
     #[test]
     fn block_headers_describe_their_frames() {
         let ps = sample_postings(300);
-        let bl = BlockList::from_postings(&ps);
+        let bl = BlockList::from_entries(&ps);
         assert_eq!(bl.headers().len(), 3);
         let mut total = 0usize;
         for (i, h) in bl.headers().iter().enumerate() {
-            let frame = bl.decode_block(i);
+            let mut frame = Vec::new();
+            bl.decode_block_into(i, &mut frame);
             assert_eq!(frame.len(), h.count as usize);
             assert_eq!(frame.first().unwrap().pre, h.min_pre);
             assert_eq!(frame.last().unwrap().pre, h.max_pre);
@@ -1014,73 +684,61 @@ mod tests {
     }
 
     #[test]
-    fn block_cursor_seeks_like_a_linear_scan() {
-        let ps = sample_postings(300);
-        let bl = BlockList::from_postings(&ps);
-        let mut cur = BlockCursor::new(&bl);
-        for target in [0u32, 5, 130, 131, 500, 899, 900, 1200] {
-            let expect = ps.iter().find(|p| p.pre >= target).copied();
-            assert_eq!(cur.seek(target), expect, "target {target}");
-        }
-        assert_eq!(cur.seek(u32::MAX), None);
-    }
-
-    #[test]
-    fn block_cursor_iterates_everything() {
-        let ps = sample_postings(130);
-        let bl = BlockList::from_postings(&ps);
-        let got: Vec<_> = BlockCursor::new(&bl).collect();
-        assert_eq!(got, ps);
-    }
-
-    #[test]
     fn corrupt_block_bytes_are_rejected() {
-        let bl = BlockList::from_postings(&sample_postings(200));
+        let bl = BlockList::from_entries(&sample_postings(200));
         let bytes = bl.to_bytes();
         // Truncations of the header region fail structurally.
-        assert!(BlockList::from_bytes(&bytes[..3]).is_err());
-        assert!(BlockList::from_bytes(&bytes[..10]).is_err());
+        assert!(BlockList::<Posting>::from_bytes(&bytes[..3]).is_err());
+        assert!(BlockList::<Posting>::from_bytes(&bytes[..10]).is_err());
         // A header monotonicity violation: swap the two frame headers.
         let mut swapped = bytes.clone();
         let (a, b) = (4, 4 + HEADER_BYTES);
         for k in 0..HEADER_BYTES {
             swapped.swap(a + k, b + k);
         }
-        assert!(BlockList::from_bytes(&swapped).is_err());
+        assert!(BlockList::<Posting>::from_bytes(&swapped).is_err());
         // A header that contradicts the payload passes the structural
         // check but fails the decode round-trip: shrink the last frame's
         // entry count so decoding leaves trailing bytes.
         let mut garbled = bytes.clone();
         let count_at = 4 + HEADER_BYTES + 12;
         garbled[count_at] -= 1;
-        let loaded = BlockList::from_bytes(&garbled).unwrap();
+        let loaded = BlockList::<Posting>::from_bytes(&garbled).unwrap();
         assert!(loaded.check_integrity().is_err());
+        assert!(loaded.try_decode().is_err());
     }
 
     #[test]
-    fn instance_blocks_roundtrip_with_tail() {
-        for n in [0u32, 1, 127, 128, 200, 400] {
-            let ps: Vec<InstancePosting> = (0..n)
-                .map(|i| InstancePosting {
-                    pre: i * 2 + 1,
-                    bound: i * 2 + 1 + (i % 3),
-                })
-                .collect();
-            let mut ib = InstanceBlocks::default();
-            for &p in &ps {
-                ib.push(p);
-            }
-            assert_eq!(ib.entry_count(), ps.len());
-            assert_eq!(ib.decode_all(), ps, "n = {n}");
-            assert_eq!(ib.byte_len(), ib.to_bytes().len(), "n = {n}");
-            let loaded = InstanceBlocks::from_bytes(&ib.to_bytes()).unwrap();
-            assert_eq!(loaded.decode_all(), ps, "n = {n}");
-            loaded.check_integrity().unwrap();
-        }
+    fn entry_byte_floor_follows_the_entry_type() {
+        // 100 instance entries fit 199 payload bytes; the same header over
+        // the same payload cannot hold 100 four-varint postings.
+        let bytes = BlockList::from_entries(&sample_instances(100)).to_bytes();
+        assert!(BlockList::<InstancePosting>::from_bytes(&bytes).is_ok());
+        assert_eq!(
+            BlockList::<Posting>::from_bytes(&bytes),
+            Err(PostingDecodeError("frame too short for its entry count"))
+        );
     }
 
     #[test]
-    fn append_postings_matches_batch_encoding() {
+    fn fragmented_lists_decode_but_are_not_canonical() {
+        // Two half-full frames: what a store fragmented by the retired
+        // tail-buffer codec holds. It must still load and decode; only
+        // the integrity check objects.
+        let ps = sample_instances(10);
+        let (a, b) = ps.split_at(5);
+        let mut list = BlockList::from_entries(a);
+        list.encode_frames(b);
+        let loaded = BlockList::<InstancePosting>::from_bytes(&list.to_bytes()).unwrap();
+        assert_eq!(loaded.try_decode().unwrap(), ps);
+        assert_eq!(
+            loaded.check_integrity(),
+            Err(PostingDecodeError("block list is not a canonical encoding"))
+        );
+    }
+
+    #[test]
+    fn append_matches_batch_encoding() {
         for base in [0u32, 1, 127, 128, 129, 300] {
             for added in [1u32, 5, 127, 128, 200] {
                 let mut ps = sample_postings(base);
@@ -1093,10 +751,10 @@ mod tests {
                         inscost: Cost::finite(1),
                     })
                     .collect();
-                let mut bl = BlockList::from_postings(&ps);
-                bl.append_postings(&new);
+                let mut bl = BlockList::from_entries(&ps);
+                bl.append(&new);
                 ps.extend_from_slice(&new);
-                assert_eq!(bl, BlockList::from_postings(&ps), "base {base} + {added}");
+                assert_eq!(bl, BlockList::from_entries(&ps), "base {base} + {added}");
                 bl.check_integrity().unwrap();
             }
         }
@@ -1106,7 +764,7 @@ mod tests {
     fn remove_range_matches_filtered_batch_encoding() {
         let ps = sample_postings(300);
         for (lo, hi) in [(0u32, 0u32), (1, 400), (390, 600), (0, 10_000), (880, 905)] {
-            let mut bl = BlockList::from_postings(&ps);
+            let mut bl = BlockList::from_entries(&ps);
             let removed = bl.remove_range(lo, hi);
             let kept: Vec<Posting> = ps
                 .iter()
@@ -1114,43 +772,21 @@ mod tests {
                 .copied()
                 .collect();
             assert_eq!(removed, ps.len() - kept.len(), "range {lo}..={hi}");
-            assert_eq!(bl, BlockList::from_postings(&kept), "range {lo}..={hi}");
+            assert_eq!(bl, BlockList::from_entries(&kept), "range {lo}..={hi}");
             bl.check_integrity().unwrap();
         }
         // Removing everything leaves the canonical empty list.
-        let mut bl = BlockList::from_postings(&ps);
+        let mut bl = BlockList::from_entries(&ps);
         bl.remove_range(0, u32::MAX);
-        assert!(bl.is_empty());
         assert_eq!(bl, BlockList::default());
+        assert_eq!(bl.remove_range(0, u32::MAX), 0);
     }
 
     #[test]
-    fn instance_remove_range_filters_sealed_and_tail() {
-        let ps: Vec<InstancePosting> = (0..200u32)
-            .map(|i| InstancePosting {
-                pre: i * 2 + 1,
-                bound: i * 2 + 1,
-            })
-            .collect();
-        let mut ib = InstanceBlocks::from_instances(&ps);
-        let removed = ib.remove_range(100, 300);
-        let kept: Vec<InstancePosting> = ps
-            .iter()
-            .filter(|p| p.pre < 100 || p.pre > 300)
-            .copied()
-            .collect();
-        assert_eq!(removed, ps.len() - kept.len());
-        assert_eq!(ib.decode_all(), kept);
-        ib.check_integrity().unwrap();
-        assert_eq!(ib.remove_range(10_000, 20_000), 0);
-    }
-
-    #[test]
-    fn varint_len_matches_encoder() {
+    fn varints_roundtrip() {
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX] {
             let mut buf = Vec::new();
             write_varint(&mut buf, v);
-            assert_eq!(buf.len(), varint_len(v), "v = {v}");
             let mut pos = 0;
             assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());

@@ -1,6 +1,6 @@
 //! The label indexes `I_struct` and `I_text` (Section 6.2, Figure 3).
 
-use crate::codec::BlockList;
+use crate::codec::{BlockList, PostingDecodeError};
 use crate::Posting;
 use approxql_metrics::{time, Metric, TimerMetric};
 use approxql_tree::{DataTree, LabelId, NodeType};
@@ -32,7 +32,7 @@ impl LabelIndex {
         }
         let map = flat
             .into_iter()
-            .map(|(k, v)| (k, BlockList::from_postings(&v)))
+            .map(|(k, v)| (k, BlockList::from_entries(&v)))
             .collect();
         LabelIndex {
             map,
@@ -87,13 +87,19 @@ impl LabelIndex {
     /// builder and tests; input must be strictly pre-sorted).
     pub fn insert_posting(&mut self, ty: NodeType, label: LabelId, posting: Vec<Posting>) {
         self.map
-            .insert((ty, label), BlockList::from_postings(&posting));
+            .insert((ty, label), BlockList::from_entries(&posting));
     }
 
-    /// Inserts an already-compressed posting list (used when loading from
-    /// storage).
-    pub fn insert_blocks(&mut self, ty: NodeType, label: LabelId, blocks: BlockList) {
-        self.map.insert((ty, label), blocks);
+    /// Inserts the posting of `(ty, label)` from its stored value,
+    /// validating the skip headers; the frames stay compressed.
+    pub fn insert_bytes(
+        &mut self,
+        ty: NodeType,
+        label: LabelId,
+        value: &[u8],
+    ) -> Result<(), PostingDecodeError> {
+        self.map.insert((ty, label), BlockList::from_bytes(value)?);
+        Ok(())
     }
 
     /// The compressed posting for `(ty, label)` without any metric
@@ -109,10 +115,7 @@ impl LabelIndex {
         if new.is_empty() {
             return;
         }
-        self.map
-            .entry((ty, label))
-            .or_default()
-            .append_postings(new);
+        self.map.entry((ty, label)).or_default().append(new);
     }
 
     /// Removes a whole posting. Returns `true` if it existed.

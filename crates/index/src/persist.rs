@@ -2,18 +2,25 @@
 //!
 //! Key layout (all keys are byte strings):
 //!
-//! * `meta#<name>` — named blobs (the serialized data tree, schema tree, …)
+//! * `meta#<name>` — named blobs: `costs`, `interner`, `docmap` and the
+//!   `schema` tree
+//! * `doc#<start, big-endian u32>` — one live document's column segment
+//!   (written by `approxql-core`)
 //! * `ls#<label>` / `lt#<label>` — `I_struct` / `I_text` postings
 //! * `sec#<schema-pre, big-endian u32>#<label>` — path-dependent postings,
 //!   mirroring the paper's `pre(u)#label(u)` key construction.
 //!
+//! Every `ls#`/`lt#`/`sec#` value is one [`BlockList`] in canonical form
+//! (DESIGN.md §14), and every writer puts its keys in sorted order, so the
+//! same collection always produces the same store file.
+//!
 //! Labels are stored as strings; on load they are resolved against the
 //! interner of the (already loaded) data tree, so label ids stay consistent.
 
-use crate::codec::{BlockList, InstanceBlocks, PostingDecodeError};
-use crate::{LabelIndex, SecondaryIndex};
+use crate::codec::{BlockList, FrameEntry, PostingDecodeError};
+use crate::{InstancePosting, LabelIndex, Posting, SecondaryIndex};
 use approxql_storage::{StorageError, Store};
-use approxql_tree::{Interner, NodeType};
+use approxql_tree::{Interner, LabelId, NodeType};
 use std::fmt;
 
 /// Errors raised while saving or loading indexes.
@@ -94,17 +101,76 @@ pub fn load_blob(store: &mut Store, name: &'static str) -> Result<Vec<u8>, Persi
     store.get(&k)?.ok_or(PersistError::MissingBlob(name))
 }
 
+/// The one save routine: puts `lists` (store key, framed value) in sorted
+/// key order. The order a B+-tree is filled in decides its page layout,
+/// so sorted puts are what makes equal collections equal files.
+pub fn put_lists(
+    store: &mut Store,
+    lists: impl Iterator<Item = (Vec<u8>, Vec<u8>)>,
+) -> Result<(), PersistError> {
+    let mut lists: Vec<_> = lists.collect();
+    lists.sort_unstable();
+    for (key, value) in lists {
+        store.put(&key, &value)?;
+    }
+    Ok(())
+}
+
+/// The one load routine: every list stored under `prefix` goes to
+/// `insert` as (the key's fixed part, its label, the value bytes).
+/// `split_key` is the key codec: it cuts the key after the prefix into
+/// the fixed part and the label's name.
+fn load_lists<K>(
+    store: &mut Store,
+    interner: &Interner,
+    prefix: &[u8],
+    split_key: impl Fn(&[u8]) -> Option<(K, &[u8])>,
+    mut insert: impl FnMut(K, LabelId, &[u8]) -> Result<(), PostingDecodeError>,
+) -> Result<(), PersistError> {
+    for (key, value) in store.scan_prefix(prefix)?.collect_all()? {
+        let bad_key = || PersistError::BadKey(String::from_utf8_lossy(&key).into_owned());
+        let (fixed, name) = split_key(&key[prefix.len()..]).ok_or_else(bad_key)?;
+        let name = std::str::from_utf8(name).map_err(|_| bad_key())?;
+        let label = interner
+            .get(name)
+            .ok_or_else(|| PersistError::UnknownLabel(name.to_owned()))?;
+        insert(fixed, label, &value)?;
+    }
+    Ok(())
+}
+
+/// The one check routine: structural skip-header validation, per-frame
+/// decode, the decode round-trip against the headers and the
+/// canonical-form check for every list under `prefix`.
+fn check_lists<E: FrameEntry>(store: &mut Store, prefix: &[u8]) -> Result<(), PersistError> {
+    for (_, value) in store.scan_prefix(prefix)?.collect_all()? {
+        BlockList::<E>::from_bytes(&value)?.check_integrity()?;
+    }
+    Ok(())
+}
+
+const LABEL_PREFIXES: [(&[u8], NodeType); 2] =
+    [(b"ls#", NodeType::Struct), (b"lt#", NodeType::Text)];
+
+/// The part of a `sec#` key after the prefix: big-endian schema pre, `#`,
+/// label name.
+fn split_sec_key(rest: &[u8]) -> Option<(u32, &[u8])> {
+    let (pre, rest) = rest.split_first_chunk::<4>()?;
+    Some((u32::from_be_bytes(*pre), rest.strip_prefix(b"#")?))
+}
+
 /// Saves a label index; labels are resolved through `interner`.
 pub fn save_label_index(
     store: &mut Store,
     index: &LabelIndex,
     interner: &Interner,
 ) -> Result<(), PersistError> {
-    for ((ty, label), blocks) in index.iter() {
-        let key = label_key(ty, interner.resolve(label));
-        store.put(&key, &blocks.to_bytes())?;
-    }
-    Ok(())
+    put_lists(
+        store,
+        index
+            .iter()
+            .map(|((ty, label), list)| (label_key(ty, interner.resolve(label)), list.to_bytes())),
+    )
 }
 
 /// Loads a label index saved with [`save_label_index`].
@@ -113,20 +179,14 @@ pub fn load_label_index(
     interner: &Interner,
 ) -> Result<LabelIndex, PersistError> {
     let mut index = LabelIndex::default();
-    for (prefix, ty) in [
-        (&b"ls#"[..], NodeType::Struct),
-        (&b"lt#"[..], NodeType::Text),
-    ] {
-        let entries = store.scan_prefix(prefix)?.collect_all()?;
-        for (key, value) in entries {
-            let label_bytes = &key[prefix.len()..];
-            let label_str = std::str::from_utf8(label_bytes)
-                .map_err(|_| PersistError::BadKey(String::from_utf8_lossy(&key).into_owned()))?;
-            let label = interner
-                .get(label_str)
-                .ok_or_else(|| PersistError::UnknownLabel(label_str.to_owned()))?;
-            index.insert_blocks(ty, label, BlockList::from_bytes(&value)?);
-        }
+    for (prefix, ty) in LABEL_PREFIXES {
+        load_lists(
+            store,
+            interner,
+            prefix,
+            |name| Some(((), name)),
+            |(), label, value| index.insert_bytes(ty, label, value),
+        )?;
     }
     Ok(index)
 }
@@ -137,11 +197,13 @@ pub fn save_secondary_index(
     index: &SecondaryIndex,
     interner: &Interner,
 ) -> Result<(), PersistError> {
-    for ((schema_pre, label), blocks) in index.iter() {
-        let key = sec_key(schema_pre, interner.resolve(label));
-        store.put(&key, &blocks.to_bytes())?;
-    }
-    Ok(())
+    put_lists(
+        store,
+        index.iter().map(|((pre, label), list)| {
+            let value = SecondaryIndex::list_bytes(list);
+            (sec_key(pre, interner.resolve(label)), value)
+        }),
+    )
 }
 
 /// Loads a secondary index saved with [`save_secondary_index`].
@@ -150,48 +212,30 @@ pub fn load_secondary_index(
     interner: &Interner,
 ) -> Result<SecondaryIndex, PersistError> {
     let mut index = SecondaryIndex::new();
-    let entries = store.scan_prefix(b"sec#")?.collect_all()?;
-    for (key, value) in entries {
-        let rest = &key[4..];
-        if rest.len() < 5 || rest[4] != b'#' {
-            return Err(PersistError::BadKey(
-                String::from_utf8_lossy(&key).into_owned(),
-            ));
-        }
-        let schema_pre = u32::from_be_bytes(rest[0..4].try_into().unwrap());
-        let label_str = std::str::from_utf8(&rest[5..])
-            .map_err(|_| PersistError::BadKey(String::from_utf8_lossy(&key).into_owned()))?;
-        let label = interner
-            .get(label_str)
-            .ok_or_else(|| PersistError::UnknownLabel(label_str.to_owned()))?;
-        index.insert_blocks(schema_pre, label, InstanceBlocks::from_bytes(&value)?);
-    }
+    load_lists(
+        store,
+        interner,
+        b"sec#",
+        split_sec_key,
+        |pre, label, value| index.insert_bytes(pre, label, value),
+    )?;
     Ok(index)
 }
 
 /// Walks every stored posting list (`ls#`/`lt#`/`sec#` values) and runs
-/// the full block-integrity check: structural skip-header validation,
-/// per-frame decode, and the decode round-trip against the headers. Used
-/// by `approxql check` (DESIGN.md §14); any failure means the compressed
-/// frames contradict their skip headers.
+/// the full block-integrity check. Used by `approxql check` (DESIGN.md
+/// §14); any failure means the compressed frames contradict their skip
+/// headers or are not the canonical encoding of their entries.
 pub fn check_posting_blocks(store: &mut Store) -> Result<(), PersistError> {
-    for prefix in [&b"ls#"[..], &b"lt#"[..]] {
-        let entries = store.scan_prefix(prefix)?.collect_all()?;
-        for (_, value) in entries {
-            BlockList::from_bytes(&value)?.check_integrity()?;
-        }
+    for (prefix, _) in LABEL_PREFIXES {
+        check_lists::<Posting>(store, prefix)?;
     }
-    let entries = store.scan_prefix(b"sec#")?.collect_all()?;
-    for (_, value) in entries {
-        InstanceBlocks::from_bytes(&value)?.check_integrity()?;
-    }
-    Ok(())
+    check_lists::<InstancePosting>(store, b"sec#")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{InstancePosting, Posting};
     use approxql_cost::CostModel;
     use approxql_tree::{Cost, DataTree, DataTreeBuilder};
 

@@ -288,7 +288,7 @@ impl Schema {
             self.class_of[node.index()] = class;
             let label = data.label_id(node);
             let sec_key = (class, label);
-            if self.secondary.blocks(class, label).is_none() {
+            if self.secondary.get(class, label).is_none() {
                 // A key new to I_sec: the schema label index gains this
                 // schema node for the label (small list, re-encoded).
                 let ty = self.tree.node_type(NodeId(class));
@@ -335,7 +335,7 @@ impl Schema {
                 .secondary
                 .remove_range(class, label, span.start, span.bound);
             debug_assert!(removed > 0, "dead range instance missing from I_sec");
-            if self.secondary.blocks(class, label).is_none() {
+            if self.secondary.get(class, label).is_none() {
                 // The key emptied: drop this schema node from the label's
                 // schema-level posting.
                 delta.removed_sec.push((class, label));
@@ -493,16 +493,7 @@ impl Schema {
         for c in &mut self.class_of {
             *c = remap(*c);
         }
-        let entries: Vec<_> = self
-            .secondary
-            .iter()
-            .map(|((p, l), blocks)| ((remap(p), l), blocks.clone()))
-            .collect();
-        let mut secondary = SecondaryIndex::new();
-        for ((p, l), blocks) in entries {
-            secondary.insert_blocks(p, l, blocks);
-        }
-        self.secondary = secondary;
+        self.secondary.remap_schema_pres(remap);
         self.child_lookup = lookup
             .into_iter()
             .map(|((p, ty, l), c)| ((shape_pre[p], ty, l), shape_pre[c]))
@@ -532,9 +523,8 @@ impl Schema {
         NodeId(self.class_of[data_node.index()])
     }
 
-    /// The instances of a schema node that carry `label`, decoded from the
-    /// compressed secondary index.
-    pub fn instances(&self, schema_node: NodeId, label: LabelId) -> Vec<InstancePosting> {
+    /// The instances of a schema node that carry `label`.
+    pub fn instances(&self, schema_node: NodeId, label: LabelId) -> &[InstancePosting] {
         self.secondary.fetch(schema_node.0, label)
     }
 
@@ -547,7 +537,7 @@ impl Schema {
             max_instances: self
                 .secondary
                 .iter()
-                .map(|(_, p)| p.entry_count())
+                .map(|(_, p)| p.len())
                 .max()
                 .unwrap_or(0),
         }
@@ -771,12 +761,7 @@ mod tests {
         let mut sec: Vec<_> = s
             .secondary()
             .iter()
-            .map(|((p, l), b)| {
-                (
-                    (p, l.0),
-                    b.decode_all().iter().map(|i| (i.pre, i.bound)).collect(),
-                )
-            })
+            .map(|((p, l), b)| ((p, l.0), b.iter().map(|i| (i.pre, i.bound)).collect()))
             .collect();
         sec.sort();
         let mut lab: Vec<_> = s

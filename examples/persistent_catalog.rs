@@ -43,8 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         b.first().map(|h| h.cost)
     );
 
-    // Schema-driven answers survive the roundtrip too (the schema is
-    // rebuilt from the tree on open).
+    // Schema-driven answers survive the roundtrip too (the schema tree
+    // and the secondary index are stored, and reassembled on open).
     let c = reopened.query_schema(query, 5)?;
     assert_eq!(&b[..c.len()], &c[..]);
     println!("schema-driven evaluation agrees after reopen");

@@ -1,12 +1,15 @@
-//! Property tests for the block-compressed posting codec (DESIGN.md §14):
-//! arbitrary preorder-sorted posting lists must encode → serialize →
-//! deserialize → decode byte-identically, and the skip cursor's `seek`
-//! must agree with a linear-scan oracle.
+//! Property tests for the posting-frame codec (DESIGN.md §14): arbitrary
+//! preorder-sorted lists must encode → serialize → deserialize → decode
+//! byte-identically, and any interleaving of appends and range removals
+//! must leave the list byte-identical to a batch build over a `Vec` model.
+//! Every property is one generic body, run for both entry types — label
+//! postings (`ls#`/`lt#` values) and instance postings (`sec#` values).
 
-use approxql::crates::index::codec::{BlockCursor, BlockList, InstanceBlocks};
+use approxql::crates::index::codec::{BlockList, FrameEntry};
 use approxql::crates::index::{InstancePosting, Posting};
 use approxql::Cost;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// A cost that is infinite often enough to exercise the 0-byte encoding.
 fn gen_cost() -> impl Strategy<Value = Cost> {
@@ -17,41 +20,50 @@ fn gen_cost() -> impl Strategy<Value = Cost> {
     ]
 }
 
-/// Strictly pre-sorted posting lists with irregular gaps, spanning zero
-/// to several compression frames.
-fn gen_postings() -> impl Strategy<Value = Vec<Posting>> {
-    proptest::collection::vec((1u32..5_000, 0u32..10_000, gen_cost(), gen_cost()), 0..400).prop_map(
-        |raw| {
-            let mut pre = 0u32;
-            raw.into_iter()
-                .map(|(gap, span, pathcost, inscost)| {
-                    pre += gap;
-                    Posting {
-                        pre,
-                        bound: pre + span,
-                        pathcost,
-                        inscost,
-                    }
-                })
-                .collect()
-        },
-    )
+/// One drawn entry: preorder gap to its predecessor, subtree span, and the
+/// two costs (which instance entries drop).
+type Raw = (u32, u32, Cost, Cost);
+
+/// Zero to several frames' worth of entries with irregular gaps.
+fn gen_raw(
+    max_gap: u32,
+    max_span: u32,
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<Raw>> {
+    proptest::collection::vec((1..max_gap, 0..max_span, gen_cost(), gen_cost()), len)
 }
 
-/// Strictly pre-sorted instance lists.
-fn gen_instances() -> impl Strategy<Value = Vec<InstancePosting>> {
-    proptest::collection::vec((1u32..5_000, 0u32..10_000), 0..400).prop_map(|raw| {
-        let mut pre = 0u32;
-        raw.into_iter()
-            .map(|(gap, span)| {
-                pre += gap;
-                InstancePosting {
-                    pre,
-                    bound: pre + span,
-                }
-            })
-            .collect()
-    })
+/// An entry type the properties can draw.
+trait Drawn: FrameEntry + Eq {
+    fn drawn(pre: u32, bound: u32, pathcost: Cost, inscost: Cost) -> Self;
+}
+
+impl Drawn for Posting {
+    fn drawn(pre: u32, bound: u32, pathcost: Cost, inscost: Cost) -> Posting {
+        Posting {
+            pre,
+            bound,
+            pathcost,
+            inscost,
+        }
+    }
+}
+
+impl Drawn for InstancePosting {
+    fn drawn(pre: u32, bound: u32, _: Cost, _: Cost) -> InstancePosting {
+        InstancePosting { pre, bound }
+    }
+}
+
+/// Turns drawn gaps into a strictly pre-sorted list starting past `after`.
+fn entries<E: Drawn>(after: u32, raw: &[Raw]) -> Vec<E> {
+    let mut pre = after;
+    raw.iter()
+        .map(|&(gap, span, pathcost, inscost)| {
+            pre += gap;
+            E::drawn(pre, pre + span, pathcost, inscost)
+        })
+        .collect()
 }
 
 /// One step of a randomized mutation sequence: a batch append (gaps are
@@ -59,15 +71,14 @@ fn gen_instances() -> impl Strategy<Value = Vec<InstancePosting>> {
 /// increasing) or a range tombstone.
 #[derive(Clone, Debug)]
 enum MutOp {
-    Append(Vec<(u32, u32, Cost, Cost)>),
+    Append(Vec<Raw>),
     Remove(u32, u32),
 }
 
 fn gen_mut_ops() -> impl Strategy<Value = Vec<MutOp>> {
     proptest::collection::vec(
         prop_oneof![
-            proptest::collection::vec((1u32..500, 0u32..1_000, gen_cost(), gen_cost()), 1..60)
-                .prop_map(MutOp::Append),
+            gen_raw(500, 1_000, 1..60).prop_map(MutOp::Append),
             (0u32..600_000, 0u32..50_000)
                 .prop_map(|(lo, span)| MutOp::Remove(lo, lo.saturating_add(span))),
         ],
@@ -75,140 +86,88 @@ fn gen_mut_ops() -> impl Strategy<Value = Vec<MutOp>> {
     )
 }
 
+/// encode → to_bytes → from_bytes → decode is the identity, on the query
+/// path (`decode_all`) and off it (`try_decode`); the integrity check
+/// accepts every well-formed list, and `byte_len` matches the serialized
+/// size.
+fn roundtrips<E: Drawn>(raw: &[Raw]) -> Result<(), TestCaseError> {
+    let list: Vec<E> = entries(0, raw);
+    let blocks = BlockList::from_entries(&list);
+    prop_assert_eq!(blocks.entry_count(), list.len());
+    prop_assert_eq!(blocks.decode_all(), list.clone());
+    let bytes = blocks.to_bytes();
+    prop_assert_eq!(bytes.len(), blocks.byte_len());
+    let loaded = BlockList::<E>::from_bytes(&bytes).unwrap();
+    prop_assert_eq!(&loaded, &blocks);
+    loaded.check_integrity().unwrap();
+    prop_assert_eq!(loaded.try_decode().unwrap(), list);
+    Ok(())
+}
+
+/// Incremental maintenance: after any interleaving of batch appends and
+/// range removals, the list stays integrity-clean and byte-identical to a
+/// batch build over a `Vec` model (the canonical form `check_integrity`
+/// demands).
+fn mutations_match_vec_model<E: Drawn>(
+    initial: &[Raw],
+    ops: &[MutOp],
+) -> Result<(), TestCaseError> {
+    let mut model: Vec<E> = entries(0, initial);
+    let mut blocks = BlockList::from_entries(&model);
+    for op in ops {
+        match op {
+            MutOp::Append(raw) => {
+                let batch: Vec<E> = entries(model.last().map_or(0, |e| e.pre()), raw);
+                blocks.append(&batch);
+                model.extend(batch);
+            }
+            MutOp::Remove(lo, hi) => {
+                let removed = blocks.remove_range(*lo, *hi);
+                let before = model.len();
+                model.retain(|e| e.pre() < *lo || e.pre() > *hi);
+                prop_assert_eq!(removed, before - model.len());
+            }
+        }
+        prop_assert_eq!(blocks.entry_count(), model.len());
+        prop_assert!(
+            blocks.check_integrity().is_ok(),
+            "integrity lost after mutation"
+        );
+        prop_assert_eq!(
+            blocks.to_bytes(),
+            BlockList::from_entries(&model).to_bytes()
+        );
+    }
+    prop_assert_eq!(blocks.decode_all(), model);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Incremental maintenance (PR 8): after any interleaving of batch
-    /// appends and range removals, the block list stays integrity-clean,
-    /// byte-identical to a batch build over a `Vec` model (the canonical
-    /// form `check_integrity` demands), and its skip cursor still agrees
-    /// with a linear scan of the model.
+    #[test]
+    fn block_list_roundtrips(raw in gen_raw(5_000, 10_000, 0..400)) {
+        roundtrips::<Posting>(&raw)?;
+    }
+
+    #[test]
+    fn instance_blocks_roundtrip(raw in gen_raw(5_000, 10_000, 0..400)) {
+        roundtrips::<InstancePosting>(&raw)?;
+    }
+
     #[test]
     fn block_list_mutations_match_vec_model(
-        initial in gen_postings(),
+        initial in gen_raw(5_000, 10_000, 0..400),
         ops in gen_mut_ops(),
-        raw_targets in proptest::collection::vec(0u32..2_000_000, 1..20),
     ) {
-        let mut model = initial.clone();
-        let mut blocks = BlockList::from_postings(&initial);
-        for op in ops {
-            match op {
-                MutOp::Append(raw) => {
-                    let mut pre = model.last().map(|p| p.pre).unwrap_or(0);
-                    let batch: Vec<Posting> = raw
-                        .into_iter()
-                        .map(|(gap, span, pathcost, inscost)| {
-                            pre += gap;
-                            Posting { pre, bound: pre + span, pathcost, inscost }
-                        })
-                        .collect();
-                    blocks.append_postings(&batch);
-                    model.extend(batch);
-                }
-                MutOp::Remove(lo, hi) => {
-                    let removed = blocks.remove_range(lo, hi);
-                    let before = model.len();
-                    model.retain(|p| p.pre < lo || p.pre > hi);
-                    prop_assert_eq!(removed, before - model.len());
-                }
-            }
-            prop_assert_eq!(blocks.entry_count(), model.len());
-            prop_assert!(blocks.check_integrity().is_ok(), "integrity lost after mutation");
-            prop_assert_eq!(blocks.to_bytes(), BlockList::from_postings(&model).to_bytes());
-        }
-        prop_assert_eq!(blocks.decode_all(), model.clone());
-        let mut targets = raw_targets;
-        targets.sort_unstable();
-        let mut cursor = BlockCursor::new(&blocks);
-        for t in targets {
-            let want = model.iter().find(|p| p.pre >= t).copied();
-            prop_assert_eq!(cursor.seek(t), want, "seek({}) diverged after mutations", t);
-        }
+        mutations_match_vec_model::<Posting>(&initial, &ops)?;
     }
 
-    /// The same invariant for instance frames: `push`/`remove_range`
-    /// sequences stay integrity-clean and decode to the `Vec` model.
     #[test]
     fn instance_blocks_mutations_match_vec_model(
-        instances in gen_instances(),
-        removes in proptest::collection::vec((0u32..600_000, 0u32..50_000), 1..8),
+        initial in gen_raw(5_000, 10_000, 0..400),
+        ops in gen_mut_ops(),
     ) {
-        let mut blocks = InstanceBlocks::default();
-        let mut model: Vec<InstancePosting> = Vec::new();
-        // Interleave pushes with removals of already-pushed ranges.
-        let chunk = instances.len() / removes.len().max(1) + 1;
-        for (i, (lo, span)) in removes.iter().enumerate() {
-            for &p in instances.iter().skip(i * chunk).take(chunk) {
-                blocks.push(p);
-                model.push(p);
-            }
-            let (lo, hi) = (*lo, lo.saturating_add(*span));
-            let removed = blocks.remove_range(lo, hi);
-            let before = model.len();
-            model.retain(|p| p.pre < lo || p.pre > hi);
-            prop_assert_eq!(removed, before - model.len());
-            prop_assert!(blocks.check_integrity().is_ok(), "integrity lost after remove");
-            prop_assert_eq!(blocks.decode_all(), model.clone());
-        }
-    }
-
-    /// encode → to_bytes → from_bytes → decode is the identity, the
-    /// integrity check accepts every well-formed list, and `byte_len`
-    /// matches the serialized size.
-    #[test]
-    fn block_list_roundtrips(postings in gen_postings()) {
-        let blocks = BlockList::from_postings(&postings);
-        prop_assert_eq!(blocks.entry_count(), postings.len());
-        prop_assert_eq!(blocks.decode_all(), postings.clone());
-        let bytes = blocks.to_bytes();
-        prop_assert_eq!(bytes.len(), blocks.byte_len());
-        let loaded = BlockList::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(&loaded, &blocks);
-        loaded.check_integrity().unwrap();
-        prop_assert_eq!(loaded.decode_all(), postings);
-    }
-
-    /// `seek(pre)` lands on exactly the first posting with `pre >=
-    /// target` — the same answer as a linear scan of the decoded list —
-    /// for any non-decreasing target sequence.
-    #[test]
-    fn block_cursor_seek_agrees_with_linear_scan(
-        postings in gen_postings(),
-        raw_targets in proptest::collection::vec(0u32..2_000_000, 1..40),
-    ) {
-        let blocks = BlockList::from_postings(&postings);
-        let mut targets = raw_targets;
-        targets.sort_unstable();
-        let mut cursor = BlockCursor::new(&blocks);
-        for t in targets {
-            let want = postings.iter().find(|p| p.pre >= t).copied();
-            prop_assert_eq!(cursor.seek(t), want, "seek({}) diverged", t);
-        }
-    }
-
-    /// Draining the cursor yields the full decoded list.
-    #[test]
-    fn block_cursor_drains_everything(postings in gen_postings()) {
-        let blocks = BlockList::from_postings(&postings);
-        let drained: Vec<_> = BlockCursor::new(&blocks).collect();
-        prop_assert_eq!(drained, postings);
-    }
-
-    /// The incremental (`push`) and batch (`from_instances`) builders
-    /// agree, and instance frames round-trip through bytes.
-    #[test]
-    fn instance_blocks_roundtrip(instances in gen_instances()) {
-        let batch = InstanceBlocks::from_instances(&instances);
-        let mut incremental = InstanceBlocks::default();
-        for &i in &instances {
-            incremental.push(i);
-        }
-        prop_assert_eq!(incremental.decode_all(), instances.clone());
-        prop_assert_eq!(batch.decode_all(), instances.clone());
-        let bytes = batch.to_bytes();
-        prop_assert_eq!(bytes.len(), batch.byte_len());
-        let loaded = InstanceBlocks::from_bytes(&bytes).unwrap();
-        loaded.check_integrity().unwrap();
-        prop_assert_eq!(loaded.decode_all(), instances);
+        mutations_match_vec_model::<InstancePosting>(&initial, &ops)?;
     }
 }

@@ -200,6 +200,27 @@ fn save_open_storage_op_counts() {
 }
 
 #[test]
+fn reopened_database_counts_like_the_resident_one() {
+    // A database is the same object whether it was just built or came
+    // back from a store file: the figure-2 schema query returns the same
+    // hits for the same work, counter by counter.
+    let dir = std::env::temp_dir().join(format!("axql-metrics-reopen-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.axql");
+    let resident = Database::from_xml_str(CATALOG, paper_costs()).unwrap();
+    resident.save(&path).unwrap();
+    let reopened = Database::open(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let query = r#"cd[track[title["piano" and "concerto"]] and composer["rachmaninov"]]"#;
+    let run = |db: &Database| {
+        let mut hits = Vec::new();
+        let diff = diff_over(|| hits = db.query_schema(query, 5).unwrap());
+        (hits, diff.counters().collect::<Vec<_>>())
+    };
+    assert_eq!(run(&resident), run(&reopened));
+}
+
+#[test]
 fn generated_collection_op_counts() {
     // A small deterministic synthetic collection (Section 8.1 generator,
     // fixed seed): both evaluators' op counts pinned for one query.
