@@ -1,13 +1,14 @@
 //! Command implementations for the `approxql` binary.
 
-use approxql_core::schema_eval::SchemaEvalConfig;
+use approxql_core::schema_eval::{best_k_second_level_plan, SchemaEvalConfig};
 use approxql_core::{Database, DatabaseError, DbFile, EvalOptions, QueryHit, QueryInput, Surface};
-use approxql_cost::{parse_cost_file, CostModel};
+use approxql_cost::{parse_cost_file, CostModel, NodeType};
 use approxql_eval::dataset::{Dataset, DatasetError, KSpec};
 use approxql_eval::{EvalError, RunOptions};
 use approxql_gen::{DataGenConfig, DataGenerator};
 use approxql_xml::Document;
 use std::fmt;
+use std::io::Write;
 use std::path::PathBuf;
 
 /// Top-level usage text.
@@ -244,33 +245,67 @@ fn load_costs(flags: &Flags) -> Result<CostModel, CliError> {
     }
 }
 
-/// Entry point: dispatches on the subcommand.
-pub fn run(args: &[String]) -> Result<(), CliError> {
+/// Opens the database and applies the `--costs FILE` override of `query`
+/// and `explain`. Insert costs are baked into the stored tree and into
+/// every posting (`pathcost`/`inscost`) at build time, so FILE may only
+/// change rename and delete costs: a FILE whose insert cost for a label of
+/// the collection (or whose insert default) differs from the stored model
+/// would be applied to the schema but not to the data lists.
+fn open_with_costs(db_path: &str, flags: &Flags) -> Result<Database, CliError> {
+    let db = Database::open(db_path)?;
+    if flags.option("--costs").is_none() {
+        return Ok(db);
+    }
+    let costs = load_costs(flags)?;
+    let built = db.costs();
+    if costs.insert_default() != built.insert_default() {
+        return Err(usage(format!(
+            "--costs changes the default insert cost ({} at build time, {} now): rebuild instead",
+            built.insert_default(),
+            costs.insert_default()
+        )));
+    }
+    for (_, label) in db.tree().interner().iter() {
+        for ty in [NodeType::Struct, NodeType::Text] {
+            let (was, now) = (built.insert_cost(ty, label), costs.insert_cost(ty, label));
+            if was != now {
+                return Err(usage(format!(
+                    "--costs changes the insert cost of {ty} `{label}` ({was} at build time, \
+                     {now} now): rebuild instead"
+                )));
+            }
+        }
+    }
+    // Re-derive the database view under the query's own cost table.
+    Ok(Database::from_tree(db.tree().clone(), costs))
+}
+
+/// Entry point: dispatches on the subcommand. Everything a command prints
+/// to standard output goes through `out`, so a closed pipe surfaces as an
+/// `Io` error (which `main` turns into a quiet exit) instead of a panic.
+pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let (cmd, rest) = args
         .split_first()
         .ok_or_else(|| usage("missing subcommand"))?;
     let flags = parse_flags(rest)?;
     match cmd.as_str() {
-        "build" => cmd_build(&flags),
-        "insert" => cmd_insert(&flags),
-        "delete" => cmd_delete(&flags),
-        "query" => cmd_query(&flags),
-        "stats" => cmd_stats(&flags),
-        "explain" => cmd_explain(&flags),
-        "translate" => cmd_translate(&flags),
-        "gen" => cmd_gen(&flags),
-        "check" => cmd_check(&flags),
-        "eval" => cmd_eval(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "build" => cmd_build(&flags, out),
+        "insert" => cmd_insert(&flags, out),
+        "delete" => cmd_delete(&flags, out),
+        "query" => cmd_query(&flags, out),
+        "stats" => cmd_stats(&flags, out),
+        "explain" => cmd_explain(&flags, out),
+        "translate" => cmd_translate(&flags, out),
+        "gen" => cmd_gen(&flags, out),
+        "check" => cmd_check(&flags, out),
+        "eval" => cmd_eval(&flags, out),
+        "help" | "--help" | "-h" => Ok(writeln!(out, "{USAGE}")?),
         other => Err(usage(format!("unknown subcommand `{other}`"))),
     }
 }
 
-fn cmd_build(flags: &Flags) -> Result<(), CliError> {
-    let [out, docs @ ..] = flags.positional.as_slice() else {
+fn cmd_build(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
+    let [db_path, docs @ ..] = flags.positional.as_slice() else {
         return Err(usage(
             "build needs an output path and at least one document",
         ));
@@ -285,16 +320,17 @@ fn cmd_build(flags: &Flags) -> Result<(), CliError> {
         parsed.push(approxql_xml::parse_document(&text).map_err(DatabaseError::Xml)?);
     }
     let db = Database::from_documents(&parsed, costs);
-    db.save(out)?;
+    db.save(db_path)?;
     let stats = db.tree().stats();
-    println!(
-        "built {out}: {} elements, {} words, {} distinct labels",
+    writeln!(
+        out,
+        "built {db_path}: {} elements, {} words, {} distinct labels",
         stats.element_count, stats.word_count, stats.distinct_labels
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_insert(flags: &Flags) -> Result<(), CliError> {
+fn cmd_insert(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path, docs @ ..] = flags.positional.as_slice() else {
         return Err(usage(
             "insert needs a database path and at least one document",
@@ -311,7 +347,8 @@ fn cmd_insert(flags: &Flags) -> Result<(), CliError> {
     let mut file = DbFile::open(db_path)?;
     let spans = file.insert_documents(&parsed)?;
     let nodes: u32 = spans.iter().map(|s| s.bound - s.start + 1).sum();
-    println!(
+    writeln!(
+        out,
         "inserted {} document(s) into {db_path}: {nodes} nodes, roots {}",
         spans.len(),
         spans
@@ -319,11 +356,11 @@ fn cmd_insert(flags: &Flags) -> Result<(), CliError> {
             .map(|s| s.start.to_string())
             .collect::<Vec<_>>()
             .join(" ")
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_delete(flags: &Flags) -> Result<(), CliError> {
+fn cmd_delete(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path, root] = flags.positional.as_slice() else {
         return Err(usage(
             "delete needs a database path and a document root node",
@@ -336,32 +373,41 @@ fn cmd_delete(flags: &Flags) -> Result<(), CliError> {
     let span = file
         .delete_document(approxql_tree::NodeId(pre))?
         .ok_or_else(|| CliError::Op(format!("node {pre} is not a live document root")))?;
-    println!(
+    writeln!(
+        out,
         "deleted document at node {pre} from {db_path}: {} nodes tombstoned",
         span.bound - span.start + 1
-    );
+    )?;
     Ok(())
 }
 
-fn print_hit(db: &Database, rank: usize, hit: QueryHit, as_xml: bool) -> Result<(), CliError> {
+fn print_hit(
+    out: &mut impl Write,
+    db: &Database,
+    rank: usize,
+    hit: QueryHit,
+    as_xml: bool,
+) -> Result<(), CliError> {
     if as_xml {
         let el = db.result_element(hit)?;
-        println!(
+        writeln!(
+            out,
             "<!-- rank {rank}, cost {} -->\n{}",
             hit.cost,
             Document { root: el }.to_xml_string()
-        );
+        )?;
     } else {
         let el = db.result_element(hit)?;
-        println!(
+        writeln!(
+            out,
             "#{rank}\tcost={}\tnode={}\t<{}>",
             hit.cost, hit.root, el.name
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_query(flags: &Flags) -> Result<(), CliError> {
+fn cmd_query(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path, query] = flags.positional.as_slice() else {
         return Err(usage("query needs a database path and a query string"));
     };
@@ -404,13 +450,7 @@ fn cmd_query(flags: &Flags) -> Result<(), CliError> {
         ..Default::default()
     };
 
-    let mut db = Database::open(db_path)?;
-    if let Some(costs_path) = flags.option("--costs") {
-        // Re-derive the database view under the query's own cost table.
-        let text = std::fs::read_to_string(costs_path)?;
-        let costs = parse_cost_file(&text).map_err(CliError::Costs)?;
-        db = Database::from_tree(db.tree().clone(), costs);
-    }
+    let db = open_with_costs(db_path, flags)?;
 
     // The registry is process-wide; diff against a baseline so the report
     // covers exactly this query's evaluation.
@@ -432,13 +472,13 @@ fn cmd_query(flags: &Flags) -> Result<(), CliError> {
                 db.explain_direct(input, Some(n), opts)?
             };
             if printing {
-                print!("{text}");
+                write!(out, "{text}")?;
             }
         } else if use_direct {
             let (hits, stats) = db.query_direct_with(input, Some(n), opts)?;
             if printing {
                 for (rank, hit) in hits.iter().enumerate() {
-                    print_hit(&db, rank, *hit, as_xml)?;
+                    print_hit(out, &db, rank, *hit, as_xml)?;
                 }
                 if show_stats {
                     eprintln!(
@@ -452,7 +492,7 @@ fn cmd_query(flags: &Flags) -> Result<(), CliError> {
                 db.query_schema_with(input, n, opts, SchemaEvalConfig::default())?;
             if printing {
                 for (rank, hit) in hits.iter().enumerate() {
-                    print_hit(&db, rank, *hit, as_xml)?;
+                    print_hit(out, &db, rank, *hit, as_xml)?;
                 }
                 if show_stats {
                     eprintln!(
@@ -477,7 +517,7 @@ fn cmd_query(flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_stats(flags: &Flags) -> Result<(), CliError> {
+fn cmd_stats(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path] = flags.positional.as_slice() else {
         return Err(usage("stats needs a database path"));
     };
@@ -486,55 +526,54 @@ fn cmd_stats(flags: &Flags) -> Result<(), CliError> {
     let s = db.schema().stats();
     let docs = db.tree().documents();
     let live = docs.iter().filter(|d| d.alive).count();
-    println!("data tree:");
-    println!(
+    writeln!(out, "data tree:")?;
+    writeln!(
+        out,
         "  documents        {live} live, {} tombstoned",
         docs.len() - live
-    );
-    println!("  nodes            {}", t.node_count);
-    println!("  elements         {}", t.element_count);
-    println!("  word occurrences {}", t.word_count);
-    println!("  distinct labels  {}", t.distinct_labels);
-    println!("  max depth        {}", t.max_depth);
-    println!("label index:");
-    println!("  postings         {}", db.labels().len());
-    println!("  entries          {}", db.labels().entry_count());
-    println!("  bytes            {}", db.labels().byte_len());
+    )?;
+    writeln!(out, "  nodes            {}", t.node_count)?;
+    writeln!(out, "  elements         {}", t.element_count)?;
+    writeln!(out, "  word occurrences {}", t.word_count)?;
+    writeln!(out, "  distinct labels  {}", t.distinct_labels)?;
+    writeln!(out, "  max depth        {}", t.max_depth)?;
+    writeln!(out, "label index:")?;
+    writeln!(out, "  postings         {}", db.labels().len())?;
+    writeln!(out, "  entries          {}", db.labels().entry_count())?;
+    writeln!(out, "  bytes            {}", db.labels().byte_len())?;
     // DESIGN.md §14: delta/varint frames vs. the 24-byte flat codec.
-    println!(
+    writeln!(
+        out,
         "  bytes/posting    {:.2} (flat codec: 24)",
         db.labels().byte_len() as f64 / db.labels().entry_count().max(1) as f64
-    );
-    println!("schema:");
-    println!("  nodes            {}", s.schema_nodes);
-    println!(
+    )?;
+    writeln!(out, "schema:")?;
+    writeln!(out, "  nodes            {}", s.schema_nodes)?;
+    writeln!(
+        out,
         "  compression      {}x",
         t.node_count / s.schema_nodes.max(1)
-    );
-    println!("  I_sec postings   {}", s.secondary_postings);
-    println!("  max class size   {}", s.max_instances);
+    )?;
+    writeln!(out, "  I_sec postings   {}", s.secondary_postings)?;
+    writeln!(out, "  max class size   {}", s.max_instances)?;
     Ok(())
 }
 
-fn cmd_explain(flags: &Flags) -> Result<(), CliError> {
+fn cmd_explain(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path, query] = flags.positional.as_slice() else {
         return Err(usage("explain needs a database path and a query string"));
     };
     let k: usize = flags.option_parsed("-k")?.unwrap_or(5);
     let surface = surface_flag(flags)?;
-    let mut db = Database::open(db_path)?;
-    if let Some(costs_path) = flags.option("--costs") {
-        let text = std::fs::read_to_string(costs_path)?;
-        let costs = parse_cost_file(&text).map_err(CliError::Costs)?;
-        db = Database::from_tree(db.tree().clone(), costs);
-    }
+    let db = open_with_costs(db_path, flags)?;
     let metrics_before = approxql_metrics::snapshot();
     let (parsed, expanded) = db.compile(QueryInput {
         text: query,
         surface,
     })?;
-    println!("query (canonical): {parsed}");
-    println!(
+    writeln!(out, "query (canonical): {parsed}")?;
+    writeln!(
+        out,
         "separated representation: {} conjunctive quer{}",
         parsed.separate().len(),
         if parsed.separate().len() == 1 {
@@ -542,46 +581,47 @@ fn cmd_explain(flags: &Flags) -> Result<(), CliError> {
         } else {
             "ies"
         }
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "expanded representation: {} nodes, {} leaves, {} derivations",
         expanded.len(),
         expanded.leaf_count(),
         expanded.derivation_count()
-    );
-    let run = approxql_core::schema_eval::best_k_second_level(
-        &expanded,
+    )?;
+    let plan = db
+        .plan_for(&parsed, &expanded)
+        .ok_or_else(|| CliError::Op("query has no executable plan".into()))?;
+    let run = best_k_second_level_plan(
+        &plan,
         db.schema(),
         db.tree().interner(),
         k,
         EvalOptions::default(),
     );
-    println!(
+    writeln!(
+        out,
         "best {} second-level quer{} (complete: {}):",
         run.queries.len(),
         if run.queries.len() == 1 { "y" } else { "ies" },
         run.complete
-    );
+    )?;
     for (i, entry) in run.queries.iter().enumerate() {
-        let skel = entry.skeleton();
-        println!(
-            "  #{i} cost={} skeleton={}",
-            entry.cost,
-            render_skeleton(&db, &skel)
-        );
+        let skeleton = render_skeleton(&db, entry.skeleton());
+        writeln!(out, "  #{i} cost={} skeleton={skeleton}", entry.cost)?;
     }
-    println!("work counters:");
+    writeln!(out, "work counters:")?;
     for line in approxql_metrics::snapshot()
         .diff(&metrics_before)
         .render_table()
         .lines()
     {
-        println!("  {line}");
+        writeln!(out, "  {line}")?;
     }
     Ok(())
 }
 
-fn cmd_translate(flags: &Flags) -> Result<(), CliError> {
+fn cmd_translate(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [query] = flags.positional.as_slice() else {
         return Err(usage("translate needs a query string"));
     };
@@ -608,7 +648,7 @@ fn cmd_translate(flags: &Flags) -> Result<(), CliError> {
     match flags.option("--out") {
         // lint:allow(fs-outside-pager) translate writes a query text, not store state
         Some(path) => std::fs::write(path, &rendered)?,
-        None => print!("{rendered}"),
+        None => write!(out, "{rendered}")?,
     }
     Ok(())
 }
@@ -627,16 +667,16 @@ fn render_skeleton(db: &Database, skel: &approxql_core::topk::Skeleton) -> Strin
     }
 }
 
-fn cmd_check(flags: &Flags) -> Result<(), CliError> {
+fn cmd_check(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path] = flags.positional.as_slice() else {
         return Err(usage("check needs a database path"));
     };
     let report = Database::check_file(db_path)?;
-    println!("{db_path}: {report}");
+    writeln!(out, "{db_path}: {report}")?;
     Ok(())
 }
 
-fn cmd_eval(flags: &Flags) -> Result<(), CliError> {
+fn cmd_eval(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path, dataset_path] = flags.positional.as_slice() else {
         return Err(usage("eval needs a database path and a dataset path"));
     };
@@ -687,7 +727,7 @@ fn cmd_eval(flags: &Flags) -> Result<(), CliError> {
     match flags.option("--out") {
         // lint:allow(fs-outside-pager) eval writes a report/dataset, not store state
         Some(path) => std::fs::write(path, &output)?,
-        None => print!("{output}"),
+        None => write!(out, "{output}")?,
     }
     if show_stats || stats_json {
         let delta = approxql_metrics::snapshot().diff(&before);
@@ -700,7 +740,7 @@ fn cmd_eval(flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_gen(flags: &Flags) -> Result<(), CliError> {
+fn cmd_gen(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [out_dir] = flags.positional.as_slice() else {
         return Err(usage("gen needs an output directory"));
     };
@@ -722,9 +762,9 @@ fn cmd_gen(flags: &Flags) -> Result<(), CliError> {
     }
     let docs_per_file: usize = flags.option_parsed("--docs")?.unwrap_or(100);
 
-    let out = PathBuf::from(out_dir);
+    let dir = PathBuf::from(out_dir);
     // lint:allow(fs-outside-pager) `gen` writes an XML corpus, not store state
-    std::fs::create_dir_all(&out)?;
+    std::fs::create_dir_all(&dir)?;
     let documents = DataGenerator::new(cfg).generate_documents();
     let mut written = 0;
     for (i, chunk) in documents.chunks(docs_per_file.max(1)).enumerate() {
@@ -733,25 +773,29 @@ fn cmd_gen(flags: &Flags) -> Result<(), CliError> {
             text.push_str(&Document { root: el.clone() }.to_xml_string());
         }
         text.push_str("</collection>");
-        let path = out.join(format!("part{i:04}.xml"));
+        let path = dir.join(format!("part{i:04}.xml"));
         // lint:allow(fs-outside-pager) `gen` writes an XML corpus, not store state
         std::fs::write(&path, text)?;
         written += 1;
     }
-    println!(
+    writeln!(
+        out,
         "wrote {} documents into {} file(s) under {}",
         documents.len(),
         written,
-        out.display()
-    );
+        dir.display()
+    )?;
     Ok(())
 }
 
-/// Test helper: runs a command line given as separate words.
+/// Test helper: runs a command line given as separate words and returns
+/// what it printed.
 #[cfg(test)]
-pub fn run_words(words: &[&str]) -> Result<(), CliError> {
+pub fn run_words(words: &[&str]) -> Result<String, CliError> {
     let args: Vec<String> = words.iter().map(|s| s.to_string()).collect();
-    run(&args)
+    let mut out = Vec::new();
+    run(&args, &mut out)?;
+    Ok(String::from_utf8(out).expect("commands print UTF-8"))
 }
 
 #[cfg(test)]
@@ -916,6 +960,61 @@ mod tests {
             costs.to_str().unwrap(),
         ])
         .unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn costs_file_overrides_renames_and_deletes_but_not_inserts() {
+        let dir = tmpdir("costs-insert");
+        let doc = dir.join("c.xml");
+        std::fs::write(
+            &doc,
+            "<a><cd><tracks><track><title>piano</title></track></tracks></cd>\
+             <cd><title>piano</title></cd></a>",
+        )
+        .unwrap();
+        let db = dir.join("db.axql");
+        let db = db.to_str().unwrap();
+        run_words(&["build", db, doc.to_str().unwrap()]).unwrap();
+
+        // Insert costs are baked into the stored postings: a FILE that
+        // changes one would reach the schema evaluator only (cost 20 for
+        // the nested cd against 2 from --direct). Refused, naming the
+        // first such label of the collection.
+        let inserts = dir.join("inserts.txt");
+        std::fs::write(&inserts, "insert name track 10\ninsert name tracks 10\n").unwrap();
+        let q = r#"cd[title["piano"]]"#;
+        for verb in [
+            &["query", "--direct"][..],
+            &["query", "--schema"],
+            &["explain"],
+        ] {
+            let mut words = vec![verb[0], db, q, "--costs", inserts.to_str().unwrap()];
+            words.extend(&verb[1..]);
+            let err = run_words(&words).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{words:?}");
+            assert!(
+                err.to_string().contains("insert cost of name `tracks`"),
+                "{err}"
+            );
+        }
+        let default = dir.join("default.txt");
+        std::fs::write(&default, "default insert 2\n").unwrap();
+        let err = run_words(&["query", db, q, "--costs", default.to_str().unwrap()]).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.to_string().contains("default insert cost"), "{err}");
+
+        // Renames and deletes only: applied, and to both evaluators alike.
+        let renames = dir.join("renames.txt");
+        std::fs::write(&renames, "rename name dvd cd 4\ndelete term forte 3\n").unwrap();
+        let run = |algo| {
+            let q = r#"dvd[title["piano" and "forte"]]"#;
+            run_words(&["query", db, q, algo, "--costs", renames.to_str().unwrap()]).unwrap()
+        };
+        let direct = run("--direct");
+        assert_eq!(direct.lines().count(), 2, "{direct}");
+        assert!(direct.starts_with("#0\tcost=7\t"), "{direct}");
+        assert_eq!(direct, run("--schema"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -26,12 +26,18 @@
 
 mod commands;
 
+use std::io::{BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match commands::run(&args) {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    let done = commands::run(&args, &mut out).and_then(|()| Ok(out.flush()?));
+    match done {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader of our output went away (`approxql … | head`): there
+        // is nobody left to report to.
+        Err(commands::CliError::Io(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(commands::CliError::Usage(msg)) => {
             eprintln!("error: {msg}\n");
             eprintln!("{}", commands::USAGE);

@@ -527,6 +527,26 @@ impl Database {
         ))
     }
 
+    /// The cached plan of a query and its per-operator output entry
+    /// counts from one direct execution, through `render` (`no_plan` when
+    /// the query has no executable plan).
+    fn explain_with<'a>(
+        &self,
+        query: impl Into<QueryInput<'a>>,
+        n: Option<usize>,
+        opts: EvalOptions,
+        render: fn(&Plan, Option<&[u64]>) -> String,
+        no_plan: &str,
+    ) -> Result<String, DatabaseError> {
+        let (q, ex) = self.compile(query)?;
+        let Some(p) = self.plan_for(&q, &ex) else {
+            return Ok(no_plan.to_owned());
+        };
+        let interner = self.tree.interner();
+        let (_, _, counts) = direct::best_n_plan_counted(&p, &self.labels, interner, n, opts);
+        Ok(render(&p, Some(&counts)))
+    }
+
     /// Renders the compiled physical plan of a query — with per-operator
     /// output entry counts from one direct execution — for
     /// `approxql query --explain`. Goes through the plan cache like any
@@ -537,17 +557,8 @@ impl Database {
         n: Option<usize>,
         opts: EvalOptions,
     ) -> Result<String, DatabaseError> {
-        let (q, ex) = self.compile(query)?;
-        match self.plan_for(&q, &ex) {
-            Some(p) => Ok(direct::explain(
-                &p,
-                &self.labels,
-                self.tree.interner(),
-                n,
-                opts,
-            )),
-            None => Ok(String::from("(query has no executable plan)\n")),
-        }
+        let no_plan = "(query has no executable plan)\n";
+        self.explain_with(query, n, opts, plan::render, no_plan)
     }
 
     /// [`Self::explain_direct`] as a JSON document: the plan DAG, its
@@ -559,17 +570,7 @@ impl Database {
         n: Option<usize>,
         opts: EvalOptions,
     ) -> Result<String, DatabaseError> {
-        let (q, ex) = self.compile(query)?;
-        match self.plan_for(&q, &ex) {
-            Some(p) => Ok(direct::explain_json(
-                &p,
-                &self.labels,
-                self.tree.interner(),
-                n,
-                opts,
-            )),
-            None => Ok(String::from("{\"v\":1,\"ops\":[]}")),
-        }
+        self.explain_with(query, n, opts, plan::render_json, "{\"v\":1,\"ops\":[]}")
     }
 
     /// Materializes the result subtree of a hit as an XML element

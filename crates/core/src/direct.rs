@@ -14,13 +14,12 @@
 //!   DAG node and execute exactly once; pending edge costs are applied as
 //!   a *post-shift* so they do not fragment the shared structure.
 
-use crate::list::{self, LazyList, List};
+use crate::list::{self, Algebra, TwoChannel};
 use approxql_index::LabelIndex;
 use approxql_metrics::{time, Metric, TimerMetric};
-use approxql_plan::{self as plan, Plan, PlanAlgebra};
+use approxql_plan::{self as plan, Plan, PlanOp};
 use approxql_query::expand::ExpandedQuery;
-use approxql_tree::{Cost, Interner, NodeType};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use approxql_tree::{Cost, Interner};
 
 /// Evaluation options shared by the direct and schema-driven algorithms.
 #[derive(Debug, Clone, Copy)]
@@ -58,143 +57,57 @@ pub struct DirectStats {
     pub cse_reuses: usize,
 }
 
-/// The Section 6.4 list algebra over the data indexes: the backend the
-/// compiled plan executes against for direct evaluation.
-struct IndexAlgebra<'a> {
-    index: &'a LabelIndex,
-    interner: &'a Interner,
-    fetches: AtomicUsize,
+/// Index fetches one execution of `plan` performs: every operator but the
+/// terminal `SortBest` is scheduled exactly once.
+pub(crate) fn fetch_count(plan: &Plan) -> usize {
+    let is_fetch = |op: &&PlanOp| matches!(op, PlanOp::Fetch { .. });
+    plan.ops().iter().filter(is_fetch).count()
 }
 
-/// Fetches stay compressed ([`LazyList::Blocks`]): the skip-based join /
-/// intersect variants consult the skip headers and decode only frames
-/// that can contribute output (DESIGN.md §14). Every operator output is
-/// materialized, so laziness never nests.
-impl<'a> PlanAlgebra for IndexAlgebra<'a> {
-    type L = LazyList<'a>;
-
-    fn empty(&self) -> LazyList<'a> {
-        LazyList::Mat(Vec::new())
-    }
-
-    fn fetch(&self, label: &str, ty: NodeType, is_leaf: bool) -> LazyList<'a> {
-        self.fetches.fetch_add(1, Ordering::Relaxed);
-        Metric::EvalDirectFetches.incr();
-        match self.interner.get(label) {
-            Some(id) => list::fetch_lazy(self.index, ty, id, is_leaf),
-            None => LazyList::Mat(Vec::new()),
-        }
-    }
-
-    fn shift(&self, l: &LazyList<'a>, cost: Cost) -> LazyList<'a> {
-        LazyList::Mat(list::shift(l.force().into_owned(), cost))
-    }
-
-    fn merge(&self, l: &LazyList<'a>, r: &LazyList<'a>, c_ren: Cost) -> LazyList<'a> {
-        LazyList::Mat(list::merge(&l.force(), &r.force(), c_ren))
-    }
-
-    fn join(&self, anc: &LazyList<'a>, desc: &LazyList<'a>) -> LazyList<'a> {
-        LazyList::Mat(list::join_lazy(anc, desc, Cost::ZERO))
-    }
-
-    fn outerjoin(&self, anc: &LazyList<'a>, desc: &LazyList<'a>, delcost: Cost) -> LazyList<'a> {
-        LazyList::Mat(list::outerjoin_lazy(anc, desc, Cost::ZERO, delcost))
-    }
-
-    fn intersect(&self, l: &LazyList<'a>, r: &LazyList<'a>) -> LazyList<'a> {
-        LazyList::Mat(list::intersect_lazy(l, r, Cost::ZERO))
-    }
-
-    fn union(&self, l: &LazyList<'a>, r: &LazyList<'a>) -> LazyList<'a> {
-        LazyList::Mat(list::union(&l.force(), &r.force(), Cost::ZERO))
-    }
-
-    fn len(l: &LazyList<'a>) -> usize {
-        l.len()
-    }
-}
-
-/// Executes a compiled plan against the data indexes, returning the root
-/// list, evaluation counters, and the per-operator output entry counts
-/// (indexed by plan handle; the terminal `SortBest` slot stays 0).
-pub fn evaluate_plan_counted(
+/// The best-n-pairs problem (Definition 12) by direct evaluation over a
+/// compiled plan: find all results, sort, prune after `n` (`None` = all
+/// results). Also returns the evaluation counters and the per-operator
+/// output entry counts (indexed by plan handle; the terminal `SortBest`
+/// slot carries the result count for `n`) that `--explain` renders.
+pub(crate) fn best_n_plan_counted(
     plan: &Plan,
-    index: &LabelIndex,
-    interner: &Interner,
-    opts: EvalOptions,
-) -> (List, DirectStats, Vec<u64>) {
-    Metric::EvalDirectRuns.incr();
-    let _timer = time(TimerMetric::EvalDirect);
-    let alg = IndexAlgebra {
-        index,
-        interner,
-        fetches: AtomicUsize::new(0),
-    };
-    let slots = plan::execute(plan, &alg, opts.threads);
-    let counts: Vec<u64> = slots
-        .iter()
-        .map(|s| s.get().map_or(0, |l| l.len() as u64))
-        .collect();
-    let result = slots
-        .get(plan.root_list())
-        .and_then(|s| s.get())
-        .map(|l| l.force().into_owned())
-        .unwrap_or_default();
-    let executed: usize = plan.waves().iter().map(|w| w.len()).sum();
-    let stats = DirectStats {
-        fetches: alg.fetches.load(Ordering::Relaxed),
-        list_entries: counts.iter().sum::<u64>() as usize + result.len(),
-        ops: executed,
-        cse_reuses: plan.cse_reuses() as usize,
-    };
-    (result, stats, counts)
-}
-
-/// Executes a compiled plan against the data indexes.
-pub fn evaluate_plan(
-    plan: &Plan,
-    index: &LabelIndex,
-    interner: &Interner,
-    opts: EvalOptions,
-) -> (List, DirectStats) {
-    let (result, stats, _) = evaluate_plan_counted(plan, index, interner, opts);
-    (result, stats)
-}
-
-/// Runs algorithm `primary` against the data indexes, returning the list of
-/// all embedding roots with their cost channels plus evaluation counters.
-///
-/// Compiles the expanded query on the spot; callers holding a cached
-/// [`Plan`] (see `Database`) use [`evaluate_plan`] instead. An expanded
-/// query whose root is not a selector cannot be produced by the parser and
-/// evaluates to no results.
-pub fn evaluate(
-    expanded: &ExpandedQuery,
-    index: &LabelIndex,
-    interner: &Interner,
-    opts: EvalOptions,
-) -> (List, DirectStats) {
-    match plan::compile(expanded) {
-        Ok(p) => evaluate_plan(&p, index, interner, opts),
-        Err(_) => (Vec::new(), DirectStats::default()),
-    }
-}
-
-/// The best-n-pairs problem (Definition 12) by direct evaluation: find all
-/// results, sort, prune after `n` (`None` = all results).
-pub fn best_n(
-    expanded: &ExpandedQuery,
     index: &LabelIndex,
     interner: &Interner,
     n: Option<usize>,
     opts: EvalOptions,
-) -> (Vec<(u32, Cost)>, DirectStats) {
-    let (result, stats) = evaluate(expanded, index, interner, opts);
-    (list::sort_best(n, &result, opts.enforce_leaf_match), stats)
+) -> (Vec<(u32, Cost)>, DirectStats, Vec<u64>) {
+    Metric::EvalDirectRuns.incr();
+    let timer = time(TimerMetric::EvalDirect);
+    let alg = Algebra {
+        index,
+        interner,
+        domain: TwoChannel,
+    };
+    let slots = plan::execute(plan, &alg, opts.threads);
+    let mut counts: Vec<u64> = slots
+        .iter()
+        .map(|s| s.get().map_or(0, |l| l.len() as u64))
+        .collect();
+    let root = slots.get(plan.root_list()).and_then(|s| s.get());
+    let result = root.map(|l| l.force()).unwrap_or_default();
+    drop(timer);
+    let fetches = fetch_count(plan);
+    Metric::EvalDirectFetches.add(fetches as u64);
+    let stats = DirectStats {
+        fetches,
+        list_entries: counts.iter().sum::<u64>() as usize + result.len(),
+        ops: plan.waves().iter().map(|w| w.len()).sum(),
+        cse_reuses: plan.cse_reuses() as usize,
+    };
+    let best = list::sort_best(n, &result, opts.enforce_leaf_match);
+    if let Some(c) = counts.get_mut(plan.result()) {
+        *c = best.len() as u64;
+    }
+    (best, stats, counts)
 }
 
-/// [`best_n`] over a pre-compiled plan (the `Database` plan-cache path).
+/// Runs algorithm `primary` against the data indexes over a pre-compiled
+/// plan (the `Database` plan-cache path).
 pub fn best_n_plan(
     plan: &Plan,
     index: &LabelIndex,
@@ -202,44 +115,24 @@ pub fn best_n_plan(
     n: Option<usize>,
     opts: EvalOptions,
 ) -> (Vec<(u32, Cost)>, DirectStats) {
-    let (result, stats) = evaluate_plan(plan, index, interner, opts);
-    (list::sort_best(n, &result, opts.enforce_leaf_match), stats)
+    let (best, stats, _) = best_n_plan_counted(plan, index, interner, n, opts);
+    (best, stats)
 }
 
-/// Renders a compiled plan with per-operator output entry counts from one
-/// execution against the data indexes (the `--explain` backend). The
-/// terminal `SortBest` line carries the final result count for `n`.
-pub fn explain(
-    plan: &Plan,
+/// Compiles the expanded query, then [`best_n_plan`]. An expanded query
+/// whose root is not a selector cannot be produced by the parser and
+/// evaluates to no results.
+pub fn best_n(
+    expanded: &ExpandedQuery,
     index: &LabelIndex,
     interner: &Interner,
     n: Option<usize>,
     opts: EvalOptions,
-) -> String {
-    let (result, _, mut counts) = evaluate_plan_counted(plan, index, interner, opts);
-    let sorted = list::sort_best(n, &result, opts.enforce_leaf_match);
-    if let Some(c) = counts.get_mut(plan.result()) {
-        *c = sorted.len() as u64;
+) -> (Vec<(u32, Cost)>, DirectStats) {
+    match plan::compile(expanded) {
+        Ok(p) => best_n_plan(&p, index, interner, n, opts),
+        Err(_) => (Vec::new(), DirectStats::default()),
     }
-    plan::render(plan, Some(&counts))
-}
-
-/// [`explain`] with JSON output: the plan DAG plus its shape fingerprint
-/// (`approxql query --explain --format json`), annotated with the same
-/// per-operator entry counts.
-pub fn explain_json(
-    plan: &Plan,
-    index: &LabelIndex,
-    interner: &Interner,
-    n: Option<usize>,
-    opts: EvalOptions,
-) -> String {
-    let (result, _, mut counts) = evaluate_plan_counted(plan, index, interner, opts);
-    let sorted = list::sort_best(n, &result, opts.enforce_leaf_match);
-    if let Some(c) = counts.get_mut(plan.result()) {
-        *c = sorted.len() as u64;
-    }
-    plan::render_json(plan, Some(&counts))
 }
 
 #[cfg(test)]
@@ -248,7 +141,7 @@ mod tests {
     use approxql_cost::tables::paper_section6_costs;
     use approxql_cost::CostModel;
     use approxql_query::parse_query;
-    use approxql_tree::{DataTree, DataTreeBuilder};
+    use approxql_tree::{DataTree, DataTreeBuilder, NodeType};
 
     /// The catalog of Figure 1/3: two sound-storage entries.
     ///
@@ -452,7 +345,7 @@ mod tests {
         let q = parse_query(r#"cd[track[title["piano"]]]"#).unwrap();
         let ex = ExpandedQuery::build(&q, &costs);
         let index = LabelIndex::build(&tree);
-        let (_, stats) = evaluate(&ex, &index, tree.interner(), EvalOptions::default());
+        let (_, stats) = best_n(&ex, &index, tree.interner(), None, EvalOptions::default());
         // The bridged subtree below the deletable `track` and `title`
         // nodes is shared; at least one subplan must be merged by CSE.
         assert!(stats.cse_reuses > 0, "expected CSE reuses, got {stats:?}");
@@ -478,13 +371,14 @@ mod tests {
         let ex = ExpandedQuery::build(&q, &costs);
         let index = LabelIndex::build(&tree);
         let p = approxql_plan::compile(&ex).unwrap();
-        let text = explain(
+        let (_, _, counts) = best_n_plan_counted(
             &p,
             &index,
             tree.interner(),
             Some(10),
             EvalOptions::default(),
         );
+        let text = plan::render(&p, Some(&counts));
         assert!(text.contains("sort_best"), "missing root op:\n{text}");
         assert!(text.contains("entries"), "missing counts:\n{text}");
         assert!(text.contains("shared ×"), "missing CSE annotation:\n{text}");

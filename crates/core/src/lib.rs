@@ -3,14 +3,17 @@
 //!
 //! * [`list`] — the list algebra of Sections 6.3/6.4 (`fetch`, `merge`,
 //!   `join`, `outerjoin`, `intersect`, `union`, `sort`) over
-//!   preorder-sorted entry lists.
+//!   preorder-sorted lists, generic over what a list keeps per node (a
+//!   [`list::CostDomain`]); [`list::Algebra`] is what a compiled plan
+//!   executes against. Its data-list value is the two-channel minimum of
+//!   the leaf rule below.
 //! * [`direct`] — algorithm `primary` (Section 6.5, Figure 4): direct
 //!   evaluation of an expanded query against the data-tree indexes,
 //!   finding the images of *all* approximate embeddings bottom-up, with
 //!   memoization of shared (deletion-bridged) subtrees.
-//! * [`topk`] — the adapted, segment-based top-k list operations of
-//!   Section 7.2, which run the same algorithm against the *schema* to
-//!   produce the best *k* second-level queries.
+//! * [`topk`] — the schema-list value of Section 7.2: the best *k*
+//!   embeddings per node, with which the same algebra, run against the
+//!   *schema*, produces the best *k* second-level queries.
 //! * [`secondary`] — algorithm `secondary` (Section 7.3, Figure 5):
 //!   executing second-level queries against the path-dependent index.
 //! * [`schema_eval`] — the incremental best-n driver (Section 7.4,
@@ -25,11 +28,13 @@
 //!
 //! Definition 4 restricts leaf deletions; the paper's "full version" of
 //! `primary` enforces it by rejecting "data subtrees that do not contain
-//! matches of any query leaf". We implement exactly that rule: every list
-//! entry carries two cost channels — the best embedding cost overall
-//! (`cost_any`) and the best cost among embeddings that match at least one
-//! original query leaf (`cost_leaf`) — and results are ranked by
-//! `cost_leaf` unless [`EvalOptions::enforce_leaf_match`] is switched off.
+//! matches of any query leaf". We implement exactly that rule: every
+//! data-list value carries two cost channels ([`list::Channels`]) — the
+//! best embedding cost overall (`any`) and the best cost among embeddings
+//! that match at least one original query leaf (`leaf`) — and results are
+//! ranked by `leaf` unless [`EvalOptions::enforce_leaf_match`] is switched
+//! off. A schema-list candidate is one embedding, so there the rule is a
+//! flag (`has_leaf`).
 
 pub mod database;
 pub mod dbfile;

@@ -1,8 +1,8 @@
 //! Schema-driven evaluation (Sections 7.2–7.4).
 //!
-//! The adapted algorithm `primary` runs against the *schema* indexes with
-//! the segment-based top-k operations of [`crate::topk`], producing the
-//! best `k` second-level queries. Algorithm `secondary` executes each of
+//! The adapted algorithm `primary` runs against the *schema* indexes in
+//! the k-best domain of [`crate::topk`], producing the best `k`
+//! second-level queries. Algorithm `secondary` executes each of
 //! them against the path-dependent index. The incremental driver
 //! ([`best_n_schema`], Figure 6) grows `k` by `δ` until `n` results are
 //! found or the second-level queries are exhausted.
@@ -13,22 +13,23 @@
 //! the driver only needs to deduplicate roots.
 //!
 //! The adapted `primary` executes the same compiled physical plan as the
-//! direct evaluation (see [`approxql_plan`]): only the algebra backend
-//! differs — segment-based top-k operations where `k` is a runtime
-//! parameter, so one compiled plan serves every incremental round.
+//! direct evaluation (see [`approxql_plan`]) through the same list
+//! algebra ([`crate::list`]): only the cost domain differs — the best `k`
+//! candidates per node where the direct evaluation keeps a minimum, `k` a
+//! run-time field, so one compiled plan serves every incremental round.
 
-use crate::direct::EvalOptions;
+use crate::direct::{fetch_count, EvalOptions};
+use crate::list::Algebra;
 use crate::secondary;
-use crate::topk::{self, KEntry, KList};
+use crate::topk::{self, KBest, SecondLevelQuery};
 use approxql_exec::Executor;
-use approxql_index::{InstancePosting, LabelIndex};
+use approxql_index::InstancePosting;
 use approxql_metrics::{time, Metric, MetricsSnapshot, TimerMetric};
 use approxql_plan::{self as plan, Plan, PlanAlgebra, PlanOp};
 use approxql_query::expand::{ExpandedNode, ExpandedQuery};
 use approxql_schema::Schema;
-use approxql_tree::{Cost, Interner, NodeType};
+use approxql_tree::{Cost, Interner};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Tuning knobs of the incremental driver.
@@ -84,61 +85,6 @@ pub struct EvalStats {
     pub fetches: usize,
 }
 
-/// The Section 7.2 top-k algebra over the schema's label index: the
-/// backend the compiled plan executes against for the adapted `primary`.
-/// `k` is a runtime parameter of every operation, so the same compiled
-/// plan is reused across incremental driver rounds.
-struct SchemaAlgebra<'a> {
-    index: &'a LabelIndex,
-    interner: &'a Interner,
-    k: usize,
-    fetches: AtomicUsize,
-}
-
-impl PlanAlgebra for SchemaAlgebra<'_> {
-    type L = KList;
-
-    fn empty(&self) -> KList {
-        Vec::new()
-    }
-
-    fn fetch(&self, label: &str, ty: NodeType, is_leaf: bool) -> KList {
-        self.fetches.fetch_add(1, Ordering::Relaxed);
-        match self.interner.get(label) {
-            Some(id) => topk::fetch_k(self.index, ty, id, is_leaf),
-            None => Vec::new(),
-        }
-    }
-
-    fn shift(&self, l: &KList, cost: Cost) -> KList {
-        topk::shift_k(l.clone(), cost)
-    }
-
-    fn merge(&self, l: &KList, r: &KList, c_ren: Cost) -> KList {
-        topk::merge_k(l, r, c_ren, self.k)
-    }
-
-    fn join(&self, anc: &KList, desc: &KList) -> KList {
-        topk::join_k(anc, desc, Cost::ZERO, self.k)
-    }
-
-    fn outerjoin(&self, anc: &KList, desc: &KList, delcost: Cost) -> KList {
-        topk::outerjoin_k(anc, desc, Cost::ZERO, delcost, self.k)
-    }
-
-    fn intersect(&self, l: &KList, r: &KList) -> KList {
-        topk::intersect_k(l, r, Cost::ZERO, self.k)
-    }
-
-    fn union(&self, l: &KList, r: &KList) -> KList {
-        topk::union_k(l, r, Cost::ZERO, self.k)
-    }
-
-    fn len(l: &KList) -> usize {
-        l.len()
-    }
-}
-
 /// Whether an operator's output takes part in the entry/cap accounting.
 /// Leaf fetches and the intermediate merge/shift lists are building
 /// blocks whose content reappears in their consumer; counting the
@@ -159,43 +105,20 @@ fn counts_toward_entries(op: &PlanOp) -> bool {
 /// The outcome of one adapted-`primary` run against the schema.
 pub struct SecondLevelRun {
     /// The best `k` second-level queries, cost-sorted.
-    pub queries: Vec<KEntry>,
+    pub queries: Vec<SecondLevelQuery>,
     /// Entries produced by the top-k list operations.
     pub entries: usize,
     /// Index fetches performed.
     pub fetches: usize,
-    /// `true` iff the enumeration is provably complete: no segment hit the
-    /// per-segment cap and the root list was not truncated, so a larger
-    /// `k` cannot produce additional second-level queries.
+    /// `true` iff the enumeration is provably complete: no candidate
+    /// vector hit the cap and the root list was not truncated, so a
+    /// larger `k` cannot produce additional second-level queries.
     pub complete: bool,
 }
 
-/// Runs the adapted `primary` against the schema, returning the best `k`
-/// second-level queries (root entries of the flattened, cost-sorted list).
-///
-/// Compiles the expanded query on the spot; driver rounds and cache-hit
-/// paths use [`best_k_second_level_plan`] with a shared compiled plan. An
-/// expanded query whose root is not a selector cannot be produced by the
-/// parser and yields a (provably complete) empty run.
-pub fn best_k_second_level(
-    expanded: &ExpandedQuery,
-    schema: &Schema,
-    interner: &Interner,
-    k: usize,
-    opts: EvalOptions,
-) -> SecondLevelRun {
-    match plan::compile(expanded) {
-        Ok(p) => best_k_second_level_plan(&p, schema, interner, k, opts),
-        Err(_) => SecondLevelRun {
-            queries: Vec::new(),
-            entries: 0,
-            fetches: 0,
-            complete: true,
-        },
-    }
-}
-
-/// [`best_k_second_level`] over a pre-compiled plan.
+/// Runs the adapted `primary` — the compiled plan over the schema's label
+/// index in the [`KBest`] domain — returning the best `k` second-level
+/// queries (root candidates of the flattened, cost-sorted list).
 pub fn best_k_second_level_plan(
     plan: &Plan,
     schema: &Schema,
@@ -205,16 +128,15 @@ pub fn best_k_second_level_plan(
 ) -> SecondLevelRun {
     Metric::EvalSchemaRuns.incr();
     let _timer = time(TimerMetric::EvalSchema);
-    let alg = SchemaAlgebra {
+    let alg = Algebra {
         index: schema.labels(),
         interner,
-        k,
-        fetches: AtomicUsize::new(0),
+        domain: KBest { k },
     };
     let slots = plan::execute(plan, &alg, opts.threads);
     let mut entries = 0usize;
-    // `possibly_capped`: whether any accounted segment reached length `k`
-    // — a conservative signal that the per-segment cap may have truncated
+    // `possibly_capped`: whether any accounted candidate vector reached
+    // length `k` — a conservative signal that the cap may have truncated
     // embeddings. If it never fires, the enumeration is provably complete
     // at this `k`.
     let mut possibly_capped = false;
@@ -223,24 +145,21 @@ pub fn best_k_second_level_plan(
             continue;
         }
         if let Some(list) = slots.get(h).and_then(|s| s.get()) {
-            entries += list.len();
+            entries += Algebra::<KBest>::len(list);
             if !possibly_capped {
-                possibly_capped = topk::segments(list).any(|s| s.len() >= k);
+                possibly_capped = list.force().iter().any(|(_, v)| v.len() >= k);
             }
         }
     }
-    let root_list = slots
-        .get(plan.root_list())
-        .and_then(|s| s.get())
-        .cloned()
-        .unwrap_or_default();
-    entries += root_list.len();
+    let root = slots.get(plan.root_list()).and_then(|s| s.get());
+    let root_list = root.map(|l| l.force()).unwrap_or_default();
+    entries += root.map_or(0, Algebra::<KBest>::len);
     let best = topk::sort_k_best(k, &root_list, opts.enforce_leaf_match);
     let complete = !possibly_capped && best.len() < k;
     SecondLevelRun {
         queries: best,
         entries,
-        fetches: alg.fetches.load(Ordering::Relaxed),
+        fetches: fetch_count(plan),
         complete,
     }
 }
@@ -256,9 +175,9 @@ fn skeleton_key(s: &topk::Skeleton, out: &mut Vec<u32>) {
     }
 }
 
-fn entry_key(e: &KEntry) -> Vec<u32> {
+fn entry_key(q: &SecondLevelQuery) -> Vec<u32> {
     let mut key = Vec::with_capacity(8);
-    skeleton_key(&e.skeleton(), &mut key);
+    skeleton_key(q.skeleton(), &mut key);
     key
 }
 
@@ -313,7 +232,7 @@ pub struct ResultStream<'a> {
     opts: EvalOptions,
     cfg: SchemaEvalConfig,
     k: usize,
-    queries: Vec<KEntry>,
+    queries: Vec<SecondLevelQuery>,
     pos: usize,
     last_run_complete: bool,
     started: bool,
@@ -334,22 +253,10 @@ pub struct ResultStream<'a> {
 }
 
 impl<'a> ResultStream<'a> {
-    /// Creates a stream. When `cfg.initial_k` is `None`, the first batch
-    /// size defaults to 16 (the stream cannot know the consumer's `n`).
-    pub fn new(
-        expanded: &ExpandedQuery,
-        schema: &'a Schema,
-        interner: &'a Interner,
-        opts: EvalOptions,
-        cfg: SchemaEvalConfig,
-    ) -> ResultStream<'a> {
-        let plan = plan::compile(expanded).ok().map(Arc::new);
-        Self::with_plan(expanded, plan, schema, interner, opts, cfg)
-    }
-
-    /// Creates a stream over a pre-compiled plan (the `Database`
-    /// plan-cache path). `plan` must be compiled from `expanded`; `None`
-    /// yields an empty stream.
+    /// Creates a stream over the plan compiled from `expanded` (`None`
+    /// yields an empty stream). When `cfg.initial_k` is `None`, the first
+    /// batch size defaults to 16 (the stream cannot know the consumer's
+    /// `n`).
     pub fn with_plan(
         expanded: &ExpandedQuery,
         plan: Option<Arc<Plan>>,
@@ -415,14 +322,13 @@ impl<'a> ResultStream<'a> {
     /// lists for the sequential replay in [`Iterator::next`]. Only used
     /// at `threads > 1`.
     fn speculate(&mut self) {
-        let remaining: Vec<KEntry> = self.queries[self.pos..].to_vec();
+        let remaining = self.queries[self.pos..].to_vec();
         let schema = self.schema;
         self.speculative = Executor::new(self.opts.threads)
             .scope(|scope| {
-                scope.map_deferred(remaining, move |entry: KEntry| {
-                    let skel = entry.skeleton();
+                scope.map_deferred(remaining, move |entry: SecondLevelQuery| {
                     let _timer = time(TimerMetric::SecondLevel);
-                    secondary::execute(&skel, schema.secondary())
+                    secondary::execute(entry.skeleton(), schema.secondary())
                 })
             })
             .into();
@@ -489,9 +395,8 @@ impl Iterator for ResultStream<'_> {
                     instances
                 }
                 None => {
-                    let skel = entry.skeleton();
                     let _timer = time(TimerMetric::SecondLevel);
-                    secondary::execute(&skel, self.schema.secondary())
+                    secondary::execute(entry.skeleton(), self.schema.secondary())
                 }
             };
             self.stats.secondary_rows += instances.len();
@@ -510,13 +415,7 @@ impl Iterator for ResultStream<'_> {
     }
 }
 
-/// The incremental best-n algorithm (Section 7.4, Figure 6), built on
-/// [`ResultStream`].
-///
-/// Returns the best `n` root–cost pairs (sorted by cost, ties by preorder)
-/// and the evaluation counters. Second-level queries are executed in
-/// nondecreasing cost order, so the first `n` distinct roots are the
-/// best `n`.
+/// Compiles the expanded query, then [`best_n_schema_with_plan`].
 pub fn best_n_schema(
     expanded: &ExpandedQuery,
     schema: &Schema,
@@ -529,8 +428,13 @@ pub fn best_n_schema(
     best_n_schema_with_plan(expanded, plan, schema, interner, n, opts, cfg)
 }
 
-/// [`best_n_schema`] over a pre-compiled plan (the `Database` plan-cache
-/// path); `plan` must be compiled from `expanded`.
+/// The incremental best-n algorithm (Section 7.4, Figure 6), built on
+/// [`ResultStream`]; `plan` must be compiled from `expanded`.
+///
+/// Returns the best `n` root–cost pairs (sorted by cost, ties by preorder)
+/// and the evaluation counters. Second-level queries are executed in
+/// nondecreasing cost order, so the first `n` distinct roots are the
+/// best `n`.
 pub fn best_n_schema_with_plan(
     expanded: &ExpandedQuery,
     plan: Option<Arc<Plan>>,
@@ -564,6 +468,7 @@ mod tests {
     use super::*;
     use approxql_cost::tables::paper_section6_costs;
     use approxql_cost::CostModel;
+    use approxql_index::LabelIndex;
     use approxql_query::parse_query;
     use approxql_tree::{DataTree, DataTreeBuilder};
 
@@ -705,8 +610,9 @@ mod tests {
         let q = parse_query(r#"cd[title["piano"]]"#).unwrap();
         let ex = approxql_query::expand::ExpandedQuery::build(&q, &costs);
         let schema = Schema::build(&tree, &costs);
-        let queries =
-            best_k_second_level(&ex, &schema, tree.interner(), 10, EvalOptions::default()).queries;
+        let p = plan::compile(&ex).unwrap();
+        let opts = EvalOptions::default();
+        let queries = best_k_second_level_plan(&p, &schema, tree.interner(), 10, opts).queries;
         assert!(!queries.is_empty());
         assert!(queries.windows(2).all(|w| w[0].cost <= w[1].cost));
         // The cheapest second-level query is the exact one (cost 0).
@@ -746,8 +652,9 @@ mod stream_tests {
         let q = parse_query(r#"cd[title["piano" and "concerto"]]"#).unwrap();
         let ex = approxql_query::expand::ExpandedQuery::build(&q, &costs);
 
-        let stream = ResultStream::new(
+        let stream = ResultStream::with_plan(
             &ex,
+            plan::compile(&ex).ok().map(Arc::new),
             &schema,
             tree.interner(),
             EvalOptions::default(),
@@ -788,8 +695,9 @@ mod stream_tests {
         let schema = Schema::build(&tree, &costs);
         let q = parse_query(r#"cd[title["piano"]]"#).unwrap();
         let ex = approxql_query::expand::ExpandedQuery::build(&q, &costs);
-        let mut stream = ResultStream::new(
+        let mut stream = ResultStream::with_plan(
             &ex,
+            plan::compile(&ex).ok().map(Arc::new),
             &schema,
             tree.interner(),
             EvalOptions::default(),

@@ -1,22 +1,23 @@
-//! The adapted top-k list operations of Section 7.2.
+//! The schema-list value of Section 7.2.
 //!
 //! Run against the *schema*, the evaluation must keep not just the best
 //! embedding per (query subtree, schema subtree) but the best **k** — each
-//! one a distinct *second-level query*. Lists therefore consist of
-//! *segments*: runs of entries with the same preorder number, sorted by
-//! cost, at most `k` entries long.
+//! one a distinct *second-level query*. The list algebra is the one of
+//! [`crate::list`]; this module plugs in its value: per schema node, the
+//! at most `k` cheapest [`Candidate`]s, sorted by cost.
 //!
-//! Entries are extended by a `label` (the matched, possibly renamed label)
-//! and by `children` pointers to the skeleton nodes of the embedding image
-//! (the paper's `pointers` set); a root entry plus the nodes reachable
+//! A candidate carries the matched, possibly renamed `label` and
+//! `children` pointers to the skeleton nodes of the embedding image (the
+//! paper's `pointers` set); a root candidate plus the nodes reachable
 //! through the pointers *is* the second-level query.
 //!
-//! Unlike the direct evaluation's grouped minima, each top-k entry is one
+//! Unlike the direct evaluation's grouped minima, each candidate is one
 //! concrete embedding, so the leaf rule reduces to a boolean flag.
 
-use approxql_index::LabelIndex;
+use crate::list::{below, CostDomain};
+use approxql_index::Posting;
 use approxql_metrics::Metric;
-use approxql_tree::{Cost, LabelId, NodeType};
+use approxql_tree::{Cost, LabelId};
 use std::sync::Arc;
 
 /// A node of a second-level query: a schema node, the (possibly renamed)
@@ -39,17 +40,11 @@ impl Skeleton {
     }
 }
 
-/// A top-k list entry (Section 7.2's extended entry structure).
-#[derive(Debug, Clone)]
-pub struct KEntry {
-    /// Preorder number of the schema node.
-    pub pre: u32,
-    /// Bound of the schema node.
-    pub bound: u32,
-    /// Pathcost of the schema node.
-    pub pathcost: Cost,
-    /// Insert cost of the schema node.
-    pub inscost: Cost,
+/// One embedding of the current query subtree at a schema node (Section
+/// 7.2's extended entry structure, without the node numbers the list
+/// keeps).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Candidate {
     /// Embedding cost of this (single) embedding.
     pub cost: Cost,
     /// Whether the embedding matches at least one original query leaf.
@@ -60,413 +55,202 @@ pub struct KEntry {
     pub children: Vec<Arc<Skeleton>>,
 }
 
-impl KEntry {
-    /// Materializes the skeleton rooted at this entry.
-    pub fn skeleton(&self) -> Arc<Skeleton> {
+impl Candidate {
+    /// Materializes the skeleton of this embedding rooted at node `pre`.
+    pub fn skeleton(&self, pre: u32) -> Arc<Skeleton> {
         Arc::new(Skeleton {
-            pre: self.pre,
+            pre,
             label: self.label,
             children: self.children.clone(),
         })
     }
 }
 
-/// A segmented list: sorted by `pre`; entries with equal `pre` form a
-/// segment sorted by cost, at most `k` long.
-pub type KList = Vec<KEntry>;
-
-/// Iterates over the segments (maximal equal-`pre` runs) of a list.
-pub fn segments(list: &KList) -> impl Iterator<Item = &[KEntry]> {
-    SegmentIter { list, pos: 0 }
+/// The k-best domain of the adapted `primary`: a value is the candidates
+/// of one schema node, cost-sorted (ties in creation order), at most `k`.
+/// `k` is a run-time field, so one compiled plan serves every round of
+/// the incremental driver.
+#[derive(Clone, Copy, Debug)]
+pub struct KBest {
+    /// The cap on every candidate vector.
+    pub k: usize,
 }
 
-struct SegmentIter<'a> {
-    list: &'a KList,
-    pos: usize,
-}
+impl KBest {
+    fn capped(&self, mut candidates: Vec<Candidate>) -> Vec<Candidate> {
+        candidates.sort_by_key(|c| c.cost); // stable: creation order breaks ties
+        candidates.truncate(self.k);
+        candidates
+    }
 
-impl<'a> Iterator for SegmentIter<'a> {
-    type Item = &'a [KEntry];
-
-    fn next(&mut self) -> Option<&'a [KEntry]> {
-        if self.pos >= self.list.len() {
-            return None;
+    /// Small k: linear maintenance is fine.
+    fn keep(&self, acc: &mut Vec<(Cost, usize, usize)>, item: (Cost, usize, usize)) {
+        let pos = acc.partition_point(|x| *x <= item);
+        if item.0.is_finite() && pos < self.k {
+            acc.insert(pos, item);
+            acc.truncate(self.k);
         }
-        let start = self.pos;
-        let pre = self.list[start].pre;
-        while self.pos < self.list.len() && self.list[self.pos].pre == pre {
-            self.pos += 1;
-        }
-        Some(&self.list[start..self.pos])
     }
 }
 
-/// Counts one top-k list operation plus the entries its output carries.
-fn record_k(out: KList) -> KList {
-    Metric::TopkOps.incr();
-    Metric::TopkEntriesProduced.add(out.len() as u64);
-    out
-}
+impl CostDomain for KBest {
+    type V = Vec<Candidate>;
+    /// The `k` smallest `(key, descendant, candidate)` triples, sorted;
+    /// the two indices make the order total and deterministic.
+    type Acc = Vec<(Cost, usize, usize)>;
+    const SKIPS_FRAMES: bool = false;
 
-fn push_segment(out: &mut KList, mut seg: Vec<KEntry>, k: usize) {
-    seg.sort_by_key(|e| e.cost); // stable: creation order breaks ties
-    seg.truncate(k);
-    out.extend(seg);
-}
-
-/// `fetch` for the schema run: one zero-cost entry per schema node, tagged
-/// with the fetched label.
-pub fn fetch_k(index: &LabelIndex, ty: NodeType, label: LabelId, is_leaf: bool) -> KList {
-    let out = index
-        .fetch(ty, label)
-        .iter()
-        .map(|p| KEntry {
-            pre: p.pre,
-            bound: p.bound,
-            pathcost: p.pathcost,
-            inscost: p.inscost,
+    fn seed(&self, label: LabelId, is_leaf: bool) -> Vec<Candidate> {
+        vec![Candidate {
             cost: Cost::ZERO,
             has_leaf: is_leaf,
             label,
             children: Vec::new(),
-        })
-        .collect();
-    record_k(out)
-}
-
-/// Adds `c` to every entry's cost.
-pub fn shift_k(mut l: KList, c: Cost) -> KList {
-    Metric::TopkOps.incr(); // pass-through: entries counted where produced
-    if c != Cost::ZERO {
-        for e in &mut l {
-            e.cost += c;
-        }
+        }]
     }
-    l
-}
 
-/// `merge` for segments: interleaves two lists; entries from `right` pay
-/// `c_ren`. Segments falling on the same schema node (two words sharing a
-/// text class) are merged and re-capped at `k`.
-pub fn merge_k(left: &KList, right: &KList, c_ren: Cost, k: usize) -> KList {
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    // Segments borrow from the underlying lists, not the iterators, so a
-    // peeked slice stays usable after `next()` advances past it.
-    let mut ls = segments(left).peekable();
-    let mut rs = segments(right).peekable();
-    let renamed = |seg: &[KEntry]| -> Vec<KEntry> {
-        seg.iter()
-            .cloned()
-            .map(|mut e| {
-                e.cost += c_ren;
-                e
-            })
-            .collect()
-    };
-    loop {
-        match (ls.peek().copied(), rs.peek().copied()) {
-            (None, None) => break,
-            (Some(l), None) => {
-                ls.next();
-                out.extend(l.iter().cloned());
-            }
-            (None, Some(r)) => {
-                rs.next();
-                push_segment(&mut out, renamed(r), k);
-            }
-            (Some(l), Some(r)) => {
-                if l[0].pre < r[0].pre {
-                    ls.next();
-                    out.extend(l.iter().cloned());
-                } else if r[0].pre < l[0].pre {
-                    rs.next();
-                    push_segment(&mut out, renamed(r), k);
-                } else {
-                    ls.next();
-                    rs.next();
-                    let mut seg = l.to_vec();
-                    seg.extend(renamed(r));
-                    push_segment(&mut out, seg, k);
-                }
-            }
-        }
-    }
-    record_k(out)
-}
-
-/// Candidate collected while scanning an ancestor's descendant interval.
-#[derive(Clone)]
-struct Candidate {
-    /// `pathcost(d) + cost(d)` — ordering key (ancestor shift is constant).
-    key: Cost,
-    /// Index into the descendant list (deterministic tiebreak).
-    seq: usize,
-}
-
-/// Bounded candidate collector (keeps the `k` smallest keys).
-struct TopK {
-    k: usize,
-    items: Vec<Candidate>, // small k: linear maintenance is fine
-}
-
-impl TopK {
-    fn new(k: usize) -> TopK {
-        TopK {
-            k,
-            items: Vec::new(),
+    fn shift(&self, v: &mut Vec<Candidate>, c: Cost) {
+        for cand in v {
+            cand.cost += c;
         }
     }
 
-    fn offer(&mut self, c: Candidate) {
-        if !c.key.is_finite() {
-            return;
-        }
-        let pos = self
-            .items
-            .partition_point(|x| (x.key, x.seq) <= (c.key, c.seq));
-        if pos >= self.k {
-            return;
-        }
-        self.items.insert(pos, c);
-        self.items.truncate(self.k);
+    fn either(&self, mut a: Vec<Candidate>, b: Vec<Candidate>) -> Vec<Candidate> {
+        a.extend(b);
+        self.capped(a)
     }
 
-    fn absorb(&mut self, other: TopK) {
-        for c in other.items {
-            self.offer(c);
-        }
-    }
-}
-
-/// Core of `join`/`outerjoin` (Section 7.2): for each ancestor, the best
-/// `k` descendants by `distance + cost`, via the same fold-on-pop stack as
-/// the direct join.
-fn interval_topk(ancestors: &KList, descendants: &KList, k: usize) -> Vec<TopK> {
-    let mut result: Vec<TopK> = (0..ancestors.len()).map(|_| TopK::new(k)).collect();
-    let mut stack: Vec<(usize, TopK)> = Vec::new();
-    let (mut i, mut j) = (0, 0);
-
-    macro_rules! close_until {
-        ($pre:expr) => {
-            while let Some((top, _)) = stack.last() {
-                if ancestors[*top].bound >= $pre {
-                    break;
-                }
-                let Some((top, collected)) = stack.pop() else {
-                    break;
-                };
-                if let Some((_, parent)) = stack.last_mut() {
-                    let mut copy = TopK::new(k);
-                    copy.items = collected.items.clone();
-                    parent.absorb(copy);
-                }
-                result[top] = collected;
-            }
-        };
-    }
-
-    while i < ancestors.len() || j < descendants.len() {
-        let descendant_turn = match (ancestors.get(i), descendants.get(j)) {
-            (Some(a), Some(d)) => d.pre <= a.pre,
-            (None, Some(_)) => true,
-            _ => false,
-        };
-        if descendant_turn {
-            let d = &descendants[j];
-            close_until!(d.pre);
-            if let Some((top, coll)) = stack.last_mut() {
-                if ancestors[*top].pre < d.pre {
-                    coll.offer(Candidate {
-                        key: d.pathcost + d.cost,
-                        seq: j,
-                    });
-                }
-            }
-            j += 1;
-        } else {
-            let pre = ancestors[i].pre;
-            close_until!(pre);
-            stack.push((i, TopK::new(k)));
-            i += 1;
-        }
-    }
-    close_until!(u32::MAX);
-    result
-}
-
-fn emit_descendant(a: &KEntry, d: &KEntry, key: Cost, c_edge: Cost) -> KEntry {
-    let slack = key
-        .checked_sub(a.pathcost)
-        .and_then(|c| c.checked_sub(a.inscost));
-    debug_assert!(
-        slack.is_some(),
-        "descendant pathcost covers ancestor pathcost + inscost"
-    );
-    // In release, an underflow (impossible by the interval-topk invariant)
-    // degrades to an infinite cost, which ranking discards, not a panic.
-    let cost = slack.unwrap_or(Cost::INFINITY) + c_edge;
-    KEntry {
-        cost,
-        has_leaf: d.has_leaf,
-        children: vec![d.skeleton()],
-        ..a.clone()
-    }
-}
-
-/// `join` (Section 7.2): for each ancestor, one output entry per kept
-/// descendant (at most `k`), pointer set initialized with that descendant.
-pub fn join_k(ancestors: &KList, descendants: &KList, c_edge: Cost, k: usize) -> KList {
-    let collected = interval_topk(ancestors, descendants, k);
-    let mut out = Vec::new();
-    for (a, coll) in ancestors.iter().zip(collected) {
-        for c in &coll.items {
-            out.push(emit_descendant(a, &descendants[c.seq], c.key, c_edge));
-        }
-    }
-    record_k(out)
-}
-
-/// `outerjoin` (Section 7.2): like `join`, plus the deletion alternative
-/// (cost `c_del`, empty pointer set) competing for the `k` slots.
-pub fn outerjoin_k(
-    ancestors: &KList,
-    descendants: &KList,
-    c_edge: Cost,
-    c_del: Cost,
-    k: usize,
-) -> KList {
-    let collected = interval_topk(ancestors, descendants, k);
-    let mut out = Vec::new();
-    for (a, coll) in ancestors.iter().zip(collected) {
-        let mut seg: Vec<KEntry> = coll
-            .items
-            .iter()
-            .map(|c| emit_descendant(a, &descendants[c.seq], c.key, c_edge))
-            .collect();
-        if c_del.is_finite() {
-            seg.push(KEntry {
-                cost: c_del + c_edge,
-                has_leaf: false,
-                children: Vec::new(),
-                ..a.clone()
-            });
-        }
-        push_segment(&mut out, seg, k);
-    }
-    record_k(out)
-}
-
-/// `intersect` (Section 7.2): for segments on the same schema node, the
-/// `k` cheapest pairs; pointer sets are united.
-pub fn intersect_k(left: &KList, right: &KList, c_edge: Cost, k: usize) -> KList {
-    let mut out = Vec::new();
-    let mut ls = segments(left).peekable();
-    let mut rs = segments(right).peekable();
-    while let (Some(&l), Some(&r)) = (ls.peek(), rs.peek()) {
-        if l[0].pre < r[0].pre {
-            ls.next();
-        } else if r[0].pre < l[0].pre {
-            rs.next();
-        } else {
-            ls.next();
-            rs.next();
-            let mut seg = Vec::with_capacity(l.len() * r.len());
-            for a in l {
-                for b in r {
-                    let cost = a.cost + b.cost + c_edge;
-                    if !cost.is_finite() {
-                        continue;
-                    }
-                    let mut children = a.children.clone();
-                    children.extend(b.children.iter().cloned());
-                    seg.push(KEntry {
+    /// The `k` cheapest pairs; pointer sets are united.
+    fn both(&self, a: &Vec<Candidate>, b: &Vec<Candidate>) -> Option<Vec<Candidate>> {
+        let mut pairs = Vec::with_capacity(a.len() * b.len());
+        for x in a {
+            for y in b {
+                let cost = x.cost + y.cost;
+                if cost.is_finite() {
+                    let mut children = x.children.clone();
+                    children.extend(y.children.iter().cloned());
+                    pairs.push(Candidate {
                         cost,
-                        has_leaf: a.has_leaf || b.has_leaf,
+                        has_leaf: x.has_leaf || y.has_leaf,
+                        label: x.label,
                         children,
-                        ..a.clone()
                     });
                 }
             }
-            push_segment(&mut out, seg, k);
+        }
+        Some(self.capped(pairs)).filter(|p| !p.is_empty())
+    }
+
+    fn open(&self) -> Self::Acc {
+        Vec::new()
+    }
+
+    fn offer(&self, acc: &mut Self::Acc, j: usize, (d, v): &(Posting, Vec<Candidate>)) {
+        for (c, cand) in v.iter().enumerate() {
+            self.keep(acc, (d.pathcost + cand.cost, j, c));
         }
     }
-    record_k(out)
+
+    fn fold(&self, parent: &mut Self::Acc, closed: &Self::Acc) {
+        for &item in closed {
+            self.keep(parent, item);
+        }
+    }
+
+    /// One candidate per kept descendant, pointer set initialized with
+    /// that descendant, plus the deletion alternative (empty pointer set)
+    /// competing for the `k` slots.
+    fn close(
+        &self,
+        (a, seed): &(Posting, Vec<Candidate>),
+        acc: Self::Acc,
+        descendants: &[(Posting, Vec<Candidate>)],
+        c_del: Cost,
+    ) -> Option<Vec<Candidate>> {
+        let label = seed.first()?.label;
+        let kept = acc.into_iter().map(|(key, j, c)| {
+            let (d, v) = &descendants[j];
+            Candidate {
+                cost: below(a, key),
+                has_leaf: v[c].has_leaf,
+                label,
+                children: vec![v[c].skeleton(d.pre)],
+            }
+        });
+        let deleted = c_del.is_finite().then(|| Candidate {
+            cost: c_del,
+            has_leaf: false,
+            label,
+            children: Vec::new(),
+        });
+        Some(self.capped(kept.chain(deleted).collect())).filter(|v| !v.is_empty())
+    }
+
+    fn weight(v: &Vec<Candidate>) -> usize {
+        v.len()
+    }
+
+    fn record(&self, _op: Metric, produced: usize) {
+        Metric::TopkOps.incr();
+        Metric::TopkEntriesProduced.add(produced as u64);
+    }
 }
 
-/// `union` (Section 7.2): merges segments on the same schema node, keeping
-/// the best `k`; lone segments are copied. `c_edge` applies to every
-/// output entry.
-pub fn union_k(left: &KList, right: &KList, c_edge: Cost, k: usize) -> KList {
-    let mut out = Vec::new();
-    let mut ls = segments(left).peekable();
-    let mut rs = segments(right).peekable();
-    loop {
-        let seg: Vec<KEntry> = match (ls.peek().copied(), rs.peek().copied()) {
-            (None, None) => break,
-            (Some(l), None) => {
-                ls.next();
-                l.to_vec()
-            }
-            (None, Some(r)) => {
-                rs.next();
-                r.to_vec()
-            }
-            (Some(l), Some(r)) => {
-                if l[0].pre < r[0].pre {
-                    ls.next();
-                    l.to_vec()
-                } else if r[0].pre < l[0].pre {
-                    rs.next();
-                    r.to_vec()
-                } else {
-                    ls.next();
-                    rs.next();
-                    let mut seg = l.to_vec();
-                    seg.extend(r.iter().cloned());
-                    seg
-                }
-            }
-        };
-        let seg = seg
-            .into_iter()
-            .map(|mut e| {
-                e.cost += c_edge;
-                e
-            })
-            .filter(|e| e.cost.is_finite())
-            .collect();
-        push_segment(&mut out, seg, k);
+/// A second-level query: the skeleton to execute against the
+/// path-dependent index and the (exact, Section 7.1) cost of every
+/// result it retrieves.
+#[derive(Debug, Clone)]
+pub struct SecondLevelQuery {
+    /// Embedding cost shared by all results of this query.
+    pub cost: Cost,
+    root: Arc<Skeleton>,
+}
+
+impl SecondLevelQuery {
+    /// The skeleton rooted at the query's schema node.
+    pub fn skeleton(&self) -> &Skeleton {
+        &self.root
     }
-    record_k(out)
 }
 
 /// Final `sort` for the schema run: flattens the root list into the best
-/// `k` second-level queries, ordered by `(cost, pre, segment position)`.
-pub fn sort_k_best(k: usize, list: &KList, require_leaf: bool) -> Vec<KEntry> {
-    let mut indexed: Vec<(usize, &KEntry)> = list
+/// `k` second-level queries, ordered by `(cost, pre, position)`.
+pub fn sort_k_best(
+    k: usize,
+    list: &[(Posting, Vec<Candidate>)],
+    require_leaf: bool,
+) -> Vec<SecondLevelQuery> {
+    let mut roots: Vec<(u32, &Candidate)> = list
         .iter()
-        .enumerate()
-        .filter(|(_, e)| e.cost.is_finite() && (!require_leaf || e.has_leaf))
+        .flat_map(|(node, v)| v.iter().map(|c| (node.pre, c)))
+        .filter(|(_, c)| c.cost.is_finite() && (!require_leaf || c.has_leaf))
         .collect();
-    indexed.sort_by_key(|(i, e)| (e.cost, e.pre, *i));
-    let out: Vec<KEntry> = indexed
+    roots.sort_by_key(|&(pre, c)| (c.cost, pre)); // stable: position breaks ties
+    roots.truncate(k);
+    Metric::TopkOps.incr();
+    Metric::TopkEntriesProduced.add(roots.len() as u64);
+    roots
         .into_iter()
-        .take(k)
-        .map(|(_, e)| e.clone())
-        .collect();
-    record_k(out)
+        .map(|(pre, c)| SecondLevelQuery {
+            cost: c.cost,
+            root: c.skeleton(pre),
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::list::LazyList::Mat;
+    use crate::list::{Algebra, LazyList, List};
+    use approxql_index::LabelIndex;
+    use approxql_plan::PlanAlgebra;
+    use approxql_tree::Interner;
 
-    fn ke(pre: u32, bound: u32, pathcost: u64, cost: u64, label: u32) -> KEntry {
-        KEntry {
-            pre,
-            bound,
-            pathcost: Cost::finite(pathcost),
-            inscost: Cost::finite(1),
+    type KList = List<Vec<Candidate>>;
+
+    fn cand(cost: u64, label: u32) -> Candidate {
+        Candidate {
             cost: Cost::finite(cost),
             has_leaf: true,
             label: LabelId(label),
@@ -474,161 +258,198 @@ mod tests {
         }
     }
 
-    #[test]
-    fn segments_group_by_pre() {
-        let l = vec![ke(1, 1, 0, 0, 0), ke(1, 1, 0, 2, 0), ke(4, 4, 0, 1, 0)];
-        let segs: Vec<usize> = segments(&l).map(|s| s.len()).collect();
-        assert_eq!(segs, vec![2, 1]);
+    /// A node with insert cost 1 and the given candidates.
+    fn node(
+        pre: u32,
+        bound: u32,
+        pathcost: u64,
+        cands: Vec<Candidate>,
+    ) -> (Posting, Vec<Candidate>) {
+        let n = Posting {
+            pre,
+            bound,
+            pathcost: Cost::finite(pathcost),
+            inscost: Cost::finite(1),
+        };
+        (n, cands)
+    }
+
+    /// The k-best algebra over an empty index.
+    fn alg(k: usize) -> Algebra<'static, KBest> {
+        static EMPTY: std::sync::OnceLock<(LabelIndex, Interner)> = std::sync::OnceLock::new();
+        let (index, interner) = EMPTY.get_or_init(Default::default);
+        Algebra {
+            index,
+            interner,
+            domain: KBest { k },
+        }
+    }
+
+    fn own(l: LazyList<Vec<Candidate>>) -> KList {
+        l.force().into_owned()
+    }
+
+    fn costs(v: &[Candidate]) -> Vec<Cost> {
+        v.iter().map(|c| c.cost).collect()
     }
 
     #[test]
-    fn join_k_emits_k_copies_per_ancestor() {
-        let anc = vec![ke(1, 9, 0, 0, 7)];
-        let desc = vec![ke(3, 3, 2, 5, 1), ke(4, 4, 2, 1, 2), ke(5, 5, 2, 3, 3)];
-        let j = join_k(&anc, &desc, Cost::ZERO, 2);
-        assert_eq!(j.len(), 2);
-        // distance = 2 - 0 - 1 = 1; best costs 1+1=2 and 3+1=4.
-        assert_eq!(j[0].cost, Cost::finite(2));
-        assert_eq!(j[1].cost, Cost::finite(4));
-        // pointers reference the matched descendants.
-        assert_eq!(j[0].children[0].pre, 4);
-        assert_eq!(j[1].children[0].pre, 5);
-        // the ancestor's own label is preserved.
-        assert_eq!(j[0].label, LabelId(7));
-    }
-
-    #[test]
-    fn join_k_with_k1_equals_min() {
-        let anc = vec![ke(1, 9, 0, 0, 0)];
-        let desc = vec![ke(3, 3, 2, 5, 1), ke(4, 4, 2, 1, 2)];
-        let j = join_k(&anc, &desc, Cost::ZERO, 1);
+    fn join_keeps_k_candidates_per_ancestor() {
+        let anc = vec![node(1, 9, 0, vec![cand(0, 7)])];
+        let desc = vec![
+            node(3, 3, 2, vec![cand(5, 1)]),
+            node(4, 4, 2, vec![cand(1, 2)]),
+            node(5, 5, 2, vec![cand(3, 3)]),
+        ];
+        let j = own(alg(2).join(&Mat(anc.clone()), &Mat(desc.clone())));
         assert_eq!(j.len(), 1);
-        assert_eq!(j[0].cost, Cost::finite(2));
+        let v = &j[0].1;
+        // distance = 2 - 0 - 1 = 1; best costs 1+1=2 and 3+1=4.
+        assert_eq!(costs(v), vec![Cost::finite(2), Cost::finite(4)]);
+        // pointers reference the matched descendants.
+        assert_eq!(v[0].children[0].pre, 4);
+        assert_eq!(v[1].children[0].pre, 5);
+        // the ancestor's own label is preserved.
+        assert_eq!(v[0].label, LabelId(7));
+        // k = 1 is the minimum.
+        let j = own(alg(1).join(&Mat(anc), &Mat(desc)));
+        assert_eq!(costs(&j[0].1), vec![Cost::finite(2)]);
     }
 
     #[test]
-    fn outerjoin_k_inserts_deletion_candidate_in_order() {
-        let anc = vec![ke(1, 9, 0, 0, 0)];
-        let desc = vec![ke(3, 3, 2, 5, 1)]; // match cost 6
-        let oj = outerjoin_k(&anc, &desc, Cost::ZERO, Cost::finite(4), 2);
-        assert_eq!(oj.len(), 2);
-        assert_eq!(oj[0].cost, Cost::finite(4)); // deletion first
-        assert!(!oj[0].has_leaf);
-        assert!(oj[0].children.is_empty());
-        assert_eq!(oj[1].cost, Cost::finite(6));
-        assert!(oj[1].has_leaf);
+    fn outerjoin_inserts_deletion_candidate_in_order() {
+        let anc = vec![node(1, 9, 0, vec![cand(0, 0)])];
+        let desc = vec![node(3, 3, 2, vec![cand(5, 1)])]; // match cost 6
+        let oj = own(alg(2).outerjoin(&Mat(anc), &Mat(desc), Cost::finite(4)));
+        let v = &oj[0].1;
+        assert_eq!(costs(v), vec![Cost::finite(4), Cost::finite(6)]);
+        assert!(!v[0].has_leaf); // deletion first
+        assert!(v[0].children.is_empty());
+        assert!(v[1].has_leaf);
     }
 
     #[test]
-    fn outerjoin_k_keeps_ancestor_without_descendants() {
-        let anc = vec![ke(1, 9, 0, 0, 0)];
-        let oj = outerjoin_k(&anc, &vec![], Cost::ZERO, Cost::finite(4), 3);
-        assert_eq!(oj.len(), 1);
-        assert_eq!(oj[0].cost, Cost::finite(4));
-        let oj = outerjoin_k(&anc, &vec![], Cost::ZERO, Cost::INFINITY, 3);
+    fn outerjoin_keeps_ancestor_without_descendants() {
+        let anc = vec![node(1, 9, 0, vec![cand(0, 0)])];
+        let oj = own(alg(3).outerjoin(&Mat(anc.clone()), &Mat(vec![]), Cost::finite(4)));
+        assert_eq!(costs(&oj[0].1), vec![Cost::finite(4)]);
+        let oj = own(alg(3).outerjoin(&Mat(anc), &Mat(vec![]), Cost::INFINITY));
         assert!(oj.is_empty());
     }
 
     #[test]
-    fn intersect_k_takes_best_pairs_and_unions_pointers() {
-        let mut a1 = ke(2, 5, 0, 1, 0);
-        a1.children = vec![Arc::new(Skeleton {
-            pre: 3,
-            label: LabelId(1),
-            children: vec![],
-        })];
-        let mut b1 = ke(2, 5, 0, 2, 0);
-        b1.children = vec![Arc::new(Skeleton {
-            pre: 4,
-            label: LabelId(2),
-            children: vec![],
-        })];
-        let x = intersect_k(&vec![a1], &vec![b1], Cost::finite(1), 4);
-        assert_eq!(x.len(), 1);
-        assert_eq!(x[0].cost, Cost::finite(4));
-        assert_eq!(x[0].children.len(), 2);
+    fn intersect_takes_best_pairs_and_unions_pointers() {
+        let leaf = |pre, label| {
+            Arc::new(Skeleton {
+                pre,
+                label: LabelId(label),
+                children: vec![],
+            })
+        };
+        let mut a1 = cand(1, 0);
+        a1.children = vec![leaf(3, 1)];
+        let mut b1 = cand(2, 0);
+        b1.children = vec![leaf(4, 2)];
+        let x = own({
+            alg(4).intersect(
+                &Mat(vec![node(2, 5, 0, vec![a1])]),
+                &Mat(vec![node(2, 5, 0, vec![b1])]),
+            )
+        });
+        assert_eq!(costs(&x[0].1), vec![Cost::finite(3)]);
+        assert_eq!(x[0].1[0].children.len(), 2);
     }
 
     #[test]
-    fn intersect_k_caps_pairs_at_k() {
-        let l = vec![ke(2, 5, 0, 0, 0), ke(2, 5, 0, 1, 0)];
-        let r = vec![ke(2, 5, 0, 0, 0), ke(2, 5, 0, 10, 0)];
-        let x = intersect_k(&l, &r, Cost::ZERO, 3);
-        assert_eq!(x.len(), 3);
-        let costs: Vec<Cost> = x.iter().map(|e| e.cost).collect();
-        assert_eq!(costs, vec![Cost::ZERO, Cost::finite(1), Cost::finite(10)]);
+    fn intersect_caps_pairs_at_k() {
+        let l = vec![node(2, 5, 0, vec![cand(0, 0), cand(1, 0)])];
+        let r = vec![node(2, 5, 0, vec![cand(0, 0), cand(10, 0)])];
+        let x = own(alg(3).intersect(&Mat(l), &Mat(r)));
+        assert_eq!(
+            costs(&x[0].1),
+            vec![Cost::ZERO, Cost::finite(1), Cost::finite(10)]
+        );
     }
 
     #[test]
-    fn union_k_merges_segments() {
-        let l = vec![ke(2, 5, 0, 3, 0)];
-        let r = vec![ke(2, 5, 0, 1, 0), ke(7, 7, 0, 0, 0)];
-        let u = union_k(&l, &r, Cost::ZERO, 1);
-        // segment at 2 keeps only the cheaper entry; segment at 7 copied.
+    fn union_merges_candidates_of_one_node() {
+        let l = vec![node(2, 5, 0, vec![cand(3, 0)])];
+        let r = vec![
+            node(2, 5, 0, vec![cand(1, 0)]),
+            node(7, 7, 0, vec![cand(0, 0)]),
+        ];
+        let u = own(alg(1).union(&Mat(l), &Mat(r)));
+        // node 2 keeps only the cheaper candidate; node 7 is copied.
         assert_eq!(u.len(), 2);
-        assert_eq!(u[0].cost, Cost::finite(1));
-        assert_eq!(u[1].pre, 7);
+        assert_eq!(costs(&u[0].1), vec![Cost::finite(1)]);
+        assert_eq!(u[1].0.pre, 7);
     }
 
     #[test]
-    fn merge_k_charges_renames_and_recaps() {
-        let l = vec![ke(2, 5, 0, 0, 10)];
-        let r = vec![ke(2, 5, 0, 0, 11), ke(3, 3, 0, 0, 11)];
-        let m = merge_k(&l, &r, Cost::finite(2), 1);
-        // shared segment at 2: original (0) beats renamed (2); k=1 keeps 1.
+    fn merge_charges_renames_and_recaps() {
+        let l = vec![node(2, 5, 0, vec![cand(0, 10)])];
+        let r = vec![
+            node(2, 5, 0, vec![cand(0, 11)]),
+            node(3, 3, 0, vec![cand(0, 11)]),
+        ];
+        let m = own(alg(1).merge(&Mat(l), &Mat(r), Cost::finite(2)));
+        // shared node 2: original (0) beats renamed (2); k=1 keeps 1.
         assert_eq!(m.len(), 2);
-        assert_eq!(m[0].cost, Cost::ZERO);
-        assert_eq!(m[0].label, LabelId(10));
-        assert_eq!(m[1].pre, 3);
-        assert_eq!(m[1].cost, Cost::finite(2));
-        assert_eq!(m[1].label, LabelId(11));
+        assert_eq!(costs(&m[0].1), vec![Cost::ZERO]);
+        assert_eq!(m[0].1[0].label, LabelId(10));
+        assert_eq!(m[1].0.pre, 3);
+        assert_eq!(costs(&m[1].1), vec![Cost::finite(2)]);
+        assert_eq!(m[1].1[0].label, LabelId(11));
     }
 
     #[test]
     fn sort_k_best_filters_and_orders() {
-        let mut no_leaf = ke(5, 5, 0, 0, 0);
+        let mut no_leaf = cand(0, 0);
         no_leaf.has_leaf = false;
-        let l = vec![ke(9, 9, 0, 2, 0), no_leaf, ke(1, 1, 0, 1, 0)];
-        let best = sort_k_best(10, &l, true);
-        assert_eq!(best.len(), 2);
-        assert_eq!(best[0].pre, 1);
-        assert_eq!(best[1].pre, 9);
-        let best = sort_k_best(10, &l, false);
-        assert_eq!(best.len(), 3);
-        assert_eq!(best[0].pre, 5);
+        let l = vec![
+            node(1, 1, 0, vec![cand(1, 0)]),
+            node(5, 5, 0, vec![no_leaf]),
+            node(9, 9, 0, vec![cand(1, 0), cand(2, 0)]),
+        ];
+        let pres = |best: Vec<SecondLevelQuery>| -> Vec<u32> {
+            best.iter().map(|q| q.skeleton().pre).collect()
+        };
+        assert_eq!(pres(sort_k_best(10, &l, true)), vec![1, 9, 9]);
+        assert_eq!(pres(sort_k_best(10, &l, false)), vec![5, 1, 9, 9]);
+        assert_eq!(pres(sort_k_best(2, &l, false)), vec![5, 1]);
     }
 
     #[test]
     fn nested_ancestors_fold_candidates() {
         // outer(1..9) contains inner(2..5); descendant at 4 counts for
         // both, descendant at 7 only for the outer.
-        let anc = vec![ke(1, 9, 0, 0, 0), ke(2, 5, 1, 0, 0)];
-        let desc = vec![ke(4, 4, 2, 0, 1), ke(7, 7, 1, 0, 2)];
-        let j = join_k(&anc, &desc, Cost::ZERO, 2);
-        let outer: Vec<_> = j.iter().filter(|e| e.pre == 1).collect();
-        let inner: Vec<_> = j.iter().filter(|e| e.pre == 2).collect();
-        assert_eq!(outer.len(), 2);
-        assert_eq!(inner.len(), 1);
-        assert_eq!(inner[0].children[0].pre, 4);
+        let anc = vec![
+            node(1, 9, 0, vec![cand(0, 0)]),
+            node(2, 5, 1, vec![cand(0, 0)]),
+        ];
+        let desc = vec![
+            node(4, 4, 2, vec![cand(0, 1)]),
+            node(7, 7, 1, vec![cand(0, 2)]),
+        ];
+        let j = own(alg(2).join(&Mat(anc), &Mat(desc)));
+        assert_eq!(j[0].1.len(), 2);
+        assert_eq!(j[1].1.len(), 1);
+        assert_eq!(j[1].1[0].children[0].pre, 4);
     }
 
     #[test]
     fn skeleton_size_counts_nodes() {
+        let leaf = |pre| {
+            Arc::new(Skeleton {
+                pre,
+                label: LabelId(pre),
+                children: vec![],
+            })
+        };
         let s = Skeleton {
             pre: 0,
             label: LabelId(0),
-            children: vec![
-                Arc::new(Skeleton {
-                    pre: 1,
-                    label: LabelId(1),
-                    children: vec![],
-                }),
-                Arc::new(Skeleton {
-                    pre: 2,
-                    label: LabelId(2),
-                    children: vec![],
-                }),
-            ],
+            children: vec![leaf(1), leaf(2)],
         };
         assert_eq!(s.size(), 3);
     }

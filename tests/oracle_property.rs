@@ -6,9 +6,12 @@
 //! The generators use a tiny label alphabet so that approximate matches,
 //! deletions, and renamings all fire frequently.
 
+use approxql::crates::core::list::{Algebra, TwoChannel};
 use approxql::crates::core::schema_eval::{best_n_schema, SchemaEvalConfig};
+use approxql::crates::core::topk::KBest;
 use approxql::crates::core::{direct, EvalOptions};
 use approxql::crates::index::LabelIndex;
+use approxql::crates::plan;
 use approxql::crates::schema::Schema;
 use approxql::{
     Cost, CostModel, CostModelBuilder, DataTree, DataTreeBuilder, NodeType, Query,
@@ -380,5 +383,56 @@ proptest! {
             "secondary-row counter disagrees with EvalStats for {}", query_str);
         prop_assert_eq!(diff.get(Metric::EvalSchemaRuns), stats.rounds as u64,
             "every round is exactly one adapted-primary run for {}", query_str);
+    }
+}
+
+proptest! {
+    // Cheap per case; the rarer shapes (a leaf match on one side of an
+    // `and` only, both `or` branches at one node) need the volume.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Section 7.2 adapts Section 6.4 operator by operator: one plan over
+    /// one label index, executed in the two-channel domain and in the
+    /// k-best domain at a `k` no candidate vector reaches, yields at every
+    /// operator the same nodes, the cheapest candidate of a node costs its
+    /// `any` channel, and the cheapest leaf-matching one its `leaf`
+    /// channel.
+    #[test]
+    fn cost_domains_agree_at_every_operator(
+        docs in gen_data(),
+        (qroot, qchildren) in gen_query(),
+        cost_spec in gen_costs(),
+    ) {
+        const K: usize = 1 << 16;
+        let costs = build_costs(&cost_spec);
+        let tree = build_tree(&docs, &costs);
+        let query_str = render_query(qroot, &qchildren);
+        let query: Query = approxql::parse_query(&query_str).unwrap();
+        let expanded = approxql::ExpandedQuery::build(&query, &costs);
+        let compiled = plan::compile(&expanded).unwrap();
+        let index = LabelIndex::build(&tree);
+        let interner = tree.interner();
+
+        let minima = plan::execute(&compiled, &Algebra { index: &index, interner, domain: TwoChannel }, 1);
+        let k_best = plan::execute(&compiled, &Algebra { index: &index, interner, domain: KBest { k: K } }, 1);
+        for (h, op) in compiled.ops().iter().enumerate() {
+            let (Some(min), Some(best)) = (minima[h].get(), k_best[h].get()) else {
+                prop_assert_eq!(h, compiled.result(), "operator {} was not executed", h);
+                continue;
+            };
+            let (min, best) = (min.force(), best.force());
+            let at = format!("operator {h} ({}) of {query_str}", op.name());
+            prop_assert_eq!(min.len(), best.len(), "node count at {}", &at);
+            for ((node, channels), (k_node, candidates)) in min.iter().zip(best.iter()) {
+                prop_assert_eq!(node, k_node, "node at {}", &at);
+                prop_assert!(candidates.len() < K, "cap reached at {}", &at);
+                let cheapest = |leaf_only: bool| {
+                    let matching = candidates.iter().filter(|c| c.has_leaf || !leaf_only);
+                    matching.map(|c| c.cost).min().unwrap_or(Cost::INFINITY)
+                };
+                prop_assert_eq!(cheapest(false), channels.any, "any of node {} at {}", node.pre, &at);
+                prop_assert_eq!(cheapest(true), channels.leaf, "leaf of node {} at {}", node.pre, &at);
+            }
+        }
     }
 }
