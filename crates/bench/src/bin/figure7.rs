@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Regenerates Figure 7 of the paper: evaluation times of the three query
 //! patterns, direct vs. schema-driven, over the number of requested
 //! results `n` and {0, 5, 10} renamings per label.
@@ -6,7 +5,7 @@
 //! ```text
 //! figure7 [--scale DIV] [--full] [--pattern 1|2|3] [--queries N]
 //!         [--renamings R[,R...]] [--ns N[,N...][,all]] [--seed S]
-//!         [--threads N] [--json PATH]
+//!         [--threads N]
 //! ```
 //!
 //! The default scale is 1/10 of the paper (100,000 elements, 1,000,000
@@ -15,12 +14,9 @@
 //! (default 10 queries, like the paper). `--threads` (default: available
 //! parallelism, or `APPROXQL_THREADS`) fans the repeated queries of each
 //! cell out over a worker pool — means and work columns are identical to
-//! `--threads 1`; only the harness wall-clock changes. `--json PATH`
-//! additionally writes the full result set (collection stats including
-//! bytes/posting of the §14 block-compressed label index, plus every
-//! measured cell) as a machine-readable JSON report — this is how
-//! `BENCH_baseline.json` at the repo root is produced (see
-//! EXPERIMENTS.md).
+//! `--threads 1`; only the harness wall-clock changes. This is the
+//! paper-figure reproduction; the end-to-end and per-layer trajectory is
+//! `axbench` (EXPERIMENTS.md).
 
 use approxql_bench::{
     build_collection, make_queries, time_direct, time_schema, Measurement, WorkCounts, PATTERNS,
@@ -35,13 +31,12 @@ struct Args {
     ns: Vec<Option<usize>>,
     seed: u64,
     threads: usize,
-    json: Option<String>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: figure7 [--scale DIV] [--full] [--pattern 1|2|3] [--queries N] \
-         [--renamings R,R,...] [--ns N,...,all] [--seed S] [--threads N] [--json PATH]"
+         [--renamings R,R,...] [--ns N,...,all] [--seed S] [--threads N]"
     );
     std::process::exit(2)
 }
@@ -55,7 +50,6 @@ fn parse_args() -> Args {
         ns: vec![Some(1), Some(10), Some(100), Some(1000), None],
         seed: 2002,
         threads: approxql_exec::default_threads(),
-        json: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -96,7 +90,6 @@ fn parse_args() -> Args {
                     usage();
                 }
             }
-            "--json" => args.json = Some(val()),
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -109,44 +102,6 @@ fn fmt_n(n: Option<usize>) -> String {
         Some(n) => n.to_string(),
         None => "all".to_owned(),
     }
-}
-
-/// Renders one measured cell as a JSON object. The repo carries no JSON
-/// serializer dependency, so the report is assembled by hand; every string
-/// that ends up here is an ASCII identifier, never user input.
-fn row_json(m: &Measurement) -> String {
-    let w = &m.work;
-    format!(
-        concat!(
-            "{{\"pattern\":\"{}\",\"renamings\":{},\"n\":\"{}\",\"algorithm\":\"{}\",",
-            "\"threads\":{},\"mean_ms\":{:.3},\"mean_results\":{:.1},\"work\":{{",
-            "\"index_fetches\":{:.1},\"postings_fetched\":{:.1},\"list_ops\":{:.1},",
-            "\"list_entries\":{:.1},\"topk_ops\":{:.1},\"topk_entries\":{:.1},",
-            "\"rounds\":{:.1},\"second_level_queries\":{:.1},\"secondary_rows\":{:.1},",
-            "\"blocks_decoded\":{:.1},\"blocks_skipped\":{:.1},\"postings_bytes\":{:.1},",
-            "\"skip_delta\":{:.3}}}}}"
-        ),
-        m.pattern,
-        m.renamings,
-        fmt_n(m.n),
-        m.algorithm,
-        m.threads,
-        m.mean_ms,
-        m.mean_results,
-        w.index_fetches,
-        w.postings_fetched,
-        w.list_ops,
-        w.list_entries,
-        w.topk_ops,
-        w.topk_entries,
-        w.rounds,
-        w.second_level_queries,
-        w.secondary_rows,
-        w.blocks_decoded,
-        w.blocks_skipped,
-        w.postings_bytes,
-        w.skip_fraction(),
-    )
 }
 
 fn main() {
@@ -272,45 +227,5 @@ fn main() {
                 .collect();
             eprintln!("#   {pattern_name}, {r} renamings -> {}", wins.join(", "));
         }
-    }
-
-    if let Some(path) = &args.json {
-        let rows_json: Vec<String> = rows.iter().map(row_json).collect();
-        let report = format!(
-            concat!(
-                "{{\n",
-                "  \"note\": \"mean_ms values are wall-clock timings and vary by machine; ",
-                "all work counters and byte counts are deterministic for a given ",
-                "scale/seed/queries configuration\",\n",
-                "  \"scale_div\": {},\n  \"queries_per_cell\": {},\n  \"seed\": {},\n",
-                "  \"threads\": {},\n",
-                "  \"collection\": {{\"elements\": {}, \"words\": {}, ",
-                "\"distinct_labels\": {}, \"max_depth\": {}, \"schema_nodes\": {}, ",
-                "\"secondary_postings\": {}, \"label_index_postings\": {}, ",
-                "\"label_index_bytes\": {}, \"bytes_per_posting\": {:.2}, ",
-                "\"flat_bytes_per_posting\": 24}},\n",
-                "  \"rows\": [\n    {}\n  ]\n}}\n"
-            ),
-            args.scale_div,
-            args.queries,
-            args.seed,
-            args.threads,
-            stats.element_count,
-            stats.word_count,
-            stats.distinct_labels,
-            stats.max_depth,
-            sstats.schema_nodes,
-            sstats.secondary_postings,
-            col.labels.entry_count(),
-            col.labels.byte_len(),
-            bytes_per_posting,
-            rows_json.join(",\n    "),
-        );
-        // lint:allow(fs-outside-pager) bench report file, not database I/O
-        std::fs::write(path, report).unwrap_or_else(|e| {
-            eprintln!("figure7: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("# wrote JSON report to {path}");
     }
 }

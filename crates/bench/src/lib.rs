@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Shared harness for the experiment reproduction (Section 8).
 //!
 //! The experiments compare the **direct** evaluation (find all results,

@@ -53,7 +53,7 @@ usage:
   approxql stats   <db.axql>
       print collection, index, and schema statistics
 
-  approxql explain <db.axql> <QUERY> [--costs FILE] [-k K]
+  approxql explain <db.axql> <QUERY> [--costs FILE] [-k K] [--surface S]
       show the expanded representation and the best K second-level queries
 
   approxql gen     <out-dir> [--elements N] [--names N] [--terms N]
@@ -160,44 +160,50 @@ struct Flags {
     switches: Vec<String>,
 }
 
-const VALUE_OPTIONS: &[&str] = &[
-    "-n",
-    "-k",
-    "--costs",
-    "--threads",
-    "--elements",
-    "--names",
-    "--terms",
-    "--words",
-    "--seed",
-    "--docs",
-    "--repeat",
-    "--out",
-    "--surface",
-    "--format",
-    "--to",
-];
+/// What one verb accepts, declared next to its `cmd_*`.
+struct Accepts {
+    verb: &'static str,
+    /// Bare `--switches`.
+    switches: &'static [&'static str],
+    /// `--key value` options.
+    options: &'static [&'static str],
+}
 
-fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
-    let mut flags = Flags {
-        positional: Vec::new(),
-        options: Vec::new(),
-        switches: Vec::new(),
-    };
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        if VALUE_OPTIONS.contains(&a.as_str()) {
-            let v = it
-                .next()
-                .ok_or_else(|| usage(format!("option {a} needs a value")))?;
-            flags.options.push((a.clone(), v.clone()));
-        } else if a.starts_with('-') && a.len() > 1 {
-            flags.switches.push(a.clone());
-        } else {
-            flags.positional.push(a.clone());
+impl Accepts {
+    /// A verb that takes no flags at all.
+    const fn positionals_only(verb: &'static str) -> Accepts {
+        Accepts {
+            verb,
+            switches: &[],
+            options: &[],
         }
     }
-    Ok(flags)
+
+    /// Splits `args` into positionals, switches and options; anything
+    /// dash-prefixed that the verb does not declare is a usage error.
+    fn parse(&self, args: &[String]) -> Result<Flags, CliError> {
+        let mut flags = Flags {
+            positional: Vec::new(),
+            options: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            if self.options.contains(&a.as_str()) {
+                let v = it
+                    .next()
+                    .ok_or_else(|| usage(format!("option {a} needs a value")))?;
+                flags.options.push((a.clone(), v.clone()));
+            } else if self.switches.contains(&a.as_str()) {
+                flags.switches.push(a.clone());
+            } else if a.starts_with('-') && a.len() > 1 {
+                return Err(usage(format!("unknown option `{a}` for `{}`", self.verb)));
+            } else {
+                flags.positional.push(a.clone());
+            }
+        }
+        Ok(flags)
+    }
 }
 
 impl Flags {
@@ -287,22 +293,27 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let (cmd, rest) = args
         .split_first()
         .ok_or_else(|| usage("missing subcommand"))?;
-    let flags = parse_flags(rest)?;
     match cmd.as_str() {
-        "build" => cmd_build(&flags, out),
-        "insert" => cmd_insert(&flags, out),
-        "delete" => cmd_delete(&flags, out),
-        "query" => cmd_query(&flags, out),
-        "stats" => cmd_stats(&flags, out),
-        "explain" => cmd_explain(&flags, out),
-        "translate" => cmd_translate(&flags, out),
-        "gen" => cmd_gen(&flags, out),
-        "check" => cmd_check(&flags, out),
-        "eval" => cmd_eval(&flags, out),
+        "build" => cmd_build(&BUILD.parse(rest)?, out),
+        "insert" => cmd_insert(&INSERT.parse(rest)?, out),
+        "delete" => cmd_delete(&DELETE.parse(rest)?, out),
+        "query" => cmd_query(&QUERY.parse(rest)?, out),
+        "stats" => cmd_stats(&STATS.parse(rest)?, out),
+        "explain" => cmd_explain(&EXPLAIN.parse(rest)?, out),
+        "translate" => cmd_translate(&TRANSLATE.parse(rest)?, out),
+        "gen" => cmd_gen(&GEN.parse(rest)?, out),
+        "check" => cmd_check(&CHECK.parse(rest)?, out),
+        "eval" => cmd_eval(&EVAL.parse(rest)?, out),
         "help" | "--help" | "-h" => Ok(writeln!(out, "{USAGE}")?),
         other => Err(usage(format!("unknown subcommand `{other}`"))),
     }
 }
+
+const BUILD: Accepts = Accepts {
+    verb: "build",
+    switches: &[],
+    options: &["--costs"],
+};
 
 fn cmd_build(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path, docs @ ..] = flags.positional.as_slice() else {
@@ -329,6 +340,8 @@ fn cmd_build(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     )?;
     Ok(())
 }
+
+const INSERT: Accepts = Accepts::positionals_only("insert");
 
 fn cmd_insert(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path, docs @ ..] = flags.positional.as_slice() else {
@@ -359,6 +372,8 @@ fn cmd_insert(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     )?;
     Ok(())
 }
+
+const DELETE: Accepts = Accepts::positionals_only("delete");
 
 fn cmd_delete(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path, root] = flags.positional.as_slice() else {
@@ -406,6 +421,26 @@ fn print_hit(
     }
     Ok(())
 }
+
+const QUERY: Accepts = Accepts {
+    verb: "query",
+    switches: &[
+        "--direct",
+        "--schema",
+        "--xml",
+        "--stats",
+        "--stats-json",
+        "--explain",
+    ],
+    options: &[
+        "-n",
+        "--costs",
+        "--threads",
+        "--format",
+        "--repeat",
+        "--surface",
+    ],
+};
 
 fn cmd_query(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path, query] = flags.positional.as_slice() else {
@@ -517,6 +552,8 @@ fn cmd_query(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     Ok(())
 }
 
+const STATS: Accepts = Accepts::positionals_only("stats");
+
 fn cmd_stats(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path] = flags.positional.as_slice() else {
         return Err(usage("stats needs a database path"));
@@ -558,6 +595,12 @@ fn cmd_stats(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     writeln!(out, "  max class size   {}", s.max_instances)?;
     Ok(())
 }
+
+const EXPLAIN: Accepts = Accepts {
+    verb: "explain",
+    switches: &[],
+    options: &["--costs", "-k", "--surface"],
+};
 
 fn cmd_explain(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path, query] = flags.positional.as_slice() else {
@@ -621,6 +664,12 @@ fn cmd_explain(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     Ok(())
 }
 
+const TRANSLATE: Accepts = Accepts {
+    verb: "translate",
+    switches: &[],
+    options: &["--surface", "--to", "--out"],
+};
+
 fn cmd_translate(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [query] = flags.positional.as_slice() else {
         return Err(usage("translate needs a query string"));
@@ -646,7 +695,6 @@ fn cmd_translate(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let mut rendered = to.render(&parsed);
     rendered.push('\n');
     match flags.option("--out") {
-        // lint:allow(fs-outside-pager) translate writes a query text, not store state
         Some(path) => std::fs::write(path, &rendered)?,
         None => write!(out, "{rendered}")?,
     }
@@ -667,6 +715,8 @@ fn render_skeleton(db: &Database, skel: &approxql_core::topk::Skeleton) -> Strin
     }
 }
 
+const CHECK: Accepts = Accepts::positionals_only("check");
+
 fn cmd_check(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path] = flags.positional.as_slice() else {
         return Err(usage("check needs a database path"));
@@ -675,6 +725,18 @@ fn cmd_check(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     writeln!(out, "{db_path}: {report}")?;
     Ok(())
 }
+
+const EVAL: Accepts = Accepts {
+    verb: "eval",
+    switches: &[
+        "--json",
+        "--gen-truth",
+        "--stats",
+        "--stats-json",
+        "--no-timing",
+    ],
+    options: &["-k", "--threads", "--out"],
+};
 
 fn cmd_eval(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path, dataset_path] = flags.positional.as_slice() else {
@@ -725,7 +787,6 @@ fn cmd_eval(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
         }
     };
     match flags.option("--out") {
-        // lint:allow(fs-outside-pager) eval writes a report/dataset, not store state
         Some(path) => std::fs::write(path, &output)?,
         None => write!(out, "{output}")?,
     }
@@ -739,6 +800,19 @@ fn cmd_eval(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     }
     Ok(())
 }
+
+const GEN: Accepts = Accepts {
+    verb: "gen",
+    switches: &[],
+    options: &[
+        "--elements",
+        "--names",
+        "--terms",
+        "--words",
+        "--seed",
+        "--docs",
+    ],
+};
 
 fn cmd_gen(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [out_dir] = flags.positional.as_slice() else {
@@ -763,7 +837,6 @@ fn cmd_gen(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let docs_per_file: usize = flags.option_parsed("--docs")?.unwrap_or(100);
 
     let dir = PathBuf::from(out_dir);
-    // lint:allow(fs-outside-pager) `gen` writes an XML corpus, not store state
     std::fs::create_dir_all(&dir)?;
     let documents = DataGenerator::new(cfg).generate_documents();
     let mut written = 0;
@@ -774,7 +847,6 @@ fn cmd_gen(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
         }
         text.push_str("</collection>");
         let path = dir.join(format!("part{i:04}.xml"));
-        // lint:allow(fs-outside-pager) `gen` writes an XML corpus, not store state
         std::fs::write(&path, text)?;
         written += 1;
     }
@@ -1163,6 +1235,24 @@ mod tests {
             run_words(&["query", "a", "b", "--direct", "--schema"]),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_naming_the_flag() {
+        // Flags are checked before the database is touched, so no store is
+        // needed: an unknown switch, a misspelt option (which used to run
+        // the default evaluator), and an option that belongs to another verb.
+        for (words, flag) in [
+            (&["query", "db", "cd", "--bogus"][..], "--bogus"),
+            (&["query", "db", "cd", "--shema"][..], "--shema"),
+            (&["check", "db", "--elements", "5"][..], "--elements"),
+        ] {
+            let err = run_words(words).expect_err("must be rejected");
+            assert_eq!(err.exit_code(), 2, "{words:?}");
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("`{flag}`")), "{msg}");
+            assert!(msg.contains(&format!("`{}`", words[0])), "{msg}");
+        }
     }
 
     #[test]

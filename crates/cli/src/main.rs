@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `approxql` — the approXQL command line.
 //!
 //! ```text
@@ -23,6 +22,20 @@
 //!
 //! Exit codes: 0 success, 1 generic failure, 2 usage error, 3 database
 //! file unreadable / corrupt / failed verification.
+
+// No panics outside tests: every failure is a typed error or a documented
+// exit code (DESIGN.md §11).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod commands;
 

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! The approXQL evaluation algorithms — the paper's primary contribution.
 //!
 //! * [`list`] — the list algebra of Sections 6.3/6.4 (`fetch`, `merge`,
@@ -35,6 +34,25 @@
 //! ranked by `leaf` unless [`EvalOptions::enforce_leaf_match`] is switched
 //! off. A schema-list candidate is one embedding, so there the rule is a
 //! flag (`has_leaf`).
+
+// No panics outside tests: every failure is a typed error or a documented
+// exit code (DESIGN.md §11).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+// No silently dropped `Result` outside tests (DESIGN.md §11).
+#![cfg_attr(
+    not(test),
+    deny(clippy::let_underscore_must_use, clippy::unused_result_ok)
+)]
 
 pub mod database;
 pub mod dbfile;

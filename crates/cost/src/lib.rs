@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Cost model for approximate tree-pattern queries.
 //!
 //! This crate implements Definition 6 of Schlieder (EDBT 2002): every basic

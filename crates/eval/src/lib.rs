@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Retrieval-quality evaluation harness for approXQL.
 //!
 //! The repo's other test layers measure *speed* (timers), *work*

@@ -30,8 +30,6 @@
 //! exactly once, concurrent requesters block until the value is ready, and
 //! the hit/miss accounting matches a sequential memo table.
 
-#![forbid(unsafe_code)]
-
 use approxql_metrics::MetricsSnapshot;
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};

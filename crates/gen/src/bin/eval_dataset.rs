@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `eval_dataset` — emits retrieval-quality dataset skeletons.
 //!
 //! Instantiates the paper's Section 8.1 query patterns against a corpus
@@ -14,6 +13,20 @@
 //!              [--renamings N] [--seed S] [--k K|unlimited]
 //!              [--evaluator direct|schema|both] [--out FILE]
 //! ```
+
+// No panics outside tests: every failure is a typed error or a documented
+// exit code (DESIGN.md §11).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use approxql_cost::{write_cost_file, CostModel};
 use approxql_eval::dataset::{Dataset, DatasetQuery, EvaluatorSel, KSpec, Settings};
@@ -169,7 +182,6 @@ fn main() -> ExitCode {
     };
     match emit(&args) {
         Ok(json) => match &args.out {
-            // lint:allow(fs-outside-pager) writes a dataset file, not store state
             Some(path) => match std::fs::write(path, &json) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {

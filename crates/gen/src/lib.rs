@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Synthetic data and query generation (Section 8.1 of the paper).
 //!
 //! The paper evaluates on collections produced by the XML data generator
@@ -23,6 +22,20 @@
 //!
 //! Determinism: both generators are seeded ([`rand::rngs::StdRng`]), so
 //! every experiment is reproducible from its configuration.
+
+// No panics outside tests: every failure is a typed error or a documented
+// exit code (DESIGN.md §11).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod data;
 mod query;

@@ -205,8 +205,14 @@ impl QueryGenerator {
     /// # Panics
     /// Panics if `pattern` is not a valid pattern (patterns are parsed
     /// with the ordinary approXQL grammar).
+    #[cfg_attr(
+        not(test),
+        expect(
+            clippy::expect_used,
+            reason = "the documented `# Panics` contract above"
+        )
+    )]
     pub fn generate(&mut self, pattern: &str) -> GeneratedQuery {
-        // lint:allow(no-panic) the documented `# Panics` contract above
         let parsed = parse_query(pattern).expect("invalid query pattern");
         let root = self.instantiate(&parsed.root);
         let query = approxql_query::Query { root };

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Index structures of the approXQL evaluation algorithms.
 //!
 //! * [`LabelIndex`] — the indexes `I_struct` and `I_text` of Section 6.2:
@@ -13,6 +12,12 @@
 //! * [`persist`] — serialization of both into an
 //!   [`approxql_storage::Store`], mirroring the paper's use of Berkeley DB
 //!   as the index store.
+
+// No silently dropped `Result` outside tests (DESIGN.md §11).
+#![cfg_attr(
+    not(test),
+    deny(clippy::let_underscore_must_use, clippy::unused_result_ok)
+)]
 
 pub mod codec;
 mod label;

@@ -1,11 +1,10 @@
 //! A lightweight Rust item & statement parser over the token stream of
 //! [`crate::lexer`] — the structural layer the dataflow rules need.
 //!
-//! PR 4's rules were token-window pattern matches; the rules added since
-//! (untrusted-length, commit-protocol, guard liveness) reason about *paths*
-//! through a function, which needs real structure: which statements exist,
-//! what they bind, where control branches. This module recovers exactly
-//! that much structure and no more:
+//! The dataflow rules (untrusted-length, commit-protocol) reason about
+//! *paths* through a function, which needs real structure: which statements
+//! exist, what they bind, where control branches. This module recovers
+//! exactly that much structure and no more:
 //!
 //! * every `fn` item (at any nesting: modules, impls, traits, nested fns)
 //!   becomes a [`FnDef`] with a parsed [`Block`] body;
@@ -58,8 +57,6 @@ pub enum Stmt {
     /// `let [mut] pat (= init)? (else { … })? ;`
     Let {
         bindings: Vec<String>,
-        /// `true` when the pattern is exactly `_`.
-        wildcard: bool,
         init: Option<Expr>,
         else_block: Option<Block>,
         line: u32,
@@ -128,16 +125,13 @@ pub enum Stmt {
 /// A summarized call site inside an expression.
 #[derive(Debug, Clone)]
 pub struct CallSite {
-    /// The called name (`with_capacity`, `lock`, `flush`, …).
+    /// The called name (`with_capacity`, `flush`, …).
     pub name: String,
     /// The path segment immediately before `::name`, if any
     /// (`Vec` for `Vec::with_capacity`, `u32` for `u32::from_le_bytes`).
     pub qualifier: Option<String>,
     /// `true` for `.name(…)` method calls.
     pub is_method: bool,
-    /// The identifier immediately before the `.` of a method call
-    /// (`scope` for `scope.map(…)`; `None` for chained receivers).
-    pub receiver: Option<String>,
     /// Summaries of the top-level comma-separated arguments.
     pub args: Vec<Expr>,
     pub line: u32,
@@ -230,14 +224,9 @@ pub fn summarize_expr(toks: &[Token], a: usize, b: usize) -> Expr {
                     None
                 };
                 if let (Some(open), false) = (open, is_keyword(id)) {
-                    // A call site. Qualifier: `Q::id(`; receiver: `r.id(`.
+                    // A call site. Qualifier: `Q::id(`.
                     let qualifier = if after_path && i >= a + 3 {
                         toks[i - 3].ident().map(str::to_string)
-                    } else {
-                        None
-                    };
-                    let receiver = if after_dot && i >= a + 2 {
-                        toks[i - 2].ident().map(str::to_string)
                     } else {
                         None
                     };
@@ -250,7 +239,6 @@ pub fn summarize_expr(toks: &[Token], a: usize, b: usize) -> Expr {
                         name: id.clone(),
                         qualifier,
                         is_method: after_dot,
-                        receiver,
                         args,
                         line: t.line,
                     });
@@ -358,20 +346,13 @@ fn split_args(toks: &[Token], a: usize, b: usize) -> Vec<(usize, usize)> {
 /// Extracts binding names from a pattern token range: lowercase/underscore
 /// identifiers that are not path segments, keywords, or macro names.
 /// (`Some((a, b))` → `a`, `b`; `Posting { pre, .. }` → `pre`.)
-fn pattern_bindings(toks: &[Token], a: usize, b: usize) -> (Vec<String>, bool) {
+fn pattern_bindings(toks: &[Token], a: usize, b: usize) -> Vec<String> {
     let mut names = Vec::new();
-    let mut only_wildcard = true;
-    let mut meaningful = 0usize;
     for i in a..b.min(toks.len()) {
         let Some(id) = toks[i].ident() else {
             continue;
         };
-        meaningful += 1;
-        if id == "_" {
-            continue;
-        }
-        only_wildcard = false;
-        if is_keyword(id) || id == "mut" || id == "ref" {
+        if id == "_" || is_keyword(id) {
             continue;
         }
         // Skip path segments (`E::V`), call-ish pattern heads (`Some(`),
@@ -391,8 +372,7 @@ fn pattern_bindings(toks: &[Token], a: usize, b: usize) -> (Vec<String>, bool) {
             names.push(id.to_string());
         }
     }
-    let wildcard = meaningful == 1 && only_wildcard && names.is_empty();
-    (names, wildcard)
+    names
 }
 
 /// Scans the whole token stream for `fn` items and parses each body.
@@ -401,13 +381,10 @@ pub fn parse_fns(toks: &[Token]) -> Vec<FnDef> {
     let mut i = 0usize;
     while i < toks.len() {
         if toks[i].ident() == Some("fn") {
-            if let Some((def, next)) = parse_fn(toks, i) {
+            // Scanning continues *inside* the function too (just past the
+            // `fn` keyword), so nested fns are found.
+            if let Some((def, _)) = parse_fn(toks, i) {
                 out.push(def);
-                // Continue scanning *inside* the function too, so nested
-                // fns are found — restart just past the `fn` keyword.
-                i += 1;
-                let _ = next;
-                continue;
             }
         }
         i += 1;
@@ -469,8 +446,7 @@ fn parse_fn(toks: &[Token], at: usize) -> Option<(FnDef, usize)> {
         }
         match colon {
             Some(c) => {
-                let (names, _) = pattern_bindings(toks, s, c);
-                params.extend(names);
+                params.extend(pattern_bindings(toks, s, c));
             }
             None => {
                 if toks[s..t].iter().any(|t| t.ident() == Some("self")) {
@@ -585,7 +561,7 @@ fn parse_block(toks: &[Token], a: usize, b: usize) -> Block {
                     }
                     j += 1;
                 }
-                let (bindings, _) = pattern_bindings(toks, i + 1, j);
+                let bindings = pattern_bindings(toks, i + 1, j);
                 let open = scan_to_brace(toks, j + 1, b);
                 let iter = summarize_expr(toks, j + 1, open);
                 let close = match_close(toks, open, b);
@@ -719,7 +695,7 @@ fn parse_arms(toks: &[Token], a: usize, b: usize) -> Vec<Arm> {
         }
         let Some(arrow) = arrow else { break };
         let pat_end = guard_at.unwrap_or(arrow);
-        let (bindings, _) = pattern_bindings(toks, i, pat_end);
+        let bindings = pattern_bindings(toks, i, pat_end);
         let guard = guard_at.map(|g| summarize_expr(toks, g + 1, arrow));
         // Body: a block, or an expression up to the top-level `,`.
         let body_start = arrow + 2;
@@ -793,11 +769,10 @@ fn parse_let(toks: &[Token], at: usize, b: usize) -> (Stmt, usize) {
     let Some(eq) = eq else {
         // `let x;` — an uninitialized binding.
         let end = scan_to_semi(toks, at + 1, b);
-        let (bindings, wildcard) = pattern_bindings(toks, at + 1, colon.unwrap_or(end));
+        let bindings = pattern_bindings(toks, at + 1, colon.unwrap_or(end));
         return (
             Stmt::Let {
                 bindings,
-                wildcard,
                 init: None,
                 else_block: None,
                 line,
@@ -805,7 +780,7 @@ fn parse_let(toks: &[Token], at: usize, b: usize) -> (Stmt, usize) {
             end + 1,
         );
     };
-    let (bindings, wildcard) = pattern_bindings(toks, at + 1, colon.unwrap_or(eq));
+    let bindings = pattern_bindings(toks, at + 1, colon.unwrap_or(eq));
     // Init expression runs to the `;` at depth 0, with a possible
     // top-level `else { … }` (let-else) before it.
     let mut depth = 0usize;
@@ -839,7 +814,6 @@ fn parse_let(toks: &[Token], at: usize, b: usize) -> (Stmt, usize) {
             (
                 Stmt::Let {
                     bindings,
-                    wildcard,
                     init: Some(init),
                     else_block: Some(else_block),
                     line,
@@ -850,7 +824,6 @@ fn parse_let(toks: &[Token], at: usize, b: usize) -> (Stmt, usize) {
         None => (
             Stmt::Let {
                 bindings,
-                wildcard,
                 init: Some(summarize_expr(toks, eq + 1, k)),
                 else_block: None,
                 line,
@@ -925,7 +898,7 @@ fn parse_cond(toks: &[Token], a: usize, b: usize) -> (Expr, Vec<String>, usize) 
             }
         }
         if let Some(eq) = eq {
-            let (bindings, _) = pattern_bindings(toks, a + 1, eq);
+            let bindings = pattern_bindings(toks, a + 1, eq);
             return (summarize_expr(toks, eq + 1, open), bindings, open);
         }
     }
@@ -1145,7 +1118,7 @@ mod tests {
     }
 
     #[test]
-    fn call_sites_record_qualifier_method_receiver_and_args() {
+    fn call_sites_record_qualifier_method_and_args() {
         let f = one("fn c() { let n = u32::from_le_bytes(raw) as usize; scope.map(items, work); }");
         let Stmt::Let { init: Some(e), .. } = &f.body.stmts[0] else {
             panic!("let");
@@ -1161,7 +1134,6 @@ mod tests {
         };
         let map = expr.calls.iter().find(|c| c.name == "map").unwrap();
         assert!(map.is_method);
-        assert_eq!(map.receiver.as_deref(), Some("scope"));
         assert_eq!(map.args.len(), 2);
     }
 
@@ -1188,23 +1160,6 @@ mod tests {
             panic!("field assign");
         };
         assert!(target.is_none());
-    }
-
-    #[test]
-    fn wildcard_let_is_distinguished_from_named_underscore() {
-        let f = one("fn d() { let _ = fallible(); let _keep = fallible(); }");
-        let Stmt::Let { wildcard, .. } = &f.body.stmts[0] else {
-            panic!("let");
-        };
-        assert!(*wildcard);
-        let Stmt::Let {
-            wildcard, bindings, ..
-        } = &f.body.stmts[1]
-        else {
-            panic!("let");
-        };
-        assert!(!*wildcard);
-        assert_eq!(bindings, &["_keep"]);
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! trees, plus dominator / postdominator computation.
 //!
 //! Each [`FnDef`] body lowers to a graph of basic blocks. A block holds a
-//! sequence of [`Action`]s (binds, assignments, evaluations, scope-exit
-//! kills) and an optional *branch expression* — the condition (or
-//! scrutinee, or fallible initializer) evaluated at the end of the block
-//! before control splits. Edges carry a kind ([`EdgeKind::Try`] marks the
-//! early-error exit of a `?`) and a kill set (names whose lexical scopes
-//! the edge leaves, used by `break`/`continue`).
+//! sequence of [`Action`]s (binds, assignments, evaluations) and an
+//! optional *branch expression* — the condition (or scrutinee, or fallible
+//! initializer) evaluated at the end of the block before control splits.
+//! Edges carry a kind ([`EdgeKind::Try`] marks the early-error exit of a
+//! `?`). Lexical scopes are not modelled: a name stays whatever the last
+//! bind or assignment on the path made it, which over-approximates in the
+//! safe direction for a may-analysis.
 //!
 //! The rules consume two derived facts:
 //!
@@ -41,9 +42,6 @@ pub enum EdgeKind {
 pub struct Edge {
     pub to: usize,
     pub kind: EdgeKind,
-    /// Names whose scopes this edge exits (non-empty for `break` /
-    /// `continue` jumping out of loop-body scopes).
-    pub kills: Vec<String>,
 }
 
 /// One dataflow-relevant step inside a block, in execution order.
@@ -52,8 +50,6 @@ pub enum Action {
     /// `let` binding (parameters too, with `init: None`).
     Bind {
         names: Vec<String>,
-        /// Pattern was exactly `_`.
-        wildcard: bool,
         init: Option<Expr>,
         line: u32,
     },
@@ -66,8 +62,6 @@ pub enum Action {
     },
     /// An evaluated expression (statement, return value, loop iterable).
     Eval { expr: Expr, line: u32 },
-    /// Lexical scope exit: the names go dead here.
-    Kill { names: Vec<String> },
 }
 
 /// A basic block.
@@ -95,20 +89,18 @@ impl Cfg {
         let mut b = Builder {
             blocks: vec![BasicBlock::default(), BasicBlock::default()],
             loops: Vec::new(),
-            scopes: Vec::new(),
         };
         let entry = 0usize;
         let exit = 1usize;
         if !f.params.is_empty() {
             b.blocks[entry].actions.push(Action::Bind {
                 names: f.params.clone(),
-                wildcard: false,
                 init: None,
                 line: f.line,
             });
         }
         if let Some(end) = b.lower_block(&f.body, entry, exit) {
-            b.edge(end, exit, EdgeKind::Normal, Vec::new());
+            b.edge(end, exit, EdgeKind::Normal);
         }
         Cfg {
             blocks: b.blocks,
@@ -207,19 +199,13 @@ impl Cfg {
 
 struct LoopCtx {
     continue_to: usize,
-    /// `(from_block, kills)` break edges to patch once the after-block
-    /// exists.
-    breaks: Vec<(usize, Vec<String>)>,
-    /// Scope-stack depth at loop entry (break/continue kill everything
-    /// bound above it).
-    scope_base: usize,
+    /// Blocks ending in `break`, patched to the after-block once it exists.
+    breaks: Vec<usize>,
 }
 
 struct Builder {
     blocks: Vec<BasicBlock>,
     loops: Vec<LoopCtx>,
-    /// Names bound per open lexical scope.
-    scopes: Vec<Vec<String>>,
 }
 
 impl Builder {
@@ -228,36 +214,17 @@ impl Builder {
         self.blocks.len() - 1
     }
 
-    fn edge(&mut self, from: usize, to: usize, kind: EdgeKind, kills: Vec<String>) {
-        self.blocks[from].succs.push(Edge { to, kind, kills });
-    }
-
-    fn bind_names(&mut self, names: &[String]) {
-        if let Some(scope) = self.scopes.last_mut() {
-            scope.extend(names.iter().cloned());
-        }
-    }
-
-    /// Names bound in scopes above `base` (exclusive), i.e. what a jump
-    /// back to `base` kills.
-    fn kills_above(&self, base: usize) -> Vec<String> {
-        self.scopes[base..].iter().flatten().cloned().collect()
+    fn edge(&mut self, from: usize, to: usize, kind: EdgeKind) {
+        self.blocks[from].succs.push(Edge { to, kind });
     }
 
     /// Lowers `blk` starting in `cur`; returns the live tail block, or
     /// `None` when every path diverged (return/break/continue).
     fn lower_block(&mut self, blk: &AstBlock, cur: usize, exit: usize) -> Option<usize> {
-        self.scopes.push(Vec::new());
         let mut cur = Some(cur);
         for stmt in &blk.stmts {
             let Some(c) = cur else { break };
             cur = self.lower_stmt(stmt, c, exit);
-        }
-        let bound = self.scopes.pop().unwrap_or_default();
-        if let Some(c) = cur {
-            if !bound.is_empty() {
-                self.blocks[c].actions.push(Action::Kill { names: bound });
-            }
         }
         cur
     }
@@ -268,8 +235,8 @@ impl Builder {
     fn try_split(&mut self, expr: &Expr, cur: usize, exit: usize) -> usize {
         self.blocks[cur].branch = Some(expr.clone());
         let ok = self.new_block();
-        self.edge(cur, ok, EdgeKind::Normal, Vec::new());
-        self.edge(cur, exit, EdgeKind::Try, Vec::new());
+        self.edge(cur, ok, EdgeKind::Normal);
+        self.edge(cur, exit, EdgeKind::Try);
         ok
     }
 
@@ -277,12 +244,10 @@ impl Builder {
         match stmt {
             Stmt::Let {
                 bindings,
-                wildcard,
                 init,
                 else_block,
                 line,
             } => {
-                self.bind_names(bindings);
                 match (init, else_block) {
                     (Some(init), Some(eb)) => {
                         // let-else: branch on the initializer; refutation
@@ -291,16 +256,15 @@ impl Builder {
                         self.blocks[cur].branch = Some(init.clone());
                         let ok = self.new_block();
                         let els = self.new_block();
-                        self.edge(cur, ok, EdgeKind::Normal, Vec::new());
-                        self.edge(cur, els, EdgeKind::Normal, Vec::new());
+                        self.edge(cur, ok, EdgeKind::Normal);
+                        self.edge(cur, els, EdgeKind::Normal);
                         self.blocks[ok].actions.push(Action::Bind {
                             names: bindings.clone(),
-                            wildcard: *wildcard,
                             init: Some(init.clone()),
                             line: *line,
                         });
                         if let Some(tail) = self.lower_block(eb, els, exit) {
-                            self.edge(tail, exit, EdgeKind::Normal, Vec::new());
+                            self.edge(tail, exit, EdgeKind::Normal);
                         }
                         Some(ok)
                     }
@@ -308,7 +272,6 @@ impl Builder {
                         let ok = self.try_split(init, cur, exit);
                         self.blocks[ok].actions.push(Action::Bind {
                             names: bindings.clone(),
-                            wildcard: *wildcard,
                             init: Some(init.clone()),
                             line: *line,
                         });
@@ -317,7 +280,6 @@ impl Builder {
                     _ => {
                         self.blocks[cur].actions.push(Action::Bind {
                             names: bindings.clone(),
-                            wildcard: *wildcard,
                             init: init.clone(),
                             line: *line,
                         });
@@ -375,28 +337,27 @@ impl Builder {
             } => {
                 self.blocks[cur].branch = Some(cond.clone());
                 let then_b = self.new_block();
-                self.edge(cur, then_b, EdgeKind::Normal, Vec::new());
+                self.edge(cur, then_b, EdgeKind::Normal);
                 if !bindings.is_empty() {
                     self.blocks[then_b].actions.push(Action::Bind {
                         names: bindings.clone(),
-                        wildcard: false,
                         init: Some(cond.clone()),
                         line: *line,
                     });
                 }
                 let join = self.new_block();
                 if let Some(t) = self.lower_block(then_block, then_b, exit) {
-                    self.edge(t, join, EdgeKind::Normal, Vec::new());
+                    self.edge(t, join, EdgeKind::Normal);
                 }
                 match else_block {
                     Some(eb) => {
                         let else_b = self.new_block();
-                        self.edge(cur, else_b, EdgeKind::Normal, Vec::new());
+                        self.edge(cur, else_b, EdgeKind::Normal);
                         if let Some(t) = self.lower_block(eb, else_b, exit) {
-                            self.edge(t, join, EdgeKind::Normal, Vec::new());
+                            self.edge(t, join, EdgeKind::Normal);
                         }
                     }
-                    None => self.edge(cur, join, EdgeKind::Normal, Vec::new()),
+                    None => self.edge(cur, join, EdgeKind::Normal),
                 }
                 Some(join)
             }
@@ -407,14 +368,13 @@ impl Builder {
                 line,
             } => {
                 let head = self.new_block();
-                self.edge(cur, head, EdgeKind::Normal, Vec::new());
+                self.edge(cur, head, EdgeKind::Normal);
                 self.blocks[head].branch = Some(cond.clone());
                 let body_b = self.new_block();
-                self.edge(head, body_b, EdgeKind::Normal, Vec::new());
+                self.edge(head, body_b, EdgeKind::Normal);
                 if !bindings.is_empty() {
                     self.blocks[body_b].actions.push(Action::Bind {
                         names: bindings.clone(),
-                        wildcard: false,
                         init: Some(cond.clone()),
                         line: *line,
                     });
@@ -422,36 +382,34 @@ impl Builder {
                 self.loops.push(LoopCtx {
                     continue_to: head,
                     breaks: Vec::new(),
-                    scope_base: self.scopes.len(),
                 });
                 let tail = self.lower_block(body, body_b, exit);
                 let ctx = self.loops.pop().expect("loop ctx");
                 if let Some(t) = tail {
-                    self.edge(t, head, EdgeKind::Normal, Vec::new());
+                    self.edge(t, head, EdgeKind::Normal);
                 }
                 let after = self.new_block();
-                self.edge(head, after, EdgeKind::Normal, Vec::new());
-                for (from, kills) in ctx.breaks {
-                    self.edge(from, after, EdgeKind::Normal, kills);
+                self.edge(head, after, EdgeKind::Normal);
+                for from in ctx.breaks {
+                    self.edge(from, after, EdgeKind::Normal);
                 }
                 Some(after)
             }
             Stmt::Loop { body, .. } => {
                 let head = self.new_block();
-                self.edge(cur, head, EdgeKind::Normal, Vec::new());
+                self.edge(cur, head, EdgeKind::Normal);
                 self.loops.push(LoopCtx {
                     continue_to: head,
                     breaks: Vec::new(),
-                    scope_base: self.scopes.len(),
                 });
                 let tail = self.lower_block(body, head, exit);
                 let ctx = self.loops.pop().expect("loop ctx");
                 if let Some(t) = tail {
-                    self.edge(t, head, EdgeKind::Normal, Vec::new());
+                    self.edge(t, head, EdgeKind::Normal);
                 }
                 let after = self.new_block();
-                for (from, kills) in ctx.breaks {
-                    self.edge(from, after, EdgeKind::Normal, kills);
+                for from in ctx.breaks {
+                    self.edge(from, after, EdgeKind::Normal);
                 }
                 Some(after)
             }
@@ -466,14 +424,13 @@ impl Builder {
                     line: *line,
                 });
                 let head = self.new_block();
-                self.edge(cur, head, EdgeKind::Normal, Vec::new());
+                self.edge(cur, head, EdgeKind::Normal);
                 self.blocks[head].branch = Some(iter.clone());
                 let body_b = self.new_block();
-                self.edge(head, body_b, EdgeKind::Normal, Vec::new());
+                self.edge(head, body_b, EdgeKind::Normal);
                 if !bindings.is_empty() {
                     self.blocks[body_b].actions.push(Action::Bind {
                         names: bindings.clone(),
-                        wildcard: false,
                         init: Some(iter.clone()),
                         line: *line,
                     });
@@ -481,17 +438,16 @@ impl Builder {
                 self.loops.push(LoopCtx {
                     continue_to: head,
                     breaks: Vec::new(),
-                    scope_base: self.scopes.len(),
                 });
                 let tail = self.lower_block(body, body_b, exit);
                 let ctx = self.loops.pop().expect("loop ctx");
                 if let Some(t) = tail {
-                    self.edge(t, head, EdgeKind::Normal, Vec::new());
+                    self.edge(t, head, EdgeKind::Normal);
                 }
                 let after = self.new_block();
-                self.edge(head, after, EdgeKind::Normal, Vec::new());
-                for (from, kills) in ctx.breaks {
-                    self.edge(from, after, EdgeKind::Normal, kills);
+                self.edge(head, after, EdgeKind::Normal);
+                for from in ctx.breaks {
+                    self.edge(from, after, EdgeKind::Normal);
                 }
                 Some(after)
             }
@@ -503,7 +459,7 @@ impl Builder {
                 self.blocks[cur].branch = Some(scrutinee.clone());
                 let join = self.new_block();
                 if arms.is_empty() {
-                    self.edge(cur, join, EdgeKind::Normal, Vec::new());
+                    self.edge(cur, join, EdgeKind::Normal);
                 }
                 for Arm {
                     bindings,
@@ -512,11 +468,10 @@ impl Builder {
                 } in arms
                 {
                     let arm_b = self.new_block();
-                    self.edge(cur, arm_b, EdgeKind::Normal, Vec::new());
+                    self.edge(cur, arm_b, EdgeKind::Normal);
                     if !bindings.is_empty() {
                         self.blocks[arm_b].actions.push(Action::Bind {
                             names: bindings.clone(),
-                            wildcard: false,
                             init: Some(scrutinee.clone()),
                             line: *line,
                         });
@@ -527,14 +482,14 @@ impl Builder {
                         Some(g) => {
                             self.blocks[arm_b].branch = Some(g.clone());
                             let gb = self.new_block();
-                            self.edge(arm_b, gb, EdgeKind::Normal, Vec::new());
-                            self.edge(arm_b, join, EdgeKind::Normal, Vec::new());
+                            self.edge(arm_b, gb, EdgeKind::Normal);
+                            self.edge(arm_b, join, EdgeKind::Normal);
                             gb
                         }
                         None => arm_b,
                     };
                     if let Some(t) = self.lower_block(body, body_entry, exit) {
-                        self.edge(t, join, EdgeKind::Normal, Vec::new());
+                        self.edge(t, join, EdgeKind::Normal);
                     }
                 }
                 Some(join)
@@ -546,27 +501,19 @@ impl Builder {
                         line: *line,
                     });
                 }
-                self.edge(cur, exit, EdgeKind::Normal, Vec::new());
+                self.edge(cur, exit, EdgeKind::Normal);
                 None
             }
             Stmt::Break { .. } => {
-                if let Some(depth) = self.loops.len().checked_sub(1) {
-                    let base = self.loops[depth].scope_base;
-                    let kills = self.kills_above(base);
-                    self.loops[depth].breaks.push((cur, kills));
-                } else {
-                    self.edge(cur, exit, EdgeKind::Normal, Vec::new());
+                match self.loops.last_mut() {
+                    Some(ctx) => ctx.breaks.push(cur),
+                    None => self.edge(cur, exit, EdgeKind::Normal),
                 }
                 None
             }
             Stmt::Continue { .. } => {
-                if let Some(ctx) = self.loops.last() {
-                    let (to, base) = (ctx.continue_to, ctx.scope_base);
-                    let kills = self.kills_above(base);
-                    self.edge(cur, to, EdgeKind::Normal, kills);
-                } else {
-                    self.edge(cur, exit, EdgeKind::Normal, Vec::new());
-                }
+                let to = self.loops.last().map_or(exit, |ctx| ctx.continue_to);
+                self.edge(cur, to, EdgeKind::Normal);
                 None
             }
             Stmt::BlockStmt { block, .. } => self.lower_block(block, cur, exit),
@@ -650,7 +597,6 @@ mod tests {
                     Action::Bind { line, .. }
                     | Action::Assign { line, .. }
                     | Action::Eval { line, .. } => *line,
-                    Action::Kill { .. } => 0,
                 };
                 if l == line {
                     return i;
@@ -742,16 +688,13 @@ mod tests {
                  after();\n\
              }",
         );
+        let head = block_on_line(&cfg, 3);
         let after_b = block_on_line(&cfg, 7);
-        // The break edge must carry the loop body's bindings as kills.
-        let killed: Vec<&str> = cfg
-            .blocks
-            .iter()
-            .flat_map(|b| b.succs.iter())
-            .filter(|e| e.to == after_b)
-            .flat_map(|e| e.kills.iter().map(String::as_str))
-            .collect();
-        assert!(killed.contains(&"g"), "break edge kills: {killed:?}");
+        // The `break` leaves from inside the loop: the head dominates the
+        // after-block, and the body's tail cycles back to the head.
+        assert!(cfg.dominators()[after_b].contains(head));
+        let work_b = block_on_line(&cfg, 5);
+        assert!(cfg.blocks[work_b].succs.iter().any(|e| e.to == head));
     }
 
     #[test]
@@ -774,17 +717,6 @@ mod tests {
                 .is_some_and(|g| g.has_cmp && g.reads("n"))
         });
         assert!(guarded);
-    }
-
-    #[test]
-    fn scope_exit_emits_kill_actions() {
-        let cfg = cfg_of("fn f() {\n { let g = m.lock(); use_it(g); }\n after();\n }");
-        let has_kill = cfg.blocks.iter().any(|b| {
-            b.actions
-                .iter()
-                .any(|a| matches!(a, Action::Kill { names } if names.iter().any(|n| n == "g")))
-        });
-        assert!(has_kill);
     }
 
     // --- dominance property test -------------------------------------
@@ -865,7 +797,6 @@ mod tests {
                     cfg.blocks[b].succs.push(Edge {
                         to,
                         kind: EdgeKind::Normal,
-                        kills: Vec::new(),
                     });
                 }
             }

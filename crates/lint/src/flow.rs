@@ -3,17 +3,11 @@
 //! Facts are variable names (`BTreeSet<String>` — deterministic iteration
 //! keeps findings stable). The join is set union: a fact holds at a block
 //! entry if it holds on *some* path in, which is the right polarity for
-//! both analyses built on top of this:
+//! the taint analysis built on top of this (untrusted-length): a name
+//! *may* carry an attacker-controlled length.
 //!
-//! * **taint** (untrusted-length): a name *may* carry an
-//!   attacker-controlled length;
-//! * **guard liveness** (lock-across-spawn): a lock guard *may* still be
-//!   alive.
-//!
-//! The per-action transfer is supplied by the rule; edge kill sets
-//! (lexical scopes exited by `break`/`continue`) are applied by the
-//! solver itself, as are [`Action::Kill`] scope-exit markers — a rule's
-//! transfer only has to model binds, assignments and evaluations.
+//! The per-action transfer (binds, assignments, evaluations) is supplied
+//! by the rule.
 
 use crate::cfg::{Action, Cfg};
 use std::collections::BTreeSet;
@@ -30,54 +24,24 @@ pub struct BlockFacts {
     pub exit: Facts,
 }
 
-/// Applies the solver-owned part of the transfer (scope kills), then the
-/// rule's transfer.
-fn step<F: Fn(&Action, &mut Facts)>(action: &Action, facts: &mut Facts, transfer: &F) {
-    if let Action::Kill { names } = action {
-        for n in names {
-            facts.remove(n);
-        }
-        return;
-    }
-    transfer(action, facts);
-}
-
-/// Solves the forward may-analysis to fixpoint. `seed` holds at the entry
-/// block's entry (e.g. tainted parameters); `transfer` mutates the fact
-/// set across one action.
-pub fn forward_may<F: Fn(&Action, &mut Facts)>(
-    cfg: &Cfg,
-    seed: &Facts,
-    transfer: F,
-) -> Vec<BlockFacts> {
+/// Solves the forward may-analysis to fixpoint from an empty fact set at
+/// the function entry; `transfer` mutates the fact set across one action.
+pub fn forward_may<F: Fn(&Action, &mut Facts)>(cfg: &Cfg, transfer: F) -> Vec<BlockFacts> {
     let n = cfg.blocks.len();
+    let preds = cfg.preds();
     let mut sol = vec![BlockFacts::default(); n];
-    sol[cfg.entry].entry = seed.clone();
     let mut changed = true;
     while changed {
         changed = false;
         for b in 0..n {
-            // Entry = union over incoming edges of (pred exit − edge kills).
-            let mut entry = if b == cfg.entry {
-                seed.clone()
-            } else {
-                Facts::new()
-            };
-            for (p, blk) in cfg.blocks.iter().enumerate() {
-                for e in &blk.succs {
-                    if e.to != b {
-                        continue;
-                    }
-                    for f in &sol[p].exit {
-                        if !e.kills.iter().any(|k| k == f) {
-                            entry.insert(f.clone());
-                        }
-                    }
-                }
+            // Entry = union of the predecessors' exits.
+            let mut entry = Facts::new();
+            for &p in &preds[b] {
+                entry.extend(sol[p].exit.iter().cloned());
             }
             let mut exit = entry.clone();
             for a in &cfg.blocks[b].actions {
-                step(a, &mut exit, &transfer);
+                transfer(a, &mut exit);
             }
             if entry != sol[b].entry || exit != sol[b].exit {
                 sol[b] = BlockFacts { entry, exit };
@@ -99,7 +63,7 @@ pub fn facts_before<F: Fn(&Action, &mut Facts)>(
 ) -> Facts {
     let mut facts = sol[block].entry.clone();
     for a in cfg.blocks[block].actions.iter().take(action_idx) {
-        step(a, &mut facts, &transfer);
+        transfer(a, &mut facts);
     }
     facts
 }
@@ -135,13 +99,23 @@ mod tests {
         }
     }
 
+    /// The block holding the statement that calls `name`.
+    fn block_calling(cfg: &Cfg, name: &str) -> usize {
+        cfg.blocks
+            .iter()
+            .position(|b| {
+                b.actions
+                    .iter()
+                    .any(|a| matches!(a, Action::Eval { expr, .. } if expr.calls_named(name)))
+            })
+            .expect("block with the call")
+    }
+
     #[test]
     fn taint_propagates_through_rebinding() {
         let cfg = cfg_of("fn f() { let a = taint(); let b = a; let c = clean(); use_it(b, c); }");
-        let sol = forward_may(&cfg, &Facts::new(), toy);
-        // Sample before the `use_it` call (block exit is past the
-        // function-scope kill, which clears everything).
-        let out = facts_before(&cfg, &sol, cfg.entry, 3, toy);
+        let sol = forward_may(&cfg, toy);
+        let out = &sol[cfg.entry].exit;
         assert!(out.contains("a") && out.contains("b"), "{out:?}");
         assert!(!out.contains("c"));
     }
@@ -150,68 +124,41 @@ mod tests {
     fn may_join_unions_both_branches() {
         let cfg = cfg_of(
             "fn f(c: bool) {\n\
-                 let x;\n\
+                 let x = clean();\n\
+                 let y = clean();\n\
                  if c { let x = taint(); use_it(x); } else { let y = taint(); use_it(y); }\n\
                  after();\n\
              }",
         );
-        let sol = forward_may(&cfg, &Facts::new(), toy);
-        // Scope kills keep branch-local taints from leaking past the join…
-        let after = cfg
-            .blocks
-            .iter()
-            .position(|b| {
-                b.actions
-                    .iter()
-                    .any(|a| matches!(a, Action::Eval { expr, .. } if expr.calls_named("after")))
-            })
-            .expect("after block");
-        assert!(!sol[after].entry.contains("x"));
-        assert!(!sol[after].entry.contains("y"));
-    }
-
-    #[test]
-    fn seed_facts_flow_from_the_entry() {
-        let cfg = cfg_of("fn f(n: usize) { let m = n; use_it(m); }");
-        let seed: Facts = ["n".to_string()].into_iter().collect();
-        let sol = forward_may(&cfg, &seed, toy);
-        // Actions: Bind params, Bind m, Eval use_it — sample before the use.
-        let out = facts_before(&cfg, &sol, cfg.entry, 2, toy);
-        assert!(out.contains("m"), "{out:?}");
+        let sol = forward_may(&cfg, toy);
+        // Each name is tainted on one path in only; the join keeps both.
+        let after = block_calling(&cfg, "after");
+        assert!(sol[after].entry.contains("x"));
+        assert!(sol[after].entry.contains("y"));
     }
 
     #[test]
     fn loop_back_edges_reach_a_fixpoint() {
         let cfg = cfg_of(
             "fn f() {\n\
-                 let mut v = clean();\n\
+                 let v = clean();\n\
                  loop {\n\
-                     let t = taint();\n\
-                     let v = t;\n\
+                     use_it(v);\n\
+                     let v = taint();\n\
                      if done() { break; }\n\
                  }\n\
-                 use_it(v);\n\
              }",
         );
-        // Terminates (fixpoint) — and the loop-scoped rebind of `v` is
-        // killed on the break edge, so the outer `v` stays clean.
-        let sol = forward_may(&cfg, &Facts::new(), toy);
-        let use_block = cfg
-            .blocks
-            .iter()
-            .position(|b| {
-                b.actions
-                    .iter()
-                    .any(|a| matches!(a, Action::Eval { expr, .. } if expr.calls_named("use_it")))
-            })
-            .expect("use block");
-        assert!(!sol[use_block].entry.contains("v"));
+        // Terminates, and the taint bound at the bottom of the body reaches
+        // the use at its top through the back edge.
+        let sol = forward_may(&cfg, toy);
+        assert!(sol[block_calling(&cfg, "use_it")].entry.contains("v"));
     }
 
     #[test]
     fn facts_before_walks_partial_blocks() {
         let cfg = cfg_of("fn f() { let a = taint(); let a = clean(); use_it(a); }");
-        let sol = forward_may(&cfg, &Facts::new(), toy);
+        let sol = forward_may(&cfg, toy);
         // Before the second bind, `a` is tainted; after it, clean.
         let before = facts_before(&cfg, &sol, cfg.entry, 1, toy);
         assert!(before.contains("a"));

@@ -412,10 +412,10 @@ mod tests {
 
     #[test]
     fn allow_directives_are_extracted() {
-        let src = "x(); // lint:allow(no-panic, fs-outside-pager) reason\ny();";
+        let src = "x(); // lint:allow(untrusted-length, fs-outside-pager) reason\ny();";
         let lexed = lex(src);
         let rules: Vec<&str> = lexed.allows.iter().map(|a| a.rule.as_str()).collect();
-        assert_eq!(rules, ["no-panic", "fs-outside-pager"]);
+        assert_eq!(rules, ["untrusted-length", "fs-outside-pager"]);
         assert_eq!(lexed.allows[0].line, 1);
     }
 

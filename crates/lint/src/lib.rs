@@ -1,23 +1,24 @@
-#![forbid(unsafe_code)]
 //! `approxql-lint` — machine-checked project invariants.
 //!
-//! PRs 1–3 established cross-cutting invariants that convention alone
-//! cannot protect: exact metric pinning, a panic-free crash-safe storage
-//! layer, and an `Arc`-only work-stealing executor. This crate encodes
-//! them as a dependency-free static-analysis pass — a small Rust token
-//! lexer ([`lexer`]) plus a rule engine ([`rules`]) with per-rule
-//! allowlists, inline `lint:allow(rule-id)` suppressions, and a committed
-//! baseline file ([`baseline`]) for grandfathered findings.
+//! Some of this project's cross-cutting invariants are beyond what rustc
+//! or clippy can express: the metric registry, DESIGN.md and the pin tests
+//! naming exactly the same counters; store state written only through the
+//! pager; disk-decoded lengths bounded before they size an allocation; the
+//! flush → header → sync order of a commit. This crate encodes those four
+//! as a dependency-free static-analysis pass — a small Rust token lexer
+//! ([`lexer`]), an item/statement parser ([`ast`]), per-function CFGs
+//! ([`cfg`]) with a may-dataflow solver ([`flow`]), and a rule engine
+//! ([`rules`]) with inline `lint:allow(rule-id)` suppressions.
 //!
 //! Surfaces: `cargo run -p approxql-lint -- --workspace`, and a CI `lint`
-//! job that fails on any finding not in the baseline. Exit codes are
-//! stable: `0` clean, `3` findings, `2` usage error, `1` internal error.
+//! job that fails on any finding. Exit codes are stable: `0` clean, `3`
+//! findings, `2` usage error, `1` internal error.
 //!
 //! The rule catalogue lives in [`rules::RULES`]; DESIGN.md §11 documents
-//! each rule, the baseline format, and how to suppress findings.
+//! each rule, how to suppress a finding, and which invariants the
+//! toolchain checks instead.
 
 pub mod ast;
-pub mod baseline;
 pub mod cfg;
 pub mod flow;
 pub mod lexer;
@@ -25,22 +26,18 @@ pub mod rules;
 
 use lexer::{lex, Allow, Token};
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule identifier (e.g. `no-panic`).
+    /// Stable rule identifier (e.g. `commit-protocol`).
     pub rule: &'static str,
     /// Workspace-relative path, forward slashes.
     pub path: String,
     /// 1-based line.
     pub line: u32,
     pub message: String,
-    /// Baseline match key: the offending source line, whitespace-normalized.
-    /// Line-content (not line-number) keys keep the baseline stable across
-    /// unrelated edits to the same file.
-    pub key: String,
 }
 
 impl fmt::Display for Finding {
@@ -53,81 +50,12 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Renders findings as a JSON array (`--format json`): one object per
-/// finding with `rule`, `path`, `line`, `snippet` (the whitespace-normalized
-/// offending source line) and `message`. The output is a single machine
-/// layer for CI annotation scripts — no trailing text, stable key order.
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  {\"rule\": ");
-        json_string(&mut out, f.rule);
-        out.push_str(", \"path\": ");
-        json_string(&mut out, &f.path);
-        out.push_str(&format!(", \"line\": {}", f.line));
-        out.push_str(", \"snippet\": ");
-        json_string(&mut out, &f.key);
-        out.push_str(", \"message\": ");
-        json_string(&mut out, &f.message);
-        out.push('}');
-    }
-    if !findings.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Appends `s` as a JSON string literal (quotes, backslashes and control
-/// characters escaped; everything else passes through as UTF-8).
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Collapses runs of whitespace to single spaces (the baseline match key).
-pub fn normalize_line(line: &str) -> String {
-    let mut out = String::with_capacity(line.len());
-    let mut in_ws = true; // leading whitespace is dropped
-    for c in line.chars() {
-        if c.is_whitespace() {
-            if !in_ws {
-                out.push(' ');
-            }
-            in_ws = true;
-        } else {
-            out.push(c);
-            in_ws = false;
-        }
-    }
-    while out.ends_with(' ') {
-        out.pop();
-    }
-    out
-}
-
 /// One lexed source file plus the derived facts the rules consume.
 pub struct SourceFile {
     /// Workspace-relative path with forward slashes.
     pub rel_path: String,
     pub tokens: Vec<Token>,
     pub allows: Vec<Allow>,
-    /// Raw source lines (1-based access via [`SourceFile::line_text`]).
-    pub lines: Vec<String>,
     /// `true` when the whole file is test code (under a `tests/` or
     /// `benches/` directory).
     pub test_path: bool,
@@ -151,7 +79,6 @@ impl SourceFile {
             rel_path,
             tokens: lexed.tokens,
             allows: lexed.allows,
-            lines: src.lines().map(str::to_string).collect(),
             test_path,
             fns,
             test_ranges,
@@ -165,13 +92,6 @@ impl SourceFile {
                 .test_ranges
                 .iter()
                 .any(|&(a, b)| a <= line && line <= b)
-    }
-
-    /// The raw text of a 1-based line (empty if out of range).
-    pub fn line_text(&self, line: u32) -> &str {
-        self.lines
-            .get(line.saturating_sub(1) as usize)
-            .map_or("", String::as_str)
     }
 
     /// `true` when findings of `rule` on `line` are suppressed by a
@@ -193,7 +113,6 @@ impl SourceFile {
             path: self.rel_path.clone(),
             line,
             message,
-            key: normalize_line(self.line_text(line)),
         });
     }
 }
@@ -274,7 +193,6 @@ fn cfg_test_ranges(tokens: &[Token]) -> Vec<(u32, u32)> {
 /// The loaded workspace: every lexed `.rs` file plus the documentation
 /// files the cross-check rules need.
 pub struct Workspace {
-    pub root: PathBuf,
     pub files: Vec<SourceFile>,
     /// Raw text of `DESIGN.md`, if present.
     pub design_md: Option<String>,
@@ -289,11 +207,7 @@ impl Workspace {
         walk(root, root, &mut files)?;
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
         let design_md = std::fs::read_to_string(root.join("DESIGN.md")).ok();
-        Ok(Workspace {
-            root: root.to_path_buf(),
-            files,
-            design_md,
-        })
+        Ok(Workspace { files, design_md })
     }
 
     /// The file with exactly this workspace-relative path.
@@ -345,11 +259,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn normalize_collapses_whitespace() {
-        assert_eq!(normalize_line("  let  x =\t1;  "), "let x = 1;");
-    }
-
-    #[test]
     fn cfg_test_region_detection() {
         let src = "fn live() { x.unwrap(); }\n\
                    #[cfg(test)]\n\
@@ -381,11 +290,11 @@ mod tests {
 
     #[test]
     fn allow_covers_same_and_next_line() {
-        let src = "// lint:allow(no-panic) justified\nfoo.unwrap();\nbar.unwrap(); // lint:allow(no-panic)\nbaz.unwrap();\n";
+        let src = "// lint:allow(untrusted-length) justified\nv.reserve(a);\nv.reserve(b); // lint:allow(untrusted-length)\nv.reserve(c);\n";
         let f = SourceFile::parse("crates/storage/src/x.rs".into(), src);
-        assert!(f.is_allowed("no-panic", 2));
-        assert!(f.is_allowed("no-panic", 3));
-        assert!(!f.is_allowed("no-panic", 4));
-        assert!(!f.is_allowed("no-rc", 2));
+        assert!(f.is_allowed("untrusted-length", 2));
+        assert!(f.is_allowed("untrusted-length", 3));
+        assert!(!f.is_allowed("untrusted-length", 4));
+        assert!(!f.is_allowed("commit-protocol", 2));
     }
 }

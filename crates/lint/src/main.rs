@@ -1,52 +1,36 @@
-#![forbid(unsafe_code)]
 //! `approxql-lint` — the CLI surface.
 //!
 //! ```text
-//! approxql-lint --workspace [--root DIR] [--baseline FILE] [--update-baseline]
-//!               [--format text|json]
+//! approxql-lint --workspace [--root DIR]
 //! approxql-lint --list-rules
 //! ```
 //!
-//! `--format json` prints the non-baselined findings as a JSON array on
-//! stdout (`rule`, `path`, `line`, `snippet`, `message`; `[]` when clean)
-//! and moves the human summary to stderr, so CI can map findings to
-//! GitHub annotations without scraping text output.
+//! Findings go to stdout, one `path:line: [rule] message` line each,
+//! followed by a summary line; CI turns the finding lines into annotations.
 //!
 //! Exit codes are stable (CI and tests rely on them):
 //!
-//! | code | meaning                                    |
-//! |------|--------------------------------------------|
-//! | 0    | clean (all findings covered by baseline)   |
-//! | 3    | findings not covered by the baseline       |
-//! | 2    | usage error                                |
-//! | 1    | internal error (I/O, malformed baseline)   |
+//! | code | meaning                              |
+//! |------|--------------------------------------|
+//! | 0    | clean                                |
+//! | 3    | findings                             |
+//! | 2    | usage error                          |
+//! | 1    | internal error (workspace unreadable)|
 
-use approxql_lint::baseline::Baseline;
-use approxql_lint::{render_json, rules, Workspace};
+use approxql_lint::{rules, Workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: approxql-lint --workspace [--root DIR] [--baseline FILE] \
-                     [--update-baseline] [--format text|json]\n       \
+const USAGE: &str = "usage: approxql-lint --workspace [--root DIR]\n       \
                      approxql-lint --list-rules\n";
-
-#[derive(PartialEq, Clone, Copy)]
-enum Format {
-    Text,
-    Json,
-}
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut workspace = false;
-    let mut update_baseline = false;
-    let mut format = Format::Text;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
-            "--update-baseline" => update_baseline = true,
             "--list-rules" => {
                 for r in rules::RULES {
                     println!(
@@ -61,16 +45,6 @@ fn main() -> ExitCode {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage_error("--root needs a value"),
             },
-            "--baseline" => match args.next() {
-                Some(v) => baseline_path = Some(PathBuf::from(v)),
-                None => return usage_error("--baseline needs a value"),
-            },
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some(v) => return usage_error(&format!("unknown format {v:?}")),
-                None => return usage_error("--format needs a value (text|json)"),
-            },
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -83,8 +57,6 @@ fn main() -> ExitCode {
     }
 
     let root = root.unwrap_or_else(|| PathBuf::from("."));
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint-baseline.txt"));
-
     let ws = match Workspace::load(&root) {
         Ok(ws) => ws,
         Err(e) => {
@@ -96,72 +68,24 @@ fn main() -> ExitCode {
         }
     };
     let findings = ws.run_rules();
-
-    if update_baseline {
-        let body = Baseline::render(&findings);
-        if let Err(e) = std::fs::write(&baseline_path, body) {
-            eprintln!(
-                "approxql-lint: cannot write {}: {e}",
-                baseline_path.display()
-            );
-            return ExitCode::FAILURE;
-        }
+    if findings.is_empty() {
+        let allows = ws
+            .files
+            .iter()
+            .flat_map(|f| &f.allows)
+            .filter(|a| rules::rule(&a.rule).is_some())
+            .count();
         println!(
-            "wrote {} entries to {} — add a justification for each",
-            findings.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("approxql-lint: {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        },
-        // No baseline file means an empty baseline.
-        Err(_) => Baseline::default(),
-    };
-
-    let result = baseline.filter(findings);
-    for e in &result.unused {
-        eprintln!(
-            "warning: unused baseline entry (fixed or stale): {} {} {:?}",
-            e.rule, e.path, e.key
-        );
-    }
-    if format == Format::Json {
-        print!("{}", render_json(&result.new_findings));
-    }
-    if result.new_findings.is_empty() {
-        let summary = format!(
-            "approxql-lint: clean ({} files, {} rules, {} grandfathered)",
+            "approxql-lint: clean ({} files, {} rules, {allows} lint:allow)",
             ws.files.len(),
-            rules::RULES.len(),
-            baseline.entries.len() - result.unused.len()
+            rules::RULES.len()
         );
-        match format {
-            Format::Text => println!("{summary}"),
-            Format::Json => eprintln!("{summary}"),
-        }
         return ExitCode::SUCCESS;
     }
-    if format == Format::Text {
-        for f in &result.new_findings {
-            println!("{f}");
-        }
+    for f in &findings {
+        println!("{f}");
     }
-    let summary = format!(
-        "approxql-lint: {} finding(s) not in baseline",
-        result.new_findings.len()
-    );
-    match format {
-        Format::Text => println!("{summary}"),
-        Format::Json => eprintln!("{summary}"),
-    }
+    println!("approxql-lint: {} finding(s)", findings.len());
     ExitCode::from(3)
 }
 

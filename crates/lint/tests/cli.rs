@@ -1,6 +1,6 @@
 //! End-to-end tests of the `approxql-lint` binary: exit codes, finding
 //! counts per rule, and the self-check that the real workspace is clean
-//! under its committed baseline.
+//! without a single suppression.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -28,7 +28,11 @@ fn clean_fixture_exits_zero() {
     let out = lint(&["--workspace", "--root", root.to_str().unwrap()]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(code(&out), 0, "stdout: {stdout}");
-    assert!(stdout.contains("approxql-lint: clean"), "{stdout}");
+    // The fixture's one justified site is counted, not hidden.
+    assert!(
+        stdout.contains("approxql-lint: clean") && stdout.contains(" 1 lint:allow)"),
+        "{stdout}"
+    );
 }
 
 #[test]
@@ -44,37 +48,20 @@ fn violations_fixture_fires_every_rule() {
             .filter(|l| l.contains(&format!("[{rule}]")))
             .count()
     };
-    assert_eq!(count_of("no-panic"), 1, "{stdout}");
-    assert_eq!(count_of("forbid-unsafe"), 1, "{stdout}");
-    assert_eq!(count_of("no-rc"), 2, "{stdout}");
     assert_eq!(count_of("metric-coverage"), 3, "{stdout}");
     assert_eq!(count_of("fs-outside-pager"), 1, "{stdout}");
-    assert_eq!(count_of("lock-across-spawn"), 2, "{stdout}");
     assert_eq!(count_of("untrusted-length"), 2, "{stdout}");
-    assert_eq!(count_of("error-swallow"), 2, "{stdout}");
     assert_eq!(count_of("commit-protocol"), 2, "{stdout}");
-    assert!(
-        stdout.contains("approxql-lint: 16 finding(s) not in baseline"),
-        "{stdout}"
-    );
+    assert!(stdout.contains("approxql-lint: 8 finding(s)"), "{stdout}");
 
-    // The specific sites, not just the counts.
+    // The specific sites, not just the counts. fs-outside-pager covers the
+    // crates that hold store state; the fixture CLI's `fs::write` is a
+    // report, not store state, and must not fire.
     assert!(
-        stdout.contains("crates/storage/src/lib.rs:3: [no-panic]"),
+        stdout.contains("crates/core/src/export.rs:5: [fs-outside-pager]"),
         "{stdout}"
     );
-    assert!(
-        stdout.contains("crates/cli/src/main.rs:1: [forbid-unsafe]"),
-        "{stdout}"
-    );
-    assert!(
-        stdout.contains("crates/cli/src/main.rs:2: [fs-outside-pager]"),
-        "{stdout}"
-    );
-    assert!(
-        stdout.contains("crates/exec/src/lib.rs:4: [lock-across-spawn]"),
-        "{stdout}"
-    );
+    assert!(!stdout.contains("crates/cli/"), "{stdout}");
     assert!(stdout.contains("`pager.bad` is not documented"), "{stdout}");
     assert!(stdout.contains("is not pinned"), "{stdout}");
     assert!(
@@ -84,11 +71,6 @@ fn violations_fixture_fires_every_rule() {
 
     // The dataflow rules: each fixture case pins its diagnosis site.
     assert!(
-        stdout.contains("crates/exec/src/lib.rs:15: [lock-across-spawn]")
-            && stdout.contains("guard `g` (bound on line 11)"),
-        "{stdout}"
-    );
-    assert!(
         stdout.contains("crates/index/src/codec.rs:6: [untrusted-length]")
             && stdout.contains("untrusted decoded value `n`"),
         "{stdout}"
@@ -96,11 +78,6 @@ fn violations_fixture_fires_every_rule() {
     assert!(
         stdout.contains("crates/index/src/codec.rs:14: [untrusted-length]")
             && stdout.contains("a freshly decoded integer"),
-        "{stdout}"
-    );
-    assert!(
-        stdout.contains("crates/storage/src/io.rs:5: [error-swallow]")
-            && stdout.contains("crates/storage/src/io.rs:6: [error-swallow]"),
         "{stdout}"
     );
     // The PR 3 header-before-flush bug, statically rediscovered…
@@ -118,95 +95,6 @@ fn violations_fixture_fires_every_rule() {
 }
 
 #[test]
-fn json_format_parses_and_mirrors_the_findings() {
-    let root = fixture("violations");
-    let out = lint(&[
-        "--workspace",
-        "--root",
-        root.to_str().unwrap(),
-        "--format",
-        "json",
-    ]);
-    assert_eq!(code(&out), 3);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    // The findings list and summary move to machine/stderr layers.
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("16 finding(s)"),
-        "summary should be on stderr"
-    );
-    let parsed = approxql_eval::json::parse(&stdout).expect("--format json output must parse");
-    let arr = parsed.as_arr().expect("top level is an array");
-    assert_eq!(arr.len(), 16, "{stdout}");
-    for f in arr {
-        for key in ["rule", "path", "line", "snippet", "message"] {
-            assert!(f.get(key).is_some(), "missing {key} in {stdout}");
-        }
-    }
-    // Spot-check one finding end to end.
-    let commit = arr
-        .iter()
-        .find(|f| {
-            f.get("rule").and_then(|v| v.as_str()) == Some("commit-protocol")
-                && f.get("line").and_then(|v| v.as_uint()) == Some(10)
-        })
-        .expect("commit-protocol finding at pager.rs:10");
-    assert_eq!(
-        commit.get("path").and_then(|v| v.as_str()),
-        Some("crates/storage/src/pager.rs")
-    );
-    assert_eq!(
-        commit.get("snippet").and_then(|v| v.as_str()),
-        Some("self.write_direct(HEADER_SLOT, &encode(root))?;")
-    );
-}
-
-#[test]
-fn json_format_on_a_clean_tree_is_an_empty_array() {
-    let root = fixture("clean");
-    let out = lint(&[
-        "--workspace",
-        "--root",
-        root.to_str().unwrap(),
-        "--format",
-        "json",
-    ]);
-    assert_eq!(code(&out), 0);
-    let parsed = approxql_eval::json::parse(&String::from_utf8_lossy(&out.stdout))
-        .expect("clean JSON output must parse");
-    assert_eq!(parsed.as_arr().map(<[_]>::len), Some(0));
-}
-
-#[test]
-fn violations_are_absorbed_by_a_matching_baseline() {
-    // --update-baseline, then a second run against the written file, must
-    // be clean: the baseline grandfathers exactly the current findings.
-    let root = fixture("violations");
-    let dir = std::env::temp_dir().join(format!("axql-lint-baseline-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let baseline = dir.join("baseline.txt");
-    let out = lint(&[
-        "--workspace",
-        "--root",
-        root.to_str().unwrap(),
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--update-baseline",
-    ]);
-    assert_eq!(code(&out), 0);
-    let out = lint(&[
-        "--workspace",
-        "--root",
-        root.to_str().unwrap(),
-        "--baseline",
-        baseline.to_str().unwrap(),
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    std::fs::remove_dir_all(&dir).unwrap();
-    assert_eq!(code(&out), 0, "stdout: {stdout}");
-    assert!(stdout.contains("16 grandfathered"), "{stdout}");
-}
-
-#[test]
 fn usage_errors_exit_two() {
     // No --workspace.
     assert_eq!(code(&lint(&[])), 2);
@@ -214,32 +102,33 @@ fn usage_errors_exit_two() {
     assert_eq!(code(&lint(&["--workspace", "--bogus"])), 2);
     // Missing flag value.
     assert_eq!(code(&lint(&["--workspace", "--root"])), 2);
-    // Unknown --format value.
-    assert_eq!(code(&lint(&["--workspace", "--format", "xml"])), 2);
+    // The retired second suppression mechanism and output format.
+    assert_eq!(code(&lint(&["--workspace", "--update-baseline"])), 2);
+    assert_eq!(code(&lint(&["--workspace", "--format", "json"])), 2);
 }
 
 #[test]
-fn list_rules_names_all_nine() {
+fn list_rules_names_exactly_the_four() {
     let out = lint(&["--list-rules"]);
     assert_eq!(code(&out), 0);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for rule in [
-        "no-panic",
-        "forbid-unsafe",
-        "no-rc",
-        "metric-coverage",
-        "fs-outside-pager",
-        "lock-across-spawn",
-        "untrusted-length",
-        "error-swallow",
-        "commit-protocol",
-    ] {
-        assert!(stdout.contains(rule), "missing {rule} in {stdout}");
-    }
+    let ids: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        ids,
+        [
+            "metric-coverage",
+            "fs-outside-pager",
+            "untrusted-length",
+            "commit-protocol"
+        ]
+    );
 }
 
 #[test]
-fn real_workspace_is_clean_under_committed_baseline() {
+fn real_workspace_is_clean_without_suppressions() {
     // The repo root is two levels above this crate.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -249,9 +138,5 @@ fn real_workspace_is_clean_under_committed_baseline() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(code(&out), 0, "stdout: {stdout}\nstderr: {stderr}");
-    // The committed baseline must be fully live: no stale entries.
-    assert!(
-        !stderr.contains("unused baseline entry"),
-        "stale baseline entries:\n{stderr}"
-    );
+    assert!(stdout.contains(" 0 lint:allow)"), "{stdout}");
 }

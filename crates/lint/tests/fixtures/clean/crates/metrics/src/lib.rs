@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 metrics! {
     Good => (Pager, "pager.good", "the one counter"),
 }

@@ -1,21 +1,15 @@
-#![forbid(unsafe_code)]
-pub fn read(x: Option<u8>) -> Result<u8, ()> {
-    x.ok_or(())
-}
+//! fs-outside-pager negatives: a justified site carries its allow, and
+//! test code may touch the filesystem freely.
 
-// error-swallow negatives: a propagated error is not a swallow, and a
-// justified best-effort drop carries its allow.
-pub fn shutdown(file: &mut Backend) -> Result<(), ()> {
-    file.flush()?;
-    // Best-effort advisory; failure only costs a later re-read.
-    let _ = file.advise_done(); // lint:allow(error-swallow)
-    Ok(())
+pub fn dump(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    // lint:allow(fs-outside-pager) debug dump of one page, not store state
+    std::fs::write(path, bytes)
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn t() {
-        super::read(Some(1)).unwrap();
+        std::fs::remove_file("scratch.db").unwrap();
     }
 }

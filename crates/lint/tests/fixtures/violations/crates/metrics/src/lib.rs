@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 metrics! {
     Good => (Pager, "pager.good", "documented and pinned"),
     Bad => (Pager, "pager.bad", "neither documented nor pinned"),

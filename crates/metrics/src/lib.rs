@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Operation metrics for every evaluation layer.
 //!
 //! The paper's experimental section (Figure 7) argues in terms of *work

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Compiled physical-plan IR shared by both evaluators.
 //!
 //! The expanded query representation (Section 6.1) is *interpreted* twice

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! The approXQL query language (Section 3 of the paper) and its
 //! representations.
 //!

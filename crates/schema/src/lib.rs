@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! The schema (DataGuide-style structural summary) of a data tree
 //! (Section 7.1 of the paper).
 //!
@@ -103,86 +102,21 @@ impl Schema {
     /// so that schema distances equal instance distances).
     pub fn build(data: &DataTree, costs: &CostModel) -> Schema {
         // ---- pass 1: discover the shape ---------------------------------
-        // shape node 0 is the virtual root; text classes get label None.
-        struct ShapeNode {
-            label: Option<LabelId>,
-            ty: NodeType,
-            children: Vec<usize>,
-            child_lookup: HashMap<(NodeType, Option<LabelId>), usize>,
-        }
-        let mut shape: Vec<ShapeNode> = vec![ShapeNode {
-            label: None,
-            ty: NodeType::Struct,
-            children: Vec::new(),
-            child_lookup: HashMap::new(),
-        }];
+        let mut shape = Shape::root_only();
         let n = data.len();
-        let mut node_shape: Vec<usize> = vec![0; n];
+        let mut node_shape: Vec<u32> = vec![0; n];
         for node in data.live_nodes().filter(|n| n.0 != 0) {
-            let i = node.index();
             let parent_shape = node_shape[data.parent(node).expect("non-root").index()];
-            let ty = data.node_type(node);
-            let key = match ty {
-                NodeType::Struct => (ty, Some(data.label_id(node))),
-                NodeType::Text => (ty, None), // all words merge into one class
-            };
-            let child = match shape[parent_shape].child_lookup.get(&key) {
-                Some(&c) => c,
-                None => {
-                    let c = shape.len();
-                    shape.push(ShapeNode {
-                        label: key.1,
-                        ty,
-                        children: Vec::new(),
-                        child_lookup: HashMap::new(),
-                    });
-                    shape[parent_shape].children.push(c);
-                    shape[parent_shape].child_lookup.insert(key, c);
-                    c
-                }
-            };
-            node_shape[i] = child;
+            node_shape[node.index()] = shape.child(child_key(data, node, parent_shape));
         }
-
-        // ---- linearize the shape into a schema DataTree -----------------
-        let mut builder = DataTreeBuilder::new();
-        let mut shape_pre: Vec<u32> = vec![0; shape.len()];
-        // Iterative preorder DFS; children in first-occurrence order.
-        let mut stack: Vec<(usize, bool)> = shape[0]
-            .children
-            .iter()
-            .rev()
-            .map(|&c| (c, false))
-            .collect();
-        while let Some((s, closing)) = stack.pop() {
-            if closing {
-                builder.end();
-                continue;
-            }
-            match shape[s].ty {
-                NodeType::Struct => {
-                    let label = data.resolve_label(shape[s].label.expect("struct has a label"));
-                    shape_pre[s] = builder.begin_struct(label).0;
-                    stack.push((s, true));
-                    for &c in shape[s].children.iter().rev() {
-                        stack.push((c, false));
-                    }
-                }
-                NodeType::Text => {
-                    debug_assert!(shape[s].children.is_empty());
-                    shape_pre[s] = builder.add_word(TEXT_CLASS_LABEL).0;
-                }
-            }
-        }
-        let tree = builder.build(costs);
+        let (tree, shape_pre) = shape.linearize(data, costs);
 
         // ---- pass 2: instances, I_sec, and the schema label index -------
         let mut class_of: Vec<u32> = vec![0; n];
         let mut secondary = SecondaryIndex::new();
         for node in data.live_nodes().filter(|n| n.0 != 0) {
-            let i = node.index();
-            let class = shape_pre[node_shape[i]];
-            class_of[i] = class;
+            let class = shape_pre[node_shape[node.index()] as usize];
+            class_of[node.index()] = class;
             secondary.push(
                 class,
                 data.label_id(node),
@@ -193,19 +127,13 @@ impl Schema {
             );
         }
         let labels = derive_label_index(&tree, &secondary);
-        let mut child_lookup = HashMap::new();
-        for (s, node) in shape.iter().enumerate() {
-            for &c in &node.children {
-                child_lookup.insert((shape_pre[s], shape[c].ty, shape[c].label), shape_pre[c]);
-            }
-        }
 
         Schema {
             tree,
             labels,
             secondary,
             class_of,
-            child_lookup,
+            child_lookup: shape.lookup_by_pre(&shape_pre),
         }
     }
 
@@ -224,11 +152,7 @@ impl Schema {
         let mut class_of: Vec<u32> = vec![0; data.len()];
         for node in data.live_nodes().filter(|n| n.0 != 0) {
             let parent_class = class_of[data.parent(node).expect("non-root").index()];
-            let key = match data.node_type(node) {
-                NodeType::Struct => (parent_class, NodeType::Struct, Some(data.label_id(node))),
-                NodeType::Text => (parent_class, NodeType::Text, None),
-            };
-            let Some(&class) = child_lookup.get(&key) else {
+            let Some(&class) = child_lookup.get(&child_key(data, node, parent_class)) else {
                 return Err(SchemaAssembleError(
                     "a live data node has no class in the schema tree",
                 ));
@@ -277,13 +201,9 @@ impl Schema {
         for pre in span.start..=span.bound {
             let node = NodeId(pre);
             let parent_class = self.class_of[data.parent(node).expect("non-root").index()];
-            let key = match data.node_type(node) {
-                NodeType::Struct => (parent_class, NodeType::Struct, Some(data.label_id(node))),
-                NodeType::Text => (parent_class, NodeType::Text, None),
-            };
             let class = *self
                 .child_lookup
-                .get(&key)
+                .get(&child_key(data, node, parent_class))
                 .expect("extend_structure covers every path of the range");
             self.class_of[node.index()] = class;
             let label = data.label_id(node);
@@ -371,11 +291,7 @@ impl Schema {
             } else {
                 scratch[&parent]
             };
-            let key = match data.node_type(node) {
-                NodeType::Struct => (parent_class, NodeType::Struct, Some(data.label_id(node))),
-                NodeType::Text => (parent_class, NodeType::Text, None),
-            };
-            match self.child_lookup.get(&key) {
+            match self.child_lookup.get(&child_key(data, node, parent_class)) {
                 Some(&class) => {
                     scratch.insert(pre, class);
                 }
@@ -390,37 +306,9 @@ impl Schema {
     /// (existing siblings keep their order; new children append after
     /// them), then remaps every schema preorder number.
     fn extend_structure(&mut self, data: &DataTree, span: DocSpan, costs: &CostModel) {
-        // ---- shape graph from the current schema tree -------------------
         // Shape index == old schema pre for existing nodes.
-        let old_len = self.tree.len();
-        #[derive(Clone)]
-        struct ShapeNode {
-            /// Data-interner label for new struct nodes; existing nodes
-            /// resolve their label from the old schema tree.
-            label: Option<LabelId>,
-            ty: NodeType,
-            children: Vec<usize>,
-        }
-        let mut shape: Vec<ShapeNode> = (0..old_len)
-            .map(|s| ShapeNode {
-                label: None,
-                ty: self.tree.node_type(NodeId(s as u32)),
-                children: self
-                    .tree
-                    .children(NodeId(s as u32))
-                    .map(|c| c.index())
-                    .collect(),
-            })
-            .collect();
-        // (shape parent, ty, data label) → shape child, seeded from the
-        // persistent lookup (old pre == shape index).
-        let mut lookup: HashMap<(usize, NodeType, Option<LabelId>), usize> = self
-            .child_lookup
-            .iter()
-            .map(|(&(p, ty, l), &c)| ((p as usize, ty, l), c as usize))
-            .collect();
-        // ---- absorb the new range's paths -------------------------------
-        let mut node_shape: HashMap<u32, usize> = HashMap::new();
+        let mut shape = Shape::of_schema(&self.tree, &self.child_lookup);
+        let mut node_shape: HashMap<u32, u32> = HashMap::new();
         for pre in span.start..=span.bound {
             let node = NodeId(pre);
             let parent = data.parent(node).expect("non-root").0;
@@ -429,75 +317,16 @@ impl Schema {
             } else {
                 node_shape[&parent]
             };
-            let key = match data.node_type(node) {
-                NodeType::Struct => (parent_shape, NodeType::Struct, Some(data.label_id(node))),
-                NodeType::Text => (parent_shape, NodeType::Text, None),
-            };
-            let s = match lookup.get(&key) {
-                Some(&s) => s,
-                None => {
-                    let s = shape.len();
-                    shape.push(ShapeNode {
-                        label: key.2,
-                        ty: key.1,
-                        children: Vec::new(),
-                    });
-                    shape[parent_shape].children.push(s);
-                    lookup.insert(key, s);
-                    s
-                }
-            };
-            node_shape.insert(pre, s);
+            node_shape.insert(pre, shape.child(child_key(data, node, parent_shape)));
         }
-        // ---- re-linearize -----------------------------------------------
-        let mut builder = DataTreeBuilder::new();
-        let mut shape_pre: Vec<u32> = vec![0; shape.len()];
-        let mut stack: Vec<(usize, bool)> = shape[0]
-            .children
-            .iter()
-            .rev()
-            .map(|&c| (c, false))
-            .collect();
-        while let Some((s, closing)) = stack.pop() {
-            if closing {
-                builder.end();
-                continue;
-            }
-            let label: String = if s < old_len {
-                self.tree.label(NodeId(s as u32)).to_owned()
-            } else {
-                match shape[s].ty {
-                    NodeType::Struct => data
-                        .resolve_label(shape[s].label.expect("new struct shape has a label"))
-                        .to_owned(),
-                    NodeType::Text => TEXT_CLASS_LABEL.to_owned(),
-                }
-            };
-            match shape[s].ty {
-                NodeType::Struct => {
-                    shape_pre[s] = builder.begin_struct(&label).0;
-                    stack.push((s, true));
-                    for &c in shape[s].children.iter().rev() {
-                        stack.push((c, false));
-                    }
-                }
-                NodeType::Text => {
-                    debug_assert!(shape[s].children.is_empty());
-                    shape_pre[s] = builder.add_word(&label).0;
-                }
-            }
-        }
-        let new_tree = builder.build(costs);
+        let (new_tree, shape_pre) = shape.linearize(data, costs);
         // ---- remap every schema preorder number -------------------------
         let remap = |old: u32| shape_pre[old as usize];
         for c in &mut self.class_of {
             *c = remap(*c);
         }
         self.secondary.remap_schema_pres(remap);
-        self.child_lookup = lookup
-            .into_iter()
-            .map(|((p, ty, l), c)| ((shape_pre[p], ty, l), shape_pre[c]))
-            .collect();
+        self.child_lookup = shape.lookup_by_pre(&shape_pre);
         self.tree = new_tree;
         self.labels = derive_label_index(&self.tree, &self.secondary);
     }
@@ -541,6 +370,102 @@ impl Schema {
                 .max()
                 .unwrap_or(0),
         }
+    }
+}
+
+/// The classification key of `node` under a parent of class (or shape
+/// index) `parent`: struct nodes are told apart by label, all words of one
+/// parent merge into one text class.
+fn child_key(data: &DataTree, node: NodeId, parent: u32) -> ChildKey {
+    match data.node_type(node) {
+        NodeType::Struct => (parent, NodeType::Struct, Some(data.label_id(node))),
+        NodeType::Text => (parent, NodeType::Text, None),
+    }
+}
+
+/// A schema shape under construction: node 0 is the virtual root, and a
+/// node's children stand in first-occurrence order, which is what fixes
+/// the schema preorder numbers.
+struct Shape {
+    /// Children per shape node.
+    children: Vec<Vec<u32>>,
+    /// [`ChildKey`] over shape indexes → child shape index.
+    lookup: HashMap<ChildKey, u32>,
+}
+
+impl Shape {
+    fn root_only() -> Shape {
+        Shape {
+            children: vec![Vec::new()],
+            lookup: HashMap::new(),
+        }
+    }
+
+    /// The shape of an existing schema tree (shape index == schema pre),
+    /// so that new paths append after the existing siblings.
+    fn of_schema(tree: &DataTree, child_lookup: &HashMap<ChildKey, u32>) -> Shape {
+        Shape {
+            children: tree
+                .nodes()
+                .map(|s| tree.children(s).map(|c| c.0).collect())
+                .collect(),
+            lookup: child_lookup.clone(),
+        }
+    }
+
+    /// The child of `key.0` for `key`, appended if the path is new.
+    fn child(&mut self, key: ChildKey) -> u32 {
+        if let Some(&c) = self.lookup.get(&key) {
+            return c;
+        }
+        let c = self.children.len() as u32;
+        self.children.push(Vec::new());
+        self.children[key.0 as usize].push(c);
+        self.lookup.insert(key, c);
+        c
+    }
+
+    /// Linearizes the shape into a schema [`DataTree`] (iterative preorder
+    /// DFS) and returns it with `shape_pre[shape index] = schema pre`.
+    /// Struct labels resolve through `data`'s interner.
+    fn linearize(&self, data: &DataTree, costs: &CostModel) -> (DataTree, Vec<u32>) {
+        let mut key_of: Vec<Option<ChildKey>> = vec![None; self.children.len()];
+        for (&key, &c) in &self.lookup {
+            key_of[c as usize] = Some(key);
+        }
+        let mut builder = DataTreeBuilder::new();
+        let mut shape_pre: Vec<u32> = vec![0; self.children.len()];
+        let mut stack: Vec<(u32, bool)> =
+            self.children[0].iter().rev().map(|&c| (c, false)).collect();
+        while let Some((s, closing)) = stack.pop() {
+            if closing {
+                builder.end();
+                continue;
+            }
+            match key_of[s as usize].expect("every non-root shape node has a key") {
+                (_, NodeType::Struct, label) => {
+                    let label = data.resolve_label(label.expect("struct has a label"));
+                    shape_pre[s as usize] = builder.begin_struct(label).0;
+                    stack.push((s, true));
+                    for &c in self.children[s as usize].iter().rev() {
+                        stack.push((c, false));
+                    }
+                }
+                (_, NodeType::Text, _) => {
+                    debug_assert!(self.children[s as usize].is_empty());
+                    shape_pre[s as usize] = builder.add_word(TEXT_CLASS_LABEL).0;
+                }
+            }
+        }
+        (builder.build(costs), shape_pre)
+    }
+
+    /// The lookup re-keyed from shape indexes to schema preorder numbers.
+    fn lookup_by_pre(&self, shape_pre: &[u32]) -> HashMap<ChildKey, u32> {
+        self.lookup
+            .iter()
+            .map(|(&(p, ty, l), &c)| ((shape_pre[p as usize], ty, l), shape_pre[c as usize]))
+            .collect()
     }
 }
 

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Offline drop-in subset of the `proptest` API.
 //!
 //! The build environment has no registry access, so the workspace vendors

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! A small single-file key/value store with ordered range scans and
 //! crash-safe commits.
 //!
@@ -61,6 +60,25 @@
 //! with [`Store::compact_into`]. Copy-on-write relocation adds to the
 //! leak, which matches the access pattern of the reproduction: indexes are
 //! bulk-built once and then read.
+
+// No panics outside tests: every failure is a typed error or a documented
+// exit code (DESIGN.md §11).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+// No silently dropped `Result` outside tests (DESIGN.md §11).
+#![cfg_attr(
+    not(test),
+    deny(clippy::let_underscore_must_use, clippy::unused_result_ok)
+)]
 
 mod btree;
 mod check;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! The data-tree model of approXQL (Sections 4 and 6.2 of the paper).
 //!
 //! XML documents are modeled as labeled trees with two node types:

@@ -4,9 +4,9 @@
 //! Two families of formats live here:
 //!
 //! * the whole-tree dump ([`DataTree::to_bytes`] / [`DataTree::from_bytes`]):
-//!   magic, version, interner strings, per-node column arrays, and (since
-//!   version 2) the document registry. Version 1 input is still accepted —
-//!   its registry is derived from the children of the virtual root.
+//!   magic, version, interner strings, per-node column arrays, and the
+//!   document registry. Any other version (including the pre-registry
+//!   version 1, which nothing writes any more) is a typed `BadVersion`.
 //! * the segmented layout used by mutable stores: a standalone interner
 //!   blob, a document map, and one self-contained segment per live
 //!   document ([`DataTree::doc_segment_bytes`] /
@@ -140,7 +140,7 @@ impl DataTree {
             return Err(TreeDecodeError::BadMagic);
         }
         let version = cur.u32()?;
-        if version != 1 && version != VERSION {
+        if version != VERSION {
             return Err(TreeDecodeError::BadVersion(version));
         }
         let nstrings = cur.u32()? as usize;
@@ -200,54 +200,36 @@ impl DataTree {
         for _ in 0..n {
             pathcosts.push(Cost::from_raw(cur.u64()?));
         }
-        let docs = if version == 1 {
-            // v1 predates the registry: every child of the root is a live
-            // document.
-            let mut docs = Vec::new();
-            let mut c = 1usize;
-            while c < n {
-                let bound = bounds[c];
-                docs.push(DocSpan {
-                    start: c as u32,
-                    bound,
-                    alive: true,
-                });
-                c = bound as usize + 1;
-            }
-            docs
-        } else {
-            let ndocs = cur.u32()? as usize;
-            // 9 B/span floor: start 4 + bound 4 + liveness 1.
-            cur.claim(ndocs, 9)?;
-            let mut docs = Vec::with_capacity(ndocs);
-            let mut expect = 1u32;
-            for _ in 0..ndocs {
-                let start = cur.u32()?;
-                let bound = cur.u32()?;
-                let alive = match cur.take(1)?[0] {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(TreeDecodeError::Corrupt("invalid doc liveness flag")),
-                };
-                if start != expect || bound < start || bound as usize >= n {
-                    return Err(TreeDecodeError::Corrupt(
-                        "doc spans must partition the tree",
-                    ));
-                }
-                expect = bound + 1;
-                docs.push(DocSpan {
-                    start,
-                    bound,
-                    alive,
-                });
-            }
-            if expect as usize != n.max(1) {
+        let ndocs = cur.u32()? as usize;
+        // 9 B/span floor: start 4 + bound 4 + liveness 1.
+        cur.claim(ndocs, 9)?;
+        let mut docs = Vec::with_capacity(ndocs);
+        let mut expect = 1u32;
+        for _ in 0..ndocs {
+            let start = cur.u32()?;
+            let bound = cur.u32()?;
+            let alive = match cur.take(1)?[0] {
+                0 => false,
+                1 => true,
+                _ => return Err(TreeDecodeError::Corrupt("invalid doc liveness flag")),
+            };
+            if start != expect || bound < start || bound as usize >= n {
                 return Err(TreeDecodeError::Corrupt(
                     "doc spans must partition the tree",
                 ));
             }
-            docs
-        };
+            expect = bound + 1;
+            docs.push(DocSpan {
+                start,
+                bound,
+                alive,
+            });
+        }
+        if expect as usize != n.max(1) {
+            return Err(TreeDecodeError::Corrupt(
+                "doc spans must partition the tree",
+            ));
+        }
         if cur.pos != data.len() {
             return Err(TreeDecodeError::Corrupt("trailing bytes"));
         }
@@ -677,15 +659,18 @@ mod tests {
     }
 
     #[test]
-    fn accepts_version_one_input() {
+    fn rejects_version_one_input() {
         // A v1 blob is a v2 blob minus the docs section, with version 1.
+        // Nothing writes it and store format v3 cannot contain it.
         let t = sample();
         let mut bytes = t.to_bytes();
         let docs_bytes = 4 + t.documents().len() * 9;
         bytes.truncate(bytes.len() - docs_bytes);
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let t2 = DataTree::from_bytes(&bytes).unwrap();
-        assert_eq!(t2.documents(), t.documents());
+        assert_eq!(
+            DataTree::from_bytes(&bytes).unwrap_err(),
+            TreeDecodeError::BadVersion(1)
+        );
     }
 
     #[test]

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! A small, dependency-free XML parser and writer.
 //!
 //! The approXQL data model (Section 4 of the paper) needs exactly three

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # approxql — approximate tree-pattern queries over XML
 //!
 //! A complete reproduction of Torsten Schlieder, *"Schema-Driven Evaluation
