@@ -11,72 +11,6 @@ use std::fmt;
 use std::io::Write;
 use std::path::PathBuf;
 
-/// Top-level usage text.
-pub const USAGE: &str = "\
-usage:
-  approxql build   <out.axql> <doc.xml>... [--costs FILE]
-      parse XML documents into a persistent approXQL database
-
-  approxql query   <db.axql> <QUERY> [-n N] [--direct|--schema]
-                   [--costs FILE] [--threads N] [--xml] [--stats] [--stats-json]
-                   [--explain] [--format text|json] [--repeat N] [--surface S]
-      run an approximate query; results are ranked by transformation cost
-      (QUERY may be written in any surface — classic approXQL, the
-       versioned JSON query-IR `{\"v\":1,…}`, or XPath-lite `/a//b[c]`;
-       auto-detected, or pinned with --surface classic|json|xpath;
-       --stats prints per-layer operation counters to stderr,
-       --stats-json the same as one JSON object; --threads defaults to the
-       available parallelism and 1 reproduces the sequential path exactly;
-       --explain prints the compiled physical plan with per-operator entry
-       counts instead of results, and --format json renders it as a JSON
-       plan DAG with the plan's shape fingerprint; --repeat re-runs the
-       query N times in one process to exercise the compiled-plan cache)
-
-  approxql translate <QUERY> [--surface S] [--to classic|json|xpath]
-                   [--out FILE]
-      parse QUERY (any surface, auto-detected or pinned with --surface)
-      and print its canonical form in the --to surface (default: json,
-      the versioned query-IR). Equivalent queries translate to identical
-      canonical forms regardless of the input surface; malformed queries
-      exit 2 with a caret-annotated syntax error
-
-  approxql insert  <db.axql> <doc.xml>...
-      append documents to an existing database, incrementally updating
-      the label indexes, secondary index, and schema; each document is
-      sealed with its own atomic commit, so a crash never loses more
-      than the in-flight document
-
-  approxql delete  <db.axql> <root-pre>
-      tombstone the document whose root is node ROOT-PRE (document roots
-      are listed by `stats`; result nodes by `query`); one atomic commit
-
-  approxql stats   <db.axql>
-      print collection, index, and schema statistics
-
-  approxql explain <db.axql> <QUERY> [--costs FILE] [-k K] [--surface S]
-      show the expanded representation and the best K second-level queries
-
-  approxql gen     <out-dir> [--elements N] [--names N] [--terms N]
-                   [--words N] [--seed S] [--docs N]
-      write a synthetic XML collection (Section 8.1 workload)
-
-  approxql check   <db.axql>
-      verify on-disk integrity: header slots, page checksums, B+-tree
-      invariants, and out-of-line value runs (exit 3 on corruption)
-
-  approxql eval    <db.axql> <dataset.json> [--json] [--gen-truth]
-                   [-k K] [--threads N] [--out FILE] [--no-timing]
-                   [--stats] [--stats-json]
-      score retrieval quality against a dataset's ground truth:
-      recall@k, precision@k, MRR, nDCG, latency p50/p95 per evaluator
-      (-k overrides every query's truncation depth, a number or
-       `unlimited`; --gen-truth instead fills the dataset's expected
-       results from the reference evaluator — direct, untruncated — and
-       prints the updated dataset; --out writes the report or dataset to
-       a file; --no-timing omits latency output, making reports
-       byte-identical across machines and thread counts; malformed
-       datasets exit 2, evaluation failures exit 1)";
-
 /// Errors surfaced to `main`.
 #[derive(Debug)]
 pub enum CliError {
@@ -167,15 +101,33 @@ struct Accepts {
     switches: &'static [&'static str],
     /// `--key value` options.
     options: &'static [&'static str],
+    /// The verb's stanza of the usage text: synopsis, then description.
+    usage: &'static str,
+}
+
+/// Every verb, in the order `approxql help` lists them.
+const VERBS: [&Accepts; 10] = [
+    &BUILD, &QUERY, &TRANSLATE, &INSERT, &DELETE, &STATS, &EXPLAIN, &GEN, &CHECK, &EVAL,
+];
+
+/// The usage text: the stanza of `verb` alone, or of every verb when
+/// `verb` is none of them.
+pub fn usage_text(verb: Option<&str>) -> String {
+    let stanzas: Vec<&str> = match VERBS.iter().find(|a| Some(a.verb) == verb) {
+        Some(a) => vec![a.usage],
+        None => VERBS.iter().map(|a| a.usage).collect(),
+    };
+    format!("usage:\n{}", stanzas.join("\n\n"))
 }
 
 impl Accepts {
     /// A verb that takes no flags at all.
-    const fn positionals_only(verb: &'static str) -> Accepts {
+    const fn positionals_only(verb: &'static str, usage: &'static str) -> Accepts {
         Accepts {
             verb,
             switches: &[],
             options: &[],
+            usage,
         }
     }
 
@@ -304,7 +256,7 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         "gen" => cmd_gen(&GEN.parse(rest)?, out),
         "check" => cmd_check(&CHECK.parse(rest)?, out),
         "eval" => cmd_eval(&EVAL.parse(rest)?, out),
-        "help" | "--help" | "-h" => Ok(writeln!(out, "{USAGE}")?),
+        "help" | "--help" | "-h" => Ok(writeln!(out, "{}", usage_text(None))?),
         other => Err(usage(format!("unknown subcommand `{other}`"))),
     }
 }
@@ -313,6 +265,8 @@ const BUILD: Accepts = Accepts {
     verb: "build",
     switches: &[],
     options: &["--costs"],
+    usage: "  approxql build   <out.axql> <doc.xml>... [--costs FILE]
+      parse XML documents into a persistent approXQL database",
 };
 
 fn cmd_build(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
@@ -341,7 +295,14 @@ fn cmd_build(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     Ok(())
 }
 
-const INSERT: Accepts = Accepts::positionals_only("insert");
+const INSERT: Accepts = Accepts::positionals_only(
+    "insert",
+    "  approxql insert  <db.axql> <doc.xml>...
+      append documents to an existing database, incrementally updating
+      the label indexes, secondary index, and schema; each document is
+      sealed with its own atomic commit, so a crash never loses more
+      than the in-flight document",
+);
 
 fn cmd_insert(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path, docs @ ..] = flags.positional.as_slice() else {
@@ -373,7 +334,12 @@ fn cmd_insert(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     Ok(())
 }
 
-const DELETE: Accepts = Accepts::positionals_only("delete");
+const DELETE: Accepts = Accepts::positionals_only(
+    "delete",
+    "  approxql delete  <db.axql> <root-pre>
+      tombstone the document whose root is node ROOT-PRE (document roots
+      are listed by `stats`; result nodes by `query`); one atomic commit",
+);
 
 fn cmd_delete(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path, root] = flags.positional.as_slice() else {
@@ -440,6 +406,20 @@ const QUERY: Accepts = Accepts {
         "--repeat",
         "--surface",
     ],
+    usage: "  approxql query   <db.axql> <QUERY> [-n N] [--direct|--schema]
+                   [--costs FILE] [--threads N] [--xml] [--stats] [--stats-json]
+                   [--explain] [--format text|json] [--repeat N] [--surface S]
+      run an approximate query; results are ranked by transformation cost
+      (QUERY may be written in any surface — classic approXQL, the
+       versioned JSON query-IR `{\"v\":1,…}`, or XPath-lite `/a//b[c]`;
+       auto-detected, or pinned with --surface classic|json|xpath;
+       --stats prints per-layer operation counters to stderr,
+       --stats-json the same as one JSON object; --threads defaults to the
+       available parallelism and 1 reproduces the sequential path exactly;
+       --explain prints the compiled physical plan with per-operator entry
+       counts instead of results, and --format json renders it as a JSON
+       plan DAG with the plan's shape fingerprint; --repeat re-runs the
+       query N times in one process to exercise the compiled-plan cache)",
 };
 
 fn cmd_query(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
@@ -552,7 +532,11 @@ fn cmd_query(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     Ok(())
 }
 
-const STATS: Accepts = Accepts::positionals_only("stats");
+const STATS: Accepts = Accepts::positionals_only(
+    "stats",
+    "  approxql stats   <db.axql>
+      print collection, index, and schema statistics",
+);
 
 fn cmd_stats(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path] = flags.positional.as_slice() else {
@@ -600,6 +584,8 @@ const EXPLAIN: Accepts = Accepts {
     verb: "explain",
     switches: &[],
     options: &["--costs", "-k", "--surface"],
+    usage: "  approxql explain <db.axql> <QUERY> [--costs FILE] [-k K] [--surface S]
+      show the expanded representation and the best K second-level queries",
 };
 
 fn cmd_explain(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
@@ -668,6 +654,13 @@ const TRANSLATE: Accepts = Accepts {
     verb: "translate",
     switches: &[],
     options: &["--surface", "--to", "--out"],
+    usage: "  approxql translate <QUERY> [--surface S] [--to classic|json|xpath]
+                   [--out FILE]
+      parse QUERY (any surface, auto-detected or pinned with --surface)
+      and print its canonical form in the --to surface (default: json,
+      the versioned query-IR). Equivalent queries translate to identical
+      canonical forms regardless of the input surface; malformed queries
+      exit 2 with a caret-annotated syntax error",
 };
 
 fn cmd_translate(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
@@ -715,7 +708,12 @@ fn render_skeleton(db: &Database, skel: &approxql_core::topk::Skeleton) -> Strin
     }
 }
 
-const CHECK: Accepts = Accepts::positionals_only("check");
+const CHECK: Accepts = Accepts::positionals_only(
+    "check",
+    "  approxql check   <db.axql>
+      verify on-disk integrity: header slots, page checksums, B+-tree
+      invariants, and out-of-line value runs (exit 3 on corruption)",
+);
 
 fn cmd_check(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path] = flags.positional.as_slice() else {
@@ -736,6 +734,18 @@ const EVAL: Accepts = Accepts {
         "--no-timing",
     ],
     options: &["-k", "--threads", "--out"],
+    usage: "  approxql eval    <db.axql> <dataset.json> [--json] [--gen-truth]
+                   [-k K] [--threads N] [--out FILE] [--no-timing]
+                   [--stats] [--stats-json]
+      score retrieval quality against a dataset's ground truth:
+      recall@k, precision@k, MRR, nDCG, latency p50/p95 per evaluator
+      (-k overrides every query's truncation depth, a number or
+       `unlimited`; --gen-truth instead fills the dataset's expected
+       results from the reference evaluator — direct, untruncated — and
+       prints the updated dataset; --out writes the report or dataset to
+       a file; --no-timing omits latency output, making reports
+       byte-identical across machines and thread counts; malformed
+       datasets exit 2, evaluation failures exit 1)",
 };
 
 fn cmd_eval(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
@@ -812,6 +822,9 @@ const GEN: Accepts = Accepts {
         "--seed",
         "--docs",
     ],
+    usage: "  approxql gen     <out-dir> [--elements N] [--names N] [--terms N]
+                   [--words N] [--seed S] [--docs N]
+      write a synthetic XML collection (Section 8.1 workload)",
 };
 
 fn cmd_gen(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
@@ -1256,6 +1269,44 @@ mod tests {
     }
 
     #[test]
+    fn usage_stanzas_and_accepted_flags_agree() {
+        for accepts in VERBS {
+            let verb = accepts.verb;
+            assert!(
+                accepts.usage.starts_with(&format!("  approxql {verb} ")),
+                "{verb}: the stanza starts with the synopsis"
+            );
+            // Flag-shaped words of the stanza: a dash and a letter at the
+            // start of a word (`B+-tree` and `auto-detected` are not).
+            let mentioned: Vec<&str> = accepts
+                .usage
+                .split(|c: char| c.is_whitespace() || "[]()|,;`".contains(c))
+                .filter(|w| w.starts_with('-') && !w.trim_start_matches('-').is_empty())
+                .collect();
+            for flag in accepts.switches.iter().chain(accepts.options) {
+                assert!(mentioned.contains(flag), "{verb}: usage omits {flag}");
+            }
+            for word in mentioned {
+                assert!(
+                    accepts.switches.contains(&word) || accepts.options.contains(&word),
+                    "{verb}: usage mentions {word}, which the verb does not accept"
+                );
+            }
+        }
+        // A usage error shows the stanza of its verb alone; `help` and an
+        // unknown verb show every stanza.
+        assert_eq!(
+            usage_text(Some("check")),
+            format!("usage:\n{}", CHECK.usage)
+        );
+        assert_eq!(usage_text(Some("bogus")), usage_text(None));
+        assert_eq!(
+            usage_text(None).matches("\n  approxql ").count(),
+            VERBS.len()
+        );
+    }
+
+    #[test]
     fn check_passes_on_a_built_database_and_fails_on_a_bit_flip() {
         let dir = tmpdir("check");
         let doc = dir.join("catalog.xml");
@@ -1370,6 +1421,16 @@ mod tests {
         assert!(
             rendered.ends_with("\n  cd[a and ]\n           ^"),
             "missing caret snippet:\n{rendered}"
+        );
+        // The caret sits under the token the message names, also when
+        // that token is the first one.
+        let err = run_words(&["translate", "\"piano\" and cd"]).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        assert!(
+            err.to_string().ends_with(
+                "line 1, column 1: expected a name selector, found \"piano\"\n  \"piano\" and cd\n  ^"
+            ),
+            "{err}"
         );
         // An unsupported JSON-IR version is also exit 2, with the
         // distinct version message.

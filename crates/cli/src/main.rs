@@ -1,18 +1,8 @@
 //! `approxql` — the approXQL command line.
 //!
-//! ```text
-//! approxql build  <out.axql> <doc.xml>... [--costs FILE]
-//! approxql insert <db.axql> <doc.xml>...
-//! approxql delete <db.axql> <root-pre>
-//! approxql query  <db.axql> <QUERY> [-n N] [--direct|--schema] [--costs FILE] [--xml] [--stats]
-//!                 [--surface classic|json|xpath] [--explain [--format json]]
-//! approxql stats  <db.axql>
-//! approxql explain <db.axql> <QUERY> [--costs FILE] [-k K] [--surface S]
-//! approxql translate <QUERY> [--surface S] [--to classic|json|xpath] [--out FILE]
-//! approxql gen    <out-dir> [--elements N] [--names N] [--terms N] [--words N] [--seed S] [--docs N]
-//! approxql check  <db.axql>
-//! approxql eval   <db.axql> <dataset.json> [--json] [--gen-truth] [-k K] [--threads N]
-//! ```
+//! `approxql help` prints the synopsis of every verb; the text lives next
+//! to each verb's flag declaration in `commands` (`commands::usage_text`),
+//! and a usage error prints only the stanza of the verb it concerns.
 //!
 //! Queries are accepted in three surfaces — classic approXQL
 //! (`cd[title["piano"]]`), the versioned JSON query-IR
@@ -53,7 +43,8 @@ fn main() -> ExitCode {
         Err(commands::CliError::Io(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(commands::CliError::Usage(msg)) => {
             eprintln!("error: {msg}\n");
-            eprintln!("{}", commands::USAGE);
+            let verb = args.first().map(String::as_str);
+            eprintln!("{}", commands::usage_text(verb));
             ExitCode::from(2)
         }
         Err(e) => {

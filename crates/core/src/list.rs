@@ -8,10 +8,10 @@
 //! is a [`CostDomain`]: [`TwoChannel`] keeps the minimum cost per
 //! leaf-rule channel (data lists, Section 6), [`crate::topk::KBest`] the
 //! best `k` embeddings (schema lists, Section 7.2). The three walks over
-//! sorted lists are written once, here: [`either`] (`merge`, `union`),
-//! [`both`] (`intersect`) and [`interval`] (`join`, `outerjoin`).
+//! sorted lists are written once, here: `either` (`merge`, `union`),
+//! `both` (`intersect`) and `interval` (`join`, `outerjoin`).
 //!
-//! [`interval`] is a *structural merge*: both operands are
+//! `interval` is a *structural merge*: both operands are
 //! preorder-sorted, so the descendants of each ancestor form a contiguous
 //! interval. A stack of currently open ancestors is maintained; each
 //! descendant updates only the innermost open ancestor, and what an

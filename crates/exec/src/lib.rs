@@ -24,16 +24,10 @@
 //! * **Sequential degenerate case**: a 1-thread executor spawns nothing
 //!   and runs every map inline, in item order, on the caller — bit-for-bit
 //!   the sequential code path.
-//!
-//! [`OnceMap`] complements the pool for evaluators whose work-avoidance
-//! (memoization) must not depend on the thread count: each key is computed
-//! exactly once, concurrent requesters block until the value is ready, and
-//! the hit/miss accounting matches a sequential memo table.
 
 use approxql_metrics::MetricsSnapshot;
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
@@ -395,91 +389,10 @@ impl Executor {
     }
 }
 
-enum OnceSlot<V> {
-    InFlight,
-    Ready(V),
-}
-
-/// A compute-once concurrent memo table.
-///
-/// [`OnceMap::get_or_compute`] runs the closure exactly once per key,
-/// process-wide per map; concurrent requesters of an in-flight key block
-/// until the value is ready and then share it. The boolean in the return
-/// value distinguishes the one computing call (`false`) from every hit
-/// (`true`) — under any thread count the hit total equals a sequential
-/// memo table's, which keeps memoization counters thread-count-invariant.
-pub struct OnceMap<K, V> {
-    state: Mutex<HashMap<K, OnceSlot<V>>>,
-    cv: Condvar,
-}
-
-impl<K, V> Default for OnceMap<K, V> {
-    fn default() -> Self {
-        OnceMap {
-            state: Mutex::new(HashMap::new()),
-            cv: Condvar::new(),
-        }
-    }
-}
-
-/// Removes an in-flight marker if the computing closure unwinds, so
-/// waiters retry instead of blocking forever.
-struct InFlightGuard<'a, K: Eq + Hash + Clone, V> {
-    map: &'a OnceMap<K, V>,
-    key: Option<K>,
-}
-
-impl<K: Eq + Hash + Clone, V> Drop for InFlightGuard<'_, K, V> {
-    fn drop(&mut self) {
-        if let Some(key) = self.key.take() {
-            self.map.state.lock().unwrap().remove(&key);
-            self.map.cv.notify_all();
-        }
-    }
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> OnceMap<K, V> {
-    /// An empty map.
-    pub fn new() -> OnceMap<K, V> {
-        OnceMap::default()
-    }
-
-    /// Returns the value for `key`, computing it (outside the lock) if
-    /// this is the first request. The boolean is `true` for a hit (the
-    /// value already existed or was computed by a concurrent caller this
-    /// call waited for) and `false` for the one call that computed it.
-    pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> (V, bool) {
-        {
-            let mut state = self.state.lock().unwrap();
-            loop {
-                match state.get(&key) {
-                    Some(OnceSlot::Ready(v)) => return (v.clone(), true),
-                    Some(OnceSlot::InFlight) => state = self.cv.wait(state).unwrap(),
-                    None => {
-                        state.insert(key.clone(), OnceSlot::InFlight);
-                        break;
-                    }
-                }
-            }
-        }
-        let mut guard = InFlightGuard {
-            map: self,
-            key: Some(key.clone()),
-        };
-        let value = compute();
-        guard.key = None;
-        let mut state = self.state.lock().unwrap();
-        state.insert(key, OnceSlot::Ready(value.clone()));
-        self.cv.notify_all();
-        (value, false)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use approxql_metrics::Metric;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn map_preserves_item_order() {
@@ -591,41 +504,6 @@ mod tests {
                 .get(Metric::TopkOps),
             30
         );
-    }
-
-    #[test]
-    fn once_map_computes_each_key_once() {
-        let map: OnceMap<u64, u64> = OnceMap::new();
-        let computes = AtomicU64::new(0);
-        let hits = AtomicU64::new(0);
-        Executor::new(4).scope(|s| {
-            s.map((0..64u64).collect(), |i| {
-                let key = i % 8;
-                let (v, hit) = map.get_or_compute(key, || {
-                    computes.fetch_add(1, Ordering::Relaxed);
-                    key * 2
-                });
-                assert_eq!(v, key * 2);
-                if hit {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }
-            })
-        });
-        assert_eq!(computes.load(Ordering::Relaxed), 8);
-        // Every non-computing lookup is a hit, as in a sequential memo.
-        assert_eq!(hits.load(Ordering::Relaxed), 64 - 8);
-    }
-
-    #[test]
-    fn once_map_recovers_from_a_panicking_compute() {
-        let map: OnceMap<u32, u32> = OnceMap::new();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            map.get_or_compute(1, || panic!("boom"));
-        }));
-        assert!(result.is_err());
-        // The in-flight marker was cleared: the next caller computes.
-        let (v, hit) = map.get_or_compute(1, || 7);
-        assert_eq!((v, hit), (7, false));
     }
 
     #[test]

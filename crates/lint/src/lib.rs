@@ -7,7 +7,7 @@
 //! flush → header → sync order of a commit. This crate encodes those four
 //! as a dependency-free static-analysis pass — a small Rust token lexer
 //! ([`lexer`]), an item/statement parser ([`ast`]), per-function CFGs
-//! ([`cfg`]) with a may-dataflow solver ([`flow`]), and a rule engine
+//! ([`mod@cfg`]) with a may-dataflow solver ([`flow`]), and a rule engine
 //! ([`rules`]) with inline `lint:allow(rule-id)` suppressions.
 //!
 //! Surfaces: `cargo run -p approxql-lint -- --workspace`, and a CI `lint`

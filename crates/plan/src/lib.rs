@@ -433,7 +433,7 @@ pub fn compile(expanded: &ExpandedQuery) -> Result<Plan, PlanError> {
 }
 
 /// The list algebra a plan executes against — implemented over the data
-/// indexes ([`crate`-external] Section 6.4 lists) and over the schema
+/// indexes (Section 6.4 lists, outside this crate) and over the schema
 /// (Section 7.2 k-lists). Edge costs of `Intersect`/`Union` are always
 /// zero and therefore not passed.
 pub trait PlanAlgebra: Sync {

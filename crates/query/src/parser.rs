@@ -1,10 +1,17 @@
-//! Recursive-descent parser for approXQL.
+//! Recursive-descent parser for approXQL — the only one. Path notation
+//! (the XPath-lite surface, [`crate::xpath`]) and bracket notation (the
+//! classic surface) are two spellings of one tree pattern, so they differ
+//! in one production, `step`, and share every other one.
 //!
 //! Grammar (with `and` binding tighter than `or`):
 //!
 //! ```text
-//! query   := step
-//! step    := NAME [ '[' expr ']' ]
+//! query   := step                          classic
+//!          | sep step                      XPath-lite (absolute paths only)
+//! step    := NAME [ '[' expr ']' ]         classic
+//!          | NAME pred* ( sep step )?      XPath-lite
+//! pred    := '[' expr ']'
+//! sep     := '/' | '//'
 //! expr    := andexpr ( 'or' andexpr )*
 //! andexpr := primary ( 'and' primary )*
 //! primary := '(' expr ')' | step | STRING
@@ -98,81 +105,108 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-struct Parser<'a> {
+/// `a and b and …`, left-associated; `None` without an operand.
+fn conjoin(parts: impl IntoIterator<Item = QueryNode>) -> Option<QueryNode> {
+    parts
+        .into_iter()
+        .reduce(|acc, next| QueryNode::And(Box::new(acc), Box::new(next)))
+}
+
+/// The one recursive-descent parser. `paths` selects the XPath-lite `step`
+/// production ([`crate::xpath`]); every other production is shared.
+pub(crate) struct Parser<'a> {
     input: &'a str,
     tokens: Vec<Spanned>,
     pos: usize,
+    paths: bool,
 }
 
 impl Parser<'_> {
+    /// The whole of `input` as one `step` — behind the leading separator
+    /// of an absolute path when `paths`.
+    pub(crate) fn parse(input: &str, paths: bool) -> Result<Query, ParseError> {
+        let tokens =
+            tokenize(input).map_err(|e| ParseError::at_offset(input, e.offset, e.message))?;
+        let mut p = Parser {
+            input,
+            tokens,
+            pos: 0,
+            paths,
+        };
+        if paths {
+            if !p.at_separator() {
+                return Err(p.err("an XPath-lite query is an absolute path: expected `/` or `//`"));
+            }
+            p.pos += 1;
+        }
+        let root = p.step()?;
+        if p.peek().is_some() {
+            let what = if paths { "path" } else { "query" };
+            return Err(p.err(format!("unexpected trailing input after the {what}")));
+        }
+        Ok(Query { root })
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos).map(|s| &s.token)
     }
 
-    fn offset(&self) -> usize {
-        self.tokens
-            .get(self.pos)
-            .map(|s| s.offset)
-            .unwrap_or(self.input.len())
+    fn at_separator(&self) -> bool {
+        matches!(self.peek(), Some(Token::Slash | Token::DSlash))
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|s| s.token.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
+    /// An error at the current token (or at the end of the input).
     fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError::at_offset(self.input, self.offset(), message)
+        let offset = self.tokens.get(self.pos).map(|s| s.offset);
+        ParseError::at_offset(self.input, offset.unwrap_or(self.input.len()), message)
+    }
+
+    fn expected(&self, what: impl fmt::Display) -> ParseError {
+        match self.peek() {
+            Some(t) => self.err(format!("expected {what}, found {t}")),
+            None => self.err(format!("expected {what}, found end of query")),
+        }
     }
 
     fn expect(&mut self, want: &Token) -> Result<(), ParseError> {
-        match self.peek() {
-            Some(t) if t == want => {
-                self.pos += 1;
-                Ok(())
-            }
-            Some(t) => Err(self.err(format!("expected {want}, found {t}"))),
-            None => Err(self.err(format!("expected {want}, found end of query"))),
+        if self.peek() != Some(want) {
+            return Err(self.expected(want));
         }
+        self.pos += 1;
+        Ok(())
     }
 
-    /// `step := NAME [ '[' expr ']' ]`
+    /// Classic: `step := NAME [ '[' expr ']' ]`. With `paths`:
+    /// `step := NAME pred* ( sep step )?`, `pred := '[' expr ']'` — the
+    /// predicates and the path tail conjoin in source order.
     fn step(&mut self) -> Result<QueryNode, ParseError> {
-        let label = match self.bump() {
-            Some(Token::Name(n)) => n,
-            Some(t) => return Err(self.err(format!("expected a name selector, found {t}"))),
-            None => return Err(self.err("expected a name selector, found end of query")),
+        let Some(Token::Name(label)) = self.peek().cloned() else {
+            let what = if self.paths {
+                "step name"
+            } else {
+                "name selector"
+            };
+            return Err(self.expected(format_args!("a {what}")));
         };
-        let child = if self.peek() == Some(&Token::LBracket) {
+        self.pos += 1;
+        let mut parts = Vec::new();
+        while self.peek() == Some(&Token::LBracket) && (self.paths || parts.is_empty()) {
             self.pos += 1;
-            let e = self.expr()?;
+            parts.push(self.expr()?);
             self.expect(&Token::RBracket)?;
-            Some(Box::new(e))
-        } else {
-            None
-        };
-        Ok(QueryNode::Name { label, child })
-    }
-
-    /// Converts a string literal into one or more `and`-connected text
-    /// selectors.
-    fn text_selector(&self, raw: &str) -> Result<QueryNode, ParseError> {
-        let words = split_words(raw);
-        let mut iter = words.into_iter();
-        let first = iter
-            .next()
-            .ok_or_else(|| self.err(format!("text selector \"{raw}\" contains no word")))?;
-        let mut node = QueryNode::Text { word: first };
-        for w in iter {
-            node = QueryNode::And(Box::new(node), Box::new(QueryNode::Text { word: w }));
         }
-        Ok(node)
+        if self.paths && self.at_separator() {
+            self.pos += 1;
+            parts.push(self.step()?);
+        }
+        Ok(QueryNode::Name {
+            label,
+            child: conjoin(parts).map(Box::new),
+        })
     }
 
-    /// `primary := '(' expr ')' | step | STRING`
+    /// `primary := '(' expr ')' | step | STRING` — a string literal becomes
+    /// one or more `and`-connected text selectors.
     fn primary(&mut self) -> Result<QueryNode, ParseError> {
         match self.peek() {
             Some(Token::LParen) => {
@@ -181,23 +215,15 @@ impl Parser<'_> {
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
-            Some(Token::Str(_)) => {
-                let raw = match self.bump() {
-                    Some(Token::Str(s)) => s,
-                    _ => unreachable!(),
-                };
-                // Report errors at the literal's own position.
-                self.pos -= 1;
-                let node = self.text_selector(&raw);
+            Some(Token::Str(raw)) => {
+                let words = split_words(raw).into_iter();
+                let node = conjoin(words.map(|word| QueryNode::Text { word }))
+                    .ok_or_else(|| self.err(format!("text selector \"{raw}\" contains no word")))?;
                 self.pos += 1;
-                node
+                Ok(node)
             }
             Some(Token::Name(_)) => self.step(),
-            Some(t) => {
-                let t = t.clone();
-                Err(self.err(format!("expected a selector, found {t}")))
-            }
-            None => Err(self.err("expected a selector, found end of query")),
+            _ => Err(self.expected("a selector")),
         }
     }
 
@@ -233,17 +259,7 @@ impl Parser<'_> {
 /// assert_eq!(q.selector_count(), 4);
 /// ```
 pub fn parse_query(input: &str) -> Result<Query, ParseError> {
-    let tokens = tokenize(input).map_err(|e| ParseError::at_offset(input, e.offset, e.message))?;
-    let mut p = Parser {
-        input,
-        tokens,
-        pos: 0,
-    };
-    let root = p.step()?;
-    if p.peek().is_some() {
-        return Err(p.err("unexpected trailing input after the query"));
-    }
-    Ok(Query { root })
+    Parser::parse(input, false)
 }
 
 #[cfg(test)]
@@ -372,6 +388,12 @@ mod tests {
         let err = parse_query("cd[a and ]").unwrap_err();
         assert_eq!(err.offset, 9);
         assert_eq!((err.line, err.col), (1, 10));
+        // A query that does not start with a name: the caret is at the
+        // token the message names, not one token later.
+        let err = parse_query("\"piano\" and cd").unwrap_err();
+        assert_eq!(err.message, "expected a name selector, found \"piano\"");
+        assert_eq!(err.offset, 0);
+        assert_eq!(parse_query("[x]").unwrap_err().offset, 0);
     }
 
     #[test]

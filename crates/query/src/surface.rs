@@ -205,6 +205,35 @@ mod tests {
         }
     }
 
+    /// Path notation is a dialect of the one parser, not a superset of
+    /// the classic surface: every XPath-only construct is still a classic
+    /// syntax error, at the token where the classic grammar ends.
+    #[test]
+    fn classic_rejects_every_path_only_construct() {
+        for (text, offset, needle) in [
+            ("cd/x", 2, "unexpected trailing input after the query"),
+            ("cd//x", 2, "unexpected trailing input after the query"),
+            ("cd[a][b]", 5, "unexpected trailing input after the query"),
+            ("cd[a/b]", 4, "expected `]`, found `/`"),
+            ("cd[a[b][c]]", 7, "expected `]`, found `[`"),
+            ("/cd", 0, "expected a name selector, found `/`"),
+        ] {
+            let err = Surface::Classic.parse(text).unwrap_err();
+            assert_eq!(
+                (err.offset, err.message.as_str()),
+                (offset, needle),
+                "{text}"
+            );
+        }
+        assert_eq!(
+            Surface::Xpath.parse("/cd[a][b]/x").unwrap().normalize(),
+            Surface::Classic
+                .parse("cd[a and b and x]")
+                .unwrap()
+                .normalize()
+        );
+    }
+
     #[test]
     fn renderings_reparse_to_the_same_query() {
         let q = QueryInput::new(r#"cd[title["piano" or "forte"] and x]"#)

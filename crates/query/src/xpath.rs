@@ -1,23 +1,24 @@
 //! The XPath-lite navigational surface.
 //!
 //! A navigational spelling of approXQL tree patterns, for users coming
-//! from XPath:
+//! from XPath. It is parsed by the one parser (`crate::parser`) with its
+//! path `step` production switched on; the expression grammar inside a
+//! predicate is the classic one:
 //!
 //! ```text
-//! query   := sep step ( sep step )*          (absolute paths only)
+//! query   := sep step                        (absolute paths only)
 //! sep     := '/' | '//'
-//! step    := NAME pred*
+//! step    := NAME pred* ( sep step )?
 //! pred    := '[' expr ']'
 //! expr    := andexpr ( 'or' andexpr )*
 //! andexpr := primary ( 'and' primary )*
-//! primary := '(' expr ')' | relpath | STRING
-//! relpath := step ( sep step )*
+//! primary := '(' expr ')' | step | STRING
 //! ```
 //!
-//! Desugaring targets the classic AST directly: each step becomes a name
-//! selector whose containment expression conjoins the step's predicates
-//! (in source order) with the rest of the path. `/a//b[c]` is
-//! `a[b[c]]`, and `/a[x]["y"]` is `a[x and "y"]`.
+//! A step is a name selector whose containment expression conjoins the
+//! step's predicates (in source order) with the rest of the path — for
+//! one predicate and no path tail exactly the classic `NAME '[' expr ']'`.
+//! `/a//b[c]` is `a[b[c]]`, and `/a[x]["y"]` is `a[x and "y"]`.
 //!
 //! **`/` and `//` are synonyms here.** approXQL containment is
 //! ancestor–descendant embedding (Section 3 of the paper) — the query
@@ -29,10 +30,8 @@
 //! images of the *root* step, ranked by embedding cost (not the last
 //! step, as in XPath).
 
-use crate::ast::{Query, QueryNode};
-use crate::lexer::{tokenize, Spanned, Token};
-use crate::parser::ParseError;
-use approxql_tree::text::split_words;
+use crate::ast::Query;
+use crate::parser::{ParseError, Parser};
 use std::fmt::Write as _;
 
 /// Parses an XPath-lite query.
@@ -43,191 +42,7 @@ use std::fmt::Write as _;
 /// assert_eq!(x, parse_query(r#"cd[title["piano"]]"#).unwrap());
 /// ```
 pub fn parse_xpath_query(input: &str) -> Result<Query, ParseError> {
-    let tokens = tokenize(input).map_err(|e| ParseError::at_offset(input, e.offset, e.message))?;
-    let mut p = XParser {
-        input,
-        tokens,
-        pos: 0,
-    };
-    if !matches!(p.peek(), Some(Token::Slash | Token::DSlash)) {
-        return Err(p.err("an XPath-lite query is an absolute path: expected `/` or `//`"));
-    }
-    let root = p.path()?;
-    if p.peek().is_some() {
-        return Err(p.err("unexpected trailing input after the path"));
-    }
-    Ok(Query { root })
-}
-
-/// One parsed step: a name plus its predicate expressions in source order.
-struct Step {
-    label: String,
-    preds: Vec<QueryNode>,
-}
-
-struct XParser<'a> {
-    input: &'a str,
-    tokens: Vec<Spanned>,
-    pos: usize,
-}
-
-impl XParser<'_> {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|s| &s.token)
-    }
-
-    fn offset(&self) -> usize {
-        self.tokens
-            .get(self.pos)
-            .map(|s| s.offset)
-            .unwrap_or(self.input.len())
-    }
-
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError::at_offset(self.input, self.offset(), message)
-    }
-
-    fn expect(&mut self, want: &Token) -> Result<(), ParseError> {
-        match self.peek() {
-            Some(t) if t == want => {
-                self.pos += 1;
-                Ok(())
-            }
-            Some(t) => Err(self.err(format!("expected {want}, found {t}"))),
-            None => Err(self.err(format!("expected {want}, found end of query"))),
-        }
-    }
-
-    /// `sep step (sep step)*` — the leading separator has already been
-    /// seen by the caller (absolute at the root, or a relpath continuing).
-    /// Consumes separators itself and desugars the step list into one
-    /// nested name selector.
-    fn path(&mut self) -> Result<QueryNode, ParseError> {
-        let mut steps = Vec::new();
-        loop {
-            if matches!(self.peek(), Some(Token::Slash | Token::DSlash)) {
-                self.pos += 1;
-                steps.push(self.step()?);
-            } else {
-                break;
-            }
-        }
-        debug_assert!(!steps.is_empty(), "caller saw a leading separator");
-        Ok(fold_steps(steps))
-    }
-
-    /// `step := NAME pred*`
-    fn step(&mut self) -> Result<Step, ParseError> {
-        let label = match self.peek() {
-            Some(Token::Name(n)) => {
-                let n = n.clone();
-                self.pos += 1;
-                n
-            }
-            Some(t) => return Err(self.err(format!("expected a step name, found {t}"))),
-            None => return Err(self.err("expected a step name, found end of query")),
-        };
-        let mut preds = Vec::new();
-        while self.peek() == Some(&Token::LBracket) {
-            self.pos += 1;
-            preds.push(self.expr()?);
-            self.expect(&Token::RBracket)?;
-        }
-        Ok(Step { label, preds })
-    }
-
-    /// `expr := andexpr ('or' andexpr)*`
-    fn expr(&mut self) -> Result<QueryNode, ParseError> {
-        let mut node = self.andexpr()?;
-        while self.peek() == Some(&Token::Or) {
-            self.pos += 1;
-            let rhs = self.andexpr()?;
-            node = QueryNode::Or(Box::new(node), Box::new(rhs));
-        }
-        Ok(node)
-    }
-
-    /// `andexpr := primary ('and' primary)*`
-    fn andexpr(&mut self) -> Result<QueryNode, ParseError> {
-        let mut node = self.primary()?;
-        while self.peek() == Some(&Token::And) {
-            self.pos += 1;
-            let rhs = self.primary()?;
-            node = QueryNode::And(Box::new(node), Box::new(rhs));
-        }
-        Ok(node)
-    }
-
-    /// `primary := '(' expr ')' | relpath | STRING`
-    fn primary(&mut self) -> Result<QueryNode, ParseError> {
-        match self.peek() {
-            Some(Token::LParen) => {
-                self.pos += 1;
-                let e = self.expr()?;
-                self.expect(&Token::RParen)?;
-                Ok(e)
-            }
-            Some(Token::Str(_)) => {
-                let raw = match self.peek() {
-                    Some(Token::Str(s)) => s.clone(),
-                    _ => unreachable!(),
-                };
-                let node = self.text_selector(&raw)?;
-                self.pos += 1;
-                Ok(node)
-            }
-            Some(Token::Name(_)) => {
-                // `relpath := step (sep step)*` — a nested path inside a
-                // predicate, e.g. `/cd[tracks/track["vivace"]]`.
-                let first = self.step()?;
-                let mut steps = vec![first];
-                while matches!(self.peek(), Some(Token::Slash | Token::DSlash)) {
-                    self.pos += 1;
-                    steps.push(self.step()?);
-                }
-                Ok(fold_steps(steps))
-            }
-            Some(t) => {
-                let t = t.clone();
-                Err(self.err(format!("expected a selector, found {t}")))
-            }
-            None => Err(self.err("expected a selector, found end of query")),
-        }
-    }
-
-    /// Same multi-word splitting as the classic surface.
-    fn text_selector(&self, raw: &str) -> Result<QueryNode, ParseError> {
-        let mut words = split_words(raw).into_iter();
-        let first = words
-            .next()
-            .ok_or_else(|| self.err(format!("text selector \"{raw}\" contains no word")))?;
-        let mut node = QueryNode::Text { word: first };
-        for w in words {
-            node = QueryNode::And(Box::new(node), Box::new(QueryNode::Text { word: w }));
-        }
-        Ok(node)
-    }
-}
-
-/// Desugars a non-empty step list into a nested name selector: working
-/// from the innermost step outward, each step's child conjoins its
-/// predicates (source order) with the already-folded tail.
-fn fold_steps(steps: Vec<Step>) -> QueryNode {
-    let mut tail: Option<QueryNode> = None;
-    for step in steps.into_iter().rev() {
-        let mut parts = step.preds;
-        if let Some(t) = tail.take() {
-            parts.push(t);
-        }
-        let child = parts
-            .into_iter()
-            .reduce(|acc, next| QueryNode::And(Box::new(acc), Box::new(next)));
-        tail = Some(QueryNode::Name {
-            label: step.label,
-            child: child.map(Box::new),
-        });
-    }
-    tail.expect("steps is non-empty")
+    Parser::parse(input, true)
 }
 
 impl Query {

@@ -1,8 +1,8 @@
 //! Offline drop-in subset of the `proptest` API.
 //!
 //! The build environment has no registry access, so the workspace vendors
-//! the slice of proptest its tests actually use: the [`Strategy`] trait
-//! with `prop_map` / `prop_filter` / `prop_recursive`, boxed strategies,
+//! the slice of proptest its tests actually use: the
+//! [`strategy::Strategy`] trait with `prop_map` / `prop_filter` / `prop_recursive`, boxed strategies,
 //! tuple and integer-range strategies, a regex-subset string strategy,
 //! `collection::vec`, `option::of`, `sample::select`, `any`, and the
 //! `proptest!` / `prop_oneof!` / `prop_assert!` / `prop_assert_eq!`

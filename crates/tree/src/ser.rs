@@ -1,15 +1,21 @@
 //! Binary (de)serialization of [`DataTree`], used by the storage layer to
 //! persist a database image.
 //!
-//! Two families of formats live here:
+//! Three body codecs are written once: the per-node **columns** of a
+//! preorder range (`put_columns` / `take_columns`), the interner
+//! **strings** (`put_strings` / `take_strings`) and the document **spans**
+//! (`put_spans` / `take_spans`). Every structural rule a hostile blob can
+//! break is checked in exactly one of the three `take_*` functions. Two
+//! families of formats frame those bodies with a magic and their counts:
 //!
 //! * the whole-tree dump ([`DataTree::to_bytes`] / [`DataTree::from_bytes`]):
-//!   magic, version, interner strings, per-node column arrays, and the
-//!   document registry. Any other version (including the pre-registry
-//!   version 1, which nothing writes any more) is a typed `BadVersion`.
+//!   magic, version, strings, node count, columns, spans. Any other
+//!   version (including the pre-registry version 1, which nothing writes
+//!   any more) is a typed `BadVersion`.
 //! * the segmented layout used by mutable stores: a standalone interner
-//!   blob, a document map, and one self-contained segment per live
-//!   document ([`DataTree::doc_segment_bytes`] /
+//!   blob (magic, strings), a document map (magic, total length, spans),
+//!   and one self-contained segment per live document (magic, node count,
+//!   columns; [`DataTree::doc_segment_bytes`] /
 //!   [`DataTree::from_doc_segments`]), so an insert or delete rewrites
 //!   O(document) bytes instead of the whole collection.
 
@@ -18,6 +24,7 @@ use crate::interner::{Interner, LabelId};
 use crate::tree::{DataTree, DocSpan};
 use approxql_cost::{Cost, CostModel, NodeType};
 use std::fmt;
+use std::ops::Range;
 
 const MAGIC: &[u8; 8] = b"AXQLTREE";
 const SEGMENT_MAGIC: &[u8; 8] = b"AXQLDSEG";
@@ -60,13 +67,26 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    /// Starts reading `data` behind its 8-byte `magic`.
+    fn open(data: &'a [u8], magic: &[u8; 8]) -> Result<Cursor<'a>, TreeDecodeError> {
+        let mut cur = Cursor { data, pos: 0 };
+        if cur.take(8)? != magic {
+            return Err(TreeDecodeError::BadMagic);
+        }
+        Ok(cur)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], TreeDecodeError> {
-        if self.pos + n > self.data.len() {
+        if n > self.data.len() - self.pos {
             return Err(TreeDecodeError::Truncated);
         }
         let s = &self.data[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    fn u8(&mut self) -> Result<u8, TreeDecodeError> {
+        Ok(self.take(1)?[0])
     }
 
     fn u32(&mut self) -> Result<u32, TreeDecodeError> {
@@ -88,165 +108,17 @@ impl<'a> Cursor<'a> {
             _ => Err(TreeDecodeError::Truncated),
         }
     }
-}
 
-impl DataTree {
-    /// Serializes the tree to a byte vector.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.labels.len();
-        let mut out = Vec::with_capacity(32 + n * 25);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.interner.len() as u32).to_le_bytes());
-        for (_, s) in self.interner.iter() {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        out.extend_from_slice(&(n as u64).to_le_bytes());
-        for &l in &self.labels {
-            out.extend_from_slice(&l.0.to_le_bytes());
-        }
-        for &t in &self.types {
-            out.push(match t {
-                NodeType::Struct => 0,
-                NodeType::Text => 1,
-            });
-        }
-        for &p in &self.parents {
-            out.extend_from_slice(&p.to_le_bytes());
-        }
-        for &b in &self.bounds {
-            out.extend_from_slice(&b.to_le_bytes());
-        }
-        for &c in &self.inscosts {
-            out.extend_from_slice(&c.raw().to_le_bytes());
-        }
-        for &c in &self.pathcosts {
-            out.extend_from_slice(&c.raw().to_le_bytes());
-        }
-        out.extend_from_slice(&(self.docs.len() as u32).to_le_bytes());
-        for d in &self.docs {
-            out.extend_from_slice(&d.start.to_le_bytes());
-            out.extend_from_slice(&d.bound.to_le_bytes());
-            out.push(u8::from(d.alive));
-        }
-        out
-    }
-
-    /// Decodes a tree serialized by [`DataTree::to_bytes`].
-    pub fn from_bytes(data: &[u8]) -> Result<DataTree, TreeDecodeError> {
-        let mut cur = Cursor { data, pos: 0 };
-        if cur.take(8)? != MAGIC {
-            return Err(TreeDecodeError::BadMagic);
-        }
-        let version = cur.u32()?;
-        if version != VERSION {
-            return Err(TreeDecodeError::BadVersion(version));
-        }
-        let nstrings = cur.u32()? as usize;
-        let mut interner = Interner::new();
-        for i in 0..nstrings {
-            let len = cur.u32()? as usize;
-            let s = std::str::from_utf8(cur.take(len)?).map_err(|_| TreeDecodeError::BadString)?;
-            let id = interner.intern(s);
-            if id != LabelId(i as u32) {
-                return Err(TreeDecodeError::Corrupt("duplicate interned string"));
-            }
-        }
-        let n = cur.u64()? as usize;
-        // 29 B/node floor: label 4 + type 1 + parent 4 + bound 4 + two costs 16.
-        cur.claim(n, 29)?;
-        let mut labels = Vec::with_capacity(n);
-        for _ in 0..n {
-            let l = cur.u32()?;
-            if l as usize >= nstrings {
-                return Err(TreeDecodeError::Corrupt("label id out of range"));
-            }
-            labels.push(LabelId(l));
-        }
-        let mut types = Vec::with_capacity(n);
-        for _ in 0..n {
-            types.push(match cur.take(1)?[0] {
-                0 => NodeType::Struct,
-                1 => NodeType::Text,
-                _ => return Err(TreeDecodeError::Corrupt("invalid node type")),
-            });
-        }
-        let mut parents = Vec::with_capacity(n);
-        for i in 0..n {
-            let p = cur.u32()?;
-            if i == 0 {
-                if p != u32::MAX {
-                    return Err(TreeDecodeError::Corrupt("root must have no parent"));
-                }
-            } else if p as usize >= i {
-                return Err(TreeDecodeError::Corrupt("parent must precede child"));
-            }
-            parents.push(p);
-        }
-        let mut bounds = Vec::with_capacity(n);
-        for i in 0..n {
-            let b = cur.u32()?;
-            if (b as usize) < i || b as usize >= n {
-                return Err(TreeDecodeError::Corrupt("bound out of range"));
-            }
-            bounds.push(b);
-        }
-        let mut inscosts = Vec::with_capacity(n);
-        for _ in 0..n {
-            inscosts.push(Cost::from_raw(cur.u64()?));
-        }
-        let mut pathcosts = Vec::with_capacity(n);
-        for _ in 0..n {
-            pathcosts.push(Cost::from_raw(cur.u64()?));
-        }
-        let ndocs = cur.u32()? as usize;
-        // 9 B/span floor: start 4 + bound 4 + liveness 1.
-        cur.claim(ndocs, 9)?;
-        let mut docs = Vec::with_capacity(ndocs);
-        let mut expect = 1u32;
-        for _ in 0..ndocs {
-            let start = cur.u32()?;
-            let bound = cur.u32()?;
-            let alive = match cur.take(1)?[0] {
-                0 => false,
-                1 => true,
-                _ => return Err(TreeDecodeError::Corrupt("invalid doc liveness flag")),
-            };
-            if start != expect || bound < start || bound as usize >= n {
-                return Err(TreeDecodeError::Corrupt(
-                    "doc spans must partition the tree",
-                ));
-            }
-            expect = bound + 1;
-            docs.push(DocSpan {
-                start,
-                bound,
-                alive,
-            });
-        }
-        if expect as usize != n.max(1) {
-            return Err(TreeDecodeError::Corrupt(
-                "doc spans must partition the tree",
-            ));
-        }
-        if cur.pos != data.len() {
+    /// Every blob ends where its body ends.
+    fn end(self) -> Result<(), TreeDecodeError> {
+        if self.pos != self.data.len() {
             return Err(TreeDecodeError::Corrupt("trailing bytes"));
         }
-        Ok(DataTree {
-            labels,
-            types,
-            parents,
-            bounds,
-            inscosts,
-            pathcosts,
-            interner,
-            docs,
-        })
+        Ok(())
     }
 }
 
-/// The decoded node columns of one document segment (absolute preorder
+/// The decoded node columns of one preorder range (absolute preorder
 /// addressing, ready to splice into a [`DataTree`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DocSegment {
@@ -264,37 +136,228 @@ pub struct DocSegment {
     pub pathcosts: Vec<Cost>,
 }
 
+/// Writes the six node columns of the preorder range `r`, one column after
+/// the other.
+fn put_columns(out: &mut Vec<u8>, t: &DataTree, r: Range<usize>) {
+    for &l in &t.labels[r.clone()] {
+        out.extend_from_slice(&l.0.to_le_bytes());
+    }
+    for &ty in &t.types[r.clone()] {
+        out.push(match ty {
+            NodeType::Struct => 0,
+            NodeType::Text => 1,
+        });
+    }
+    for &p in &t.parents[r.clone()] {
+        out.extend_from_slice(&p.to_le_bytes());
+    }
+    for &b in &t.bounds[r.clone()] {
+        out.extend_from_slice(&b.to_le_bytes());
+    }
+    for &c in t.inscosts[r.clone()].iter().chain(&t.pathcosts[r]) {
+        out.extend_from_slice(&c.raw().to_le_bytes());
+    }
+}
+
+/// Reads the columns of the `n` nodes with preorder numbers `base..base + n`
+/// and checks that they form one subtree: the first node hangs off
+/// `root_parent` and spans the whole range, every other node's parent is an
+/// earlier structural node of the range, and its interval nests in its
+/// parent's. Label ids must be below `nlabels`.
+fn take_columns(
+    cur: &mut Cursor<'_>,
+    n: usize,
+    base: usize,
+    root_parent: u32,
+    nlabels: usize,
+) -> Result<DocSegment, TreeDecodeError> {
+    use TreeDecodeError::Corrupt;
+    if n == 0 {
+        return Err(Corrupt("empty node range"));
+    }
+    // 29 B/node floor: label 4 + type 1 + parent 4 + bound 4 + two costs 16.
+    cur.claim(n, 29)?;
+    let last = base + n - 1;
+    let mut labels = Vec::with_capacity(n);
+    for _ in 0..n {
+        let l = cur.u32()?;
+        if l as usize >= nlabels {
+            return Err(Corrupt("label id out of range"));
+        }
+        labels.push(LabelId(l));
+    }
+    let mut types = Vec::with_capacity(n);
+    for _ in 0..n {
+        types.push(match cur.u8()? {
+            0 => NodeType::Struct,
+            1 => NodeType::Text,
+            _ => return Err(Corrupt("invalid node type")),
+        });
+    }
+    let mut parents = Vec::with_capacity(n);
+    for pre in base..=last {
+        let p = cur.u32()?;
+        if pre == base {
+            if p != root_parent {
+                return Err(Corrupt("root of the range has the wrong parent"));
+            }
+        } else if (p as usize) < base || p as usize >= pre {
+            return Err(Corrupt("parent must precede child"));
+        } else if types[p as usize - base] == NodeType::Text {
+            return Err(Corrupt("text node used as a parent"));
+        }
+        parents.push(p);
+    }
+    let mut bounds: Vec<u32> = Vec::with_capacity(n);
+    for pre in base..=last {
+        let b = cur.u32()?;
+        if (b as usize) < pre || b as usize > last {
+            return Err(Corrupt("bound out of range"));
+        }
+        if pre == base {
+            if b as usize != last {
+                return Err(Corrupt("root bound must equal the range bound"));
+            }
+        } else if b > bounds[parents[pre - base] as usize - base] {
+            return Err(Corrupt("child bound exceeds its parent's"));
+        }
+        bounds.push(b);
+    }
+    let mut costs = || -> Result<Vec<Cost>, TreeDecodeError> {
+        let mut column = Vec::with_capacity(n);
+        for _ in 0..n {
+            column.push(Cost::from_raw(cur.u64()?));
+        }
+        Ok(column)
+    };
+    Ok(DocSegment {
+        labels,
+        types,
+        parents,
+        bounds,
+        inscosts: costs()?,
+        pathcosts: costs()?,
+    })
+}
+
+/// Writes the interner's strings in id order.
+fn put_strings(out: &mut Vec<u8>, interner: &Interner) {
+    out.extend_from_slice(&(interner.len() as u32).to_le_bytes());
+    for (_, s) in interner.iter() {
+        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        out.extend_from_slice(s.as_bytes());
+    }
+}
+
+fn take_strings(cur: &mut Cursor<'_>) -> Result<Interner, TreeDecodeError> {
+    let nstrings = cur.u32()?;
+    let mut interner = Interner::new();
+    for i in 0..nstrings {
+        let len = cur.u32()? as usize;
+        let s = std::str::from_utf8(cur.take(len)?).map_err(|_| TreeDecodeError::BadString)?;
+        if interner.intern(s) != LabelId(i) {
+            return Err(TreeDecodeError::Corrupt("duplicate interned string"));
+        }
+    }
+    Ok(interner)
+}
+
+/// Writes every document span, tombstones included.
+fn put_spans(out: &mut Vec<u8>, docs: &[DocSpan]) {
+    out.extend_from_slice(&(docs.len() as u32).to_le_bytes());
+    for d in docs {
+        out.extend_from_slice(&d.start.to_le_bytes());
+        out.extend_from_slice(&d.bound.to_le_bytes());
+        out.push(u8::from(d.alive));
+    }
+}
+
+/// Reads the spans and checks that they contiguously partition
+/// `1..total_len`.
+fn take_spans(cur: &mut Cursor<'_>, total_len: usize) -> Result<Vec<DocSpan>, TreeDecodeError> {
+    use TreeDecodeError::Corrupt;
+    const NO_PARTITION: TreeDecodeError = Corrupt("doc spans must partition the tree");
+    let ndocs = cur.u32()? as usize;
+    // 9 B/span floor: start 4 + bound 4 + liveness 1.
+    cur.claim(ndocs, 9)?;
+    let mut docs = Vec::with_capacity(ndocs);
+    let mut expect = 1;
+    for _ in 0..ndocs {
+        let start = cur.u32()?;
+        let bound = cur.u32()?;
+        let alive = match cur.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(Corrupt("invalid doc liveness flag")),
+        };
+        if start as usize != expect || bound < start || bound as usize >= total_len {
+            return Err(NO_PARTITION);
+        }
+        expect = bound as usize + 1;
+        docs.push(DocSpan {
+            start,
+            bound,
+            alive,
+        });
+    }
+    if expect != total_len {
+        return Err(NO_PARTITION);
+    }
+    Ok(docs)
+}
+
 impl DataTree {
+    /// Serializes the tree to a byte vector.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let n = self.labels.len();
+        let mut out = Vec::with_capacity(32 + n * 29);
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        put_strings(&mut out, &self.interner);
+        out.extend_from_slice(&(n as u64).to_le_bytes());
+        put_columns(&mut out, self, 0..n);
+        put_spans(&mut out, &self.docs);
+        out
+    }
+
+    /// Decodes a tree serialized by [`DataTree::to_bytes`].
+    pub fn from_bytes(data: &[u8]) -> Result<DataTree, TreeDecodeError> {
+        let mut cur = Cursor::open(data, MAGIC)?;
+        let version = cur.u32()?;
+        if version != VERSION {
+            return Err(TreeDecodeError::BadVersion(version));
+        }
+        let interner = take_strings(&mut cur)?;
+        let n = cur.u64()? as usize;
+        let columns = take_columns(&mut cur, n, 0, u32::MAX, interner.len())?;
+        let docs = take_spans(&mut cur, n)?;
+        cur.end()?;
+        Ok(DataTree::from_columns(columns, interner, docs))
+    }
+
+    /// A tree is the columns of its whole preorder range plus the interner
+    /// and the document registry.
+    fn from_columns(columns: DocSegment, interner: Interner, docs: Vec<DocSpan>) -> DataTree {
+        DataTree {
+            labels: columns.labels,
+            types: columns.types,
+            parents: columns.parents,
+            bounds: columns.bounds,
+            inscosts: columns.inscosts,
+            pathcosts: columns.pathcosts,
+            interner,
+            docs,
+        }
+    }
+
     /// Serializes the document `span` as a self-contained segment
     /// (absolute preorder addressing; decoded by [`decode_doc_segment`]).
     pub fn doc_segment_bytes(&self, span: DocSpan) -> Vec<u8> {
-        let lo = span.start as usize;
-        let hi = span.bound as usize + 1;
-        let n = hi - lo;
-        let mut out = Vec::with_capacity(24 + n * 29);
+        let r = span.start as usize..span.bound as usize + 1;
+        let mut out = Vec::with_capacity(12 + r.len() * 29);
         out.extend_from_slice(SEGMENT_MAGIC);
-        out.extend_from_slice(&(n as u32).to_le_bytes());
-        for &l in &self.labels[lo..hi] {
-            out.extend_from_slice(&l.0.to_le_bytes());
-        }
-        for &t in &self.types[lo..hi] {
-            out.push(match t {
-                NodeType::Struct => 0,
-                NodeType::Text => 1,
-            });
-        }
-        for &p in &self.parents[lo..hi] {
-            out.extend_from_slice(&p.to_le_bytes());
-        }
-        for &b in &self.bounds[lo..hi] {
-            out.extend_from_slice(&b.to_le_bytes());
-        }
-        for &c in &self.inscosts[lo..hi] {
-            out.extend_from_slice(&c.raw().to_le_bytes());
-        }
-        for &c in &self.pathcosts[lo..hi] {
-            out.extend_from_slice(&c.raw().to_le_bytes());
-        }
+        out.extend_from_slice(&(r.len() as u32).to_le_bytes());
+        put_columns(&mut out, self, r);
         out
     }
 
@@ -319,20 +382,22 @@ impl DataTree {
                 "interner lacks the virtual root label",
             ));
         };
-        let mut labels = vec![root_label; n];
-        let mut types = vec![NodeType::Struct; n];
-        let mut parents = vec![0u32; n];
-        let mut bounds = vec![0u32; n];
-        let mut inscosts = vec![Cost::ZERO; n];
-        let mut pathcosts = vec![Cost::ZERO; n];
-        parents[0] = u32::MAX;
-        bounds[0] = total_len - 1;
-        inscosts[0] = costs.insert_cost(NodeType::Struct, VIRTUAL_ROOT_LABEL);
+        let mut all = DocSegment {
+            labels: vec![root_label; n],
+            types: vec![NodeType::Struct; n],
+            parents: vec![0; n],
+            bounds: vec![0; n],
+            inscosts: vec![Cost::ZERO; n],
+            pathcosts: vec![Cost::ZERO; n],
+        };
+        all.parents[0] = u32::MAX;
+        all.bounds[0] = total_len - 1;
+        all.inscosts[0] = costs.insert_cost(NodeType::Struct, VIRTUAL_ROOT_LABEL);
         // Filler for tombstoned ranges: point every bound at the doc bound
         // so the child iterator's jump clears the gap in one step.
         for d in &docs {
             if !d.alive {
-                for b in &mut bounds[d.start as usize..=d.bound as usize] {
+                for b in &mut all.bounds[d.start as usize..=d.bound as usize] {
                     *b = d.bound;
                 }
             }
@@ -352,31 +417,22 @@ impl DataTree {
             if seg.labels.len() != hi - lo {
                 return Err(TreeDecodeError::Corrupt("segment length mismatch"));
             }
-            labels[lo..hi].copy_from_slice(&seg.labels);
-            types[lo..hi].copy_from_slice(&seg.types);
-            parents[lo..hi].copy_from_slice(&seg.parents);
-            bounds[lo..hi].copy_from_slice(&seg.bounds);
-            inscosts[lo..hi].copy_from_slice(&seg.inscosts);
-            pathcosts[lo..hi].copy_from_slice(&seg.pathcosts);
+            all.labels[lo..hi].copy_from_slice(&seg.labels);
+            all.types[lo..hi].copy_from_slice(&seg.types);
+            all.parents[lo..hi].copy_from_slice(&seg.parents);
+            all.bounds[lo..hi].copy_from_slice(&seg.bounds);
+            all.inscosts[lo..hi].copy_from_slice(&seg.inscosts);
+            all.pathcosts[lo..hi].copy_from_slice(&seg.pathcosts);
         }
         if seg_iter.next().is_some() {
             return Err(TreeDecodeError::Corrupt("extra segment without a live doc"));
         }
-        for label in labels.iter().take(n).skip(1) {
+        for label in all.labels.iter().skip(1) {
             if label.index() >= interner.len() {
                 return Err(TreeDecodeError::Corrupt("label id out of range"));
             }
         }
-        Ok(DataTree {
-            labels,
-            types,
-            parents,
-            bounds,
-            inscosts,
-            pathcosts,
-            interner,
-            docs,
-        })
+        Ok(DataTree::from_columns(all, interner, docs))
     }
 }
 
@@ -388,113 +444,28 @@ pub fn decode_doc_segment(
     span: DocSpan,
     nlabels: usize,
 ) -> Result<DocSegment, TreeDecodeError> {
-    let mut cur = Cursor { data, pos: 0 };
-    if cur.take(8)? != SEGMENT_MAGIC {
-        return Err(TreeDecodeError::BadMagic);
-    }
+    let mut cur = Cursor::open(data, SEGMENT_MAGIC)?;
     let n = cur.u32()? as usize;
-    if n != (span.bound - span.start) as usize + 1 {
+    if span.start as usize + n != span.bound as usize + 1 {
         return Err(TreeDecodeError::Corrupt("segment length mismatch"));
     }
-    let mut labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        let l = cur.u32()?;
-        if l as usize >= nlabels {
-            return Err(TreeDecodeError::Corrupt("label id out of range"));
-        }
-        labels.push(LabelId(l));
-    }
-    let mut types = Vec::with_capacity(n);
-    for _ in 0..n {
-        types.push(match cur.take(1)?[0] {
-            0 => NodeType::Struct,
-            1 => NodeType::Text,
-            _ => return Err(TreeDecodeError::Corrupt("invalid node type")),
-        });
-    }
-    let mut parents = Vec::with_capacity(n);
-    for i in 0..n {
-        let p = cur.u32()?;
-        let pre = span.start + i as u32;
-        if i == 0 {
-            if p != 0 {
-                return Err(TreeDecodeError::Corrupt(
-                    "doc root must hang off the virtual root",
-                ));
-            }
-        } else if p < span.start || p >= pre {
-            return Err(TreeDecodeError::Corrupt(
-                "parent must precede child within the doc",
-            ));
-        }
-        parents.push(p);
-    }
-    let mut bounds = Vec::with_capacity(n);
-    for i in 0..n {
-        let b = cur.u32()?;
-        let pre = span.start + i as u32;
-        if b < pre || b > span.bound {
-            return Err(TreeDecodeError::Corrupt("bound out of range"));
-        }
-        bounds.push(b);
-    }
-    if bounds[0] != span.bound {
-        return Err(TreeDecodeError::Corrupt(
-            "doc root bound must equal the span bound",
-        ));
-    }
-    let mut inscosts = Vec::with_capacity(n);
-    for _ in 0..n {
-        inscosts.push(Cost::from_raw(cur.u64()?));
-    }
-    let mut pathcosts = Vec::with_capacity(n);
-    for _ in 0..n {
-        pathcosts.push(Cost::from_raw(cur.u64()?));
-    }
-    if cur.pos != data.len() {
-        return Err(TreeDecodeError::Corrupt("trailing bytes"));
-    }
-    Ok(DocSegment {
-        labels,
-        types,
-        parents,
-        bounds,
-        inscosts,
-        pathcosts,
-    })
+    let segment = take_columns(&mut cur, n, span.start as usize, 0, nlabels)?;
+    cur.end()?;
+    Ok(segment)
 }
 
 /// Serializes an interner as a standalone blob (strings in id order).
 pub fn encode_interner(interner: &Interner) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(INTERNER_MAGIC);
-    out.extend_from_slice(&(interner.len() as u32).to_le_bytes());
-    for (_, s) in interner.iter() {
-        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
-    }
+    let mut out = INTERNER_MAGIC.to_vec();
+    put_strings(&mut out, interner);
     out
 }
 
 /// Decodes a blob written by [`encode_interner`].
 pub fn decode_interner(data: &[u8]) -> Result<Interner, TreeDecodeError> {
-    let mut cur = Cursor { data, pos: 0 };
-    if cur.take(8)? != INTERNER_MAGIC {
-        return Err(TreeDecodeError::BadMagic);
-    }
-    let nstrings = cur.u32()? as usize;
-    let mut interner = Interner::new();
-    for i in 0..nstrings {
-        let len = cur.u32()? as usize;
-        let s = std::str::from_utf8(cur.take(len)?).map_err(|_| TreeDecodeError::BadString)?;
-        let id = interner.intern(s);
-        if id != LabelId(i as u32) {
-            return Err(TreeDecodeError::Corrupt("duplicate interned string"));
-        }
-    }
-    if cur.pos != data.len() {
-        return Err(TreeDecodeError::Corrupt("trailing bytes"));
-    }
+    let mut cur = Cursor::open(data, INTERNER_MAGIC)?;
+    let interner = take_strings(&mut cur)?;
+    cur.end()?;
     Ok(interner)
 }
 
@@ -504,59 +475,20 @@ pub fn encode_docmap(total_len: u32, docs: &[DocSpan]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + docs.len() * 9);
     out.extend_from_slice(DOCMAP_MAGIC);
     out.extend_from_slice(&total_len.to_le_bytes());
-    out.extend_from_slice(&(docs.len() as u32).to_le_bytes());
-    for d in docs {
-        out.extend_from_slice(&d.start.to_le_bytes());
-        out.extend_from_slice(&d.bound.to_le_bytes());
-        out.push(u8::from(d.alive));
-    }
+    put_spans(&mut out, docs);
     out
 }
 
 /// Decodes a blob written by [`encode_docmap`], checking that the spans
 /// contiguously partition `1..total_len`.
 pub fn decode_docmap(data: &[u8]) -> Result<(u32, Vec<DocSpan>), TreeDecodeError> {
-    let mut cur = Cursor { data, pos: 0 };
-    if cur.take(8)? != DOCMAP_MAGIC {
-        return Err(TreeDecodeError::BadMagic);
-    }
+    let mut cur = Cursor::open(data, DOCMAP_MAGIC)?;
     let total_len = cur.u32()?;
     if total_len == 0 {
         return Err(TreeDecodeError::Corrupt("empty docmap"));
     }
-    let ndocs = cur.u32()? as usize;
-    // 9 B/span floor: start 4 + bound 4 + liveness 1.
-    cur.claim(ndocs, 9)?;
-    let mut docs = Vec::with_capacity(ndocs);
-    let mut expect = 1u32;
-    for _ in 0..ndocs {
-        let start = cur.u32()?;
-        let bound = cur.u32()?;
-        let alive = match cur.take(1)?[0] {
-            0 => false,
-            1 => true,
-            _ => return Err(TreeDecodeError::Corrupt("invalid doc liveness flag")),
-        };
-        if start != expect || bound < start || bound >= total_len {
-            return Err(TreeDecodeError::Corrupt(
-                "doc spans must partition the tree",
-            ));
-        }
-        expect = bound + 1;
-        docs.push(DocSpan {
-            start,
-            bound,
-            alive,
-        });
-    }
-    if expect != total_len.max(1) {
-        return Err(TreeDecodeError::Corrupt(
-            "doc spans must partition the tree",
-        ));
-    }
-    if cur.pos != data.len() {
-        return Err(TreeDecodeError::Corrupt("trailing bytes"));
-    }
+    let docs = take_spans(&mut cur, total_len as usize)?;
+    cur.end()?;
     Ok((total_len, docs))
 }
 
@@ -601,15 +533,36 @@ mod tests {
         );
     }
 
-    #[test]
-    fn rejects_truncation_anywhere() {
-        let bytes = sample().to_bytes();
-        for cut in 0..bytes.len() {
+    /// Every proper prefix of a blob must fail to decode.
+    fn every_prefix_fails<T>(
+        kind: &str,
+        blob: &[u8],
+        decode: impl Fn(&[u8]) -> Result<T, TreeDecodeError>,
+    ) {
+        assert!(decode(blob).is_ok(), "{kind}: the whole blob must decode");
+        for cut in 0..blob.len() {
             assert!(
-                DataTree::from_bytes(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes decoded successfully"
+                decode(&blob[..cut]).is_err(),
+                "{kind}: prefix of {cut} bytes decoded successfully"
             );
         }
+    }
+
+    #[test]
+    fn every_blob_kind_rejects_truncation_anywhere() {
+        let t = sample();
+        let d = t.documents()[0];
+        let nlabels = t.interner().len();
+        every_prefix_fails("dump", &t.to_bytes(), DataTree::from_bytes);
+        every_prefix_fails("segment", &t.doc_segment_bytes(d), |b| {
+            decode_doc_segment(b, d, nlabels)
+        });
+        every_prefix_fails("interner", &encode_interner(t.interner()), decode_interner);
+        every_prefix_fails(
+            "docmap",
+            &encode_docmap(t.len() as u32, t.documents()),
+            decode_docmap,
+        );
     }
 
     #[test]
@@ -730,12 +683,6 @@ mod tests {
             decode_doc_segment(b"NOTASEG?", d, t.interner().len()).unwrap_err(),
             TreeDecodeError::BadMagic
         );
-        for cut in 0..blob.len() {
-            assert!(
-                decode_doc_segment(&blob[..cut], d, t.interner().len()).is_err(),
-                "prefix of {cut} bytes decoded successfully"
-            );
-        }
         // A wrong span is rejected up front.
         let wrong = DocSpan {
             start: d.start,
@@ -745,6 +692,69 @@ mod tests {
         assert!(decode_doc_segment(&blob, wrong, t.interner().len()).is_err());
     }
 
+    /// A checksum-valid blob whose columns do not describe one subtree must
+    /// not decode into a tree: each violation is planted in the dump and in
+    /// the segment of the same document and hits the same check.
+    #[test]
+    fn both_framings_reject_columns_that_are_not_a_subtree() {
+        // 0 root, 1 cd, 2 title, 3 "piano", 4 "concerto", 5 composer, 6 "rachmaninov"
+        let t = {
+            let mut b = DataTreeBuilder::new();
+            b.begin_struct("cd");
+            b.begin_struct("title");
+            b.add_text("piano concerto");
+            b.end();
+            b.begin_struct("composer");
+            b.add_text("rachmaninov");
+            b.end();
+            b.end();
+            b.build(&CostModel::new())
+        };
+        let d = t.documents()[0];
+        let (dump, segment) = (t.to_bytes(), t.doc_segment_bytes(d));
+        // Columns: labels 4 B, types 1 B, parents 4 B, bounds 4 B per node.
+        // The dump's columns end 13 B (one span) before its end, 29 B per node.
+        let dump_columns = dump.len() - 13 - 29 * t.len();
+        let plant = |blob: &[u8], columns: usize, n: usize, column: usize, at: usize, v: u32| {
+            let mut bad = blob.to_vec();
+            let pos = columns + (5 + 4 * column) * n + 4 * at;
+            bad[pos..pos + 4].copy_from_slice(&v.to_le_bytes());
+            bad
+        };
+        const PARENTS: usize = 0;
+        const BOUNDS: usize = 1;
+        let nlabels = t.interner().len();
+        for (what, column, node, value) in [
+            ("parent must precede child", PARENTS, 2, 2),
+            ("text node used as a parent", PARENTS, 4, 3),
+            ("bound out of range", BOUNDS, 6, 7),
+            ("bound out of range", BOUNDS, 4, 3),
+            ("child bound exceeds its parent's", BOUNDS, 4, 6),
+        ] {
+            let bad = plant(&dump, dump_columns, t.len(), column, node, value);
+            assert_eq!(
+                DataTree::from_bytes(&bad).unwrap_err(),
+                TreeDecodeError::Corrupt(what),
+                "dump: node {node}"
+            );
+            let bad = plant(&segment, 12, t.len() - 1, column, node - 1, value);
+            assert_eq!(
+                decode_doc_segment(&bad, d, nlabels).unwrap_err(),
+                TreeDecodeError::Corrupt(what),
+                "segment: node {node}"
+            );
+        }
+        // The first node of either range must span all of it.
+        let short_root = TreeDecodeError::Corrupt("root bound must equal the range bound");
+        let bad = plant(&dump, dump_columns, t.len(), BOUNDS, 0, 5);
+        assert_eq!(DataTree::from_bytes(&bad).unwrap_err(), short_root);
+        let bad = plant(&segment, 12, t.len() - 1, BOUNDS, 0, 5);
+        assert_eq!(
+            decode_doc_segment(&bad, d, nlabels).unwrap_err(),
+            short_root
+        );
+    }
+
     #[test]
     fn docmap_decode_rejects_non_partitions() {
         let t = sample();
@@ -752,5 +762,92 @@ mod tests {
         docs[0].start = 2;
         let blob = encode_docmap(t.len() as u32, &docs);
         assert!(decode_docmap(&blob).is_err());
+    }
+    /// The stored bytes of all four blob kinds (tree dump version 2, store
+    /// format v3) for a three-document tree with one tombstone. The dump and
+    /// the segmented blobs share their bodies: strings, columns, spans.
+    #[test]
+    fn blob_bytes_are_the_v2_v3_layout() {
+        let mut t = {
+            let mut b = DataTreeBuilder::new();
+            b.begin_struct("a");
+            b.add_text("x");
+            b.end();
+            b.begin_struct("b");
+            b.end();
+            b.begin_struct("c");
+            b.add_text("y");
+            b.end();
+            b.build(&CostModel::new())
+        };
+        t.delete_document(NodeId(3)).unwrap();
+
+        #[rustfmt::skip]
+        let strings: &[u8] = &[
+            6, 0, 0, 0, // count, then (len, bytes) in id order
+            5, 0, 0, 0, 0, b'r', b'o', b'o', b't',
+            1, 0, 0, 0, b'a',
+            1, 0, 0, 0, b'x',
+            1, 0, 0, 0, b'b',
+            1, 0, 0, 0, b'c',
+            1, 0, 0, 0, b'y',
+        ];
+        #[rustfmt::skip]
+        let spans: &[u8] = &[
+            3, 0, 0, 0, // count, then (start, bound, alive)
+            1, 0, 0, 0, 2, 0, 0, 0, 1,
+            3, 0, 0, 0, 3, 0, 0, 0, 0,
+            4, 0, 0, 0, 5, 0, 0, 0, 1,
+        ];
+        #[rustfmt::skip]
+        let all_columns: &[u8] = &[
+            0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0, // labels
+            0, 0, 1, 0, 0, 1, // types: struct 0, text 1
+            255, 255, 255, 255, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, // parents
+            5, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 5, 0, 0, 0, 5, 0, 0, 0, // bounds
+            1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, // inscosts
+            1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, // pathcosts
+            1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        #[rustfmt::skip]
+        let doc_columns: &[u8] = &[
+            4, 0, 0, 0, 5, 0, 0, 0, // labels
+            0, 1, // types
+            0, 0, 0, 0, 4, 0, 0, 0, // parents, absolute
+            5, 0, 0, 0, 5, 0, 0, 0, // bounds, absolute
+            1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, // inscosts
+            1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, // pathcosts
+        ];
+
+        // dump: magic, version u32, strings, node count u64, columns, spans
+        let node_count: &[u8] = &[6, 0, 0, 0, 0, 0, 0, 0];
+        assert_eq!(
+            t.to_bytes(),
+            [
+                b"AXQLTREE",
+                &[2, 0, 0, 0][..],
+                strings,
+                node_count,
+                all_columns,
+                spans
+            ]
+            .concat()
+        );
+        // segment: magic, node count u32, columns of the range
+        assert_eq!(
+            t.doc_segment_bytes(t.documents()[2]),
+            [b"AXQLDSEG", &[2, 0, 0, 0][..], doc_columns].concat()
+        );
+        // interner: magic, strings
+        assert_eq!(
+            encode_interner(t.interner()),
+            [b"AXQLINTR", strings].concat()
+        );
+        // docmap: magic, total length u32, spans
+        assert_eq!(
+            encode_docmap(t.len() as u32, t.documents()),
+            [b"AXQLDMAP", &[6, 0, 0, 0][..], spans].concat()
+        );
     }
 }
