@@ -1330,6 +1330,31 @@ mod tests {
     }
 
     #[test]
+    fn a_store_of_another_format_version_asks_for_a_rebuild() {
+        let dir = tmpdir("badversion");
+        let doc = dir.join("catalog.xml");
+        std::fs::write(&doc, "<catalog><cd><title>sonata</title></cd></catalog>").unwrap();
+        let db = dir.join("db.axql");
+        run_words(&["build", db.to_str().unwrap(), doc.to_str().unwrap()]).unwrap();
+        // Both header slots as a version-2 binary wrote them (the version
+        // is bytes 8..12 of each 4 KiB slot and is read before anything
+        // else of the slot is trusted).
+        let mut bytes = std::fs::read(&db).unwrap();
+        for slot in [0, 4096] {
+            bytes[slot + 8..slot + 12].copy_from_slice(&2u32.to_le_bytes());
+        }
+        std::fs::write(&db, &bytes).unwrap();
+        for verb in ["check", "stats"] {
+            let err = run_words(&[verb, db.to_str().unwrap()]).unwrap_err();
+            assert_eq!(err.exit_code(), 3, "{verb}");
+            let msg = err.to_string();
+            assert!(msg.contains("unsupported store version 2"), "{msg}");
+            assert!(msg.contains("rebuild with `approxql build`"), "{msg}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn exit_codes_are_distinct() {
         assert_eq!(CliError::Usage("x".into()).exit_code(), 2);
         let nf = run_words(&["check", "/nonexistent/db.axql"]).unwrap_err();

@@ -41,23 +41,57 @@ const SEED_DOCS: &[&str] = &[
     "<cd><title>kinderszenen</title><tracks><track><title>vivace piano</title></track></tracks></cd>",
 ];
 
+/// The store's inline threshold (`approxql_storage`'s crate-private
+/// `INLINE_MAX`): values up to it live in their B+-tree leaf entry, longer
+/// ones in an out-of-line page run.
+const INLINE_MAX: usize = 480;
+
+/// A `cd` with `tracks` tracks, each titled with words of its own. Large
+/// enough that its `doc#` segment, the posting lists of its repeated
+/// labels and words, and the `meta#` blobs outgrow [`INLINE_MAX`], and
+/// wide enough (two fresh words per track, each an `lt#` and a `sec#`
+/// key) that the keys of a later small document scatter over many leaves.
+fn album(tag: &str, tracks: usize) -> String {
+    let mut xml = format!("<cd><title>{tag} piano album</title><tracks>");
+    for i in 0..tracks {
+        xml += &format!("<track><title>piano etude {tag}{i} opus{tag}{i}</title></track>");
+    }
+    xml + "</tracks></cd>"
+}
+
 /// The mutation workload: inserts reusing known paths, inserts forcing
-/// schema rebuilds (new labels and new label-type paths), and deletes of
+/// schema rebuilds (new labels and new label-type paths), documents whose
+/// values cross the store's inline threshold in both directions (an album
+/// pushes lists out of line, its delete brings them back), and deletes of
 /// shifting positions, interleaved.
 fn workload() -> Vec<MutOp> {
     let mut ops = vec![
         MutOp::Insert(
             "<cd><title>piano concerto</title><composer>rachmaninov</composer></cd>".into(),
         ),
+        MutOp::Insert(album("a", 150)),
         MutOp::Insert("<mc><title>piano</title><track>allegro vivace</track></mc>".into()),
         MutOp::Delete(0),
-        MutOp::Insert("<cd><title>cello suite</title></cd>".into()),
+        MutOp::Insert("<cd><title>cello suite a7 opusa90</title></cd>".into()),
         MutOp::Delete(1),
         MutOp::Insert("<opera><title>figaro</title><aria>voi che sapete</aria></opera>".into()),
+        // Album "a": its lists shrink back under the threshold …
+        MutOp::Delete(1),
+        // … and the next album pushes them out of line again.
+        MutOp::Insert(album("b", 120)),
+        MutOp::Insert(
+            "<cd><title>etude b3</title><tracks><track><title>vivace b90 opusb41</title></track></tracks></cd>"
+                .into(),
+        ),
+        MutOp::Insert("<lied><title>erlkoenig</title><poet>goethe</poet></lied>".into()),
     ];
     for i in 1..scale() {
         ops.push(MutOp::Insert(format!(
             "<cd><title>round {i} piano</title><composer>gen{i}</composer></cd>"
+        )));
+        ops.push(MutOp::Insert(album(&format!("r{i}x"), 40)));
+        ops.push(MutOp::Insert(format!(
+            "<cd><title>etude r{i}x3 opusb{i}</title><composer>gen{i}</composer></cd>"
         )));
         ops.push(MutOp::Insert(format!(
             "<extra{i}><title>novel path {i}</title></extra{i}>"
@@ -253,7 +287,22 @@ fn crash_at_every_backend_op_recovers_to_a_commit_boundary() {
         "workload mostly skipped"
     );
     drop(file);
+    // The commits must carry both representations of a value: inline leaf
+    // entries and out-of-line runs, for documents and for posting lists.
+    let mut store = Store::open(Box::new(shared.snapshot())).unwrap();
+    let stored = store.iter_all().unwrap().collect_all().unwrap();
+    for prefix in [&b"doc#"[..], b"lt#"] {
+        let of_prefix = stored.iter().filter(|(k, _)| k.starts_with(prefix));
+        let lens: Vec<usize> = of_prefix.map(|(_, v)| v.len()).collect();
+        assert!(
+            lens.iter().any(|&n| n > INLINE_MAX) && lens.iter().any(|&n| n <= INLINE_MAX),
+            "no {} value on one side of the inline threshold",
+            String::from_utf8_lossy(prefix)
+        );
+    }
+    drop(store);
     let total_ops = ops_counter.get();
+    eprintln!("sweeping {total_ops} backend ops per crash mode");
     assert!(
         total_ops > 100,
         "workload too small: {total_ops} backend ops"

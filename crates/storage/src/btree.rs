@@ -1,19 +1,39 @@
-//! The B+-tree over pages: variable-length keys, values out of line,
-//! copy-on-write node updates.
+//! The B+-tree over pages: variable-length keys, small values inside the
+//! leaf entry, large values out of line, copy-on-write node updates.
+//!
+//! ## Leaf entry layout (format version 3)
+//!
+//! ```text
+//! klen u16 | key | vlen u32 | payload
+//! ```
+//!
+//! Bit 31 of `vlen` set: the `vlen & 0x7fff_ffff` (≤ [`INLINE_MAX`]) value
+//! bytes follow inline. Bit 31 clear: the value is `vlen` (> `INLINE_MAX`)
+//! bytes long and `payload` is the `first_page u32` of its out-of-line run
+//! (see [`crate::heap`]). Every value has exactly one encoding.
 //!
 //! Pages covered by the last commit are immutable (see the crate-level
 //! durability model): modifying a committed node writes the new version to
 //! a freshly allocated page and the new id propagates up to the root. This
 //! is why leaves carry **no** sibling links — a relocated leaf could not
 //! update the `next` pointer of its left neighbour without rewriting it
-//! too. Range scans instead use a [`Cursor`] that keeps the path from the
-//! root on a stack and ascends/descends between leaves.
+//! too. Range scans instead use a [`Cursor`] that owns the unvisited part
+//! of the root-to-leaf path and descends into the next leaf when one runs
+//! out.
+//!
+//! A node that overflows splits at its **byte** midpoint (entries differ
+//! in size by two orders of magnitude, so an entry-count midpoint could
+//! leave one half over a page) — except when the new entry lands behind
+//! the last entry of the rightmost node of its level: then the full node
+//! stays as it is and the new sibling starts with the new entry, so loads
+//! in ascending key order leave full leaves behind instead of half-empty
+//! ones.
 //!
 //! Deletion removes the entry from its leaf without rebalancing (empty
 //! leaves simply stay in the tree) — adequate for the reproduction's
 //! bulk-build-then-read workload and documented in the crate docs.
 
-use crate::heap::ValueRef;
+use crate::heap::{read_value, run_in_extent, ValueRef};
 use crate::pager::{PageId, Pager, PAGE_DATA, PAGE_SIZE};
 use crate::{Result, StorageError, MAX_KEY_LEN};
 use approxql_metrics::Metric;
@@ -21,9 +41,83 @@ use approxql_metrics::Metric;
 const TAG_INTERNAL: u8 = 1;
 const TAG_LEAF: u8 = 2;
 
+/// Longest value stored inside its leaf entry. Derived from the page: a
+/// maximal entry is `2 + MAX_KEY_LEN + 4 + INLINE_MAX = 998` bytes, so
+/// four of them always fit one leaf (`3 + 4 * 998 <= PAGE_DATA`) and a
+/// split can always find a cut that leaves both halves within a page.
+pub(crate) const INLINE_MAX: usize = 480;
+const _: () = assert!(LEAF_HEADER + 4 * (2 + MAX_KEY_LEN + 4 + INLINE_MAX) <= PAGE_DATA);
+
+/// Flag bit of a leaf entry's `vlen`: the value bytes follow inline.
+const INLINE_FLAG: u32 = 1 << 31;
+
+/// Node tag + entry count.
+const LEAF_HEADER: usize = 1 + 2;
+/// Node tag + key count + leftmost child.
+const INTERNAL_HEADER: usize = 1 + 2 + 4;
+
 /// Upper bound on tree depth; a descent deeper than this can only mean a
 /// page cycle in a corrupt file, so it errors instead of looping forever.
 const MAX_DEPTH: usize = 64;
+
+/// A value as its leaf entry holds it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Value {
+    /// The bytes themselves (at most [`INLINE_MAX`]).
+    Inline(Vec<u8>),
+    /// An out-of-line run of more than [`INLINE_MAX`] bytes.
+    Run(ValueRef),
+}
+
+impl Value {
+    /// The value's bytes: moved out of the entry, or read from the run.
+    pub(crate) fn into_bytes(self, pager: &mut Pager) -> Result<Vec<u8>> {
+        match self {
+            Value::Inline(bytes) => Ok(bytes),
+            Value::Run(vref) => read_value(pager, vref),
+        }
+    }
+}
+
+/// A leaf entry: key and value.
+pub(crate) type Entry = (Vec<u8>, Value);
+
+fn leaf_entry_size((key, value): &Entry) -> usize {
+    2 + key.len()
+        + 4
+        + match value {
+            Value::Inline(bytes) => bytes.len(),
+            Value::Run(_) => 4,
+        }
+}
+
+fn leaf_size(entries: &[Entry]) -> usize {
+    LEAF_HEADER + entries.iter().map(leaf_entry_size).sum::<usize>()
+}
+
+fn separator_size(key: &[u8]) -> usize {
+    2 + key.len() + 4
+}
+
+fn internal_size(keys: &[Vec<u8>]) -> usize {
+    INTERNAL_HEADER + keys.iter().map(|k| separator_size(k)).sum::<usize>()
+}
+
+/// The cut `i` (`lo <= i <= hi`) at which `sizes[..i]` first reaches half
+/// of the total: both `sizes[..i]` and `sizes[i..]` then stay within half
+/// the total plus one item.
+fn byte_midpoint(sizes: impl Iterator<Item = usize> + Clone, lo: usize, hi: usize) -> usize {
+    let half = sizes.clone().sum::<usize>() / 2;
+    let mut acc = 0;
+    let cut = sizes
+        .take_while(|s| {
+            let below = acc < half;
+            acc += s;
+            below
+        })
+        .count();
+    cut.clamp(lo, hi)
+}
 
 /// Parsed form of a tree page.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,18 +129,14 @@ pub enum Node {
         children: Vec<PageId>,
     },
     /// Data node: sorted `(key, value)` entries.
-    Leaf { entries: Vec<(Vec<u8>, ValueRef)> },
+    Leaf { entries: Vec<Entry> },
 }
 
 impl Node {
-    fn serialized_size(&self) -> usize {
+    pub(crate) fn serialized_size(&self) -> usize {
         match self {
-            Node::Internal { keys, .. } => {
-                1 + 2 + 4 + keys.iter().map(|k| 2 + k.len() + 4).sum::<usize>()
-            }
-            Node::Leaf { entries } => {
-                1 + 2 + entries.iter().map(|(k, _)| 2 + k.len() + 8).sum::<usize>()
-            }
+            Node::Internal { keys, .. } => internal_size(keys),
+            Node::Leaf { entries } => leaf_size(entries),
         }
     }
 
@@ -75,14 +165,29 @@ impl Node {
                 for (k, v) in entries {
                     put(&(k.len() as u16).to_le_bytes(), &mut pos);
                     put(k, &mut pos);
-                    put(&v.first_page.0.to_le_bytes(), &mut pos);
-                    put(&v.len.to_le_bytes(), &mut pos);
+                    match v {
+                        Value::Inline(bytes) => {
+                            debug_assert!(bytes.len() <= INLINE_MAX);
+                            put(&(INLINE_FLAG | bytes.len() as u32).to_le_bytes(), &mut pos);
+                            put(bytes, &mut pos);
+                        }
+                        Value::Run(vref) => {
+                            debug_assert!(vref.len as usize > INLINE_MAX && vref.len < INLINE_FLAG);
+                            put(&vref.len.to_le_bytes(), &mut pos);
+                            put(&vref.first_page.0.to_le_bytes(), &mut pos);
+                        }
+                    }
                 }
             }
         }
     }
 
-    pub(crate) fn parse(id: PageId, buf: &[u8; PAGE_SIZE]) -> Result<Node> {
+    /// Parses page `id` of a store of `page_count` pages. Every stored
+    /// length is bounded here, before anything is allocated for it: keys
+    /// by [`MAX_KEY_LEN`], inline values by [`INLINE_MAX`], both by the
+    /// page, and a run by the store's extent — so no reader ever sizes a
+    /// buffer from an unchecked field.
+    pub(crate) fn parse(id: PageId, buf: &[u8; PAGE_SIZE], page_count: u32) -> Result<Node> {
         let corrupt = |what| StorageError::CorruptPage(id, what);
         let mut pos = 0usize;
         let take = |n: usize, pos: &mut usize| -> Result<&[u8]> {
@@ -93,43 +198,57 @@ impl Node {
             *pos += n;
             Ok(s)
         };
+        let take_u16 = |pos: &mut usize| -> Result<usize> {
+            Ok(u16::from_le_bytes(crate::le_array(take(2, pos)?)) as usize)
+        };
+        let take_u32 = |pos: &mut usize| -> Result<u32> {
+            Ok(u32::from_le_bytes(crate::le_array(take(4, pos)?)))
+        };
+        let take_key = |pos: &mut usize| -> Result<Vec<u8>> {
+            let klen = take_u16(pos)?;
+            if klen > MAX_KEY_LEN {
+                return Err(StorageError::CorruptPage(id, "key too long"));
+            }
+            Ok(take(klen, pos)?.to_vec())
+        };
         let tag = take(1, &mut pos)?[0];
-        let n = u16::from_le_bytes(crate::le_array(take(2, &mut pos)?)) as usize;
+        let n = take_u16(&mut pos)?;
         match tag {
             TAG_INTERNAL => {
-                let mut children = vec![PageId(u32::from_le_bytes(crate::le_array(take(
-                    4, &mut pos,
-                )?)))];
+                let mut children = Vec::with_capacity(n + 1);
+                children.push(PageId(take_u32(&mut pos)?));
                 let mut keys = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let klen = u16::from_le_bytes(crate::le_array(take(2, &mut pos)?)) as usize;
-                    if klen > MAX_KEY_LEN {
-                        return Err(corrupt("key too long"));
-                    }
-                    keys.push(take(klen, &mut pos)?.to_vec());
-                    children.push(PageId(u32::from_le_bytes(crate::le_array(take(
-                        4, &mut pos,
-                    )?))));
+                    keys.push(take_key(&mut pos)?);
+                    children.push(PageId(take_u32(&mut pos)?));
                 }
                 Ok(Node::Internal { keys, children })
             }
             TAG_LEAF => {
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let klen = u16::from_le_bytes(crate::le_array(take(2, &mut pos)?)) as usize;
-                    if klen > MAX_KEY_LEN {
-                        return Err(corrupt("key too long"));
-                    }
-                    let key = take(klen, &mut pos)?.to_vec();
-                    let first = u32::from_le_bytes(crate::le_array(take(4, &mut pos)?));
-                    let len = u32::from_le_bytes(crate::le_array(take(4, &mut pos)?));
-                    entries.push((
-                        key,
-                        ValueRef {
-                            first_page: PageId(first),
-                            len,
-                        },
-                    ));
+                    let key = take_key(&mut pos)?;
+                    let vlen = take_u32(&mut pos)?;
+                    let value = if vlen & INLINE_FLAG != 0 {
+                        let len = (vlen & !INLINE_FLAG) as usize;
+                        if len > INLINE_MAX {
+                            return Err(corrupt("inline value too long"));
+                        }
+                        Value::Inline(take(len, &mut pos)?.to_vec())
+                    } else {
+                        let vref = ValueRef {
+                            first_page: PageId(take_u32(&mut pos)?),
+                            len: vlen,
+                        };
+                        if vlen as usize <= INLINE_MAX {
+                            return Err(corrupt("value run short enough to be inline"));
+                        }
+                        if !run_in_extent(vref, page_count) {
+                            return Err(corrupt("value run outside the data extent"));
+                        }
+                        Value::Run(vref)
+                    };
+                    entries.push((key, value));
                 }
                 Ok(Node::Leaf { entries })
             }
@@ -140,7 +259,8 @@ impl Node {
 
 pub(crate) fn read_node(pager: &mut Pager, id: PageId) -> Result<Node> {
     Metric::BtreeNodeReads.incr();
-    Node::parse(id, pager.read(id)?)
+    let page_count = pager.page_count();
+    Node::parse(id, pager.read(id)?, page_count)
 }
 
 fn write_node(pager: &mut Pager, id: PageId, node: &Node) -> Result<()> {
@@ -160,6 +280,17 @@ fn write_node_cow(pager: &mut Pager, id: PageId, node: &Node) -> Result<PageId> 
         write_node(pager, id, node)?;
         Ok(id)
     }
+}
+
+/// Writes `node` to a freshly allocated page and returns its id.
+fn write_node_fresh(pager: &mut Pager, node: &Node) -> Result<PageId> {
+    let id = pager.allocate();
+    write_node(pager, id, node)?;
+    Ok(id)
+}
+
+fn too_deep(page: PageId) -> StorageError {
+    StorageError::CorruptPage(page, "tree deeper than MAX_DEPTH")
 }
 
 /// The B+-tree handle; the root page id lives in the store header.
@@ -182,10 +313,8 @@ enum InsertResult {
 impl BTree {
     /// Creates an empty tree (a single empty leaf).
     pub fn create(pager: &mut Pager) -> Result<BTree> {
-        let root = pager.allocate();
-        write_node(
+        let root = write_node_fresh(
             pager,
-            root,
             &Node::Leaf {
                 entries: Vec::new(),
             },
@@ -199,7 +328,7 @@ impl BTree {
     }
 
     /// Looks up `key`.
-    pub fn get(&self, pager: &mut Pager, key: &[u8]) -> Result<Option<ValueRef>> {
+    pub fn get(&self, pager: &mut Pager, key: &[u8]) -> Result<Option<Value>> {
         Metric::BtreeGets.incr();
         let mut page = self.root;
         for _ in 0..MAX_DEPTH {
@@ -208,104 +337,104 @@ impl BTree {
                     let idx = keys.partition_point(|k| k.as_slice() <= key);
                     page = children[idx];
                 }
-                Node::Leaf { entries } => {
+                Node::Leaf { mut entries } => {
                     return Ok(entries
                         .binary_search_by(|(k, _)| k.as_slice().cmp(key))
                         .ok()
-                        .map(|i| entries[i].1));
+                        .map(|i| entries.swap_remove(i).1));
                 }
             }
         }
-        Err(StorageError::CorruptPage(
-            page,
-            "tree deeper than MAX_DEPTH",
-        ))
+        Err(too_deep(page))
     }
 
     /// Inserts or replaces `key`.
-    pub fn insert(&mut self, pager: &mut Pager, key: &[u8], value: ValueRef) -> Result<()> {
+    pub fn insert(&mut self, pager: &mut Pager, key: &[u8], value: Value) -> Result<()> {
         if key.len() > MAX_KEY_LEN {
             return Err(StorageError::KeyTooLong(key.len()));
         }
         Metric::BtreeInserts.incr();
-        match self.insert_rec(pager, self.root, key, value, 0)? {
-            InsertResult::Done { id } => {
-                self.root = id;
-                Ok(())
-            }
+        match self.insert_rec(pager, self.root, key, value, 0, true)? {
+            InsertResult::Done { id } => self.root = id,
             InsertResult::Split { id, sep, right } => {
-                let new_root = pager.allocate();
-                write_node(
+                self.root = write_node_fresh(
                     pager,
-                    new_root,
                     &Node::Internal {
                         keys: vec![sep],
                         children: vec![id, right],
                     },
                 )?;
-                self.root = new_root;
-                Ok(())
             }
         }
+        Ok(())
     }
 
+    /// `is_rightmost`: `page` is the last node of its level, so a key that
+    /// lands behind its last entry is an append to the whole tree.
     fn insert_rec(
         &mut self,
         pager: &mut Pager,
         page: PageId,
         key: &[u8],
-        value: ValueRef,
+        value: Value,
         depth: usize,
+        is_rightmost: bool,
     ) -> Result<InsertResult> {
         if depth >= MAX_DEPTH {
-            return Err(StorageError::CorruptPage(
-                page,
-                "tree deeper than MAX_DEPTH",
-            ));
+            return Err(too_deep(page));
         }
         match read_node(pager, page)? {
             Node::Leaf { mut entries } => {
-                match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => entries[i].1 = value,
-                    Err(i) => entries.insert(i, (key.to_vec(), value)),
-                }
-                let node = Node::Leaf { entries };
-                if node.serialized_size() <= PAGE_DATA {
-                    let id = write_node_cow(pager, page, &node)?;
+                let appended = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
+                    Ok(i) => {
+                        entries[i].1 = value;
+                        false
+                    }
+                    Err(i) => {
+                        entries.insert(i, (key.to_vec(), value));
+                        is_rightmost && i + 1 == entries.len()
+                    }
+                };
+                if leaf_size(&entries) <= PAGE_DATA {
+                    let id = write_node_cow(pager, page, &Node::Leaf { entries })?;
                     return Ok(InsertResult::Done { id });
                 }
-                // Split: move the upper half to a fresh right sibling.
                 Metric::BtreeNodeSplits.incr();
-                let Node::Leaf { mut entries } = node else {
-                    return Err(StorageError::CorruptPage(
-                        page,
-                        "leaf changed shape in split",
-                    ));
+                let mid = if appended {
+                    entries.len() - 1
+                } else {
+                    byte_midpoint(entries.iter().map(leaf_entry_size), 1, entries.len() - 1)
                 };
-                let mid = entries.len() / 2;
                 let right_entries = entries.split_off(mid);
                 let sep = right_entries[0].0.clone();
-                let right_page = pager.allocate();
-                write_node(
+                let right = write_node_fresh(
                     pager,
-                    right_page,
                     &Node::Leaf {
                         entries: right_entries,
                     },
                 )?;
-                let id = write_node_cow(pager, page, &Node::Leaf { entries })?;
-                Ok(InsertResult::Split {
-                    id,
-                    sep,
-                    right: right_page,
-                })
+                // After an append the page as stored is the left half.
+                let id = if appended {
+                    page
+                } else {
+                    write_node_cow(pager, page, &Node::Leaf { entries })?
+                };
+                Ok(InsertResult::Split { id, sep, right })
             }
             Node::Internal {
                 mut keys,
                 mut children,
             } => {
                 let idx = keys.partition_point(|k| k.as_slice() <= key);
-                match self.insert_rec(pager, children[idx], key, value, depth + 1)? {
+                let last = idx + 1 == children.len();
+                match self.insert_rec(
+                    pager,
+                    children[idx],
+                    key,
+                    value,
+                    depth + 1,
+                    is_rightmost && last,
+                )? {
                     InsertResult::Done { id } => {
                         if id == children[idx] {
                             // Child updated in place: this node is untouched.
@@ -320,33 +449,26 @@ impl BTree {
                         children[idx] = id;
                         keys.insert(idx, sep);
                         children.insert(idx + 1, right);
-                        let node = Node::Internal { keys, children };
-                        if node.serialized_size() <= PAGE_DATA {
-                            let new_id = write_node_cow(pager, page, &node)?;
+                        if internal_size(&keys) <= PAGE_DATA {
+                            let new_id =
+                                write_node_cow(pager, page, &Node::Internal { keys, children })?;
                             return Ok(InsertResult::Done { id: new_id });
                         }
                         Metric::BtreeNodeSplits.incr();
-                        let Node::Internal {
-                            mut keys,
-                            mut children,
-                        } = node
-                        else {
-                            return Err(StorageError::CorruptPage(
-                                page,
-                                "internal node changed shape in split",
-                            ));
+                        // Key `mid` moves up; the right sibling takes what
+                        // lies behind it. An append keeps the full node
+                        // (less its last separator) and gives the sibling
+                        // the new separator alone.
+                        let mid = if is_rightmost && last {
+                            keys.len() - 2
+                        } else {
+                            byte_midpoint(keys.iter().map(|k| separator_size(k)), 1, keys.len() - 2)
                         };
-                        // Push up the middle key; right sibling takes the
-                        // upper halves.
-                        let mid = keys.len() / 2;
-                        let up = keys[mid].clone();
-                        let right_keys = keys.split_off(mid + 1);
-                        keys.pop(); // `up` moves to the parent
+                        let up = keys.remove(mid);
+                        let right_keys = keys.split_off(mid);
                         let right_children = children.split_off(mid + 1);
-                        let right_page = pager.allocate();
-                        write_node(
+                        let right_page = write_node_fresh(
                             pager,
-                            right_page,
                             &Node::Internal {
                                 keys: right_keys,
                                 children: right_children,
@@ -385,10 +507,7 @@ impl BTree {
         depth: usize,
     ) -> Result<(bool, Option<PageId>)> {
         if depth >= MAX_DEPTH {
-            return Err(StorageError::CorruptPage(
-                page,
-                "tree deeper than MAX_DEPTH",
-            ));
+            return Err(too_deep(page));
         }
         match read_node(pager, page)? {
             Node::Leaf { mut entries } => {
@@ -418,108 +537,70 @@ impl BTree {
 
     /// Positions a cursor at the first entry with key `>= start`.
     pub fn seek(&self, pager: &mut Pager, start: &[u8]) -> Result<Cursor> {
-        let mut stack = Vec::new();
-        let mut page = self.root;
-        loop {
-            if stack.len() >= MAX_DEPTH {
-                return Err(StorageError::CorruptPage(
-                    page,
-                    "tree deeper than MAX_DEPTH",
-                ));
-            }
-            match read_node(pager, page)? {
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| k.as_slice() <= start);
-                    stack.push((page, idx));
-                    page = children[idx];
-                }
-                Node::Leaf { entries } => {
-                    let idx = entries.partition_point(|(k, _)| k.as_slice() < start);
-                    stack.push((page, idx));
-                    return Ok(Cursor { stack });
-                }
-            }
-        }
+        let mut cursor = Cursor {
+            ancestors: Vec::new(),
+            leaf: Vec::new().into_iter(),
+        };
+        cursor.descend(pager, self.root, Some(start))?;
+        Ok(cursor)
     }
 }
 
 /// A forward cursor over leaf entries.
 ///
-/// Holds the root-to-leaf path as `(page, index)` pairs: the index is the
-/// next entry to yield (leaf) or the child currently descended into
-/// (internal). When a leaf runs out the cursor ascends to the nearest
-/// ancestor with an unvisited child and descends to its leftmost leaf.
+/// Owns what is left to visit: the remaining entries of the leaf it stands
+/// on and, per ancestor, the children to the right of the path. Every node
+/// is therefore read and parsed once per visit, and entries are handed out
+/// by move. When a leaf runs out the cursor takes the next child of the
+/// nearest ancestor that has one and descends to its leftmost leaf. The
+/// store is borrowed mutably for as long as a cursor lives, so the tree
+/// cannot change under it.
 pub struct Cursor {
-    stack: Vec<(PageId, usize)>,
+    ancestors: Vec<std::vec::IntoIter<PageId>>,
+    leaf: std::vec::IntoIter<Entry>,
 }
 
 impl Cursor {
     /// Returns the next entry, advancing the cursor.
-    pub fn next(&mut self, pager: &mut Pager) -> Result<Option<(Vec<u8>, ValueRef)>> {
+    pub fn next(&mut self, pager: &mut Pager) -> Result<Option<Entry>> {
         loop {
-            let Some(&(page, idx)) = self.stack.last() else {
+            if let Some(entry) = self.leaf.next() {
+                Metric::BtreeScanSteps.incr();
+                return Ok(Some(entry));
+            }
+            // Leaf exhausted (possibly empty after deletions): move to the
+            // next leaf in key order.
+            let Some(siblings) = self.ancestors.last_mut() else {
                 return Ok(None);
             };
-            match read_node(pager, page)? {
-                Node::Leaf { entries } => {
-                    if idx < entries.len() {
-                        Metric::BtreeScanSteps.incr();
-                        if let Some(top) = self.stack.last_mut() {
-                            top.1 += 1;
-                        }
-                        return Ok(Some(entries[idx].clone()));
-                    }
-                    // Leaf exhausted (possibly empty after deletions):
-                    // move to the next leaf in key order.
-                    self.stack.pop();
-                    self.advance(pager)?;
-                }
-                Node::Internal { .. } => {
-                    return Err(StorageError::CorruptPage(page, "cursor on internal page"));
+            match siblings.next() {
+                Some(child) => self.descend(pager, child, None)?,
+                None => {
+                    self.ancestors.pop();
                 }
             }
         }
     }
 
-    /// Pops ancestors whose children are exhausted, then descends into the
-    /// next unvisited subtree down to its leftmost leaf. Leaves the stack
-    /// empty when the scan is complete.
-    fn advance(&mut self, pager: &mut Pager) -> Result<()> {
-        while let Some(&(page, idx)) = self.stack.last() {
-            match read_node(pager, page)? {
-                Node::Internal { children, .. } => {
-                    if idx + 1 < children.len() {
-                        if let Some(top) = self.stack.last_mut() {
-                            top.1 = idx + 1;
-                        }
-                        return self.descend_first(pager, children[idx + 1]);
-                    }
-                    self.stack.pop();
-                }
-                Node::Leaf { .. } => {
-                    return Err(StorageError::CorruptPage(page, "leaf as cursor ancestor"));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Pushes the path to the leftmost leaf under `page`.
-    fn descend_first(&mut self, pager: &mut Pager, mut page: PageId) -> Result<()> {
+    /// Pushes the path from `page` down to a leaf: towards `start` when
+    /// given (the leaf's entries `< start` are skipped), else leftmost.
+    fn descend(&mut self, pager: &mut Pager, mut page: PageId, start: Option<&[u8]>) -> Result<()> {
         loop {
-            if self.stack.len() >= MAX_DEPTH {
-                return Err(StorageError::CorruptPage(
-                    page,
-                    "tree deeper than MAX_DEPTH",
-                ));
+            if self.ancestors.len() >= MAX_DEPTH {
+                return Err(too_deep(page));
             }
             match read_node(pager, page)? {
-                Node::Internal { children, .. } => {
-                    self.stack.push((page, 0));
-                    page = children[0];
+                Node::Internal { keys, mut children } => {
+                    let idx = start.map_or(0, |s| keys.partition_point(|k| k.as_slice() <= s));
+                    self.ancestors.push(children.split_off(idx + 1).into_iter());
+                    page = children[idx];
                 }
-                Node::Leaf { .. } => {
-                    self.stack.push((page, 0));
+                Node::Leaf { mut entries } => {
+                    if let Some(s) = start {
+                        let idx = entries.partition_point(|(k, _)| k.as_slice() < s);
+                        entries.drain(..idx);
+                    }
+                    self.leaf = entries.into_iter();
                     return Ok(());
                 }
             }
@@ -540,11 +621,25 @@ mod tests {
         (pager, tree)
     }
 
-    fn vr(n: u32) -> ValueRef {
-        ValueRef {
-            first_page: PageId(n),
-            len: n,
+    /// A small (inline) marker value.
+    fn vr(n: u32) -> Value {
+        Value::Inline(n.to_le_bytes().to_vec())
+    }
+
+    /// Every leaf of the tree in key order, as `(page, node)`, plus the
+    /// number of internal nodes above them.
+    fn leaves(p: &mut Pager, t: &BTree) -> (Vec<(PageId, Node)>, u64) {
+        let (mut out, mut internal, mut todo) = (Vec::new(), 0, vec![t.root]);
+        while let Some(page) = todo.pop() {
+            match read_node(p, page).unwrap() {
+                Node::Internal { children, .. } => {
+                    internal += 1;
+                    todo.extend(children.into_iter().rev());
+                }
+                leaf => out.push((page, leaf)),
+            }
         }
+        (out, internal)
     }
 
     #[test]
@@ -750,19 +845,170 @@ mod tests {
         };
         let mut buf = [0u8; PAGE_SIZE];
         internal.serialize_into(&mut buf);
-        assert_eq!(Node::parse(PageId(9), &buf).unwrap(), internal);
+        assert_eq!(Node::parse(PageId(9), &buf, 10).unwrap(), internal);
 
         let leaf = Node::Leaf {
             entries: vec![(b"a".to_vec(), vr(7))],
         };
         leaf.serialize_into(&mut buf);
-        assert_eq!(Node::parse(PageId(9), &buf).unwrap(), leaf);
+        assert_eq!(Node::parse(PageId(9), &buf, 10).unwrap(), leaf);
+    }
+
+    #[test]
+    fn leaf_bytes_are_the_v3_layout() {
+        let long = vec![0xAB; INLINE_MAX];
+        let leaf = Node::Leaf {
+            entries: vec![
+                (b"e".to_vec(), Value::Inline(Vec::new())),
+                (b"in".to_vec(), Value::Inline(b"xyz".to_vec())),
+                (b"max".to_vec(), Value::Inline(long.clone())),
+                (
+                    b"run".to_vec(),
+                    Value::Run(ValueRef {
+                        first_page: PageId(7),
+                        len: 5000,
+                    }),
+                ),
+            ],
+        };
+        let mut want = vec![TAG_LEAF, 4, 0];
+        // klen | key | vlen with bit 31 set | no payload
+        want.extend([1, 0, b'e', 0, 0, 0, 0x80]);
+        // … | the three value bytes
+        want.extend([2, 0, b'i', b'n', 3, 0, 0, 0x80, b'x', b'y', b'z']);
+        // 480 = 0x1E0
+        want.extend([3, 0, b'm', b'a', b'x', 0xE0, 0x01, 0, 0x80]);
+        want.extend(&long);
+        // klen | key | vlen = 5000 = 0x1388, bit 31 clear | first page
+        want.extend([3, 0, b'r', b'u', b'n', 0x88, 0x13, 0, 0, 7, 0, 0, 0]);
+        assert_eq!(leaf.serialized_size(), want.len());
+        let mut buf = [0xFFu8; PAGE_SIZE];
+        leaf.serialize_into(&mut buf);
+        assert_eq!(&buf[..want.len()], &want[..]);
+        assert!(buf[want.len()..].iter().all(|&b| b == 0), "tail not zeroed");
+        // Page 7 + ceil(5000 / PAGE_DATA) = 2 pages needs a 9-page store.
+        assert_eq!(Node::parse(PageId(2), &buf, 9).unwrap(), leaf);
+        assert!(matches!(
+            Node::parse(PageId(2), &buf, 8),
+            Err(StorageError::CorruptPage(
+                PageId(2),
+                "value run outside the data extent"
+            ))
+        ));
+    }
+
+    #[test]
+    fn four_maximal_entries_fit_a_leaf_and_the_fifth_splits_it() {
+        let (mut p, mut t) = setup();
+        let before = approxql_metrics::snapshot();
+        for i in 0..5u8 {
+            if i == 4 {
+                let (all, _) = leaves(&mut p, &t);
+                assert_eq!(all.len(), 1, "four maximal entries must share a leaf");
+                assert_eq!(all[0].1.serialized_size(), LEAF_HEADER + 4 * 998);
+            }
+            let value = Value::Inline(vec![i; INLINE_MAX]);
+            // Descending keys: no insert is an append.
+            t.insert(&mut p, &[4 - i; MAX_KEY_LEN], value).unwrap();
+        }
+        let splits = approxql_metrics::snapshot()
+            .diff(&before)
+            .get(Metric::BtreeNodeSplits);
+        assert_eq!(splits, 1);
+        // `leaves` re-parses both halves from their serialized pages.
+        let (all, internal) = leaves(&mut p, &t);
+        assert_eq!((all.len(), internal), (2, 1));
+        let sizes: Vec<usize> = all.iter().map(|(_, n)| n.serialized_size()).collect();
+        assert_eq!(sizes, [LEAF_HEADER + 3 * 998, LEAF_HEADER + 2 * 998]);
+        for i in 0..5u8 {
+            assert_eq!(
+                t.get(&mut p, &[4 - i; MAX_KEY_LEN]).unwrap(),
+                Some(Value::Inline(vec![i; INLINE_MAX]))
+            );
+        }
+    }
+
+    #[test]
+    fn ascending_inserts_leave_full_leaves_behind() {
+        let (mut p, mut t) = setup();
+        for i in 0..10_000u32 {
+            let value = Value::Inline(vec![i as u8; (i % 400) as usize]);
+            t.insert(&mut p, format!("key{i:06}").as_bytes(), value)
+                .unwrap();
+        }
+        let (all, internal) = leaves(&mut p, &t);
+        // Enough leaves that the root split too (the internal append path).
+        assert!(all.len() > 500 && internal > 1);
+        // Every leaf but the one still being filled is full up to the
+        // entry that did not fit any more.
+        for (page, leaf) in &all[..all.len() - 1] {
+            let used = leaf.serialized_size();
+            assert!(used * 10 >= PAGE_DATA * 9, "leaf {page} holds {used} bytes");
+        }
+        let report = crate::check::run_check(&mut p, t.root, 1).unwrap();
+        assert_eq!(report.entries, 10_000);
+        assert_eq!(report.tree_pages as u64, all.len() as u64 + internal);
+    }
+
+    #[test]
+    fn random_order_inserts_split_at_the_byte_midpoint() {
+        let (mut p, mut t) = setup();
+        // Stretches of 50 keys with empty values alternate with stretches
+        // of 50 keys with maximal ones, filled in a scattered order: a leaf
+        // that straddles a boundary holds dozens of 12-byte entries beside
+        // a few 492-byte ones, and an entry-count midpoint would push the
+        // half with the large ones over a page.
+        let n = 4000u32;
+        for i in 0..n {
+            let k = i * 1237 % 4001; // 4001 is prime: no key repeats
+            let value = Value::Inline(vec![k as u8; (k / 50 % 2) as usize * INLINE_MAX]);
+            t.insert(&mut p, format!("k{k:05}").as_bytes(), value)
+                .unwrap();
+        }
+        let (all, _) = leaves(&mut p, &t);
+        // A split leaves each half at least half a page minus one entry and
+        // later inserts only add to it — but for the rightmost leaf, which
+        // a new largest key starts afresh.
+        for (page, leaf) in &all[..all.len() - 1] {
+            let used = leaf.serialized_size();
+            assert!(
+                (PAGE_DATA / 2 - 500..=PAGE_DATA).contains(&used),
+                "leaf {page} holds {used} bytes"
+            );
+        }
+        let report = crate::check::run_check(&mut p, t.root, 1).unwrap();
+        assert_eq!(report.entries, n as u64);
+    }
+
+    #[test]
+    fn full_scan_reads_every_node_once() {
+        let (mut p, mut t) = setup();
+        for i in 0..3000u32 {
+            t.insert(&mut p, format!("k{i:04}").as_bytes(), vr(i))
+                .unwrap();
+        }
+        let (all, internal) = leaves(&mut p, &t);
+        assert!(all.len() > 5);
+        let before = approxql_metrics::snapshot();
+        let mut c = t.seek(&mut p, b"").unwrap();
+        let mut count = 0;
+        while c.next(&mut p).unwrap().is_some() {
+            count += 1;
+        }
+        let delta = approxql_metrics::snapshot().diff(&before);
+        assert_eq!(count, 3000);
+        assert_eq!(delta.get(Metric::BtreeScanSteps), 3000);
+        assert_eq!(
+            delta.get(Metric::BtreeNodeReads),
+            all.len() as u64 + internal,
+            "a scan must read each leaf and each internal node exactly once"
+        );
     }
 
     #[test]
     fn parse_rejects_unknown_tag() {
         let buf = [9u8; PAGE_SIZE];
-        assert!(Node::parse(PageId(0), &buf).is_err());
+        assert!(Node::parse(PageId(0), &buf, 1).is_err());
     }
 
     #[test]

@@ -8,15 +8,16 @@
 //! * the B+-tree is acyclic, its leaves sit at one uniform depth, keys
 //!   are strictly sorted and consistent with every separator on the path,
 //!   and no page is reachable twice,
-//! * every out-of-line value run lies inside the store and does not
-//!   overlap a live tree page, and every value is readable end to end.
+//! * every stored length is honest (parsing a leaf bounds inline values by
+//!   the page and out-of-line runs by the store's extent), no run overlaps
+//!   a live tree page, and every run is readable end to end.
 //!
 //! Header slots are deliberately *not* re-validated beyond what
 //! [`Store::open`](crate::Store::open) already did: after a crash the
 //! inactive slot legitimately holds the torn remains of the interrupted
 //! commit, and a recovered store must still pass `check`.
 
-use crate::btree::{read_node, Node};
+use crate::btree::{read_node, Node, Value};
 use crate::heap::read_value;
 use crate::pager::{trailer_ok, PageId, Pager, PAGE_SIZE};
 use crate::store::FIRST_DATA_PAGE;
@@ -38,6 +39,8 @@ pub struct CheckReport {
     pub tree_depth: u32,
     /// Live key/value entries.
     pub entries: u64,
+    /// Entries whose value is stored inside the leaf (no value pages).
+    pub inline_entries: u64,
     /// Pages occupied by live out-of-line values.
     pub value_pages: u64,
     /// Pages referenced by no live structure (leaked until compaction).
@@ -48,9 +51,11 @@ impl fmt::Display for CheckReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "ok: commit #{}, {} entries, depth {}, {} pages ({} tree, {} value, {} leaked)",
+            "ok: commit #{}, {} entries ({} inline), depth {}, {} pages ({} tree, {} value, \
+             {} leaked)",
             self.commit_sequence,
             self.entries,
+            self.inline_entries,
             self.tree_depth,
             self.committed_pages,
             self.tree_pages,
@@ -88,6 +93,7 @@ pub(crate) fn run_check(pager: &mut Pager, root: PageId, csn: u64) -> Result<Che
     let mut visited: HashSet<u32> = HashSet::new();
     let mut leaf_depth: Option<usize> = None;
     let mut entries = 0u64;
+    let mut inline_entries = 0u64;
     let mut value_pages = 0u64;
     let mut value_runs: Vec<(PageId, u32)> = Vec::new();
     let mut stack = vec![Frame {
@@ -152,27 +158,21 @@ pub(crate) fn run_check(pager: &mut Pager, root: PageId, csn: u64) -> Result<Che
                 if leaf.windows(2).any(|w| w[0].0 >= w[1].0) {
                     return corrupt(page, "leaf keys out of order");
                 }
-                for (key, vref) in &leaf {
+                for (key, value) in &leaf {
                     if !in_bounds(key, &lo, &hi) {
                         return corrupt(page, "leaf key violates ancestor bounds");
                     }
                     entries += 1;
-                    if vref.len > 0 {
-                        let span = vref.page_span();
-                        if vref.first_page.0 < FIRST_DATA_PAGE
-                            || vref.first_page.0 as u64 + span as u64 > total_pages as u64
-                        {
-                            return corrupt(page, "value run outside the data extent");
+                    match value {
+                        Value::Inline(_) => inline_entries += 1,
+                        // `read_node` placed the run inside the store;
+                        // reading it verifies the trailer of every page.
+                        Value::Run(vref) => {
+                            let span = vref.page_span();
+                            value_pages += span as u64;
+                            value_runs.push((vref.first_page, span));
+                            read_value(pager, *vref)?;
                         }
-                        value_pages += span as u64;
-                        value_runs.push((vref.first_page, span));
-                    }
-                }
-                // Reading every value forces trailer verification of the
-                // run pages and proves the lengths are honest.
-                for (_, vref) in &leaf {
-                    if vref.len > 0 {
-                        read_value(pager, *vref)?;
                     }
                 }
             }
@@ -205,6 +205,7 @@ pub(crate) fn run_check(pager: &mut Pager, root: PageId, csn: u64) -> Result<Che
         tree_pages,
         tree_depth: leaf_depth.map_or(0, |d| d as u32 + 1),
         entries,
+        inline_entries,
         value_pages,
         leaked_pages: (total_pages as u64)
             .saturating_sub(FIRST_DATA_PAGE as u64)

@@ -1,17 +1,20 @@
 //! Out-of-line value storage in contiguous page runs.
 //!
-//! A value of `len` bytes is stored as `ceil(len / PAGE_DATA)` consecutive
-//! pages (the last 8 bytes of every page belong to the pager's checksum
-//! trailer); the B+-tree leaf remembers `(first_page, len)`. Values are
-//! immutable once written — overwriting a key writes a fresh run.
+//! Values too long for their leaf entry (more than `INLINE_MAX` bytes, see
+//! [`crate::btree`]) live here. A value of `len` bytes is stored as
+//! `ceil(len / PAGE_DATA)` consecutive pages (the last 8 bytes of every
+//! page belong to the pager's checksum trailer); the B+-tree leaf
+//! remembers `(len, first_page)`. Values are immutable once written —
+//! overwriting a key writes a fresh run.
 
 use crate::pager::{PageId, Pager, PAGE_DATA};
+use crate::store::FIRST_DATA_PAGE;
 use crate::{Result, StorageError};
 
 /// Location of a stored value.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ValueRef {
-    /// First page of the run; meaningless when `len == 0`.
+    /// First page of the run.
     pub first_page: PageId,
     /// Value length in bytes.
     pub len: u32,
@@ -24,17 +27,21 @@ impl ValueRef {
     }
 }
 
+/// `true` if the run lies inside the data pages of a store of `page_count`
+/// pages. A `(first_page, len)` read from a leaf is tested with this
+/// before any buffer is sized from it.
+pub(crate) fn run_in_extent(vref: ValueRef, page_count: u32) -> bool {
+    vref.first_page.0 >= FIRST_DATA_PAGE
+        && vref.first_page.0 as u64 + vref.page_span() as u64 <= page_count as u64
+}
+
 /// Writes `value` into freshly allocated pages.
 pub fn write_value(pager: &mut Pager, value: &[u8]) -> Result<ValueRef> {
-    let Ok(len) = u32::try_from(value.len()) else {
-        return Err(StorageError::ValueTooLarge(value.len()));
+    // Bit 31 of a leaf entry's length word is the inline flag.
+    let len = match u32::try_from(value.len()) {
+        Ok(len) if len < 1 << 31 => len,
+        _ => return Err(StorageError::ValueTooLarge(value.len())),
     };
-    if value.is_empty() {
-        return Ok(ValueRef {
-            first_page: PageId(0),
-            len: 0,
-        });
-    }
     let npages = value.len().div_ceil(PAGE_DATA) as u32;
     let first = pager.allocate_run(npages);
     for (i, chunk) in value.chunks(PAGE_DATA).enumerate() {
@@ -47,7 +54,9 @@ pub fn write_value(pager: &mut Pager, value: &[u8]) -> Result<ValueRef> {
     })
 }
 
-/// Reads a value previously written with [`write_value`].
+/// Reads a value previously written with [`write_value`]. `vref` comes
+/// from `write_value` or from a parsed leaf, which has bounded it with
+/// [`run_in_extent`].
 pub fn read_value(pager: &mut Pager, vref: ValueRef) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(vref.len as usize);
     let mut remaining = vref.len as usize;

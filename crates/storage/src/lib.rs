@@ -10,14 +10,20 @@
 //!   arbitrary byte-string values,
 //! * ordered iteration (`scan_prefix`, `scan_range`) — the operation the
 //!   indexes actually need,
-//! * values stored out-of-line in contiguous page runs, so multi-megabyte
-//!   posting lists are fine,
+//! * values of up to 480 bytes stored inside their leaf entry — the
+//!   indexes keep tens of thousands of posting lists of a few bytes each
+//!   (the paper's `pre(u)#label(u)` keys, §7.3), and a page apiece would
+//!   make the file a hundred times its input — and longer values
+//!   out-of-line in contiguous page runs, so multi-megabyte posting lists
+//!   are fine too,
 //! * a pluggable [`Backend`]: a real file or an in-memory page vector
 //!   (useful for tests and ephemeral databases).
 //!
 //! ## Durability model
 //!
-//! The store is crash-safe at commit granularity (format version 2):
+//! The store is crash-safe at commit granularity (format version 3; a file
+//! of another version is a typed [`StorageError::BadVersion`] and is
+//! rebuilt from its XML — there is one reader):
 //! reopening a store after a crash — at *any* backend write — yields
 //! exactly the state of the last durable [`Store::commit`], never a torn
 //! mixture. Three mechanisms cooperate:
@@ -55,8 +61,17 @@
 //!
 //! ## Space model
 //!
+//! A leaf entry is `klen u16 | key | vlen u32 | payload`: the value bytes
+//! themselves when they are at most 480 (bit 31 of `vlen` set), else the
+//! first page of a run of `ceil(vlen / PAGE_DATA)` pages. 480 is derived
+//! from the page, not tunable: a maximal entry is 2 + 512 + 4 + 480 = 998
+//! bytes, so four always fit a leaf. A full leaf splits at its byte
+//! midpoint — or, when the new key lands behind the last key of the
+//! tree, at the insertion point, so that loading keys in ascending order
+//! (what `build` does) leaves full leaves behind, not half-empty ones.
+//!
 //! Pages are never reclaimed (there is no free list); deleting or
-//! overwriting keys leaks the old value pages until the file is rewritten
+//! overwriting keys leaks the old value runs until the file is rewritten
 //! with [`Store::compact_into`]. Copy-on-write relocation adds to the
 //! leak, which matches the access pattern of the reproduction: indexes are
 //! bulk-built once and then read.
@@ -133,7 +148,7 @@ pub enum StorageError {
     },
     /// The key exceeds [`MAX_KEY_LEN`].
     KeyTooLong(usize),
-    /// The value exceeds the format's 4 GiB-per-value limit.
+    /// The value exceeds the format's 2 GiB-per-value limit.
     ValueTooLarge(usize),
 }
 
@@ -142,7 +157,11 @@ impl fmt::Display for StorageError {
         match self {
             StorageError::Io(e) => write!(f, "storage I/O error: {e}"),
             StorageError::NotAStore => write!(f, "not an approxql store file"),
-            StorageError::BadVersion(v) => write!(f, "unsupported store version {v}"),
+            StorageError::BadVersion(v) => write!(
+                f,
+                "unsupported store version {v} (this build reads version {FORMAT_VERSION}): \
+                 rebuild with `approxql build`"
+            ),
             StorageError::CorruptHeader => write!(f, "store header is corrupt in both slots"),
             StorageError::CorruptPage(p, what) => write!(f, "page {p} is corrupt: {what}"),
             StorageError::Truncated {
@@ -157,7 +176,7 @@ impl fmt::Display for StorageError {
                 write!(f, "key of {n} bytes exceeds the {MAX_KEY_LEN}-byte limit")
             }
             StorageError::ValueTooLarge(n) => {
-                write!(f, "value of {n} bytes exceeds the 4 GiB per-value limit")
+                write!(f, "value of {n} bytes exceeds the 2 GiB per-value limit")
             }
         }
     }

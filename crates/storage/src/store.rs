@@ -1,5 +1,7 @@
 //! The public store facade: dual-slot header management + B+-tree +
-//! value heap.
+//! value heap. [`Store::put`] decides where a value lives: up to
+//! `INLINE_MAX` bytes inside its leaf entry, anything longer in an
+//! out-of-line run.
 //!
 //! ## Header slots
 //!
@@ -9,7 +11,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic "AXQLSTOR"
-//!      8     4  format version (little-endian u32, currently 2)
+//!      8     4  format version (little-endian u32, currently 3)
 //!     12     4  B+-tree root page
 //!     16     8  commit sequence number (monotone, starts at 1)
 //!     24     4  committed page count (the extent the commit spans)
@@ -22,9 +24,9 @@
 //! sequence number; a torn newest slot therefore rolls back to the
 //! previous commit instead of erroring.
 
-use crate::btree::{BTree, Cursor};
+use crate::btree::{BTree, Cursor, Value, INLINE_MAX};
 use crate::check::CheckReport;
-use crate::heap::{read_value, write_value};
+use crate::heap::write_value;
 use crate::pager::PAGE_SIZE;
 use crate::pager::{stamp_trailer, trailer_ok, Backend, FileBackend, MemBackend, PageId, Pager};
 use crate::{Result, StorageError};
@@ -34,9 +36,11 @@ use std::path::Path;
 const MAGIC: &[u8; 8] = b"AXQLSTOR";
 
 /// On-disk format version. Version 2 added page-trailer checksums and
-/// dual-slot crash-safe commits; version-1 files are rejected with
-/// [`StorageError::BadVersion`].
-pub const FORMAT_VERSION: u32 = 2;
+/// dual-slot crash-safe commits; version 3 moved values of up to 480
+/// bytes into their leaf entry. Files of any other version are rejected
+/// with [`StorageError::BadVersion`] — there is one reader, so an older
+/// store is rebuilt from its XML, not converted.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// First page a B+-tree node or value run may occupy (0 and 1 are the
 /// header slots).
@@ -58,7 +62,7 @@ enum SlotState {
     BadMagic,
     /// Magic present but a different format version.
     WrongVersion(u32),
-    /// A version-2 slot whose checksum or fields do not validate (torn
+    /// A current-version slot whose checksum or fields do not validate (torn
     /// write or corruption).
     Corrupt,
     /// A validly checksummed slot claiming more pages than the file holds.
@@ -134,28 +138,28 @@ impl Store {
     pub fn open(backend: Box<dyn Backend>) -> Result<Store> {
         let mut pager = Pager::new(backend);
         let backend_pages = pager.backend_pages();
-        let slot0 = read_slot(&mut pager, 0, backend_pages)?;
-        if let SlotState::WrongVersion(v) = slot0 {
-            // A version-1 file carries its (only) header at page 0.
-            return Err(StorageError::BadVersion(v));
-        }
-        let slot1 = read_slot(&mut pager, 1, backend_pages)?;
-
         let mut best: Option<Header> = None;
         let mut rejected_real_slot = false;
         let mut truncated_claim: Option<u32> = None;
-        for state in [&slot0, &slot1] {
-            match state {
+        let mut other_version: Option<u32> = None;
+        for index in [0, 1] {
+            match read_slot(&mut pager, index, backend_pages)? {
                 SlotState::Valid(h) => {
                     if best.is_none_or(|b| h.csn > b.csn) {
-                        best = Some(*h);
+                        best = Some(h);
                     }
                 }
                 SlotState::Truncated { claimed } => {
                     rejected_real_slot = true;
-                    truncated_claim = Some(*claimed);
+                    truncated_claim = Some(claimed);
                 }
-                SlotState::Corrupt | SlotState::WrongVersion(_) => rejected_real_slot = true,
+                // A version-1 file carries its only header at page 0; a
+                // freshly created version-2 file its only one at page 1.
+                SlotState::WrongVersion(v) => {
+                    rejected_real_slot = true;
+                    other_version = Some(v);
+                }
+                SlotState::Corrupt => rejected_real_slot = true,
                 SlotState::Missing | SlotState::BadMagic => {}
             }
         }
@@ -170,13 +174,14 @@ impl Store {
                 h
             }
             None => {
-                return Err(match truncated_claim {
-                    Some(claimed) => StorageError::Truncated {
+                return Err(match (truncated_claim, other_version) {
+                    (Some(claimed), _) => StorageError::Truncated {
                         claimed_pages: claimed,
                         actual_pages: backend_pages,
                     },
-                    None if rejected_real_slot => StorageError::CorruptHeader,
-                    None => StorageError::NotAStore,
+                    (None, Some(v)) => StorageError::BadVersion(v),
+                    (None, None) if rejected_real_slot => StorageError::CorruptHeader,
+                    (None, None) => StorageError::NotAStore,
                 });
             }
         };
@@ -210,14 +215,18 @@ impl Store {
     /// Inserts or replaces `key`. The old value's pages (if any) are
     /// leaked until [`Store::compact_into`].
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        let vref = write_value(&mut self.pager, value)?;
-        self.tree.insert(&mut self.pager, key, vref)
+        let value = if value.len() <= INLINE_MAX {
+            Value::Inline(value.to_vec())
+        } else {
+            Value::Run(write_value(&mut self.pager, value)?)
+        };
+        self.tree.insert(&mut self.pager, key, value)
     }
 
     /// Looks up `key`.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         match self.tree.get(&mut self.pager, key)? {
-            Some(vref) => Ok(Some(read_value(&mut self.pager, vref)?)),
+            Some(value) => Ok(Some(value.into_bytes(&mut self.pager)?)),
             None => Ok(None),
         }
     }
@@ -347,14 +356,13 @@ impl StoreIter<'_> {
     pub fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
         match self.cursor.next(&mut self.store.pager)? {
             None => Ok(None),
-            Some((key, vref)) => {
+            Some((key, value)) => {
                 if let Some(end) = &self.end {
                     if key.as_slice() >= end.as_slice() {
                         return Ok(None);
                     }
                 }
-                let value = read_value(&mut self.store.pager, vref)?;
-                Ok(Some((key, value)))
+                Ok(Some((key, value.into_bytes(&mut self.store.pager)?)))
             }
         }
     }
@@ -372,7 +380,101 @@ impl StoreIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::SharedMemBackend;
     use crate::fnv64;
+    use crate::pager::PAGE_DATA;
+
+    /// Commits `entries` into a fresh store (they must fit the root leaf),
+    /// lets `damage` edit that leaf's page, re-stamps its trailer so only
+    /// the parser can object, and reopens the result.
+    fn reopen_with_damaged_root_leaf(
+        entries: &[(impl AsRef<[u8]>, Vec<u8>)],
+        damage: impl FnOnce(&mut [u8; PAGE_SIZE], u32),
+    ) -> Store {
+        let shared = SharedMemBackend::new();
+        let mut s = Store::create(Box::new(shared.clone())).unwrap();
+        for (k, v) in entries {
+            s.put(k.as_ref(), v).unwrap();
+        }
+        s.commit().unwrap();
+        let (root, pages) = (s.tree.root, s.page_count());
+        drop(s);
+        let mut disk = shared.snapshot();
+        let mut buf = [0u8; PAGE_SIZE];
+        disk.read_page(root, &mut buf).unwrap();
+        assert_eq!(buf[0], 2, "the root is not a leaf");
+        damage(&mut buf, pages);
+        stamp_trailer(&mut buf);
+        disk.write_page(root, &buf).unwrap();
+        Store::open(Box::new(disk)).unwrap()
+    }
+
+    /// A point read, a prefix scan and `check` must all refuse the leaf
+    /// with the same typed error.
+    fn assert_every_reader_rejects(s: &mut Store, key: &[u8], what: &str) {
+        let is_it = |e: StorageError| match e {
+            StorageError::CorruptPage(_, w) => assert_eq!(w, what),
+            other => panic!("expected CorruptPage(_, {what:?}), got {other:?}"),
+        };
+        is_it(s.get(key).unwrap_err());
+        is_it(
+            s.scan_prefix(key)
+                .and_then(StoreIter::collect_all)
+                .unwrap_err(),
+        );
+        is_it(s.check().unwrap_err());
+    }
+
+    // In the three tests below the leaf starts `tag | count u16`, so the
+    // first entry's `klen u16 | key` sits at byte 3 and, with a one-byte
+    // key, its `vlen u32` at bytes 6..10.
+
+    #[test]
+    fn inline_length_above_inline_max_is_rejected() {
+        let mut s = reopen_with_damaged_root_leaf(&[(b"k", b"abc".to_vec())], |leaf, _| {
+            assert_eq!(leaf[6..10], (1u32 << 31 | 3).to_le_bytes());
+            let too_long = 1u32 << 31 | (INLINE_MAX as u32 + 1);
+            leaf[6..10].copy_from_slice(&too_long.to_le_bytes());
+        });
+        assert_every_reader_rejects(&mut s, b"k", "inline value too long");
+    }
+
+    #[test]
+    fn inline_value_overrunning_the_page_is_rejected() {
+        // Eight maximal values and a short ninth: 3 + 8 * (2 + 2 + 4 + 480)
+        // = 3907 bytes, then `klen | "k8" | vlen` with `vlen` at 3911.
+        let mut entries: Vec<(Vec<u8>, Vec<u8>)> = (0..8)
+            .map(|i| (format!("k{i}").into_bytes(), vec![i; INLINE_MAX]))
+            .collect();
+        entries.push((b"k8".to_vec(), vec![8; 100]));
+        let mut s = reopen_with_damaged_root_leaf(&entries, |leaf, _| {
+            assert_eq!(leaf[3911..3915], (1u32 << 31 | 100).to_le_bytes());
+            // A legal inline length — that would end past PAGE_DATA here.
+            const { assert!(3915 + INLINE_MAX > PAGE_DATA) };
+            let legal = 1u32 << 31 | INLINE_MAX as u32;
+            leaf[3911..3915].copy_from_slice(&legal.to_le_bytes());
+        });
+        assert_every_reader_rejects(&mut s, b"k8", "page overrun");
+    }
+
+    #[test]
+    fn value_run_leaving_the_store_is_rejected_before_it_is_read() {
+        let value = vec![7u8; INLINE_MAX + 1];
+        // A length just under 2 GiB: the reader must not allocate for it.
+        let mut s = reopen_with_damaged_root_leaf(&[(b"k", value.clone())], |leaf, _| {
+            assert_eq!(leaf[6..10], (INLINE_MAX as u32 + 1).to_le_bytes());
+            leaf[6..10].copy_from_slice(&(i32::MAX as u32).to_le_bytes());
+        });
+        assert_every_reader_rejects(&mut s, b"k", "value run outside the data extent");
+        // An honest length on a run that starts behind the last page, and
+        // one that starts in a header slot.
+        for first_page in [None, Some(1u32)] {
+            let mut s = reopen_with_damaged_root_leaf(&[(b"k", value.clone())], |leaf, pages| {
+                leaf[10..14].copy_from_slice(&first_page.unwrap_or(pages).to_le_bytes());
+            });
+            assert_every_reader_rejects(&mut s, b"k", "value run outside the data extent");
+        }
+    }
 
     #[test]
     fn put_get_delete() {
@@ -498,6 +600,26 @@ mod tests {
             Err(StorageError::BadVersion(1))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_rejects_version_2_files() {
+        // A freshly created store has exactly one committed header (commit
+        // 1, in slot 1); page 0 is still blank. Turn it into the header a
+        // version-2 binary would have written.
+        let shared = SharedMemBackend::new();
+        drop(Store::create(Box::new(shared.clone())).unwrap());
+        let mut disk = shared.snapshot();
+        let mut buf = [0u8; PAGE_SIZE];
+        disk.read_page(PageId(1), &mut buf).unwrap();
+        assert_eq!(buf[8..12], FORMAT_VERSION.to_le_bytes());
+        buf[8..12].copy_from_slice(&2u32.to_le_bytes());
+        stamp_trailer(&mut buf);
+        disk.write_page(PageId(1), &buf).unwrap();
+        assert!(matches!(
+            Store::open(Box::new(disk)),
+            Err(StorageError::BadVersion(2))
+        ));
     }
 
     #[test]

@@ -30,23 +30,32 @@ fn scale() -> usize {
         .unwrap_or(1)
 }
 
+/// The store's inline threshold (`btree::INLINE_MAX`, crate-private):
+/// values up to it live in their leaf entry, longer ones in a page run.
+const INLINE_MAX: usize = 480;
+
 /// A deterministic workload of `commits` batches mixing fresh keys,
-/// overwrites, deletes, and values from empty to multi-page.
+/// overwrites, deletes, and values from empty to multi-page — on both
+/// sides of the inline threshold, so every commit carries leaf pages with
+/// inline values *and* out-of-line runs, and overwrites move keys between
+/// the two representations.
 fn workload(seed: u64, commits: usize) -> Vec<Vec<Op>> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..commits)
         .map(|c| {
             let mut batch = Vec::new();
-            for _ in 0..(14 + 4 * c) {
-                let key = format!("key{:03}", rng.gen_range(0..80u32)).into_bytes();
+            for _ in 0..(24 + 6 * c) {
+                let key = format!("key{:03}", rng.gen_range(0..120u32)).into_bytes();
                 if rng.gen_bool(0.2) {
                     batch.push(Op::Delete(key));
                 } else {
-                    let len = match rng.gen_range(0..5u32) {
+                    let len = match rng.gen_range(0..6u32) {
                         0 => 0,
                         1 => rng.gen_range(1..64usize),
                         2 => rng.gen_range(64..900usize),
-                        3 => PAGE_DATA, // exactly one payload page
+                        // The longest inline value or the shortest run.
+                        3 => INLINE_MAX + rng.gen_range(0..2usize),
+                        4 => PAGE_DATA, // exactly one payload page
                         _ => rng.gen_range(PAGE_SIZE..3 * PAGE_SIZE),
                     };
                     let fill = rng.gen_range(0..=255u8);
@@ -201,6 +210,7 @@ fn crash_at_every_write_index_recovers_exactly_the_last_commit() {
     assert_eq!(store.commit_sequence() as usize, commits + 1);
     drop(store);
     let total_ops = ops_counter.get();
+    eprintln!("sweeping {total_ops} backend ops per crash mode");
     assert!(
         total_ops > 40,
         "workload too small: {total_ops} backend ops"
