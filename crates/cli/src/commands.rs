@@ -238,6 +238,21 @@ fn open_with_costs(db_path: &str, flags: &Flags) -> Result<Database, CliError> {
     Ok(Database::from_tree(db.tree().clone(), costs))
 }
 
+/// `--stats` / `--stats-json`: what the metrics registry counted since
+/// `before`, on stderr — as a table, or as one JSON object (which wins
+/// when both switches are given).
+fn report_stats(flags: &Flags, before: &approxql_metrics::MetricsSnapshot) {
+    let json = flags.switch("--stats-json");
+    if json || flags.switch("--stats") {
+        let delta = approxql_metrics::snapshot().diff(before);
+        if json {
+            eprintln!("{}", delta.to_json());
+        } else {
+            eprint!("{}", delta.render_table());
+        }
+    }
+}
+
 /// Entry point: dispatches on the subcommand. Everything a command prints
 /// to standard output goes through `out`, so a closed pipe surfaces as an
 /// `Io` error (which `main` turns into a quiet exit) instead of a panic.
@@ -295,14 +310,21 @@ fn cmd_build(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     Ok(())
 }
 
-const INSERT: Accepts = Accepts::positionals_only(
-    "insert",
-    "  approxql insert  <db.axql> <doc.xml>...
+/// The switches of the two mutation verbs.
+const MUTATION_SWITCHES: &[&str] = &["--stats", "--stats-json"];
+
+const INSERT: Accepts = Accepts {
+    verb: "insert",
+    switches: MUTATION_SWITCHES,
+    options: &[],
+    usage: "  approxql insert  <db.axql> <doc.xml>... [--stats] [--stats-json]
       append documents to an existing database, incrementally updating
       the label indexes, secondary index, and schema; each document is
       sealed with its own atomic commit, so a crash never loses more
-      than the in-flight document",
-);
+      than the in-flight document (--stats / --stats-json print what the
+      mutation cost, layer by layer, to stderr: keys put and deleted,
+      pages written, commits — as for `query`)",
+};
 
 fn cmd_insert(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path, docs @ ..] = flags.positional.as_slice() else {
@@ -319,7 +341,10 @@ fn cmd_insert(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
         parsed.push(approxql_xml::parse_document(&text).map_err(DatabaseError::Xml)?);
     }
     let mut file = DbFile::open(db_path)?;
+    // Diffed from here, so the report is the mutation and not the open.
+    let before = approxql_metrics::snapshot();
     let spans = file.insert_documents(&parsed)?;
+    report_stats(flags, &before);
     let nodes: u32 = spans.iter().map(|s| s.bound - s.start + 1).sum();
     writeln!(
         out,
@@ -334,12 +359,15 @@ fn cmd_insert(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     Ok(())
 }
 
-const DELETE: Accepts = Accepts::positionals_only(
-    "delete",
-    "  approxql delete  <db.axql> <root-pre>
+const DELETE: Accepts = Accepts {
+    verb: "delete",
+    switches: MUTATION_SWITCHES,
+    options: &[],
+    usage: "  approxql delete  <db.axql> <root-pre> [--stats] [--stats-json]
       tombstone the document whose root is node ROOT-PRE (document roots
-      are listed by `stats`; result nodes by `query`); one atomic commit",
-);
+      are listed by `stats`; result nodes by `query`); one atomic commit
+      (--stats / --stats-json as for `insert`)",
+};
 
 fn cmd_delete(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [db_path, root] = flags.positional.as_slice() else {
@@ -351,9 +379,11 @@ fn cmd_delete(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
         .parse()
         .map_err(|_| usage(format!("invalid node number `{root}`")))?;
     let mut file = DbFile::open(db_path)?;
+    let before = approxql_metrics::snapshot();
     let span = file
         .delete_document(approxql_tree::NodeId(pre))?
         .ok_or_else(|| CliError::Op(format!("node {pre} is not a live document root")))?;
+    report_stats(flags, &before);
     writeln!(
         out,
         "deleted document at node {pre} from {db_path}: {} nodes tombstoned",
@@ -429,7 +459,6 @@ fn cmd_query(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let n: usize = flags.option_parsed("-n")?.unwrap_or(10);
     let as_xml = flags.switch("--xml");
     let show_stats = flags.switch("--stats");
-    let stats_json = flags.switch("--stats-json");
     if flags.switch("--direct") && flags.switch("--schema") {
         return Err(usage("--direct and --schema are mutually exclusive"));
     }
@@ -521,14 +550,7 @@ fn cmd_query(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
             }
         }
     }
-    if show_stats || stats_json {
-        let delta = approxql_metrics::snapshot().diff(&before);
-        if stats_json {
-            eprintln!("{}", delta.to_json());
-        } else {
-            eprint!("{}", delta.render_table());
-        }
-    }
+    report_stats(flags, &before);
     Ok(())
 }
 
@@ -754,8 +776,6 @@ fn cmd_eval(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     };
     let as_json = flags.switch("--json");
     let gen_truth = flags.switch("--gen-truth");
-    let show_stats = flags.switch("--stats");
-    let stats_json = flags.switch("--stats-json");
     let k_override = match flags.option("-k") {
         None => None,
         Some("unlimited") => Some(KSpec::Unlimited),
@@ -800,14 +820,7 @@ fn cmd_eval(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
         Some(path) => std::fs::write(path, &output)?,
         None => write!(out, "{output}")?,
     }
-    if show_stats || stats_json {
-        let delta = approxql_metrics::snapshot().diff(&before);
-        if stats_json {
-            eprintln!("{}", delta.to_json());
-        } else {
-            eprint!("{}", delta.render_table());
-        }
-    }
+    report_stats(flags, &before);
     Ok(())
 }
 
@@ -994,6 +1007,20 @@ mod tests {
             run_words(&["insert", db.to_str().unwrap()]),
             Err(CliError::Usage(_))
         ));
+        // Both verbs take the stats switches of `query` and nothing else.
+        for words in [
+            &[
+                "insert",
+                db.to_str().unwrap(),
+                doc2.to_str().unwrap(),
+                "--statz",
+            ][..],
+            &["delete", db.to_str().unwrap(), "1", "--direct"],
+        ] {
+            let err = run_words(words).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{words:?}");
+            assert!(err.to_string().contains("unknown option"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1336,19 +1363,19 @@ mod tests {
         std::fs::write(&doc, "<catalog><cd><title>sonata</title></cd></catalog>").unwrap();
         let db = dir.join("db.axql");
         run_words(&["build", db.to_str().unwrap(), doc.to_str().unwrap()]).unwrap();
-        // Both header slots as a version-2 binary wrote them (the version
+        // Both header slots as a version-3 binary wrote them (the version
         // is bytes 8..12 of each 4 KiB slot and is read before anything
         // else of the slot is trusted).
         let mut bytes = std::fs::read(&db).unwrap();
         for slot in [0, 4096] {
-            bytes[slot + 8..slot + 12].copy_from_slice(&2u32.to_le_bytes());
+            bytes[slot + 8..slot + 12].copy_from_slice(&3u32.to_le_bytes());
         }
         std::fs::write(&db, &bytes).unwrap();
         for verb in ["check", "stats"] {
             let err = run_words(&[verb, db.to_str().unwrap()]).unwrap_err();
             assert_eq!(err.exit_code(), 3, "{verb}");
             let msg = err.to_string();
-            assert!(msg.contains("unsupported store version 2"), "{msg}");
+            assert!(msg.contains("unsupported store version 3"), "{msg}");
             assert!(msg.contains("rebuild with `approxql build`"), "{msg}");
         }
         std::fs::remove_dir_all(&dir).unwrap();

@@ -582,9 +582,10 @@ impl Database {
     /// Persists the database into a single store file using the segmented
     /// layout (DESIGN.md §15): cost model, interner, document map, one
     /// segment per live document, both label indexes, the secondary
-    /// index, and the schema tree. The schema is persisted — not rebuilt
-    /// on open — so schema preorder numbers (which tie-break equal-cost
-    /// second-level queries) survive a save/open cycle bit-for-bit.
+    /// index with its class numbering, and the schema tree. The schema is
+    /// persisted — not rebuilt on open — so class ids and schema preorder
+    /// numbers (which tie-break equal-cost second-level queries) survive a
+    /// save/open cycle bit-for-bit.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), DatabaseError> {
         let mut store = Store::create_file(path)?;
         write_full_image(&mut store, self)?;
@@ -606,13 +607,15 @@ impl Database {
     /// posting list (skip-header monotonicity, per-frame entry counts,
     /// decode round-trip — see DESIGN.md §14), and then performs a full
     /// decode so cross-structure corruption (docmap partition, segment
-    /// columns, schema/secondary consistency) also surfaces. Returns the
+    /// columns, schema/secondary consistency, every live node standing in
+    /// the instance list of its class) also surfaces. Returns the
     /// storage layer's [`CheckReport`] on success.
     pub fn check_file(path: impl AsRef<Path>) -> Result<CheckReport, DatabaseError> {
         let mut store = Store::open_file(path)?;
         let report = store.check()?;
         approxql_index::persist::check_posting_blocks(&mut store)?;
-        let _ = load_from_store(&mut store)?;
+        let db = load_from_store(&mut store)?;
+        db.schema.check_instances(&db.tree)?;
         Ok(report)
     }
 }
@@ -649,8 +652,8 @@ pub(crate) fn write_full_image(store: &mut Store, db: &Database) -> Result<(), D
 
 /// Reassembles a database from a store holding the segmented layout,
 /// validating the parts against each other (segment spans vs. the
-/// document map, labels vs. the interner, secondary keys vs. the schema
-/// tree).
+/// document map, labels vs. the interner, the class numbering and the
+/// secondary keys vs. the schema tree).
 pub(crate) fn load_from_store(store: &mut Store) -> Result<Database, DatabaseError> {
     let cost_bytes = load_blob(store, "costs")?;
     let costs = parse_cost_file(&String::from_utf8_lossy(&cost_bytes))?;

@@ -10,11 +10,11 @@
 
 use crate::database::MutationDelta;
 use crate::database::{doc_key, load_from_store, write_full_image, Database, DatabaseError};
-use approxql_index::persist::{label_key, put_lists, save_blob, sec_key};
+use approxql_index::persist::{label_key, put_lists, save_blob, save_class_numbering, sec_key};
 use approxql_index::SecondaryIndex;
 use approxql_metrics::Metric;
 use approxql_storage::Store;
-use approxql_tree::{encode_docmap, encode_interner, DocSpan, LabelId, NodeId};
+use approxql_tree::{encode_docmap, encode_interner, DocSpan, NodeId};
 use approxql_xml::Document;
 use std::path::Path;
 
@@ -88,11 +88,11 @@ impl DbFile {
             )?;
             self.write_updates(&delta)?;
             if delta.schema.rebuilt {
-                save_blob(
-                    &mut self.store,
-                    "schema",
-                    &self.db.schema().tree().to_bytes(),
-                )?;
+                // The schema tree grew: it and the numbering that maps
+                // class ids onto it are the only values that move.
+                let schema = self.db.schema();
+                save_blob(&mut self.store, "schema", &schema.tree().to_bytes())?;
+                save_class_numbering(&mut self.store, schema.secondary())?;
             }
             self.store.commit()?;
             Metric::StoreDocInserts.incr();
@@ -115,7 +115,7 @@ impl DbFile {
         )?;
         self.store.delete(&doc_key(delta.span.start))?;
         // Deletion never restructures the schema tree (instance-less
-        // nodes are retained so preorder numbers stay stable).
+        // nodes are retained).
         self.write_updates(&delta)?;
         self.store.commit()?;
         Metric::StoreDocDeletes.incr();
@@ -124,7 +124,9 @@ impl DbFile {
 
     /// The one update writer: deletes the key of every posting list the
     /// mutation emptied and puts the current value of every list it
-    /// touched — `ls#`/`lt#` and `sec#` alike, in sorted key order.
+    /// touched — `ls#`/`lt#` and `sec#` alike, in sorted key order. A
+    /// mutation that grew the schema comes the same way: `sec#` keys
+    /// carry class ids, and those do not move.
     fn write_updates(&mut self, delta: &MutationDelta) -> Result<(), DatabaseError> {
         let (labels, secondary) = (self.db.labels(), self.db.schema().secondary());
         let name = |label| self.db.tree().interner().resolve(label);
@@ -133,18 +135,12 @@ impl DbFile {
             .iter()
             .map(|&(ty, l)| label_key(ty, name(l)))
             .collect();
-        let touched_sec: Vec<(u32, LabelId)> = if delta.schema.rebuilt {
-            // A structural extension renumbered the schema nodes: every
-            // `sec#` key may have moved, so all stored ones go and all
-            // current ones are put.
-            let stored = self.store.scan_prefix(b"sec#")?.collect_all()?;
-            gone.extend(stored.into_iter().map(|(key, _)| key));
-            secondary.iter().map(|(key, _)| key).collect()
-        } else {
-            let removed = &delta.schema.removed_sec;
-            gone.extend(removed.iter().map(|&(pre, l)| sec_key(pre, name(l))));
-            delta.schema.touched_sec.clone()
-        };
+        let removed_sec = &delta.schema.removed_sec;
+        gone.extend(
+            removed_sec
+                .iter()
+                .map(|&(class, l)| sec_key(class, name(l))),
+        );
         gone.sort_unstable();
         for key in gone {
             self.store.delete(&key)?;
@@ -156,9 +152,9 @@ impl DbFile {
                 let list = labels.blocks(ty, l).map(|list| list.to_bytes());
                 (label_key(ty, name(l)), list)
             })
-            .chain(touched_sec.iter().map(|&(pre, l)| {
-                let list = secondary.get(pre, l).map(SecondaryIndex::list_bytes);
-                (sec_key(pre, name(l)), list)
+            .chain(delta.schema.touched_sec.iter().map(|&(class, l)| {
+                let list = secondary.get(class, l).map(SecondaryIndex::list_bytes);
+                (sec_key(class, name(l)), list)
             }))
             .filter_map(|(key, list)| {
                 debug_assert!(list.is_some(), "touched posting missing from its index");
@@ -203,11 +199,18 @@ mod tests {
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
-    /// Every stored posting list of the file at `path`, keyed by store key.
+    /// Every stored posting list of the file at `path` and the two blobs
+    /// that say what the `sec#` keys mean, keyed by store key.
     fn stored_lists(path: &Path) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut store = Store::open_file(path).unwrap();
         let mut lists = Vec::new();
-        for prefix in [&b"ls#"[..], b"lt#", b"sec#"] {
+        for prefix in [
+            &b"ls#"[..],
+            b"lt#",
+            b"sec#",
+            b"meta#schema",
+            b"meta#classes",
+        ] {
             lists.extend(store.scan_prefix(prefix).unwrap().collect_all().unwrap());
         }
         lists
@@ -231,7 +234,12 @@ mod tests {
     fn insert_cycles_leave_the_lists_of_a_fresh_build() {
         let path = temp_path("cycles");
         let fresh_path = path.with_file_name("fresh.axql");
-        let xmls = path_reusing_docs();
+        let mut xmls = path_reusing_docs();
+        // Two novel paths among the twelve: a new top-level name lands at
+        // the end of the schema, a new child of the first class after
+        // that in its middle.
+        xmls[3] = xmls[3].replace("cd>", "dvd>");
+        xmls[7] = xmls[7].replace("</cd>", "<composer>bach</composer></cd>");
         let db = Database::from_xml_str(&xmls[0], CostModel::new()).unwrap();
         drop(DbFile::create(&path, db).unwrap());
         // What `approxql insert` does, once per document.
@@ -244,11 +252,157 @@ mod tests {
         drop(DbFile::create(&fresh_path, fresh).unwrap());
         let (grown, built) = (stored_lists(&path), stored_lists(&fresh_path));
         assert!(grown.iter().any(|(k, _)| k.starts_with(b"sec#")));
+        assert_eq!(grown.last().unwrap().0, b"meta#classes");
         assert_eq!(grown.len(), built.len());
         for (g, b) in grown.iter().zip(&built) {
             assert_eq!(g, b, "list {}", String::from_utf8_lossy(&g.0));
         }
         Database::check_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn a_path_under_an_early_class_writes_only_its_own_keys() {
+        let path = temp_path("midschema");
+        let fresh_path = path.with_file_name("fresh.axql");
+        // Eighty documents under four top-level names: `cd` is the first
+        // class, and three more subtrees stand after it in the schema.
+        let mut xmls: Vec<String> = (0..80)
+            .map(|i| {
+                let (top, word) = (["cd", "dvd", "mc", "lp"][i % 4], ["piano", "cello"][i % 2]);
+                format!("<{top}><title>{word} n{i}</title><year>19{i:02}</year></{top}>")
+            })
+            .collect();
+        let refs: Vec<&str> = xmls.iter().map(String::as_str).collect();
+        let db = Database::from_xml_strs(&refs, CostModel::new()).unwrap();
+        drop(DbFile::create(&path, db).unwrap());
+
+        let mut file = DbFile::open(&path).unwrap();
+        let classes = file.database().schema().secondary().numbering().to_vec();
+        xmls.push("<cd><title>piano</title><composer>bach</composer></cd>".to_owned());
+        let before = approxql_metrics::snapshot();
+        file.insert_documents(&[doc(&xmls[80])]).unwrap();
+        let wrote = approxql_metrics::snapshot().diff(&before);
+        // The new `composer` path renumbered every schema node after `cd`…
+        let grown = file.database().schema().secondary().numbering();
+        assert_eq!(grown.len(), classes.len() + 2);
+        assert_ne!(grown[..classes.len()], classes[..]);
+        // …and the insert still wrote only what its own five nodes touch:
+        // 5 `sec#` lists (cd, title, "piano", composer, "bach"), 6 label
+        // lists (the same and the virtual root's), docmap, segment,
+        // interner, schema, classes.
+        assert_eq!(wrote.get(Metric::BtreeDeletes), 0);
+        assert_eq!(wrote.get(Metric::BtreeInserts), 5 + 6 + 5);
+
+        let queries = [
+            r#"cd[composer["bach"]]"#,
+            r#"dvd[title["cello"]]"#,
+            "lp[year]",
+        ];
+        let reopened = DbFile::open(&path).unwrap();
+        for q in queries {
+            let (live, disk) = (file.database(), reopened.database());
+            let direct = live.query_direct(q, None).unwrap();
+            assert!(!direct.is_empty(), "{q}");
+            assert_eq!(disk.query_direct(q, None).unwrap(), direct, "{q}");
+            let schema = live.query_schema(q, 100).unwrap();
+            assert_eq!(schema, direct, "{q}");
+            assert_eq!(disk.query_schema(q, 100).unwrap(), schema, "{q}");
+        }
+        drop((file, reopened));
+        Database::check_file(&path).unwrap();
+
+        let refs: Vec<&str> = xmls.iter().map(String::as_str).collect();
+        let fresh = Database::from_xml_strs(&refs, CostModel::new()).unwrap();
+        drop(DbFile::create(&fresh_path, fresh).unwrap());
+        assert!(stored_lists(&path) == stored_lists(&fresh_path));
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// A `classes` blob of these words.
+    fn numbering(pres: &[u32]) -> Vec<u8> {
+        pres.iter().flat_map(|p| p.to_le_bytes()).collect()
+    }
+
+    #[test]
+    fn a_planted_class_numbering_is_a_typed_error_never_a_panic() {
+        let path = temp_path("numbering");
+        let planted = path.with_file_name("planted.axql");
+        let docs = [
+            "<cd><title>piano</title></cd>",
+            "<dvd><title>film</title></dvd>",
+        ];
+        let db = Database::from_xml_strs(&docs, CostModel::new()).unwrap();
+        // root, cd, title, text, dvd, title, text: built in order.
+        let good = db.schema().secondary().numbering().to_vec();
+        assert_eq!(good, [0, 1, 2, 3, 4, 5, 6]);
+        let cd = db.tree().lookup_label("cd").unwrap();
+        let cd_list = SecondaryIndex::list_bytes(db.schema().secondary().get(1, cd).unwrap());
+        drop(DbFile::create(&path, db).unwrap());
+        // Each plant is one more commit on a copy: every page checksum
+        // holds, only the meaning is wrong.
+        let plant = |key: &[u8], value: Option<&[u8]>| {
+            std::fs::copy(&path, &planted).unwrap();
+            let mut store = Store::open_file(&planted).unwrap();
+            match value {
+                Some(value) => store.put(key, value).unwrap(),
+                None => assert!(store.delete(key).unwrap()),
+            }
+            store.commit().unwrap();
+            drop(store);
+            (
+                Database::open(&planted).err().map(|e| e.to_string()),
+                Database::check_file(&planted).err().map(|e| e.to_string()),
+            )
+        };
+        let classes: &[u8] = b"meta#classes";
+        for (blob, why) in [
+            (numbering(&good)[..27].to_vec(), "truncated blob"),
+            (
+                numbering(&[0, 1, 2, 3, 4, 5, 5]),
+                "two classes share a schema node",
+            ),
+            (
+                numbering(&[0, 1, 2, 3, 4, 5, 7]),
+                "a class points past the schema tree",
+            ),
+            (
+                numbering(&[1, 0, 2, 3, 4, 5, 6]),
+                "the root class is not schema node 0",
+            ),
+        ] {
+            let (open, check) = plant(classes, Some(&blob));
+            let want = Some(format!("bad class numbering: {why}"));
+            assert_eq!((open, check), (want.clone(), want));
+        }
+        let (open, check) = plant(classes, None);
+        assert_eq!(open.as_deref(), Some("missing stored blob `classes`"));
+        assert_eq!(check, open);
+        // A shorter table is a fine permutation that orphans `sec#` keys,
+        // as does a key that names a class nobody numbered.
+        let (open, check) = plant(classes, Some(&numbering(&[0, 1, 2, 3, 4])));
+        assert!(open
+            .as_ref()
+            .is_some_and(|e| e.starts_with("malformed index key `sec#")));
+        assert_eq!(check, open);
+        let (open, check) = plant(&sec_key(7, "cd"), Some(&cd_list));
+        assert!(open
+            .as_ref()
+            .is_some_and(|e| e.starts_with("malformed index key `sec#")));
+        assert_eq!(check, open);
+        // Two ids swapped (`cd` and `dvd`): each is valid, the store
+        // opens, and only `check` sees that the lists sit under the wrong
+        // classes.
+        let (open, check) = plant(classes, Some(&numbering(&[0, 4, 2, 3, 1, 5, 6])));
+        assert_eq!(open, None);
+        assert_eq!(
+            check.as_deref(),
+            Some("inconsistent persisted schema: secondary index contradicts the classification")
+        );
+        // So does one list moved to another class that exists.
+        let (open, check) = plant(&sec_key(4, "cd"), Some(&cd_list));
+        assert_eq!(open, None);
+        assert!(check.is_some_and(|e| e.ends_with("contradicts the classification")));
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

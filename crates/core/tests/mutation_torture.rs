@@ -59,11 +59,11 @@ fn album(tag: &str, tracks: usize) -> String {
     xml + "</tracks></cd>"
 }
 
-/// The mutation workload: inserts reusing known paths, inserts forcing
-/// schema rebuilds (new labels and new label-type paths), documents whose
-/// values cross the store's inline threshold in both directions (an album
-/// pushes lists out of line, its delete brings them back), and deletes of
-/// shifting positions, interleaved.
+/// The mutation workload: inserts reusing known paths, inserts growing
+/// the schema (new labels and new label-type paths, at its end and in its
+/// middle), documents whose values cross the store's inline threshold in
+/// both directions (an album pushes lists out of line, its delete brings
+/// them back), and deletes of shifting positions, interleaved.
 fn workload() -> Vec<MutOp> {
     let mut ops = vec![
         MutOp::Insert(
@@ -84,6 +84,13 @@ fn workload() -> Vec<MutOp> {
                 .into(),
         ),
         MutOp::Insert("<lied><title>erlkoenig</title><poet>goethe</poet></lied>".into()),
+        // A new path under the first class, long after `mc`, `opera` and
+        // `lied` took their places behind it: every schema pre after `cd`
+        // moves in this commit, and no `sec#` key does.
+        MutOp::Insert(
+            "<cd><title>piano trio</title><conductor>karajan</conductor></cd>".into(),
+        ),
+        MutOp::Delete(2),
     ];
     for i in 1..scale() {
         ops.push(MutOp::Insert(format!(
@@ -123,6 +130,7 @@ const QUERIES: &[&str] = &[
     r#"mc[track["allegro"]]"#,
     r#"opera[aria["sapete"]]"#,
     r#"cd[composer]"#,
+    r#"cd[conductor["karajan"]]"#,
 ];
 
 /// Every query's direct and schema results (roots and costs), in a fixed
@@ -237,6 +245,10 @@ fn run_crash_case(
         .unwrap_or_else(|e| panic!("crash@{crash_at} {mode:?}: posting check failed: {e}"));
     let mut file = DbFile::open_in(store)
         .unwrap_or_else(|e| panic!("crash@{crash_at} {mode:?}: recovered image unreadable: {e}"));
+    let db = file.database();
+    db.schema()
+        .check_instances(db.tree())
+        .unwrap_or_else(|e| panic!("crash@{crash_at} {mode:?}: {e}"));
     let oracle = models
         .get(&csn)
         .unwrap_or_else(|| panic!("crash@{crash_at} {mode:?}: impossible recovered commit {csn}"));

@@ -8,7 +8,8 @@
 //! * [`SecondaryIndex`] — the path-dependent postings of Section 7.3
 //!   (`I_sec`): for each *schema* node (and, for merged text classes, each
 //!   word) the sorted list of its data-tree instances as preorder–bound
-//!   pairs.
+//!   pairs. Stored under the node class's stable *class id*, fetched by
+//!   schema preorder number; the index carries the table between the two.
 //! * [`persist`] — serialization of both into an
 //!   [`approxql_storage::Store`], mirroring the paper's use of Berkeley DB
 //!   as the index store.

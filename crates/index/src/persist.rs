@@ -2,13 +2,17 @@
 //!
 //! Key layout (all keys are byte strings):
 //!
-//! * `meta#<name>` — named blobs: `costs`, `interner`, `docmap` and the
-//!   `schema` tree
+//! * `meta#<name>` — named blobs: `costs`, `interner`, `docmap`, the
+//!   `schema` tree and `classes`, the `class id → schema pre` numbering
+//!   (one little-endian `u32` per schema node, indexed by class id)
 //! * `doc#<start, big-endian u32>` — one live document's column segment
 //!   (written by `approxql-core`)
 //! * `ls#<label>` / `lt#<label>` — `I_struct` / `I_text` postings
-//! * `sec#<schema-pre, big-endian u32>#<label>` — path-dependent postings,
-//!   mirroring the paper's `pre(u)#label(u)` key construction.
+//! * `sec#<class id, big-endian u32>#<label>` — path-dependent postings,
+//!   mirroring the paper's `pre(u)#label(u)` key construction with the
+//!   class's stable id in place of its schema preorder number: when the
+//!   schema tree grows, only the `classes` blob moves and no `sec#` key
+//!   does (DESIGN.md §6).
 //!
 //! Every `ls#`/`lt#`/`sec#` value is one [`BlockList`] in canonical form
 //! (DESIGN.md §14), and every writer puts its keys in sorted order, so the
@@ -36,6 +40,9 @@ pub enum PersistError {
     UnknownLabel(String),
     /// A required `meta#` blob is missing.
     MissingBlob(&'static str),
+    /// The `meta#classes` numbering is not a permutation of the schema
+    /// nodes that keeps the root in place.
+    BadNumbering(&'static str),
 }
 
 impl fmt::Display for PersistError {
@@ -48,6 +55,7 @@ impl fmt::Display for PersistError {
                 write!(f, "stored label `{l}` is not in the tree's interner")
             }
             PersistError::MissingBlob(b) => write!(f, "missing stored blob `{b}`"),
+            PersistError::BadNumbering(why) => write!(f, "bad class numbering: {why}"),
         }
     }
 }
@@ -77,10 +85,10 @@ pub fn label_key(ty: NodeType, label: &str) -> Vec<u8> {
 }
 
 /// The store key of a secondary posting:
-/// `sec#<schema-pre, big-endian u32>#<label>`.
-pub fn sec_key(schema_pre: u32, label: &str) -> Vec<u8> {
+/// `sec#<class id, big-endian u32>#<label>`.
+pub fn sec_key(class: u32, label: &str) -> Vec<u8> {
     let mut k = b"sec#".to_vec();
-    k.extend_from_slice(&schema_pre.to_be_bytes());
+    k.extend_from_slice(&class.to_be_bytes());
     k.push(b'#');
     k.extend_from_slice(label.as_bytes());
     k
@@ -152,11 +160,11 @@ fn check_lists<E: FrameEntry>(store: &mut Store, prefix: &[u8]) -> Result<(), Pe
 const LABEL_PREFIXES: [(&[u8], NodeType); 2] =
     [(b"ls#", NodeType::Struct), (b"lt#", NodeType::Text)];
 
-/// The part of a `sec#` key after the prefix: big-endian schema pre, `#`,
+/// The part of a `sec#` key after the prefix: big-endian class id, `#`,
 /// label name.
 fn split_sec_key(rest: &[u8]) -> Option<(u32, &[u8])> {
-    let (pre, rest) = rest.split_first_chunk::<4>()?;
-    Some((u32::from_be_bytes(*pre), rest.strip_prefix(b"#")?))
+    let (class, rest) = rest.split_first_chunk::<4>()?;
+    Some((u32::from_be_bytes(*class), rest.strip_prefix(b"#")?))
 }
 
 /// Saves a label index; labels are resolved through `interner`.
@@ -191,7 +199,8 @@ pub fn load_label_index(
     Ok(index)
 }
 
-/// Saves a secondary index; labels are resolved through `interner`.
+/// Saves a secondary index — its `sec#` lists and its class numbering;
+/// labels are resolved through `interner`.
 pub fn save_secondary_index(
     store: &mut Store,
     index: &SecondaryIndex,
@@ -199,25 +208,49 @@ pub fn save_secondary_index(
 ) -> Result<(), PersistError> {
     put_lists(
         store,
-        index.iter().map(|((pre, label), list)| {
+        index.iter().map(|((class, label), list)| {
             let value = SecondaryIndex::list_bytes(list);
-            (sec_key(pre, interner.resolve(label)), value)
+            (sec_key(class, interner.resolve(label)), value)
         }),
-    )
+    )?;
+    save_class_numbering(store, index)
 }
 
-/// Loads a secondary index saved with [`save_secondary_index`].
+/// Saves the `class id → schema pre` numbering of `index` as
+/// `meta#classes`: the one value a structural schema extension rewrites
+/// (together with the `schema` tree blob).
+pub fn save_class_numbering(store: &mut Store, index: &SecondaryIndex) -> Result<(), PersistError> {
+    let blob: Vec<u8> = index
+        .numbering()
+        .iter()
+        .flat_map(|pre| pre.to_le_bytes())
+        .collect();
+    save_blob(store, "classes", &blob)
+}
+
+/// Loads a secondary index saved with [`save_secondary_index`]. The
+/// numbering is validated as a permutation before anything reads it, and
+/// a `sec#` key naming a class past it is a [`PersistError::BadKey`].
 pub fn load_secondary_index(
     store: &mut Store,
     interner: &Interner,
 ) -> Result<SecondaryIndex, PersistError> {
+    let blob = load_blob(store, "classes")?;
+    let (words, rest) = blob.as_chunks::<4>();
+    if !rest.is_empty() {
+        return Err(PersistError::BadNumbering("truncated blob"));
+    }
     let mut index = SecondaryIndex::new();
+    index
+        .set_numbering(words.iter().map(|w| u32::from_le_bytes(*w)).collect())
+        .map_err(PersistError::BadNumbering)?;
+    let classes = words.len();
     load_lists(
         store,
         interner,
         b"sec#",
-        split_sec_key,
-        |pre, label, value| index.insert_bytes(pre, label, value),
+        |rest| split_sec_key(rest).filter(|&(class, _)| (class as usize) < classes),
+        |class, label, value| index.insert_bytes(class, label, value),
     )?;
     Ok(index)
 }
@@ -279,12 +312,82 @@ mod tests {
         idx.push(1, cd, InstancePosting { pre: 1, bound: 4 });
         idx.push(3, piano, InstancePosting { pre: 3, bound: 3 });
         idx.push(3, piano, InstancePosting { pre: 9, bound: 9 });
+        // Class 3 was discovered last but stands second in the tree.
+        idx.set_numbering(vec![0, 1, 3, 2]).unwrap();
         let mut store = Store::in_memory().unwrap();
         save_secondary_index(&mut store, &idx, t.interner()).unwrap();
         let loaded = load_secondary_index(&mut store, t.interner()).unwrap();
         assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded.fetch(3, piano), idx.fetch(3, piano));
+        assert_eq!(loaded.numbering(), idx.numbering());
+        assert_eq!(loaded.get(3, piano), idx.get(3, piano));
+        assert_eq!(loaded.fetch(2, piano).len(), 2, "fetch speaks schema pre");
         assert_eq!(loaded.fetch(1, cd), idx.fetch(1, cd));
+        assert!(store
+            .get(&sec_key(3, "piano"))
+            .unwrap()
+            .is_some_and(|v| !v.is_empty()));
+    }
+
+    #[test]
+    fn classes_blob_bytes_are_pinned() {
+        let mut idx = SecondaryIndex::new();
+        idx.set_numbering(vec![0, 2, 1]).unwrap();
+        let mut store = Store::in_memory().unwrap();
+        save_class_numbering(&mut store, &idx).unwrap();
+        assert_eq!(
+            load_blob(&mut store, "classes").unwrap(),
+            [0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0]
+        );
+    }
+
+    #[test]
+    fn a_bad_class_numbering_is_a_typed_error() {
+        let t = tree();
+        let load = |blob: Option<&[u8]>| {
+            let mut store = Store::in_memory().unwrap();
+            if let Some(blob) = blob {
+                save_blob(&mut store, "classes", blob).unwrap();
+            }
+            load_secondary_index(&mut store, t.interner())
+        };
+        let words = |ws: &[u32]| ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+        assert!(load(Some(&words(&[0, 2, 1]))).is_ok());
+        assert!(matches!(
+            load(None),
+            Err(PersistError::MissingBlob("classes"))
+        ));
+        for (blob, why) in [
+            (words(&[0, 2, 1])[..11].to_vec(), "truncated"),
+            (Vec::new(), "empty"),
+            (words(&[0, 1, 1]), "duplicate pre"),
+            (words(&[0, 1, 3]), "pre out of range"),
+            (words(&[0, 1, u32::MAX]), "pre far out of range"),
+            (words(&[1, 0, 2]), "root moved"),
+        ] {
+            assert!(
+                matches!(load(Some(&blob)), Err(PersistError::BadNumbering(_))),
+                "{why}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_sec_key_past_the_numbering_is_a_bad_key() {
+        let t = tree();
+        let cd = t.lookup_label("cd").unwrap();
+        let mut idx = SecondaryIndex::new();
+        idx.push(2, cd, InstancePosting { pre: 1, bound: 4 });
+        idx.set_numbering(vec![0, 1, 2]).unwrap();
+        let mut store = Store::in_memory().unwrap();
+        save_secondary_index(&mut store, &idx, t.interner()).unwrap();
+        load_secondary_index(&mut store, t.interner()).unwrap();
+        // The same list, with the table one class shorter.
+        idx.set_numbering(vec![0, 1]).unwrap();
+        save_class_numbering(&mut store, &idx).unwrap();
+        assert!(matches!(
+            load_secondary_index(&mut store, t.interner()),
+            Err(PersistError::BadKey(_))
+        ));
     }
 
     #[test]

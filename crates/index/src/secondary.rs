@@ -15,13 +15,23 @@ pub struct InstancePosting {
     pub bound: u32,
 }
 
-/// The secondary index: maps `(schema node, label)` to the sorted list of
+/// The secondary index: maps `(node class, label)` to the sorted list of
 /// data-tree instances.
 ///
 /// The label component mirrors the paper's key construction
 /// `pre(u)#label(u)`: for struct nodes it is redundant (a schema node has
 /// one name) but for *merged text classes* of a compacted schema it selects
 /// the instances of one specific word.
+///
+/// The class component is the **class id** — the number a node class was
+/// discovered with, which never changes — and not the paper's schema
+/// preorder number, which moves whenever the schema tree grows in the
+/// middle (DESIGN.md §6). Everything that *stores* a class speaks class
+/// ids ([`push`](Self::push), [`get`](Self::get), [`iter`](Self::iter),
+/// the `sec#` keys); the query side speaks **schema pre**
+/// ([`fetch`](Self::fetch)), and the index carries the `class id → schema
+/// pre` numbering with its inverse to translate between the two. An index
+/// nobody gave a numbering reads ids as pres.
 ///
 /// Lists are resident as plain preorder-sorted vectors (nearly all of them
 /// are far shorter than one frame); they meet the frame codec only at the
@@ -31,6 +41,10 @@ pub struct InstancePosting {
 #[derive(Debug, Clone, Default)]
 pub struct SecondaryIndex {
     map: HashMap<(u32, LabelId), Vec<InstancePosting>>,
+    /// `pre_of_class[class id] = schema pre`; empty means identity.
+    pre_of_class: Vec<u32>,
+    /// The inverse: `class_of_pre[schema pre] = class id`.
+    class_of_pre: Vec<u32>,
 }
 
 impl SecondaryIndex {
@@ -39,11 +53,50 @@ impl SecondaryIndex {
         SecondaryIndex::default()
     }
 
-    /// Appends an instance to the posting of `(schema_pre, label)`.
+    /// Replaces the `class id → schema pre` numbering — the only thing a
+    /// structural schema extension moves. `pre_of_class` must be a
+    /// permutation of `0..n` that keeps the root (class 0) at pre 0; the
+    /// error names the first violation and leaves the index unchanged.
+    pub fn set_numbering(&mut self, pre_of_class: Vec<u32>) -> Result<(), &'static str> {
+        if pre_of_class.first() != Some(&0) {
+            return Err("the root class is not schema node 0");
+        }
+        let mut class_of_pre = vec![u32::MAX; pre_of_class.len()];
+        for (class, &pre) in pre_of_class.iter().enumerate() {
+            match class_of_pre.get_mut(pre as usize) {
+                None => return Err("a class points past the schema tree"),
+                Some(slot) if *slot != u32::MAX => return Err("two classes share a schema node"),
+                Some(slot) => *slot = class as u32,
+            }
+        }
+        self.pre_of_class = pre_of_class;
+        self.class_of_pre = class_of_pre;
+        Ok(())
+    }
+
+    /// The numbering, indexed by class id (empty if none was ever set).
+    pub fn numbering(&self) -> &[u32] {
+        &self.pre_of_class
+    }
+
+    /// The schema pre of the class with id `class`.
+    pub fn pre_of_class(&self, class: u32) -> u32 {
+        *self.pre_of_class.get(class as usize).unwrap_or(&class)
+    }
+
+    /// The id of the class that sits at `schema_pre` in the schema tree.
+    pub fn class_of_pre(&self, schema_pre: u32) -> u32 {
+        *self
+            .class_of_pre
+            .get(schema_pre as usize)
+            .unwrap_or(&schema_pre)
+    }
+
+    /// Appends an instance to the posting of `(class, label)`.
     /// Instances must be added in increasing preorder (the schema builder
     /// walks the data tree in preorder, so this holds naturally).
-    pub fn push(&mut self, schema_pre: u32, label: LabelId, instance: InstancePosting) {
-        let list = self.map.entry((schema_pre, label)).or_default();
+    pub fn push(&mut self, class: u32, label: LabelId, instance: InstancePosting) {
+        let list = self.map.entry((class, label)).or_default();
         debug_assert!(
             list.last().is_none_or(|last| last.pre < instance.pre),
             "instances must be pushed in increasing preorder"
@@ -51,23 +104,26 @@ impl SecondaryIndex {
         list.push(instance);
     }
 
-    /// The instances of `(schema_pre, label)`, preorder-sorted; empty if
-    /// the key is absent. This is the query-time access: it counts
-    /// `index.secondary_fetches` / `index.secondary_rows`.
+    /// The instances of the class at `schema_pre` that carry `label`,
+    /// preorder-sorted; empty if there are none. This is the query-time
+    /// access: it counts `index.secondary_fetches` /
+    /// `index.secondary_rows`.
     pub fn fetch(&self, schema_pre: u32, label: LabelId) -> &[InstancePosting] {
-        let posting = self.get(schema_pre, label).unwrap_or_default();
+        let posting = self
+            .get(self.class_of_pre(schema_pre), label)
+            .unwrap_or_default();
         Metric::IndexSecondaryFetches.incr();
         Metric::IndexSecondaryRows.add(posting.len() as u64);
         posting
     }
 
-    /// The instances of `(schema_pre, label)` without any metric
-    /// side-effects, for the maintenance paths. `None` if absent.
-    pub fn get(&self, schema_pre: u32, label: LabelId) -> Option<&[InstancePosting]> {
-        self.map.get(&(schema_pre, label)).map(Vec::as_slice)
+    /// The instances of `(class, label)` without any metric side-effects,
+    /// for the maintenance paths. `None` if absent.
+    pub fn get(&self, class: u32, label: LabelId) -> Option<&[InstancePosting]> {
+        self.map.get(&(class, label)).map(Vec::as_slice)
     }
 
-    /// Number of `(schema node, label)` postings.
+    /// Number of `(class, label)` postings.
     pub fn len(&self) -> usize {
         self.map.len()
     }
@@ -77,7 +133,8 @@ impl SecondaryIndex {
         self.map.is_empty()
     }
 
-    /// Iterates over all postings (arbitrary order).
+    /// Iterates over all postings, keyed by `(class id, label)`
+    /// (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = ((u32, LabelId), &[InstancePosting])> {
         self.map.iter().map(|(&k, v)| (k, v.as_slice()))
     }
@@ -87,42 +144,33 @@ impl SecondaryIndex {
         BlockList::from_entries(list).to_bytes()
     }
 
-    /// Inserts the posting of `(schema_pre, label)` from its stored value,
+    /// Inserts the posting of `(class, label)` from its stored value,
     /// validating the skip headers and decoding every frame.
     pub fn insert_bytes(
         &mut self,
-        schema_pre: u32,
+        class: u32,
         label: LabelId,
         value: &[u8],
     ) -> Result<(), PostingDecodeError> {
         let list = BlockList::<InstancePosting>::from_bytes(value)?.try_decode()?;
-        self.map.insert((schema_pre, label), list);
+        self.map.insert((class, label), list);
         Ok(())
     }
 
-    /// Removes every instance of `(schema_pre, label)` with
+    /// Removes every instance of `(class, label)` with
     /// `lo <= pre <= hi`, dropping the entry entirely when it empties.
     /// Returns the number of instances removed.
-    pub fn remove_range(&mut self, schema_pre: u32, label: LabelId, lo: u32, hi: u32) -> usize {
-        let Some(list) = self.map.get_mut(&(schema_pre, label)) else {
+    pub fn remove_range(&mut self, class: u32, label: LabelId, lo: u32, hi: u32) -> usize {
+        let Some(list) = self.map.get_mut(&(class, label)) else {
             return 0;
         };
         let before = list.len();
         list.retain(|p| p.pre < lo || p.pre > hi);
         let removed = before - list.len();
         if list.is_empty() {
-            self.map.remove(&(schema_pre, label));
+            self.map.remove(&(class, label));
         }
         removed
-    }
-
-    /// Renumbers the schema-node component of every key (a structural
-    /// schema extension shifts schema preorder numbers).
-    pub fn remap_schema_pres(&mut self, remap: impl Fn(u32) -> u32) {
-        self.map = std::mem::take(&mut self.map)
-            .into_iter()
-            .map(|((pre, label), list)| ((remap(pre), label), list))
-            .collect();
     }
 }
 
@@ -141,6 +189,27 @@ mod tests {
         assert!(idx.fetch(8, l).is_empty());
         assert!(idx.fetch(7, LabelId(4)).is_empty());
         assert_eq!(idx.len(), 1);
+    }
+
+    #[test]
+    fn a_numbering_translates_fetch_and_nothing_else() {
+        let mut idx = SecondaryIndex::new();
+        let l = LabelId(3);
+        idx.push(2, l, InstancePosting { pre: 10, bound: 12 });
+        // Un-numbered: ids read as pres.
+        assert_eq!(idx.fetch(2, l).len(), 1);
+        assert_eq!((idx.pre_of_class(2), idx.class_of_pre(2)), (2, 2));
+        // Class 2 moves to schema pre 1: `fetch` follows, `get` does not.
+        idx.set_numbering(vec![0, 2, 1]).unwrap();
+        assert_eq!((idx.pre_of_class(2), idx.class_of_pre(1)), (1, 2));
+        assert_eq!(idx.fetch(1, l).len(), 1);
+        assert!(idx.fetch(2, l).is_empty());
+        assert_eq!(idx.get(2, l).unwrap().len(), 1);
+        // A rejected numbering leaves the old one in place.
+        for bad in [vec![], vec![1, 0], vec![0, 1, 1], vec![0, 3, 1]] {
+            assert!(idx.set_numbering(bad).is_err());
+        }
+        assert_eq!(idx.numbering(), [0, 2, 1]);
     }
 
     #[test]

@@ -95,9 +95,15 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deep arrays and objects may nest: `value` recurses once per level,
+/// and the text may be a command-line argument.
+const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Open arrays and objects around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -148,8 +154,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -158,6 +164,21 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// One array or object, unless its opening bracket (the current
+    /// byte) stands one level too deep.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("JSON nests deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
@@ -302,6 +323,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -387,5 +409,24 @@ mod tests {
         assert_eq!(parse("7").unwrap().as_uint(), Some(7));
         assert_eq!(parse("7.5").unwrap().as_uint(), None);
         assert_eq!(parse("-7").unwrap().as_uint(), None);
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_bracket_that_goes_too_deep() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.line, err.col), (1, MAX_DEPTH + 1));
+        assert_eq!(err.message, "JSON nests deeper than 256 levels");
+        // Objects count like arrays, siblings do not, and what used to
+        // abort the process — 60 KB of open brackets — is an error.
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        assert!(parse(&format!("[{}[]]", "[[]],".repeat(1000))).is_ok());
+        assert!(parse(&r#"{"v":1,"query":["#.repeat(4_000)).is_err());
     }
 }

@@ -17,6 +17,10 @@
 //! primary := '(' expr ')' | step | STRING
 //! ```
 //!
+//! Nesting — brackets, parentheses and path steps — is bounded by
+//! [`MAX_DEPTH`]: the parser recurses once per level, and a query is an
+//! argument anybody can make 30,000 levels deep.
+//!
 //! String literals are normalized with the same word splitting as document
 //! text (Section 4); a multi-word literal like `"piano concerto"` becomes
 //! `"piano" and "concerto"`.
@@ -112,6 +116,11 @@ fn conjoin(parts: impl IntoIterator<Item = QueryNode>) -> Option<QueryNode> {
         .reduce(|acc, next| QueryNode::And(Box::new(acc), Box::new(next)))
 }
 
+/// How deep a query may nest. Far beyond any schema's depth, far below
+/// what the recursive descent (and everything that later walks the
+/// pattern) has stack for.
+pub const MAX_DEPTH: usize = 256;
+
 /// The one recursive-descent parser. `paths` selects the XPath-lite `step`
 /// production ([`crate::xpath`]); every other production is shared.
 pub(crate) struct Parser<'a> {
@@ -119,6 +128,8 @@ pub(crate) struct Parser<'a> {
     tokens: Vec<Spanned>,
     pos: usize,
     paths: bool,
+    /// Open `[`, `(` and path separators around the current token.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -132,6 +143,7 @@ impl Parser<'_> {
             tokens,
             pos: 0,
             paths,
+            depth: 0,
         };
         if paths {
             if !p.at_separator() {
@@ -176,6 +188,23 @@ impl Parser<'_> {
         Ok(())
     }
 
+    /// Steps over the token that opens a nesting level — `[`, `(` or a
+    /// path separator — and parses what stands inside it, unless the
+    /// token is one level too deep.
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<QueryNode, ParseError>,
+    ) -> Result<QueryNode, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("query nests deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        let node = inner(self);
+        self.depth -= 1;
+        node
+    }
+
     /// Classic: `step := NAME [ '[' expr ']' ]`. With `paths`:
     /// `step := NAME pred* ( sep step )?`, `pred := '[' expr ']'` — the
     /// predicates and the path tail conjoin in source order.
@@ -191,13 +220,11 @@ impl Parser<'_> {
         self.pos += 1;
         let mut parts = Vec::new();
         while self.peek() == Some(&Token::LBracket) && (self.paths || parts.is_empty()) {
-            self.pos += 1;
-            parts.push(self.expr()?);
+            parts.push(self.nested(Self::expr)?);
             self.expect(&Token::RBracket)?;
         }
         if self.paths && self.at_separator() {
-            self.pos += 1;
-            parts.push(self.step()?);
+            parts.push(self.nested(Self::step)?);
         }
         Ok(QueryNode::Name {
             label,
@@ -210,8 +237,7 @@ impl Parser<'_> {
     fn primary(&mut self) -> Result<QueryNode, ParseError> {
         match self.peek() {
             Some(Token::LParen) => {
-                self.pos += 1;
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
@@ -425,5 +451,38 @@ mod tests {
         assert_eq!(err.offset, 4);
         assert_eq!(err.col, 5);
         assert!(err.to_string().ends_with("\n  cd[a\n      ^"), "{err}");
+    }
+
+    /// `levels` names, each in the brackets of the one before.
+    fn nested(levels: usize) -> String {
+        format!("{}a{}", "a[".repeat(levels), "]".repeat(levels))
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_bracket_that_goes_too_deep() {
+        parse_query(&nested(MAX_DEPTH)).unwrap();
+        let err = parse_query(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, "query nests deeper than 256 levels");
+        // The caret stands on the 257th `[`.
+        assert_eq!(
+            (err.offset, err.col),
+            (2 * MAX_DEPTH + 1, 2 * MAX_DEPTH + 2)
+        );
+        // Parentheses and path steps are levels like any other.
+        let parens = |n: usize| format!("a[{}b{}]", "(".repeat(n), ")".repeat(n));
+        parse_query(&parens(MAX_DEPTH - 1)).unwrap();
+        let err = parse_query(&parens(MAX_DEPTH)).unwrap_err();
+        assert_eq!(err.offset, 2 + MAX_DEPTH - 1);
+        Parser::parse(&"/a".repeat(MAX_DEPTH + 1), true).unwrap();
+        let err = Parser::parse(&"/a".repeat(MAX_DEPTH + 2), true).unwrap_err();
+        assert_eq!(err.offset, 2 * (MAX_DEPTH + 1));
+        // What used to abort the process: 60 KB of open brackets.
+        let started = std::time::Instant::now();
+        for (root, paths) in [("", false), ("/", true)] {
+            let query = format!("{root}{}", "a[".repeat(30_000));
+            let err = Parser::parse(&query, paths).unwrap_err();
+            assert!(err.message.contains("deeper than"), "{}", err.message);
+        }
+        assert!(started.elapsed().as_secs() < 5);
     }
 }

@@ -29,6 +29,13 @@
 //!   ids, with words resolving to their merged text-class nodes, and
 //! * the path-dependent [`SecondaryIndex`] `I_sec` (Section 7.3) mapping
 //!   `(schema node, label)` to the preorder-sorted instances.
+//!
+//! Schemas here grow ([`Schema::insert_range`]), which the paper's never
+//! do, and a path that lands in the middle of the tree moves the preorder
+//! number of every schema node behind it. So a node class is *stored*
+//! under its **class id** — the order in which its path was first seen,
+//! which never changes — and only *evaluated* under its **schema pre**;
+//! see [`Schema`] and DESIGN.md §6.
 
 use approxql_cost::{CostModel, NodeType};
 use approxql_index::{InstancePosting, LabelIndex, Posting, SecondaryIndex};
@@ -52,16 +59,18 @@ impl fmt::Display for SchemaAssembleError {
 impl std::error::Error for SchemaAssembleError {}
 
 /// What a mutation changed in the schema's secondary index, so the
-/// persistence layer can rewrite only the affected `sec#` keys.
+/// persistence layer can rewrite only the affected `sec#` keys. Classes
+/// are named by their **class id**, the number that never moves.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SchemaDelta {
-    /// `(schema_pre, label)` keys whose instance posting changed.
+    /// `(class id, label)` keys whose instance posting changed.
     pub touched_sec: Vec<(u32, LabelId)>,
-    /// `(schema_pre, label)` keys that emptied and were dropped.
+    /// `(class id, label)` keys that emptied and were dropped.
     pub removed_sec: Vec<(u32, LabelId)>,
-    /// `true` when a new label-type path forced a schema-tree rebuild:
-    /// every schema preorder number may have moved, so the whole `sec#`
-    /// keyspace and the schema tree blob must be rewritten.
+    /// `true` when a new label-type path grew the schema tree: schema
+    /// preorder numbers may have moved, so the `schema` tree blob and the
+    /// `classes` numbering must be rewritten. No `sec#` key moves — those
+    /// are keyed by class id.
     pub rebuilt: bool,
 }
 
@@ -78,22 +87,30 @@ pub struct SchemaStats {
     pub max_instances: usize,
 }
 
-/// `(parent schema pre, child type, child data label)` — the key of the
+/// `(parent class id, child type, child data label)` — the key of the
 /// shape lookup; the label is `None` for merged text classes.
 type ChildKey = (u32, NodeType, Option<LabelId>);
 
 /// The compacted schema of a data tree, with its indexes.
+///
+/// A node class has two numbers. Its **class id** is the order in which
+/// its label-type path was first seen; it never changes, and it is what
+/// every stored or long-lived structure holds (`class_of`, the shape, the
+/// keys of `I_sec`). Its **schema pre** is its preorder number in the
+/// schema tree, which is what the evaluators compute with and which moves
+/// when a new path lands in the middle of the tree. The secondary index
+/// carries the table between the two.
 pub struct Schema {
     tree: DataTree,
     labels: LabelIndex,
     secondary: SecondaryIndex,
-    /// `class_of[data_pre] = schema_pre`. Entries of tombstoned data nodes
+    /// `class_of[data_pre] = class id`. Entries of tombstoned data nodes
     /// go stale and must not be read (liveness is checked at the tree).
     class_of: Vec<u32>,
-    /// [`ChildKey`] → child schema pre. This is the persistent form of the
-    /// shape lookup used during the build, kept so inserts can classify new
-    /// nodes without an O(data) pass.
-    child_lookup: HashMap<ChildKey, u32>,
+    /// The shape the tree was linearized from, over class ids: kept so
+    /// inserts classify new nodes without an O(data) pass and new paths
+    /// append to it.
+    shape: Shape,
 }
 
 impl Schema {
@@ -101,21 +118,14 @@ impl Schema {
     /// the schema tree's encoding (use the same model as for the data tree
     /// so that schema distances equal instance distances).
     pub fn build(data: &DataTree, costs: &CostModel) -> Schema {
-        // ---- pass 1: discover the shape ---------------------------------
+        // One pass discovers the shape and fills I_sec: a class's id is
+        // known the moment its path is first seen.
         let mut shape = Shape::root_only();
-        let n = data.len();
-        let mut node_shape: Vec<u32> = vec![0; n];
-        for node in data.live_nodes().filter(|n| n.0 != 0) {
-            let parent_shape = node_shape[data.parent(node).expect("non-root").index()];
-            node_shape[node.index()] = shape.child(child_key(data, node, parent_shape));
-        }
-        let (tree, shape_pre) = shape.linearize(data, costs);
-
-        // ---- pass 2: instances, I_sec, and the schema label index -------
-        let mut class_of: Vec<u32> = vec![0; n];
+        let mut class_of: Vec<u32> = vec![0; data.len()];
         let mut secondary = SecondaryIndex::new();
         for node in data.live_nodes().filter(|n| n.0 != 0) {
-            let class = shape_pre[node_shape[node.index()] as usize];
+            let parent_class = class_of[data.parent(node).expect("non-root").index()];
+            let class = shape.child(child_key(data, node, parent_class));
             class_of[node.index()] = class;
             secondary.push(
                 class,
@@ -126,41 +136,50 @@ impl Schema {
                 },
             );
         }
+        let (tree, pre_of_class) = shape.linearize(data, costs);
+        secondary
+            .set_numbering(pre_of_class)
+            .expect("a linearization numbers every class exactly once");
         let labels = derive_label_index(&tree, &secondary);
-
         Schema {
             tree,
             labels,
             secondary,
             class_of,
-            child_lookup: shape.lookup_by_pre(&shape_pre),
+            shape,
         }
     }
 
     /// Reassembles a schema from its persisted parts: the schema tree and
-    /// the secondary index (both maintained incrementally and committed
-    /// with every mutation). The label index, the node classes of the live
-    /// data nodes, and the shape lookup are derived — this reproduces the
-    /// incremental state *exactly*, including schema preorder numbers, so
-    /// recovered stores answer queries byte-identically.
+    /// the secondary index with its class numbering (all maintained
+    /// incrementally and committed with every mutation). The label index,
+    /// the node classes of the live data nodes, and the shape are derived
+    /// — this reproduces the incremental state *exactly*, class ids and
+    /// schema preorder numbers included, so recovered stores answer
+    /// queries byte-identically.
     pub fn assemble(
         data: &DataTree,
         tree: DataTree,
         secondary: SecondaryIndex,
     ) -> Result<Schema, SchemaAssembleError> {
-        let child_lookup = lookup_from_tree(&tree, data)?;
+        if secondary.numbering().len() != tree.len() {
+            return Err(SchemaAssembleError(
+                "class numbering does not cover the schema tree",
+            ));
+        }
+        let shape = Shape::of_tree(&tree, data, &secondary)?;
         let mut class_of: Vec<u32> = vec![0; data.len()];
         for node in data.live_nodes().filter(|n| n.0 != 0) {
             let parent_class = class_of[data.parent(node).expect("non-root").index()];
-            let Some(&class) = child_lookup.get(&child_key(data, node, parent_class)) else {
+            let Some(&class) = shape.lookup.get(&child_key(data, node, parent_class)) else {
                 return Err(SchemaAssembleError(
                     "a live data node has no class in the schema tree",
                 ));
             };
             class_of[node.index()] = class;
         }
-        for ((schema_pre, _), _) in secondary.iter() {
-            if schema_pre as usize >= tree.len() {
+        for ((class, _), _) in secondary.iter() {
+            if class as usize >= tree.len() {
                 return Err(SchemaAssembleError(
                     "secondary key points past the schema tree",
                 ));
@@ -172,15 +191,38 @@ impl Schema {
             labels,
             secondary,
             class_of,
-            child_lookup,
+            shape,
         })
+    }
+
+    /// Verifies `I_sec` against the classification, for `approxql check`:
+    /// every live data node stands in the `(class, label)` list its class
+    /// says it belongs to, and the lists hold nothing else. A store whose
+    /// lists sit under the wrong (but existing) class ids passes every
+    /// other check.
+    pub fn check_instances(&self, data: &DataTree) -> Result<(), SchemaAssembleError> {
+        let listed: usize = self.secondary.iter().map(|(_, list)| list.len()).sum();
+        let stands_in_its_list = |node: NodeId| {
+            let (class, label) = (self.class_of[node.index()], data.label_id(node));
+            let list = self.secondary.get(class, label).unwrap_or_default();
+            let found = list.binary_search_by_key(&node.0, |i| i.pre);
+            found.is_ok_and(|at| list[at].bound == data.bound(node))
+        };
+        let mut nodes = data.live_nodes().filter(|n| n.0 != 0);
+        if listed + 1 != data.live_node_count() || !nodes.all(stands_in_its_list) {
+            return Err(SchemaAssembleError(
+                "secondary index contradicts the classification",
+            ));
+        }
+        Ok(())
     }
 
     /// Incrementally absorbs a freshly appended document range (`span`
     /// must be the last live range of `data`, already present in its node
-    /// columns). New label-type paths force a schema-tree rebuild that
-    /// preserves the historical first-occurrence order of all existing
-    /// paths; otherwise only the touched secondary postings change.
+    /// columns). New label-type paths take the next class ids and force a
+    /// re-linearization of the schema tree that preserves the historical
+    /// first-occurrence order of all existing paths; no existing class id
+    /// changes, and only the touched secondary postings do.
     pub fn insert_range(
         &mut self,
         data: &DataTree,
@@ -188,37 +230,38 @@ impl Schema {
         costs: &CostModel,
     ) -> SchemaDelta {
         let mut delta = SchemaDelta::default();
-        // Classify with a dry run: any missing path triggers the
-        // structural path (rebuild + remap) before instances are added.
-        if !self.range_is_classifiable(data, span) {
-            self.extend_structure(data, span, costs);
-            delta.rebuilt = true;
-        }
         if self.class_of.len() < data.len() {
             self.class_of.resize(data.len(), 0);
+        }
+        // Classify first: an unseen path appends a class to the shape,
+        // and the tree must be current before instances are added.
+        for pre in span.start..=span.bound {
+            let node = NodeId(pre);
+            let parent_class = self.class_of[data.parent(node).expect("non-root").index()];
+            self.class_of[node.index()] = self.shape.child(child_key(data, node, parent_class));
+        }
+        if self.shape.children.len() != self.tree.len() {
+            self.relinearize(data, costs);
+            delta.rebuilt = true;
         }
         let mut touched: Vec<(u32, LabelId)> = Vec::new();
         for pre in span.start..=span.bound {
             let node = NodeId(pre);
-            let parent_class = self.class_of[data.parent(node).expect("non-root").index()];
-            let class = *self
-                .child_lookup
-                .get(&child_key(data, node, parent_class))
-                .expect("extend_structure covers every path of the range");
-            self.class_of[node.index()] = class;
+            let class = self.class_of[node.index()];
             let label = data.label_id(node);
-            let sec_key = (class, label);
             if self.secondary.get(class, label).is_none() {
                 // A key new to I_sec: the schema label index gains this
                 // schema node for the label (small list, re-encoded).
-                let ty = self.tree.node_type(NodeId(class));
+                let schema_node = NodeId(self.secondary.pre_of_class(class));
+                let ty = self.tree.node_type(schema_node);
                 let mut posting = self
                     .labels
                     .blocks(ty, label)
                     .map(|b| b.decode_all())
                     .unwrap_or_default();
-                let entry = Posting::from_node(&self.tree, NodeId(class));
-                if let Err(pos) = posting.binary_search_by_key(&class, |p: &Posting| p.pre) {
+                let entry = Posting::from_node(&self.tree, schema_node);
+                if let Err(pos) = posting.binary_search_by_key(&schema_node.0, |p: &Posting| p.pre)
+                {
                     posting.insert(pos, entry);
                     self.labels.insert_posting(ty, label, posting);
                 }
@@ -231,9 +274,9 @@ impl Schema {
                     bound: data.bound(node),
                 },
             );
-            touched.push(sec_key);
+            touched.push((class, label));
         }
-        touched.sort_unstable_by_key(|&(p, l)| (p, l.0));
+        touched.sort_unstable_by_key(|&(c, l)| (c, l.0));
         touched.dedup();
         delta.touched_sec = touched;
         delta
@@ -242,12 +285,12 @@ impl Schema {
     /// Incrementally removes a tombstoned document range from the
     /// secondary index and the schema label index. The schema tree keeps
     /// instance-less path nodes (they are harmless: with no instances they
-    /// can never produce a hit) so schema preorder numbers stay stable.
+    /// can never produce a hit), so a deletion moves no number at all.
     pub fn delete_range(&mut self, data: &DataTree, span: DocSpan) -> SchemaDelta {
         let mut keys: Vec<(u32, LabelId)> = (span.start..=span.bound)
             .map(|pre| (self.class_of[pre as usize], data.label_id(NodeId(pre))))
             .collect();
-        keys.sort_unstable_by_key(|&(p, l)| (p, l.0));
+        keys.sort_unstable_by_key(|&(c, l)| (c, l.0));
         keys.dedup();
         let mut delta = SchemaDelta::default();
         for (class, label) in keys {
@@ -259,13 +302,14 @@ impl Schema {
                 // The key emptied: drop this schema node from the label's
                 // schema-level posting.
                 delta.removed_sec.push((class, label));
-                let ty = self.tree.node_type(NodeId(class));
+                let schema_pre = self.secondary.pre_of_class(class);
+                let ty = self.tree.node_type(NodeId(schema_pre));
                 let mut posting = self
                     .labels
                     .blocks(ty, label)
                     .map(|b| b.decode_all())
                     .unwrap_or_default();
-                posting.retain(|p| p.pre != class);
+                posting.retain(|p| p.pre != schema_pre);
                 if posting.is_empty() {
                     self.labels.remove_entry(ty, label);
                 } else {
@@ -278,56 +322,16 @@ impl Schema {
         delta
     }
 
-    /// `true` when every node of `span` maps onto an existing schema path.
-    fn range_is_classifiable(&self, data: &DataTree, span: DocSpan) -> bool {
-        // Walk with a scratch class array local to the range (the range is
-        // contiguous and parents precede children within it).
-        let mut scratch: HashMap<u32, u32> = HashMap::new();
-        for pre in span.start..=span.bound {
-            let node = NodeId(pre);
-            let parent = data.parent(node).expect("non-root").0;
-            let parent_class = if parent < span.start {
-                0 // the virtual root
-            } else {
-                scratch[&parent]
-            };
-            match self.child_lookup.get(&child_key(data, node, parent_class)) {
-                Some(&class) => {
-                    scratch.insert(pre, class);
-                }
-                None => return false,
-            }
-        }
-        true
-    }
-
-    /// Grows the schema tree with the new label-type paths of `span`,
-    /// preserving the historical first-occurrence order of existing paths
-    /// (existing siblings keep their order; new children append after
-    /// them), then remaps every schema preorder number.
-    fn extend_structure(&mut self, data: &DataTree, span: DocSpan, costs: &CostModel) {
-        // Shape index == old schema pre for existing nodes.
-        let mut shape = Shape::of_schema(&self.tree, &self.child_lookup);
-        let mut node_shape: HashMap<u32, u32> = HashMap::new();
-        for pre in span.start..=span.bound {
-            let node = NodeId(pre);
-            let parent = data.parent(node).expect("non-root").0;
-            let parent_shape = if parent < span.start {
-                0
-            } else {
-                node_shape[&parent]
-            };
-            node_shape.insert(pre, shape.child(child_key(data, node, parent_shape)));
-        }
-        let (new_tree, shape_pre) = shape.linearize(data, costs);
-        // ---- remap every schema preorder number -------------------------
-        let remap = |old: u32| shape_pre[old as usize];
-        for c in &mut self.class_of {
-            *c = remap(*c);
-        }
-        self.secondary.remap_schema_pres(remap);
-        self.child_lookup = shape.lookup_by_pre(&shape_pre);
-        self.tree = new_tree;
+    /// Linearizes the grown shape into a new schema tree (existing
+    /// siblings keep their order; new children stand after them) and
+    /// installs the numbering that comes with it — the only table a
+    /// structural extension moves.
+    fn relinearize(&mut self, data: &DataTree, costs: &CostModel) {
+        let (tree, pre_of_class) = self.shape.linearize(data, costs);
+        self.secondary
+            .set_numbering(pre_of_class)
+            .expect("a linearization numbers every class exactly once");
+        self.tree = tree;
         self.labels = derive_label_index(&self.tree, &self.secondary);
     }
 
@@ -347,9 +351,13 @@ impl Schema {
         &self.secondary
     }
 
-    /// The node class of a data node (Definition 15).
+    /// The node class of a data node (Definition 15), as a node of the
+    /// schema tree.
     pub fn class_of(&self, data_node: NodeId) -> NodeId {
-        NodeId(self.class_of[data_node.index()])
+        NodeId(
+            self.secondary
+                .pre_of_class(self.class_of[data_node.index()]),
+        )
     }
 
     /// The instances of a schema node that carry `label`.
@@ -373,8 +381,8 @@ impl Schema {
     }
 }
 
-/// The classification key of `node` under a parent of class (or shape
-/// index) `parent`: struct nodes are told apart by label, all words of one
+/// The classification key of `node` under a parent of class `parent`:
+/// struct nodes are told apart by label, all words of one
 /// parent merge into one text class.
 fn child_key(data: &DataTree, node: NodeId, parent: u32) -> ChildKey {
     match data.node_type(node) {
@@ -383,13 +391,14 @@ fn child_key(data: &DataTree, node: NodeId, parent: u32) -> ChildKey {
     }
 }
 
-/// A schema shape under construction: node 0 is the virtual root, and a
-/// node's children stand in first-occurrence order, which is what fixes
-/// the schema preorder numbers.
+/// The shape of a schema over class ids: class 0 is the virtual root, a
+/// new path takes the next id, and a class's children stand in
+/// first-occurrence order, which is what fixes the schema preorder
+/// numbers.
 struct Shape {
-    /// Children per shape node.
+    /// Children per class.
     children: Vec<Vec<u32>>,
-    /// [`ChildKey`] over shape indexes → child shape index.
+    /// [`ChildKey`] → child class id.
     lookup: HashMap<ChildKey, u32>,
 }
 
@@ -401,16 +410,36 @@ impl Shape {
         }
     }
 
-    /// The shape of an existing schema tree (shape index == schema pre),
-    /// so that new paths append after the existing siblings.
-    fn of_schema(tree: &DataTree, child_lookup: &HashMap<ChildKey, u32>) -> Shape {
-        Shape {
-            children: tree
-                .nodes()
-                .map(|s| tree.children(s).map(|c| c.0).collect())
-                .collect(),
-            lookup: child_lookup.clone(),
+    /// The shape a persisted schema tree was linearized from, read back
+    /// through `numbering`'s class ids (which must cover the tree) and
+    /// translating schema labels into the data tree's label ids.
+    fn of_tree(
+        tree: &DataTree,
+        data: &DataTree,
+        numbering: &SecondaryIndex,
+    ) -> Result<Shape, SchemaAssembleError> {
+        let mut shape = Shape {
+            children: vec![Vec::new(); tree.len()],
+            lookup: HashMap::new(),
+        };
+        for s in tree.nodes() {
+            let parent = numbering.class_of_pre(s.0);
+            for c in tree.children(s) {
+                let label = match tree.node_type(c) {
+                    NodeType::Text => None,
+                    NodeType::Struct => Some(data.lookup_label(tree.label(c)).ok_or(
+                        SchemaAssembleError("schema label missing from the data interner"),
+                    )?),
+                };
+                let class = numbering.class_of_pre(c.0);
+                let key = (parent, tree.node_type(c), label);
+                if shape.lookup.insert(key, class).is_some() {
+                    return Err(SchemaAssembleError("duplicate label-type path"));
+                }
+                shape.children[parent as usize].push(class);
+            }
         }
+        Ok(shape)
     }
 
     /// The child of `key.0` for `key`, appended if the path is new.
@@ -426,7 +455,7 @@ impl Shape {
     }
 
     /// Linearizes the shape into a schema [`DataTree`] (iterative preorder
-    /// DFS) and returns it with `shape_pre[shape index] = schema pre`.
+    /// DFS) and returns it with `shape_pre[class id] = schema pre`.
     /// Struct labels resolve through `data`'s interner.
     fn linearize(&self, data: &DataTree, costs: &CostModel) -> (DataTree, Vec<u32>) {
         let mut key_of: Vec<Option<ChildKey>> = vec![None; self.children.len()];
@@ -459,14 +488,6 @@ impl Shape {
         }
         (builder.build(costs), shape_pre)
     }
-
-    /// The lookup re-keyed from shape indexes to schema preorder numbers.
-    fn lookup_by_pre(&self, shape_pre: &[u32]) -> HashMap<ChildKey, u32> {
-        self.lookup
-            .iter()
-            .map(|(&(p, ty, l), &c)| ((shape_pre[p as usize], ty, l), shape_pre[c as usize]))
-            .collect()
-    }
 }
 
 /// The schema-level label index, derived from the secondary index: every
@@ -476,8 +497,8 @@ impl Shape {
 /// with that name.
 fn derive_label_index(tree: &DataTree, secondary: &SecondaryIndex) -> LabelIndex {
     let mut label_postings: HashMap<(NodeType, LabelId), Vec<Posting>> = HashMap::new();
-    for ((schema_pre, label), _) in secondary.iter() {
-        let schema_node = NodeId(schema_pre);
+    for ((class, label), _) in secondary.iter() {
+        let schema_node = NodeId(secondary.pre_of_class(class));
         label_postings
             .entry((tree.node_type(schema_node), label))
             .or_default()
@@ -490,34 +511,6 @@ fn derive_label_index(tree: &DataTree, secondary: &SecondaryIndex) -> LabelIndex
         labels.insert_posting(ty, label, postings);
     }
     labels
-}
-
-/// Rebuilds the shape lookup from a schema tree, translating schema labels
-/// back into the data tree's label ids.
-fn lookup_from_tree(
-    tree: &DataTree,
-    data: &DataTree,
-) -> Result<HashMap<ChildKey, u32>, SchemaAssembleError> {
-    let mut lookup = HashMap::new();
-    for s in tree.nodes() {
-        for c in tree.children(s) {
-            let key = match tree.node_type(c) {
-                NodeType::Text => (s.0, NodeType::Text, None),
-                NodeType::Struct => {
-                    let Some(label) = data.lookup_label(tree.label(c)) else {
-                        return Err(SchemaAssembleError(
-                            "schema label missing from the data interner",
-                        ));
-                    };
-                    (s.0, NodeType::Struct, Some(label))
-                }
-            };
-            if lookup.insert(key, c.0).is_some() {
-                return Err(SchemaAssembleError("duplicate label-type path"));
-            }
-        }
-    }
-    Ok(lookup)
 }
 
 #[cfg(test)]
@@ -712,6 +705,10 @@ mod tests {
             r#"<cd><title>cello suite</title><composer>someone</composer></cd>"#, // new path
             r#"<dvd><title>piano</title></dvd>"#,                                 // new path
             r#"<cd><title>violin</title></cd>"#,                                  // no new path
+            // A new path under the *first* class, once later classes
+            // exist: every schema pre from `dvd` on moves.
+            r#"<cd><tracks><track>allegro</track></tracks></cd>"#,
+            r#"<dvd><title>piano</title><region>two</region></dvd>"#,
         ];
         // Incremental: one doc at a time.
         let mut tree = {
@@ -720,10 +717,22 @@ mod tests {
             b.build(&costs)
         };
         let mut schema = Schema::build(&tree, &costs);
+        let mut moved = 0;
         for d in &docs[1..] {
+            // The "stable" in stable class id: across any extension, no
+            // existing node changes class and no existing path its ids.
+            let (classes, paths) = (schema.class_of.clone(), schema.shape.lookup.clone());
+            let pres = schema.secondary.numbering().to_vec();
             let span = tree.append_document(&parse_document(d).unwrap(), &costs);
-            schema.insert_range(&tree, span, &costs);
+            let delta = schema.insert_range(&tree, span, &costs);
+            assert_eq!(schema.class_of[..classes.len()], classes[..]);
+            assert!(paths
+                .iter()
+                .all(|(k, v)| schema.shape.lookup.get(k) == Some(v)));
+            assert_eq!(delta.rebuilt, schema.shape.lookup.len() > paths.len());
+            moved += usize::from(schema.secondary.numbering()[..pres.len()] != pres[..]);
         }
+        assert_eq!(moved, 1, "exactly the mid-schema path renumbers the tree");
         // Batch: all docs at once (same first-occurrence order).
         let batch_tree = {
             let mut b = DataTreeBuilder::new();
@@ -735,7 +744,7 @@ mod tests {
         let batch = Schema::build(&batch_tree, &costs);
         assert_eq!(snapshot(&schema), snapshot(&batch));
         assert_eq!(schema.class_of, batch.class_of);
-        assert_eq!(schema.child_lookup, batch.child_lookup);
+        assert_eq!(schema.shape.lookup, batch.shape.lookup);
     }
 
     #[test]
@@ -794,7 +803,53 @@ mod tests {
         let assembled =
             Schema::assemble(&tree, schema.tree().clone(), schema.secondary().clone()).unwrap();
         assert_eq!(snapshot(&assembled), snapshot(&schema));
-        assert_eq!(assembled.child_lookup, schema.child_lookup);
+        assert_eq!(assembled.shape.lookup, schema.shape.lookup);
+    }
+
+    #[test]
+    fn assemble_reproduces_ids_and_pres_and_rejects_a_foreign_numbering() {
+        use approxql_xml::parse_document;
+        let costs = CostModel::new();
+        let mut tree = {
+            let mut b = DataTreeBuilder::new();
+            b.add_document(&parse_document("<cd><title>piano</title></cd>").unwrap());
+            b.add_document(&parse_document("<dvd>film</dvd>").unwrap());
+            b.build(&costs)
+        };
+        let mut schema = Schema::build(&tree, &costs);
+        let doc = parse_document("<cd><year>1999</year></cd>").unwrap();
+        let span = tree.append_document(&doc, &costs);
+        assert!(schema.insert_range(&tree, span, &costs).rebuilt);
+        // `year` is class 6 and schema node 4; `dvd` moved from 4 to 6.
+        assert_eq!(schema.secondary().numbering(), [0, 1, 2, 3, 6, 7, 4, 5]);
+        schema.check_instances(&tree).unwrap();
+
+        let assembled =
+            Schema::assemble(&tree, schema.tree().clone(), schema.secondary().clone()).unwrap();
+        assert_eq!(snapshot(&assembled), snapshot(&schema));
+        assert_eq!(assembled.class_of, schema.class_of);
+        assert_eq!(assembled.shape.lookup, schema.shape.lookup);
+        assert_eq!(assembled.shape.children, schema.shape.children);
+
+        // A numbering of another length never reaches the table lookups.
+        let mut short = schema.secondary().clone();
+        short.set_numbering(vec![0, 1, 2]).unwrap();
+        let err = Schema::assemble(&tree, schema.tree().clone(), short).err();
+        assert_eq!(
+            err.map(|e| e.0),
+            Some("class numbering does not cover the schema tree")
+        );
+
+        // Two ids swapped — still a permutation, still assembles (`cd` and
+        // `dvd` are both struct children of the root) — but the lists now
+        // sit under the wrong classes, which is what `check` is for.
+        let mut swapped = schema.secondary().clone();
+        swapped.set_numbering(vec![0, 6, 2, 3, 1, 7, 4, 5]).unwrap();
+        let wrong = Schema::assemble(&tree, schema.tree().clone(), swapped).unwrap();
+        assert_eq!(
+            wrong.check_instances(&tree).err().map(|e| e.0),
+            Some("secondary index contradicts the classification")
+        );
     }
 
     #[test]

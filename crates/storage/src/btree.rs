@@ -1,7 +1,7 @@
 //! The B+-tree over pages: variable-length keys, small values inside the
 //! leaf entry, large values out of line, copy-on-write node updates.
 //!
-//! ## Leaf entry layout (format version 3)
+//! ## Leaf entry layout (since format version 3)
 //!
 //! ```text
 //! klen u16 | key | vlen u32 | payload

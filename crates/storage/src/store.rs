@@ -11,7 +11,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic "AXQLSTOR"
-//!      8     4  format version (little-endian u32, currently 3)
+//!      8     4  format version (little-endian u32, currently 4)
 //!     12     4  B+-tree root page
 //!     16     8  commit sequence number (monotone, starts at 1)
 //!     24     4  committed page count (the extent the commit spans)
@@ -37,10 +37,13 @@ const MAGIC: &[u8; 8] = b"AXQLSTOR";
 
 /// On-disk format version. Version 2 added page-trailer checksums and
 /// dual-slot crash-safe commits; version 3 moved values of up to 480
-/// bytes into their leaf entry. Files of any other version are rejected
+/// bytes into their leaf entry; version 4 changed no page layout but the
+/// meaning of the `sec#` keys above it (class ids, numbered by a
+/// `meta#classes` blob), which a version-3 reader would misread as schema
+/// preorder numbers. Files of any other version are rejected
 /// with [`StorageError::BadVersion`] — there is one reader, so an older
 /// store is rebuilt from its XML, not converted.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// First page a B+-tree node or value run may occupy (0 and 1 are the
 /// header slots).
@@ -603,22 +606,22 @@ mod tests {
     }
 
     #[test]
-    fn open_rejects_version_2_files() {
+    fn open_rejects_version_3_files() {
         // A freshly created store has exactly one committed header (commit
         // 1, in slot 1); page 0 is still blank. Turn it into the header a
-        // version-2 binary would have written.
+        // version-3 binary would have written.
         let shared = SharedMemBackend::new();
         drop(Store::create(Box::new(shared.clone())).unwrap());
         let mut disk = shared.snapshot();
         let mut buf = [0u8; PAGE_SIZE];
         disk.read_page(PageId(1), &mut buf).unwrap();
         assert_eq!(buf[8..12], FORMAT_VERSION.to_le_bytes());
-        buf[8..12].copy_from_slice(&2u32.to_le_bytes());
+        buf[8..12].copy_from_slice(&3u32.to_le_bytes());
         stamp_trailer(&mut buf);
         disk.write_page(PageId(1), &buf).unwrap();
         assert!(matches!(
             Store::open(Box::new(disk)),
-            Err(StorageError::BadVersion(2))
+            Err(StorageError::BadVersion(3))
         ));
     }
 

@@ -170,41 +170,44 @@ fn save_open_storage_op_counts() {
     std::fs::remove_dir_all(&dir).unwrap();
     // The segmented layout (DESIGN.md §15) writes more, smaller keys than
     // the old monolithic tree blob: per-document segments, the secondary
-    // index, and the schema tree now persist too. All 30 values of this
+    // index, and the schema tree now persist too. All 31 values of this
     // catalogue are at most 480 bytes, so each lives inside its leaf entry
-    // (store format 3) and the whole image is one leaf: 4 pages allocated
-    // and flushed (two header slots and the empty root at create, the
-    // root's one copy-on-write relocation by the first put after create's
-    // commit), 31 page writes (the empty root + one leaf rewrite per put),
-    // and no value page. Format 2 gave every value a page of its own:
-    // 34 / 34 / 61.
+    // (since store format 3) and the whole image is one leaf: 4 pages
+    // allocated and flushed (two header slots and the empty root at
+    // create, the root's one copy-on-write relocation by the first put
+    // after create's commit), 32 page writes (the empty root + one leaf
+    // rewrite per put), and no value page. Format 2 gave every value a
+    // page of its own: 34 / 34 / 61. Format 4 added exactly one put, the
+    // `meta#classes` numbering that lets `sec#` keys carry stable class
+    // ids (30 → 31 inserts, reads and node reads, 31 → 32 page writes).
     assert_counts(
         &save_diff,
         &[
-            (Metric::PagerPageReads, 30),
-            (Metric::PagerPageWrites, 31),
+            (Metric::PagerPageReads, 31),
+            (Metric::PagerPageWrites, 32),
             (Metric::PagerPageAllocs, 4),
             (Metric::PagerBackendWrites, 4),
             (Metric::PagerFlushes, 2),
             (Metric::StoreCommits, 2),
-            (Metric::BtreeInserts, 30),
-            (Metric::BtreeNodeReads, 30),
+            (Metric::BtreeInserts, 31),
+            (Metric::BtreeNodeReads, 31),
         ],
     );
-    // Open is 5 point reads (costs, interner, docmap, the one `doc#`
-    // segment, schema) and 3 prefix scans (`ls#`, `lt#`, `sec#`) over that
-    // one leaf: a node read per get and one per scan — the cursor parses
-    // the leaf it stands on once and hands its 27 entries out by move —
-    // so 8 node reads are 8 page reads (no value page to follow) and the
-    // leaf is the only cache miss. Format 2: 36 node reads (the leaf was
-    // re-read for every scan step), 66 page reads, 31 misses.
+    // Open is 6 point reads (costs, interner, docmap, the one `doc#`
+    // segment, classes, schema) and 3 prefix scans (`ls#`, `lt#`, `sec#`)
+    // over that one leaf: a node read per get and one per scan — the
+    // cursor parses the leaf it stands on once and hands its 27 entries
+    // out by move — so 9 node reads are 9 page reads (no value page to
+    // follow) and the leaf is the only cache miss. Format 2: 36 node reads
+    // (the leaf was re-read for every scan step), 66 page reads, 31
+    // misses; format 3 was one get (`classes`) less.
     assert_counts(
         &open_diff,
         &[
-            (Metric::PagerPageReads, 8),
+            (Metric::PagerPageReads, 9),
             (Metric::PagerCacheMisses, 1),
-            (Metric::BtreeGets, 5),
-            (Metric::BtreeNodeReads, 8),
+            (Metric::BtreeGets, 6),
+            (Metric::BtreeNodeReads, 9),
             (Metric::BtreeScanSteps, 27),
             // Compressed frames, now covering both the label and the
             // secondary index (the schema is reassembled, not rebuilt).

@@ -57,8 +57,22 @@ fn expr_strategy() -> impl Strategy<Value = QueryNode> {
     })
 }
 
+/// One query in four is *deep*: its expression sits under a chain of 30 to
+/// 80 more names, so every surface's nesting — brackets, path steps, JSON
+/// objects, each bounded at 256 levels — is exercised far from the shallow
+/// shapes and well inside what all three admit.
 fn query_strategy() -> impl Strategy<Value = Query> {
-    (label_strategy(), proptest::option::of(expr_strategy())).prop_map(|(label, child)| {
+    let child = proptest::option::of(expr_strategy());
+    (label_strategy(), child, 0usize..4, 30usize..81).prop_map(|(label, child, pick, levels)| {
+        let mut child = child;
+        if pick == 0 {
+            for level in 0..levels {
+                child = Some(QueryNode::Name {
+                    label: format!("name{:03}", level % 8),
+                    child: child.map(Box::new),
+                });
+            }
+        }
         Query {
             root: QueryNode::Name {
                 label,
