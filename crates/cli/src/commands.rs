@@ -408,11 +408,14 @@ fn print_hit(
             Document { root: el }.to_xml_string()
         )?;
     } else {
-        let el = db.result_element(hit)?;
+        let name = db
+            .tree()
+            .element_name(hit.root)
+            .map_err(DatabaseError::from)?;
         writeln!(
             out,
-            "#{rank}\tcost={}\tnode={}\t<{}>",
-            hit.cost, hit.root, el.name
+            "#{rank}\tcost={}\tnode={}\t<{name}>",
+            hit.cost, hit.root
         )?;
     }
     Ok(())
@@ -1363,20 +1366,57 @@ mod tests {
         std::fs::write(&doc, "<catalog><cd><title>sonata</title></cd></catalog>").unwrap();
         let db = dir.join("db.axql");
         run_words(&["build", db.to_str().unwrap(), doc.to_str().unwrap()]).unwrap();
-        // Both header slots as a version-3 binary wrote them (the version
+        // Both header slots as a version-4 binary wrote them (the version
         // is bytes 8..12 of each 4 KiB slot and is read before anything
-        // else of the slot is trusted).
+        // else of the slot, its trailer included, is trusted).
         let mut bytes = std::fs::read(&db).unwrap();
         for slot in [0, 4096] {
-            bytes[slot + 8..slot + 12].copy_from_slice(&3u32.to_le_bytes());
+            bytes[slot + 8..slot + 12].copy_from_slice(&4u32.to_le_bytes());
         }
         std::fs::write(&db, &bytes).unwrap();
-        for verb in ["check", "stats"] {
-            let err = run_words(&[verb, db.to_str().unwrap()]).unwrap_err();
-            assert_eq!(err.exit_code(), 3, "{verb}");
+        let db = db.to_str().unwrap();
+        for words in [
+            vec!["check", db],
+            vec!["stats", db],
+            vec!["query", db, "cd"],
+        ] {
+            let err = run_words(&words).unwrap_err();
+            assert_eq!(err.exit_code(), 3, "{words:?}");
             let msg = err.to_string();
-            assert!(msg.contains("unsupported store version 3"), "{msg}");
+            assert!(msg.contains("unsupported store version 4"), "{msg}");
             assert!(msg.contains("rebuild with `approxql build`"), "{msg}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn nesting_is_bounded_for_build_and_insert() {
+        let dir = tmpdir("deep");
+        let nested = |depth: usize| "<a>".repeat(depth) + "x" + &"</a>".repeat(depth);
+        let (ok, deep) = (dir.join("ok.xml"), dir.join("deep.xml"));
+        std::fs::write(&ok, nested(approxql_xml::MAX_DEPTH)).unwrap();
+        std::fs::write(&deep, nested(200_000)).unwrap();
+        let db = dir.join("db.axql");
+        let (db, ok, deep) = (
+            db.to_str().unwrap(),
+            ok.to_str().unwrap(),
+            deep.to_str().unwrap(),
+        );
+
+        // The deepest legal document builds, and comes back as it went in.
+        run_words(&["build", db, ok]).unwrap();
+        let xml = run_words(&["query", db, "a", "-n", "1", "--xml"]).unwrap();
+        assert!(xml.ends_with(&format!("{}\n", nested(256))), "{xml}");
+
+        // One level more is an XML error with its position, exit 1 — not a
+        // stack overflow — for both verbs, and the store stays as it was.
+        for verb in ["build", "insert"] {
+            let err = run_words(&[verb, db, deep]).unwrap_err();
+            assert_eq!(err.exit_code(), 1, "{verb}");
+            let msg = err.to_string();
+            assert!(msg.contains("XML error at 1:769"), "{msg}");
+            assert!(msg.contains("deeper than 256 levels"), "{msg}");
+            run_words(&["check", db]).unwrap();
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -135,7 +135,8 @@ fn load_lists<K>(
     split_key: impl Fn(&[u8]) -> Option<(K, &[u8])>,
     mut insert: impl FnMut(K, LabelId, &[u8]) -> Result<(), PostingDecodeError>,
 ) -> Result<(), PersistError> {
-    for (key, value) in store.scan_prefix(prefix)?.collect_all()? {
+    let mut lists = store.scan_prefix(prefix)?;
+    while let Some((key, value)) = lists.next_entry()? {
         let bad_key = || PersistError::BadKey(String::from_utf8_lossy(&key).into_owned());
         let (fixed, name) = split_key(&key[prefix.len()..]).ok_or_else(bad_key)?;
         let name = std::str::from_utf8(name).map_err(|_| bad_key())?;
@@ -151,7 +152,8 @@ fn load_lists<K>(
 /// decode, the decode round-trip against the headers and the
 /// canonical-form check for every list under `prefix`.
 fn check_lists<E: FrameEntry>(store: &mut Store, prefix: &[u8]) -> Result<(), PersistError> {
-    for (_, value) in store.scan_prefix(prefix)?.collect_all()? {
+    let mut lists = store.scan_prefix(prefix)?;
+    while let Some((_, value)) = lists.next_entry()? {
         BlockList::<E>::from_bytes(&value)?.check_integrity()?;
     }
     Ok(())

@@ -87,9 +87,10 @@ pub struct SchemaStats {
     pub max_instances: usize,
 }
 
-/// `(parent class id, child type, child data label)` — the key of the
-/// shape lookup; the label is `None` for merged text classes.
-type ChildKey = (u32, NodeType, Option<LabelId>);
+/// `(parent class id, child data label)` — what tells the children of one
+/// class apart. The label is `None` for the text class: all words under
+/// one parent merge into it.
+type ChildKey = (u32, Option<LabelId>);
 
 /// The compacted schema of a data tree, with its indexes.
 ///
@@ -120,7 +121,7 @@ impl Schema {
     pub fn build(data: &DataTree, costs: &CostModel) -> Schema {
         // One pass discovers the shape and fills I_sec: a class's id is
         // known the moment its path is first seen.
-        let mut shape = Shape::root_only();
+        let mut shape = Shape::with_classes(1);
         let mut class_of: Vec<u32> = vec![0; data.len()];
         let mut secondary = SecondaryIndex::new();
         for node in data.live_nodes().filter(|n| n.0 != 0) {
@@ -171,7 +172,7 @@ impl Schema {
         let mut class_of: Vec<u32> = vec![0; data.len()];
         for node in data.live_nodes().filter(|n| n.0 != 0) {
             let parent_class = class_of[data.parent(node).expect("non-root").index()];
-            let Some(&class) = shape.lookup.get(&child_key(data, node, parent_class)) else {
+            let Some(class) = shape.find(child_key(data, node, parent_class)) else {
                 return Err(SchemaAssembleError(
                     "a live data node has no class in the schema tree",
                 ));
@@ -381,13 +382,11 @@ impl Schema {
     }
 }
 
-/// The classification key of `node` under a parent of class `parent`:
-/// struct nodes are told apart by label, all words of one
-/// parent merge into one text class.
+/// The classification key of `node` under a parent of class `parent`.
 fn child_key(data: &DataTree, node: NodeId, parent: u32) -> ChildKey {
     match data.node_type(node) {
-        NodeType::Struct => (parent, NodeType::Struct, Some(data.label_id(node))),
-        NodeType::Text => (parent, NodeType::Text, None),
+        NodeType::Struct => (parent, Some(data.label_id(node))),
+        NodeType::Text => (parent, None),
     }
 }
 
@@ -395,18 +394,25 @@ fn child_key(data: &DataTree, node: NodeId, parent: u32) -> ChildKey {
 /// new path takes the next id, and a class's children stand in
 /// first-occurrence order, which is what fixes the schema preorder
 /// numbers.
+#[derive(Debug, Clone, PartialEq)]
 struct Shape {
     /// Children per class.
     children: Vec<Vec<u32>>,
-    /// [`ChildKey`] → child class id.
-    lookup: HashMap<ChildKey, u32>,
+    /// The text class under each class; 0 — the root, which is nobody's
+    /// child — while no word has been seen there. Nine data nodes in ten
+    /// are words, so theirs is the lookup that is an array index.
+    text_child: Vec<u32>,
+    /// `(parent class id, label)` → struct child class id.
+    struct_child: HashMap<(u32, LabelId), u32>,
 }
 
 impl Shape {
-    fn root_only() -> Shape {
+    /// `n` classes (class 0 is the root), none of them anybody's child yet.
+    fn with_classes(n: usize) -> Shape {
         Shape {
-            children: vec![Vec::new()],
-            lookup: HashMap::new(),
+            children: vec![Vec::new(); n],
+            text_child: vec![0; n],
+            struct_child: HashMap::new(),
         }
     }
 
@@ -418,10 +424,7 @@ impl Shape {
         data: &DataTree,
         numbering: &SecondaryIndex,
     ) -> Result<Shape, SchemaAssembleError> {
-        let mut shape = Shape {
-            children: vec![Vec::new(); tree.len()],
-            lookup: HashMap::new(),
-        };
+        let mut shape = Shape::with_classes(tree.len());
         for s in tree.nodes() {
             let parent = numbering.class_of_pre(s.0);
             for c in tree.children(s) {
@@ -431,37 +434,69 @@ impl Shape {
                         SchemaAssembleError("schema label missing from the data interner"),
                     )?),
                 };
-                let class = numbering.class_of_pre(c.0);
-                let key = (parent, tree.node_type(c), label);
-                if shape.lookup.insert(key, class).is_some() {
+                if shape.find((parent, label)).is_some() {
                     return Err(SchemaAssembleError("duplicate label-type path"));
                 }
-                shape.children[parent as usize].push(class);
+                shape.link((parent, label), numbering.class_of_pre(c.0));
             }
         }
         Ok(shape)
     }
 
+    /// The child of `key.0` for `key`, if that path has been seen.
+    fn find(&self, (parent, label): ChildKey) -> Option<u32> {
+        match label {
+            None => self
+                .text_child
+                .get(parent as usize)
+                .copied()
+                .filter(|&c| c != 0),
+            Some(label) => self.struct_child.get(&(parent, label)).copied(),
+        }
+    }
+
+    /// Makes the existing class `c` the child of `key.0` for `key`.
+    fn link(&mut self, (parent, label): ChildKey, c: u32) {
+        self.children[parent as usize].push(c);
+        match label {
+            None => self.text_child[parent as usize] = c,
+            Some(label) => {
+                self.struct_child.insert((parent, label), c);
+            }
+        }
+    }
+
     /// The child of `key.0` for `key`, appended if the path is new.
     fn child(&mut self, key: ChildKey) -> u32 {
-        if let Some(&c) = self.lookup.get(&key) {
+        if let Some(c) = self.find(key) {
             return c;
         }
         let c = self.children.len() as u32;
         self.children.push(Vec::new());
-        self.children[key.0 as usize].push(c);
-        self.lookup.insert(key, c);
+        self.text_child.push(0);
+        self.link(key, c);
         c
+    }
+
+    /// The key every class but the root was entered under, by class id.
+    fn keys(&self) -> Vec<Option<ChildKey>> {
+        let mut key_of = vec![None; self.children.len()];
+        for (&(parent, label), &c) in &self.struct_child {
+            key_of[c as usize] = Some((parent, Some(label)));
+        }
+        for (parent, &c) in self.text_child.iter().enumerate() {
+            if c != 0 {
+                key_of[c as usize] = Some((parent as u32, None));
+            }
+        }
+        key_of
     }
 
     /// Linearizes the shape into a schema [`DataTree`] (iterative preorder
     /// DFS) and returns it with `shape_pre[class id] = schema pre`.
     /// Struct labels resolve through `data`'s interner.
     fn linearize(&self, data: &DataTree, costs: &CostModel) -> (DataTree, Vec<u32>) {
-        let mut key_of: Vec<Option<ChildKey>> = vec![None; self.children.len()];
-        for (&key, &c) in &self.lookup {
-            key_of[c as usize] = Some(key);
-        }
+        let key_of = self.keys();
         let mut builder = DataTreeBuilder::new();
         let mut shape_pre: Vec<u32> = vec![0; self.children.len()];
         let mut stack: Vec<(u32, bool)> =
@@ -472,15 +507,14 @@ impl Shape {
                 continue;
             }
             match key_of[s as usize].expect("every non-root shape node has a key") {
-                (_, NodeType::Struct, label) => {
-                    let label = data.resolve_label(label.expect("struct has a label"));
-                    shape_pre[s as usize] = builder.begin_struct(label).0;
+                (_, Some(label)) => {
+                    shape_pre[s as usize] = builder.begin_struct(data.resolve_label(label)).0;
                     stack.push((s, true));
                     for &c in self.children[s as usize].iter().rev() {
                         stack.push((c, false));
                     }
                 }
-                (_, NodeType::Text, _) => {
+                (_, None) => {
                     debug_assert!(self.children[s as usize].is_empty());
                     shape_pre[s as usize] = builder.add_word(TEXT_CLASS_LABEL).0;
                 }
@@ -721,15 +755,14 @@ mod tests {
         for d in &docs[1..] {
             // The "stable" in stable class id: across any extension, no
             // existing node changes class and no existing path its ids.
-            let (classes, paths) = (schema.class_of.clone(), schema.shape.lookup.clone());
+            let (classes, paths) = (schema.class_of.clone(), schema.shape.keys());
             let pres = schema.secondary.numbering().to_vec();
             let span = tree.append_document(&parse_document(d).unwrap(), &costs);
             let delta = schema.insert_range(&tree, span, &costs);
             assert_eq!(schema.class_of[..classes.len()], classes[..]);
-            assert!(paths
-                .iter()
-                .all(|(k, v)| schema.shape.lookup.get(k) == Some(v)));
-            assert_eq!(delta.rebuilt, schema.shape.lookup.len() > paths.len());
+            let grown = schema.shape.keys();
+            assert_eq!(grown[..paths.len()], paths[..]);
+            assert_eq!(delta.rebuilt, grown.len() > paths.len());
             moved += usize::from(schema.secondary.numbering()[..pres.len()] != pres[..]);
         }
         assert_eq!(moved, 1, "exactly the mid-schema path renumbers the tree");
@@ -744,7 +777,7 @@ mod tests {
         let batch = Schema::build(&batch_tree, &costs);
         assert_eq!(snapshot(&schema), snapshot(&batch));
         assert_eq!(schema.class_of, batch.class_of);
-        assert_eq!(schema.shape.lookup, batch.shape.lookup);
+        assert_eq!(schema.shape, batch.shape);
     }
 
     #[test]
@@ -803,7 +836,7 @@ mod tests {
         let assembled =
             Schema::assemble(&tree, schema.tree().clone(), schema.secondary().clone()).unwrap();
         assert_eq!(snapshot(&assembled), snapshot(&schema));
-        assert_eq!(assembled.shape.lookup, schema.shape.lookup);
+        assert_eq!(assembled.shape, schema.shape);
     }
 
     #[test]
@@ -828,8 +861,7 @@ mod tests {
             Schema::assemble(&tree, schema.tree().clone(), schema.secondary().clone()).unwrap();
         assert_eq!(snapshot(&assembled), snapshot(&schema));
         assert_eq!(assembled.class_of, schema.class_of);
-        assert_eq!(assembled.shape.lookup, schema.shape.lookup);
-        assert_eq!(assembled.shape.children, schema.shape.children);
+        assert_eq!(assembled.shape, schema.shape);
 
         // A numbering of another length never reaches the table lookups.
         let mut short = schema.secondary().clone();
@@ -849,6 +881,53 @@ mod tests {
         assert_eq!(
             wrong.check_instances(&tree).err().map(|e| e.0),
             Some("secondary index contradicts the classification")
+        );
+    }
+
+    #[test]
+    fn assemble_rejects_a_schema_tree_that_does_not_fit_the_data() {
+        use approxql_xml::parse_document;
+        let costs = CostModel::new();
+        let mut tree = {
+            let mut b = DataTreeBuilder::new();
+            b.add_document(&parse_document("<cd><title>piano</title></cd>").unwrap());
+            b.build(&costs)
+        };
+        let schema = Schema::build(&tree, &costs);
+        let assemble = |data: &DataTree, schema_tree: DataTree, classes: u32| {
+            let mut numbering = SecondaryIndex::new();
+            numbering.set_numbering((0..classes).collect()).unwrap();
+            Schema::assemble(data, schema_tree, numbering)
+                .err()
+                .map(|e| e.0)
+        };
+
+        // One path twice: as struct siblings, and as two text classes
+        // under one parent.
+        for second_child in ["title", TEXT_CLASS_LABEL] {
+            let mut b = DataTreeBuilder::new();
+            b.begin_struct("cd");
+            for _ in 0..2 {
+                if second_child == TEXT_CLASS_LABEL {
+                    b.add_word(TEXT_CLASS_LABEL);
+                } else {
+                    b.begin_struct(second_child);
+                    b.end();
+                }
+            }
+            b.end();
+            assert_eq!(
+                assemble(&tree, b.build(&costs), 4),
+                Some("duplicate label-type path")
+            );
+        }
+
+        // Data that grew a path (a word directly under `cd`) behind the
+        // schema's back.
+        tree.append_document(&parse_document("<cd>live</cd>").unwrap(), &costs);
+        assert_eq!(
+            assemble(&tree, schema.tree().clone(), 4),
+            Some("a live data node has no class in the schema tree")
         );
     }
 

@@ -1,8 +1,8 @@
 //! Page-granular I/O with a write-back cache, per-page trailer checksums,
 //! and pluggable backends.
 //!
-//! Every page that goes through [`Pager::flush`] carries an 8-byte FNV-64
-//! checksum trailer over its first [`PAGE_DATA`] bytes. The trailer is
+//! Every page that goes through [`Pager::flush`] carries an 8-byte
+//! [`page_checksum`] trailer over its first [`PAGE_DATA`] bytes. The trailer is
 //! stamped when a dirty page is written back and verified on every cache
 //! miss, so a torn write or a flipped bit on the backing store surfaces as
 //! [`StorageError::CorruptPage`] instead of silently feeding garbage to
@@ -15,7 +15,7 @@
 //! below the extent, which is the invariant that makes header-slot
 //! rollback recovery sound.
 
-use crate::{fnv64, Result, StorageError};
+use crate::{Result, StorageError};
 use approxql_metrics::Metric;
 use std::collections::HashMap;
 use std::fmt;
@@ -32,16 +32,97 @@ pub const PAGE_TRAILER: usize = 8;
 /// Usable payload bytes per page (the trailer is pager-owned).
 pub const PAGE_DATA: usize = PAGE_SIZE - PAGE_TRAILER;
 
-/// Writes the FNV-64 checksum of `buf[..PAGE_DATA]` into the trailer.
-pub(crate) fn stamp_trailer(buf: &mut [u8; PAGE_SIZE]) {
-    let sum = fnv64(&buf[..PAGE_DATA]);
-    buf[PAGE_DATA..].copy_from_slice(&sum.to_le_bytes());
+/// The five odd 64-bit primes of XXH64. [`page_checksum`] multiplies by
+/// the first in every step, starts its lanes from the other four and ends
+/// with the second and third, as XXH64's avalanche does. Any odd
+/// constants keep the guarantee below; these are known to mix well.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// Absorbs one word into a running state. For a fixed `word` this is a
+/// bijection of `state`, and for a fixed `state` a bijection of `word`:
+/// xor with a constant, multiplication by an odd number modulo 2⁶⁴ and a
+/// rotation are each invertible.
+#[inline(always)]
+fn absorb(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(P1).rotate_left(31)
+}
+
+/// The 64-bit checksum of a page payload — the one sum behind every page
+/// trailer and both header slots. Not cryptographic: it has to catch torn
+/// writes and media bit rot, and it has to cost about what reading the
+/// page costs, because the pager runs it on every cache miss.
+///
+/// The payload is read as little-endian `u64` words in 32-byte stripes;
+/// word *i* of a stripe is absorbed into lane *i* (`absorb`: xor, odd
+/// multiply, rotate), so the four multiply chains are independent and
+/// overlap in the pipeline (the stripe loop of XXH64). The lanes, started
+/// from distinct non-zero seeds, are then absorbed one after the other
+/// into a single state that starts as the payload length; the words
+/// behind the last stripe follow into the same state (three of them in a
+/// [`PAGE_DATA`]-byte payload; a last partial word, which a page does not
+/// have, zero-padded), and an xor-shift / multiply avalanche ends it.
+///
+/// **Guarantee.** Two payloads of one length that differ only inside one
+/// aligned 8-byte word — every single-bit flip is such a pair — have
+/// different sums. Proof: the changed word enters exactly one `absorb`. If
+/// it is a stripe word, that lane's state differs after the step (`absorb`
+/// is injective in `word`) and after every later step of the lane
+/// (injective in `state`), so the lane ends different while the other
+/// lanes and the length do not; folding the lanes absorbs the changed
+/// lane as a *word* into a state that only unchanged values have touched,
+/// and every step after that is injective in `state`. If it is a word
+/// behind the stripes the same holds from its own step on. The avalanche
+/// composes `x ^= x >> s` (invertible) with odd multiplications. ∎
+/// Changes that span several words — a torn write mixes old and new
+/// sectors — are caught with probability ≈ 1 − 2⁻⁶⁴, and an all-zero
+/// page does not verify (its sum is non-zero; pinned by a test).
+pub fn page_checksum(payload: &[u8]) -> u64 {
+    let word = |w: &[u8; 8]| u64::from_le_bytes(*w);
+    let (stripes, rest) = payload.as_chunks::<32>();
+    let mut lanes = [P2, P3, P4, P5];
+    for stripe in stripes {
+        let (words, _) = stripe.as_chunks::<8>();
+        for (lane, w) in lanes.iter_mut().zip(words) {
+            *lane = absorb(*lane, word(w));
+        }
+    }
+    let mut h = payload.len() as u64;
+    for lane in lanes {
+        h = absorb(h, lane);
+    }
+    let (words, bytes) = rest.as_chunks::<8>();
+    for w in words {
+        h = absorb(h, word(w));
+    }
+    if !bytes.is_empty() {
+        let mut last = [0u8; 8];
+        last[..bytes.len()].copy_from_slice(bytes);
+        h = absorb(h, word(&last));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+/// Writes the [`page_checksum`] of `page[..PAGE_DATA]` into the trailer —
+/// what [`Pager::flush`] does to every dirty page and `Store::commit` to
+/// the header slot. Public so that tests and fuzzers can forge pages that
+/// pass verification and reach the structural checks behind it.
+pub fn seal_page(page: &mut [u8; PAGE_SIZE]) {
+    let sum = page_checksum(&page[..PAGE_DATA]);
+    page[PAGE_DATA..].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// Checks the trailer checksum of a page read from a backend.
 pub(crate) fn trailer_ok(buf: &[u8; PAGE_SIZE]) -> bool {
     let stored = u64::from_le_bytes(crate::le_array(&buf[PAGE_DATA..]));
-    stored == fnv64(&buf[..PAGE_DATA])
+    stored == page_checksum(&buf[..PAGE_DATA])
 }
 
 /// The cached frame for `id`, which the caller has just ensured is present.
@@ -470,7 +551,7 @@ impl Pager {
                 "flush would overwrite committed page {id}"
             );
             let frame = frame_mut(&mut self.cache, id)?;
-            stamp_trailer(&mut frame.buf);
+            seal_page(&mut frame.buf);
             self.backend.write_page(id, &frame.buf)?;
             Metric::PagerBackendWrites.incr();
         }
@@ -577,6 +658,86 @@ mod tests {
         p.read_raw(a, &mut raw).unwrap();
         assert!(trailer_ok(&raw));
         assert_eq!(raw[0], 0xAA);
+    }
+
+    /// A payload that exercises every byte value.
+    fn counting_payload() -> Vec<u8> {
+        (0..PAGE_DATA).map(|i| i as u8).collect()
+    }
+
+    #[test]
+    fn checksum_golden_values_are_pinned() {
+        // The sum is part of the file format: a change here is a new
+        // `FORMAT_VERSION`, not a refactor.
+        assert_eq!(page_checksum(&[0u8; PAGE_DATA]), 0x5089_2070_DE9B_9331);
+        assert_eq!(page_checksum(&counting_payload()), 0x4138_FF8C_7B00_2DBE);
+        // Commit 1 of an empty store: magic, version, root 2, csn 1,
+        // 3 pages — and its trailer is that sum.
+        let shared = crate::SharedMemBackend::new();
+        drop(crate::Store::create(Box::new(shared.clone())).unwrap());
+        let mut slot = [0u8; PAGE_SIZE];
+        shared.snapshot().read_page(PageId(1), &mut slot).unwrap();
+        assert_eq!(page_checksum(&slot[..PAGE_DATA]), 0xD3C4_2E36_728A_F524);
+        assert!(trailer_ok(&slot));
+    }
+
+    #[test]
+    fn payloads_of_any_length_keep_the_guarantee() {
+        // Lengths around the stripe and word boundaries, which a page
+        // payload never has: every bit still counts, and so does the
+        // length of a run of zeros.
+        let mut zero_sums = std::collections::HashSet::new();
+        for len in 0..=72 {
+            let mut payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let sum = page_checksum(&payload);
+            for bit in 0..len * 8 {
+                payload[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(page_checksum(&payload), sum, "len {len}, bit {bit}");
+                payload[bit / 8] ^= 1 << (bit % 8);
+            }
+            assert!(zero_sums.insert(page_checksum(&vec![0; len])), "len {len}");
+        }
+    }
+
+    #[test]
+    fn all_zero_page_does_not_verify() {
+        assert!(!trailer_ok(&[0u8; PAGE_SIZE]));
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_checksum() {
+        let mut payload = counting_payload();
+        let sum = page_checksum(&payload);
+        for bit in 0..PAGE_DATA * 8 {
+            payload[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(page_checksum(&payload), sum, "flip of bit {bit}");
+            payload[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The guarantee of [`page_checksum`]'s doc comment, on random
+        /// pages: no rewrite of one aligned word, and so no bit flip,
+        /// keeps the sum.
+        #[test]
+        fn one_word_changes_always_change_the_checksum(
+            page in proptest::collection::vec(proptest::prelude::any::<u8>(), PAGE_DATA),
+            word in 0..PAGE_DATA / 8,
+            value in proptest::prelude::any::<u64>(),
+            bit in 0..PAGE_DATA * 8,
+        ) {
+            let sum = page_checksum(&page);
+            let mut rewritten = page.clone();
+            rewritten[word * 8..][..8].copy_from_slice(&value.to_le_bytes());
+            if rewritten != page {
+                proptest::prop_assert_ne!(page_checksum(&rewritten), sum);
+            }
+            let mut flipped = page;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            proptest::prop_assert_ne!(page_checksum(&flipped), sum);
+        }
     }
 
     #[test]

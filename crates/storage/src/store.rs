@@ -11,12 +11,12 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic "AXQLSTOR"
-//!      8     4  format version (little-endian u32, currently 4)
+//!      8     4  format version (little-endian u32, currently 5)
 //!     12     4  B+-tree root page
 //!     16     8  commit sequence number (monotone, starts at 1)
 //!     24     4  committed page count (the extent the commit spans)
 //!     28     …  zero padding
-//!   4088     8  FNV-64 checksum of bytes [0, 4088)
+//!   4088     8  `page_checksum` of bytes [0, 4088)
 //! ```
 //!
 //! Commit `n` writes slot `n % 2`, so the previous commit's slot is never
@@ -28,7 +28,7 @@ use crate::btree::{BTree, Cursor, Value, INLINE_MAX};
 use crate::check::CheckReport;
 use crate::heap::write_value;
 use crate::pager::PAGE_SIZE;
-use crate::pager::{stamp_trailer, trailer_ok, Backend, FileBackend, MemBackend, PageId, Pager};
+use crate::pager::{seal_page, trailer_ok, Backend, FileBackend, MemBackend, PageId, Pager};
 use crate::{Result, StorageError};
 use approxql_metrics::{time, Metric, TimerMetric};
 use std::path::Path;
@@ -40,10 +40,12 @@ const MAGIC: &[u8; 8] = b"AXQLSTOR";
 /// bytes into their leaf entry; version 4 changed no page layout but the
 /// meaning of the `sec#` keys above it (class ids, numbered by a
 /// `meta#classes` blob), which a version-3 reader would misread as schema
-/// preorder numbers. Files of any other version are rejected
-/// with [`StorageError::BadVersion`] — there is one reader, so an older
-/// store is rebuilt from its XML, not converted.
-pub const FORMAT_VERSION: u32 = 4;
+/// preorder numbers; version 5 replaced the byte-serial FNV-1a sum in the
+/// page trailers by the word-wise [`page_checksum`](crate::page_checksum),
+/// so no trailer of an older file verifies. Files of any other version
+/// are rejected with [`StorageError::BadVersion`] — there is one reader,
+/// so an older store is rebuilt from its XML, not converted.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// First page a B+-tree node or value run may occupy (0 and 1 are the
 /// header slots).
@@ -302,7 +304,7 @@ impl Store {
         buf[12..16].copy_from_slice(&self.tree.root.0.to_le_bytes());
         buf[16..24].copy_from_slice(&next_csn.to_le_bytes());
         buf[24..28].copy_from_slice(&self.pager.page_count().to_le_bytes());
-        stamp_trailer(&mut buf);
+        seal_page(&mut buf);
         let slot = PageId((next_csn % 2) as u32);
         self.pager.write_direct(slot, &buf)?;
         self.pager.sync()?;
@@ -384,7 +386,6 @@ impl StoreIter<'_> {
 mod tests {
     use super::*;
     use crate::fault::SharedMemBackend;
-    use crate::fnv64;
     use crate::pager::PAGE_DATA;
 
     /// Commits `entries` into a fresh store (they must fit the root leaf),
@@ -407,7 +408,7 @@ mod tests {
         disk.read_page(root, &mut buf).unwrap();
         assert_eq!(buf[0], 2, "the root is not a leaf");
         damage(&mut buf, pages);
-        stamp_trailer(&mut buf);
+        seal_page(&mut buf);
         disk.write_page(root, &buf).unwrap();
         Store::open(Box::new(disk)).unwrap()
     }
@@ -589,14 +590,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("axql-store5-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("v1.db");
-        // A faithful version-1 header: magic, version, root, then an
-        // FNV-64 checksum of the first 16 bytes.
+        // A version-1 header: magic, version, root. Its checksum (of the
+        // first 16 bytes, at offset 16) is left out: the version is
+        // rejected before any sum is looked at.
         let mut bytes = vec![0u8; PAGE_SIZE * 2];
         bytes[0..8].copy_from_slice(MAGIC);
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
         bytes[12..16].copy_from_slice(&1u32.to_le_bytes());
-        let sum = fnv64(&bytes[0..16]);
-        bytes[16..24].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&path, bytes).unwrap();
         assert!(matches!(
             Store::open_file(&path),
@@ -606,22 +606,27 @@ mod tests {
     }
 
     #[test]
-    fn open_rejects_version_3_files() {
-        // A freshly created store has exactly one committed header (commit
-        // 1, in slot 1); page 0 is still blank. Turn it into the header a
-        // version-3 binary would have written.
+    fn open_rejects_version_4_files() {
+        // Two commits fill both header slots; a version-4 binary would
+        // have written the same bytes with 4 in the version field and an
+        // FNV trailer. The trailers are left as they are: whether they
+        // verify must not matter, the version is read first.
         let shared = SharedMemBackend::new();
-        drop(Store::create(Box::new(shared.clone())).unwrap());
+        let mut s = Store::create(Box::new(shared.clone())).unwrap();
+        s.put(b"k", b"v").unwrap();
+        s.commit().unwrap();
+        drop(s);
         let mut disk = shared.snapshot();
-        let mut buf = [0u8; PAGE_SIZE];
-        disk.read_page(PageId(1), &mut buf).unwrap();
-        assert_eq!(buf[8..12], FORMAT_VERSION.to_le_bytes());
-        buf[8..12].copy_from_slice(&3u32.to_le_bytes());
-        stamp_trailer(&mut buf);
-        disk.write_page(PageId(1), &buf).unwrap();
+        for slot in [PageId(0), PageId(1)] {
+            let mut buf = [0u8; PAGE_SIZE];
+            disk.read_page(slot, &mut buf).unwrap();
+            assert_eq!(buf[8..12], FORMAT_VERSION.to_le_bytes());
+            buf[8..12].copy_from_slice(&4u32.to_le_bytes());
+            disk.write_page(slot, &buf).unwrap();
+        }
         assert!(matches!(
             Store::open(Box::new(disk)),
-            Err(StorageError::BadVersion(3))
+            Err(StorageError::BadVersion(4))
         ));
     }
 

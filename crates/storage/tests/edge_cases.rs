@@ -5,7 +5,7 @@
 //! typed error (or a clean rollback), never a panic.
 
 use approxql_metrics::Metric;
-use approxql_storage::{StorageError, Store, MAX_KEY_LEN, PAGE_SIZE};
+use approxql_storage::{seal_page, StorageError, Store, MAX_KEY_LEN, PAGE_SIZE};
 use std::path::PathBuf;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -14,20 +14,10 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-/// FNV-1a 64 — mirrors the store's checksum so tests can forge
-/// validly-checksummed (but hostile) header slots.
-fn fnv64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
+/// Re-seals the page at the front of `page` through the crate's own sum,
+/// so tests can forge validly-checksummed (but hostile) header slots.
 fn restamp_trailer(page: &mut [u8]) {
-    let sum = fnv64(&page[..PAGE_SIZE - 8]);
-    page[PAGE_SIZE - 8..PAGE_SIZE].copy_from_slice(&sum.to_le_bytes());
+    seal_page((&mut page[..PAGE_SIZE]).try_into().unwrap());
 }
 
 #[test]

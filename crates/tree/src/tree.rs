@@ -351,6 +351,18 @@ impl DataTree {
         }
     }
 
+    /// The name of the live struct node `n` — what [`Self::subtree_element`]
+    /// would put at the root of its element, without building the subtree.
+    pub fn element_name(&self, n: NodeId) -> Result<&str, TreeError> {
+        if n.index() >= self.len() || !self.is_live(n) {
+            return Err(TreeError::InvalidNode(n));
+        }
+        if self.node_type(n) != NodeType::Struct {
+            return Err(TreeError::NotAStructNode(n));
+        }
+        Ok(self.label(n))
+    }
+
     /// Reconstructs the subtree rooted at `n` as an XML element.
     ///
     /// Consecutive text-node children become one text run with words joined
@@ -358,13 +370,7 @@ impl DataTree {
     /// data model deliberately erases the element/attribute distinction,
     /// see Section 4).
     pub fn subtree_element(&self, n: NodeId) -> Result<Element, TreeError> {
-        if n.index() >= self.len() || !self.is_live(n) {
-            return Err(TreeError::InvalidNode(n));
-        }
-        if self.node_type(n) != NodeType::Struct {
-            return Err(TreeError::NotAStructNode(n));
-        }
-        let mut el = Element::new(self.label(n));
+        let mut el = Element::new(self.element_name(n)?);
         let mut pending_words: Vec<&str> = Vec::new();
         for c in self.children(n) {
             match self.node_type(c) {

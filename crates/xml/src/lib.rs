@@ -13,6 +13,9 @@
 //! * an optional XML declaration and a (skipped) internal-subset-free
 //!   `<!DOCTYPE …>`.
 //!
+//! Elements nest at most [`MAX_DEPTH`] levels; a deeper document is an
+//! [`XmlError`] like any other malformed one.
+//!
 //! Not supported (irrelevant for the reproduction and documented as such):
 //! namespace-aware processing (prefixes are kept verbatim in names), DTD
 //! internal subsets, and custom entity definitions.
@@ -25,4 +28,4 @@ mod reader;
 pub use dom::{parse_document, Document, Element, XmlNode};
 pub use error::XmlError;
 pub use escape::{escape_attribute, escape_text, unescape};
-pub use reader::{Attribute, XmlEvent, XmlReader};
+pub use reader::{Attribute, XmlEvent, XmlReader, MAX_DEPTH};

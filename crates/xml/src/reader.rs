@@ -41,6 +41,12 @@ pub enum XmlEvent {
     Eof,
 }
 
+/// The deepest element nesting the reader accepts. Everything behind it
+/// that recurses over a document — the DOM's serializer and its `Drop`,
+/// the data tree's builder and `subtree_element` — is bounded by it too,
+/// so a hostile document is an [`XmlError`], not a stack overflow.
+pub const MAX_DEPTH: usize = 256;
+
 /// A streaming XML reader over an in-memory string.
 ///
 /// ```
@@ -302,6 +308,9 @@ impl<'a> XmlReader<'a> {
                 }
             }
             // Start tag.
+            if self.open.len() == MAX_DEPTH {
+                return Err(self.err(format!("elements nest deeper than {MAX_DEPTH} levels")));
+            }
             self.advance(1);
             if self.root_closed {
                 return Err(self.err("only one root element is allowed"));
@@ -435,6 +444,21 @@ mod tests {
     fn mismatched_tags_rejected() {
         let err = events("<a><b></a></b>").unwrap_err();
         assert!(err.message.contains("does not match"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |depth: usize| "<a>\n".repeat(depth) + &"</a>".repeat(depth);
+        // Start tag, newline, end tag per level, and `Eof`.
+        assert_eq!(events(&nested(MAX_DEPTH)).unwrap().len(), 3 * MAX_DEPTH + 1);
+        // The error points at the `<` of the first tag that is too deep,
+        // and comes before anything is recursed over: 200,000 levels are
+        // as cheap to refuse as 257.
+        for depth in [MAX_DEPTH + 1, 200_000] {
+            let e = events(&nested(depth)).unwrap_err();
+            assert_eq!((e.line, e.column), (MAX_DEPTH + 1, 1), "{e}");
+            assert!(e.message.contains("deeper than 256 levels"), "{e}");
+        }
     }
 
     #[test]

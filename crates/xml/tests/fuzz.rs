@@ -1,7 +1,7 @@
 //! Robustness properties of the XML parser: it must never panic, and the
 //! writer/parser pair must round-trip arbitrary documents.
 
-use approxql_xml::{parse_document, Document, Element, XmlNode};
+use approxql_xml::{parse_document, Document, Element, XmlNode, MAX_DEPTH};
 use proptest::prelude::*;
 
 fn name_strategy() -> impl Strategy<Value = String> {
@@ -13,7 +13,26 @@ fn text_strategy() -> impl Strategy<Value = String> {
     "[ -~éüλ☂]{0,20}"
 }
 
+/// Bushy documents of a few levels, or one chain down to the depth limit.
 fn element_strategy() -> impl Strategy<Value = Element> {
+    prop_oneof![bushy_strategy(), deep_strategy()]
+}
+
+/// `depth` nested elements, the innermost holding `text`.
+fn deep_strategy() -> impl Strategy<Value = Element> {
+    (name_strategy(), 1..=MAX_DEPTH, text_strategy()).prop_map(|(name, depth, text)| {
+        let mut e = Element::new(name.clone());
+        if !text.is_empty() {
+            e.children.push(XmlNode::Text(text));
+        }
+        for _ in 1..depth {
+            e = Element::new(name.clone()).with_child(e);
+        }
+        e
+    })
+}
+
+fn bushy_strategy() -> impl Strategy<Value = Element> {
     let leaf = (name_strategy(), text_strategy()).prop_map(|(name, text)| {
         let mut e = Element::new(name);
         if !text.is_empty() {
@@ -81,6 +100,21 @@ proptest! {
         let reparsed = parse_document(&text)
             .unwrap_or_else(|e| panic!("own output failed to parse: {e}\n{text}"));
         prop_assert_eq!(reparsed, doc);
+    }
+
+    /// Nesting past the limit is refused with the position of the first
+    /// tag that is too deep, however deep the document goes on.
+    #[test]
+    fn nesting_past_the_limit_is_a_positioned_error(
+        name in name_strategy(),
+        excess in 1usize..3000,
+    ) {
+        let depth = MAX_DEPTH + excess;
+        let text = format!("<{name}>").repeat(depth) + &format!("</{name}>").repeat(depth);
+        let err = parse_document(&text).unwrap_err();
+        let open_tag = name.chars().count() + 2;
+        prop_assert_eq!((err.line, err.column), (1, MAX_DEPTH * open_tag + 1));
+        prop_assert!(err.message.contains("deeper than"));
     }
 
     /// Parsing is deterministic.
