@@ -3,8 +3,6 @@
 use approxql_core::schema_eval::{best_k_second_level_plan, SchemaEvalConfig};
 use approxql_core::{Database, DatabaseError, DbFile, EvalOptions, QueryHit, QueryInput, Surface};
 use approxql_cost::{parse_cost_file, CostModel, NodeType};
-use approxql_eval::dataset::{Dataset, DatasetError, KSpec};
-use approxql_eval::{EvalError, RunOptions};
 use approxql_gen::{DataGenConfig, DataGenerator};
 use approxql_xml::Document;
 use std::fmt;
@@ -22,9 +20,6 @@ pub enum CliError {
     Db(DatabaseError),
     /// Cost-file parse failure.
     Costs(approxql_cost::CostFileError),
-    /// Malformed evaluation dataset (a usage-class error: the input file
-    /// is wrong, not the system under test).
-    Dataset(DatasetError),
     /// Data-level operation failure (e.g. deleting a node that is not a
     /// live document root).
     Op(String),
@@ -36,7 +31,7 @@ impl CliError {
     /// everything else.
     pub fn exit_code(&self) -> u8 {
         match self {
-            CliError::Usage(_) | CliError::Dataset(_) => 2,
+            CliError::Usage(_) => 2,
             CliError::Db(
                 DatabaseError::Storage(_)
                 | DatabaseError::Persist(_)
@@ -55,7 +50,6 @@ impl fmt::Display for CliError {
             CliError::Io(e) => write!(f, "{e}"),
             CliError::Db(e) => write!(f, "{e}"),
             CliError::Costs(e) => write!(f, "{e}"),
-            CliError::Dataset(e) => write!(f, "{e}"),
             CliError::Op(m) => write!(f, "{m}"),
         }
     }
@@ -70,15 +64,6 @@ impl From<std::io::Error> for CliError {
 impl From<DatabaseError> for CliError {
     fn from(e: DatabaseError) -> Self {
         CliError::Db(e)
-    }
-}
-
-impl From<EvalError> for CliError {
-    fn from(e: EvalError) -> Self {
-        match e {
-            EvalError::Dataset(d) => CliError::Dataset(d),
-            EvalError::Db(d) => CliError::Db(d),
-        }
     }
 }
 
@@ -106,8 +91,8 @@ struct Accepts {
 }
 
 /// Every verb, in the order `approxql help` lists them.
-const VERBS: [&Accepts; 10] = [
-    &BUILD, &QUERY, &TRANSLATE, &INSERT, &DELETE, &STATS, &EXPLAIN, &GEN, &CHECK, &EVAL,
+const VERBS: [&Accepts; 9] = [
+    &BUILD, &QUERY, &TRANSLATE, &INSERT, &DELETE, &STATS, &EXPLAIN, &GEN, &CHECK,
 ];
 
 /// The usage text: the stanza of `verb` alone, or of every verb when
@@ -270,7 +255,6 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         "translate" => cmd_translate(&TRANSLATE.parse(rest)?, out),
         "gen" => cmd_gen(&GEN.parse(rest)?, out),
         "check" => cmd_check(&CHECK.parse(rest)?, out),
-        "eval" => cmd_eval(&EVAL.parse(rest)?, out),
         "help" | "--help" | "-h" => Ok(writeln!(out, "{}", usage_text(None))?),
         other => Err(usage(format!("unknown subcommand `{other}`"))),
     }
@@ -749,84 +733,6 @@ fn cmd_check(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     Ok(())
 }
 
-const EVAL: Accepts = Accepts {
-    verb: "eval",
-    switches: &[
-        "--json",
-        "--gen-truth",
-        "--stats",
-        "--stats-json",
-        "--no-timing",
-    ],
-    options: &["-k", "--threads", "--out"],
-    usage: "  approxql eval    <db.axql> <dataset.json> [--json] [--gen-truth]
-                   [-k K] [--threads N] [--out FILE] [--no-timing]
-                   [--stats] [--stats-json]
-      score retrieval quality against a dataset's ground truth:
-      recall@k, precision@k, MRR, nDCG, latency p50/p95 per evaluator
-      (-k overrides every query's truncation depth, a number or
-       `unlimited`; --gen-truth instead fills the dataset's expected
-       results from the reference evaluator — direct, untruncated — and
-       prints the updated dataset; --out writes the report or dataset to
-       a file; --no-timing omits latency output, making reports
-       byte-identical across machines and thread counts; malformed
-       datasets exit 2, evaluation failures exit 1)",
-};
-
-fn cmd_eval(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
-    let [db_path, dataset_path] = flags.positional.as_slice() else {
-        return Err(usage("eval needs a database path and a dataset path"));
-    };
-    let as_json = flags.switch("--json");
-    let gen_truth = flags.switch("--gen-truth");
-    let k_override = match flags.option("-k") {
-        None => None,
-        Some("unlimited") => Some(KSpec::Unlimited),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => Some(KSpec::At(n)),
-            _ => {
-                return Err(usage(format!(
-                    "invalid value `{v}` for -k (a positive integer or `unlimited`)"
-                )))
-            }
-        },
-    };
-    let threads: usize = flags
-        .option_parsed("--threads")?
-        .unwrap_or_else(approxql_exec::default_threads);
-    if threads == 0 {
-        return Err(usage("--threads must be at least 1"));
-    }
-    let opts = RunOptions {
-        k_override,
-        threads,
-        timing: !flags.switch("--no-timing"),
-    };
-
-    let text = std::fs::read_to_string(dataset_path)?;
-    let mut ds = Dataset::parse(&text).map_err(CliError::Dataset)?;
-    let db = Database::open(db_path)?;
-
-    let before = approxql_metrics::snapshot();
-    let output = if gen_truth {
-        approxql_eval::gen_truth(&db, &mut ds, opts)?;
-        ds.to_json()
-    } else {
-        let report = approxql_eval::run(&db, &ds, opts)?;
-        if as_json {
-            report.render_json()
-        } else {
-            report.render_table()
-        }
-    };
-    match flags.option("--out") {
-        Some(path) => std::fs::write(path, &output)?,
-        None => write!(out, "{output}")?,
-    }
-    report_stats(flags, &before);
-    Ok(())
-}
-
 const GEN: Accepts = Accepts {
     verb: "gen",
     switches: &[],
@@ -1163,108 +1069,13 @@ mod tests {
     }
 
     #[test]
-    fn eval_gen_truth_then_score_roundtrip() {
-        let dir = tmpdir("eval");
-        let doc = dir.join("catalog.xml");
-        std::fs::write(
-            &doc,
-            "<catalog><cd><title>piano concerto</title></cd><cd><title>piano sonata</title></cd></catalog>",
-        )
-        .unwrap();
-        let db = dir.join("db.axql");
-        run_words(&["build", db.to_str().unwrap(), doc.to_str().unwrap()]).unwrap();
-        let ds = dir.join("ds.json");
-        std::fs::write(
-            &ds,
-            r#"{"version":1,"name":"cli-roundtrip","defaults":{"k":5},
-                "queries":[{"id":"q1","query":"cd[title[\"piano\"]]"}]}"#,
-        )
-        .unwrap();
-        // Scoring before gen-truth is a dataset error (exit 2).
-        let err = run_words(&["eval", db.to_str().unwrap(), ds.to_str().unwrap()]).unwrap_err();
-        assert!(matches!(err, CliError::Dataset(_)));
-        assert_eq!(err.exit_code(), 2);
-        // gen-truth writes a dataset that then scores cleanly, with table,
-        // JSON, and stats output, at an explicit thread count and -k.
-        let truthed = dir.join("truthed.json");
-        run_words(&[
-            "eval",
-            db.to_str().unwrap(),
-            ds.to_str().unwrap(),
-            "--gen-truth",
-            "--out",
-            truthed.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert!(std::fs::read_to_string(&truthed)
-            .unwrap()
-            .contains("\"expected\""));
-        run_words(&["eval", db.to_str().unwrap(), truthed.to_str().unwrap()]).unwrap();
-        run_words(&[
-            "eval",
-            db.to_str().unwrap(),
-            truthed.to_str().unwrap(),
-            "--json",
-            "--no-timing",
-            "--threads",
-            "2",
-            "-k",
-            "unlimited",
-            "--stats-json",
-        ])
-        .unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn eval_exit_codes_malformed_vs_runtime() {
-        let dir = tmpdir("eval-exit");
-        let doc = dir.join("c.xml");
-        std::fs::write(&doc, "<a><b>x</b></a>").unwrap();
-        let db = dir.join("db.axql");
-        run_words(&["build", db.to_str().unwrap(), doc.to_str().unwrap()]).unwrap();
-
-        // Malformed dataset JSON → usage-class exit code 2.
-        let bad = dir.join("bad.json");
-        std::fs::write(&bad, "{not json").unwrap();
-        let err = run_words(&["eval", db.to_str().unwrap(), bad.to_str().unwrap()]).unwrap_err();
-        assert!(matches!(err, CliError::Dataset(_)));
-        assert_eq!(err.exit_code(), 2);
-
-        // Valid dataset whose query fails at runtime → exit code 1.
-        let broken = dir.join("broken.json");
-        std::fs::write(
-            &broken,
-            r#"{"version":1,"name":"x",
-                "queries":[{"id":"q","query":"a[[","expected":[]}]}"#,
-        )
-        .unwrap();
-        let err = run_words(&["eval", db.to_str().unwrap(), broken.to_str().unwrap()]).unwrap_err();
-        assert!(matches!(err, CliError::Db(DatabaseError::Query(_))));
-        assert_eq!(err.exit_code(), 1);
-
-        // Invalid -k is a plain usage error.
-        assert!(matches!(
-            run_words(&[
-                "eval",
-                db.to_str().unwrap(),
-                broken.to_str().unwrap(),
-                "-k",
-                "zero"
-            ]),
-            Err(CliError::Usage(_))
-        ));
-        // Missing or corrupt database stays exit 3.
-        let err =
-            run_words(&["eval", "/nonexistent/db.axql", broken.to_str().unwrap()]).unwrap_err();
-        assert_eq!(err.exit_code(), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn usage_errors() {
         assert!(matches!(run_words(&[]), Err(CliError::Usage(_))));
         assert!(matches!(run_words(&["bogus"]), Err(CliError::Usage(_))));
+        assert!(matches!(
+            run_words(&["eval", "db.axql", "datasets/figure2.json"]),
+            Err(CliError::Usage(m)) if m == "unknown subcommand `eval`"
+        ));
         assert!(matches!(run_words(&["build"]), Err(CliError::Usage(_))));
         assert!(matches!(
             run_words(&["query", "x"]),

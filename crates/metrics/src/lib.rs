@@ -159,11 +159,6 @@ metrics! {
     EvalSchemaRounds => (Eval, "eval.schema_rounds", "k-escalation rounds across schema evaluations."),
     EvalSecondLevelQueries => (Eval, "eval.second_level_queries", "Second-level queries executed (Section 7.4)."),
     EvalSecondaryRows => (Eval, "eval.secondary_rows", "Instance postings scanned by second-level queries."),
-    // -- retrieval-quality harness ----------------------------------------
-    EvalHarnessRuns => (Eval, "eval.harness_runs", "Quality-harness invocations (`approxql eval` runs, scoring or gen-truth)."),
-    EvalHarnessQueries => (Eval, "eval.harness_queries", "Individual (query, evaluator) executions performed by the quality harness."),
-    EvalHarnessTruthHits => (Eval, "eval.harness_truth_hits", "Retrieved results that matched ground truth across harness runs."),
-    EvalTruthRows => (Eval, "eval.truth_rows", "Ground-truth rows emitted by gen-truth (reference result-list entries)."),
 }
 
 const METRIC_COUNT: usize = Metric::ALL.len();

@@ -1,12 +1,13 @@
-//! A minimal JSON reader/writer shared by the JSON query-IR surface and
-//! the `approxql-eval` dataset format (which re-exports this module).
+//! A minimal JSON reader/writer: the JSON query-IR surface parses with
+//! it, and the plan renderer writes its strings through [`write_str`].
 //!
 //! The workspace builds offline with no registry access, so — like the
 //! rest of the stack — the crate carries its own small parser instead
-//! of depending on serde. It supports exactly the JSON those formats
-//! need: objects, arrays, strings (with the standard escapes),
-//! integers/floats, booleans, and null. Numbers are kept as `f64`; the
-//! consuming layers re-validate integer fields.
+//! of depending on serde. It reads RFC 8259 JSON: objects, arrays,
+//! strings (with the standard escapes, `\u` taking exactly four hex
+//! digits), numbers in the RFC's grammar (no `+` sign, no leading zeros,
+//! digits on both sides of a decimal point), booleans, and null. Numbers
+//! are kept as `f64`; the consuming layers re-validate integer fields.
 
 use std::fmt;
 
@@ -269,12 +270,13 @@ impl<'a> Parser<'a> {
                             let hex = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("invalid \\u escape"))?;
                             self.pos += 4;
-                            // Surrogate pairs are not needed by the dataset
-                            // format; reject them rather than mis-decode.
+                            // Surrogate pairs are not needed by the query-IR;
+                            // reject them rather than mis-decode.
                             let c = char::from_u32(hex)
                                 .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
                             out.push(c);
@@ -301,20 +303,46 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Steps over the next byte if it is one of `any_of`.
+    fn skip(&mut self, any_of: &[u8]) -> bool {
+        let hit = self.peek().is_some_and(|b| any_of.contains(&b));
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// One or more ASCII digits; `what` says where they were expected.
+    fn digits(&mut self, what: &str) -> Result<(), JsonError> {
+        let start = self.pos;
+        while self.skip(b"0123456789") {}
+        if self.pos == start {
+            return Err(self.err(format!("expected a digit {what}")));
+        }
+        Ok(())
+    }
+
+    /// A number in RFC 8259's grammar,
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        self.skip(b"-");
+        let int = self.pos;
+        self.digits("in a number")?;
+        if self.bytes[int] == b'0' && self.pos > int + 1 {
+            self.pos = int + 1;
+            return Err(self.err("a number must not have a leading zero"));
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
+        if self.skip(b".") {
+            self.digits("after the decimal point")?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
+        if self.skip(b"eE") {
+            self.skip(b"+-");
+            self.digits("in the exponent")?;
+        }
+        std::str::from_utf8(&self.bytes[start..self.pos])
+            .ok()
+            .and_then(|text| text.parse::<f64>().ok())
             .map(Json::Num)
-            .map_err(|_| self.err(format!("invalid number `{text}`")))
+            .ok_or_else(|| self.err("invalid number"))
     }
 }
 
@@ -402,6 +430,32 @@ mod tests {
             "duplicate keys rejected"
         );
         assert!(parse(r#""unterminated"#).is_err());
+        // RFC 8259 numbers and four-hex-digit escapes only: each error
+        // sits at the byte that breaks the grammar.
+        for (text, col, message) in [
+            ("01", 2, "a number must not have a leading zero"),
+            ("-01", 3, "a number must not have a leading zero"),
+            ("+1", 1, "unexpected character `+`"),
+            ("-", 2, "expected a digit in a number"),
+            ("1.", 3, "expected a digit after the decimal point"),
+            ("1.e5", 3, "expected a digit after the decimal point"),
+            (".5", 1, "unexpected character `.`"),
+            ("1e", 3, "expected a digit in the exponent"),
+            ("1e+", 4, "expected a digit in the exponent"),
+            (r#""\u+063d""#, 4, "invalid \\u escape"),
+            (r#""\u06 3""#, 4, "invalid \\u escape"),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(
+                (err.line, err.col, err.message.as_str()),
+                (1, col, message),
+                "{text}"
+            );
+        }
+        for (text, value) in [("0", 0.0), ("-0.5", -0.5), ("10e-1", 1.0), ("2E+2", 200.0)] {
+            assert_eq!(parse(text).unwrap(), Json::Num(value), "{text}");
+        }
+        assert_eq!(parse(r#""\u00E9""#).unwrap(), Json::Str("é".into()));
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub use approxql_xml::{parse_document, Document, XmlError, XmlEvent, XmlReader};
 pub mod crates {
     pub use approxql_core as core;
     pub use approxql_cost as cost;
-    pub use approxql_eval as eval;
     pub use approxql_gen as gen;
     pub use approxql_index as index;
     pub use approxql_metrics as metrics;

@@ -1,72 +1,12 @@
-//! Thread-count determinism of the retrieval-quality harness, mirroring
-//! tests/parallel_determinism.rs one level up: `approxql eval` scoring
-//! and `--gen-truth` must produce byte-identical output at `--threads 1`
-//! and `--threads 4` (and 2), including identical merged work counters.
-//!
-//! Latency output is inherently nondeterministic, so the comparison runs
-//! with timing disabled — exactly the `--no-timing` reporting mode the
-//! golden tests and CI pin.
+//! Thread-count determinism of the fixture golden, mirroring
+//! tests/parallel_determinism.rs on the committed datasets: the hits of
+//! every fixture query, and the work counters that produce them, are the
+//! same at 1, 2 and 4 threads, and they pass the golden.
 
-use approxql::crates::eval::dataset::Dataset;
-use approxql::crates::eval::{gen_truth, run, RunOptions};
-use approxql::crates::gen::{DataGenConfig, DataGenerator, QueryGenConfig, QueryGenerator};
-use approxql::{CostModel, Database, Metric};
-use std::sync::OnceLock;
+mod common;
 
-fn db() -> &'static Database {
-    static DB: OnceLock<Database> = OnceLock::new();
-    DB.get_or_init(|| {
-        let mut cfg = DataGenConfig::paper_scale_divided(1000); // 1,000 elements
-        cfg.seed = 2002;
-        let costs = CostModel::new();
-        let tree = DataGenerator::new(cfg).generate_tree(&costs);
-        Database::from_tree(tree, costs)
-    })
-}
-
-/// A dataset emitted the same way `eval_dataset` does it: Section 8.1
-/// pattern-2 queries with generated per-query cost tables (5 renamings).
-fn generated_dataset() -> Dataset {
-    use approxql::crates::eval::dataset::{DatasetQuery, EvaluatorSel, KSpec, Settings};
-    let cfg = QueryGenConfig {
-        renamings_per_label: 5,
-        seed: 2287,
-        ..QueryGenConfig::default()
-    };
-    let index = approxql::crates::index::LabelIndex::build(db().tree());
-    let mut generator = QueryGenerator::new(db().tree(), &index, cfg);
-    let queries = generator
-        .generate_batch(approxql::crates::gen::PATTERN_2, 4)
-        .into_iter()
-        .enumerate()
-        .map(|(i, gq)| DatasetQuery {
-            id: format!("q{:02}", i + 1),
-            query: gq.query,
-            overrides: Settings {
-                costs: Some(approxql::write_cost_file(&gq.costs)),
-                ..Settings::default()
-            },
-            expected: None,
-        })
-        .collect();
-    Dataset {
-        name: "determinism".to_owned(),
-        defaults: Settings {
-            k: Some(KSpec::At(10)),
-            evaluator: Some(EvaluatorSel::Both),
-            ..Settings::default()
-        },
-        queries,
-    }
-}
-
-fn opts(threads: usize) -> RunOptions {
-    RunOptions {
-        threads,
-        timing: false,
-        ..RunOptions::default()
-    }
-}
+use approxql::{Database, Metric};
+use common::{Evaluator, Fixture, Hit};
 
 fn counter_diff(f: impl FnOnce()) -> Vec<(Metric, u64)> {
     let before = approxql::metrics_snapshot();
@@ -78,69 +18,61 @@ fn counter_diff(f: impl FnOnce()) -> Vec<(Metric, u64)> {
         .collect()
 }
 
-#[test]
-fn gen_truth_is_thread_count_invariant() {
-    let skeleton = generated_dataset();
-    let mut base = skeleton.clone();
-    gen_truth(db(), &mut base, opts(1)).unwrap();
-    let base_json = base.to_json();
-    assert!(
-        base.queries
-            .iter()
-            .any(|q| !q.expected.as_ref().unwrap().is_empty()),
-        "degenerate dataset: no query has any reference results"
-    );
-    for threads in [2usize, 4] {
-        let mut ds = skeleton.clone();
-        gen_truth(db(), &mut ds, opts(threads)).unwrap();
-        assert_eq!(
-            ds.to_json(),
-            base_json,
-            "gen-truth output differs at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn eval_reports_are_thread_count_invariant() {
-    let mut ds = generated_dataset();
-    gen_truth(db(), &mut ds, opts(1)).unwrap();
-    // Warm the shared plan cache so every measured run hits it and the
-    // counter comparison excludes one-time compile work.
-    run(db(), &ds, opts(1)).unwrap();
-    let mut base_table = String::new();
-    let mut base_json = String::new();
-    let base_counts = counter_diff(|| {
-        let report = run(db(), &ds, opts(1)).unwrap();
-        base_table = report.render_table();
-        base_json = report.render_json();
-    });
-    for threads in [2usize, 4] {
-        let mut table = String::new();
-        let mut json = String::new();
-        let counts = counter_diff(|| {
-            let report = run(db(), &ds, opts(threads)).unwrap();
-            table = report.render_table();
-            json = report.render_json();
+/// Runs every fixture on its evaluators at 1, 2 and 4 threads, asserts
+/// equal hits and equal counter diffs, and holds the hits to the golden.
+/// A first pass at one thread warms every plan cache, so the compared
+/// passes all take the cached path.
+fn assert_thread_count_invariant(corpus: &str, fixtures: &[Fixture]) {
+    let dbs: Vec<Database> = fixtures.iter().map(|f| f.database(corpus)).collect();
+    let pass = |threads: usize| -> Vec<(&Fixture, Evaluator, Vec<Hit>)> {
+        let runs = fixtures.iter().zip(&dbs).flat_map(|(f, db)| {
+            f.evaluators
+                .iter()
+                .map(move |&e| (f, e, f.run(db, e, threads)))
         });
-        assert_eq!(table, base_table, "table differs at {threads} threads");
-        assert_eq!(json, base_json, "json differs at {threads} threads");
+        runs.collect()
+    };
+    pass(1);
+    let mut base = Vec::new();
+    let base_counts = counter_diff(|| base = pass(1));
+    for threads in [2, 4] {
+        let mut runs = Vec::new();
+        let counts = counter_diff(|| runs = pass(threads));
+        assert_eq!(runs, base, "hits differ at {threads} threads");
         assert_eq!(
             counts, base_counts,
             "work counters differ at {threads} threads"
         );
     }
+    for (f, evaluator, hits) in &base {
+        f.check(*evaluator, hits);
+    }
+}
+
+#[test]
+fn gen_truth_is_thread_count_invariant() {
+    // The reference configuration: direct, untruncated, on the figure-7
+    // corpus with five renamings per label.
+    let fixtures: Vec<Fixture> = common::load("figure7_ren5")
+        .into_iter()
+        .map(|f| Fixture {
+            k: None,
+            evaluators: vec![Evaluator::Direct],
+            ..f
+        })
+        .collect();
+    assert_thread_count_invariant(common::FIGURE7_CORPUS, &fixtures);
+}
+
+#[test]
+fn eval_reports_are_thread_count_invariant() {
+    // Both evaluators at the datasets' k, with and without renamings.
+    for name in ["figure7_ren0", "figure7_ren10"] {
+        assert_thread_count_invariant(common::FIGURE7_CORPUS, &common::load(name));
+    }
 }
 
 #[test]
 fn committed_figure2_report_is_thread_count_invariant() {
-    let catalog = include_str!("../datasets/catalog.xml");
-    let figure2 = include_str!("../datasets/figure2.json");
-    let db = Database::from_xml_str(catalog, CostModel::new()).unwrap();
-    let ds = Dataset::parse(figure2).unwrap();
-    let base = run(&db, &ds, opts(1)).unwrap().render_json();
-    for threads in [2usize, 4] {
-        let got = run(&db, &ds, opts(threads)).unwrap().render_json();
-        assert_eq!(got, base, "figure2 report differs at {threads} threads");
-    }
+    assert_thread_count_invariant(common::CATALOG, &common::load("figure2"));
 }

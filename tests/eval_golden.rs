@@ -1,117 +1,141 @@
-//! Golden-file tests for the `approxql eval` report rendering, plus the
-//! CI-pinned quality metrics on the committed figure-2 dataset.
+//! The committed datasets as a hits-and-costs golden.
 //!
-//! The table and JSON renderings are part of the CLI contract. Both are
-//! generated with timing disabled, which omits every latency field — the
-//! remaining output is a pure function of the committed corpus and
-//! dataset, so it is byte-stable across machines and thread counts.
-//! Regenerate a golden file with
-//! `approxql eval <db> datasets/figure2.json [--json] --no-timing`
-//! and review the diff.
+//! Every query of `datasets/figure2.json` runs on the evaluators its
+//! dataset names, and the hits are held to the committed `expected` list
+//! (`common::Fixture::check`): the direct evaluator returns its first k
+//! entries exactly, the schema-driven evaluator the same costs rank by
+//! rank. `tests/golden/eval_table.txt` is the same run printed one hit per
+//! line; when a change moves a hit on purpose, the assertion message shows
+//! the new listing to review and commit.
 
-use approxql::crates::eval::dataset::Dataset;
-use approxql::crates::eval::{run, RunOptions};
-use approxql::{CostModel, Database};
+mod common;
 
-const CATALOG: &str = include_str!("../datasets/catalog.xml");
-const FIGURE2: &str = include_str!("../datasets/figure2.json");
+use approxql::{Database, QueryInput, Surface};
+use common::{Evaluator, Fixture, Hit, CATALOG};
 
-fn report() -> approxql::crates::eval::EvalReport {
-    // The committed ground truth was generated against a database built
-    // from `datasets/catalog.xml` with no build-time cost table (the
-    // dataset carries its cost tables inline).
-    let db = Database::from_xml_str(CATALOG, CostModel::new()).unwrap();
-    let ds = Dataset::parse(FIGURE2).unwrap();
-    let opts = RunOptions {
-        timing: false,
-        ..RunOptions::default()
-    };
-    run(&db, &ds, opts).unwrap()
+/// An evaluator and the hits it returned.
+type Run = (Evaluator, Vec<Hit>);
+
+/// Each fixture of a figure-2 dataset with its hits per evaluator.
+fn figure2_runs(name: &str) -> Vec<(Fixture, Vec<Run>)> {
+    common::load(name)
+        .into_iter()
+        .map(|f| {
+            let db = f.database(CATALOG);
+            let threads = approxql::EvalOptions::default().threads;
+            let hits = f
+                .evaluators
+                .iter()
+                .map(|&e| (e, f.run(&db, e, threads)))
+                .collect();
+            (f, hits)
+        })
+        .collect()
 }
 
 #[test]
 fn eval_table_matches_golden() {
+    let mut listing = format!(
+        "{:<14} {:<6} {:>4} {:>4} {:>4}\n",
+        "query", "engine", "rank", "id", "cost"
+    );
+    for (f, runs) in figure2_runs("figure2") {
+        for (evaluator, hits) in runs {
+            for (rank, (id, cost)) in hits.iter().enumerate() {
+                listing.push_str(&format!(
+                    "{:<14} {:<6} {rank:>4} {id:>4} {:>4}\n",
+                    f.id,
+                    evaluator.name(),
+                    cost.to_string()
+                ));
+            }
+        }
+    }
     assert_eq!(
-        report().render_table(),
-        include_str!("golden/eval_table.txt")
+        listing,
+        include_str!("golden/eval_table.txt"),
+        "the figure-2 hits changed; new listing:\n{listing}"
     );
 }
 
 #[test]
 fn eval_json_matches_golden() {
-    assert_eq!(report().render_json(), include_str!("golden/eval_json.txt"));
+    for (f, runs) in figure2_runs("figure2") {
+        for (evaluator, hits) in runs {
+            f.check(evaluator, &hits);
+        }
+    }
 }
 
 #[test]
 fn figure2_metrics_are_pinned() {
-    // The acceptance pins, independent of the full-byte goldens: every
-    // figure-2 run scores perfectly, and the schema evaluator at
-    // k = unlimited reaches recall 1.0 against reference ground truth.
-    let rep = report();
-    assert_eq!(rep.runs.len(), 9);
-    for r in &rep.runs {
-        assert_eq!(r.scores.recall, 1.0, "{} {}", r.query_id, r.engine.name());
-        assert_eq!(r.scores.ndcg, 1.0, "{} {}", r.query_id, r.engine.name());
-    }
-    let unlimited = rep
-        .runs
+    // Four queries on both evaluators and one on the schema evaluator
+    // alone, which at k = unlimited returns every expected hit.
+    let runs = figure2_runs("figure2");
+    let per_evaluator = |e| {
+        runs.iter()
+            .filter(|(f, _)| f.evaluators.contains(&e))
+            .count()
+    };
+    assert_eq!(per_evaluator(Evaluator::Direct), 4);
+    assert_eq!(per_evaluator(Evaluator::Schema), 5);
+    let (all_cds, hits) = runs
         .iter()
-        .find(|r| r.query_id == "all-cds")
-        .expect("committed dataset has the unlimited schema query");
-    assert_eq!(unlimited.engine.name(), "schema");
-    assert_eq!(unlimited.scores.recall, 1.0);
-    assert_eq!(unlimited.truth_len, 5);
+        .find(|(f, _)| f.id == "all-cds")
+        .expect("the dataset has the unlimited schema query");
+    assert_eq!(all_cds.k, None);
+    assert_eq!(all_cds.evaluators, [Evaluator::Schema]);
+    assert_eq!(all_cds.expected.len(), 5);
+    assert_eq!(hits[0].1.len(), 5);
+    all_cds.check(Evaluator::Schema, &hits[0].1);
 }
 
 #[test]
 fn figure2_json_mirror_matches_classic_exactly() {
-    // `datasets/figure2_json.json` is the same workload spelled in the
-    // JSON query-IR surface (generated with `approxql translate`), with
-    // identical expected arrays. Because every surface lowers through one
-    // normalized AST, the evaluation report must match the classic
-    // dataset run-for-run: same ids, engines, result counts, and pinned
-    // quality scores.
-    let db = Database::from_xml_str(CATALOG, CostModel::new()).unwrap();
-    let classic = Dataset::parse(FIGURE2).unwrap();
-    let mirror = Dataset::parse(include_str!("../datasets/figure2_json.json")).unwrap();
-    assert_eq!(mirror.queries.len(), classic.queries.len());
-    let opts = RunOptions {
-        timing: false,
-        ..RunOptions::default()
-    };
-    let classic_rep = run(&db, &classic, opts).unwrap();
-    let mirror_rep = run(&db, &mirror, opts).unwrap();
-    assert_eq!(mirror_rep.runs.len(), classic_rep.runs.len());
-    for (m, c) in mirror_rep.runs.iter().zip(&classic_rep.runs) {
-        assert_eq!(m.query_id, c.query_id);
-        assert_eq!(m.engine, c.engine);
-        assert_eq!(m.k, c.k);
-        assert_eq!(m.retrieved, c.retrieved, "{}", m.query_id);
-        assert_eq!(m.truth_len, c.truth_len, "{}", m.query_id);
-        assert_eq!(m.scores, c.scores, "{}", m.query_id);
-    }
-    assert_eq!(mirror_rep.summaries.len(), classic_rep.summaries.len());
-    for (m, c) in mirror_rep.summaries.iter().zip(&classic_rep.summaries) {
-        // Everything but the wall-clock percentiles must agree.
-        assert_eq!(m.engine, c.engine);
-        assert_eq!(m.queries, c.queries);
-        assert_eq!(m.avg_recall, c.avg_recall);
-        assert_eq!(m.avg_precision, c.avg_precision);
-        assert_eq!(m.mean_rr, c.mean_rr);
-        assert_eq!(m.mean_ndcg, c.mean_ndcg);
+    // `datasets/figure2_json.json` is the figure-2 workload spelled in the
+    // JSON query-IR surface (generated with `approxql translate`). Every
+    // surface lowers through one normalized AST, so the mirror has the
+    // classic dataset's settings and expected lists, and returns its hits.
+    let classic = figure2_runs("figure2");
+    let mirror = figure2_runs("figure2_json");
+    assert_eq!(mirror.len(), classic.len());
+    for ((m, m_hits), (c, c_hits)) in mirror.iter().zip(&classic) {
+        assert_eq!(Surface::detect(&m.query), Surface::Json, "{}", m.id);
+        assert_eq!(
+            QueryInput::new(&m.query).parse().unwrap(),
+            QueryInput::new(&c.query).parse().unwrap(),
+            "{}",
+            m.id
+        );
+        let respelled = Fixture {
+            query: c.query.clone(),
+            ..m.clone()
+        };
+        assert_eq!(respelled, *c);
+        assert_eq!(m_hits, c_hits, "{}", m.id);
     }
 }
 
 #[test]
 fn committed_truth_matches_regenerated_truth() {
-    // The committed `expected` arrays must stay in sync with what
-    // gen-truth produces today; a silent evaluator change that shifts
-    // reference results fails here before it fails in CI.
-    use approxql::crates::eval::gen_truth;
-    let db = Database::from_xml_str(CATALOG, CostModel::new()).unwrap();
-    let committed = Dataset::parse(FIGURE2).unwrap();
-    let mut regenerated = committed.clone();
-    gen_truth(&db, &mut regenerated, RunOptions::default()).unwrap();
-    assert_eq!(regenerated, committed);
-    assert_eq!(regenerated.to_json(), FIGURE2);
+    // Every committed `expected` list is what the direct evaluator returns
+    // untruncated today, from a store that was saved and opened again: a
+    // change that shifts the reference results fails here.
+    let dir = std::env::temp_dir().join(format!("axql-fixture-truth-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.axql");
+    let threads = approxql::EvalOptions::default().threads;
+    for (name, corpus) in common::DATASETS {
+        for f in common::load(name) {
+            f.database(corpus).save(&path).unwrap();
+            let reopened = Database::open(&path).unwrap();
+            let untruncated = Fixture {
+                k: None,
+                ..f.clone()
+            };
+            let got = untruncated.run(&reopened, Evaluator::Direct, threads);
+            assert_eq!(got, f.expected, "{name} {}", f.id);
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

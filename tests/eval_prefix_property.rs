@@ -2,7 +2,8 @@
 //! collection and query, the schema-driven best-n evaluation returns a
 //! *cost-ordered prefix* of the reference result list — the complete
 //! cost-ranked answer set produced by the direct evaluator with no
-//! truncation (the same reference `approxql eval --gen-truth` uses).
+//! truncation (the reference the `expected` lists of `datasets/*.json`
+//! hold, `tests/eval_golden.rs`).
 //!
 //! "Prefix" is precise about ties: result costs are totally ordered, but
 //! several elements can share one cost, and the best-n driver may pick

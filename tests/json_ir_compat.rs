@@ -49,6 +49,29 @@ fn canonical_fixtures_are_translate_output() {
 }
 
 #[test]
+fn lenient_json_is_a_caret_parse_error() {
+    // The reader takes RFC 8259 JSON only: no leading zero or `+` sign,
+    // digits on both sides of a decimal point, and exactly four hex
+    // digits after `\u`. Each form is a syntax error at the byte that
+    // breaks the grammar, never a document read some other way.
+    for (text, col) in [
+        (r#"{"v":01,"query":{"name":"cd"}}"#, 7),
+        (r#"{"v":+1,"query":{"name":"cd"}}"#, 6),
+        (r#"{"v":1.,"query":{"name":"cd"}}"#, 8),
+        (r#"{"v":1.e0,"query":{"name":"cd"}}"#, 8),
+        (r#"{"v":1,"query":{"name":"\u+063d"}}"#, 27),
+        (r#"{"v":01,"query":{"name":"\u+063d"}}"#, 7),
+    ] {
+        let err = QueryInput::with_surface(text, Surface::Json)
+            .parse()
+            .unwrap_err();
+        assert_eq!((err.line, err.col), (1, col), "{text}: {err}");
+        let caret = format!("\n  {text}\n  {:>col$}", "^");
+        assert!(err.to_string().ends_with(&caret), "{err}");
+    }
+}
+
+#[test]
 fn unknown_version_is_rejected_with_the_version_error() {
     let err = QueryInput::new(UNKNOWN_VERSION).parse().unwrap_err();
     assert!(

@@ -11,6 +11,8 @@
 //! If an intentional algorithm change shifts a count, update the pinned
 //! value *after* confirming the delta is explained by the change.
 
+mod common;
+
 use approxql::crates::gen::{DataGenConfig, DataGenerator};
 use approxql::{Cost, CostModel, Database, Metric, MetricsSnapshot};
 
@@ -323,45 +325,26 @@ fn repeated_runs_count_identically() {
 
 #[test]
 fn eval_harness_op_counts() {
-    // The retrieval-quality harness reports its own work: one
-    // `eval.harness_runs` per invocation (gen-truth or scoring), one
-    // `eval.harness_queries` per (query, evaluator) execution,
-    // `eval.truth_rows` for emitted ground truth, and
-    // `eval.harness_truth_hits` for retrieved results matching truth.
-    use approxql::crates::eval::dataset::Dataset;
-    use approxql::crates::eval::{gen_truth, run, RunOptions};
-    let db = Database::from_xml_str(CATALOG, paper_costs()).unwrap();
-    let mut ds = Dataset::parse(
-        r#"{"version":1,"name":"pins","defaults":{"k":5,"evaluator":"both"},
-            "queries":[
-              {"id":"q1","query":"cd[title[\"piano\"]]"},
-              {"id":"q2","query":"cd[composer[\"rachmaninov\"]]","evaluator":"direct"}]}"#,
-    )
-    .unwrap();
-    let truth_diff = diff_over(|| {
-        gen_truth(&db, &mut ds, RunOptions::default()).unwrap();
-    });
-    let truth_rows: usize = ds
-        .queries
+    // One pass of the figure-2 fixture golden: nine (query, evaluator)
+    // runs, four direct and five schema-driven. One schema query needs a
+    // second k-escalation round, and every round is one schema run, so
+    // five queries make six runs.
+    let fixtures = common::load("figure2");
+    let dbs: Vec<Database> = fixtures
         .iter()
-        .map(|q| q.expected.as_ref().unwrap().len())
-        .sum();
-    assert_eq!(truth_rows, 3, "catalog truth size shifted");
-    assert_eq!(truth_diff.get(Metric::EvalHarnessRuns), 1);
-    assert_eq!(truth_diff.get(Metric::EvalHarnessQueries), 2);
-    assert_eq!(truth_diff.get(Metric::EvalTruthRows), 3);
-    assert_eq!(truth_diff.get(Metric::EvalHarnessTruthHits), 0);
-    let run_diff = diff_over(|| {
-        let report = run(&db, &ds, RunOptions::default()).unwrap();
-        // q1 runs on both evaluators, q2 only direct.
-        assert_eq!(report.runs.len(), 3);
+        .map(|f| f.database(common::CATALOG))
+        .collect();
+    let diff = diff_over(|| {
+        for (f, db) in fixtures.iter().zip(&dbs) {
+            for &e in &f.evaluators {
+                f.check(e, &f.run(db, e, 1));
+            }
+        }
     });
-    assert_eq!(run_diff.get(Metric::EvalHarnessRuns), 1);
-    assert_eq!(run_diff.get(Metric::EvalHarnessQueries), 3);
-    // Every run retrieves its full truth at k=5: q1 twice (2 rows each)
-    // plus q2 once (1 row).
-    assert_eq!(run_diff.get(Metric::EvalHarnessTruthHits), 5);
-    assert_eq!(run_diff.get(Metric::EvalTruthRows), 0);
+    assert_eq!(diff.get(Metric::EvalDirectRuns), 4);
+    assert_eq!(diff.get(Metric::EvalSchemaRuns), 6);
+    assert_eq!(diff.get(Metric::EvalSchemaRounds), 6);
+    assert_eq!(diff.get(Metric::EvalSecondLevelQueries), 56);
 }
 
 #[test]
@@ -424,10 +407,6 @@ fn registry_is_exactly_the_documented_catalogue() {
             (Metric::EvalSchemaRounds, "eval.schema_rounds"),
             (Metric::EvalSecondLevelQueries, "eval.second_level_queries"),
             (Metric::EvalSecondaryRows, "eval.secondary_rows"),
-            (Metric::EvalHarnessRuns, "eval.harness_runs"),
-            (Metric::EvalHarnessQueries, "eval.harness_queries"),
-            (Metric::EvalHarnessTruthHits, "eval.harness_truth_hits"),
-            (Metric::EvalTruthRows, "eval.truth_rows"),
         ]
         .map(|(_, name)| name)
     );

@@ -7,37 +7,24 @@
 //! share one plan-cache entry (one compile, cross-surface cache hits),
 //! and return byte-identical results at every thread count.
 //!
-//! The queries are the committed figure-2 and figure-7 evaluation
-//! workloads; their JSON-IR and XPath-lite spellings are derived with the
+//! The queries are read from the committed figure-2 and figure-7 fixture
+//! datasets (`tests/common`); their JSON-IR and XPath-lite spellings are derived with the
 //! canonical emitters (`approxql translate` uses the same code), so this
 //! suite also pins the emitters against the parsers.
 
+mod common;
+
 use approxql::crates::plan;
 use approxql::{Database, EvalOptions, Metric, QueryInput, Surface};
+use common::{CATALOG, FIGURE7_CORPUS};
 use std::sync::OnceLock;
 
-const CATALOG: &str = include_str!("../datasets/catalog.xml");
-const FIGURE7_CORPUS: &str = include_str!("../datasets/figure7_corpus.xml");
-
-/// Every query from `datasets/figure2.json`.
-const FIGURE2_QUERIES: &[&str] = &[
-    r#"cd[track[title["piano" and "concerto"]] and composer["rachmaninov"]]"#,
-    r#"cd[title["piano"]]"#,
-    r#"cd[title["piano" and "concerto"]]"#,
-    r#"cd[composer["brahms"]]"#,
-    r#"cd[title]"#,
-];
-
-/// Every query from `datasets/figure7_ren0.json` (the ren5/ren10 variants
-/// reuse the same query texts with different cost tables, which do not
-/// affect surface translation).
-const FIGURE7_QUERIES: &[&str] = &[
-    r#"name034[name096["term112" and ("term18947" or "term348")]]"#,
-    r#"name034[name012["term8290" and ("term482" or "term3")]]"#,
-    r#"name034[name034["term92" and ("term555" or "term588")]]"#,
-    r#"name034[name034["term3" and ("term1" or "term7309")]]"#,
-    r#"name034[name000["term85" and ("term383" or "term65930")]]"#,
-];
+/// The query texts of a committed dataset. The figure-7 datasets share
+/// theirs (ren5 and ren10 change only the cost tables, which do not
+/// affect surface translation), so ren0 stands for all three.
+fn queries(dataset: &str) -> Vec<String> {
+    common::load(dataset).into_iter().map(|f| f.query).collect()
+}
 
 /// The three spellings of a classic query: (classic, json-ir, xpath-lite).
 fn spellings(classic: &str) -> [(Surface, String); 3] {
@@ -70,14 +57,14 @@ fn surfaces_compile_to_byte_identical_plans() {
     // Fresh databases so the plan caches start cold and the pinned
     // miss/hit counts below are exact.
     let dbs = [
-        (catalog_db(), FIGURE2_QUERIES),
+        (catalog_db(), queries("figure2")),
         (
             Database::from_xml_str(FIGURE7_CORPUS, approxql::CostModel::new()).unwrap(),
-            FIGURE7_QUERIES,
+            queries("figure7_ren0"),
         ),
     ];
     for (db, queries) in &dbs {
-        for classic in *queries {
+        for classic in queries {
             let before = approxql::metrics_snapshot();
             let mut explains = Vec::new();
             let mut fingerprints = Vec::new();
@@ -117,13 +104,13 @@ fn surfaces_compile_to_byte_identical_plans() {
 /// surface chooses a parser, nothing downstream.
 #[test]
 fn surface_results_are_identical_at_every_thread_count() {
-    let dbs: [(&Database, &[&str]); 2] = [
-        (&catalog_db(), FIGURE2_QUERIES),
-        (figure7_db(), FIGURE7_QUERIES),
+    let dbs: [(&Database, Vec<String>); 2] = [
+        (&catalog_db(), queries("figure2")),
+        (figure7_db(), queries("figure7_ren0")),
     ];
     for (db, queries) in dbs {
-        for classic in queries {
-            let baseline = db.query_direct(*classic, Some(10)).unwrap();
+        for classic in &queries {
+            let baseline = db.query_direct(classic.as_str(), Some(10)).unwrap();
             for (surface, text) in spellings(classic) {
                 for threads in [1, 2, 4] {
                     let opts = EvalOptions {
@@ -152,7 +139,7 @@ fn explain_json_is_surface_independent() {
         threads: 1,
         ..EvalOptions::default()
     };
-    for classic in FIGURE2_QUERIES {
+    for classic in &queries("figure2") {
         let docs: Vec<String> = spellings(classic)
             .into_iter()
             .map(|(surface, text)| {
@@ -168,7 +155,7 @@ fn explain_json_is_surface_independent() {
             .and_then(|v| v.as_str())
             .unwrap()
             .to_string();
-        let (q, ex) = db.compile(*classic).unwrap();
+        let (q, ex) = db.compile(classic.as_str()).unwrap();
         let plan = db.plan_for(&q, &ex).unwrap();
         assert_eq!(rendered_fp, format!("{:#018x}", plan::fingerprint(&plan)));
     }
