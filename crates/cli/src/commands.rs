@@ -2,8 +2,9 @@
 
 use approxql_core::schema_eval::{best_k_second_level_plan, SchemaEvalConfig};
 use approxql_core::{Database, DatabaseError, DbFile, EvalOptions, QueryHit, QueryInput, Surface};
-use approxql_cost::{parse_cost_file, CostModel, NodeType};
+use approxql_cost::{parse_cost_file, CostModel};
 use approxql_gen::{DataGenConfig, DataGenerator};
+use approxql_tree::NodeId;
 use approxql_xml::Document;
 use std::fmt;
 use std::io::Write;
@@ -195,32 +196,12 @@ fn load_costs(flags: &Flags) -> Result<CostModel, CliError> {
 /// the collection (or whose insert default) differs from the stored model
 /// would be applied to the schema but not to the data lists.
 fn open_with_costs(db_path: &str, flags: &Flags) -> Result<Database, CliError> {
-    let db = Database::open(db_path)?;
-    if flags.option("--costs").is_none() {
-        return Ok(db);
+    let mut db = Database::open(db_path)?;
+    if flags.option("--costs").is_some() {
+        db.set_query_costs(load_costs(flags)?)
+            .map_err(|e| usage(format!("--costs {e}: rebuild instead")))?;
     }
-    let costs = load_costs(flags)?;
-    let built = db.costs();
-    if costs.insert_default() != built.insert_default() {
-        return Err(usage(format!(
-            "--costs changes the default insert cost ({} at build time, {} now): rebuild instead",
-            built.insert_default(),
-            costs.insert_default()
-        )));
-    }
-    for (_, label) in db.tree().interner().iter() {
-        for ty in [NodeType::Struct, NodeType::Text] {
-            let (was, now) = (built.insert_cost(ty, label), costs.insert_cost(ty, label));
-            if was != now {
-                return Err(usage(format!(
-                    "--costs changes the insert cost of {ty} `{label}` ({was} at build time, \
-                     {now} now): rebuild instead"
-                )));
-            }
-        }
-    }
-    // Re-derive the database view under the query's own cost table.
-    Ok(Database::from_tree(db.tree().clone(), costs))
+    Ok(db)
 }
 
 /// `--stats` / `--stats-json`: what the metrics registry counted since
@@ -365,7 +346,7 @@ fn cmd_delete(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let mut file = DbFile::open(db_path)?;
     let before = approxql_metrics::snapshot();
     let span = file
-        .delete_document(approxql_tree::NodeId(pre))?
+        .delete_document(NodeId(pre))?
         .ok_or_else(|| CliError::Op(format!("node {pre} is not a live document root")))?;
     report_stats(flags, &before);
     writeln!(
@@ -376,26 +357,29 @@ fn cmd_delete(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn print_hit(
+/// Prints ranked hits: the name of each hit's element, or with `as_xml`
+/// its whole subtree.
+fn print_hits(
     out: &mut impl Write,
     db: &Database,
-    rank: usize,
-    hit: QueryHit,
+    hits: &[QueryHit],
     as_xml: bool,
 ) -> Result<(), CliError> {
     if as_xml {
-        let el = db.result_element(hit)?;
-        writeln!(
-            out,
-            "<!-- rank {rank}, cost {} -->\n{}",
-            hit.cost,
-            Document { root: el }.to_xml_string()
-        )?;
-    } else {
-        let name = db
-            .tree()
-            .element_name(hit.root)
-            .map_err(DatabaseError::from)?;
+        for (rank, &hit) in hits.iter().enumerate() {
+            let el = db.result_element(hit)?;
+            writeln!(
+                out,
+                "<!-- rank {rank}, cost {} -->\n{}",
+                hit.cost,
+                Document { root: el }.to_xml_string()
+            )?;
+        }
+        return Ok(());
+    }
+    let roots: Vec<NodeId> = hits.iter().map(|hit| hit.root).collect();
+    let names = db.element_names(&roots)?;
+    for (rank, (hit, name)) in hits.iter().zip(names).enumerate() {
         writeln!(
             out,
             "#{rank}\tcost={}\tnode={}\t<{name}>",
@@ -508,9 +492,7 @@ fn cmd_query(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
         } else if use_direct {
             let (hits, stats) = db.query_direct_with(input, Some(n), opts)?;
             if printing {
-                for (rank, hit) in hits.iter().enumerate() {
-                    print_hit(out, &db, rank, *hit, as_xml)?;
-                }
+                print_hits(out, &db, &hits, as_xml)?;
                 if show_stats {
                     eprintln!(
                         "direct: {} fetches, {} plan ops, {} entries, {} cse reuses",
@@ -522,9 +504,7 @@ fn cmd_query(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
             let (hits, stats) =
                 db.query_schema_with(input, n, opts, SchemaEvalConfig::default())?;
             if printing {
-                for (rank, hit) in hits.iter().enumerate() {
-                    print_hit(out, &db, rank, *hit, as_xml)?;
-                }
+                print_hits(out, &db, &hits, as_xml)?;
                 if show_stats {
                     eprintln!(
                         "schema: {} rounds (k={}), {} second-level queries, {} rows",
@@ -552,6 +532,7 @@ fn cmd_stats(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
         return Err(usage("stats needs a database path"));
     };
     let db = Database::open(db_path)?;
+    db.materialize()?;
     let t = db.tree().stats();
     let s = db.schema().stats();
     let docs = db.tree().documents();
@@ -604,6 +585,7 @@ fn cmd_explain(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let k: usize = flags.option_parsed("-k")?.unwrap_or(5);
     let surface = surface_flag(flags)?;
     let db = open_with_costs(db_path, flags)?;
+    db.materialize()?;
     let metrics_before = approxql_metrics::snapshot();
     let (parsed, expanded) = db.compile(QueryInput {
         text: query,
@@ -1040,6 +1022,55 @@ mod tests {
     }
 
     #[test]
+    fn the_stored_cost_table_as_costs_file_changes_nothing() {
+        // A store whose classes `insert` and `delete` numbered: `dvd`, seen
+        // first, keeps its class after its first document goes, and `cd`
+        // comes in by insert, a path of its own. A fresh build of the live
+        // documents would number `mc` before `dvd` — and break the tie
+        // between their equal-cost second-level queries the other way.
+        let dir = tmpdir("costs-same");
+        let costs = dir.join("costs.txt");
+        std::fs::write(
+            &costs,
+            "rename name cd mc 2\nrename name cd dvd 2\ndelete term sonata 3\n",
+        )
+        .unwrap();
+        let docs: Vec<String> = [
+            "<dvd><title>sonata</title></dvd>",
+            "<mc><title>piano sonata</title></mc>",
+            "<dvd><title>piano</title></dvd>",
+            "<cd><title>sonata</title><composer>bach</composer></cd>",
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, xml)| {
+            let path = dir.join(format!("d{i}.xml"));
+            std::fs::write(&path, xml).unwrap();
+            path.to_str().unwrap().to_owned()
+        })
+        .collect();
+        let db = dir.join("db.axql");
+        let (db, costs) = (db.to_str().unwrap(), costs.to_str().unwrap());
+        run_words(&["build", db, &docs[0], &docs[1], "--costs", costs]).unwrap();
+        run_words(&["insert", db, &docs[2]]).unwrap();
+        run_words(&["insert", db, &docs[3]]).unwrap();
+        run_words(&["delete", db, "1"]).unwrap();
+        for (query, n) in [
+            (r#"cd[title["piano"]]"#, "1"),
+            (r#"cd[title["piano" and "sonata"]]"#, "2"),
+            (r#"title["sonata"]"#, "2"),
+        ] {
+            for algo in ["--direct", "--schema"] {
+                let plain = run_words(&["query", db, query, "-n", n, algo]).unwrap();
+                let with = ["query", db, query, "-n", n, algo, "--costs", costs];
+                assert!(!plain.is_empty(), "{query} {algo}");
+                assert_eq!(run_words(&with).unwrap(), plain, "{query} {algo}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn gen_writes_parseable_xml() {
         let dir = tmpdir("gen");
         run_words(&[
@@ -1177,12 +1208,12 @@ mod tests {
         std::fs::write(&doc, "<catalog><cd><title>sonata</title></cd></catalog>").unwrap();
         let db = dir.join("db.axql");
         run_words(&["build", db.to_str().unwrap(), doc.to_str().unwrap()]).unwrap();
-        // Both header slots as a version-4 binary wrote them (the version
+        // Both header slots as a version-5 binary wrote them (the version
         // is bytes 8..12 of each 4 KiB slot and is read before anything
         // else of the slot, its trailer included, is trusted).
         let mut bytes = std::fs::read(&db).unwrap();
         for slot in [0, 4096] {
-            bytes[slot + 8..slot + 12].copy_from_slice(&4u32.to_le_bytes());
+            bytes[slot + 8..slot + 12].copy_from_slice(&5u32.to_le_bytes());
         }
         std::fs::write(&db, &bytes).unwrap();
         let db = db.to_str().unwrap();
@@ -1194,7 +1225,7 @@ mod tests {
             let err = run_words(&words).unwrap_err();
             assert_eq!(err.exit_code(), 3, "{words:?}");
             let msg = err.to_string();
-            assert!(msg.contains("unsupported store version 4"), "{msg}");
+            assert!(msg.contains("unsupported store version 5"), "{msg}");
             assert!(msg.contains("rebuild with `approxql build`"), "{msg}");
         }
         std::fs::remove_dir_all(&dir).unwrap();

@@ -1,13 +1,20 @@
 //! The user-facing facade: documents + cost model + indexes + schema.
+//!
+//! A database built in memory (or by [`crate::DbFile`]) holds all of its
+//! parts. One opened from a file with [`Database::open`] holds only the
+//! store's catalogue — cost model, interner, document map, schema tree and
+//! class numbering — and each query fetches the lists of its own plan's
+//! labels, and the segments of its hits' documents, from the store
+//! (DESIGN.md §10).
 
 use crate::direct::{self, DirectStats, EvalOptions};
 use crate::schema_eval::{self, EvalStats, SchemaEvalConfig};
 use approxql_cost::{parse_cost_file, write_cost_file, Cost, CostFileError, CostModel, NodeType};
 use approxql_index::persist::{
-    load_blob, load_label_index, load_secondary_index, save_blob, save_label_index,
-    save_secondary_index, PersistError,
+    load_blob, load_class_numbering, load_label_index, load_label_list, load_secondary_index,
+    load_secondary_lists, save_blob, save_label_index, save_secondary_index, PersistError,
 };
-use approxql_index::{LabelIndex, Posting};
+use approxql_index::{LabelIndex, Posting, SecondaryIndex};
 use approxql_metrics::Metric;
 use approxql_plan::{self as plan, Plan, PlanOp};
 use approxql_query::expand::ExpandedQuery;
@@ -15,17 +22,20 @@ use approxql_query::{ParseError, Query, QueryInput};
 use approxql_schema::{Schema, SchemaAssembleError, SchemaDelta};
 use approxql_storage::{CheckReport, StorageError, Store};
 use approxql_tree::{
-    decode_doc_segment, decode_docmap, decode_interner, encode_docmap, encode_interner, DataTree,
-    DataTreeBuilder, DocSpan, LabelId, NodeId, TreeDecodeError, TreeError,
+    decode_doc_segment, decode_docmap, decode_interner, encode_docmap, encode_interner,
+    live_doc_of, DataTree, DataTreeBuilder, DocSegment, DocSpan, Interner, LabelId, NodeId,
+    TreeDecodeError, TreeError, VIRTUAL_ROOT_LABEL,
 };
 use approxql_xml::{parse_document, Document, Element, XmlError};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Errors raised by [`Database`] operations.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum DatabaseError {
     /// Malformed XML input.
     Xml(XmlError),
@@ -81,6 +91,37 @@ from_error!(TreeDecode, TreeDecodeError);
 from_error!(CostFile, CostFileError);
 from_error!(Schema, SchemaAssembleError);
 
+/// Why [`Database::set_query_costs`] refused a cost model: it changes an
+/// insert cost, which the stored encoding has baked into every `pathcost`
+/// and every posting.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InsertCostChanged {
+    /// The label whose insert cost changes; `None` for the default.
+    pub label: Option<(NodeType, String)>,
+    /// The insert cost the database was built with.
+    pub was: Cost,
+    /// The insert cost of the refused model.
+    pub now: Cost,
+}
+
+impl fmt::Display for InsertCostChanged {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (was, now) = (self.was, self.now);
+        match &self.label {
+            None => write!(
+                f,
+                "changes the default insert cost ({was} at build time, {now} now)"
+            ),
+            Some((ty, label)) => write!(
+                f,
+                "changes the insert cost of {ty} `{label}` ({was} at build time, {now} now)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for InsertCostChanged {}
+
 /// One result of a query: the embedding root and its cost (Definition 11's
 /// root–cost pair).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,16 +151,19 @@ struct PlanCache {
 /// compiled plan, and its fetch-label invalidation footprint.
 type PlanCacheEntry = ((u64, String), Arc<Plan>, HashSet<String>);
 
+/// The `(type, label)` of every fetch of `plan`: the only lists either
+/// evaluator reads when it runs the plan.
+fn fetches(plan: &Plan) -> impl Iterator<Item = (NodeType, &str)> {
+    plan.ops().iter().filter_map(|op| match op {
+        PlanOp::Fetch { label, ty, .. } => Some((*ty, label.as_str())),
+        _ => None,
+    })
+}
+
 /// The labels a compiled plan reads from the label indexes — the entry's
 /// invalidation footprint.
 fn fetch_labels(plan: &Plan) -> HashSet<String> {
-    plan.ops()
-        .iter()
-        .filter_map(|op| match op {
-            PlanOp::Fetch { label, .. } => Some(label.clone()),
-            _ => None,
-        })
-        .collect()
+    fetches(plan).map(|(_, label)| label.to_owned()).collect()
 }
 
 impl PlanCache {
@@ -179,13 +223,190 @@ pub struct MutationDelta {
     pub interner_changed: bool,
 }
 
+impl MutationDelta {
+    /// What a mutation that changed nothing reports: a span that is not
+    /// alive, and nothing touched.
+    fn unchanged() -> MutationDelta {
+        MutationDelta {
+            span: DocSpan {
+                start: 0,
+                bound: 0,
+                alive: false,
+            },
+            touched_labels: Vec::new(),
+            removed_labels: Vec::new(),
+            schema: SchemaDelta::default(),
+            interner_changed: false,
+        }
+    }
+}
+
+/// The page cache of a database opened from a file: 1 MiB. A query reads
+/// its lists once each, and [`Database::materialize`] every page once, so
+/// a cache the size of the store would only hold on to what was decoded.
+const READER_CACHE_PAGES: usize = 256;
+
+/// What a query reads and a mutation changes, all in memory: the data
+/// tree, its label indexes and the schema.
+struct Resident {
+    tree: DataTree,
+    labels: LabelIndex,
+    schema: Schema,
+}
+
+impl Resident {
+    fn build(tree: DataTree, costs: &CostModel) -> Resident {
+        let labels = LabelIndex::build(&tree);
+        let schema = Schema::build(&tree, costs);
+        Resident {
+            tree,
+            labels,
+            schema,
+        }
+    }
+
+    /// The empty collection: what the accessors that cannot report an
+    /// error show of a database whose store does not decode.
+    fn empty() -> &'static Resident {
+        static EMPTY: OnceLock<Resident> = OnceLock::new();
+        EMPTY.get_or_init(|| {
+            let costs = CostModel::new();
+            Resident::build(DataTreeBuilder::new().build(&costs), &costs)
+        })
+    }
+}
+
+/// The catalogue of a store — what [`Database::open`] reads, beside the
+/// cost model: the `interner`, `docmap`, `schema` and `classes` blobs,
+/// decoded and checked against each other.
+struct Catalogue {
+    interner: Interner,
+    total_len: u32,
+    docs: Vec<DocSpan>,
+    schema_tree: DataTree,
+    /// The class numbering: a secondary index without lists.
+    numbering: SecondaryIndex,
+}
+
+/// A database opened from a file: its catalogue and the store everything
+/// else is read from.
+struct Stored {
+    /// Locked while a query fetches its lists or a hit its segment, never
+    /// while anything evaluates.
+    store: Mutex<Store>,
+    catalogue: Catalogue,
+    /// Every part decoded, for the callers that want the whole collection
+    /// (`tree`, `labels`, `schema`, `result_element`, the result stream);
+    /// filled on first use.
+    resident: OnceLock<Resident>,
+}
+
+impl Stored {
+    /// The store. Storage code does not panic (DESIGN.md §11), and a
+    /// holder only reads through it, so a lock poisoned by a panic
+    /// elsewhere in the holder's thread guards a store that is whole.
+    fn lock(&self) -> MutexGuard<'_, Store> {
+        self.store
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    fn resident(&self) -> Result<&Resident, DatabaseError> {
+        if let Some(resident) = self.resident.get() {
+            return Ok(resident);
+        }
+        let (_, resident) = load_resident(&mut self.lock())?;
+        Ok(self.resident.get_or_init(|| resident))
+    }
+
+    /// Every part, decoded if no caller has decoded them yet, for a
+    /// mutation to change from here on.
+    fn take_resident(&mut self) -> Result<Resident, DatabaseError> {
+        if let Some(resident) = self.resident.take() {
+            return Ok(resident);
+        }
+        let store = self
+            .store
+            .get_mut()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        Ok(load_resident(store)?.1)
+    }
+
+    /// The label index a direct evaluation of `plan` reads: the stored
+    /// lists of its fetches, one point get each.
+    fn labels_for(&self, plan: &Plan) -> Result<LabelIndex, DatabaseError> {
+        let mut wanted: Vec<(NodeType, &str)> = fetches(plan).collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        let mut index = LabelIndex::default();
+        let mut store = self.lock();
+        for (ty, label) in wanted {
+            load_label_list(&mut store, &self.catalogue.interner, &mut index, ty, label)?;
+        }
+        Ok(index)
+    }
+
+    /// The schema view a schema-driven evaluation of `plan` reads: the
+    /// `sec#` lists of its labels, one prefix scan each.
+    fn schema_for(&self, plan: Option<&Plan>) -> Result<Schema, DatabaseError> {
+        let mut wanted: Vec<&str> = plan.into_iter().flat_map(fetches).map(|f| f.1).collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        let catalogue = &self.catalogue;
+        let mut secondary = catalogue.numbering.clone();
+        let mut store = self.lock();
+        for label in wanted {
+            load_secondary_lists(&mut store, &catalogue.interner, &mut secondary, label)?;
+        }
+        drop(store);
+        Ok(Schema::view(catalogue.schema_tree.clone(), secondary))
+    }
+
+    /// The names of `nodes`, each from the segment of its own document;
+    /// a document several of them share is read once.
+    fn element_names(&self, nodes: &[NodeId]) -> Result<Vec<&str>, DatabaseError> {
+        let interner = &self.catalogue.interner;
+        let mut segments: HashMap<u32, DocSegment> = HashMap::new();
+        let mut store = self.lock();
+        let mut names = Vec::with_capacity(nodes.len());
+        for &n in nodes {
+            if n.0 == 0 {
+                names.push(VIRTUAL_ROOT_LABEL);
+                continue;
+            }
+            let span = live_doc_of(&self.catalogue.docs, n.0).ok_or(TreeError::InvalidNode(n))?;
+            let segment = match segments.entry(span.start) {
+                Entry::Occupied(read) => read.into_mut(),
+                Entry::Vacant(slot) => slot.insert(read_segment(&mut store, span, interner.len())?),
+            };
+            let i = (n.0 - span.start) as usize;
+            match (segment.types.get(i), segment.labels.get(i)) {
+                (Some(NodeType::Struct), Some(&label)) => names.push(interner.resolve(label)),
+                _ => return Err(TreeError::NotAStructNode(n).into()),
+            }
+        }
+        Ok(names)
+    }
+}
+
+/// Where the parts of a [`Database`] are.
+enum Parts {
+    /// All in memory: a database built in memory or by [`crate::DbFile`],
+    /// or opened from a file and mutated since.
+    Resident(Box<Resident>),
+    /// Opened from a file: the catalogue, and the store the rest is read
+    /// from.
+    Stored(Box<Stored>),
+    /// Opened from a file that a mutation could not decode. The mutation
+    /// changed nothing; every later read fails with this error.
+    Undecodable(DatabaseError),
+}
+
 /// An approXQL database: the data tree with its label indexes, schema, and
 /// cost model. See the crate docs for an end-to-end example.
 pub struct Database {
-    tree: DataTree,
+    parts: Parts,
     costs: CostModel,
-    labels: LabelIndex,
-    schema: Schema,
     /// Fingerprint of `costs` (part of every plan-cache key).
     costs_fp: u64,
     /// Bumped once per document mutation: external caches keyed on query
@@ -196,14 +417,29 @@ pub struct Database {
     plan_cache: Mutex<PlanCache>,
 }
 
+/// The parts a mutation changes, decoding a stored database once and for
+/// all; `None` if it does not decode, which leaves it
+/// [`Parts::Undecodable`]. A free function so that the caller keeps the
+/// other fields of its [`Database`].
+fn resident_mut(parts: &mut Parts) -> Option<&mut Resident> {
+    if let Parts::Stored(stored) = parts {
+        *parts = match stored.take_resident() {
+            Ok(resident) => Parts::Resident(Box::new(resident)),
+            Err(e) => Parts::Undecodable(e),
+        };
+    }
+    match parts {
+        Parts::Resident(resident) => Some(&mut **resident),
+        Parts::Stored(_) | Parts::Undecodable(_) => None,
+    }
+}
+
 impl Database {
-    fn assemble(tree: DataTree, costs: CostModel, labels: LabelIndex, schema: Schema) -> Database {
+    fn assemble(parts: Parts, costs: CostModel) -> Database {
         let costs_fp = cost_fingerprint(&costs);
         Database {
-            tree,
+            parts,
             costs,
-            labels,
-            schema,
             costs_fp,
             generation: 0,
             plan_cache: Mutex::new(PlanCache {
@@ -215,9 +451,10 @@ impl Database {
     /// Builds a database from an already-constructed data tree. The tree
     /// must have been encoded with the same cost model.
     pub fn from_tree(tree: DataTree, costs: CostModel) -> Database {
-        let labels = LabelIndex::build(&tree);
-        let schema = Schema::build(&tree, &costs);
-        Database::assemble(tree, costs, labels, schema)
+        Database::assemble(
+            Parts::Resident(Box::new(Resident::build(tree, &costs))),
+            costs,
+        )
     }
 
     /// Parses one XML document and builds a database over it.
@@ -245,9 +482,38 @@ impl Database {
         Database::from_tree(tree, costs)
     }
 
-    /// The data tree.
+    /// Every part in memory. A database opened from a file decodes its
+    /// store on first use and keeps the result.
+    fn resident(&self) -> Result<&Resident, DatabaseError> {
+        match &self.parts {
+            Parts::Resident(resident) => Ok(&**resident),
+            Parts::Stored(stored) => stored.resident(),
+            Parts::Undecodable(e) => Err(e.clone()),
+        }
+    }
+
+    fn resident_or_empty(&self) -> &Resident {
+        self.resident().unwrap_or_else(|_| Resident::empty())
+    }
+
+    /// Decodes and validates everything a database opened from a file
+    /// has not read yet — every document segment, every posting list and
+    /// the classification of every node — and keeps it. The first
+    /// corruption is a typed error. [`Database::tree`], [`Database::labels`]
+    /// and [`Database::schema`] decode on first use too, but cannot report
+    /// one: call this first where a store may be damaged. A database
+    /// built in memory has nothing to decode. After a mutation found the
+    /// store undecodable, this returns that error.
+    pub fn materialize(&self) -> Result<(), DatabaseError> {
+        self.resident().map(drop)
+    }
+
+    /// The data tree. A database opened from a file decodes its store on
+    /// first use (see [`Database::materialize`]); if the store does not
+    /// decode, this is the empty collection, and the error is reported by
+    /// every fallible method that needs the tree.
     pub fn tree(&self) -> &DataTree {
-        &self.tree
+        &self.resident_or_empty().tree
     }
 
     /// The cost model.
@@ -255,14 +521,25 @@ impl Database {
         &self.costs
     }
 
-    /// The label indexes `I_struct`/`I_text`.
-    pub fn labels(&self) -> &LabelIndex {
-        &self.labels
+    /// The label interner: the data tree's, or for a database opened
+    /// from a file the catalogue's, which needs no decode.
+    pub fn interner(&self) -> &Interner {
+        match &self.parts {
+            Parts::Stored(stored) => &stored.catalogue.interner,
+            Parts::Resident(_) | Parts::Undecodable(_) => self.tree().interner(),
+        }
     }
 
-    /// The schema with its indexes.
+    /// The label indexes `I_struct`/`I_text` (decoded on first use, as
+    /// [`Database::tree`]).
+    pub fn labels(&self) -> &LabelIndex {
+        &self.resident_or_empty().labels
+    }
+
+    /// The schema with its indexes (decoded on first use, as
+    /// [`Database::tree`]).
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        &self.resident_or_empty().schema
     }
 
     /// The mutation generation stamp: starts at 0 and increments once per
@@ -271,47 +548,94 @@ impl Database {
         self.generation
     }
 
+    /// From here on, queries expand with `costs` — how `approxql query
+    /// --costs FILE` changes rename and delete costs. Nothing is rebuilt:
+    /// those costs enter only through query expansion, so the model and
+    /// its plan-cache fingerprint are all that change, and class ids and
+    /// schema preorder numbers stay as they are. Insert costs are baked
+    /// into the stored tree and every posting, so a model that changes
+    /// the insert cost of a label of the collection, or the default, is
+    /// refused and nothing changes.
+    pub fn set_query_costs(&mut self, costs: CostModel) -> Result<(), InsertCostChanged> {
+        let built = &self.costs;
+        let (was, now) = (built.insert_default(), costs.insert_default());
+        if was != now {
+            return Err(InsertCostChanged {
+                label: None,
+                was,
+                now,
+            });
+        }
+        for (_, label) in self.interner().iter() {
+            for ty in [NodeType::Struct, NodeType::Text] {
+                let (was, now) = (built.insert_cost(ty, label), costs.insert_cost(ty, label));
+                if was != now {
+                    let label = Some((ty, label.to_owned()));
+                    return Err(InsertCostChanged { label, was, now });
+                }
+            }
+        }
+        self.costs_fp = cost_fingerprint(&costs);
+        self.costs = costs;
+        Ok(())
+    }
+
     /// Appends one document to the collection, incrementally maintaining
     /// the label indexes, secondary index, and schema (DESIGN.md §15).
     /// The new document's nodes take fresh preorder numbers past the
     /// current maximum; no existing node is relabelled. Cached plans that
-    /// fetch any label occurring in the document are evicted.
+    /// fetch any label occurring in the document are evicted. A database
+    /// opened from a file is decoded first, and holds its parts from then
+    /// on. If its store does not decode, nothing changes — the delta's
+    /// span is not alive and it touches nothing — and every later query,
+    /// [`Database::materialize`] and [`Database::save`] fails with the
+    /// decode error (call [`Database::materialize`] first to see it here).
     pub fn insert_document(&mut self, doc: &Document) -> MutationDelta {
-        let interner_before = self.tree.interner().len();
-        let span = self.tree.append_document(doc, &self.costs);
+        let costs = &self.costs;
+        let Some(Resident {
+            tree,
+            labels,
+            schema,
+        }) = resident_mut(&mut self.parts)
+        else {
+            return MutationDelta::unchanged();
+        };
+        let interner_before = tree.interner().len();
+        let span = tree.append_document(doc, costs);
         let mut grouped: HashMap<(NodeType, LabelId), Vec<Posting>> = HashMap::new();
         for pre in span.start..=span.bound {
             let n = NodeId(pre);
             grouped
-                .entry((self.tree.node_type(n), self.tree.label_id(n)))
+                .entry((tree.node_type(n), tree.label_id(n)))
                 .or_default()
-                .push(Posting::from_node(&self.tree, n));
+                .push(Posting::from_node(tree, n));
         }
         let mut touched_labels: Vec<(NodeType, LabelId)> = grouped.keys().copied().collect();
         for (&(ty, label), posting) in &grouped {
             // Preorder iteration above leaves each group pre-sorted.
-            self.labels.append_postings(ty, label, posting);
+            labels.append_postings(ty, label, posting);
         }
         // The virtual root's bound just grew: rewrite its one-entry
         // posting so the index stays identical to a batch rebuild.
         let root = NodeId(0);
-        let root_label = self.tree.label_id(root);
-        self.labels.insert_posting(
+        let root_label = tree.label_id(root);
+        labels.insert_posting(
             NodeType::Struct,
             root_label,
-            vec![Posting::from_node(&self.tree, root)],
+            vec![Posting::from_node(tree, root)],
         );
         touched_labels.push((NodeType::Struct, root_label));
         touched_labels.sort_unstable_by_key(|&(t, l)| (t as u8, l.index()));
         touched_labels.dedup();
-        let schema = self.schema.insert_range(&self.tree, span, &self.costs);
+        let schema = schema.insert_range(tree, span, costs);
+        let interner_changed = tree.interner().len() != interner_before;
         self.after_mutation(&touched_labels);
         MutationDelta {
             span,
             touched_labels,
             removed_labels: Vec::new(),
             schema,
-            interner_changed: self.tree.interner().len() != interner_before,
+            interner_changed,
         }
     }
 
@@ -319,13 +643,20 @@ impl Database {
     /// root, as listed by the tree's document map), removing its nodes
     /// from every index. Preorder numbers of other documents are
     /// untouched; the gap is never reused. Returns `None` when `root` is
-    /// not a live document root.
+    /// not a live document root. A database opened from a file is decoded
+    /// first, as for [`Database::insert_document`]; if it does not decode,
+    /// this is `None` too.
     pub fn delete_document(&mut self, root: NodeId) -> Option<MutationDelta> {
-        let span = self.tree.delete_document(root)?;
+        let Resident {
+            tree,
+            labels,
+            schema,
+        } = resident_mut(&mut self.parts)?;
+        let span = tree.delete_document(root)?;
         let mut keys: Vec<(NodeType, LabelId)> = (span.start..=span.bound)
             .map(|pre| {
                 let n = NodeId(pre);
-                (self.tree.node_type(n), self.tree.label_id(n))
+                (tree.node_type(n), tree.label_id(n))
             })
             .collect();
         keys.sort_unstable_by_key(|&(t, l)| (t as u8, l.index()));
@@ -333,15 +664,15 @@ impl Database {
         let mut touched_labels = Vec::new();
         let mut removed_labels = Vec::new();
         for &(ty, label) in &keys {
-            let removed = self.labels.remove_range(ty, label, span.start, span.bound);
+            let removed = labels.remove_range(ty, label, span.start, span.bound);
             debug_assert!(removed > 0, "tombstoned node missing from label index");
-            if self.labels.blocks(ty, label).is_some() {
+            if labels.blocks(ty, label).is_some() {
                 touched_labels.push((ty, label));
             } else {
                 removed_labels.push((ty, label));
             }
         }
-        let schema = self.schema.delete_range(&self.tree, span);
+        let schema = schema.delete_range(tree, span);
         self.after_mutation(&keys);
         Some(MutationDelta {
             span,
@@ -356,9 +687,10 @@ impl Database {
     /// label (counted by `plan.cache_invalidations`) and bump the
     /// generation stamp.
     fn after_mutation(&mut self, touched: &[(NodeType, LabelId)]) {
+        let interner = self.interner();
         let names: HashSet<String> = touched
             .iter()
-            .map(|&(_, l)| self.tree.interner().resolve(l).to_string())
+            .map(|&(_, l)| interner.resolve(l).to_string())
             .collect();
         let mut cache = self
             .plan_cache
@@ -416,6 +748,30 @@ impl Database {
         Some(compiled)
     }
 
+    /// The label index a direct evaluation of `plan` reads: the resident
+    /// one, or for a database opened from a file the lists of the plan's
+    /// fetches, read from the store for this query.
+    fn labels_for(&self, plan: &Plan) -> Result<Cow<'_, LabelIndex>, DatabaseError> {
+        match &self.parts {
+            Parts::Stored(stored) => Ok(Cow::Owned(stored.labels_for(plan)?)),
+            Parts::Resident(_) | Parts::Undecodable(_) => {
+                Ok(Cow::Borrowed(&self.resident()?.labels))
+            }
+        }
+    }
+
+    /// The schema a schema-driven evaluation of `plan` reads: the resident
+    /// one, or for a database opened from a file a view holding the `sec#`
+    /// lists of the plan's labels, read from the store for this query.
+    fn schema_for(&self, plan: Option<&Plan>) -> Result<Cow<'_, Schema>, DatabaseError> {
+        match &self.parts {
+            Parts::Stored(stored) => Ok(Cow::Owned(stored.schema_for(plan)?)),
+            Parts::Resident(_) | Parts::Undecodable(_) => {
+                Ok(Cow::Borrowed(&self.resident()?.schema))
+            }
+        }
+    }
+
     /// Direct evaluation (Section 6): finds **all** approximate results,
     /// sorts them by cost, prunes after `n` (`None` = return everything).
     pub fn query_direct<'a>(
@@ -435,7 +791,10 @@ impl Database {
     ) -> Result<(Vec<QueryHit>, DirectStats), DatabaseError> {
         let (q, ex) = self.compile(query)?;
         let (pairs, stats) = match self.plan_for(&q, &ex) {
-            Some(p) => direct::best_n_plan(&p, &self.labels, self.tree.interner(), n, opts),
+            Some(p) => {
+                let labels = self.labels_for(&p)?;
+                direct::best_n_plan(&p, &labels, self.interner(), n, opts)
+            }
             None => (Vec::new(), DirectStats::default()),
         };
         Ok((
@@ -478,15 +837,9 @@ impl Database {
     ) -> Result<(Vec<QueryHit>, EvalStats), DatabaseError> {
         let (q, ex) = self.compile(query)?;
         let plan = self.plan_for(&q, &ex);
-        let (pairs, stats) = schema_eval::best_n_schema_with_plan(
-            &ex,
-            plan,
-            &self.schema,
-            self.tree.interner(),
-            n,
-            opts,
-            cfg,
-        );
+        let schema = self.schema_for(plan.as_deref())?;
+        let (pairs, stats) =
+            schema_eval::best_n_schema_with_plan(&ex, plan, &schema, self.interner(), n, opts, cfg);
         Ok((
             pairs
                 .into_iter()
@@ -501,7 +854,8 @@ impl Database {
 
     /// Opens a lazy result stream (incremental retrieval, Section 9):
     /// hits arrive in nondecreasing cost order as second-level queries are
-    /// generated and executed on demand.
+    /// generated and executed on demand. The stream borrows the whole
+    /// schema, so a database opened from a file decodes it first.
     ///
     /// ```
     /// # use approxql_core::Database;
@@ -517,11 +871,12 @@ impl Database {
     ) -> Result<crate::schema_eval::ResultStream<'_>, DatabaseError> {
         let (q, ex) = self.compile(query)?;
         let plan = self.plan_for(&q, &ex);
+        let resident = self.resident()?;
         Ok(crate::schema_eval::ResultStream::with_plan(
             &ex,
             plan,
-            &self.schema,
-            self.tree.interner(),
+            &resident.schema,
+            resident.tree.interner(),
             EvalOptions::default(),
             SchemaEvalConfig::default(),
         ))
@@ -542,8 +897,8 @@ impl Database {
         let Some(p) = self.plan_for(&q, &ex) else {
             return Ok(no_plan.to_owned());
         };
-        let interner = self.tree.interner();
-        let (_, _, counts) = direct::best_n_plan_counted(&p, &self.labels, interner, n, opts);
+        let labels = self.labels_for(&p)?;
+        let (_, _, counts) = direct::best_n_plan_counted(&p, &labels, self.interner(), n, opts);
         Ok(render(&p, Some(&counts)))
     }
 
@@ -573,10 +928,26 @@ impl Database {
         self.explain_with(query, n, opts, plan::render_json, "{\"v\":1,\"ops\":[]}")
     }
 
+    /// The names of the live struct nodes `nodes` — the elements hits
+    /// root, as `approxql query` prints them. A database opened from a file
+    /// reads them from the segments of the nodes' own documents, each once,
+    /// and decodes nothing else.
+    pub fn element_names(&self, nodes: &[NodeId]) -> Result<Vec<&str>, DatabaseError> {
+        match &self.parts {
+            Parts::Stored(stored) => stored.element_names(nodes),
+            Parts::Resident(_) | Parts::Undecodable(_) => {
+                let tree = &self.resident()?.tree;
+                let name = |&n: &NodeId| Ok(tree.element_name(n)?);
+                nodes.iter().map(name).collect()
+            }
+        }
+    }
+
     /// Materializes the result subtree of a hit as an XML element
-    /// (the "additional step" after Definition 12).
+    /// (the "additional step" after Definition 12). A database opened from
+    /// a file decodes its tree for this.
     pub fn result_element(&self, hit: QueryHit) -> Result<Element, DatabaseError> {
-        Ok(self.tree.subtree_element(hit.root)?)
+        Ok(self.resident()?.tree.subtree_element(hit.root)?)
     }
 
     /// Persists the database into a single store file using the segmented
@@ -585,20 +956,32 @@ impl Database {
     /// index with its class numbering, and the schema tree. The schema is
     /// persisted — not rebuilt on open — so class ids and schema preorder
     /// numbers (which tie-break equal-cost second-level queries) survive a
-    /// save/open cycle bit-for-bit.
+    /// save/open cycle bit-for-bit. The file is written beside `path` and
+    /// renamed onto it ([`Store::replace_file`]), so saving a database
+    /// opened from `path` back to `path` reads the old file while it
+    /// writes the new one, and other readers of the old file read on.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), DatabaseError> {
-        let mut store = Store::create_file(path)?;
-        write_full_image(&mut store, self)?;
-        store.commit()?;
+        Store::replace_file(path, |store| write_full_image(store, self))?;
         Ok(())
     }
 
     /// Opens a database saved with [`Database::save`] (or grown through
-    /// [`crate::DbFile`] mutations), validating the persisted parts
-    /// against each other.
+    /// [`crate::DbFile`] mutations) by reading its catalogue: the cost
+    /// model, the interner, the document map, the schema tree and the
+    /// class numbering, validated against each other. Each query then
+    /// reads the lists it needs, validated when read; the rest of the
+    /// store is decoded only by the callers that want it whole (see
+    /// [`Database::materialize`]). The database reads the commit that was
+    /// current at open for its whole life.
     pub fn open(path: impl AsRef<Path>) -> Result<Database, DatabaseError> {
-        let mut store = Store::open_file(path)?;
-        load_from_store(&mut store)
+        let mut store = Store::open_file_with_cache(path, READER_CACHE_PAGES)?;
+        let (costs, catalogue) = read_catalogue(&mut store)?;
+        let stored = Stored {
+            store: Mutex::new(store),
+            catalogue,
+            resident: OnceLock::new(),
+        };
+        Ok(Database::assemble(Parts::Stored(Box::new(stored)), costs))
     }
 
     /// Verifies the on-disk integrity of a database file: opens the store
@@ -614,9 +997,19 @@ impl Database {
         let mut store = Store::open_file(path)?;
         let report = store.check()?;
         approxql_index::persist::check_posting_blocks(&mut store)?;
-        let db = load_from_store(&mut store)?;
-        db.schema.check_instances(&db.tree)?;
+        let (_, resident) = load_resident(&mut store)?;
+        resident.schema.check_instances(&resident.tree)?;
         Ok(report)
+    }
+
+    /// A database over the parts [`load_resident`] decoded, for
+    /// [`crate::DbFile`], which keeps them in memory.
+    pub(crate) fn from_store(store: &mut Store) -> Result<Database, DatabaseError> {
+        let (costs, resident) = load_resident(store)?;
+        Ok(Database::assemble(
+            Parts::Resident(Box::new(resident)),
+            costs,
+        ))
     }
 }
 
@@ -632,50 +1025,94 @@ pub(crate) fn doc_key(start: u32) -> Vec<u8> {
 /// Writes every key of the segmented layout into `store` (no commit).
 /// Shared by [`Database::save`] and [`crate::DbFile`]'s full rewrites.
 pub(crate) fn write_full_image(store: &mut Store, db: &Database) -> Result<(), DatabaseError> {
+    let Resident {
+        tree,
+        labels,
+        schema,
+    } = db.resident()?;
     save_blob(store, "costs", write_cost_file(&db.costs).as_bytes())?;
-    save_blob(store, "interner", &encode_interner(db.tree.interner()))?;
+    save_blob(store, "interner", &encode_interner(tree.interner()))?;
     save_blob(
         store,
         "docmap",
-        &encode_docmap(db.tree.len() as u32, db.tree.documents()),
+        &encode_docmap(tree.len() as u32, tree.documents()),
     )?;
-    for &span in db.tree.documents() {
+    for &span in tree.documents() {
         if span.alive {
-            store.put(&doc_key(span.start), &db.tree.doc_segment_bytes(span))?;
+            store.put(&doc_key(span.start), &tree.doc_segment_bytes(span))?;
         }
     }
-    save_label_index(store, &db.labels, db.tree.interner())?;
-    save_secondary_index(store, db.schema.secondary(), db.tree.interner())?;
-    save_blob(store, "schema", &db.schema.tree().to_bytes())?;
+    save_label_index(store, labels, tree.interner())?;
+    save_secondary_index(store, schema.secondary(), tree.interner())?;
+    save_blob(store, "schema", &schema.tree().to_bytes())?;
     Ok(())
 }
 
-/// Reassembles a database from a store holding the segmented layout,
-/// validating the parts against each other (segment spans vs. the
-/// document map, labels vs. the interner, the class numbering and the
-/// secondary keys vs. the schema tree).
-pub(crate) fn load_from_store(store: &mut Store) -> Result<Database, DatabaseError> {
+/// Reads the catalogue and the cost model: five `meta#` blobs, decoded and
+/// validated against each other (the document map partitions the tree,
+/// the class numbering covers the schema tree, whose paths are distinct
+/// and whose names are in the interner).
+fn read_catalogue(store: &mut Store) -> Result<(CostModel, Catalogue), DatabaseError> {
     let cost_bytes = load_blob(store, "costs")?;
     let costs = parse_cost_file(&String::from_utf8_lossy(&cost_bytes))?;
     let interner = decode_interner(&load_blob(store, "interner")?)?;
     let (total_len, docs) = decode_docmap(&load_blob(store, "docmap")?)?;
+    let schema_tree = DataTree::from_bytes(&load_blob(store, "schema")?)?;
+    let numbering = load_class_numbering(store)?;
+    Schema::check_tree(&schema_tree, &interner, &numbering)?;
+    let catalogue = Catalogue {
+        interner,
+        total_len,
+        docs,
+        schema_tree,
+        numbering,
+    };
+    Ok((costs, catalogue))
+}
+
+/// The segment of the live document `span`, validated against the span
+/// and the interner size `nlabels`.
+fn read_segment(
+    store: &mut Store,
+    span: DocSpan,
+    nlabels: usize,
+) -> Result<DocSegment, DatabaseError> {
+    let bytes = store
+        .get(&doc_key(span.start))?
+        .ok_or(PersistError::MissingBlob("document segment"))?;
+    Ok(decode_doc_segment(&bytes, span, nlabels)?)
+}
+
+/// Decodes a whole store: the catalogue, then every live document
+/// segment, both label indexes and every `sec#` list, validated as one
+/// collection (segment spans vs. the document map, labels vs. the
+/// interner, the secondary keys vs. the class numbering, every live node
+/// vs. a class of the schema tree).
+fn load_resident(store: &mut Store) -> Result<(CostModel, Resident), DatabaseError> {
+    let (costs, catalogue) = read_catalogue(store)?;
+    let Catalogue {
+        interner,
+        total_len,
+        docs,
+        schema_tree,
+        ..
+    } = catalogue;
     let mut segments = Vec::new();
-    for &span in &docs {
-        if !span.alive {
-            continue;
-        }
-        let bytes = store
-            .get(&doc_key(span.start))?
-            .ok_or(PersistError::MissingBlob("document segment"))?;
-        let seg = decode_doc_segment(&bytes, span, interner.len())?;
-        segments.push((span, seg));
+    for &span in docs.iter().filter(|d| d.alive) {
+        segments.push((span, read_segment(store, span, interner.len())?));
     }
     let tree = DataTree::from_doc_segments(interner, total_len, docs, &segments, &costs)?;
     let labels = load_label_index(store, tree.interner())?;
     let secondary = load_secondary_index(store, tree.interner())?;
-    let schema_tree = DataTree::from_bytes(&load_blob(store, "schema")?)?;
     let schema = Schema::assemble(&tree, schema_tree, secondary)?;
-    Ok(Database::assemble(tree, costs, labels, schema))
+    Ok((
+        costs,
+        Resident {
+            tree,
+            labels,
+            schema,
+        },
+    ))
 }
 
 #[cfg(test)]
@@ -734,6 +1171,12 @@ mod tests {
     }
 
     #[test]
+    fn a_database_is_shared_across_threads() {
+        fn shared<T: Send + Sync>() {}
+        shared::<Database>();
+    }
+
+    #[test]
     fn save_and_open_roundtrip() {
         let dir = std::env::temp_dir().join(format!("axql-db-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -746,6 +1189,119 @@ mod tests {
         assert_eq!(before, after);
         let via_schema = db2.query_schema(r#"cd[title["piano"]]"#, 2).unwrap();
         assert_eq!(before, via_schema);
+        // Hit names come from the hits' own segments; the tree is never
+        // decoded for them.
+        let roots: Vec<NodeId> = after.iter().map(|h| h.root).collect();
+        assert_eq!(db2.element_names(&roots).unwrap(), ["cd", "cd"]);
+        let Parts::Stored(stored) = &db2.parts else {
+            panic!("an opened database holds its store");
+        };
+        assert!(stored.resident.get().is_none());
+        let word = NodeId(roots[0].0 + 2);
+        assert!(matches!(
+            db2.element_names(&[roots[0], word]),
+            Err(DatabaseError::Tree(TreeError::NotAStructNode(_)))
+        ));
+        let root = [NodeId(0)];
+        let names = [db2.element_names(&root), db.element_names(&root)];
+        assert_eq!(names[0].as_ref().unwrap(), names[1].as_ref().unwrap());
+        assert_eq!(
+            db2.result_element(after[0]).unwrap(),
+            db.result_element(before[0]).unwrap()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A generated collection of a few hundred documents (a store of many
+    /// leaves) and the name of its first document's root.
+    fn generated(seed: u64) -> (Database, String) {
+        let mut cfg = approxql_gen::DataGenConfig::paper_scale_divided(1000);
+        cfg.seed = seed;
+        let tree = approxql_gen::DataGenerator::new(cfg).generate_tree(&CostModel::new());
+        let db = Database::from_tree(tree, CostModel::new());
+        let first = NodeId(db.tree().documents()[0].start);
+        let name = db.tree().element_name(first).unwrap().to_owned();
+        (db, name)
+    }
+
+    #[test]
+    fn an_opened_store_saves_back_to_its_own_path() {
+        let dir = std::env::temp_dir().join(format!("axql-db-resave-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("db.axql");
+        let (db, name) = generated(11);
+        db.save(&path).unwrap();
+        let image = std::fs::read(&path).unwrap();
+        assert!(image.len() > 64 * 4096, "{} bytes", image.len());
+        let want = db.query_direct(name.as_str(), None).unwrap();
+        // Reads the file it replaces while it writes the new one.
+        let opened = Database::open(&path).unwrap();
+        assert_eq!(opened.query_direct(name.as_str(), None).unwrap(), want);
+        opened.save(&path).unwrap();
+        assert!(std::fs::read(&path).unwrap() == image);
+        // A reader keeps reading the file it opened when another writer
+        // rebuilds the path, also lists it had not read before.
+        let reader = Database::open(&path).unwrap();
+        let (other, other_name) = generated(12);
+        other.save(&path).unwrap();
+        let want_schema = db.query_schema(name.as_str(), 10).unwrap();
+        assert_eq!(reader.query_direct(name.as_str(), None).unwrap(), want);
+        assert_eq!(reader.query_schema(name.as_str(), 10).unwrap(), want_schema);
+        reader.materialize().unwrap();
+        assert_eq!(reader.tree().to_bytes(), db.tree().to_bytes());
+        let rebuilt = Database::open(&path).unwrap();
+        assert_eq!(
+            rebuilt.query_direct(other_name.as_str(), None).unwrap(),
+            other.query_direct(other_name.as_str(), None).unwrap()
+        );
+        // Nothing is left beside the store.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_mutation_of_an_undecodable_store_changes_nothing() {
+        let dir = std::env::temp_dir().join(format!("axql-db-undecodable-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("db.axql");
+        let db = Database::from_xml_strs(
+            &[
+                "<cd><title>piano</title></cd>",
+                "<mc><title>cello</title></mc>",
+            ],
+            CostModel::new(),
+        )
+        .unwrap();
+        db.save(&path).unwrap();
+        // A checksum-valid commit that damages the second document's
+        // segment, which `open` does not read.
+        let second = db.tree().documents()[1];
+        let mut store = Store::open_file(&path).unwrap();
+        store.put(&doc_key(second.start), b"not a segment").unwrap();
+        store.commit().unwrap();
+        drop(store);
+        let damaged = std::fs::read(&path).unwrap();
+
+        let mut opened = Database::open(&path).unwrap();
+        assert_eq!(opened.query_direct("cd[title]", None).unwrap().len(), 1);
+        let delta =
+            opened.insert_document(&parse_document("<cd><title>harp</title></cd>").unwrap());
+        assert!(!delta.span.alive && delta.touched_labels.is_empty());
+        assert_eq!(opened.generation(), 0);
+        assert!(opened.delete_document(NodeId(1)).is_none());
+        let decode = |r: Result<(), DatabaseError>| matches!(r, Err(DatabaseError::TreeDecode(_)));
+        assert!(decode(opened.materialize()));
+        assert!(decode(opened.save(&path)));
+        assert!(decode(opened.save(dir.join("copy.axql"))));
+        // Queries that read nothing damaged fail too: the collection they
+        // would answer from is not the one the caller mutated.
+        assert!(decode(opened.query_direct("cd[title]", None).map(drop)));
+        assert!(decode(opened.query_schema("cd[title]", 5).map(drop)));
+        assert!(decode(opened.element_names(&[NodeId(1)]).map(drop)));
+        assert_eq!(opened.tree().len(), 1, "the empty collection");
+        // The file is the damaged store it was, and nothing lies beside it.
+        assert!(std::fs::read(&path).unwrap() == damaged);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,7 +1,9 @@
 //! Mutable on-disk databases (DESIGN.md §15).
 //!
 //! A [`DbFile`] pairs an open [`Store`] with its in-memory [`Database`]
-//! and keeps the two in lockstep: every [`DbFile::insert_documents`] /
+//! — decoded in full at open, unlike the catalogue-only
+//! [`Database::open`] — and keeps the two in lockstep: every
+//! [`DbFile::insert_documents`] /
 //! [`DbFile::delete_document`] call applies the mutation in memory,
 //! writes exactly the changed keys, and seals them with **one atomic
 //! commit per document**. A crash at any point therefore rolls back to
@@ -9,7 +11,7 @@
 //! which is what the mutation crash-torture suite sweeps for.
 
 use crate::database::MutationDelta;
-use crate::database::{doc_key, load_from_store, write_full_image, Database, DatabaseError};
+use crate::database::{doc_key, write_full_image, Database, DatabaseError};
 use approxql_index::persist::{label_key, put_lists, save_blob, save_class_numbering, sec_key};
 use approxql_index::SecondaryIndex;
 use approxql_metrics::Metric;
@@ -27,9 +29,12 @@ pub struct DbFile {
 }
 
 impl DbFile {
-    /// Creates a new store file at `path` holding `db`'s full image.
+    /// Creates a new store file at `path` holding `db`'s full image. As
+    /// [`Database::save`], it writes the file beside `path` and renames it
+    /// into place, so `db` may have been opened from `path`.
     pub fn create(path: impl AsRef<Path>, db: Database) -> Result<DbFile, DatabaseError> {
-        DbFile::create_in(Store::create_file(path)?, db)
+        let store = Store::replace_file(path, |store| write_full_image(store, &db))?;
+        Ok(DbFile { store, db })
     }
 
     /// Like [`DbFile::create`] over an already-constructed (fresh) store —
@@ -47,7 +52,7 @@ impl DbFile {
 
     /// Like [`DbFile::open`] over an already-opened store.
     pub fn open_in(mut store: Store) -> Result<DbFile, DatabaseError> {
-        let db = load_from_store(&mut store)?;
+        let db = Database::from_store(&mut store)?;
         Ok(DbFile { store, db })
     }
 
@@ -378,18 +383,26 @@ mod tests {
         let (open, check) = plant(classes, None);
         assert_eq!(open.as_deref(), Some("missing stored blob `classes`"));
         assert_eq!(check, open);
-        // A shorter table is a fine permutation that orphans `sec#` keys,
-        // as does a key that names a class nobody numbered.
+        // A shorter table is a fine permutation that leaves schema nodes
+        // without a class.
         let (open, check) = plant(classes, Some(&numbering(&[0, 1, 2, 3, 4])));
-        assert!(open
-            .as_ref()
-            .is_some_and(|e| e.starts_with("malformed index key `sec#")));
+        assert_eq!(
+            open.as_deref(),
+            Some("inconsistent persisted schema: class numbering does not cover the schema tree")
+        );
         assert_eq!(check, open);
+        // A key that names a class nobody numbered is in no list `open`
+        // reads: the schema query that reads `cd`'s lists reports it, a
+        // direct one never reads them, and `check` reads everything.
         let (open, check) = plant(&sec_key(7, "cd"), Some(&cd_list));
-        assert!(open
-            .as_ref()
-            .is_some_and(|e| e.starts_with("malformed index key `sec#")));
-        assert_eq!(check, open);
+        assert_eq!(open, None);
+        let bad_key = |e: &str| e.starts_with("malformed index key `sec#cd#");
+        assert!(check.as_deref().is_some_and(bad_key), "{check:?}");
+        let db = Database::open(&planted).unwrap();
+        let err = db.query_schema("cd[title]", 5).err().map(|e| e.to_string());
+        assert!(err.as_deref().is_some_and(bad_key), "{err:?}");
+        assert_eq!(db.query_direct("cd[title]", None).unwrap().len(), 1);
+        assert_eq!(db.query_schema("dvd[title]", 5).unwrap().len(), 1);
         // Two ids swapped (`cd` and `dvd`): each is valid, the store
         // opens, and only `check` sees that the lists sit under the wrong
         // classes.
@@ -421,7 +434,7 @@ mod tests {
         // the retired tail-buffer codec left behind after insert cycles.
         let (key, value) = stored_lists(&path)
             .into_iter()
-            .find(|(k, _)| k.starts_with(b"sec#") && k.ends_with(b"#cd"))
+            .find(|(k, _)| k.starts_with(b"sec#cd#"))
             .unwrap();
         let instances = BlockList::<InstancePosting>::from_bytes(&value)
             .unwrap()

@@ -22,7 +22,7 @@ use crate::{Cost, CostModel, NodeType};
 use std::fmt;
 
 /// Errors raised while parsing a cost file.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostFileError {
     /// 1-based line number of the offending line.
     pub line: usize,

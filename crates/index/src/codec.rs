@@ -17,7 +17,7 @@ use std::fmt;
 use std::marker::PhantomData;
 
 /// Decode errors for serialized postings.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PostingDecodeError(pub &'static str);
 
 impl fmt::Display for PostingDecodeError {

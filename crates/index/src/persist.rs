@@ -8,11 +8,13 @@
 //! * `doc#<start, big-endian u32>` — one live document's column segment
 //!   (written by `approxql-core`)
 //! * `ls#<label>` / `lt#<label>` — `I_struct` / `I_text` postings
-//! * `sec#<class id, big-endian u32>#<label>` — path-dependent postings,
-//!   mirroring the paper's `pre(u)#label(u)` key construction with the
-//!   class's stable id in place of its schema preorder number: when the
-//!   schema tree grows, only the `classes` blob moves and no `sec#` key
-//!   does (DESIGN.md §6).
+//! * `sec#<label>#<class id, big-endian u32>` — path-dependent postings.
+//!   The paper keys them `pre(u)#label(u)`; here the class's stable id
+//!   stands in for its schema preorder number, so that when the schema
+//!   tree grows only the `classes` blob moves and no `sec#` key does, and
+//!   the label comes first, so that one prefix scan finds every list of a
+//!   label — what a query that reads only its own labels fetches
+//!   (DESIGN.md §6). The class id is the key's last four bytes.
 //!
 //! Every `ls#`/`lt#`/`sec#` value is one [`BlockList`] in canonical form
 //! (DESIGN.md §14), and every writer puts its keys in sorted order, so the
@@ -20,6 +22,9 @@
 //!
 //! Labels are stored as strings; on load they are resolved against the
 //! interner of the (already loaded) data tree, so label ids stay consistent.
+//! Every loader validates what it reads, whether it reads a whole keyspace
+//! ([`load_label_index`], [`load_secondary_index`]) or the lists of one
+//! label ([`load_label_list`], [`load_secondary_lists`]).
 
 use crate::codec::{BlockList, FrameEntry, PostingDecodeError};
 use crate::{InstancePosting, LabelIndex, Posting, SecondaryIndex};
@@ -28,7 +33,7 @@ use approxql_tree::{Interner, LabelId, NodeType};
 use std::fmt;
 
 /// Errors raised while saving or loading indexes.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum PersistError {
     /// Underlying storage failure.
     Storage(StorageError),
@@ -85,12 +90,18 @@ pub fn label_key(ty: NodeType, label: &str) -> Vec<u8> {
 }
 
 /// The store key of a secondary posting:
-/// `sec#<class id, big-endian u32>#<label>`.
+/// `sec#<label>#<class id, big-endian u32>`.
 pub fn sec_key(class: u32, label: &str) -> Vec<u8> {
-    let mut k = b"sec#".to_vec();
+    let mut k = sec_prefix(label);
     k.extend_from_slice(&class.to_be_bytes());
-    k.push(b'#');
+    k
+}
+
+/// What every `sec#` key of `label` starts with: `sec#<label>#`.
+fn sec_prefix(label: &str) -> Vec<u8> {
+    let mut k = b"sec#".to_vec();
     k.extend_from_slice(label.as_bytes());
+    k.push(b'#');
     k
 }
 
@@ -162,11 +173,11 @@ fn check_lists<E: FrameEntry>(store: &mut Store, prefix: &[u8]) -> Result<(), Pe
 const LABEL_PREFIXES: [(&[u8], NodeType); 2] =
     [(b"ls#", NodeType::Struct), (b"lt#", NodeType::Text)];
 
-/// The part of a `sec#` key after the prefix: big-endian class id, `#`,
-/// label name.
+/// The part of a `sec#` key after the prefix: label name, `#`, big-endian
+/// class id.
 fn split_sec_key(rest: &[u8]) -> Option<(u32, &[u8])> {
-    let (class, rest) = rest.split_first_chunk::<4>()?;
-    Some((u32::from_be_bytes(*class), rest.strip_prefix(b"#")?))
+    let (rest, class) = rest.split_last_chunk::<4>()?;
+    Some((u32::from_be_bytes(*class), rest.strip_suffix(b"#")?))
 }
 
 /// Saves a label index; labels are resolved through `interner`.
@@ -201,6 +212,25 @@ pub fn load_label_index(
     Ok(index)
 }
 
+/// Loads the stored list of `(ty, label)` into `index` with one point
+/// get, validated as [`load_label_index`] validates it; a label with no
+/// list of that type, or none in `interner`, loads nothing.
+pub fn load_label_list(
+    store: &mut Store,
+    interner: &Interner,
+    index: &mut LabelIndex,
+    ty: NodeType,
+    label: &str,
+) -> Result<(), PersistError> {
+    let Some(id) = interner.get(label) else {
+        return Ok(());
+    };
+    if let Some(value) = store.get(&label_key(ty, label))? {
+        index.insert_bytes(ty, id, &value)?;
+    }
+    Ok(())
+}
+
 /// Saves a secondary index — its `sec#` lists and its class numbering;
 /// labels are resolved through `interner`.
 pub fn save_secondary_index(
@@ -230,13 +260,28 @@ pub fn save_class_numbering(store: &mut Store, index: &SecondaryIndex) -> Result
     save_blob(store, "classes", &blob)
 }
 
-/// Loads a secondary index saved with [`save_secondary_index`]. The
-/// numbering is validated as a permutation before anything reads it, and
-/// a `sec#` key naming a class past it is a [`PersistError::BadKey`].
+/// Loads a secondary index saved with [`save_secondary_index`]: its
+/// numbering ([`load_class_numbering`]), then every `sec#` list. A key
+/// naming a class past the numbering is a [`PersistError::BadKey`].
 pub fn load_secondary_index(
     store: &mut Store,
     interner: &Interner,
 ) -> Result<SecondaryIndex, PersistError> {
+    let mut index = load_class_numbering(store)?;
+    let classes = index.numbering().len();
+    load_lists(
+        store,
+        interner,
+        b"sec#",
+        |rest| split_sec_key(rest).filter(|&(class, _)| (class as usize) < classes),
+        |class, label, value| index.insert_bytes(class, label, value),
+    )?;
+    Ok(index)
+}
+
+/// Loads the `meta#classes` numbering into an index without lists. It is
+/// validated as a permutation before anything reads it.
+pub fn load_class_numbering(store: &mut Store) -> Result<SecondaryIndex, PersistError> {
     let blob = load_blob(store, "classes")?;
     let (words, rest) = blob.as_chunks::<4>();
     if !rest.is_empty() {
@@ -246,15 +291,46 @@ pub fn load_secondary_index(
     index
         .set_numbering(words.iter().map(|w| u32::from_le_bytes(*w)).collect())
         .map_err(PersistError::BadNumbering)?;
-    let classes = words.len();
-    load_lists(
-        store,
-        interner,
-        b"sec#",
-        |rest| split_sec_key(rest).filter(|&(class, _)| (class as usize) < classes),
-        |class, label, value| index.insert_bytes(class, label, value),
-    )?;
     Ok(index)
+}
+
+/// Loads every `sec#` list of `label` into `index` with one prefix scan —
+/// the label leads the key — validated as [`load_secondary_index`]
+/// validates them, class ids against `index`'s numbering; a key under the
+/// prefix that is no key of `label` must be one of a longer label of
+/// `interner`, or it is a [`PersistError::BadKey`]. A label not in
+/// `interner` loads nothing.
+pub fn load_secondary_lists(
+    store: &mut Store,
+    interner: &Interner,
+    index: &mut SecondaryIndex,
+    label: &str,
+) -> Result<(), PersistError> {
+    let Some(id) = interner.get(label) else {
+        return Ok(());
+    };
+    let classes = index.numbering().len();
+    let prefix = sec_prefix(label);
+    let mut lists = store.scan_prefix(&prefix)?;
+    while let Some((key, value)) = lists.next_entry()? {
+        let bad_key = || PersistError::BadKey(String::from_utf8_lossy(&key).into_owned());
+        let Ok(class) = <[u8; 4]>::try_from(&key[prefix.len()..]) else {
+            // The keys of a longer label that starts with `label#` sort
+            // among these; they are that label's to load, and have to be
+            // keys of a label of the interner.
+            let longer = split_sec_key(&key[b"sec#".len()..])
+                .and_then(|(_, name)| std::str::from_utf8(name).ok())
+                .and_then(|name| interner.get(name));
+            longer.ok_or_else(bad_key)?;
+            continue;
+        };
+        let class = u32::from_be_bytes(class);
+        if class as usize >= classes {
+            return Err(bad_key());
+        }
+        index.insert_bytes(class, id, &value)?;
+    }
+    Ok(())
 }
 
 /// Walks every stored posting list (`ls#`/`lt#`/`sec#` values) and runs
@@ -328,6 +404,68 @@ mod tests {
             .get(&sec_key(3, "piano"))
             .unwrap()
             .is_some_and(|v| !v.is_empty()));
+    }
+
+    #[test]
+    fn one_label_loads_by_itself() {
+        // `cd#x` is no XML name, but a store may hold any label: its keys
+        // fall in the prefix scan of `cd`, which passes over them.
+        let mut b = DataTreeBuilder::new();
+        for name in ["cd", "cd#x", "title"] {
+            b.begin_struct(name);
+            b.end();
+        }
+        let t = b.build(&CostModel::new());
+        let [cd, cdx, title] = ["cd", "cd#x", "title"].map(|l| t.lookup_label(l).unwrap());
+        let mut idx = SecondaryIndex::new();
+        idx.push(1, cd, InstancePosting { pre: 1, bound: 1 });
+        idx.push(3, cd, InstancePosting { pre: 9, bound: 9 });
+        idx.push(2, cdx, InstancePosting { pre: 2, bound: 2 });
+        idx.push(4, title, InstancePosting { pre: 3, bound: 3 });
+        idx.set_numbering(vec![0, 1, 2, 3, 4]).unwrap();
+        let mut store = Store::in_memory().unwrap();
+        save_secondary_index(&mut store, &idx, t.interner()).unwrap();
+        assert_eq!(sec_key(3, "cd"), b"sec#cd#\0\0\0\x03");
+        let mut one = load_class_numbering(&mut store).unwrap();
+        load_secondary_lists(&mut store, t.interner(), &mut one, "cd").unwrap();
+        assert_eq!(one.len(), 2);
+        assert_eq!(
+            (one.get(1, cd), one.get(3, cd)),
+            (idx.get(1, cd), idx.get(3, cd))
+        );
+        // A class past the numbering is a bad key here too.
+        one.set_numbering(vec![0, 1, 2]).unwrap();
+        assert!(matches!(
+            load_secondary_lists(&mut store, t.interner(), &mut one, "cd"),
+            Err(PersistError::BadKey(_))
+        ));
+        // So is a key under the prefix of `cd` that is neither a key of
+        // `cd` nor one of a longer label the interner knows.
+        let cd_list = store.get(&sec_key(1, "cd")).unwrap().unwrap();
+        for planted in [&b"sec#cd#\0\x01"[..], b"sec#cd#y#\0\0\0\x01"] {
+            let mut store = Store::in_memory().unwrap();
+            save_secondary_index(&mut store, &idx, t.interner()).unwrap();
+            store.put(planted, &cd_list).unwrap();
+            let mut one = load_class_numbering(&mut store).unwrap();
+            let loaded = load_secondary_lists(&mut store, t.interner(), &mut one, "cd");
+            let whole = load_secondary_index(&mut store, t.interner());
+            assert!(
+                matches!(loaded, Err(PersistError::BadKey(_))),
+                "{planted:?}"
+            );
+            assert!(whole.is_err(), "{planted:?}");
+        }
+        let mut labels = LabelIndex::default();
+        save_label_index(&mut store, &LabelIndex::build(&t), t.interner()).unwrap();
+        for (ty, label) in [
+            (NodeType::Struct, "cd"),
+            (NodeType::Text, "cd"),
+            (NodeType::Struct, "lp"),
+        ] {
+            load_label_list(&mut store, t.interner(), &mut labels, ty, label).unwrap();
+        }
+        assert_eq!(labels.len(), 1);
+        assert_eq!(labels.fetch(NodeType::Struct, cd).len(), 1);
     }
 
     #[test]

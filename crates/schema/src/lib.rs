@@ -39,7 +39,7 @@
 
 use approxql_cost::{CostModel, NodeType};
 use approxql_index::{InstancePosting, LabelIndex, Posting, SecondaryIndex};
-use approxql_tree::{DataTree, DataTreeBuilder, DocSpan, LabelId, NodeId};
+use approxql_tree::{DataTree, DataTreeBuilder, DocSpan, Interner, LabelId, NodeId};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -47,7 +47,7 @@ use std::fmt;
 pub const TEXT_CLASS_LABEL: &str = "\u{0}text";
 
 /// Errors raised while reassembling a schema from persisted parts.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaAssembleError(&'static str);
 
 impl fmt::Display for SchemaAssembleError {
@@ -101,6 +101,12 @@ type ChildKey = (u32, Option<LabelId>);
 /// schema tree, which is what the evaluators compute with and which moves
 /// when a new path lands in the middle of the tree. The secondary index
 /// carries the table between the two.
+///
+/// A **view** ([`Schema::view`]) is the part of a persisted schema one
+/// query reads: the tree, and the secondary index with only the lists of
+/// the query's labels. It has no classification (`class_of`, shape), which
+/// only mutations and [`Schema::check_instances`] read.
+#[derive(Clone)]
 pub struct Schema {
     tree: DataTree,
     labels: LabelIndex,
@@ -163,12 +169,7 @@ impl Schema {
         tree: DataTree,
         secondary: SecondaryIndex,
     ) -> Result<Schema, SchemaAssembleError> {
-        if secondary.numbering().len() != tree.len() {
-            return Err(SchemaAssembleError(
-                "class numbering does not cover the schema tree",
-            ));
-        }
-        let shape = Shape::of_tree(&tree, data, &secondary)?;
+        let shape = Shape::of_tree(&tree, data.interner(), &secondary)?;
         let mut class_of: Vec<u32> = vec![0; data.len()];
         for node in data.live_nodes().filter(|n| n.0 != 0) {
             let parent_class = class_of[data.parent(node).expect("non-root").index()];
@@ -194,6 +195,36 @@ impl Schema {
             class_of,
             shape,
         })
+    }
+
+    /// Validates a persisted schema tree against the class `numbering` and
+    /// the data tree's interner, as [`Schema::assemble`] does before it
+    /// classifies any data node: the numbering covers the tree, no
+    /// label-type path occurs twice, and every name is a data label. What
+    /// a database opened from a file checks of its schema before any query
+    /// builds a [`Schema::view`] of it.
+    pub fn check_tree(
+        tree: &DataTree,
+        interner: &Interner,
+        numbering: &SecondaryIndex,
+    ) -> Result<(), SchemaAssembleError> {
+        Shape::of_tree(tree, interner, numbering).map(drop)
+    }
+
+    /// The view of a persisted schema one query reads: `tree`, checked by
+    /// [`Schema::check_tree`], and `secondary`, its numbering with the
+    /// `sec#` lists of the query's labels. The schema-level label index is
+    /// derived from those lists, so it holds exactly the postings of the
+    /// same labels in the whole schema.
+    pub fn view(tree: DataTree, secondary: SecondaryIndex) -> Schema {
+        let labels = derive_label_index(&tree, &secondary);
+        Schema {
+            tree,
+            labels,
+            secondary,
+            class_of: Vec::new(),
+            shape: Shape::default(),
+        }
     }
 
     /// Verifies `I_sec` against the classification, for `approxql check`:
@@ -353,7 +384,8 @@ impl Schema {
     }
 
     /// The node class of a data node (Definition 15), as a node of the
-    /// schema tree.
+    /// schema tree. A [`Schema::view`] has no classification to answer
+    /// from.
     pub fn class_of(&self, data_node: NodeId) -> NodeId {
         NodeId(
             self.secondary
@@ -394,7 +426,7 @@ fn child_key(data: &DataTree, node: NodeId, parent: u32) -> ChildKey {
 /// new path takes the next id, and a class's children stand in
 /// first-occurrence order, which is what fixes the schema preorder
 /// numbers.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Shape {
     /// Children per class.
     children: Vec<Vec<u32>>,
@@ -421,16 +453,21 @@ impl Shape {
     /// translating schema labels into the data tree's label ids.
     fn of_tree(
         tree: &DataTree,
-        data: &DataTree,
+        interner: &Interner,
         numbering: &SecondaryIndex,
     ) -> Result<Shape, SchemaAssembleError> {
+        if numbering.numbering().len() != tree.len() {
+            return Err(SchemaAssembleError(
+                "class numbering does not cover the schema tree",
+            ));
+        }
         let mut shape = Shape::with_classes(tree.len());
         for s in tree.nodes() {
             let parent = numbering.class_of_pre(s.0);
             for c in tree.children(s) {
                 let label = match tree.node_type(c) {
                     NodeType::Text => None,
-                    NodeType::Struct => Some(data.lookup_label(tree.label(c)).ok_or(
+                    NodeType::Struct => Some(interner.get(tree.label(c)).ok_or(
                         SchemaAssembleError("schema label missing from the data interner"),
                     )?),
                 };
@@ -657,6 +694,42 @@ mod tests {
         // "cello" occurs only under cd/title: one class.
         let cello = d.lookup_label("cello").unwrap();
         assert_eq!(s.labels().fetch(NodeType::Text, cello).len(), 1);
+    }
+
+    #[test]
+    fn a_view_reads_its_labels_like_the_whole_schema() {
+        let d = data();
+        let s = Schema::build(&d, &CostModel::new());
+        let [piano, title, cd] = ["piano", "title", "cd"].map(|l| d.lookup_label(l).unwrap());
+        let mut lists = SecondaryIndex::new();
+        lists
+            .set_numbering(s.secondary().numbering().to_vec())
+            .unwrap();
+        for ((class, label), instances) in s.secondary().iter() {
+            if label == piano || label == title {
+                for &i in instances {
+                    lists.push(class, label, i);
+                }
+            }
+        }
+        Schema::check_tree(s.tree(), d.interner(), &lists).unwrap();
+        let view = Schema::view(s.tree().clone(), lists);
+        for (ty, label) in [(NodeType::Text, piano), (NodeType::Struct, title)] {
+            let postings = s.labels().fetch(ty, label);
+            assert_eq!(view.labels().fetch(ty, label), postings);
+            for p in postings {
+                let node = NodeId(p.pre);
+                assert_eq!(view.instances(node, label), s.instances(node, label));
+            }
+        }
+        assert!(view.labels().fetch(NodeType::Struct, cd).is_empty());
+        // The tree is checked against the interner it is read with.
+        let other = DataTreeBuilder::new().build(&CostModel::new());
+        let err = Schema::check_tree(s.tree(), other.interner(), s.secondary()).err();
+        assert_eq!(
+            err.map(|e| e.0),
+            Some("schema label missing from the data interner")
+        );
     }
 
     #[test]

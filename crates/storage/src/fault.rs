@@ -15,8 +15,8 @@ use crate::pager::{Backend, MemBackend, PageId, PAGE_SIZE};
 use crate::{Result, StorageError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// What happens to the write at the crash point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,7 +65,7 @@ impl Default for FaultConfig {
 /// "disk" after the store (which owns a clone of the handle) crashed.
 #[derive(Clone, Default)]
 pub struct SharedMemBackend {
-    pages: Rc<RefCell<MemBackend>>,
+    pages: Arc<Mutex<MemBackend>>,
 }
 
 impl SharedMemBackend {
@@ -77,7 +77,15 @@ impl SharedMemBackend {
     /// A point-in-time copy of the persisted pages — what a reopen after
     /// the crash would read.
     pub fn snapshot(&self) -> MemBackend {
-        self.pages.borrow().clone()
+        self.pages().clone()
+    }
+
+    /// The page vector. A panic while it was held (a failed test) leaves
+    /// whole pages behind, so a poisoned lock is taken over as it is.
+    fn pages(&self) -> MutexGuard<'_, MemBackend> {
+        self.pages
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
 
@@ -86,31 +94,47 @@ impl From<MemBackend> for SharedMemBackend {
     /// so it can be reopened and written again.
     fn from(pages: MemBackend) -> SharedMemBackend {
         SharedMemBackend {
-            pages: Rc::new(RefCell::new(pages)),
+            pages: Arc::new(Mutex::new(pages)),
         }
     }
 }
 
 impl Backend for SharedMemBackend {
     fn read_page(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
-        self.pages.borrow_mut().read_page(id, buf)
+        self.pages().read_page(id, buf)
     }
 
     fn write_page(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> Result<()> {
-        self.pages.borrow_mut().write_page(id, buf)
+        self.pages().write_page(id, buf)
     }
 
     fn page_count(&self) -> u32 {
-        self.pages.borrow().page_count()
+        self.pages().page_count()
     }
 
     fn sync(&mut self) -> Result<()> {
-        self.pages.borrow_mut().sync()
+        self.pages().sync()
     }
 }
 
 fn crashed_err() -> StorageError {
     StorageError::Io(std::io::Error::other("simulated crash: device gone"))
+}
+
+/// The number of operations a [`FaultBackend`] completed, readable after
+/// the backend moved into a store.
+#[derive(Clone, Default)]
+pub struct OpCounter(Arc<AtomicU64>);
+
+impl OpCounter {
+    /// Completed operations so far.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    fn incr(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// A fault-injecting wrapper around a [`Backend`]. See the module docs.
@@ -119,7 +143,7 @@ pub struct FaultBackend {
     cfg: FaultConfig,
     /// Completed operations (shared so the test can read the count after
     /// the backend moved into a store).
-    ops: Rc<Cell<u64>>,
+    ops: OpCounter,
     syncs: u64,
     crashed: bool,
 }
@@ -130,7 +154,7 @@ impl FaultBackend {
         FaultBackend {
             inner,
             cfg,
-            ops: Rc::new(Cell::new(0)),
+            ops: OpCounter::default(),
             syncs: 0,
             crashed: false,
         }
@@ -138,8 +162,8 @@ impl FaultBackend {
 
     /// Handle to the operation counter (clone it before boxing the backend
     /// into a store).
-    pub fn op_counter(&self) -> Rc<Cell<u64>> {
-        Rc::clone(&self.ops)
+    pub fn op_counter(&self) -> OpCounter {
+        self.ops.clone()
     }
 
     fn check_alive(&self) -> Result<()> {
@@ -192,7 +216,7 @@ impl Backend for FaultBackend {
             return Err(crashed_err());
         }
         self.inner.write_page(id, buf)?;
-        self.ops.set(self.ops.get() + 1);
+        self.ops.incr();
         Ok(())
     }
 
@@ -216,7 +240,7 @@ impl Backend for FaultBackend {
             return Err(crashed_err());
         }
         self.inner.sync()?;
-        self.ops.set(self.ops.get() + 1);
+        self.ops.incr();
         Ok(())
     }
 }

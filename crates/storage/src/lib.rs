@@ -21,7 +21,7 @@
 //!
 //! ## Durability model
 //!
-//! The store is crash-safe at commit granularity (format version 5; a file
+//! The store is crash-safe at commit granularity (format version 6; a file
 //! of another version is a typed [`StorageError::BadVersion`] and is
 //! rebuilt from its XML — there is one reader):
 //! reopening a store after a crash — at *any* backend write — yields
@@ -104,7 +104,7 @@ mod pager;
 mod store;
 
 pub use check::CheckReport;
-pub use fault::{CrashMode, FaultBackend, FaultConfig, SharedMemBackend};
+pub use fault::{CrashMode, FaultBackend, FaultConfig, OpCounter, SharedMemBackend};
 pub use pager::{
     page_checksum, seal_page, Backend, FileBackend, MemBackend, PageId, Pager, DEFAULT_CACHE_PAGES,
     PAGE_DATA, PAGE_SIZE,
@@ -168,6 +168,29 @@ impl fmt::Display for StorageError {
             StorageError::ValueTooLarge(n) => {
                 write!(f, "value of {n} bytes exceeds the 2 GiB per-value limit")
             }
+        }
+    }
+}
+
+/// A copy of an I/O error keeps its kind and its message, not the OS error
+/// value behind them, which `std::io::Error` does not let one copy.
+impl Clone for StorageError {
+    fn clone(&self) -> Self {
+        match self {
+            StorageError::Io(e) => StorageError::Io(std::io::Error::new(e.kind(), e.to_string())),
+            StorageError::NotAStore => StorageError::NotAStore,
+            StorageError::BadVersion(v) => StorageError::BadVersion(*v),
+            StorageError::CorruptHeader => StorageError::CorruptHeader,
+            StorageError::CorruptPage(p, what) => StorageError::CorruptPage(*p, what),
+            StorageError::Truncated {
+                claimed_pages,
+                actual_pages,
+            } => StorageError::Truncated {
+                claimed_pages: *claimed_pages,
+                actual_pages: *actual_pages,
+            },
+            StorageError::KeyTooLong(n) => StorageError::KeyTooLong(*n),
+            StorageError::ValueTooLarge(n) => StorageError::ValueTooLarge(*n),
         }
     }
 }

@@ -18,10 +18,11 @@
 use crate::{Result, StorageError};
 use approxql_metrics::Metric;
 use std::collections::HashMap;
+use std::ffi::OsString;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
 /// The fixed page size of the store.
 pub const PAGE_SIZE: usize = 4096;
@@ -147,8 +148,10 @@ impl fmt::Display for PageId {
     }
 }
 
-/// Raw page storage: a file or an in-memory vector.
-pub trait Backend {
+/// Raw page storage: a file or an in-memory vector. `Send`, so that a
+/// store can sit behind a lock in a database that queries share across
+/// threads.
+pub trait Backend: Send {
     /// Reads page `id` into `buf` (the page must exist).
     fn read_page(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()>;
     /// Writes `buf` to page `id`, growing the backend if needed.
@@ -175,6 +178,34 @@ impl FileBackend {
             .truncate(true)
             .open(path)?;
         Ok(FileBackend { file, pages: 0 })
+    }
+
+    /// Creates a (truncated) store file beside `path` that is to replace
+    /// it (see [`FileBackend::move_into_place`]), and returns it with its
+    /// own path. The name starts with a dot and carries the process id,
+    /// so two processes rebuilding one store do not share it.
+    pub(crate) fn create_beside(path: &Path) -> Result<(FileBackend, PathBuf)> {
+        let name = path.file_name().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "a store path must name a file")
+        })?;
+        let mut staged = OsString::from(".");
+        staged.push(name);
+        staged.push(format!(".{}.tmp", std::process::id()));
+        let staged = path.with_file_name(staged);
+        Ok((FileBackend::create(&staged)?, staged))
+    }
+
+    /// Renames the file `staged` onto `path`. Whatever file `path` named
+    /// before keeps its bytes: a reader that has it open reads on.
+    pub(crate) fn move_into_place(staged: &Path, path: &Path) -> Result<()> {
+        Ok(std::fs::rename(staged, path)?)
+    }
+
+    /// Removes `staged`, a file whose store never moved into place. The
+    /// error that stopped the store is the one its caller reports, so a
+    /// failure to remove the file as well is dropped.
+    pub(crate) fn discard(staged: &Path) {
+        drop(std::fs::remove_file(staged));
     }
 
     /// Opens an existing store file.
@@ -590,6 +621,24 @@ impl Pager {
         self.backend.read_page(id, buf)
     }
 
+    /// Drops the cached copy of committed page `id` once copy-on-write has
+    /// relocated it: no structure of the transaction reads it again, and
+    /// were it read, the backend holds it as committed. A writer's cache
+    /// would otherwise keep every page it ever relocated.
+    pub fn discard(&mut self, id: PageId) {
+        if self.is_committed(id) && self.cache.get(&id).is_some_and(|f| !f.dirty) {
+            self.cache.remove(&id);
+            // The clock ring keeps the id until its hand passes, which it
+            // never does while the cache is under budget: drop stale ids
+            // once they are half the ring.
+            if self.ring.len() > 2 * self.cache.len() {
+                let cache = &self.cache;
+                self.ring.retain(|id| cache.contains_key(id));
+                self.hand = 0;
+            }
+        }
+    }
+
     /// Drops the clean cache contents (testing aid to force re-reads).
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn evict_clean(&mut self) {
@@ -639,6 +688,31 @@ mod tests {
     }
 
     #[test]
+    fn discard_drops_only_committed_clean_pages() {
+        let mut p = Pager::new(Box::new(MemBackend::new()));
+        let old = p.allocate();
+        p.write(old).unwrap()[0] = 7;
+        p.flush().unwrap();
+        p.mark_committed();
+        let fresh = p.allocate();
+        p.discard(fresh);
+        assert_eq!(p.cached_pages(), 2, "an uncommitted page stays");
+        p.discard(old);
+        assert_eq!(p.cached_pages(), 1);
+        // Read again, it comes back from the backend, verified.
+        assert_eq!(p.read(old).unwrap()[0], 7);
+        // A writer that relocates page after page keeps a bounded ring.
+        for _ in 0..1000 {
+            let id = p.allocate();
+            p.flush().unwrap();
+            p.mark_committed();
+            p.read(id).unwrap();
+            p.discard(id);
+        }
+        assert!(p.ring.len() <= 2 * p.cached_pages() + 1, "{}", p.ring.len());
+    }
+
+    #[test]
     fn pager_flush_persists_to_backend() {
         let mut p = Pager::new(Box::new(MemBackend::new()));
         let a = p.allocate();
@@ -671,13 +745,13 @@ mod tests {
         // `FORMAT_VERSION`, not a refactor.
         assert_eq!(page_checksum(&[0u8; PAGE_DATA]), 0x5089_2070_DE9B_9331);
         assert_eq!(page_checksum(&counting_payload()), 0x4138_FF8C_7B00_2DBE);
-        // Commit 1 of an empty store: magic, version, root 2, csn 1,
+        // Commit 1 of an empty store: magic, version 6, root 2, csn 1,
         // 3 pages — and its trailer is that sum.
         let shared = crate::SharedMemBackend::new();
         drop(crate::Store::create(Box::new(shared.clone())).unwrap());
         let mut slot = [0u8; PAGE_SIZE];
         shared.snapshot().read_page(PageId(1), &mut slot).unwrap();
-        assert_eq!(page_checksum(&slot[..PAGE_DATA]), 0xD3C4_2E36_728A_F524);
+        assert_eq!(page_checksum(&slot[..PAGE_DATA]), 0xAEBB_04AC_A5A0_5886);
         assert!(trailer_ok(&slot));
     }
 

@@ -11,7 +11,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic "AXQLSTOR"
-//!      8     4  format version (little-endian u32, currently 5)
+//!      8     4  format version (little-endian u32, currently 6)
 //!     12     4  B+-tree root page
 //!     16     8  commit sequence number (monotone, starts at 1)
 //!     24     4  committed page count (the extent the commit spans)
@@ -42,10 +42,13 @@ const MAGIC: &[u8; 8] = b"AXQLSTOR";
 /// `meta#classes` blob), which a version-3 reader would misread as schema
 /// preorder numbers; version 5 replaced the byte-serial FNV-1a sum in the
 /// page trailers by the word-wise [`page_checksum`](crate::page_checksum),
-/// so no trailer of an older file verifies. Files of any other version
+/// so no trailer of an older file verifies; version 6 again changed no
+/// page but the order of a `sec#` key above it (label first, then class
+/// id, so one prefix scan finds every list of a label), which a version-5
+/// reader would split in the wrong place. Files of any other version
 /// are rejected with [`StorageError::BadVersion`] — there is one reader,
 /// so an older store is rebuilt from its XML, not converted.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// First page a B+-tree node or value run may occupy (0 and 1 are the
 /// header slots).
@@ -141,7 +144,11 @@ impl Store {
     /// Opens a store from an existing backend, recovering to the newest
     /// commit whose header slot validates.
     pub fn open(backend: Box<dyn Backend>) -> Result<Store> {
-        let mut pager = Pager::new(backend);
+        Store::recover(Pager::new(backend))
+    }
+
+    /// [`Store::open`] over the pager's backend, with the pager's cache.
+    fn recover(mut pager: Pager) -> Result<Store> {
         let backend_pages = pager.backend_pages();
         let mut best: Option<Header> = None;
         let mut rejected_real_slot = false;
@@ -207,9 +214,44 @@ impl Store {
         Store::create(Box::new(FileBackend::create(path.as_ref())?))
     }
 
+    /// Writes a new store file for `path`: creates it beside `path`, lets
+    /// `fill` put its keys, commits, and only then renames it onto `path`.
+    /// The file `path` named before is never written, so a reader that
+    /// has it open goes on reading its own commit, and a `fill` that fails
+    /// leaves `path` as it was.
+    pub fn replace_file<E: From<StorageError>>(
+        path: impl AsRef<Path>,
+        fill: impl FnOnce(&mut Store) -> std::result::Result<(), E>,
+    ) -> std::result::Result<Store, E> {
+        let path = path.as_ref();
+        let (backend, staged) = FileBackend::create_beside(path)?;
+        let built = Store::create(Box::new(backend))
+            .map_err(E::from)
+            .and_then(|mut store| {
+                fill(&mut store)?;
+                store.commit()?;
+                FileBackend::move_into_place(&staged, path)?;
+                Ok(store)
+            });
+        if built.is_err() {
+            FileBackend::discard(&staged);
+        }
+        built
+    }
+
     /// Opens an existing store file.
     pub fn open_file(path: impl AsRef<Path>) -> Result<Store> {
         Store::open(Box::new(FileBackend::open(path.as_ref())?))
+    }
+
+    /// Opens an existing store file with a page cache of at most
+    /// `cache_pages` clean pages instead of [`DEFAULT_CACHE_PAGES`]: what a
+    /// reader that keeps its store open for a few lists at a time holds.
+    ///
+    /// [`DEFAULT_CACHE_PAGES`]: crate::DEFAULT_CACHE_PAGES
+    pub fn open_file_with_cache(path: impl AsRef<Path>, cache_pages: usize) -> Result<Store> {
+        let backend = FileBackend::open(path.as_ref())?;
+        Store::recover(Pager::with_capacity(Box::new(backend), cache_pages))
     }
 
     /// Creates an ephemeral in-memory store.
@@ -573,6 +615,50 @@ mod tests {
     }
 
     #[test]
+    fn a_replaced_file_leaves_its_open_reader_alone() {
+        let dir = std::env::temp_dir().join(format!("axql-store-replace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("s.db");
+        let fill = |value: &'static [u8]| {
+            move |s: &mut Store| {
+                for i in 0..2000u32 {
+                    s.put(format!("key{i:05}").as_bytes(), value)?;
+                }
+                Ok::<(), StorageError>(())
+            }
+        };
+        drop(Store::replace_file(&path, fill(b"old")).unwrap());
+        let mut reader = Store::open_file(&path).unwrap();
+        let mut writer = Store::replace_file(&path, fill(b"new")).unwrap();
+        // The writer's store is the file at `path` now; the reader still
+        // reads the old one, page by page, as long as it keeps it open.
+        writer.put(b"more", b"x").unwrap();
+        writer.commit().unwrap();
+        drop(writer);
+        assert_eq!(
+            reader.get(b"key01999").unwrap().as_deref(),
+            Some(&b"old"[..])
+        );
+        assert_eq!(reader.get(b"more").unwrap(), None);
+        let mut reopened = Store::open_file(&path).unwrap();
+        assert_eq!(
+            reopened.get(b"key01999").unwrap().as_deref(),
+            Some(&b"new"[..])
+        );
+        assert_eq!(reopened.get(b"more").unwrap().as_deref(), Some(&b"x"[..]));
+        // A fill that fails leaves `path` as it was, and no file beside it.
+        let failed = Store::replace_file(&path, |s| {
+            s.put(b"k", b"v")?;
+            Err(StorageError::NotAStore)
+        });
+        assert!(matches!(failed, Err(StorageError::NotAStore)));
+        let mut kept = Store::open_file(&path).unwrap();
+        assert_eq!(kept.get(b"more").unwrap().as_deref(), Some(&b"x"[..]));
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn open_rejects_garbage() {
         let dir = std::env::temp_dir().join(format!("axql-store2-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -606,11 +692,11 @@ mod tests {
     }
 
     #[test]
-    fn open_rejects_version_4_files() {
-        // Two commits fill both header slots; a version-4 binary would
-        // have written the same bytes with 4 in the version field and an
-        // FNV trailer. The trailers are left as they are: whether they
-        // verify must not matter, the version is read first.
+    fn open_rejects_version_5_files() {
+        // Two commits fill both header slots; a version-5 binary would
+        // have written the same pages with 5 in the version field. The
+        // trailers are left as they are: whether they verify must not
+        // matter, the version is read first.
         let shared = SharedMemBackend::new();
         let mut s = Store::create(Box::new(shared.clone())).unwrap();
         s.put(b"k", b"v").unwrap();
@@ -621,12 +707,12 @@ mod tests {
             let mut buf = [0u8; PAGE_SIZE];
             disk.read_page(slot, &mut buf).unwrap();
             assert_eq!(buf[8..12], FORMAT_VERSION.to_le_bytes());
-            buf[8..12].copy_from_slice(&4u32.to_le_bytes());
+            buf[8..12].copy_from_slice(&5u32.to_le_bytes());
             disk.write_page(slot, &buf).unwrap();
         }
         assert!(matches!(
             Store::open(Box::new(disk)),
-            Err(StorageError::BadVersion(4))
+            Err(StorageError::BadVersion(5))
         ));
     }
 

@@ -2,22 +2,22 @@
 //! `Err` values — never panic, never corrupt previously committed state.
 
 use approxql_storage::{Backend, MemBackend, PageId, StorageError, Store, PAGE_SIZE};
-use std::cell::Cell;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::Arc;
 
 /// A backend that starts failing every operation once the fuse burns.
 struct FlakyBackend {
     inner: MemBackend,
-    remaining: Rc<Cell<i64>>,
+    remaining: Arc<AtomicI64>,
 }
 
 impl FlakyBackend {
     fn tick(&self) -> Result<(), StorageError> {
-        let left = self.remaining.get();
+        let left = self.remaining.load(Ordering::Relaxed);
         if left <= 0 {
             return Err(StorageError::Io(std::io::Error::other("injected failure")));
         }
-        self.remaining.set(left - 1);
+        self.remaining.store(left - 1, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -43,12 +43,12 @@ impl Backend for FlakyBackend {
     }
 }
 
-fn flaky(budget: i64) -> (Box<dyn Backend>, Rc<Cell<i64>>) {
-    let remaining = Rc::new(Cell::new(budget));
+fn flaky(budget: i64) -> (Box<dyn Backend>, Arc<AtomicI64>) {
+    let remaining = Arc::new(AtomicI64::new(budget));
     (
         Box::new(FlakyBackend {
             inner: MemBackend::new(),
-            remaining: Rc::clone(&remaining),
+            remaining: Arc::clone(&remaining),
         }),
         remaining,
     )
@@ -67,7 +67,7 @@ fn operations_fail_gracefully_once_the_backend_dies() {
 
     // Kill the backend; every operation that needs uncached pages must
     // return Err rather than panic.
-    fuse.set(0);
+    fuse.store(0, Ordering::Relaxed);
     // Reads may still succeed from the page cache; a commit (which syncs)
     // must fail.
     assert!(store.commit().is_err());
@@ -112,7 +112,7 @@ fn committed_data_survives_partial_later_failures() {
     store.put(b"stable", b"yes").unwrap();
     store.commit().unwrap();
     // Allow a couple more operations, then fail.
-    fuse.set(2);
+    fuse.store(2, Ordering::Relaxed);
     let _ = store.put(b"doomed", &[1u8; PAGE_SIZE * 4]);
     // The committed key is still readable (from cache or backend).
     assert_eq!(store.get(b"stable").unwrap(), Some(b"yes".to_vec()));

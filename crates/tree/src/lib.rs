@@ -32,7 +32,7 @@ pub use ser::{
     decode_doc_segment, decode_docmap, decode_interner, encode_docmap, encode_interner, DocSegment,
     TreeDecodeError,
 };
-pub use tree::{DataTree, DocSpan, NodeId, TreeError, TreeStats};
+pub use tree::{live_doc_of, DataTree, DocSpan, NodeId, TreeError, TreeStats};
 
 // Re-export the shared vocabulary types so downstream crates can name them
 // without depending on approxql-cost directly.

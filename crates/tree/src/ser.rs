@@ -33,7 +33,7 @@ const INTERNER_MAGIC: &[u8; 8] = b"AXQLINTR";
 const VERSION: u32 = 2;
 
 /// Errors raised while decoding a serialized tree.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TreeDecodeError {
     /// The byte stream does not start with the tree magic.
     BadMagic,

@@ -26,7 +26,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Errors raised by tree operations.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TreeError {
     /// The requested operation needs a `struct` node.
     NotAStructNode(NodeId),
@@ -77,6 +77,14 @@ pub struct DocSpan {
     pub bound: u32,
     /// `false` once the document has been deleted (tombstoned).
     pub alive: bool,
+}
+
+/// The live document of the registry `docs` (spans in preorder, as
+/// [`DataTree::documents`] lists them) whose range contains `pre`, if any.
+pub fn live_doc_of(docs: &[DocSpan], pre: u32) -> Option<DocSpan> {
+    let i = docs.partition_point(|d| d.start <= pre).checked_sub(1)?;
+    let d = docs[i];
+    (pre <= d.bound && d.alive).then_some(d)
 }
 
 /// The encoded data tree (Sections 4 and 6.2).
@@ -246,12 +254,7 @@ impl DataTree {
 
     /// The live document whose range contains `pre`, if any.
     pub fn doc_of(&self, pre: u32) -> Option<DocSpan> {
-        let i = self
-            .docs
-            .partition_point(|d| d.start <= pre)
-            .checked_sub(1)?;
-        let d = self.docs[i];
-        (pre <= d.bound && d.alive).then_some(d)
+        live_doc_of(&self.docs, pre)
     }
 
     /// `true` if `n` is the virtual root or belongs to a live document.

@@ -136,6 +136,19 @@ impl Fixture {
 
     /// The hits of `evaluator` at this fixture's depth.
     pub fn run(&self, db: &Database, evaluator: Evaluator, threads: usize) -> Vec<Hit> {
+        self.run_over(db, evaluator, threads, db.tree().len())
+    }
+
+    /// [`Fixture::run`] on a collection of `nodes` nodes, given rather
+    /// than read from `db`'s tree, which a database opened from a file
+    /// would have to decode.
+    pub fn run_over(
+        &self,
+        db: &Database,
+        evaluator: Evaluator,
+        threads: usize,
+        nodes: usize,
+    ) -> Vec<Hit> {
         let opts = EvalOptions {
             threads,
             ..EvalOptions::default()
@@ -145,7 +158,7 @@ impl Fixture {
             Evaluator::Direct => db.query_direct_with(query, self.k, opts).unwrap().0,
             // A schema bound of one result per node is unlimited.
             Evaluator::Schema => {
-                let n = self.k.unwrap_or(db.tree().len());
+                let n = self.k.unwrap_or(nodes);
                 let cfg = SchemaEvalConfig::default();
                 db.query_schema_with(query, n, opts, cfg).unwrap().0
             }

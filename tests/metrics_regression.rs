@@ -165,10 +165,13 @@ fn save_open_storage_op_counts() {
     let path = dir.join("db.axql");
     let db = Database::from_xml_str(CATALOG, paper_costs()).unwrap();
     let save_diff = diff_over(|| db.save(&path).unwrap());
-    let open_diff = diff_over(|| {
-        let db2 = Database::open(&path).unwrap();
-        assert_eq!(db2.tree().stats().node_count, db.tree().stats().node_count);
-    });
+    let mut reopened = None;
+    let open_diff = diff_over(|| reopened = Some(Database::open(&path).unwrap()));
+    let reopened = reopened.unwrap();
+    assert_eq!(
+        reopened.tree().stats().node_count,
+        db.tree().stats().node_count
+    );
     std::fs::remove_dir_all(&dir).unwrap();
     // The segmented layout (DESIGN.md §15) writes more, smaller keys than
     // the old monolithic tree blob: per-document segments, the secondary
@@ -195,34 +198,41 @@ fn save_open_storage_op_counts() {
             (Metric::BtreeNodeReads, 31),
         ],
     );
-    // Open is 6 point reads (costs, interner, docmap, the one `doc#`
-    // segment, classes, schema) and 3 prefix scans (`ls#`, `lt#`, `sec#`)
-    // over that one leaf: a node read per get and one per scan — the
-    // cursor parses the leaf it stands on once and hands its 27 entries
-    // out by move — so 9 node reads are 9 page reads (no value page to
-    // follow) and the leaf is the only cache miss. Format 2: 36 node reads
-    // (the leaf was re-read for every scan step), 66 page reads, 31
-    // misses; format 3 was one get (`classes`) less.
+    // Open reads the catalogue and nothing else: 5 point reads (costs,
+    // interner, docmap, schema, classes) of the one leaf, a node read and
+    // a page read each, the leaf the only cache miss, and no posting list
+    // decoded. Until format 6 open decoded the whole store — 6 gets (the
+    // `doc#` segment too) and 3 prefix scans (`ls#`, `lt#`, `sec#`) over
+    // 27 entries: 9 node and page reads, 669 `index.bytes_decoded`. Those
+    // reads now happen where they are needed: a query reads its own lists
+    // (`reopened_database_counts_like_the_resident_one`), and `tree()`
+    // above decoded the rest, outside this diff.
     assert_counts(
         &open_diff,
         &[
-            (Metric::PagerPageReads, 9),
+            (Metric::PagerPageReads, 5),
             (Metric::PagerCacheMisses, 1),
-            (Metric::BtreeGets, 6),
-            (Metric::BtreeNodeReads, 9),
-            (Metric::BtreeScanSteps, 27),
-            // Compressed frames, now covering both the label and the
-            // secondary index (the schema is reassembled, not rebuilt).
-            (Metric::IndexBytesDecoded, 669),
+            (Metric::BtreeGets, 5),
+            (Metric::BtreeNodeReads, 5),
         ],
     );
+}
+
+/// Whether a counter belongs to the layers a store-backed query adds
+/// work in: pager, store, B+-tree, and the `index.bytes_decoded` of the
+/// lists it reads.
+fn is_storage(m: Metric) -> bool {
+    use approxql::crates::metrics::Layer;
+    matches!(m.layer(), Layer::Pager | Layer::Store | Layer::Btree)
+        || m == Metric::IndexBytesDecoded
 }
 
 #[test]
 fn reopened_database_counts_like_the_resident_one() {
     // A database is the same object whether it was just built or came
     // back from a store file: the figure-2 schema query returns the same
-    // hits for the same work, counter by counter.
+    // hits for the same work, counter by counter — the reopened one reads
+    // its lists from the store, which only the storage counters show.
     let dir = std::env::temp_dir().join(format!("axql-metrics-reopen-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("db.axql");
@@ -234,9 +244,34 @@ fn reopened_database_counts_like_the_resident_one() {
     let run = |db: &Database| {
         let mut hits = Vec::new();
         let diff = diff_over(|| hits = db.query_schema(query, 5).unwrap());
-        (hits, diff.counters().collect::<Vec<_>>())
+        let (storage, rest) = diff
+            .counters()
+            .partition::<Vec<_>, _>(|&(m, _)| is_storage(m));
+        (hits, rest, storage)
     };
-    assert_eq!(run(&resident), run(&reopened));
+    let (hits, counts, storage) = run(&resident);
+    assert!(storage.iter().all(|&(_, v)| v == 0), "{storage:?}");
+    let (reopened_hits, reopened_counts, reopened_storage) = run(&reopened);
+    assert_eq!((hits, counts), (reopened_hits, reopened_counts));
+    // The plan fetches seven labels (cd, track, title, piano, concerto,
+    // composer, rachmaninov): seven prefix scans of the one leaf that holds
+    // every key, which `open` left in the page cache — seven node and page
+    // reads, no miss. They step over the nine `sec#` lists of those labels
+    // (`title` and `piano` have two classes each) and the key that ends
+    // each scan, and decode 229 bytes of frames.
+    let nonzero: Vec<_> = reopened_storage
+        .into_iter()
+        .filter(|&(_, v)| v != 0)
+        .collect();
+    assert_eq!(
+        nonzero,
+        [
+            (Metric::PagerPageReads, 7),
+            (Metric::BtreeNodeReads, 7),
+            (Metric::BtreeScanSteps, 16),
+            (Metric::IndexBytesDecoded, 229),
+        ]
+    );
 }
 
 #[test]
