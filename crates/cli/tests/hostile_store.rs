@@ -1,13 +1,22 @@
-//! A query reads only its own lists and its hits' segments, so corruption
-//! is found where it is read: one planted value per keyspace a query
-//! reads lazily (`ls#`, `lt#`, `sec#`, `doc#`), each with every page
-//! checksum intact. The query that reads it exits 3 with the typed error,
-//! a query that does not succeeds, and `check`, which reads everything,
-//! exits 3.
+//! Stores with planted damage behind valid page checksums.
+//!
+//! * A query reads only its own lists and its hits' segments, so
+//!   corruption is found where it is read: one planted value per keyspace
+//!   a query reads lazily (`ls#`, `lt#`, `sec#`, `doc#`). The query that
+//!   reads it exits 3 with the typed error, a query that does not
+//!   succeeds, and `check`, which reads everything, exits 3.
+//! * Every length or count field of every blob kind, and of the leaf entry
+//!   that holds a blob, set to 0, its value + 1, 2³¹ and its maximum:
+//!   `check` and a query that reads the field, each under a 1 GiB address
+//!   space, exit 0 or 3 within 10 s — never a signal (an aborted
+//!   allocation), a panic (101) or a hang.
 
 use approxql_storage::{seal_page, PAGE_SIZE};
+use std::io::Read;
+use std::ops::Range;
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_approxql");
 
@@ -18,11 +27,42 @@ fn run(args: &[&str]) -> (Option<i32>, String, String) {
     (done.status.code(), text(&done.stdout), text(&done.stderr))
 }
 
-/// Rewrites the inline value of the one key of `db` that starts with
-/// `prefix` and is `key_len` bytes long — the leaf entry `klen u16 | key |
-/// vlen u32 | value` — through `damage`, and re-seals its page.
-fn plant(db: &Path, prefix: &[u8], key_len: usize, damage: fn(&mut [u8])) {
-    let mut bytes = std::fs::read(db).unwrap();
+/// Runs `approxql <args>` in a 1 GiB address space (`ulimit -v`) and waits
+/// at most 10 s: the exit code (`None` for a signal) and stderr.
+fn run_capped(args: &[&str]) -> (Option<i32>, String) {
+    let mut child = Command::new("sh")
+        .args(["-c", "ulimit -v 1048576; exec \"$0\" \"$@\"", BIN])
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            panic!("approxql {args:?} ran for more than 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    (status.code(), stderr)
+}
+
+/// The file offset of the leaf entry `klen u16 | key | vlen u32 | payload`
+/// of the one key of the store that starts with `prefix` and is `key_len`
+/// bytes long.
+fn find_entry(bytes: &[u8], prefix: &[u8], key_len: usize) -> usize {
     let mut entry = (key_len as u16).to_le_bytes().to_vec();
     entry.extend_from_slice(prefix);
     let found: Vec<usize> = (0..bytes.len() - entry.len())
@@ -31,16 +71,67 @@ fn plant(db: &Path, prefix: &[u8], key_len: usize, damage: fn(&mut [u8])) {
     let [at] = found[..] else {
         panic!("{} entries start with {prefix:?}", found.len());
     };
+    at
+}
+
+/// The file range of the value of the entry at `at`, which must be inline.
+fn inline_value(bytes: &[u8], at: usize, key_len: usize) -> Range<usize> {
     let vlen_at = at + 2 + key_len;
     let vlen = u32::from_le_bytes(bytes[vlen_at..vlen_at + 4].try_into().unwrap());
     assert!(vlen & 1 << 31 != 0, "the value is not inline");
-    let value = vlen_at + 4..vlen_at + 4 + (vlen & !(1 << 31)) as usize;
-    damage(&mut bytes[value]);
-    let page = at / PAGE_SIZE * PAGE_SIZE;
-    let sealed: &mut [u8; PAGE_SIZE] = (&mut bytes[page..page + PAGE_SIZE]).try_into().unwrap();
-    seal_page(sealed);
+    vlen_at + 4..vlen_at + 4 + (vlen & !(1 << 31)) as usize
+}
+
+/// The value of the one key of `db` that starts with `prefix` and is
+/// `key_len` bytes long.
+fn value_of(db: &Path, prefix: &[u8], key_len: usize) -> Vec<u8> {
+    let bytes = std::fs::read(db).unwrap();
+    let at = find_entry(&bytes, prefix, key_len);
+    bytes[inline_value(&bytes, at, key_len)].to_vec()
+}
+
+/// Lets `damage` edit the bytes of `db` at the leaf entry of its one key
+/// that starts with `prefix` and is `key_len` bytes long (it gets the
+/// entry's offset), then re-seals every page.
+fn plant_at(db: &Path, prefix: &[u8], key_len: usize, damage: impl FnOnce(&mut [u8], usize)) {
+    let mut bytes = std::fs::read(db).unwrap();
+    let at = find_entry(&bytes, prefix, key_len);
+    damage(&mut bytes, at);
+    for page in bytes.chunks_exact_mut(PAGE_SIZE) {
+        seal_page(page.try_into().unwrap());
+    }
     std::fs::write(db, bytes).unwrap();
 }
+
+/// Rewrites the inline value of that key through `damage`.
+fn plant(db: &Path, prefix: &[u8], key_len: usize, damage: impl FnOnce(&mut [u8])) {
+    plant_at(db, prefix, key_len, |bytes, at| {
+        let value = inline_value(bytes, at, key_len);
+        damage(&mut bytes[value]);
+    });
+}
+
+/// Builds `name.axql` in `dir` from the documents `docs`; returns its path.
+fn build(dir: &Path, name: &str, docs: &[&str]) -> String {
+    let mut args = vec![
+        "build".to_owned(),
+        dir.join(name).to_str().unwrap().to_owned(),
+    ];
+    for (i, doc) in docs.iter().enumerate() {
+        let path = dir.join(format!("{name}{i}.xml"));
+        std::fs::write(&path, doc).unwrap();
+        args.push(path.to_str().unwrap().to_owned());
+    }
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (code, _, stderr) = run(&args);
+    assert_eq!(code, Some(0), "{stderr}");
+    args[1].to_owned()
+}
+
+const DOCS: [&str; 2] = [
+    "<cd><title>piano concerto</title><composer>rachmaninov</composer></cd>",
+    "<mc><title>sonata</title><track>allegro</track></mc>",
+];
 
 /// A frame count no posting list of this size can hold.
 fn claim_frames(list: &mut [u8]) {
@@ -68,22 +159,7 @@ struct Case<'a> {
 fn corruption_surfaces_in_the_query_that_reads_it() {
     let dir = std::env::temp_dir().join(format!("axql-cli-hostile-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let docs = [
-        "<cd><title>piano concerto</title><composer>rachmaninov</composer></cd>",
-        "<mc><title>sonata</title><track>allegro</track></mc>",
-    ];
-    let xml: Vec<String> = docs
-        .iter()
-        .enumerate()
-        .map(|(i, doc)| {
-            let path = dir.join(format!("d{i}.xml"));
-            std::fs::write(&path, doc).unwrap();
-            path.to_str().unwrap().to_owned()
-        })
-        .collect();
-    let built = dir.join("built.axql");
-    let built = built.to_str().unwrap();
-    assert_eq!(run(&["build", built, &xml[0], &xml[1]]).0, Some(0));
+    let built = build(&dir, "built", &DOCS);
     let cd = "#0\tcost=0\tnode=#1\t<cd>";
     let mc = "#0\tcost=0\tnode=#7\t<mc>";
     let segment = [b"doc#".as_slice(), &7u32.to_be_bytes()].concat();
@@ -136,7 +212,7 @@ fn corruption_surfaces_in_the_query_that_reads_it() {
     ];
     for case in &cases {
         let db = dir.join("planted.axql");
-        std::fs::copy(built, &db).unwrap();
+        std::fs::copy(&built, &db).unwrap();
         plant(&db, case.key, case.key_len, case.damage);
         let db = db.to_str().unwrap();
         let query = |args: &[&str]| run(&[&["query", db][..], args].concat());
@@ -155,6 +231,185 @@ fn corruption_surfaces_in_the_query_that_reads_it() {
         }
         let (code, _, stderr) = run(&["check", db]);
         assert_eq!(code, Some(3), "{}: {stderr}", case.what);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Where a fuzzed field sits.
+#[derive(Clone, Copy)]
+enum Place {
+    /// At this byte of the value.
+    Value(usize),
+    /// At this byte of the leaf entry (`klen` at 0, `vlen` behind the key).
+    Entry(usize),
+    /// At this byte of the leaf page (`n` at 1, behind the tag).
+    Leaf(usize),
+}
+
+/// A fuzzed field: its name, where it sits, and its width in bytes
+/// (little-endian).
+type Field<'a> = (&'a str, Place, usize);
+
+/// The fields of one key: the key's prefix and length, a query that
+/// reads the key, and the fields.
+type Fields<'a> = (&'a [u8], usize, &'a [&'a str], &'a [Field<'a>]);
+
+#[test]
+fn every_length_field_is_a_typed_error_under_a_memory_cap() {
+    let dir = std::env::temp_dir().join(format!("axql-cli-fuzz-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let built = build(&dir, "built", &DOCS);
+    let built = Path::new(&built);
+
+    // The whole-tree dump of the schema: magic 8 | version u32 | string
+    // count u32 | (length u32, bytes)* | node count u64 | 29 B per node |
+    // span count u32 | spans.
+    let schema = value_of(built, b"meta#schema", 11);
+    let word = |at: usize| u32::from_le_bytes(schema[at..at + 4].try_into().unwrap()) as usize;
+    let mut nodes_at = 16;
+    for _ in 0..word(12) {
+        nodes_at += 4 + word(nodes_at);
+    }
+    let nodes = u64::from_le_bytes(schema[nodes_at..nodes_at + 8].try_into().unwrap());
+    let spans_at = nodes_at + 8 + 29 * nodes as usize;
+    let classes_len = value_of(built, b"meta#classes", 12).len();
+
+    use Place::{Entry, Leaf, Value};
+    // A block list: frame count u32, then per frame min_pre, max_pre,
+    // max_bound, entry count, payload offset (u32 each).
+    let frames = [
+        ("frame count", Value(0), 4),
+        ("entry count", Value(16), 4),
+        ("frame offset", Value(20), 4),
+    ];
+    let catalogue: &[&str] = &["cd[composer]"];
+    let segment = [b"doc#".as_slice(), &7u32.to_be_bytes()].concat();
+    let keys: [Fields; 8] = [
+        (
+            b"meta#schema",
+            11,
+            catalogue,
+            &[
+                ("string count", Value(12), 4),
+                ("string length", Value(16), 4),
+                ("node count", Value(nodes_at), 8),
+                ("span count", Value(spans_at), 4),
+            ],
+        ),
+        (
+            b"meta#interner",
+            13,
+            catalogue,
+            &[
+                ("string count", Value(8), 4),
+                ("string length", Value(12), 4),
+            ],
+        ),
+        (
+            b"meta#docmap",
+            11,
+            catalogue,
+            &[
+                ("total length", Value(8), 4),
+                ("span count", Value(12), 4),
+                // The fields of its leaf, which every open reads.
+                ("leaf entry count", Leaf(1), 2),
+                ("leaf key length", Entry(0), 2),
+                ("leaf value length", Entry(2 + 11), 4),
+            ],
+        ),
+        (
+            b"meta#classes",
+            12,
+            catalogue,
+            &[
+                ("first pre", Value(0), 4),
+                ("last pre", Value(classes_len - 4), 4),
+            ],
+        ),
+        (
+            &segment,
+            8,
+            &["--direct", "mc[track]"],
+            &[("node count", Value(8), 4)],
+        ),
+        (b"ls#composer", 11, &["--direct", "cd[composer]"], &frames),
+        (
+            b"lt#allegro",
+            10,
+            &["--direct", r#"mc[track["allegro"]]"#],
+            &frames,
+        ),
+        (
+            b"sec#rachmaninov#",
+            20,
+            &["--schema", r#"cd[composer["rachmaninov"]]"#],
+            &frames,
+        ),
+    ];
+
+    let db = dir.join("planted.axql");
+    let db_str = db.to_str().unwrap();
+    for (key, key_len, query, fields) in keys {
+        let query = [&["query", db_str, "--threads", "1"][..], query].concat();
+        for &(what, place, width) in fields {
+            let bits = 8 * width as u32;
+            let max = u64::MAX >> (64 - bits);
+            for fuzz in ["0", "v+1", "huge", "max"] {
+                std::fs::copy(built, &db).unwrap();
+                plant_at(&db, key, key_len, |bytes, at| {
+                    let at = match place {
+                        Value(i) => inline_value(bytes, at, key_len).start + i,
+                        Entry(i) => at + i,
+                        Leaf(i) => at / PAGE_SIZE * PAGE_SIZE + i,
+                    };
+                    let slot = &mut bytes[at..at + width];
+                    let mut v = [0u8; 8];
+                    v[..width].copy_from_slice(slot);
+                    let v = match fuzz {
+                        "0" => 0,
+                        "v+1" => u64::from_le_bytes(v).wrapping_add(1) & max,
+                        "huge" => 1 << 31.min(bits - 1),
+                        _ => max,
+                    };
+                    slot.copy_from_slice(&v.to_le_bytes()[..width]);
+                });
+                for args in [&["check", db_str][..], &query] {
+                    let (code, stderr) = run_capped(args);
+                    assert!(
+                        matches!(code, Some(0 | 3)),
+                        "{} {what} = {fuzz}: approxql {args:?} exited {code:?}: {stderr}",
+                        String::from_utf8_lossy(key)
+                    );
+                }
+            }
+        }
+    }
+
+    // A document map whose last document is a tombstone of 2³¹ or 2³² − 1
+    // nodes: every reader that decodes the whole tree reports it, where it
+    // used to abort on the allocation.
+    let doc = dir.join("more.xml");
+    std::fs::write(&doc, "<cd><title>etude</title></cd>").unwrap();
+    for total in [1u32 << 31, u32::MAX] {
+        std::fs::copy(built, &db).unwrap();
+        // magic 8 | total u32 | span count u32 | (start u32, bound u32,
+        // alive u8) per document
+        plant(&db, b"meta#docmap", 11, |docmap| {
+            assert_eq!(docmap.len(), 34, "not two documents");
+            docmap[8..12].copy_from_slice(&total.to_le_bytes());
+            docmap[29..33].copy_from_slice(&(total - 1).to_le_bytes());
+            docmap[33] = 0;
+        });
+        for args in [
+            &["check", db_str][..],
+            &["stats", db_str],
+            &["insert", db_str, doc.to_str().unwrap()],
+        ] {
+            let (code, stderr) = run_capped(args);
+            assert_eq!(code, Some(3), "{total} nodes: approxql {args:?}: {stderr}");
+            assert!(stderr.contains("more nodes than"), "{stderr}");
+        }
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

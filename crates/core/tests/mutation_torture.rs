@@ -328,6 +328,7 @@ fn crash_at_every_backend_op_recovers_to_a_commit_boundary() {
         CrashMode::AfterWrite,
         CrashMode::TornWrite,
         CrashMode::DropWrite,
+        CrashMode::LoseUnsynced,
     ] {
         let mut crash_at = 0;
         while crash_at < total_ops {

@@ -553,11 +553,11 @@ pub fn fingerprint(plan: &Plan) -> u64 {
     hash
 }
 
-/// Renders a plan as a JSON document for `--explain --format json`
-/// (mirroring `approxql-lint --format json`): the operator DAG with
-/// parameters, inputs and use counts, the wave schedule, and the shape
-/// [`fingerprint`]. `counts` adds an `"entries"` member per operator.
-/// Deterministic and compact; handles are the `ops` array indices.
+/// Renders a plan as a JSON document for `--explain --format json`: the
+/// operator DAG with parameters, inputs and use counts, the wave
+/// schedule, and the shape [`fingerprint`]. `counts` adds an `"entries"`
+/// member per operator. Deterministic and compact; handles are the `ops`
+/// array indices.
 pub fn render_json(plan: &Plan, counts: Option<&[u64]>) -> String {
     let mut out = String::from("{\"v\":1,\"fingerprint\":");
     let _ = write!(out, "\"{:#018x}\"", fingerprint(plan));

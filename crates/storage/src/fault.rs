@@ -3,8 +3,10 @@
 //! [`FaultBackend`] wraps any [`Backend`] and simulates a process kill (or
 //! power loss) at an exact backend-operation index, optionally mangling
 //! the in-flight write the way real storage does: dropping it, tearing it
-//! (a prefix lands, the rest does not), or flipping one bit. It can also
-//! fail an `fsync` without crashing, which exercises the retry path.
+//! (a prefix lands, the rest does not), or flipping one bit — or, as a
+//! device with a write cache does, losing any write no `fsync` has made
+//! durable yet. It can also fail an `fsync` without crashing, which
+//! exercises the retry path.
 //!
 //! Tests pair it with [`SharedMemBackend`] so the "disk" survives the
 //! simulated crash: the backend handed to the store and the handle kept by
@@ -31,6 +33,13 @@ pub enum CrashMode {
     BitFlip,
     /// The write lands intact; the crash hits immediately after.
     AfterWrite,
+    /// Power loss under a volatile write cache: every page write since the
+    /// last completed sync — the crashing one included, and all of them
+    /// when the crash hits a sync — independently lands or is lost, with
+    /// seeded choices. This is the device the two sync barriers of a
+    /// commit exist for: without them a header slot can land while the
+    /// pages it references do not, or an acknowledged commit can vanish.
+    LoseUnsynced,
 }
 
 /// Configuration for a [`FaultBackend`].
@@ -46,7 +55,8 @@ pub struct FaultConfig {
     /// *without* crashing — the backend stays usable, so the caller can
     /// retry. `None` never fails a sync.
     pub fail_sync_at: Option<u64>,
-    /// Seed for torn-write lengths and bit-flip positions.
+    /// Seed for torn-write lengths, bit-flip positions and which unsynced
+    /// writes survive.
     pub seed: u64,
 }
 
@@ -137,6 +147,8 @@ impl OpCounter {
     }
 }
 
+type Page = Box<[u8; PAGE_SIZE]>;
+
 /// A fault-injecting wrapper around a [`Backend`]. See the module docs.
 pub struct FaultBackend {
     inner: Box<dyn Backend>,
@@ -146,6 +158,10 @@ pub struct FaultBackend {
     ops: OpCounter,
     syncs: u64,
     crashed: bool,
+    /// [`CrashMode::LoseUnsynced`] only: the page writes since the last
+    /// completed sync, in issue order — page, content before, content
+    /// written.
+    unsynced: Vec<(PageId, Page, Page)>,
 }
 
 impl FaultBackend {
@@ -157,6 +173,7 @@ impl FaultBackend {
             ops: OpCounter::default(),
             syncs: 0,
             crashed: false,
+            unsynced: Vec::new(),
         }
     }
 
@@ -177,6 +194,29 @@ impl FaultBackend {
     fn crash_now(&self) -> bool {
         self.cfg.crash_after_ops == Some(self.ops.get())
     }
+
+    /// The choices of the crash: they vary per crash point but stay
+    /// reproducible.
+    fn crash_rng(&self) -> StdRng {
+        StdRng::seed_from_u64(self.cfg.seed ^ self.ops.get().wrapping_mul(0x9E37_79B9))
+    }
+
+    /// The crash of [`CrashMode::LoseUnsynced`]: undoes every write since
+    /// the last completed sync, then lets each land again with
+    /// probability ½, in issue order.
+    fn lose_unsynced(&mut self) -> Result<()> {
+        let mut rng = self.crash_rng();
+        let unsynced = std::mem::take(&mut self.unsynced);
+        for (id, before, _) in unsynced.iter().rev() {
+            self.inner.write_page(*id, before)?;
+        }
+        for (id, _, written) in &unsynced {
+            if rng.gen_bool(0.5) {
+                self.inner.write_page(*id, written)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Backend for FaultBackend {
@@ -187,11 +227,17 @@ impl Backend for FaultBackend {
 
     fn write_page(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> Result<()> {
         self.check_alive()?;
+        if self.cfg.mode == CrashMode::LoseUnsynced {
+            // A page past the end reads back as zeros once its write is lost.
+            let mut before = Box::new([0u8; PAGE_SIZE]);
+            if id.0 < self.inner.page_count() {
+                self.inner.read_page(id, &mut before)?;
+            }
+            self.unsynced.push((id, before, Box::new(*buf)));
+        }
         if self.crash_now() {
             self.crashed = true;
-            // Vary the mangling per crash point but keep it reproducible.
-            let mut rng =
-                StdRng::seed_from_u64(self.cfg.seed ^ self.ops.get().wrapping_mul(0x9E37_79B9));
+            let mut rng = self.crash_rng();
             match self.cfg.mode {
                 CrashMode::DropWrite => {}
                 CrashMode::TornWrite => {
@@ -212,6 +258,7 @@ impl Backend for FaultBackend {
                 CrashMode::AfterWrite => {
                     self.inner.write_page(id, buf)?;
                 }
+                CrashMode::LoseUnsynced => self.lose_unsynced()?,
             }
             return Err(crashed_err());
         }
@@ -237,9 +284,13 @@ impl Backend for FaultBackend {
             // A sync has no payload to tear: the crash simply means the
             // barrier never completed.
             self.crashed = true;
+            if self.cfg.mode == CrashMode::LoseUnsynced {
+                self.lose_unsynced()?;
+            }
             return Err(crashed_err());
         }
         self.inner.sync()?;
+        self.unsynced.clear();
         self.ops.incr();
         Ok(())
     }
@@ -321,6 +372,39 @@ mod tests {
         snap.read_page(PageId(0), &mut buf).unwrap();
         let ones: u32 = buf.iter().map(|b| b.count_ones()).sum();
         assert_eq!(ones, 1);
+    }
+
+    #[test]
+    fn a_crash_keeps_synced_writes_and_a_seeded_subset_of_the_rest() {
+        // Per page: (value before the unsynced write, value written).
+        let pages = [(1u8, 2u8), (0, 3)];
+        let mut seen = [[false; 2]; 2];
+        for seed in 0..16 {
+            let shared = SharedMemBackend::new();
+            let mut fb = FaultBackend::new(
+                Box::new(shared.clone()),
+                FaultConfig {
+                    crash_after_ops: Some(4),
+                    mode: CrashMode::LoseUnsynced,
+                    seed,
+                    ..FaultConfig::default()
+                },
+            );
+            fb.write_page(PageId(0), &[1u8; PAGE_SIZE]).unwrap();
+            fb.sync().unwrap();
+            fb.write_page(PageId(0), &[2u8; PAGE_SIZE]).unwrap();
+            fb.write_page(PageId(1), &[3u8; PAGE_SIZE]).unwrap();
+            assert!(fb.sync().is_err(), "the barrier completed");
+            let mut snap = shared.snapshot();
+            for (i, (before, written)) in pages.into_iter().enumerate() {
+                let mut buf = [0u8; PAGE_SIZE];
+                snap.read_page(PageId(i as u32), &mut buf).unwrap();
+                assert!(buf.iter().all(|&b| b == buf[0]), "page {i} is torn");
+                assert!([before, written].contains(&buf[0]), "page {i}: {}", buf[0]);
+                seen[i][usize::from(buf[0] == written)] = true;
+            }
+        }
+        assert_eq!(seen, [[true; 2]; 2], "some write always landed or was lost");
     }
 
     #[test]

@@ -221,6 +221,7 @@ fn crash_at_every_write_index_recovers_exactly_the_last_commit() {
         CrashMode::AfterWrite,
         CrashMode::TornWrite,
         CrashMode::DropWrite,
+        CrashMode::LoseUnsynced,
     ] {
         for crash_at in 0..total_ops {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -382,13 +382,24 @@ impl DataTree {
                 "interner lacks the virtual root label",
             ));
         };
+        // No blob bounds `n`: a tombstoned span stores nothing, so a
+        // two-span document map may claim 2³² − 1 nodes. A column that
+        // does not fit in memory is an error, not an abort.
+        fn column<T: Clone>(n: usize, fill: T) -> Result<Vec<T>, TreeDecodeError> {
+            let mut column = Vec::new();
+            column.try_reserve_exact(n).map_err(|_| {
+                TreeDecodeError::Corrupt("document map claims more nodes than fit in memory")
+            })?;
+            column.resize(n, fill);
+            Ok(column)
+        }
         let mut all = DocSegment {
-            labels: vec![root_label; n],
-            types: vec![NodeType::Struct; n],
-            parents: vec![0; n],
-            bounds: vec![0; n],
-            inscosts: vec![Cost::ZERO; n],
-            pathcosts: vec![Cost::ZERO; n],
+            labels: column(n, root_label)?,
+            types: column(n, NodeType::Struct)?,
+            parents: column(n, 0)?,
+            bounds: column(n, 0)?,
+            inscosts: column(n, Cost::ZERO)?,
+            pathcosts: column(n, Cost::ZERO)?,
         };
         all.parents[0] = u32::MAX;
         all.bounds[0] = total_len - 1;

@@ -382,13 +382,35 @@ fn eval_harness_op_counts() {
     assert_eq!(diff.get(Metric::EvalSecondLevelQueries), 56);
 }
 
+/// The backticked spans of `text` shaped like a metric name, `layer.name`
+/// in lowercase snake case — file names (`pager.rs`) excepted.
+fn metric_shaped_spans(text: &str) -> Vec<&str> {
+    const FILE_SUFFIXES: &[&str] = &[
+        "rs", "md", "toml", "json", "tsv", "yml", "yaml", "lock", "xml", "axql", "log", "txt",
+    ];
+    let segment = |s: &str| {
+        s.starts_with(|c: char| c.is_ascii_lowercase())
+            && s.chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+    };
+    text.lines()
+        .flat_map(|line| line.split('`').skip(1).step_by(2))
+        .filter(|span| {
+            span.split_once('.').is_some_and(|(layer, name)| {
+                segment(layer) && segment(name) && !FILE_SUFFIXES.contains(&name)
+            })
+        })
+        .collect()
+}
+
 #[test]
 fn registry_is_exactly_the_documented_catalogue() {
-    // Pins the *names* of every counter and timer, in registry order. The
-    // `metric-coverage` lint rule cross-checks this same set against the
-    // registry in `crates/metrics` and the catalogue in DESIGN.md §8.1;
-    // together they guarantee no metric can be added, renamed, or removed
-    // without touching all three surfaces in one reviewed diff.
+    // Pins the *names* of every counter and timer, in registry order, and
+    // holds DESIGN.md to the same set: §8.1 lists every one of them, and
+    // no metric-shaped name of a registered layer anywhere in DESIGN.md
+    // is one the registry lacks. No metric can be added, renamed or
+    // removed without touching the registry, this list and the catalogue
+    // in one reviewed diff.
     use approxql::TimerMetric;
     let counters: Vec<&str> = Metric::ALL.iter().map(|m| m.name()).collect();
     assert_eq!(
@@ -457,4 +479,29 @@ fn registry_is_exactly_the_documented_catalogue() {
         ]
         .map(|(_, name)| name)
     );
+
+    let design =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/DESIGN.md")).unwrap();
+    let catalogue = design
+        .split_once("\n### 8.1 ")
+        .and_then(|(_, rest)| rest.split("\n#").next())
+        .expect("DESIGN.md has no §8.1");
+    let registered: Vec<&str> = counters.iter().chain(&timers).copied().collect();
+    for name in &registered {
+        assert!(
+            catalogue.contains(&format!("`{name}`")),
+            "`{name}` is registered but not in DESIGN.md §8.1"
+        );
+    }
+    let layers: Vec<&str> = registered
+        .iter()
+        .filter_map(|n| n.split('.').next())
+        .collect();
+    for span in metric_shaped_spans(&design) {
+        let layer = span.split('.').next().unwrap_or_default();
+        assert!(
+            !layers.contains(&layer) || registered.contains(&span),
+            "DESIGN.md names `{span}`, which is not registered"
+        );
+    }
 }
