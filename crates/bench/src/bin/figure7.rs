@@ -5,17 +5,14 @@
 //! ```text
 //! figure7 [--scale DIV] [--full] [--pattern 1|2|3] [--queries N]
 //!         [--renamings R[,R...]] [--ns N[,N...][,all]] [--seed S]
-//!         [--threads N]
 //! ```
 //!
 //! The default scale is 1/10 of the paper (100,000 elements, 1,000,000
 //! word occurrences); `--full` runs the paper's 1,000,000-element series.
 //! Output is a TSV table; each row is the mean over the query set
-//! (default 10 queries, like the paper). `--threads` (default: available
-//! parallelism, or `APPROXQL_THREADS`) fans the repeated queries of each
-//! cell out over a worker pool — means and work columns are identical to
-//! `--threads 1`; only the harness wall-clock changes. This is the
-//! paper-figure reproduction; the end-to-end and per-layer trajectory is
+//! (default 10 queries, like the paper), run one query after the other on
+//! one thread, as the paper measured. This is the paper-figure
+//! reproduction; the end-to-end and per-layer trajectory is
 //! `axbench` (EXPERIMENTS.md).
 
 use approxql_bench::{
@@ -30,13 +27,12 @@ struct Args {
     renamings: Vec<usize>,
     ns: Vec<Option<usize>>,
     seed: u64,
-    threads: usize,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: figure7 [--scale DIV] [--full] [--pattern 1|2|3] [--queries N] \
-         [--renamings R,R,...] [--ns N,...,all] [--seed S] [--threads N]"
+         [--renamings R,R,...] [--ns N,...,all] [--seed S]"
     );
     std::process::exit(2)
 }
@@ -49,7 +45,6 @@ fn parse_args() -> Args {
         renamings: RENAMINGS.to_vec(),
         ns: vec![Some(1), Some(10), Some(100), Some(1000), None],
         seed: 2002,
-        threads: approxql_exec::default_threads(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -84,12 +79,6 @@ fn parse_args() -> Args {
                     .collect();
             }
             "--seed" => args.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--threads" => {
-                args.threads = val().parse().unwrap_or_else(|_| usage());
-                if args.threads == 0 {
-                    usage();
-                }
-            }
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -139,10 +128,9 @@ fn main() {
         bytes_per_posting
     );
 
-    eprintln!("# measuring with {} worker thread(s)", args.threads);
     let measure_start = std::time::Instant::now();
     println!(
-        "pattern\trenamings\tn\talgorithm\tthreads\tmean_ms\tmean_results\tbytes_per_posting\t{}",
+        "pattern\trenamings\tn\talgorithm\tmean_ms\tmean_results\tbytes_per_posting\t{}",
         WorkCounts::tsv_header()
     );
     let mut rows: Vec<Measurement> = Vec::new();
@@ -151,10 +139,8 @@ fn main() {
         for &r in &args.renamings {
             let queries = make_queries(&col, pattern, r, args.queries, args.seed + r as u64);
             for &n in &args.ns {
-                let (direct_ms, direct_res, direct_work) =
-                    time_direct(&col, &queries, n, args.threads);
-                let (schema_ms, schema_res, schema_work) =
-                    time_schema(&col, &queries, n, args.threads);
+                let (direct_ms, direct_res, direct_work) = time_direct(&col, &queries, n);
+                let (schema_ms, schema_res, schema_work) = time_schema(&col, &queries, n);
                 for (alg, ms, res, work) in [
                     ("direct", direct_ms, direct_res, direct_work),
                     ("schema", schema_ms, schema_res, schema_work),
@@ -164,18 +150,16 @@ fn main() {
                         renamings: r,
                         n,
                         algorithm: alg,
-                        threads: args.threads,
                         mean_ms: ms,
                         mean_results: res,
                         work,
                     };
                     println!(
-                        "{}\t{}\t{}\t{}\t{}\t{:.3}\t{:.1}\t{:.2}\t{}",
+                        "{}\t{}\t{}\t{}\t{:.3}\t{:.1}\t{:.2}\t{}",
                         m.pattern,
                         m.renamings,
                         fmt_n(m.n),
                         m.algorithm,
-                        m.threads,
                         m.mean_ms,
                         m.mean_results,
                         bytes_per_posting,
@@ -187,10 +171,9 @@ fn main() {
         }
     }
     eprintln!(
-        "# measured {} cells in {:.1?} wall-clock with {} thread(s)",
+        "# measured {} cells in {:.1?} wall-clock",
         rows.len(),
-        measure_start.elapsed(),
-        args.threads
+        measure_start.elapsed()
     );
 
     // Shape summary (the paper's qualitative claims).

@@ -16,7 +16,6 @@ use approxql_core::direct;
 use approxql_core::schema_eval::{self, SchemaEvalConfig};
 use approxql_core::EvalOptions;
 use approxql_cost::CostModel;
-use approxql_exec::Executor;
 use approxql_gen::{
     DataGenConfig, DataGenerator, GeneratedQuery, QueryGenConfig, QueryGenerator, PATTERN_1,
     PATTERN_2, PATTERN_3,
@@ -77,8 +76,6 @@ pub struct Measurement {
     pub n: Option<usize>,
     /// `"direct"` or `"schema"`.
     pub algorithm: &'static str,
-    /// Worker threads the cell was measured with (1 = sequential).
-    pub threads: usize,
     /// Mean evaluation time per query in milliseconds.
     pub mean_ms: f64,
     /// Mean number of results actually returned.
@@ -186,48 +183,32 @@ pub fn compile(gq: &GeneratedQuery) -> ExpandedQuery {
     ExpandedQuery::build(&q, &gq.costs)
 }
 
-/// Times the direct evaluation of `queries` for a given `n`.
-///
-/// `threads > 1` distributes whole queries over a worker pool
-/// (coarse-grained: each query still evaluates sequentially inside its
-/// job), so per-query means stay comparable to a sequential run and the
-/// merged work counters are identical — only the harness wall-clock drops.
+/// Times the direct evaluation of `queries` for a given `n`, one query
+/// after the other.
 pub fn time_direct(
     col: &Collection,
     queries: &[(GeneratedQuery, ExpandedQuery)],
     n: Option<usize>,
-    threads: usize,
 ) -> (f64, f64, WorkCounts) {
-    let opts = EvalOptions {
-        threads: 1,
-        ..EvalOptions::default()
-    };
+    let opts = EvalOptions::default();
     // Warm up caches so the first query is not measured cold.
     if let Some((_, ex)) = queries.first() {
         let _ = direct::best_n(ex, &col.labels, col.tree.interner(), n, opts);
     }
     let baseline = approxql_metrics::snapshot();
-    let timed = Executor::new(threads).scope(|scope| {
-        scope.map(
-            queries.iter().collect(),
-            move |(_, ex): &(GeneratedQuery, ExpandedQuery)| {
-                let start = Instant::now();
-                let (hits, _) = direct::best_n(ex, &col.labels, col.tree.interner(), n, opts);
-                (start.elapsed().as_secs_f64() * 1e3, hits.len())
-            },
-        )
-    });
-    let work = approxql_metrics::snapshot().diff(&baseline);
-    let total_ms: f64 = timed.iter().map(|&(ms, _)| ms).sum();
-    let total_results: usize = timed.iter().map(|&(_, r)| r).sum();
-    (
-        total_ms / queries.len() as f64,
-        total_results as f64 / queries.len() as f64,
-        WorkCounts::from_diff(&work, queries.len()),
-    )
+    let timed: Vec<(f64, usize)> = queries
+        .iter()
+        .map(|(_, ex)| {
+            let start = Instant::now();
+            let (hits, _) = direct::best_n(ex, &col.labels, col.tree.interner(), n, opts);
+            (start.elapsed().as_secs_f64() * 1e3, hits.len())
+        })
+        .collect();
+    means(&timed, &approxql_metrics::snapshot().diff(&baseline))
 }
 
-/// Times the schema-driven evaluation of `queries` for a given `n`.
+/// Times the schema-driven evaluation of `queries` for a given `n`, one
+/// query after the other.
 ///
 /// `None` means "all results" (the paper's n = ∞ points): the schema path
 /// is asked for each query's known total result count, i.e. it must
@@ -236,24 +217,18 @@ pub fn time_schema(
     col: &Collection,
     queries: &[(GeneratedQuery, ExpandedQuery)],
     n: Option<usize>,
-    threads: usize,
 ) -> (f64, f64, WorkCounts) {
-    let opts = EvalOptions {
-        threads: 1,
-        ..EvalOptions::default()
-    };
-    // The per-query totals (for the n = ∞ points) are themselves direct
-    // evaluations — spread them over the pool too.
-    let totals: Vec<usize> = Executor::new(threads).scope(|scope| {
-        scope.map(
-            queries.iter().collect(),
-            move |(_, ex): &(GeneratedQuery, ExpandedQuery)| {
-                direct::best_n(ex, &col.labels, col.tree.interner(), None, opts)
-                    .0
-                    .len()
-            },
-        )
-    });
+    let opts = EvalOptions::default();
+    // The per-query totals (for the n = ∞ points) are direct evaluations,
+    // run before the counters' baseline.
+    let totals: Vec<usize> = queries
+        .iter()
+        .map(|(_, ex)| {
+            direct::best_n(ex, &col.labels, col.tree.interner(), None, opts)
+                .0
+                .len()
+        })
+        .collect();
     // Warm up caches so the first query is not measured cold.
     if let Some((_, ex)) = queries.first() {
         let _ = schema_eval::best_n_schema(
@@ -266,44 +241,41 @@ pub fn time_schema(
         );
     }
     let baseline = approxql_metrics::snapshot();
-    let totals = &totals;
-    let timed = Executor::new(threads).scope(|scope| {
-        scope.map(
-            queries.iter().enumerate().collect(),
-            move |(i, (_, ex)): (usize, &(GeneratedQuery, ExpandedQuery))| {
-                let (want, cfg) = match n {
-                    Some(n) => (n, SchemaEvalConfig::default()),
-                    // "all results": ask for the known total and allow the
-                    // driver to enumerate however many second-level
-                    // queries that takes.
-                    None => (
-                        totals[i].max(1),
-                        SchemaEvalConfig {
-                            max_k: 1 << 26,
-                            ..SchemaEvalConfig::default()
-                        },
-                    ),
-                };
-                let start = Instant::now();
-                let (hits, _) = schema_eval::best_n_schema(
-                    ex,
-                    &col.schema,
-                    col.tree.interner(),
-                    want,
-                    opts,
-                    cfg,
-                );
-                (start.elapsed().as_secs_f64() * 1e3, hits.len())
-            },
-        )
-    });
-    let work = approxql_metrics::snapshot().diff(&baseline);
+    let timed: Vec<(f64, usize)> = queries
+        .iter()
+        .zip(&totals)
+        .map(|((_, ex), &total)| {
+            let (want, cfg) = match n {
+                Some(n) => (n, SchemaEvalConfig::default()),
+                // "all results": ask for the known total and allow the
+                // driver to enumerate however many second-level queries
+                // that takes.
+                None => (
+                    total.max(1),
+                    SchemaEvalConfig {
+                        max_k: 1 << 26,
+                        ..SchemaEvalConfig::default()
+                    },
+                ),
+            };
+            let start = Instant::now();
+            let (hits, _) =
+                schema_eval::best_n_schema(ex, &col.schema, col.tree.interner(), want, opts, cfg);
+            (start.elapsed().as_secs_f64() * 1e3, hits.len())
+        })
+        .collect();
+    means(&timed, &approxql_metrics::snapshot().diff(&baseline))
+}
+
+/// Per-query mean time, mean result count and mean work of one cell.
+fn means(timed: &[(f64, usize)], work: &MetricsSnapshot) -> (f64, f64, WorkCounts) {
+    let queries = timed.len().max(1) as f64;
     let total_ms: f64 = timed.iter().map(|&(ms, _)| ms).sum();
     let total_results: usize = timed.iter().map(|&(_, r)| r).sum();
     (
-        total_ms / queries.len() as f64,
-        total_results as f64 / queries.len() as f64,
-        WorkCounts::from_diff(&work, queries.len()),
+        total_ms / queries,
+        total_results as f64 / queries,
+        WorkCounts::from_diff(work, timed.len()),
     )
 }
 
@@ -338,8 +310,8 @@ mod tests {
     fn harness_runs_one_cell() {
         let col = build_collection(1000, 1); // 1,000 elements
         let queries = make_queries(&col, PATTERN_1, 0, 2, 7);
-        let (direct_ms, direct_results, direct_work) = time_direct(&col, &queries, Some(10), 1);
-        let (schema_ms, schema_results, schema_work) = time_schema(&col, &queries, Some(10), 1);
+        let (direct_ms, direct_results, direct_work) = time_direct(&col, &queries, Some(10));
+        let (schema_ms, schema_results, schema_work) = time_schema(&col, &queries, Some(10));
         assert!(direct_ms >= 0.0 && schema_ms >= 0.0);
         // Both algorithms agree on the number of results for small n.
         assert_eq!(direct_results, schema_results);
@@ -350,22 +322,6 @@ mod tests {
         assert_eq!(direct_work.second_level_queries, 0.0);
         assert!(schema_work.topk_ops > 0.0 && schema_work.second_level_queries > 0.0);
         assert!(schema_work.rounds >= 1.0);
-    }
-
-    #[test]
-    fn parallel_harness_matches_sequential() {
-        let col = build_collection(1000, 1); // 1,000 elements
-        let queries = make_queries(&col, PATTERN_2, 5, 4, 9);
-        let (_, seq_results, seq_work) = time_direct(&col, &queries, Some(10), 1);
-        let (_, par_results, par_work) = time_direct(&col, &queries, Some(10), 4);
-        assert_eq!(seq_results, par_results);
-        // Coarse-grained parallelism merges every worker's counters into
-        // the harness thread: the work columns must be *exactly* equal.
-        assert_eq!(seq_work, par_work);
-        let (_, s_seq, w_seq) = time_schema(&col, &queries, Some(10), 1);
-        let (_, s_par, w_par) = time_schema(&col, &queries, Some(10), 4);
-        assert_eq!(s_seq, s_par);
-        assert_eq!(w_seq, w_par);
     }
 
     #[test]

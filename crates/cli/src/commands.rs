@@ -408,15 +408,15 @@ const QUERY: Accepts = Accepts {
         "--surface",
     ],
     usage: "  approxql query   <db.axql> <QUERY> [-n N] [--direct|--schema]
-                   [--costs FILE] [--threads N] [--xml] [--stats] [--stats-json]
+                   [--costs FILE] [--threads 1] [--xml] [--stats] [--stats-json]
                    [--explain] [--format text|json] [--repeat N] [--surface S]
       run an approximate query; results are ranked by transformation cost
       (QUERY may be written in any surface — classic approXQL, the
        versioned JSON query-IR `{\"v\":1,…}`, or XPath-lite `/a//b[c]`;
        auto-detected, or pinned with --surface classic|json|xpath;
        --stats prints per-layer operation counters to stderr,
-       --stats-json the same as one JSON object; --threads defaults to the
-       available parallelism and 1 reproduces the sequential path exactly;
+       --stats-json the same as one JSON object; evaluation is
+       single-threaded, so --threads takes only 1;
        --explain prints the compiled physical plan with per-operator entry
        counts instead of results, and --format json renders it as a JSON
        plan DAG with the plan's shape fingerprint; --repeat re-runs the
@@ -454,16 +454,15 @@ fn cmd_query(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     if repeat == 0 {
         return Err(usage("--repeat must be at least 1"));
     }
-    let threads: usize = flags
-        .option_parsed("--threads")?
-        .unwrap_or_else(approxql_exec::default_threads);
-    if threads == 0 {
-        return Err(usage("--threads must be at least 1"));
+    if flags
+        .option_parsed::<usize>("--threads")?
+        .is_some_and(|t| t != 1)
+    {
+        return Err(usage(
+            "--threads takes only 1: evaluation is single-threaded",
+        ));
     }
-    let opts = EvalOptions {
-        threads,
-        ..Default::default()
-    };
+    let opts = EvalOptions::default();
 
     let db = open_with_costs(db_path, flags)?;
 
@@ -826,7 +825,8 @@ mod tests {
         ])
         .unwrap();
         run_words(&["explain", db.to_str().unwrap(), r#"cd[title["piano"]]"#]).unwrap();
-        // Both evaluators accept an explicit thread count.
+        // Both evaluators accept `--threads 1`; any other count is a usage
+        // error, since evaluation is single-threaded.
         for algo in ["--direct", "--schema"] {
             run_words(&[
                 "query",
@@ -834,20 +834,22 @@ mod tests {
                 r#"cd[title["piano"]]"#,
                 algo,
                 "--threads",
-                "2",
+                "1",
             ])
             .unwrap();
         }
-        assert!(matches!(
-            run_words(&[
-                "query",
-                db.to_str().unwrap(),
-                r#"cd[title["piano"]]"#,
-                "--threads",
-                "0",
-            ]),
-            Err(CliError::Usage(_))
-        ));
+        for threads in ["0", "2"] {
+            assert!(matches!(
+                run_words(&[
+                    "query",
+                    db.to_str().unwrap(),
+                    r#"cd[title["piano"]]"#,
+                    "--threads",
+                    threads,
+                ]),
+                Err(CliError::Usage(m)) if m.contains("single-threaded")
+            ));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -351,7 +351,7 @@ fn every_length_field_is_a_typed_error_under_a_memory_cap() {
     let db = dir.join("planted.axql");
     let db_str = db.to_str().unwrap();
     for (key, key_len, query, fields) in keys {
-        let query = [&["query", db_str, "--threads", "1"][..], query].concat();
+        let query = [&["query", db_str][..], query].concat();
         for &(what, place, width) in fields {
             let bits = 8 * width as u32;
             let max = u64::MAX >> (64 - bits);

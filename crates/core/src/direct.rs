@@ -27,10 +27,9 @@ pub struct EvalOptions {
     /// Enforce the leaf rule: results must match at least one original
     /// query leaf (the paper's full version). Default `true`.
     pub enforce_leaf_match: bool,
-    /// Worker threads for the evaluation. 1 (the default, unless the
-    /// `APPROXQL_THREADS` environment variable overrides it) runs the
-    /// sequential path; `N > 1` fans independent plan-DAG waves out over
-    /// a work-stealing pool with identical results and counters.
+    /// Ignored: evaluation is single-threaded. Defaults to 1. The field
+    /// stays only because `axbench` still builds `EvalOptions` with it;
+    /// it goes once `axbench` stops doing so.
     pub threads: usize,
 }
 
@@ -38,7 +37,7 @@ impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
             enforce_leaf_match: true,
-            threads: approxql_exec::threads_from_env().unwrap_or(1),
+            threads: 1,
         }
     }
 }
@@ -50,7 +49,8 @@ pub struct DirectStats {
     pub fetches: usize,
     /// Total entries produced by all list operations.
     pub list_entries: usize,
-    /// Number of physical operators executed.
+    /// Number of physical operators executed (all but the terminal
+    /// `SortBest`).
     pub ops: usize,
     /// Structurally shared subplans merged by the compiler's CSE pass
     /// (each one a subtree evaluation avoided at execution time).
@@ -58,7 +58,7 @@ pub struct DirectStats {
 }
 
 /// Index fetches one execution of `plan` performs: every operator but the
-/// terminal `SortBest` is scheduled exactly once.
+/// terminal `SortBest` runs exactly once.
 pub(crate) fn fetch_count(plan: &Plan) -> usize {
     let is_fetch = |op: &&PlanOp| matches!(op, PlanOp::Fetch { .. });
     plan.ops().iter().filter(is_fetch).count()
@@ -83,12 +83,12 @@ pub(crate) fn best_n_plan_counted(
         interner,
         domain: TwoChannel,
     };
-    let slots = plan::execute(plan, &alg, opts.threads);
+    let slots = plan::execute(plan, &alg);
     let mut counts: Vec<u64> = slots
         .iter()
-        .map(|s| s.get().map_or(0, |l| l.len() as u64))
+        .map(|s| s.as_ref().map_or(0, |l| l.len() as u64))
         .collect();
-    let root = slots.get(plan.root_list()).and_then(|s| s.get());
+    let root = slots.get(plan.root_list()).and_then(Option::as_ref);
     let result = root.map(|l| l.force()).unwrap_or_default();
     drop(timer);
     let fetches = fetch_count(plan);
@@ -96,7 +96,7 @@ pub(crate) fn best_n_plan_counted(
     let stats = DirectStats {
         fetches,
         list_entries: counts.iter().sum::<u64>() as usize + result.len(),
-        ops: plan.waves().iter().map(|w| w.len()).sum(),
+        ops: plan.ops().len().saturating_sub(1),
         cse_reuses: plan.cse_reuses() as usize,
     };
     let best = list::sort_best(n, &result, opts.enforce_leaf_match);
@@ -350,17 +350,11 @@ mod tests {
         // nodes is shared; at least one subplan must be merged by CSE.
         assert!(stats.cse_reuses > 0, "expected CSE reuses, got {stats:?}");
         // A pre-compiled plan evaluates identically to the compile-on-use
-        // path at every thread count.
+        // path.
         let p = approxql_plan::compile(&ex).unwrap();
         let baseline = best_n(&ex, &index, tree.interner(), None, EvalOptions::default()).0;
-        for threads in [1, 2, 4] {
-            let opts = EvalOptions {
-                threads,
-                ..Default::default()
-            };
-            let (hits, _) = best_n_plan(&p, &index, tree.interner(), None, opts);
-            assert_eq!(hits, baseline, "thread count {threads} diverged");
-        }
+        let (hits, _) = best_n_plan(&p, &index, tree.interner(), None, EvalOptions::default());
+        assert_eq!(hits, baseline);
     }
 
     #[test]

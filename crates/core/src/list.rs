@@ -40,9 +40,9 @@ pub type List<V> = Vec<(Posting, V)>;
 /// What a list keeps per node and how the operators combine it. The
 /// walks of this module own the list order and the node numbers; a
 /// domain only ever sees values.
-pub trait CostDomain: Sync {
+pub trait CostDomain {
     /// The per-node value.
-    type V: Clone + Send + Sync;
+    type V: Clone;
     /// What an open ancestor has collected from its descendant interval.
     type Acc;
     /// Whether fetched lists stay compressed so that the structural

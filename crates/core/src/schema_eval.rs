@@ -22,9 +22,7 @@ use crate::direct::{fetch_count, EvalOptions};
 use crate::list::Algebra;
 use crate::secondary;
 use crate::topk::{self, KBest, SecondLevelQuery};
-use approxql_exec::Executor;
-use approxql_index::InstancePosting;
-use approxql_metrics::{time, Metric, MetricsSnapshot, TimerMetric};
+use approxql_metrics::{time, Metric, TimerMetric};
 use approxql_plan::{self as plan, Plan, PlanAlgebra, PlanOp};
 use approxql_query::expand::{ExpandedNode, ExpandedQuery};
 use approxql_schema::Schema;
@@ -133,7 +131,7 @@ pub fn best_k_second_level_plan(
         interner,
         domain: KBest { k },
     };
-    let slots = plan::execute(plan, &alg, opts.threads);
+    let slots = plan::execute(plan, &alg);
     let mut entries = 0usize;
     // `possibly_capped`: whether any accounted candidate vector reached
     // length `k` — a conservative signal that the cap may have truncated
@@ -144,14 +142,14 @@ pub fn best_k_second_level_plan(
         if !counts_toward_entries(op) {
             continue;
         }
-        if let Some(list) = slots.get(h).and_then(|s| s.get()) {
+        if let Some(list) = slots.get(h).and_then(Option::as_ref) {
             entries += Algebra::<KBest>::len(list);
             if !possibly_capped {
                 possibly_capped = list.force().iter().any(|(_, v)| v.len() >= k);
             }
         }
     }
-    let root = slots.get(plan.root_list()).and_then(|s| s.get());
+    let root = slots.get(plan.root_list()).and_then(Option::as_ref);
     let root_list = root.map(|l| l.force()).unwrap_or_default();
     entries += root.map_or(0, Algebra::<KBest>::len);
     let best = topk::sort_k_best(k, &root_list, opts.enforce_leaf_match);
@@ -241,13 +239,6 @@ pub struct ResultStream<'a> {
     executed: HashSet<Vec<u32>>,
     seen_roots: HashSet<u32>,
     pending: std::collections::VecDeque<(u32, Cost)>,
-    /// At `threads > 1`: speculatively executed secondary results for the
-    /// remaining entries of the current batch, front-aligned with `pos`.
-    /// Each carries the metrics delta its worker recorded; the delta is
-    /// absorbed only if the sequential driver would have executed that
-    /// query (duplicates and post-exit work are discarded), keeping the
-    /// merged counters identical to a 1-thread run.
-    speculative: std::collections::VecDeque<(Vec<InstancePosting>, MetricsSnapshot)>,
     max_roots: usize,
     stats: EvalStats,
 }
@@ -283,7 +274,6 @@ impl<'a> ResultStream<'a> {
             executed: HashSet::new(),
             seen_roots: HashSet::new(),
             pending: std::collections::VecDeque::new(),
-            speculative: std::collections::VecDeque::new(),
             max_roots,
             stats: EvalStats::default(),
         }
@@ -313,25 +303,6 @@ impl<'a> ResultStream<'a> {
         self.last_run_complete = run.complete;
         self.pos = 0;
         self.started = true;
-        self.speculative.clear();
-    }
-
-    /// Executes every remaining second-level query of the current batch in
-    /// parallel (the queries are independent by construction — each
-    /// skeleton probes the secondary index read-only), queuing the result
-    /// lists for the sequential replay in [`Iterator::next`]. Only used
-    /// at `threads > 1`.
-    fn speculate(&mut self) {
-        let remaining = self.queries[self.pos..].to_vec();
-        let schema = self.schema;
-        self.speculative = Executor::new(self.opts.threads)
-            .scope(|scope| {
-                scope.map_deferred(remaining, move |entry: SecondLevelQuery| {
-                    let _timer = time(TimerMetric::SecondLevel);
-                    secondary::execute(entry.skeleton(), schema.secondary())
-                })
-            })
-            .into();
     }
 
     /// Advances past the current batch: either declare exhaustion or grow
@@ -376,28 +347,17 @@ impl Iterator for ResultStream<'_> {
                 self.advance_k();
                 continue;
             }
-            if self.opts.threads > 1 && self.speculative.is_empty() {
-                self.speculate();
-            }
             let entry = self.queries[self.pos].clone();
             self.pos += 1;
-            let spec = self.speculative.pop_front();
             if !self.executed.insert(entry_key(&entry)) {
-                // Evaluated in an earlier round: a sequential driver skips
-                // it, so any speculative work (and its delta) is dropped.
+                // Evaluated in an earlier round.
                 continue;
             }
             self.stats.second_level_queries += 1;
             Metric::EvalSecondLevelQueries.incr();
-            let instances = match spec {
-                Some((instances, delta)) => {
-                    approxql_metrics::absorb(&delta);
-                    instances
-                }
-                None => {
-                    let _timer = time(TimerMetric::SecondLevel);
-                    secondary::execute(entry.skeleton(), self.schema.secondary())
-                }
+            let instances = {
+                let _timer = time(TimerMetric::SecondLevel);
+                secondary::execute(entry.skeleton(), self.schema.secondary())
             };
             self.stats.secondary_rows += instances.len();
             Metric::EvalSecondaryRows.add(instances.len() as u64);

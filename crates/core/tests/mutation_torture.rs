@@ -1,8 +1,8 @@
 //! Mutation crash torture: replay a mixed insert/delete workload through
 //! [`DbFile`], crash at *every* backend operation index (in every crash
 //! mode), reopen, and require the recovered database to answer a fixed
-//! query battery exactly like the per-commit oracle — at 1 and 4 threads,
-//! with a clean integrity check and zero panics.
+//! query battery exactly like the per-commit oracle, with a clean
+//! integrity check and zero panics.
 //!
 //! The oracle is built by replaying the committed prefix of the same
 //! workload through the same incremental maintenance path in memory, so
@@ -135,11 +135,8 @@ const QUERIES: &[&str] = &[
 
 /// Every query's direct and schema results (roots and costs), in a fixed
 /// order — the unit of oracle comparison.
-fn answers(db: &Database, threads: usize) -> Vec<Vec<(u32, Cost)>> {
-    let opts = EvalOptions {
-        threads,
-        ..Default::default()
-    };
+fn answers(db: &Database) -> Vec<Vec<(u32, Cost)>> {
+    let opts = EvalOptions::default();
     let mut out = Vec::new();
     for q in QUERIES {
         let direct = db.query_direct_with(q, Some(10), opts).unwrap().0;
@@ -177,8 +174,8 @@ fn apply_file(file: &mut DbFile, op: &MutOp) -> Result<bool, approxql_core::Data
 }
 
 /// Replays the workload against a crashing backend, reopens from what
-/// survived, and verifies durability, integrity, oracle equality at 1 and
-/// 4 threads, and that the recovered file still accepts mutations.
+/// survived, and verifies durability, integrity, oracle equality, and
+/// that the recovered file still accepts mutations.
 fn run_crash_case(
     ops: &[MutOp],
     models: &HashMap<u64, Vec<Vec<(u32, Cost)>>>,
@@ -252,12 +249,10 @@ fn run_crash_case(
     let oracle = models
         .get(&csn)
         .unwrap_or_else(|| panic!("crash@{crash_at} {mode:?}: impossible recovered commit {csn}"));
-    for threads in [1, 4] {
-        assert!(
-            answers(file.database(), threads) == *oracle,
-            "crash@{crash_at} {mode:?}: answers diverge from the commit-{csn} oracle at {threads} threads"
-        );
-    }
+    assert!(
+        answers(file.database()) == *oracle,
+        "crash@{crash_at} {mode:?}: answers diverge from the commit-{csn} oracle"
+    );
 
     // Livability: the recovered file accepts and persists a new document.
     file.insert_documents(&[parse("<cd><title>post recovery piano</title></cd>")])
@@ -286,11 +281,10 @@ fn crash_at_every_backend_op_recovers_to_a_commit_boundary() {
     let mut file = DbFile::create_in(store, seed_database()).unwrap();
     let mut models: HashMap<u64, Vec<Vec<(u32, Cost)>>> = HashMap::new();
     // Determinism across thread counts is part of the oracle's meaning.
-    assert_eq!(answers(file.database(), 1), answers(file.database(), 4));
-    models.insert(file.commit_sequence(), answers(file.database(), 1));
+    models.insert(file.commit_sequence(), answers(file.database()));
     for op in &ops {
         if apply_file(&mut file, op).unwrap() {
-            models.insert(file.commit_sequence(), answers(file.database(), 1));
+            models.insert(file.commit_sequence(), answers(file.database()));
         }
     }
     let committed = file.commit_sequence();

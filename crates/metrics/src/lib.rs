@@ -291,47 +291,6 @@ impl MetricsRegistry {
         }
         *self.timers.borrow_mut() = [TimerSnapshot::default(); TIMER_COUNT];
     }
-
-    /// Adds every counter and timer of `delta` into this registry — the
-    /// merge half of the executor's capture/retract/absorb protocol: a
-    /// worker thread captures the work a job did as a snapshot diff,
-    /// [`MetricsRegistry::retract`]s it from its own registry, and the
-    /// thread that joins on the job absorbs it here. Timer maxima are
-    /// merged by `max`.
-    pub fn absorb(&self, delta: &MetricsSnapshot) {
-        for (i, cell) in self.counters.iter().enumerate() {
-            cell.set(cell.get().wrapping_add(delta.counters[i]));
-        }
-        let mut timers = self.timers.borrow_mut();
-        for (i, t) in timers.iter_mut().enumerate() {
-            let d = delta.timers[i];
-            t.count += d.count;
-            t.total_ns += d.total_ns;
-            t.max_ns = t.max_ns.max(d.max_ns);
-            for (b, db) in t.buckets.iter_mut().zip(d.buckets.iter()) {
-                *b += db;
-            }
-        }
-    }
-
-    /// Subtracts `delta` from this registry (saturating) — used by the
-    /// executor to move a job's recorded work off the worker thread so the
-    /// joining thread can decide whether to absorb or discard it. Timer
-    /// maxima cannot be retracted and are left in place.
-    pub fn retract(&self, delta: &MetricsSnapshot) {
-        for (i, cell) in self.counters.iter().enumerate() {
-            cell.set(cell.get().saturating_sub(delta.counters[i]));
-        }
-        let mut timers = self.timers.borrow_mut();
-        for (i, t) in timers.iter_mut().enumerate() {
-            let d = delta.timers[i];
-            t.count = t.count.saturating_sub(d.count);
-            t.total_ns = t.total_ns.saturating_sub(d.total_ns);
-            for (b, db) in t.buckets.iter_mut().zip(d.buckets.iter()) {
-                *b = b.saturating_sub(*db);
-            }
-        }
-    }
 }
 
 impl Metric {
@@ -356,16 +315,6 @@ pub fn snapshot() -> MetricsSnapshot {
 /// Zeroes the current thread's registry.
 pub fn reset() {
     MetricsRegistry::with(MetricsRegistry::reset);
-}
-
-/// Adds `delta` into the current thread's registry (merge-on-join).
-pub fn absorb(delta: &MetricsSnapshot) {
-    MetricsRegistry::with(|r| r.absorb(delta));
-}
-
-/// Subtracts `delta` from the current thread's registry.
-pub fn retract(delta: &MetricsSnapshot) {
-    MetricsRegistry::with(|r| r.retract(delta));
 }
 
 /// Starts a timer; the elapsed time is recorded when the guard drops.
@@ -673,50 +622,6 @@ mod tests {
             row.split('\t').count(),
             "header/row column mismatch"
         );
-    }
-
-    #[test]
-    fn retract_then_absorb_round_trips() {
-        let before = baseline();
-        Metric::ListJoinOps.add(3);
-        Metric::EvalDirectFetches.add(5);
-        {
-            let _t = time(TimerMetric::EvalDirect);
-        }
-        let delta = snapshot().diff(&before);
-        retract(&delta);
-        let after_retract = snapshot().diff(&before);
-        assert_eq!(after_retract.get(Metric::ListJoinOps), 0);
-        assert_eq!(after_retract.get(Metric::EvalDirectFetches), 0);
-        assert_eq!(after_retract.timer(TimerMetric::EvalDirect).count, 0);
-        absorb(&delta);
-        let after_absorb = snapshot().diff(&before);
-        assert_eq!(after_absorb.get(Metric::ListJoinOps), 3);
-        assert_eq!(after_absorb.get(Metric::EvalDirectFetches), 5);
-        assert_eq!(after_absorb.timer(TimerMetric::EvalDirect).count, 1);
-    }
-
-    #[test]
-    fn absorb_merges_cross_thread_deltas() {
-        let before = baseline();
-        let deltas: Vec<MetricsSnapshot> = (0..4u64)
-            .map(|i| {
-                std::thread::spawn(move || {
-                    let b = snapshot();
-                    Metric::TopkOps.add(i + 1);
-                    let d = snapshot().diff(&b);
-                    retract(&d);
-                    assert!(snapshot().diff(&b).is_zero(), "retract must zero worker");
-                    d
-                })
-                .join()
-                .unwrap()
-            })
-            .collect();
-        for d in &deltas {
-            absorb(d);
-        }
-        assert_eq!(snapshot().diff(&before).get(Metric::TopkOps), 1 + 2 + 3 + 4);
     }
 
     #[test]

@@ -16,19 +16,15 @@
 //! avoided duplicates is recorded in [`Plan::cse_reuses`] and the
 //! `plan.cse_reuses` metric.
 //!
-//! Execution schedules the DAG bottom-up in *topological waves*: every
-//! node of a wave depends only on earlier waves, so a wave's nodes run in
-//! parallel via `Scope::map` (worker metric deltas are absorbed in wave
-//! order, keeping all counters byte-identical at any thread count), and
-//! each node is executed exactly once however often it is referenced.
+//! Execution runs the operators in handle order on the calling thread:
+//! compilation puts every input before its consumer, so one forward pass
+//! executes each node exactly once however often it is referenced.
 
 use approxql_cost::{Cost, NodeType};
-use approxql_exec::Executor;
 use approxql_metrics::Metric;
 use approxql_query::expand::{ExpandedNode, ExpandedQuery};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::OnceLock;
 
 /// Index of a [`PlanOp`] inside [`Plan::ops`]. Children always have
 /// smaller handles than their parents (the DAG is built bottom-up).
@@ -163,13 +159,12 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// A compiled physical plan: an operator DAG plus its wave schedule.
+/// A compiled physical plan: an operator DAG in topological order.
 #[derive(Debug, Clone)]
 pub struct Plan {
     ops: Vec<PlanOp>,
     result: PlanHandle,
     root_list: PlanHandle,
-    waves: Vec<Vec<PlanHandle>>,
     uses: Vec<u32>,
     cse_reuses: u64,
 }
@@ -188,13 +183,6 @@ impl Plan {
     /// The root *list* (the `SortBest` input).
     pub fn root_list(&self) -> PlanHandle {
         self.root_list
-    }
-
-    /// Topological waves over the list-valued operators: every operator
-    /// appears in exactly one wave, after all of its inputs. (`SortBest`
-    /// is terminal and excluded — its parameters are runtime inputs.)
-    pub fn waves(&self) -> &[Vec<PlanHandle>] {
-        &self.waves
     }
 
     /// How many operators reference this node (plus one for the root).
@@ -405,28 +393,10 @@ pub fn compile(expanded: &ExpandedQuery) -> Result<Plan, PlanError> {
     }
     uses[result] += 1;
 
-    // Wave schedule: depth 0 = fetches, depth(op) = 1 + max(inputs).
-    // Children always precede parents in `ops`, so one forward pass works.
-    let mut depth = vec![0usize; c.ops.len()];
-    let mut max_depth = 0;
-    for (h, op) in c.ops.iter().enumerate() {
-        let d = op.inputs().iter().map(|&i| depth[i] + 1).max().unwrap_or(0);
-        depth[h] = d;
-        max_depth = max_depth.max(d);
-    }
-    let mut waves = vec![Vec::new(); max_depth + 1];
-    for h in 0..c.ops.len() {
-        if h != result {
-            waves[depth[h]].push(h);
-        }
-    }
-    waves.retain(|w| !w.is_empty());
-
     Ok(Plan {
         ops: c.ops,
         result,
         root_list,
-        waves,
         uses,
         cse_reuses: c.cse,
     })
@@ -436,9 +406,9 @@ pub fn compile(expanded: &ExpandedQuery) -> Result<Plan, PlanError> {
 /// indexes (Section 6.4 lists, outside this crate) and over the schema
 /// (Section 7.2 k-lists). Edge costs of `Intersect`/`Union` are always
 /// zero and therefore not passed.
-pub trait PlanAlgebra: Sync {
+pub trait PlanAlgebra {
     /// The list type the algebra operates on.
-    type L: Send + Sync;
+    type L;
 
     /// The empty list (used as a total fallback for malformed plans).
     fn empty(&self) -> Self::L;
@@ -460,36 +430,28 @@ pub trait PlanAlgebra: Sync {
     fn len(l: &Self::L) -> usize;
 }
 
-/// Executes every list-valued operator of `plan` exactly once, in
-/// topological waves, fanning each wave out over `threads` workers.
+/// Executes every list-valued operator of `plan` exactly once, in handle
+/// order (every input precedes its consumer).
 ///
 /// Returns one slot per operator (the `SortBest` slot stays empty); the
 /// caller applies its best-n/best-k selection to the [`Plan::root_list`]
-/// slot. Results and metric counters are byte-identical at any thread
-/// count: waves run in handle order and each worker's metric delta is
-/// absorbed in item order by `Scope::map`.
-pub fn execute<A: PlanAlgebra>(plan: &Plan, alg: &A, threads: usize) -> Vec<OnceLock<A::L>> {
-    let slots: Vec<OnceLock<A::L>> = (0..plan.ops.len()).map(|_| OnceLock::new()).collect();
-    Executor::new(threads).scope(|scope| {
-        for wave in plan.waves() {
-            let outs = scope.map(wave.clone(), |h: PlanHandle| run_op(plan, alg, &slots, h));
-            for (&h, out) in wave.iter().zip(outs) {
-                let _ = slots[h].set(out);
-            }
-        }
-    });
+/// slot.
+pub fn execute<A: PlanAlgebra>(plan: &Plan, alg: &A) -> Vec<Option<A::L>> {
+    let mut slots: Vec<Option<A::L>> = Vec::with_capacity(plan.ops.len());
+    for (h, op) in plan.ops.iter().enumerate() {
+        let out = (h != plan.result).then(|| run_op(alg, op, &slots));
+        slots.push(out);
+    }
     slots
 }
 
-/// Executes one operator against already-filled input slots. Total: a
-/// malformed schedule yields empty lists rather than a panic.
-fn run_op<A: PlanAlgebra>(plan: &Plan, alg: &A, slots: &[OnceLock<A::L>], h: PlanHandle) -> A::L {
-    let Some(op) = plan.ops().get(h) else {
-        return alg.empty();
-    };
+/// Executes one operator against the slots of its inputs. Total: an input
+/// that is missing (a handle not below the operator's own) yields an empty
+/// list rather than a panic.
+fn run_op<A: PlanAlgebra>(alg: &A, op: &PlanOp, slots: &[Option<A::L>]) -> A::L {
     let mut vals = Vec::with_capacity(2);
     for i in op.inputs() {
-        match slots.get(i).and_then(|s| s.get()) {
+        match slots.get(i).and_then(Option::as_ref) {
             Some(v) => vals.push(v),
             None => return alg.empty(),
         }
@@ -554,8 +516,8 @@ pub fn fingerprint(plan: &Plan) -> u64 {
 }
 
 /// Renders a plan as a JSON document for `--explain --format json`: the
-/// operator DAG with parameters, inputs and use counts, the wave
-/// schedule, and the shape [`fingerprint`]. `counts` adds an `"entries"`
+/// operator DAG with parameters, inputs and use counts, and the shape
+/// [`fingerprint`]. `counts` adds an `"entries"`
 /// member per operator. Deterministic and compact; handles are the `ops`
 /// array indices.
 pub fn render_json(plan: &Plan, counts: Option<&[u64]>) -> String {
@@ -587,24 +549,11 @@ pub fn render_json(plan: &Plan, counts: Option<&[u64]>) -> String {
     }
     let _ = write!(
         out,
-        "],\"result\":{},\"root_list\":{},\"waves\":[",
+        "],\"result\":{},\"root_list\":{},\"cse_reuses\":{}}}",
         plan.result(),
-        plan.root_list()
+        plan.root_list(),
+        plan.cse_reuses()
     );
-    for (w, wave) in plan.waves().iter().enumerate() {
-        if w > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for (i, h) in wave.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{h}");
-        }
-        out.push(']');
-    }
-    let _ = write!(out, "],\"cse_reuses\":{}}}", plan.cse_reuses());
     out
 }
 
@@ -649,10 +598,20 @@ mod tests {
     use approxql_cost::CostModel;
     use approxql_query::parse_query;
 
+    /// Compiles `q` and checks the order [`execute`] relies on on every
+    /// plan this suite builds: each operator's inputs have smaller handles
+    /// than the operator itself, and the terminal `SortBest` comes last.
     fn plan_for(q: &str, costs: &CostModel) -> Plan {
         let query = parse_query(q).unwrap();
         let ex = ExpandedQuery::build(&query, costs);
-        compile(&ex).unwrap()
+        let p = compile(&ex).unwrap();
+        for (h, op) in p.ops().iter().enumerate() {
+            for i in op.inputs() {
+                assert!(i < h, "{q}: op {h} reads input {i}, which runs later");
+            }
+        }
+        assert_eq!(p.result(), p.ops().len() - 1, "{q}: sort_best is not last");
+        p
     }
 
     #[test]
@@ -696,10 +655,6 @@ mod tests {
         assert_eq!(
             doc.get("result").unwrap().as_uint(),
             Some(p.result() as u64)
-        );
-        assert_eq!(
-            doc.get("waves").unwrap().as_arr().unwrap().len(),
-            p.waves().len()
         );
         // Without counts there is no "entries" member.
         let bare = approxql_query::json::parse(&render_json(&p, None)).unwrap();
@@ -747,31 +702,22 @@ mod tests {
     }
 
     #[test]
-    fn waves_respect_dependencies() {
+    fn inputs_precede_their_consumers() {
         let costs = CostModel::builder()
             .insert_default(1)
             .rename(NodeType::Struct, "b", "c", Cost::finite(2))
+            .delete(NodeType::Struct, "b", Cost::finite(3))
             .delete(NodeType::Text, "w", Cost::finite(1))
             .build();
-        let p = plan_for(r#"a[b["w" and "v"]]"#, &costs);
-        let mut wave_of = vec![usize::MAX; p.ops().len()];
-        for (wi, wave) in p.waves().iter().enumerate() {
-            for &h in wave {
-                wave_of[h] = wi;
-            }
+        // `plan_for` checks the handle order; these cover every operator.
+        for q in [
+            r#"a[b["w" and "v"]]"#,
+            r#"a[b["w" or "v"] and c]"#,
+            r#"a[b[c["w"]]]"#,
+            "a",
+        ] {
+            plan_for(q, &costs);
         }
-        for (h, op) in p.ops().iter().enumerate() {
-            if h == p.result() {
-                continue;
-            }
-            assert_ne!(wave_of[h], usize::MAX, "op {h} unscheduled");
-            for i in op.inputs() {
-                assert!(wave_of[i] < wave_of[h], "op {h} scheduled before input {i}");
-            }
-        }
-        // Every op except SortBest is scheduled exactly once.
-        let scheduled: usize = p.waves().iter().map(|w| w.len()).sum();
-        assert_eq!(scheduled, p.ops().len() - 1);
     }
 
     #[test]

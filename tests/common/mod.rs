@@ -135,24 +135,15 @@ impl Fixture {
     }
 
     /// The hits of `evaluator` at this fixture's depth.
-    pub fn run(&self, db: &Database, evaluator: Evaluator, threads: usize) -> Vec<Hit> {
-        self.run_over(db, evaluator, threads, db.tree().len())
+    pub fn run(&self, db: &Database, evaluator: Evaluator) -> Vec<Hit> {
+        self.run_over(db, evaluator, db.tree().len())
     }
 
     /// [`Fixture::run`] on a collection of `nodes` nodes, given rather
     /// than read from `db`'s tree, which a database opened from a file
     /// would have to decode.
-    pub fn run_over(
-        &self,
-        db: &Database,
-        evaluator: Evaluator,
-        threads: usize,
-        nodes: usize,
-    ) -> Vec<Hit> {
-        let opts = EvalOptions {
-            threads,
-            ..EvalOptions::default()
-        };
+    pub fn run_over(&self, db: &Database, evaluator: Evaluator, nodes: usize) -> Vec<Hit> {
+        let opts = EvalOptions::default();
         let query = self.query.as_str();
         let hits = match evaluator {
             Evaluator::Direct => db.query_direct_with(query, self.k, opts).unwrap().0,

@@ -1,51 +1,83 @@
-//! Thread-count determinism of the fixture golden, mirroring
-//! tests/parallel_determinism.rs on the committed datasets: the hits of
-//! every fixture query, and the work counters that produce them, are the
-//! same at 1, 2 and 4 threads, and they pass the golden.
+//! Determinism of the fixture golden, mirroring tests/parallel_determinism.rs
+//! on the committed datasets: the hits of every fixture query, and the work
+//! counters that produce them, are the same on two independently built
+//! databases, whether one thread or 2 or 4 caller threads share the runs,
+//! and they pass the golden.
 
 mod common;
 
 use approxql::{Database, Metric};
 use common::{Evaluator, Fixture, Hit};
+use std::sync::Barrier;
 
-fn counter_diff(f: impl FnOnce()) -> Vec<(Metric, u64)> {
-    let before = approxql::metrics_snapshot();
-    f();
-    approxql::metrics_snapshot()
-        .diff(&before)
-        .counters()
-        .filter(|&(_, v)| v != 0)
-        .collect()
+/// The hits of every (fixture, evaluator) run, in fixture order, and the
+/// nonzero work counters summed over every thread that ran them. The runs
+/// are split into `threads` contiguous shares, one caller thread each,
+/// released together by a barrier.
+fn pass(
+    fixtures: &[Fixture],
+    dbs: &[Database],
+    threads: usize,
+) -> (Vec<Vec<Hit>>, Vec<(Metric, u64)>) {
+    let runs: Vec<(&Fixture, &Database, Evaluator)> = fixtures
+        .iter()
+        .zip(dbs)
+        .flat_map(|(f, db)| f.evaluators.iter().map(move |&e| (f, db, e)))
+        .collect();
+    let shares: Vec<_> = runs.chunks(runs.len().div_ceil(threads).max(1)).collect();
+    let start = &Barrier::new(shares.len());
+    let done = std::thread::scope(|s| {
+        let handles: Vec<_> = shares
+            .into_iter()
+            .map(|share| {
+                s.spawn(move || {
+                    start.wait();
+                    let before = approxql::metrics_snapshot();
+                    let hits: Vec<Vec<Hit>> =
+                        share.iter().map(|&(f, db, e)| f.run(db, e)).collect();
+                    (hits, approxql::metrics_snapshot().diff(&before))
+                })
+            })
+            .collect();
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        joined
+    });
+    let mut hits = Vec::new();
+    let mut counts = vec![0u64; Metric::ALL.len()];
+    for (share_hits, diff) in done {
+        hits.extend(share_hits);
+        for (total, (_, v)) in counts.iter_mut().zip(diff.counters()) {
+            *total += v;
+        }
+    }
+    let counts = Metric::ALL.iter().copied().zip(counts);
+    (hits, counts.filter(|&(_, v)| v != 0).collect())
 }
 
-/// Runs every fixture on its evaluators at 1, 2 and 4 threads, asserts
-/// equal hits and equal counter diffs, and holds the hits to the golden.
-/// A first pass at one thread warms every plan cache, so the compared
-/// passes all take the cached path.
+/// Builds the fixtures' databases twice, warms every plan cache with a
+/// first pass over each, and asserts that passes over the second build at
+/// 1, 2 and 4 threads repeat the hits and counters of a one-thread pass
+/// over the first. Holds the hits to the golden.
 fn assert_thread_count_invariant(corpus: &str, fixtures: &[Fixture]) {
-    let dbs: Vec<Database> = fixtures.iter().map(|f| f.database(corpus)).collect();
-    let pass = |threads: usize| -> Vec<(&Fixture, Evaluator, Vec<Hit>)> {
-        let runs = fixtures.iter().zip(&dbs).flat_map(|(f, db)| {
-            f.evaluators
-                .iter()
-                .map(move |&e| (f, e, f.run(db, e, threads)))
-        });
-        runs.collect()
-    };
-    pass(1);
-    let mut base = Vec::new();
-    let base_counts = counter_diff(|| base = pass(1));
-    for threads in [2, 4] {
-        let mut runs = Vec::new();
-        let counts = counter_diff(|| runs = pass(threads));
-        assert_eq!(runs, base, "hits differ at {threads} threads");
+    let build = || -> Vec<Database> { fixtures.iter().map(|f| f.database(corpus)).collect() };
+    let (first, second) = (build(), build());
+    pass(fixtures, &first, 1);
+    pass(fixtures, &second, 1);
+    let (base, base_counts) = pass(fixtures, &first, 1);
+    assert!(!base_counts.is_empty(), "no work counted");
+    for threads in [1, 2, 4] {
+        let (hits, counts) = pass(fixtures, &second, threads);
+        assert_eq!(hits, base, "hits differ at {threads} threads");
         assert_eq!(
             counts, base_counts,
             "work counters differ at {threads} threads"
         );
     }
-    for (f, evaluator, hits) in &base {
-        f.check(*evaluator, hits);
+    let runs = fixtures
+        .iter()
+        .flat_map(|f| f.evaluators.iter().map(move |&e| (f, e)));
+    for ((f, evaluator), hits) in runs.zip(&base) {
+        f.check(evaluator, hits);
     }
 }
 

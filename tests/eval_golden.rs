@@ -22,12 +22,7 @@ fn figure2_runs(name: &str) -> Vec<(Fixture, Vec<Run>)> {
         .into_iter()
         .map(|f| {
             let db = f.database(CATALOG);
-            let threads = approxql::EvalOptions::default().threads;
-            let hits = f
-                .evaluators
-                .iter()
-                .map(|&e| (e, f.run(&db, e, threads)))
-                .collect();
+            let hits = f.evaluators.iter().map(|&e| (e, f.run(&db, e))).collect();
             (f, hits)
         })
         .collect()
@@ -124,7 +119,6 @@ fn committed_truth_matches_regenerated_truth() {
     let dir = std::env::temp_dir().join(format!("axql-fixture-truth-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("db.axql");
-    let threads = approxql::EvalOptions::default().threads;
     for (name, corpus) in common::DATASETS {
         for f in common::load(name) {
             f.database(corpus).save(&path).unwrap();
@@ -133,7 +127,7 @@ fn committed_truth_matches_regenerated_truth() {
                 k: None,
                 ..f.clone()
             };
-            let got = untruncated.run(&reopened, Evaluator::Direct, threads);
+            let got = untruncated.run(&reopened, Evaluator::Direct);
             assert_eq!(got, f.expected, "{name} {}", f.id);
         }
     }

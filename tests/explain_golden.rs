@@ -4,8 +4,7 @@
 //! (handles ascend in construction order, children indent under their
 //! consumer), CSE-shared nodes printed in full exactly once with a
 //! `shared ×k` marker and as `(see above)` references thereafter, and
-//! per-operator output-entry counts from a real single-threaded
-//! execution. Regenerate a golden file by printing
+//! per-operator output-entry counts from a real execution. Regenerate a golden file by printing
 //! `Database::explain_direct` for the same query and reviewing the diff.
 
 use approxql::{Database, EvalOptions};
@@ -16,13 +15,14 @@ const CATALOG: &str = "<catalog>\
         <tracks><track><title>vivace piano</title></track></tracks></cd>\
     </catalog>";
 
+fn catalog() -> Database {
+    Database::from_xml_str(CATALOG, approxql::tables::paper_section6_costs()).unwrap()
+}
+
 fn explain(query: &str) -> String {
-    let db = Database::from_xml_str(CATALOG, approxql::tables::paper_section6_costs()).unwrap();
-    let opts = EvalOptions {
-        threads: 1,
-        ..EvalOptions::default()
-    };
-    db.explain_direct(query, Some(5), opts).unwrap()
+    catalog()
+        .explain_direct(query, Some(5), EvalOptions::default())
+        .unwrap()
 }
 
 #[test]
@@ -43,32 +43,23 @@ fn explain_figure2_query_matches_golden() {
 
 #[test]
 fn explain_is_thread_count_invariant() {
-    // The counts come from operator *outputs*, which are deterministic at
-    // any thread count; the rendering must be too.
-    let db = Database::from_xml_str(CATALOG, approxql::tables::paper_section6_costs()).unwrap();
+    // Callers may share a database across their own threads (DESIGN.md
+    // §9). The counts come from operator *outputs*, so every thread's
+    // rendering of an independently built database is the one-thread
+    // rendering.
     let query = r#"cd[track[title["piano"]]]"#;
-    let base = db
-        .explain_direct(
-            query,
-            Some(5),
-            EvalOptions {
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+    let base = explain(query);
+    let db = catalog();
     for threads in [2usize, 4] {
-        let got = db
-            .explain_direct(
-                query,
-                Some(5),
-                EvalOptions {
-                    threads,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(got, base, "explain differs at {threads} threads");
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| s.spawn(|| db.explain_direct(query, Some(5), EvalOptions::default())))
+                .collect();
+            for h in handles {
+                let got = h.join().unwrap().unwrap();
+                assert_eq!(got, base, "explain differs at {threads} threads");
+            }
+        });
     }
 }
 

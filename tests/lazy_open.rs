@@ -3,7 +3,7 @@
 //! database nonetheless: for every fixture query, on both evaluators, the
 //! same hits, costs and order, and the same work counter by counter —
 //! except the storage counters, which only a query that reads the store
-//! has. CI runs this at `APPROXQL_THREADS` 1 and 4.
+//! has.
 
 mod common;
 
@@ -28,9 +28,8 @@ fn observe(
     evaluator: Evaluator,
     nodes: usize,
 ) -> (Vec<Hit>, Vec<(Metric, u64)>) {
-    let threads = approxql::EvalOptions::default().threads;
     let before = approxql::metrics_snapshot();
-    let hits = f.run_over(db, evaluator, threads, nodes);
+    let hits = f.run_over(db, evaluator, nodes);
     (
         hits,
         non_storage(&approxql::metrics_snapshot().diff(&before)),

@@ -372,7 +372,7 @@ fn eval_harness_op_counts() {
     let diff = diff_over(|| {
         for (f, db) in fixtures.iter().zip(&dbs) {
             for &e in &f.evaluators {
-                f.check(e, &f.run(db, e, 1));
+                f.check(e, &f.run(db, e));
             }
         }
     });

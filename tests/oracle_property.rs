@@ -180,18 +180,16 @@ proptest! {
 
         for enforce in [true, false] {
             let want = oracle.best_n(&query, None, enforce);
-            for threads in [1, 4] {
-                let opts = EvalOptions {
-                    enforce_leaf_match: enforce,
-                    threads,
-                };
-                let (got, _) = direct::best_n(&expanded, &index, tree.interner(), None, opts);
-                prop_assert_eq!(
-                    &got, &want,
-                    "direct(threads={}, leaf={}) disagrees with oracle on {} over {:?}",
-                    threads, enforce, query_str, docs
-                );
-            }
+            let opts = EvalOptions {
+                enforce_leaf_match: enforce,
+                ..EvalOptions::default()
+            };
+            let (got, _) = direct::best_n(&expanded, &index, tree.interner(), None, opts);
+            prop_assert_eq!(
+                &got, &want,
+                "direct(leaf={}) disagrees with oracle on {} over {:?}",
+                enforce, query_str, docs
+            );
         }
     }
 
@@ -413,10 +411,10 @@ proptest! {
         let index = LabelIndex::build(&tree);
         let interner = tree.interner();
 
-        let minima = plan::execute(&compiled, &Algebra { index: &index, interner, domain: TwoChannel }, 1);
-        let k_best = plan::execute(&compiled, &Algebra { index: &index, interner, domain: KBest { k: K } }, 1);
+        let minima = plan::execute(&compiled, &Algebra { index: &index, interner, domain: TwoChannel });
+        let k_best = plan::execute(&compiled, &Algebra { index: &index, interner, domain: KBest { k: K } });
         for (h, op) in compiled.ops().iter().enumerate() {
-            let (Some(min), Some(best)) = (minima[h].get(), k_best[h].get()) else {
+            let (Some(min), Some(best)) = (&minima[h], &k_best[h]) else {
                 prop_assert_eq!(h, compiled.result(), "operator {} was not executed", h);
                 continue;
             };

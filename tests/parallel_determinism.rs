@@ -1,34 +1,36 @@
-//! Determinism of the parallel executor: evaluating the same query at 2,
-//! 4, and 8 worker threads must return byte-identical (pre, cost) result
-//! lists *and* identical merged work counters as the sequential run, for
-//! both evaluators.
+//! Determinism across independent builds: two databases built separately
+//! from one collection hash their labels in different orders (every
+//! `HashMap` draws its own seed). Queried side by side, each on its own
+//! thread, they must return byte-identical (pre, cost) result lists *and*
+//! the same nonzero work counters, for both evaluators.
 //!
-//! This pins the two invariants the executor is built around:
+//! This pins two properties callers rely on (DESIGN.md §9):
 //!
-//! 1. results are merged in a deterministic order regardless of which
-//!    worker finished first, and
-//! 2. worker-local metric deltas are retracted on the worker and absorbed
-//!    into the calling thread exactly when the sequential driver would
-//!    have done that work — so `--stats` output is thread-count-invariant.
+//! 1. no result and no counter depends on a hash map's iteration order;
+//! 2. a `Database` may be queried from the caller's own threads, and each
+//!    thread's counters record exactly the work of its own queries.
 //!
-//! The collection is a seeded Section 8.1 synthetic collection, built once
-//! and shared across cases (evaluation is read-only).
+//! The collection is a seeded Section 8.1 synthetic collection; both
+//! databases are built once and shared across cases (evaluation is
+//! read-only).
 
 use approxql::crates::core::schema_eval::SchemaEvalConfig;
 use approxql::crates::core::EvalOptions;
 use approxql::crates::gen::{DataGenConfig, DataGenerator};
 use approxql::{CostModel, Database, Metric};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Barrier, OnceLock};
 
-fn db() -> &'static Database {
-    static DB: OnceLock<Database> = OnceLock::new();
-    DB.get_or_init(|| {
-        let mut cfg = DataGenConfig::paper_scale_divided(1000); // 1,000 elements
-        cfg.seed = 2002;
-        let costs = CostModel::new();
-        let tree = DataGenerator::new(cfg).generate_tree(&costs);
-        Database::from_tree(tree, costs)
+fn dbs() -> &'static [Database; 2] {
+    static DBS: OnceLock<[Database; 2]> = OnceLock::new();
+    DBS.get_or_init(|| {
+        std::array::from_fn(|_| {
+            let mut cfg = DataGenConfig::paper_scale_divided(1000); // 1,000 elements
+            cfg.seed = 2002;
+            let costs = CostModel::new();
+            let tree = DataGenerator::new(cfg).generate_tree(&costs);
+            Database::from_tree(tree, costs)
+        })
     })
 }
 
@@ -50,28 +52,10 @@ fn gen_query() -> impl Strategy<Value = String> {
 
 type Run = (Vec<(approxql::NodeId, approxql::Cost)>, Vec<(Metric, u64)>);
 
-fn run_direct(query: &str, n: usize, threads: usize) -> Run {
+fn run_direct(db: &Database, query: &str, n: usize) -> Run {
     let before = approxql::metrics_snapshot();
-    let opts = EvalOptions {
-        threads,
-        ..EvalOptions::default()
-    };
-    let (hits, _) = db().query_direct_with(query, Some(n), opts).unwrap();
-    let diff = approxql::metrics_snapshot().diff(&before);
-    (
-        hits.iter().map(|h| (h.root, h.cost)).collect(),
-        diff.counters().filter(|&(_, v)| v != 0).collect(),
-    )
-}
-
-fn run_schema(query: &str, n: usize, threads: usize) -> Run {
-    let before = approxql::metrics_snapshot();
-    let opts = EvalOptions {
-        threads,
-        ..EvalOptions::default()
-    };
-    let (hits, _) = db()
-        .query_schema_with(query, n, opts, SchemaEvalConfig::default())
+    let (hits, _) = db
+        .query_direct_with(query, Some(n), EvalOptions::default())
         .unwrap();
     let diff = approxql::metrics_snapshot().diff(&before);
     (
@@ -80,42 +64,66 @@ fn run_schema(query: &str, n: usize, threads: usize) -> Run {
     )
 }
 
+fn run_schema(db: &Database, query: &str, n: usize) -> Run {
+    let before = approxql::metrics_snapshot();
+    let (hits, _) = db
+        .query_schema_with(
+            query,
+            n,
+            EvalOptions::default(),
+            SchemaEvalConfig::default(),
+        )
+        .unwrap();
+    let diff = approxql::metrics_snapshot().diff(&before);
+    (
+        hits.iter().map(|h| (h.root, h.cost)).collect(),
+        diff.counters().filter(|&(_, v)| v != 0).collect(),
+    )
+}
+
+/// Runs `run` on each database once to warm its plan cache (otherwise the
+/// first run's compile/miss counters differ), then on both at once, one
+/// thread each, released together by a barrier.
+fn side_by_side(run: impl Fn(&Database) -> Run + Sync) -> [Run; 2] {
+    for db in dbs() {
+        run(db);
+    }
+    let (run, start) = (&run, &Barrier::new(2));
+    std::thread::scope(|s| {
+        let spawn = |db| {
+            s.spawn(move || {
+                start.wait();
+                run(db)
+            })
+        };
+        dbs().each_ref().map(spawn).map(|h| h.join().unwrap())
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn parallel_direct_is_deterministic(query in gen_query(), n in 1usize..16) {
-        // Warm the shared plan cache so every measured run is a cache hit;
-        // otherwise the first run's compile/miss counters differ.
-        let _ = run_direct(&query, n, 1);
-        let (seq_hits, seq_counts) = run_direct(&query, n, 1);
-        for threads in [2usize, 4, 8] {
-            let (par_hits, par_counts) = run_direct(&query, n, threads);
-            prop_assert_eq!(
-                &par_hits, &seq_hits,
-                "direct results differ at {} threads for {}", threads, query
-            );
-            prop_assert_eq!(
-                &par_counts, &seq_counts,
-                "direct work counters differ at {} threads for {}", threads, query
-            );
-        }
+        let [(hits, counts), (other_hits, other_counts)] =
+            side_by_side(|db| run_direct(db, &query, n));
+        prop_assert!(!counts.is_empty(), "no work counted for {}", query);
+        prop_assert_eq!(&other_hits, &hits, "direct results differ between builds for {}", query);
+        prop_assert_eq!(
+            &other_counts, &counts,
+            "direct work counters differ between builds for {}", query
+        );
     }
 
     #[test]
     fn parallel_schema_is_deterministic(query in gen_query(), n in 1usize..16) {
-        let _ = run_schema(&query, n, 1);
-        let (seq_hits, seq_counts) = run_schema(&query, n, 1);
-        for threads in [2usize, 4, 8] {
-            let (par_hits, par_counts) = run_schema(&query, n, threads);
-            prop_assert_eq!(
-                &par_hits, &seq_hits,
-                "schema results differ at {} threads for {}", threads, query
-            );
-            prop_assert_eq!(
-                &par_counts, &seq_counts,
-                "schema work counters differ at {} threads for {}", threads, query
-            );
-        }
+        let [(hits, counts), (other_hits, other_counts)] =
+            side_by_side(|db| run_schema(db, &query, n));
+        prop_assert!(!counts.is_empty(), "no work counted for {}", query);
+        prop_assert_eq!(&other_hits, &hits, "schema results differ between builds for {}", query);
+        prop_assert_eq!(
+            &other_counts, &counts,
+            "schema work counters differ between builds for {}", query
+        );
     }
 }

@@ -11,9 +11,6 @@
 //! entries additionally pin the CSE win: the shared-subplan compile must
 //! do strictly fewer `merge` executions than the old per-ancestor
 //! re-evaluation (65 for these queries) while returning identical hits.
-//!
-//! Every evaluation runs at 1, 2, and 4 worker threads and must be
-//! identical at each count.
 
 use approxql::crates::core::schema_eval::{best_n_schema, SchemaEvalConfig};
 use approxql::crates::core::{direct, EvalOptions};
@@ -277,13 +274,6 @@ fn hits_str(hits: &[(u32, approxql::Cost)]) -> Vec<String> {
     hits.iter().map(|(r, c)| format!("{r}:{c}")).collect()
 }
 
-fn opts_for(threads: usize) -> EvalOptions {
-    EvalOptions {
-        threads,
-        ..EvalOptions::default()
-    }
-}
-
 #[test]
 fn tier_a_hits_and_counters_match_pre_refactor_oracle() {
     let oracle = parse_oracle();
@@ -314,60 +304,57 @@ fn tier_a_hits_and_counters_match_pre_refactor_oracle() {
                 }
                 let key = format!("TIERA\t{tree_seed}\t{pname}\t{taken}\t{}", gq.query);
                 let ex = ExpandedQuery::build(&q, &plain);
-                for threads in [1usize, 2, 4] {
-                    let ctx = format!("{key} at {threads} threads");
-                    let opts = opts_for(threads);
-                    let b = metrics_snapshot();
-                    let (dh, _) = direct::best_n(&ex, &index, tree.interner(), Some(10), opts);
-                    let dd = metrics_snapshot().diff(&b);
-                    assert_eq!(
-                        format!("{:?}", hits_str(&dh)),
-                        field(&oracle, &key, "dhits10"),
-                        "direct best-10 hits: {ctx}"
-                    );
-                    assert_eq!(
-                        format!("{:?}", counters_str(&dd)),
-                        field(&oracle, &key, "dctr10"),
-                        "direct best-10 counters: {ctx}"
-                    );
-                    let b = metrics_snapshot();
-                    let (da, _) = direct::best_n(&ex, &index, tree.interner(), None, opts);
-                    let dda = metrics_snapshot().diff(&b);
-                    assert_eq!(
-                        format!(
-                            "{} tail {:?}",
-                            da.len(),
-                            hits_str(&da[da.len().saturating_sub(3)..])
-                        ),
-                        field(&oracle, &key, "dhitsall_len"),
-                        "direct unbounded hits: {ctx}"
-                    );
-                    assert_eq!(
-                        format!("{:?}", counters_str(&dda)),
-                        field(&oracle, &key, "dctrall"),
-                        "direct unbounded counters: {ctx}"
-                    );
-                    let b = metrics_snapshot();
-                    let (sh, _) = best_n_schema(
-                        &ex,
-                        &schema,
-                        tree.interner(),
-                        10,
-                        opts,
-                        SchemaEvalConfig::default(),
-                    );
-                    let sd = metrics_snapshot().diff(&b);
-                    assert_eq!(
-                        format!("{:?}", hits_str(&sh)),
-                        field(&oracle, &key, "shits"),
-                        "schema best-10 hits: {ctx}"
-                    );
-                    assert_eq!(
-                        format!("{:?}", counters_str(&sd)),
-                        field(&oracle, &key, "sctr"),
-                        "schema best-10 counters: {ctx}"
-                    );
-                }
+                let opts = EvalOptions::default();
+                let b = metrics_snapshot();
+                let (dh, _) = direct::best_n(&ex, &index, tree.interner(), Some(10), opts);
+                let dd = metrics_snapshot().diff(&b);
+                assert_eq!(
+                    format!("{:?}", hits_str(&dh)),
+                    field(&oracle, &key, "dhits10"),
+                    "direct best-10 hits: {key}"
+                );
+                assert_eq!(
+                    format!("{:?}", counters_str(&dd)),
+                    field(&oracle, &key, "dctr10"),
+                    "direct best-10 counters: {key}"
+                );
+                let b = metrics_snapshot();
+                let (da, _) = direct::best_n(&ex, &index, tree.interner(), None, opts);
+                let dda = metrics_snapshot().diff(&b);
+                assert_eq!(
+                    format!(
+                        "{} tail {:?}",
+                        da.len(),
+                        hits_str(&da[da.len().saturating_sub(3)..])
+                    ),
+                    field(&oracle, &key, "dhitsall_len"),
+                    "direct unbounded hits: {key}"
+                );
+                assert_eq!(
+                    format!("{:?}", counters_str(&dda)),
+                    field(&oracle, &key, "dctrall"),
+                    "direct unbounded counters: {key}"
+                );
+                let b = metrics_snapshot();
+                let (sh, _) = best_n_schema(
+                    &ex,
+                    &schema,
+                    tree.interner(),
+                    10,
+                    opts,
+                    SchemaEvalConfig::default(),
+                );
+                let sd = metrics_snapshot().diff(&b);
+                assert_eq!(
+                    format!("{:?}", hits_str(&sh)),
+                    field(&oracle, &key, "shits"),
+                    "schema best-10 hits: {key}"
+                );
+                assert_eq!(
+                    format!("{:?}", counters_str(&sd)),
+                    field(&oracle, &key, "sctr"),
+                    "schema best-10 counters: {key}"
+                );
             }
             assert!(taken >= 3, "oracle capture took 3 queries per pattern");
         }
@@ -396,29 +383,26 @@ fn tier_b_renaming_hits_match_pre_refactor_oracle() {
                 let key = format!("TIERB\t{tree_seed}\t{pname}\t{i}\t{}", gq.query);
                 let q = approxql::parse_query(&gq.query).unwrap();
                 let ex = ExpandedQuery::build(&q, &gq.costs);
-                for threads in [1usize, 2, 4] {
-                    let ctx = format!("{key} at {threads} threads");
-                    let opts = opts_for(threads);
-                    let (dh, _) = direct::best_n(&ex, &index, tree.interner(), Some(10), opts);
-                    assert_eq!(
-                        format!("{:?}", hits_str(&dh)),
-                        field(&oracle, &key, "dhits10"),
-                        "direct best-10 hits: {ctx}"
-                    );
-                    let (sh, _) = best_n_schema(
-                        &ex,
-                        &schema,
-                        tree.interner(),
-                        10,
-                        opts,
-                        SchemaEvalConfig::default(),
-                    );
-                    assert_eq!(
-                        format!("{:?}", hits_str(&sh)),
-                        field(&oracle, &key, "shits"),
-                        "schema best-10 hits: {ctx}"
-                    );
-                }
+                let opts = EvalOptions::default();
+                let (dh, _) = direct::best_n(&ex, &index, tree.interner(), Some(10), opts);
+                assert_eq!(
+                    format!("{:?}", hits_str(&dh)),
+                    field(&oracle, &key, "dhits10"),
+                    "direct best-10 hits: {key}"
+                );
+                let (sh, _) = best_n_schema(
+                    &ex,
+                    &schema,
+                    tree.interner(),
+                    10,
+                    opts,
+                    SchemaEvalConfig::default(),
+                );
+                assert_eq!(
+                    format!("{:?}", hits_str(&sh)),
+                    field(&oracle, &key, "shits"),
+                    "schema best-10 hits: {key}"
+                );
             }
         }
     }
@@ -447,7 +431,13 @@ fn cse_beats_pre_refactor_merge_counts_on_renaming_queries() {
         let q = approxql::parse_query(&gq.query).unwrap();
         let ex = ExpandedQuery::build(&q, &gq.costs);
         let b = metrics_snapshot();
-        let (dh, _) = direct::best_n(&ex, &index, tree.interner(), Some(10), opts_for(1));
+        let (dh, _) = direct::best_n(
+            &ex,
+            &index,
+            tree.interner(),
+            Some(10),
+            EvalOptions::default(),
+        );
         let d = metrics_snapshot().diff(&b);
         assert_eq!(
             format!("{:?}", hits_str(&dh)),

@@ -5,7 +5,7 @@
 //! query-IR, and XPath-lite forms of the same query must compile to the
 //! **byte-identical** rendered plan, carry the same plan fingerprint,
 //! share one plan-cache entry (one compile, cross-surface cache hits),
-//! and return byte-identical results at every thread count.
+//! and return byte-identical results.
 //!
 //! The queries are read from the committed figure-2 and figure-7 fixture
 //! datasets (`tests/common`); their JSON-IR and XPath-lite spellings are derived with the
@@ -50,10 +50,7 @@ fn figure7_db() -> &'static Database {
 /// `--explain` rendering (operator tree *and* executed entry counts).
 #[test]
 fn surfaces_compile_to_byte_identical_plans() {
-    let opts = EvalOptions {
-        threads: 1,
-        ..EvalOptions::default()
-    };
+    let opts = EvalOptions::default();
     // Fresh databases so the plan caches start cold and the pinned
     // miss/hit counts below are exact.
     let dbs = [
@@ -100,10 +97,10 @@ fn surfaces_compile_to_byte_identical_plans() {
     }
 }
 
-/// Results are byte-identical across surfaces and thread counts: the
-/// surface chooses a parser, nothing downstream.
+/// Results are byte-identical across surfaces: the surface chooses a
+/// parser, nothing downstream.
 #[test]
-fn surface_results_are_identical_at_every_thread_count() {
+fn surface_results_are_identical() {
     let dbs: [(&Database, Vec<String>); 2] = [
         (&catalog_db(), queries("figure2")),
         (figure7_db(), queries("figure7_ren0")),
@@ -112,19 +109,9 @@ fn surface_results_are_identical_at_every_thread_count() {
         for classic in &queries {
             let baseline = db.query_direct(classic.as_str(), Some(10)).unwrap();
             for (surface, text) in spellings(classic) {
-                for threads in [1, 2, 4] {
-                    let opts = EvalOptions {
-                        threads,
-                        ..EvalOptions::default()
-                    };
-                    let (hits, _) = db
-                        .query_direct_with(QueryInput::with_surface(&text, surface), Some(10), opts)
-                        .unwrap();
-                    assert_eq!(
-                        hits, baseline,
-                        "{classic} via {surface} at {threads} threads"
-                    );
-                }
+                let input = QueryInput::with_surface(&text, surface);
+                let hits = db.query_direct(input, Some(10)).unwrap();
+                assert_eq!(hits, baseline, "{classic} via {surface}");
             }
         }
     }
@@ -135,10 +122,7 @@ fn surface_results_are_identical_at_every_thread_count() {
 #[test]
 fn explain_json_is_surface_independent() {
     let db = catalog_db();
-    let opts = EvalOptions {
-        threads: 1,
-        ..EvalOptions::default()
-    };
+    let opts = EvalOptions::default();
     for classic in &queries("figure2") {
         let docs: Vec<String> = spellings(classic)
             .into_iter()

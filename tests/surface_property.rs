@@ -8,15 +8,14 @@
 //! 2. **Surface translation is invisible.** The canonical JSON-IR and
 //!    XPath-lite renderings of a random query compile to plans with the
 //!    same fingerprint as the classic form, and return byte-identical
-//!    top-k results at 1 and 4 worker threads against a seeded Section
-//!    8.1 synthetic collection.
+//!    top-k results against a seeded Section 8.1 synthetic collection.
 //!
 //! The query alphabet reuses the generator's `nameNNN`/`termN` label and
 //! word spaces so a healthy fraction of queries actually match data.
 
 use approxql::crates::gen::{DataGenConfig, DataGenerator};
 use approxql::crates::plan;
-use approxql::{CostModel, Database, EvalOptions, Query, QueryInput, QueryNode, Surface};
+use approxql::{CostModel, Database, Query, QueryInput, QueryNode, Surface};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -112,7 +111,7 @@ proptest! {
     }
 
     /// Translations compile to the same plan fingerprint and return
-    /// byte-identical top-k results at 1 and 4 threads.
+    /// byte-identical top-k results.
     #[test]
     fn translations_share_plans_and_results(q in query_strategy()) {
         let db = db();
@@ -129,15 +128,11 @@ proptest! {
                 base_fp,
                 "fingerprint diverged for {} form: {}", surface, rendered
             );
-            for threads in [1usize, 4] {
-                let opts = EvalOptions { threads, ..EvalOptions::default() };
-                let (hits, _) = db.query_direct_with(input, Some(5), opts).unwrap();
-                prop_assert_eq!(
-                    &hits, &baseline,
-                    "top-k diverged for {} form at {} threads: {}",
-                    surface, threads, rendered
-                );
-            }
+            let hits = db.query_direct(input, Some(5)).unwrap();
+            prop_assert_eq!(
+                &hits, &baseline,
+                "top-k diverged for {} form: {}", surface, rendered
+            );
         }
     }
 }
