@@ -106,10 +106,8 @@ pub struct WorkCounts {
     pub second_level_queries: f64,
     /// Instances retrieved by the `secondary` executions (schema only).
     pub secondary_rows: f64,
-    /// Compressed posting frames decoded by query operators (§14).
+    /// Compressed posting frames decoded by `fetch` (§14).
     pub blocks_decoded: f64,
-    /// Compressed posting frames skipped via skip headers.
-    pub blocks_skipped: f64,
     /// Compressed frame bytes decoded by query operators.
     pub postings_bytes: f64,
 }
@@ -135,31 +133,19 @@ impl WorkCounts {
             second_level_queries: per(d.get(Metric::EvalSecondLevelQueries)),
             secondary_rows: per(d.get(Metric::EvalSecondaryRows)),
             blocks_decoded: per(d.get(Metric::PostingsBlocksDecoded)),
-            blocks_skipped: per(d.get(Metric::PostingsBlocksSkipped)),
             postings_bytes: per(d.get(Metric::PostingsBytes)),
-        }
-    }
-
-    /// Fraction of consulted compressed frames that were skipped without
-    /// decoding (the §14 *skip delta*); 0 when no frames were consulted.
-    pub fn skip_fraction(&self) -> f64 {
-        let consulted = self.blocks_decoded + self.blocks_skipped;
-        if consulted == 0.0 {
-            0.0
-        } else {
-            self.blocks_skipped / consulted
         }
     }
 
     /// TSV column names, matching [`WorkCounts::to_tsv_fields`].
     pub fn tsv_header() -> &'static str {
-        "index_fetches\tpostings\tlist_ops\tlist_entries\ttopk_ops\ttopk_entries\trounds\tsecond_level\tsecondary_rows\tblocks_decoded\tblocks_skipped\tpostings_bytes\tskip_delta"
+        "index_fetches\tpostings\tlist_ops\tlist_entries\ttopk_ops\ttopk_entries\trounds\tsecond_level\tsecondary_rows\tblocks_decoded\tpostings_bytes"
     }
 
     /// TSV column values (one decimal: the counts are per-query means).
     pub fn to_tsv_fields(&self) -> String {
         format!(
-            "{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.3}",
+            "{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}",
             self.index_fetches,
             self.postings_fetched,
             self.list_ops,
@@ -170,9 +156,7 @@ impl WorkCounts {
             self.second_level_queries,
             self.secondary_rows,
             self.blocks_decoded,
-            self.blocks_skipped,
             self.postings_bytes,
-            self.skip_fraction(),
         )
     }
 }

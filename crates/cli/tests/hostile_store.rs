@@ -2,7 +2,8 @@
 //!
 //! * A query reads only its own lists and its hits' segments, so
 //!   corruption is found where it is read: one planted value per keyspace
-//!   a query reads lazily (`ls#`, `lt#`, `sec#`, `doc#`). The query that
+//!   a query reads lazily (`ls#`, `lt#`, `sec#`, `doc#`), and one `ls#`
+//!   frame that does not decode behind valid skip headers. The query that
 //!   reads it exits 3 with the typed error, a query that does not
 //!   succeeds, and `check`, which reads everything, exits 3.
 //! * Every length or count field of every blob kind, and of the leaf entry
@@ -138,6 +139,14 @@ fn claim_frames(list: &mut [u8]) {
     list[..4].copy_from_slice(&u32::MAX.to_le_bytes());
 }
 
+/// A last varint that claims a next byte: the skip headers still hold,
+/// only a decode of the last frame fails.
+fn run_past_the_frame(list: &mut [u8]) {
+    if let Some(last) = list.last_mut() {
+        *last |= 0x80;
+    }
+}
+
 /// A document segment without its magic.
 fn break_magic(segment: &mut [u8]) {
     segment[0] ^= 0xFF;
@@ -198,6 +207,18 @@ fn corruption_surfaces_in_the_query_that_reads_it() {
             untouched: &[
                 (&["--schema", "mc[track]"], mc),
                 (&["--direct", r#"cd[composer["rachmaninov"]]"#], cd),
+            ],
+        },
+        Case {
+            what: "ls# frame",
+            key: b"ls#composer",
+            key_len: 11,
+            damage: run_past_the_frame,
+            error: "varint runs past the frame",
+            touching: &["--direct", "cd[composer]"],
+            untouched: &[
+                (&["--direct", "mc[track]"], mc),
+                (&["--schema", "cd[composer]"], cd),
             ],
         },
         Case {

@@ -420,6 +420,35 @@ mod tests {
     }
 
     #[test]
+    fn a_label_list_frame_that_does_not_decode_is_an_error() {
+        let path = temp_path("badframe");
+        let cd = "<cd><title>piano</title><composer>bach</composer></cd>";
+        let db = Database::from_xml_strs(&[cd, cd], CostModel::new()).unwrap();
+        drop(DbFile::create(&path, db).unwrap());
+        // The last varint of `ls#composer` claims a next byte: its skip
+        // headers still hold, so only a decode of its frame can tell.
+        let mut store = Store::open_file(&path).unwrap();
+        let key = label_key(approxql_tree::NodeType::Struct, "composer");
+        let mut list = store.get(&key).unwrap().unwrap();
+        *list.last_mut().unwrap() |= 0x80;
+        store.put(&key, &list).unwrap();
+        store.commit().unwrap();
+        drop(store);
+        let runs_past = |e: DatabaseError| e.to_string().contains("varint runs past the frame");
+        assert!(DbFile::open(&path).err().is_some_and(runs_past));
+        assert!(Database::check_file(&path).err().is_some_and(runs_past));
+        // A lazily opened store fails the query that reads the list, and
+        // only that one.
+        let db = Database::open(&path).unwrap();
+        assert!(db
+            .query_direct("cd[composer]", None)
+            .err()
+            .is_some_and(runs_past));
+        assert_eq!(db.query_direct("cd[title]", None).unwrap().len(), 2);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
     fn check_rejects_a_fragmented_secondary_list_and_mutation_heals_it() {
         use approxql_index::codec::BlockList;
         use approxql_index::InstancePosting;

@@ -83,13 +83,8 @@ pub(crate) fn best_n_plan_counted(
         interner,
         domain: TwoChannel,
     };
-    let slots = plan::execute(plan, &alg);
-    let mut counts: Vec<u64> = slots
-        .iter()
-        .map(|s| s.as_ref().map_or(0, |l| l.len() as u64))
-        .collect();
-    let root = slots.get(plan.root_list()).and_then(Option::as_ref);
-    let result = root.map(|l| l.force()).unwrap_or_default();
+    let mut counts = vec![0u64; plan.ops().len()];
+    let result = plan::execute(plan, &alg, |h, l| counts[h] = l.len() as u64).unwrap_or_default();
     drop(timer);
     let fetches = fetch_count(plan);
     Metric::EvalDirectFetches.add(fetches as u64);

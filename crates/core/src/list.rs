@@ -21,17 +21,14 @@
 //! literal O(s·l) rescan as the oracle, for both domains).
 //!
 //! [`Algebra`] is the backend a compiled plan executes against
-//! ([`approxql_plan::PlanAlgebra`]). Its operands are [`LazyList`]s: a
-//! fetched data list stays in compressed frames, and `join`, `outerjoin`
-//! and `intersect` decode only the frames that can contribute before
-//! they run the shared walk (DESIGN.md §14.2).
+//! ([`approxql_plan::PlanAlgebra`]). Its operands are [`List`]s: `fetch`
+//! decodes a label's compressed list once, and every operator runs its
+//! walk over decoded lists (DESIGN.md §14.2).
 
-use approxql_index::codec::{BlockList, BLOCK_SIZE};
 use approxql_index::{LabelIndex, Posting};
 use approxql_metrics::Metric;
 use approxql_plan::PlanAlgebra;
 use approxql_tree::{Cost, Interner, LabelId, NodeType};
-use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// A preorder-sorted list (strictly increasing `pre`): one value per node.
@@ -45,10 +42,6 @@ pub trait CostDomain {
     type V: Clone;
     /// What an open ancestor has collected from its descendant interval.
     type Acc;
-    /// Whether fetched lists stay compressed so that the structural
-    /// operators can skip frames. Schema lists are short and are decoded
-    /// where they are fetched.
-    const SKIPS_FRAMES: bool;
 
     /// The value `fetch` gives every node of a posting. For a leaf
     /// selector the matched node *is* an original query leaf; an inner
@@ -123,7 +116,6 @@ pub struct TwoChannel;
 impl CostDomain for TwoChannel {
     type V = Channels;
     type Acc = Channels;
-    const SKIPS_FRAMES: bool = true;
 
     #[inline]
     fn seed(&self, _label: LabelId, is_leaf: bool) -> Channels {
@@ -211,9 +203,9 @@ fn debug_check_sorted<V>(l: &[(Posting, V)]) {
 
 /// Nodes of either list; a node of both takes the domain's alternative of
 /// its two values. Values from `right` pay `c_right` first (`merge`: the
-/// rename cost; `union`: nothing). `expected` sizes the output: operator
-/// outputs live until the plan ends, so over-allocation is resident
-/// memory.
+/// rename cost; `union`: nothing). `expected` sizes the output: an
+/// operator output lives until its last consumer has run, so
+/// over-allocation is resident memory.
 fn either<D: CostDomain>(
     dom: &D,
     left: &[(Posting, D::V)],
@@ -341,124 +333,15 @@ fn interval<D: CostDomain>(
         .collect()
 }
 
-fn weight<D: CostDomain>(l: &[(Posting, D::V)]) -> usize {
+/// Entries `l` stands for in the work counters.
+pub(crate) fn weight<D: CostDomain>(l: &[(Posting, D::V)]) -> usize {
     l.iter().map(|(_, v)| D::weight(v)).sum()
-}
-
-/// A list that is either materialized or still sitting in compressed
-/// frames (a fetched posting list that no operator has decoded yet).
-#[derive(Debug, Clone)]
-pub enum LazyList<'a, V> {
-    /// A compressed posting list straight from the label index.
-    Blocks {
-        /// The compressed frames.
-        blocks: &'a BlockList,
-        /// The value every decoded node starts with.
-        seed: V,
-    },
-    /// A materialized list (every operator output).
-    Mat(List<V>),
-}
-
-impl<V: Clone> LazyList<'_, V> {
-    /// Number of nodes (from the skip headers when compressed).
-    pub fn len(&self) -> usize {
-        match self {
-            LazyList::Blocks { blocks, .. } => blocks.entry_count(),
-            LazyList::Mat(l) => l.len(),
-        }
-    }
-
-    /// True when the list holds no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The materialized list: borrows a `Mat`, decodes all frames of a
-    /// `Blocks`.
-    pub fn force(&self) -> Cow<'_, List<V>> {
-        match self {
-            LazyList::Blocks { blocks, seed } => Cow::Owned(decode_frames(blocks, seed, |_| true)),
-            LazyList::Mat(l) => Cow::Borrowed(l),
-        }
-    }
-}
-
-/// Decodes the frames of `blocks` selected by `keep` (a predicate over
-/// frame indices); rejected frames count as skipped.
-fn decode_frames<V: Clone>(
-    blocks: &BlockList,
-    seed: &V,
-    mut keep: impl FnMut(usize) -> bool,
-) -> List<V> {
-    let mut out = Vec::new();
-    let mut buf: Vec<Posting> = Vec::with_capacity(BLOCK_SIZE);
-    for i in 0..blocks.headers().len() {
-        if !keep(i) {
-            Metric::PostingsBlocksSkipped.incr();
-            continue;
-        }
-        buf.clear();
-        blocks.decode_block_into(i, &mut buf);
-        out.extend(buf.iter().map(|p| (*p, seed.clone())));
-    }
-    out
-}
-
-/// The ancestor envelope `(min pre, max bound)`: descendants with a
-/// preorder number outside `(min, max]` fall in no ancestor's interval.
-/// Computed from the skip headers when the list is compressed. The empty
-/// list yields `(u32::MAX, 0)`, which rejects everything.
-fn ancestor_envelope<V>(anc: &LazyList<V>) -> (u32, u32) {
-    let (first, max_bound) = match anc {
-        LazyList::Blocks { blocks, .. } => {
-            let hs = blocks.headers();
-            (
-                hs.first().map(|h| h.min_pre),
-                hs.iter().map(|h| h.max_bound).max(),
-            )
-        }
-        LazyList::Mat(l) => (
-            l.first().map(|(n, _)| n.pre),
-            l.iter().map(|(n, _)| n.bound).max(),
-        ),
-    };
-    (first.unwrap_or(u32::MAX), max_bound.unwrap_or(0))
-}
-
-/// Materializes `x`, skipping compressed frames whose `[min_pre,
-/// max_pre]` range cannot overlap any node (or frame) of `other`.
-fn decode_overlapping<'x, V: Clone>(
-    x: &'x LazyList<'_, V>,
-    other: &LazyList<'_, V>,
-) -> Cow<'x, List<V>> {
-    let LazyList::Blocks { blocks, seed } = x else {
-        return x.force();
-    };
-    let hs = blocks.headers();
-    // `min_pre` grows across frames, so the probe into `other` never
-    // moves backwards (a single forward gallop overall).
-    let mut from = 0usize;
-    Cow::Owned(match other {
-        LazyList::Mat(l) => decode_frames(blocks, seed, |i| {
-            from += l[from..].partition_point(|(n, _)| n.pre < hs[i].min_pre);
-            from < l.len() && l[from].0.pre <= hs[i].max_pre
-        }),
-        LazyList::Blocks { blocks: ob, .. } => {
-            let os = ob.headers();
-            decode_frames(blocks, seed, |i| {
-                from += os[from..].partition_point(|h| h.max_pre < hs[i].min_pre);
-                from < os.len() && os[from].min_pre <= hs[i].max_pre
-            })
-        }
-    })
 }
 
 /// The list algebra over one label index in one cost domain: the backend
 /// a compiled plan executes against — [`TwoChannel`] over the data
 /// indexes for the direct evaluation, [`crate::topk::KBest`] over the
-/// schema's for the adapted `primary`. Every operator output is
-/// materialized, so laziness never nests.
+/// schema's for the adapted `primary`.
 pub struct Algebra<'a, D> {
     /// The label index `fetch` reads.
     pub index: &'a LabelIndex,
@@ -468,86 +351,35 @@ pub struct Algebra<'a, D> {
     pub domain: D,
 }
 
-impl<'a, D: CostDomain> Algebra<'a, D> {
-    fn done(&self, op: Metric, out: List<D::V>) -> LazyList<'a, D::V> {
+impl<D: CostDomain> Algebra<'_, D> {
+    fn done(&self, op: Metric, out: List<D::V>) -> List<D::V> {
         self.domain.record(op, weight::<D>(&out));
-        LazyList::Mat(out)
-    }
-
-    /// `join` and `outerjoin` behind their frame pre-filter.
-    fn structural(
-        &self,
-        op: Metric,
-        ancestors: &LazyList<'a, D::V>,
-        descendants: &LazyList<'a, D::V>,
-        c_del: Cost,
-    ) -> LazyList<'a, D::V> {
-        // Descendant frames wholly outside the ancestor envelope
-        // contribute to no interval: skip them. (Any witness descendant
-        // of a kept ancestor frame lies inside the envelope, so this
-        // never starves the ancestor test below.)
-        let desc = match descendants {
-            LazyList::Blocks { blocks, seed } => {
-                let (lo, hi) = ancestor_envelope(ancestors);
-                let hs = blocks.headers();
-                Cow::Owned(decode_frames(blocks, seed, |i| {
-                    hs[i].max_pre > lo && hs[i].min_pre <= hi
-                }))
-            }
-            LazyList::Mat(l) => Cow::Borrowed(l),
-        };
-        // When unmatched ancestors are dropped anyway (`join`, or an
-        // `outerjoin` whose deletion is forbidden), skip ancestor frames
-        // with no descendant in `(min_pre, max_bound]`: every ancestor of
-        // such a frame collects nothing and would be dropped. Enclosing
-        // ancestors outside the frame are unaffected — collections fold
-        // upward transitively, not through intermediate entries. With a
-        // finite deletion cost every ancestor survives and is decoded.
-        let anc = match ancestors {
-            LazyList::Blocks { blocks, seed } if !c_del.is_finite() => {
-                let hs = blocks.headers();
-                let mut from = 0usize;
-                Cow::Owned(decode_frames(blocks, seed, |i| {
-                    from += desc[from..].partition_point(|(d, _)| d.pre <= hs[i].min_pre);
-                    from < desc.len() && desc[from].0.pre <= hs[i].max_bound
-                }))
-            }
-            other => other.force(),
-        };
-        self.done(op, interval(&self.domain, &anc, &desc, c_del))
+        out
     }
 }
 
-impl<'a, D: CostDomain> PlanAlgebra for Algebra<'a, D> {
-    type L = LazyList<'a, D::V>;
+impl<D: CostDomain> PlanAlgebra for Algebra<'_, D> {
+    type L = List<D::V>;
 
     fn empty(&self) -> Self::L {
-        LazyList::Mat(Vec::new())
+        Vec::new()
     }
 
-    /// `fetch` (Section 6.4): a list from an index posting. The logical
-    /// entry count is known from the skip headers, undecoded.
+    /// `fetch` (Section 6.4): a label's posting list, decoded once, every
+    /// node seeded with the domain's starting value.
     fn fetch(&self, label: &str, ty: NodeType, is_leaf: bool) -> Self::L {
         let Some(id) = self.interner.get(label) else {
             return self.empty();
         };
         let seed = self.domain.seed(id, is_leaf);
-        let blocks = self.index.fetch_blocks(ty, id);
-        self.domain.record(
-            Metric::ListFetchOps,
-            blocks.entry_count() * D::weight(&seed),
-        );
-        let list = LazyList::Blocks { blocks, seed };
-        if D::SKIPS_FRAMES {
-            list
-        } else {
-            LazyList::Mat(list.force().into_owned())
-        }
+        let postings = self.index.fetch(ty, id);
+        let list = postings.into_iter().map(|p| (p, seed.clone())).collect();
+        self.done(Metric::ListFetchOps, list)
     }
 
     /// The deferred edge cost of an `or` branch.
     fn shift(&self, l: &Self::L, cost: Cost) -> Self::L {
-        let mut out = l.force().into_owned();
+        let mut out = l.clone();
         if cost != Cost::ZERO {
             for (_, v) in &mut out {
                 self.domain.shift(v, cost);
@@ -555,49 +387,41 @@ impl<'a, D: CostDomain> PlanAlgebra for Algebra<'a, D> {
         }
         // A pass-through: its entries are counted where they are produced.
         self.domain.record(Metric::ListShiftOps, 0);
-        LazyList::Mat(out)
+        out
     }
 
     /// `merge` (Section 6.4): the lists of an original label and one of
     /// its renamings; `r` pays the rename cost. (Two labels meet on one
     /// node only in schema lists: two words sharing a text class.)
     fn merge(&self, l: &Self::L, r: &Self::L, c_ren: Cost) -> Self::L {
-        let (l, r) = (l.force(), r.force());
-        let out = either(&self.domain, &l, &r, c_ren, l.len() + r.len());
+        let out = either(&self.domain, l, r, c_ren, l.len() + r.len());
         self.done(Metric::ListMergeOps, out)
     }
 
     /// `join`: every ancestor that has a descendant, with
     /// `distance + cost(d)` of its best descendants.
     fn join(&self, anc: &Self::L, desc: &Self::L) -> Self::L {
-        self.structural(Metric::ListJoinOps, anc, desc, Cost::INFINITY)
+        let out = interval(&self.domain, anc, desc, Cost::INFINITY);
+        self.done(Metric::ListJoinOps, out)
     }
 
     /// `outerjoin`: `join` where deleting the leaf below the ancestor at
     /// cost `delcost` is one more alternative, so with a finite `delcost`
     /// every ancestor survives.
     fn outerjoin(&self, anc: &Self::L, desc: &Self::L, delcost: Cost) -> Self::L {
-        self.structural(Metric::ListOuterjoinOps, anc, desc, delcost)
+        let out = interval(&self.domain, anc, desc, delcost);
+        self.done(Metric::ListOuterjoinOps, out)
     }
 
     fn intersect(&self, l: &Self::L, r: &Self::L) -> Self::L {
-        let (a, b) = (decode_overlapping(l, r), decode_overlapping(r, l));
-        self.done(Metric::ListIntersectOps, both(&self.domain, &a, &b))
+        self.done(Metric::ListIntersectOps, both(&self.domain, l, r))
     }
 
     /// `union`: the two branches of an `or` below the same ancestors,
     /// so mostly the same nodes.
     fn union(&self, l: &Self::L, r: &Self::L) -> Self::L {
-        let (l, r) = (l.force(), r.force());
-        let out = either(&self.domain, &l, &r, Cost::ZERO, l.len().max(r.len()));
+        let out = either(&self.domain, l, r, Cost::ZERO, l.len().max(r.len()));
         self.done(Metric::ListUnionOps, out)
-    }
-
-    fn len(l: &Self::L) -> usize {
-        match l {
-            LazyList::Blocks { blocks, seed } => blocks.entry_count() * D::weight(seed),
-            LazyList::Mat(l) => weight::<D>(l),
-        }
     }
 }
 
@@ -633,7 +457,6 @@ pub fn sort_best(
 
 #[cfg(test)]
 mod tests {
-    use super::LazyList::Mat;
     use super::*;
     use crate::topk::{Candidate, KBest};
 
@@ -674,16 +497,12 @@ mod tests {
         }
     }
 
-    fn own(l: LazyList<Channels>) -> DataList {
-        l.force().into_owned()
-    }
-
     fn join(anc: &DataList, desc: &DataList) -> DataList {
-        own(alg().join(&Mat(anc.clone()), &Mat(desc.clone())))
+        alg().join(anc, desc)
     }
 
     fn outerjoin(anc: &DataList, desc: &DataList, c_del: Cost) -> DataList {
-        own(alg().outerjoin(&Mat(anc.clone()), &Mat(desc.clone()), c_del))
+        alg().outerjoin(anc, desc, c_del)
     }
 
     fn pres<V>(l: &[(Posting, V)]) -> Vec<u32> {
@@ -691,9 +510,33 @@ mod tests {
     }
 
     #[test]
+    fn fetch_decodes_every_frame_with_the_seed() {
+        // 300 postings: three compressed frames.
+        let postings: Vec<Posting> = (0..300)
+            .map(|i| posting(i * 10 + 1, i * 10 + 6, 1, 0))
+            .collect();
+        let mut interner = Interner::default();
+        let label = interner.intern("a");
+        let mut index = LabelIndex::default();
+        index.insert_posting(NodeType::Struct, label, postings.clone());
+        let alg = Algebra {
+            index: &index,
+            interner: &interner,
+            domain: TwoChannel,
+        };
+        for is_leaf in [false, true] {
+            let seed = TwoChannel.seed(label, is_leaf);
+            let want: DataList = postings.iter().map(|&p| (p, seed)).collect();
+            assert_eq!(alg.fetch("a", NodeType::Struct, is_leaf), want);
+        }
+        assert!(alg.fetch("a", NodeType::Text, true).is_empty());
+        assert!(alg.fetch("b", NodeType::Struct, true).is_empty());
+    }
+
+    #[test]
     fn shift_adds_to_both_channels() {
         let l = vec![e(1, 1, 0, 1, 2, Some(3)), e(2, 2, 0, 1, 2, None)];
-        let l = own(alg().shift(&Mat(l), Cost::finite(5)));
+        let l = alg().shift(&l, Cost::finite(5));
         assert_eq!(l[0].1.any, Cost::finite(7));
         assert_eq!(l[0].1.leaf, Cost::finite(8));
         assert_eq!(l[1].1.leaf, Cost::INFINITY);
@@ -703,7 +546,7 @@ mod tests {
     fn merge_interleaves_and_charges_renames() {
         let left = vec![e(1, 1, 0, 1, 0, Some(0)), e(5, 5, 0, 1, 0, Some(0))];
         let right = vec![e(3, 3, 0, 1, 0, Some(0))];
-        let m = own(alg().merge(&Mat(left), &Mat(right), Cost::finite(4)));
+        let m = alg().merge(&left, &right, Cost::finite(4));
         assert_eq!(pres(&m), vec![1, 3, 5]);
         assert_eq!(m[1].1.any, Cost::finite(4));
         assert_eq!(m[0].1.any, Cost::ZERO);
@@ -713,7 +556,7 @@ mod tests {
     fn merge_equal_pre_takes_minimum() {
         let left = vec![e(2, 2, 0, 1, 7, Some(7))];
         let right = vec![e(2, 2, 0, 1, 1, Some(1))];
-        let m = own(alg().merge(&Mat(left), &Mat(right), Cost::finite(3)));
+        let m = alg().merge(&left, &right, Cost::finite(3));
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].1.any, Cost::finite(4)); // 1 + rename 3 < 7
     }
@@ -899,7 +742,7 @@ mod tests {
     fn intersect_requires_both_sides() {
         let l = vec![e(1, 1, 0, 1, 2, Some(2)), e(3, 3, 0, 1, 1, None)];
         let r = vec![e(3, 3, 0, 1, 4, Some(6)), e(5, 5, 0, 1, 0, Some(0))];
-        let x = own(alg().intersect(&Mat(l), &Mat(r)));
+        let x = alg().intersect(&l, &r);
         assert_eq!(pres(&x), vec![3]);
         assert_eq!(x[0].1.any, Cost::finite(5));
         // leaf: min(inf + 4, 1 + 6) = 7
@@ -910,7 +753,7 @@ mod tests {
     fn union_takes_minimum_on_overlap() {
         let l = vec![e(1, 1, 0, 1, 2, Some(2))];
         let r = vec![e(1, 1, 0, 1, 1, None), e(4, 4, 0, 1, 3, Some(3))];
-        let u = own(alg().union(&Mat(l), &Mat(r)));
+        let u = alg().union(&l, &r);
         assert_eq!(u.len(), 2);
         assert_eq!(u[0].1.any, Cost::finite(1)); // min(2,1)
         assert_eq!(u[0].1.leaf, Cost::finite(2)); // min(2,inf)
@@ -945,113 +788,10 @@ mod tests {
         let some = vec![e(1, 1, 0, 1, 0, Some(0))];
         assert!(join(&empty, &some).is_empty());
         assert!(join(&some, &empty).is_empty());
-        assert!(own(alg().intersect(&Mat(vec![]), &Mat(some.clone()))).is_empty());
-        assert_eq!(own(alg().union(&Mat(vec![]), &Mat(some.clone()))).len(), 1);
-        let merged = own(alg().merge(&Mat(vec![]), &Mat(some.clone()), Cost::ZERO));
+        assert!(alg().intersect(&vec![], &some.clone()).is_empty());
+        assert_eq!(alg().union(&vec![], &some.clone()).len(), 1);
+        let merged = alg().merge(&vec![], &some.clone(), Cost::ZERO);
         assert_eq!(merged.len(), 1);
         assert_eq!(outerjoin(&some, &empty, Cost::finite(1)).len(), 1);
-    }
-
-    /// `n` disjoint sibling intervals, compressed: pre `i*10+1`, bound
-    /// `i*10+6`.
-    fn sibling_blocks(n: u32) -> BlockList {
-        let postings: Vec<Posting> = (0..n)
-            .map(|i| posting(i * 10 + 1, i * 10 + 6, 1, 0))
-            .collect();
-        BlockList::from_entries(&postings)
-    }
-
-    fn lazy(blocks: &BlockList, is_leaf: bool) -> LazyList<'_, Channels> {
-        LazyList::Blocks {
-            blocks,
-            seed: TwoChannel.seed(LabelId(0), is_leaf),
-        }
-    }
-
-    fn skipped_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
-        let before = approxql_metrics::snapshot().get(Metric::PostingsBlocksSkipped);
-        let r = f();
-        let after = approxql_metrics::snapshot().get(Metric::PostingsBlocksSkipped);
-        (r, after - before)
-    }
-
-    #[test]
-    fn compressed_ancestors_join_like_decoded_ones_and_skip_frames() {
-        // 300 ancestors span 3 compressed frames; descendants hit only a
-        // few, so whole ancestor frames are skippable.
-        let anc_blocks = sibling_blocks(300);
-        let anc_decoded = lazy(&anc_blocks, false).force().into_owned();
-        // All descendants land under ancestors of the first frame, so the
-        // second and third ancestor frames have no witness and skip.
-        let desc: DataList = [3u32, 5, 8]
-            .iter()
-            .map(|&i| e(i * 10 + 3, i * 10 + 3, 3, 1, 2, Some(4)))
-            .collect();
-
-        let (joined, skipped) =
-            skipped_during(|| own(alg().join(&lazy(&anc_blocks, false), &Mat(desc.clone()))));
-        assert_eq!(joined, join(&anc_decoded, &desc));
-        assert_eq!(skipped, 2, "witness-free ancestor frames must skip");
-        for c_del in [Cost::finite(2), Cost::INFINITY] {
-            assert_eq!(
-                own(alg().outerjoin(&lazy(&anc_blocks, false), &Mat(desc.clone()), c_del)),
-                outerjoin(&anc_decoded, &desc, c_del)
-            );
-        }
-    }
-
-    #[test]
-    fn compressed_descendant_frames_skip_outside_the_ancestor_envelope() {
-        let desc_blocks = sibling_blocks(400);
-        let desc_decoded = lazy(&desc_blocks, true).force().into_owned();
-        // One narrow ancestor: every descendant frame outside (50, 80]
-        // skips via the envelope. Descendant pathcost (1) covers ancestor
-        // pathcost + inscost (0 + 1).
-        let anc: DataList = vec![e(50, 80, 0, 1, 0, None)];
-        let (joined, skipped) =
-            skipped_during(|| own(alg().join(&Mat(anc.clone()), &lazy(&desc_blocks, true))));
-        assert_eq!(joined, join(&anc, &desc_decoded));
-        assert!(skipped > 0, "no descendant frame was skipped");
-        // A finite deletion cost forces every ancestor through but still
-        // envelope-skips descendants.
-        assert_eq!(
-            own(alg().outerjoin(
-                &Mat(anc.clone()),
-                &lazy(&desc_blocks, true),
-                Cost::finite(3)
-            )),
-            outerjoin(&anc, &desc_decoded, Cost::finite(3))
-        );
-        // Empty-ancestor envelope rejects every descendant frame.
-        assert!(own(alg().join(&Mat(vec![]), &lazy(&desc_blocks, true))).is_empty());
-    }
-
-    #[test]
-    fn compressed_operands_intersect_like_decoded_ones_in_all_mixes() {
-        let a_blocks = sibling_blocks(300);
-        let b_blocks = sibling_blocks(40);
-        let (la, lb) = (lazy(&a_blocks, true), lazy(&b_blocks, false));
-        let ea = Mat(la.force().into_owned());
-        let eb = Mat(lb.force().into_owned());
-        let want = own(alg().intersect(&ea, &eb));
-        assert!(!want.is_empty());
-        assert_eq!(own(alg().intersect(&la, &lb)), want);
-        assert_eq!(own(alg().intersect(&la, &eb)), want);
-        assert_eq!(own(alg().intersect(&ea, &lb)), want);
-        // Swapped operands: the same nodes, the leaf match on the other
-        // side.
-        assert_eq!(own(alg().intersect(&lb, &la)), want);
-    }
-
-    #[test]
-    fn lazy_list_len_comes_from_headers() {
-        let blocks = sibling_blocks(300);
-        let l = lazy(&blocks, false);
-        assert_eq!(l.len(), 300);
-        assert!(!l.is_empty());
-        assert_eq!(l.force().len(), 300);
-        let empty = BlockList::default();
-        assert!(lazy(&empty, false).is_empty());
-        assert!(Mat::<Channels>(vec![]).is_empty());
     }
 }

@@ -19,11 +19,11 @@
 //! run-time field, so one compiled plan serves every incremental round.
 
 use crate::direct::{fetch_count, EvalOptions};
-use crate::list::Algebra;
+use crate::list::{self, Algebra};
 use crate::secondary;
 use crate::topk::{self, KBest, SecondLevelQuery};
 use approxql_metrics::{time, Metric, TimerMetric};
-use approxql_plan::{self as plan, Plan, PlanAlgebra, PlanOp};
+use approxql_plan::{self as plan, Plan, PlanOp};
 use approxql_query::expand::{ExpandedNode, ExpandedQuery};
 use approxql_schema::Schema;
 use approxql_tree::{Cost, Interner};
@@ -131,27 +131,20 @@ pub fn best_k_second_level_plan(
         interner,
         domain: KBest { k },
     };
-    let slots = plan::execute(plan, &alg);
     let mut entries = 0usize;
     // `possibly_capped`: whether any accounted candidate vector reached
     // length `k` — a conservative signal that the cap may have truncated
     // embeddings. If it never fires, the enumeration is provably complete
     // at this `k`.
     let mut possibly_capped = false;
-    for (h, op) in plan.ops().iter().enumerate() {
-        if !counts_toward_entries(op) {
-            continue;
+    let root_list = plan::execute(plan, &alg, |h, list| {
+        if plan.ops().get(h).is_some_and(counts_toward_entries) {
+            entries += list::weight::<KBest>(list);
+            possibly_capped = possibly_capped || list.iter().any(|(_, v)| v.len() >= k);
         }
-        if let Some(list) = slots.get(h).and_then(Option::as_ref) {
-            entries += Algebra::<KBest>::len(list);
-            if !possibly_capped {
-                possibly_capped = list.force().iter().any(|(_, v)| v.len() >= k);
-            }
-        }
-    }
-    let root = slots.get(plan.root_list()).and_then(Option::as_ref);
-    let root_list = root.map(|l| l.force()).unwrap_or_default();
-    entries += root.map_or(0, Algebra::<KBest>::len);
+    })
+    .unwrap_or_default();
+    entries += list::weight::<KBest>(&root_list);
     let best = topk::sort_k_best(k, &root_list, opts.enforce_leaf_match);
     let complete = !possibly_capped && best.len() < k;
     SecondLevelRun {

@@ -98,7 +98,6 @@ impl CostDomain for KBest {
     /// The `k` smallest `(key, descendant, candidate)` triples, sorted;
     /// the two indices make the order total and deterministic.
     type Acc = Vec<(Cost, usize, usize)>;
-    const SKIPS_FRAMES: bool = false;
 
     fn seed(&self, label: LabelId, is_leaf: bool) -> Vec<Candidate> {
         vec![Candidate {
@@ -241,13 +240,10 @@ pub fn sort_k_best(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::list::LazyList::Mat;
-    use crate::list::{Algebra, LazyList, List};
+    use crate::list::Algebra;
     use approxql_index::LabelIndex;
     use approxql_plan::PlanAlgebra;
     use approxql_tree::Interner;
-
-    type KList = List<Vec<Candidate>>;
 
     fn cand(cost: u64, label: u32) -> Candidate {
         Candidate {
@@ -285,10 +281,6 @@ mod tests {
         }
     }
 
-    fn own(l: LazyList<Vec<Candidate>>) -> KList {
-        l.force().into_owned()
-    }
-
     fn costs(v: &[Candidate]) -> Vec<Cost> {
         v.iter().map(|c| c.cost).collect()
     }
@@ -301,7 +293,7 @@ mod tests {
             node(4, 4, 2, vec![cand(1, 2)]),
             node(5, 5, 2, vec![cand(3, 3)]),
         ];
-        let j = own(alg(2).join(&Mat(anc.clone()), &Mat(desc.clone())));
+        let j = alg(2).join(&anc, &desc);
         assert_eq!(j.len(), 1);
         let v = &j[0].1;
         // distance = 2 - 0 - 1 = 1; best costs 1+1=2 and 3+1=4.
@@ -312,7 +304,7 @@ mod tests {
         // the ancestor's own label is preserved.
         assert_eq!(v[0].label, LabelId(7));
         // k = 1 is the minimum.
-        let j = own(alg(1).join(&Mat(anc), &Mat(desc)));
+        let j = alg(1).join(&anc, &desc);
         assert_eq!(costs(&j[0].1), vec![Cost::finite(2)]);
     }
 
@@ -320,7 +312,7 @@ mod tests {
     fn outerjoin_inserts_deletion_candidate_in_order() {
         let anc = vec![node(1, 9, 0, vec![cand(0, 0)])];
         let desc = vec![node(3, 3, 2, vec![cand(5, 1)])]; // match cost 6
-        let oj = own(alg(2).outerjoin(&Mat(anc), &Mat(desc), Cost::finite(4)));
+        let oj = alg(2).outerjoin(&anc, &desc, Cost::finite(4));
         let v = &oj[0].1;
         assert_eq!(costs(v), vec![Cost::finite(4), Cost::finite(6)]);
         assert!(!v[0].has_leaf); // deletion first
@@ -331,9 +323,9 @@ mod tests {
     #[test]
     fn outerjoin_keeps_ancestor_without_descendants() {
         let anc = vec![node(1, 9, 0, vec![cand(0, 0)])];
-        let oj = own(alg(3).outerjoin(&Mat(anc.clone()), &Mat(vec![]), Cost::finite(4)));
+        let oj = alg(3).outerjoin(&anc, &vec![], Cost::finite(4));
         assert_eq!(costs(&oj[0].1), vec![Cost::finite(4)]);
-        let oj = own(alg(3).outerjoin(&Mat(anc), &Mat(vec![]), Cost::INFINITY));
+        let oj = alg(3).outerjoin(&anc, &vec![], Cost::INFINITY);
         assert!(oj.is_empty());
     }
 
@@ -350,12 +342,10 @@ mod tests {
         a1.children = vec![leaf(3, 1)];
         let mut b1 = cand(2, 0);
         b1.children = vec![leaf(4, 2)];
-        let x = own({
-            alg(4).intersect(
-                &Mat(vec![node(2, 5, 0, vec![a1])]),
-                &Mat(vec![node(2, 5, 0, vec![b1])]),
-            )
-        });
+        let x = alg(4).intersect(
+            &vec![node(2, 5, 0, vec![a1])],
+            &vec![node(2, 5, 0, vec![b1])],
+        );
         assert_eq!(costs(&x[0].1), vec![Cost::finite(3)]);
         assert_eq!(x[0].1[0].children.len(), 2);
     }
@@ -364,7 +354,7 @@ mod tests {
     fn intersect_caps_pairs_at_k() {
         let l = vec![node(2, 5, 0, vec![cand(0, 0), cand(1, 0)])];
         let r = vec![node(2, 5, 0, vec![cand(0, 0), cand(10, 0)])];
-        let x = own(alg(3).intersect(&Mat(l), &Mat(r)));
+        let x = alg(3).intersect(&l, &r);
         assert_eq!(
             costs(&x[0].1),
             vec![Cost::ZERO, Cost::finite(1), Cost::finite(10)]
@@ -378,7 +368,7 @@ mod tests {
             node(2, 5, 0, vec![cand(1, 0)]),
             node(7, 7, 0, vec![cand(0, 0)]),
         ];
-        let u = own(alg(1).union(&Mat(l), &Mat(r)));
+        let u = alg(1).union(&l, &r);
         // node 2 keeps only the cheaper candidate; node 7 is copied.
         assert_eq!(u.len(), 2);
         assert_eq!(costs(&u[0].1), vec![Cost::finite(1)]);
@@ -392,7 +382,7 @@ mod tests {
             node(2, 5, 0, vec![cand(0, 11)]),
             node(3, 3, 0, vec![cand(0, 11)]),
         ];
-        let m = own(alg(1).merge(&Mat(l), &Mat(r), Cost::finite(2)));
+        let m = alg(1).merge(&l, &r, Cost::finite(2));
         // shared node 2: original (0) beats renamed (2); k=1 keeps 1.
         assert_eq!(m.len(), 2);
         assert_eq!(costs(&m[0].1), vec![Cost::ZERO]);
@@ -431,7 +421,7 @@ mod tests {
             node(4, 4, 2, vec![cand(0, 1)]),
             node(7, 7, 1, vec![cand(0, 2)]),
         ];
-        let j = own(alg(2).join(&Mat(anc), &Mat(desc)));
+        let j = alg(2).join(&anc, &desc);
         assert_eq!(j[0].1.len(), 2);
         assert_eq!(j[1].1.len(), 1);
         assert_eq!(j[1].1[0].children[0].pre, 4);

@@ -3,12 +3,13 @@
 //! Every posting list the store holds — `ls#`/`lt#` label postings and
 //! `sec#` instance lists alike — is one [`BlockList`]: delta-encoded
 //! varint frames of up to [`BLOCK_SIZE`] entries, each fronted by a
-//! [`BlockHeader`] skip entry (`min_pre`/`max_pre`/`max_bound`/count/byte
-//! offset) so that consumers can decide from the headers alone whether a
-//! frame can contribute to a join or intersection, and decode only those
-//! that can. The codec is generic over the entry type ([`FrameEntry`]):
-//! an entry is `pre`, `bound` and whatever extra varint columns its type
-//! adds (two costs for [`Posting`], none for [`InstancePosting`]).
+//! header (`min_pre`/`max_pre`/`max_bound`/count/byte offset).
+//! The headers serve decoding — a frame's first `pre`, its entry count
+//! and where its bytes start — and validation: a loaded list is held
+//! against them frame by frame ([`BlockList::validate`]). The codec is
+//! generic over the entry type ([`FrameEntry`]): an entry is `pre`,
+//! `bound` and whatever extra varint columns its type adds (two costs for
+//! [`Posting`], none for [`InstancePosting`]).
 
 use crate::{InstancePosting, Posting};
 use approxql_metrics::Metric;
@@ -31,32 +32,30 @@ impl std::error::Error for PostingDecodeError {}
 /// Entries per compressed frame (the last frame of a list may be shorter).
 pub const BLOCK_SIZE: usize = 128;
 
-/// Bytes one serialized [`BlockHeader`] occupies in [`BlockList::to_bytes`].
+/// Bytes one serialized `BlockHeader` occupies in [`BlockList::to_bytes`].
 const HEADER_BYTES: usize = 20;
 
-/// Skip entry of one compressed frame. `min_pre`/`max_pre` bound the
+/// Header of one compressed frame. `min_pre`/`max_pre` bound the
 /// preorder numbers inside the frame (frames partition a strictly
 /// pre-sorted list, so ranges of consecutive frames are disjoint and
-/// increasing); `max_bound` is the largest subtree bound, which an
-/// interval join needs to decide whether *any* entry of the frame can
-/// still contain a given descendant.
+/// increasing); `max_bound` is the largest subtree bound in the frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockHeader {
+struct BlockHeader {
     /// Smallest preorder number in the frame (= the first entry's `pre`).
-    pub min_pre: u32,
+    min_pre: u32,
     /// Largest preorder number in the frame (= the last entry's `pre`).
-    pub max_pre: u32,
+    max_pre: u32,
     /// Largest subtree bound of any entry in the frame (≥ `max_pre`).
-    pub max_bound: u32,
+    max_bound: u32,
     /// Number of entries in the frame (1..=[`BLOCK_SIZE`]).
-    pub count: u32,
+    count: u32,
     /// Byte offset of the frame inside the payload.
-    pub offset: u32,
+    offset: u32,
 }
 
 // The frame loops are generic, so an optimized build instantiates them in
-// the crate that uses them (`approxql-core`'s list algebra); the varint
-// and cost helpers they call per entry must be inlinable from there.
+// each crate that decodes a list; the varint and cost helpers they call
+// per entry must be inlinable from there.
 
 /// Unsigned LEB128.
 #[inline]
@@ -245,11 +244,6 @@ impl<E: FrameEntry> BlockList<E> {
         list
     }
 
-    /// The skip headers, one per frame, in preorder.
-    pub fn headers(&self) -> &[BlockHeader] {
-        &self.headers
-    }
-
     /// Total number of entries across all frames.
     pub fn entry_count(&self) -> usize {
         self.entries
@@ -301,31 +295,23 @@ impl<E: FrameEntry> BlockList<E> {
         Ok(())
     }
 
-    /// Decodes frame `i` onto `out`, recording the query-time decode
-    /// metrics (`postings.blocks_decoded`, `postings.bytes`). A corrupt
-    /// frame — impossible for lists built by [`BlockList::from_entries`] —
-    /// contributes nothing instead of panicking.
-    pub fn decode_block_into(&self, i: usize, out: &mut Vec<E>) {
-        if i >= self.headers.len() {
-            return;
-        }
-        Metric::PostingsBlocksDecoded.incr();
-        let (start, end) = self.frame_range(i);
-        Metric::PostingsBytes.add(end.saturating_sub(start) as u64);
-        let before = out.len();
-        let r = self.decode_frame_into(i, out);
-        debug_assert!(r.is_ok(), "frame {i} failed to decode: {r:?}");
-        if r.is_err() {
-            out.truncate(before);
-        }
-    }
-
-    /// Decodes every frame at query time (counts like
-    /// [`BlockList::decode_block_into`]).
+    /// Decodes every frame at query time, recording the query-time decode
+    /// metrics (`postings.blocks_decoded`, `postings.bytes`) per frame. A
+    /// corrupt frame — impossible for lists built by
+    /// [`BlockList::from_entries`] or loaded and checked by
+    /// [`BlockList::validate`] — contributes nothing instead of panicking.
     pub fn decode_all(&self) -> Vec<E> {
         let mut out = Vec::with_capacity(self.capacity_from(0));
         for i in 0..self.headers.len() {
-            self.decode_block_into(i, &mut out);
+            Metric::PostingsBlocksDecoded.incr();
+            let (start, end) = self.frame_range(i);
+            Metric::PostingsBytes.add(end.saturating_sub(start) as u64);
+            let before = out.len();
+            let r = self.decode_frame_into(i, &mut out);
+            debug_assert!(r.is_ok(), "frame {i} failed to decode: {r:?}");
+            if r.is_err() {
+                out.truncate(before);
+            }
         }
         out
     }
@@ -335,6 +321,34 @@ impl<E: FrameEntry> BlockList<E> {
     /// fails on the first frame that does not decode.
     pub fn try_decode(&self) -> Result<Vec<E>, PostingDecodeError> {
         self.decode_from(0)
+    }
+
+    /// Decodes every frame off the query path and holds it against its
+    /// header: strictly increasing `pre` from `min_pre` to `max_pre`, and
+    /// `max_bound`. (The entry count is what the decode reads, and a frame
+    /// with bytes left over fails.) Fails on the first frame that does not
+    /// decode or contradicts its header.
+    pub fn validate(&self) -> Result<(), PostingDecodeError> {
+        self.decode_checked().map(drop)
+    }
+
+    fn decode_checked(&self) -> Result<Vec<E>, PostingDecodeError> {
+        let mut all = Vec::with_capacity(self.capacity_from(0));
+        for (i, h) in self.headers.iter().enumerate() {
+            let start = all.len();
+            self.decode_frame_into(i, &mut all)?;
+            let frame = &all[start..];
+            let max_bound = frame.iter().map(|e| e.bound()).max().unwrap_or(0);
+            let sorted = frame.windows(2).all(|w| w[0].pre() < w[1].pre());
+            if !sorted
+                || frame.first().map(|e| e.pre()) != Some(h.min_pre)
+                || frame.last().map(|e| e.pre()) != Some(h.max_pre)
+                || max_bound != h.max_bound
+            {
+                return Err(PostingDecodeError("frame contents contradict skip header"));
+            }
+        }
+        Ok(all)
     }
 
     fn decode_from(&self, from: usize) -> Result<Vec<E>, PostingDecodeError> {
@@ -362,7 +376,7 @@ impl<E: FrameEntry> BlockList<E> {
         out
     }
 
-    /// Deserializes [`BlockList::to_bytes`] output, validating the skip
+    /// Deserializes [`BlockList::to_bytes`] output, validating the frame
     /// headers structurally (monotone offsets and pre ranges, entry counts
     /// in range) without decoding the frames. Every frame must span at
     /// least `E::VARINTS × count − 1` payload bytes (the first entry's pre
@@ -480,8 +494,9 @@ impl<E: FrameEntry> BlockList<E> {
     }
 
     /// Frames `from..` decoded for re-chunking. A frame that does not
-    /// decode (only [`BlockList::check_integrity`] looks inside frames)
-    /// drops the re-chunked tail instead of panicking.
+    /// decode — impossible for a list that was built here or passed
+    /// [`BlockList::validate`] on load — drops the re-chunked tail instead
+    /// of panicking.
     fn decode_for_mutation(&self, from: usize) -> Vec<E> {
         let r = self.decode_from(from);
         debug_assert!(r.is_ok(), "frames {from}.. failed to decode: {r:?}");
@@ -534,29 +549,11 @@ impl<E: FrameEntry> BlockList<E> {
         self.entries += entries.len();
     }
 
-    /// Full integrity check used by `approxql check`: every frame must
-    /// decode, the decoded entries must match the skip header
-    /// (`min_pre`/`max_pre`/`max_bound`/count, strictly increasing pre),
+    /// Full integrity check used by `approxql check`: [`BlockList::validate`],
     /// and re-encoding the decoded list must reproduce this representation
     /// byte for byte.
     pub fn check_integrity(&self) -> Result<(), PostingDecodeError> {
-        let all = self.try_decode()?;
-        let mut rest = &all[..];
-        for h in &self.headers {
-            let Some((frame, tail)) = rest.split_at_checked(h.count as usize) else {
-                return Err(PostingDecodeError("frame contents contradict skip header"));
-            };
-            rest = tail;
-            let max_bound = frame.iter().map(|e| e.bound()).max().unwrap_or(0);
-            let sorted = frame.windows(2).all(|w| w[0].pre() < w[1].pre());
-            if !sorted
-                || frame.first().map(|e| e.pre()) != Some(h.min_pre)
-                || frame.last().map(|e| e.pre()) != Some(h.max_pre)
-                || max_bound != h.max_bound
-            {
-                return Err(PostingDecodeError("frame contents contradict skip header"));
-            }
-        }
+        let all = self.decode_checked()?;
         if Self::from_entries(&all) != *self {
             return Err(PostingDecodeError("block list is not a canonical encoding"));
         }
@@ -667,20 +664,13 @@ mod tests {
 
     #[test]
     fn block_headers_describe_their_frames() {
-        let ps = sample_postings(300);
-        let bl = BlockList::from_entries(&ps);
-        assert_eq!(bl.headers().len(), 3);
-        let mut total = 0usize;
-        for (i, h) in bl.headers().iter().enumerate() {
-            let mut frame = Vec::new();
-            bl.decode_block_into(i, &mut frame);
-            assert_eq!(frame.len(), h.count as usize);
-            assert_eq!(frame.first().unwrap().pre, h.min_pre);
-            assert_eq!(frame.last().unwrap().pre, h.max_pre);
-            assert_eq!(frame.iter().map(|p| p.bound).max().unwrap(), h.max_bound);
-            total += frame.len();
-        }
-        assert_eq!(total, ps.len());
+        let bl = BlockList::from_entries(&sample_postings(300));
+        assert_eq!(bl.headers.len(), 3);
+        assert_eq!(
+            bl.headers.iter().map(|h| h.count).collect::<Vec<_>>(),
+            [128, 128, 44]
+        );
+        bl.validate().unwrap();
     }
 
     #[test]
@@ -706,6 +696,30 @@ mod tests {
         let loaded = BlockList::<Posting>::from_bytes(&garbled).unwrap();
         assert!(loaded.check_integrity().is_err());
         assert!(loaded.try_decode().is_err());
+        assert!(loaded.validate().is_err());
+        // A last varint that claims a next byte: the headers hold, the
+        // last frame does not decode.
+        let mut cut = bytes.clone();
+        *cut.last_mut().unwrap() |= 0x80;
+        let loaded = BlockList::<Posting>::from_bytes(&cut).unwrap();
+        assert_eq!(
+            loaded.validate(),
+            Err(PostingDecodeError("varint runs past the frame"))
+        );
+        // A header whose `max_bound` no entry reaches.
+        let mut wide = bytes.clone();
+        let max_bound_at = 4 + 8;
+        wide[max_bound_at..max_bound_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let loaded = BlockList::<Posting>::from_bytes(&wide).unwrap();
+        assert_eq!(loaded.try_decode().unwrap(), sample_postings(200));
+        assert_eq!(
+            loaded.validate(),
+            Err(PostingDecodeError("frame contents contradict skip header"))
+        );
+        BlockList::<Posting>::from_bytes(&bytes)
+            .unwrap()
+            .validate()
+            .unwrap();
     }
 
     #[test]

@@ -13,9 +13,6 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Default)]
 pub struct LabelIndex {
     map: HashMap<(NodeType, LabelId), BlockList>,
-    /// Shared zero-posting list for misses ([`LabelIndex::fetch_blocks`]
-    /// returns a reference).
-    empty: BlockList,
 }
 
 impl LabelIndex {
@@ -34,28 +31,19 @@ impl LabelIndex {
             .into_iter()
             .map(|(k, v)| (k, BlockList::from_entries(&v)))
             .collect();
-        LabelIndex {
-            map,
-            empty: BlockList::default(),
-        }
+        LabelIndex { map }
     }
 
     /// The posting for `(ty, label)`, fully decoded; empty if the label
     /// never occurs with that type. This is the `fetch` primitive of
-    /// Section 6.4 for consumers that need a materialized list.
+    /// Section 6.4: every frame is decoded once, here.
     pub fn fetch(&self, ty: NodeType, label: LabelId) -> Vec<Posting> {
-        let blocks = self.fetch_blocks(ty, label);
-        blocks.decode_all()
-    }
-
-    /// The compressed posting for `(ty, label)` without decoding it —
-    /// the skip-based list operators consume the frames lazily. Records
-    /// the same index counters as [`LabelIndex::fetch`].
-    pub fn fetch_blocks(&self, ty: NodeType, label: LabelId) -> &BlockList {
-        let blocks = self.map.get(&(ty, label)).unwrap_or(&self.empty);
         Metric::IndexLabelFetches.incr();
+        let Some(blocks) = self.map.get(&(ty, label)) else {
+            return Vec::new();
+        };
         Metric::IndexPostingsFetched.add(blocks.entry_count() as u64);
-        blocks
+        blocks.decode_all()
     }
 
     /// Number of `(type, label)` postings.
@@ -90,15 +78,19 @@ impl LabelIndex {
             .insert((ty, label), BlockList::from_entries(&posting));
     }
 
-    /// Inserts the posting of `(ty, label)` from its stored value,
-    /// validating the skip headers; the frames stay compressed.
+    /// Inserts the posting of `(ty, label)` from its stored value. Every
+    /// frame is decoded and held against its header
+    /// ([`BlockList::validate`]), so a list that loads is one that `fetch`
+    /// decodes in full; the frames stay compressed.
     pub fn insert_bytes(
         &mut self,
         ty: NodeType,
         label: LabelId,
         value: &[u8],
     ) -> Result<(), PostingDecodeError> {
-        self.map.insert((ty, label), BlockList::from_bytes(value)?);
+        let list = BlockList::from_bytes(value)?;
+        list.validate()?;
+        self.map.insert((ty, label), list);
         Ok(())
     }
 

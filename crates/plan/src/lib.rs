@@ -18,7 +18,8 @@
 //!
 //! Execution runs the operators in handle order on the calling thread:
 //! compilation puts every input before its consumer, so one forward pass
-//! executes each node exactly once however often it is referenced.
+//! executes each node exactly once however often it is referenced, and
+//! drops each output as soon as its last consumer has run.
 
 use approxql_cost::{Cost, NodeType};
 use approxql_metrics::Metric;
@@ -426,23 +427,46 @@ pub trait PlanAlgebra {
     fn intersect(&self, l: &Self::L, r: &Self::L) -> Self::L;
     /// `or` combination.
     fn union(&self, l: &Self::L, r: &Self::L) -> Self::L;
-    /// Entry count of a list (for per-operator statistics).
-    fn len(l: &Self::L) -> usize;
 }
 
 /// Executes every list-valued operator of `plan` exactly once, in handle
-/// order (every input precedes its consumer).
+/// order (every input precedes its consumer), and returns the
+/// [`Plan::root_list`] list; the caller applies its best-n/best-k
+/// selection to it.
 ///
-/// Returns one slot per operator (the `SortBest` slot stays empty); the
-/// caller applies its best-n/best-k selection to the [`Plan::root_list`]
-/// slot.
-pub fn execute<A: PlanAlgebra>(plan: &Plan, alg: &A) -> Vec<Option<A::L>> {
-    let mut slots: Vec<Option<A::L>> = Vec::with_capacity(plan.ops.len());
+/// `seen` is shown each operator's output once, right after it is
+/// produced. An output is then kept only while a consumer that has not
+/// run yet needs it: it is dropped as soon as its last consumer has run,
+/// so at most the lists still to be read are resident. The root list is
+/// never dropped.
+pub fn execute<A: PlanAlgebra>(
+    plan: &Plan,
+    alg: &A,
+    mut seen: impl FnMut(PlanHandle, &A::L),
+) -> Option<A::L> {
+    let mut slots: Vec<Option<A::L>> = std::iter::repeat_with(|| None)
+        .take(plan.ops.len())
+        .collect();
+    // Consumers still to run, per operator; the terminal `SortBest` never
+    // runs, so its input (the root list) never reaches 0.
+    let mut pending = plan.uses.clone();
     for (h, op) in plan.ops.iter().enumerate() {
-        let out = (h != plan.result).then(|| run_op(alg, op, &slots));
-        slots.push(out);
+        if h == plan.result {
+            continue;
+        }
+        let out = run_op(alg, op, &slots);
+        seen(h, &out);
+        slots[h] = Some(out);
+        for i in op.inputs() {
+            if let Some(p) = pending.get_mut(i) {
+                *p = p.saturating_sub(1);
+                if *p == 0 {
+                    slots[i] = None;
+                }
+            }
+        }
     }
-    slots
+    slots.get_mut(plan.root_list).and_then(Option::take)
 }
 
 /// Executes one operator against the slots of its inputs. Total: an input
@@ -718,6 +742,99 @@ mod tests {
         ] {
             plan_for(q, &costs);
         }
+    }
+
+    /// Lists that know which of them are alive: the `n`-th list created
+    /// has id `n`, and dropping it takes it out of `alive`.
+    #[derive(Default)]
+    struct Live {
+        created: std::cell::Cell<usize>,
+        alive: std::cell::RefCell<std::collections::BTreeSet<usize>>,
+    }
+
+    struct Tracked<'a>(usize, &'a Live);
+
+    impl Drop for Tracked<'_> {
+        fn drop(&mut self) {
+            self.1.alive.borrow_mut().remove(&self.0);
+        }
+    }
+
+    struct Counting<'a>(&'a Live);
+
+    impl<'a> Counting<'a> {
+        fn list(&self) -> Tracked<'a> {
+            let id = self.0.created.get();
+            self.0.created.set(id + 1);
+            self.0.alive.borrow_mut().insert(id);
+            Tracked(id, self.0)
+        }
+    }
+
+    impl<'a> PlanAlgebra for Counting<'a> {
+        type L = Tracked<'a>;
+        fn empty(&self) -> Tracked<'a> {
+            self.list()
+        }
+        fn fetch(&self, _: &str, _: NodeType, _: bool) -> Tracked<'a> {
+            self.list()
+        }
+        fn shift(&self, _: &Tracked<'a>, _: Cost) -> Tracked<'a> {
+            self.list()
+        }
+        fn merge(&self, _: &Tracked<'a>, _: &Tracked<'a>, _: Cost) -> Tracked<'a> {
+            self.list()
+        }
+        fn join(&self, _: &Tracked<'a>, _: &Tracked<'a>) -> Tracked<'a> {
+            self.list()
+        }
+        fn outerjoin(&self, _: &Tracked<'a>, _: &Tracked<'a>, _: Cost) -> Tracked<'a> {
+            self.list()
+        }
+        fn intersect(&self, _: &Tracked<'a>, _: &Tracked<'a>) -> Tracked<'a> {
+            self.list()
+        }
+        fn union(&self, _: &Tracked<'a>, _: &Tracked<'a>) -> Tracked<'a> {
+            self.list()
+        }
+    }
+
+    #[test]
+    fn outputs_are_dropped_after_their_last_consumer() {
+        let costs = CostModel::builder()
+            .insert_default(1)
+            .rename(NodeType::Struct, "a", "x", Cost::finite(2))
+            .rename(NodeType::Struct, "b", "c", Cost::finite(2))
+            .delete(NodeType::Struct, "b", Cost::finite(3))
+            .delete(NodeType::Text, "w", Cost::finite(1))
+            .build();
+        let p = plan_for(r#"a[b["w" or "v"] and c]"#, &costs);
+        assert!(p.shared_ops() > 0, "the plan shares no output");
+        // The handle of each operator's last consumer (`SortBest` for the
+        // root list); `None` for the terminal `SortBest` itself.
+        let mut last = vec![None; p.ops().len()];
+        for (h, op) in p.ops().iter().enumerate() {
+            for i in op.inputs() {
+                last[i] = Some(h);
+            }
+        }
+        let live = Live::default();
+        let root = execute(&p, &Counting(&live), |h, out| {
+            // Operators run in handle order, one list each.
+            assert_eq!(out.0, h);
+            // Alive: this output, and every earlier one whose last
+            // consumer is this operator or still to run.
+            let want: std::collections::BTreeSet<usize> = (0..=h)
+                .filter(|&j| j == h || last[j].is_some_and(|c| c >= h))
+                .collect();
+            assert_eq!(*live.alive.borrow(), want, "at operator {h}");
+        });
+        let root = root.expect("the root list is returned");
+        assert_eq!(root.0, p.root_list());
+        assert_eq!(*live.alive.borrow(), [p.root_list()].into());
+        assert_eq!(live.created.get(), p.ops().len() - 1);
+        drop(root);
+        assert!(live.alive.borrow().is_empty());
     }
 
     #[test]

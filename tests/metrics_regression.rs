@@ -76,9 +76,10 @@ fn direct_figure2_query_op_counts() {
             (Metric::PlanCompile, 1),
             (Metric::PlanCacheMisses, 1),
             (Metric::PlanCseReuses, 31),
-            (Metric::PostingsBlocksDecoded, 18),
-            (Metric::PostingsBlocksSkipped, 6),
-            (Metric::PostingsBytes, 106),
+            // Each fetch decodes its frames once: one frame per fetched
+            // list, 7 in all.
+            (Metric::PostingsBlocksDecoded, 7),
+            (Metric::PostingsBytes, 37),
             (Metric::EvalDirectRuns, 1),
             (Metric::EvalDirectFetches, 12),
         ],
@@ -307,10 +308,10 @@ fn generated_collection_op_counts() {
             (Metric::ListEntriesProduced, 407),
             (Metric::PlanCompile, 1),
             (Metric::PlanCacheMisses, 1),
-            // 7 fetched frames total; the selective join skips 2 outright.
-            (Metric::PostingsBlocksDecoded, 5),
-            (Metric::PostingsBlocksSkipped, 2),
-            (Metric::PostingsBytes, 1616),
+            // Each fetch decodes its frames once: the three fetched lists
+            // hold 6 frames.
+            (Metric::PostingsBlocksDecoded, 6),
+            (Metric::PostingsBytes, 1620),
             (Metric::EvalDirectRuns, 1),
             (Metric::EvalDirectFetches, 3),
         ],

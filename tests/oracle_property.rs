@@ -411,14 +411,14 @@ proptest! {
         let index = LabelIndex::build(&tree);
         let interner = tree.interner();
 
-        let minima = plan::execute(&compiled, &Algebra { index: &index, interner, domain: TwoChannel });
-        let k_best = plan::execute(&compiled, &Algebra { index: &index, interner, domain: KBest { k: K } });
+        let (mut minima, mut k_best) = (vec![None; compiled.ops().len()], vec![None; compiled.ops().len()]);
+        plan::execute(&compiled, &Algebra { index: &index, interner, domain: TwoChannel }, |h, l| minima[h] = Some(l.clone()));
+        plan::execute(&compiled, &Algebra { index: &index, interner, domain: KBest { k: K } }, |h, l| k_best[h] = Some(l.clone()));
         for (h, op) in compiled.ops().iter().enumerate() {
             let (Some(min), Some(best)) = (&minima[h], &k_best[h]) else {
                 prop_assert_eq!(h, compiled.result(), "operator {} was not executed", h);
                 continue;
             };
-            let (min, best) = (min.force(), best.force());
             let at = format!("operator {h} ({}) of {query_str}", op.name());
             prop_assert_eq!(min.len(), best.len(), "node count at {}", &at);
             for ((node, channels), (k_node, candidates)) in min.iter().zip(best.iter()) {
