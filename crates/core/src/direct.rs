@@ -47,7 +47,8 @@ impl Default for EvalOptions {
 pub struct DirectStats {
     /// Number of index fetches.
     pub fetches: usize,
-    /// Total entries produced by all list operations.
+    /// Entries produced by the list operations, as the
+    /// `list.entries_produced` counter counts them.
     pub list_entries: usize,
     /// Number of physical operators executed (all but the terminal
     /// `SortBest`).
@@ -84,17 +85,26 @@ pub(crate) fn best_n_plan_counted(
         domain: TwoChannel,
     };
     let mut counts = vec![0u64; plan.ops().len()];
-    let result = plan::execute(plan, &alg, |h, l| counts[h] = l.len() as u64).unwrap_or_default();
+    // Entries as `list.entries_produced` counts them: a `shift` passes its
+    // input's entries on, and `sort_best` adds the pairs it keeps.
+    let mut list_entries = 0;
+    let result = plan::execute(plan, &alg, |h, l| {
+        counts[h] = l.len() as u64;
+        if !matches!(plan.ops()[h], PlanOp::Shift { .. }) {
+            list_entries += l.len();
+        }
+    })
+    .unwrap_or_default();
     drop(timer);
     let fetches = fetch_count(plan);
     Metric::EvalDirectFetches.add(fetches as u64);
+    let best = list::sort_best(n, &result, opts.enforce_leaf_match);
     let stats = DirectStats {
         fetches,
-        list_entries: counts.iter().sum::<u64>() as usize + result.len(),
+        list_entries: list_entries + best.len(),
         ops: plan.ops().len().saturating_sub(1),
         cse_reuses: plan.cse_reuses() as usize,
     };
-    let best = list::sort_best(n, &result, opts.enforce_leaf_match);
     if let Some(c) = counts.get_mut(plan.result()) {
         *c = best.len() as u64;
     }

@@ -11,13 +11,23 @@
 //! sorted lists are written once, here: `either` (`merge`, `union`),
 //! `both` (`intersect`) and `interval` (`join`, `outerjoin`).
 //!
+//! `either` walks any number of lists at once: `merge` takes a selector's
+//! list and all its renamed variants in one walk, so each entry is
+//! written once rather than once per later link of a chain of two-list
+//! merges. A node held by several lists folds their values in input
+//! order, which for [`crate::topk::KBest`] keeps the candidates, ties
+//! included, exactly where a chain of two-list merges put them.
+//!
 //! `interval` is a *structural merge*: both operands are
 //! preorder-sorted, so the descendants of each ancestor form a contiguous
 //! interval. A stack of currently open ancestors is maintained; each
 //! descendant updates only the innermost open ancestor, and what an
 //! ancestor collected is folded into the enclosing one when it closes.
-//! This makes the join O(|A| + |D|) amortised — the paper's O(s·l) bound
-//! is a safe upper bound for the same scheme (the unit tests keep a
+//! When no ancestor is open, no descendant up to the next ancestor's own
+//! node can be offered to any, and the walk skips them by exponential
+//! search. This makes the join O(|A| + covered |D| + |A| log gap), where
+//! a gap is a run of descendants no ancestor covers — the paper's O(s·l)
+//! bound is a safe upper bound for the same scheme (the unit tests keep a
 //! literal O(s·l) rescan as the oracle, for both domains).
 //!
 //! [`Algebra`] is the backend a compiled plan executes against
@@ -201,32 +211,103 @@ fn debug_check_sorted<V>(l: &[(Posting, V)]) {
     );
 }
 
-/// Nodes of either list; a node of both takes the domain's alternative of
-/// its two values. Values from `right` pay `c_right` first (`merge`: the
-/// rename cost; `union`: nothing). `expected` sizes the output: an
-/// operator output lives until its last consumer has run, so
-/// over-allocation is resident memory.
-fn either<D: CostDomain>(
-    dom: &D,
-    left: &[(Posting, D::V)],
-    right: &[(Posting, D::V)],
-    c_right: Cost,
-    expected: usize,
-) -> List<D::V> {
-    debug_check_sorted(left);
-    debug_check_sorted(right);
-    let paid = |v: &D::V| {
-        let mut v = v.clone();
-        if c_right != Cost::ZERO {
-            dom.shift(&mut v, c_right);
-        }
-        v
-    };
+/// A list's entries still to walk, and the cost its values pay.
+type Paying<'a, V> = (&'a [(Posting, V)], Cost);
+
+/// `v` after paying `c`.
+fn paid<D: CostDomain>(dom: &D, v: &D::V, c: Cost) -> D::V {
+    let mut v = v.clone();
+    if c != Cost::ZERO {
+        dom.shift(&mut v, c);
+    }
+    v
+}
+
+/// Nodes of any of `lists`, in one walk: a node held by several lists
+/// takes the domain's alternative of their values, folded in input
+/// order. Each list's values pay its cost first (`merge`: the rename
+/// cost; `union`: nothing). `expected` sizes the output: an operator
+/// output lives until its last consumer has run, so over-allocation is
+/// resident memory.
+///
+/// The walk takes the two lists whose next nodes come first and merges
+/// them as a pair up to the node where a third list's next node is due.
+/// So two lists (`union`) are one pairwise merge, and k lists cost O(k)
+/// per pair of lists taken.
+fn either<D: CostDomain>(dom: &D, lists: &[Paying<'_, D::V>], expected: usize) -> List<D::V> {
+    for (l, _) in lists {
+        debug_check_sorted(l);
+    }
+    let mut rest = lists.to_vec();
     let mut out = Vec::with_capacity(expected);
+    loop {
+        // The three smallest keys: a list's next node above, its number
+        // below, so that ties go to the earlier list; `u64::MAX` for none.
+        let (mut k1, mut k2, mut k3) = (u64::MAX, u64::MAX, u64::MAX);
+        for (i, (l, _)) in rest.iter().enumerate() {
+            let k = l
+                .first()
+                .map_or(u64::MAX, |(node, _)| u64::from(node.pre) << 32 | i as u64);
+            k3 = k3.min(k2.max(k));
+            k2 = k2.min(k1.max(k));
+            k1 = k1.min(k);
+        }
+        if k1 == u64::MAX {
+            return out;
+        }
+        let (lo, due) = (k1 >> 32, k3 >> 32);
+        if lo == due {
+            // Three or more lists hold node `lo`: fold them one by one.
+            let mut held: Option<(Posting, D::V)> = None;
+            for (l, c) in &mut rest {
+                if let Some(((node, v), tail)) = l.split_first() {
+                    if u64::from(node.pre) == lo {
+                        let v = paid(dom, v, *c);
+                        held = Some(match held {
+                            Some((node, acc)) => (node, dom.either(acc, v)),
+                            None => (*node, v),
+                        });
+                        *l = tail;
+                    }
+                }
+            }
+            out.extend(held);
+            continue;
+        }
+        // The two lists holding the first nodes, in input order, each cut
+        // before `due`.
+        let (i1, i2) = (k1 as u32 as usize, k2 as u32 as usize);
+        let (a, b) = (i1.min(i2), i1.max(i2));
+        let cut = |l: &[(Posting, D::V)]| match u32::try_from(due) {
+            Ok(due) => first_after(l, 0, due - 1),
+            Err(_) => l.len(),
+        };
+        let (la, ca) = rest[a];
+        let first = (&la[..cut(la)], ca);
+        let second = match rest.get(b) {
+            Some(&(lb, cb)) => (&lb[..cut(lb)], cb),
+            None => (&[][..], Cost::ZERO),
+        };
+        pair(dom, first, second, &mut out);
+        rest[a].0 = &rest[a].0[first.0.len()..];
+        if let Some((l, _)) = rest.get_mut(b) {
+            *l = &l[second.0.len()..];
+        }
+    }
+}
+
+/// The pairwise step of [`either`]: every node of `a` or `b` into `out`,
+/// a node of both taking `a`'s value first.
+fn pair<D: CostDomain>(
+    dom: &D,
+    (a, ca): Paying<'_, D::V>,
+    (b, cb): Paying<'_, D::V>,
+    out: &mut List<D::V>,
+) {
     let (mut i, mut j) = (0, 0);
     loop {
-        let order = match (left.get(i), right.get(j)) {
-            (Some(a), Some(b)) => a.0.pre.cmp(&b.0.pre),
+        let order = match (a.get(i), b.get(j)) {
+            (Some(x), Some(y)) => x.0.pre.cmp(&y.0.pre),
             (Some(_), None) => Ordering::Less,
             (None, Some(_)) => Ordering::Greater,
             (None, None) => break,
@@ -238,15 +319,14 @@ fn either<D: CostDomain>(
             j += 1;
         }
         out.push(match order {
-            Ordering::Less => left[i - 1].clone(),
-            Ordering::Greater => (right[j - 1].0, paid(&right[j - 1].1)),
+            Ordering::Less => (a[i - 1].0, paid(dom, &a[i - 1].1, ca)),
+            Ordering::Greater => (b[j - 1].0, paid(dom, &b[j - 1].1, cb)),
             Ordering::Equal => {
-                let (node, a) = left[i - 1].clone();
-                (node, dom.either(a, paid(&right[j - 1].1)))
+                let v = dom.either(paid(dom, &a[i - 1].1, ca), paid(dom, &b[j - 1].1, cb));
+                (a[i - 1].0, v)
             }
         });
     }
-    out
 }
 
 /// Nodes present in both lists, with the domain's conjunction of their
@@ -270,6 +350,24 @@ fn both<D: CostDomain>(dom: &D, left: &[(Posting, D::V)], right: &[(Posting, D::
         }
     }
     out
+}
+
+/// The index of the first node of `l` from `j` on that comes after
+/// `pre`: exponential steps from `j` bracket it and a binary search finds
+/// it, so skipping `g` nodes costs O(log g).
+fn first_after<V>(l: &[(Posting, V)], j: usize, pre: u32) -> usize {
+    let (mut at, mut step) = (j, 1);
+    let end = loop {
+        match l.get(at) {
+            Some((node, _)) if node.pre <= pre => {
+                at += step;
+                step *= 2;
+            }
+            _ => break at.min(l.len()),
+        }
+    };
+    let start = end.saturating_sub(step / 2).max(j);
+    start + l[start..end].partition_point(|(node, _)| node.pre <= pre)
 }
 
 /// Every ancestor with what the domain makes of its descendant interval
@@ -313,12 +411,23 @@ fn interval<D: CostDomain>(
         if descendant_turn {
             let d = &descendants[j];
             close_until(&mut stack, &mut collected, d.0.pre);
-            if let Some((top, acc)) = stack.last_mut() {
-                if ancestors[*top].0.pre < d.0.pre {
-                    dom.offer(acc, j, d);
+            match stack.last_mut() {
+                Some((top, acc)) => {
+                    if ancestors[*top].0.pre < d.0.pre {
+                        dom.offer(acc, j, d);
+                    }
+                    j += 1;
+                }
+                // No ancestor is open, so no ancestor covers this
+                // descendant or any other up to the next ancestor's own
+                // node: none of them is ever offered.
+                None => {
+                    j = match ancestors.get(i) {
+                        Some(a) => first_after(descendants, j, a.0.pre),
+                        None => descendants.len(),
+                    }
                 }
             }
-            j += 1;
         } else {
             close_until(&mut stack, &mut collected, ancestors[i].0.pre);
             stack.push((i, dom.open()));
@@ -390,12 +499,15 @@ impl<D: CostDomain> PlanAlgebra for Algebra<'_, D> {
         out
     }
 
-    /// `merge` (Section 6.4): the lists of an original label and one of
-    /// its renamings; `r` pays the rename cost. (Two labels meet on one
-    /// node only in schema lists: two words sharing a text class.)
-    fn merge(&self, l: &Self::L, r: &Self::L, c_ren: Cost) -> Self::L {
-        let out = either(&self.domain, l, r, c_ren, l.len() + r.len());
-        self.done(Metric::ListMergeOps, out)
+    /// `merge` (Section 6.4): the lists of an original label and of all
+    /// its renamings, in one walk; each renamed list pays its rename
+    /// cost. (Two labels meet on one node only in schema lists: two words
+    /// sharing a text class.)
+    fn merge(&self, first: &Self::L, renamed: &[(&Self::L, Cost)]) -> Self::L {
+        let mut lists = vec![(first.as_slice(), Cost::ZERO)];
+        lists.extend(renamed.iter().map(|&(l, c)| (l.as_slice(), c)));
+        let expected = lists.iter().map(|(l, _)| l.len()).sum();
+        self.done(Metric::ListMergeOps, either(&self.domain, &lists, expected))
     }
 
     /// `join`: every ancestor that has a descendant, with
@@ -420,7 +532,8 @@ impl<D: CostDomain> PlanAlgebra for Algebra<'_, D> {
     /// `union`: the two branches of an `or` below the same ancestors,
     /// so mostly the same nodes.
     fn union(&self, l: &Self::L, r: &Self::L) -> Self::L {
-        let out = either(&self.domain, l, r, Cost::ZERO, l.len().max(r.len()));
+        let lists = [(l.as_slice(), Cost::ZERO), (r.as_slice(), Cost::ZERO)];
+        let out = either(&self.domain, &lists, l.len().max(r.len()));
         self.done(Metric::ListUnionOps, out)
     }
 }
@@ -546,7 +659,7 @@ mod tests {
     fn merge_interleaves_and_charges_renames() {
         let left = vec![e(1, 1, 0, 1, 0, Some(0)), e(5, 5, 0, 1, 0, Some(0))];
         let right = vec![e(3, 3, 0, 1, 0, Some(0))];
-        let m = alg().merge(&left, &right, Cost::finite(4));
+        let m = alg().merge(&left, &[(&right, Cost::finite(4))]);
         assert_eq!(pres(&m), vec![1, 3, 5]);
         assert_eq!(m[1].1.any, Cost::finite(4));
         assert_eq!(m[0].1.any, Cost::ZERO);
@@ -556,7 +669,7 @@ mod tests {
     fn merge_equal_pre_takes_minimum() {
         let left = vec![e(2, 2, 0, 1, 7, Some(7))];
         let right = vec![e(2, 2, 0, 1, 1, Some(1))];
-        let m = alg().merge(&left, &right, Cost::finite(3));
+        let m = alg().merge(&left, &[(&right, Cost::finite(3))]);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].1.any, Cost::finite(4)); // 1 + rename 3 < 7
     }
@@ -676,21 +789,9 @@ mod tests {
         out
     }
 
-    #[test]
-    fn interval_walk_agrees_with_the_paper_rescan_in_both_domains() {
-        let nodes_a = [
-            posting(1, 20, 0, 1),
-            posting(2, 9, 1, 1),
-            posting(3, 6, 2, 1),
-            posting(10, 15, 1, 2),
-        ];
-        let nodes_d = [
-            (posting(4, 4, 4, 1), 2, Some(3)),
-            (posting(5, 5, 3, 1), 9, None),
-            (posting(8, 8, 2, 1), 0, Some(0)),
-            (posting(12, 12, 5, 1), 1, Some(4)),
-            (posting(18, 18, 1, 1), 7, Some(7)),
-        ];
+    /// The walk against the rescan over the same nodes, in both domains
+    /// and at every deletion cost. A descendant is `(node, any, leaf)`.
+    fn interval_agrees_with_rescan(nodes_a: &[Posting], nodes_d: &[(Posting, u64, Option<u64>)]) {
         let dels = [Cost::finite(1), Cost::finite(100), Cost::INFINITY];
 
         let anc: DataList = nodes_a
@@ -736,6 +837,175 @@ mod tests {
                 assert!(walked.iter().all(|(_, v)| v.len() <= k));
             }
         }
+    }
+
+    #[test]
+    fn interval_walk_agrees_with_the_paper_rescan_in_both_domains() {
+        interval_agrees_with_rescan(
+            &[
+                posting(1, 20, 0, 1),
+                posting(2, 9, 1, 1),
+                posting(3, 6, 2, 1),
+                posting(10, 15, 1, 2),
+            ],
+            &[
+                (posting(4, 4, 4, 1), 2, Some(3)),
+                (posting(5, 5, 3, 1), 9, None),
+                (posting(8, 8, 2, 1), 0, Some(0)),
+                (posting(12, 12, 5, 1), 1, Some(4)),
+                (posting(18, 18, 1, 1), 7, Some(7)),
+            ],
+        );
+
+        // Runs of descendants that no ancestor covers, long enough for the
+        // skip to take several exponential steps: before the first
+        // ancestor, between sibling ancestors (through an ancestor's own
+        // node), and after the last one. The first descendant after each
+        // skip is its ancestor's cheapest, so skipping one too many shows.
+        let anc = [
+            posting(10, 14, 0, 1),
+            posting(25, 30, 0, 1),
+            posting(31, 31, 0, 1),
+            posting(40, 60, 0, 1),
+            posting(41, 45, 1, 1),
+        ];
+        let after_skip = [11, 26, 41];
+        let covered = [12, 14, 30, 42, 43, 50];
+        let uncovered = (1..=9).chain(15..=25).chain(31..=39).chain(61..=75);
+        let mut pres: Vec<u32> = uncovered.chain(after_skip).chain(covered).collect();
+        pres.sort_unstable();
+        let desc: Vec<(Posting, u64, Option<u64>)> = pres
+            .iter()
+            .map(|&pre| {
+                let node = posting(pre, pre, 3, 1);
+                if after_skip.contains(&pre) {
+                    (node, 0, Some(0))
+                } else {
+                    (node, 2 + u64::from(pre % 3), (pre % 2 == 0).then_some(4))
+                }
+            })
+            .collect();
+        interval_agrees_with_rescan(&anc, &desc);
+    }
+
+    /// The two-list merge the n-ary walk replaced, as its oracle: `right`'s
+    /// values pay `c_right`, and a node of both takes `left`'s first.
+    fn merge_two<D: CostDomain>(
+        dom: &D,
+        left: &[(Posting, D::V)],
+        right: &[(Posting, D::V)],
+        c_right: Cost,
+    ) -> List<D::V> {
+        let mut out = Vec::new();
+        let (mut i, mut j) = (0, 0);
+        while i < left.len() || j < right.len() {
+            let order = match (left.get(i), right.get(j)) {
+                (Some(a), Some(b)) => a.0.pre.cmp(&b.0.pre),
+                (Some(_), None) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            let right_paid = || paid(dom, &right[j].1, c_right);
+            out.push(match order {
+                Ordering::Less => left[i].clone(),
+                Ordering::Greater => (right[j].0, right_paid()),
+                Ordering::Equal => (left[i].0, dom.either(left[i].1.clone(), right_paid())),
+            });
+            i += usize::from(order != Ordering::Greater);
+            j += usize::from(order != Ordering::Less);
+        }
+        out
+    }
+
+    /// The n-ary walk against a left fold of two-list merges.
+    fn either_agrees_with_fold<D: CostDomain>(dom: &D, lists: &[(List<D::V>, Cost)])
+    where
+        D::V: PartialEq + std::fmt::Debug,
+    {
+        let walked: Vec<Paying<'_, D::V>> = lists.iter().map(|(l, c)| (&l[..], *c)).collect();
+        let folded = lists
+            .iter()
+            .fold(Vec::new(), |acc, (l, c)| merge_two(dom, &acc, l, *c));
+        assert_eq!(either(dom, &walked, 0), folded);
+    }
+
+    #[test]
+    fn either_is_a_fold_of_two_list_merges_in_both_domains() {
+        // A small linear congruential generator: the cases are the same
+        // on every run.
+        let mut state = 0x2002_u64;
+        let mut draw = |below: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % below
+        };
+        let costs = [Cost::ZERO, Cost::finite(1), Cost::finite(3)];
+        for case in 0..300 {
+            // Up to six lists over 30 nodes; a density of 0 leaves a list
+            // empty, and case 0 has no list at all.
+            let count = if case == 0 { 0 } else { 1 + draw(6) as usize };
+            let mut data = Vec::new();
+            let mut schema = Vec::new();
+            let k = 1 + draw(4) as usize;
+            for i in 0..count {
+                let density = [0, 2, 5, 9][draw(4) as usize];
+                let c = costs[draw(3) as usize];
+                let (mut d, mut s) = (Vec::new(), Vec::new());
+                for pre in 0..30 {
+                    if draw(10) >= density {
+                        continue;
+                    }
+                    let any = draw(4);
+                    let leaf = (draw(2) == 0).then(|| any + draw(3));
+                    d.push(e(pre, pre, 0, 1, any, leaf));
+                    // Costs drawn from 0..3 tie often; the label tells the
+                    // lists apart.
+                    let candidates = (0..1 + draw(3))
+                        .map(|_| Candidate {
+                            cost: Cost::finite(draw(3)),
+                            has_leaf: draw(2) == 0,
+                            label: LabelId(i as u32),
+                            children: Vec::new(),
+                        })
+                        .collect();
+                    s.push((
+                        posting(pre, pre, 0, 1),
+                        KBest { k }.either(Vec::new(), candidates),
+                    ));
+                }
+                data.push((d, c));
+                schema.push((s, c));
+            }
+            either_agrees_with_fold(&TwoChannel, &data);
+            either_agrees_with_fold(&KBest { k }, &schema);
+        }
+
+        // One node in three lists, every candidate at cost 1 once paid:
+        // the cap keeps the first two lists' candidates, in input order.
+        let one = |cost: u64, label: u32| {
+            let v = vec![Candidate {
+                cost: Cost::finite(cost),
+                has_leaf: true,
+                label: LabelId(label),
+                children: Vec::new(),
+            }];
+            vec![(posting(5, 5, 0, 1), v)]
+        };
+        let lists = [
+            (one(1, 0), Cost::ZERO),
+            (one(0, 1), Cost::finite(1)),
+            (one(1, 2), Cost::ZERO),
+        ];
+        let dom = KBest { k: 2 };
+        either_agrees_with_fold(&dom, &lists);
+        let walked: Vec<Paying<'_, Vec<Candidate>>> =
+            lists.iter().map(|(l, c)| (&l[..], *c)).collect();
+        let labels: Vec<LabelId> = either(&dom, &walked, 0)[0]
+            .1
+            .iter()
+            .map(|c| c.label)
+            .collect();
+        assert_eq!(labels, [LabelId(0), LabelId(1)]);
     }
 
     #[test]
@@ -790,7 +1060,7 @@ mod tests {
         assert!(join(&some, &empty).is_empty());
         assert!(alg().intersect(&vec![], &some.clone()).is_empty());
         assert_eq!(alg().union(&vec![], &some.clone()).len(), 1);
-        let merged = alg().merge(&vec![], &some.clone(), Cost::ZERO);
+        let merged = alg().merge(&vec![], &[(&some, Cost::ZERO)]);
         assert_eq!(merged.len(), 1);
         assert_eq!(outerjoin(&some, &empty, Cost::finite(1)).len(), 1);
     }

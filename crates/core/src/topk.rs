@@ -382,7 +382,7 @@ mod tests {
             node(2, 5, 0, vec![cand(0, 11)]),
             node(3, 3, 0, vec![cand(0, 11)]),
         ];
-        let m = alg(1).merge(&l, &r, Cost::finite(2));
+        let m = alg(1).merge(&l, &[(&r, Cost::finite(2))]);
         // shared node 2: original (0) beats renamed (2); k=1 keeps 1.
         assert_eq!(m.len(), 2);
         assert_eq!(costs(&m[0].1), vec![Cost::ZERO]);

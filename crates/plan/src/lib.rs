@@ -52,15 +52,13 @@ pub enum PlanOp {
         /// Cost added to both channels of every entry.
         cost: Cost,
     },
-    /// Merge a renamed variant into a candidate list (rename cost applied
-    /// to the right side).
+    /// Merge a selector's renamed variants into its candidate list, in one
+    /// walk over all of them (each renamed list pays its rename cost).
     Merge {
-        /// The running candidate list.
-        left: PlanHandle,
-        /// The renamed label's list.
-        right: PlanHandle,
-        /// Rename cost.
-        c_ren: Cost,
+        /// The original label's list.
+        first: PlanHandle,
+        /// Each renamed variant's list and rename cost, in renaming order.
+        renamed: Vec<(PlanHandle, Cost)>,
     },
     /// Structural join: ancestors that have a descendant in `descendants`.
     Join {
@@ -107,9 +105,10 @@ impl PlanOp {
         match *self {
             PlanOp::Fetch { .. } => vec![],
             PlanOp::Shift { input, .. } | PlanOp::SortBest { input } => vec![input],
-            PlanOp::Merge { left, right, .. }
-            | PlanOp::Intersect { left, right }
-            | PlanOp::Union { left, right } => vec![left, right],
+            PlanOp::Merge { first, ref renamed } => std::iter::once(first)
+                .chain(renamed.iter().map(|&(h, _)| h))
+                .collect(),
+            PlanOp::Intersect { left, right } | PlanOp::Union { left, right } => vec![left, right],
             PlanOp::Join {
                 ancestors,
                 descendants,
@@ -231,6 +230,16 @@ impl Compiler<'_> {
         self.ex.nodes.get(u).ok_or(PlanError::BadNodeIndex(u))
     }
 
+    /// One `merge` of a selector's original list and its renamed variants;
+    /// a selector without renamings needs none.
+    fn merge(&mut self, first: PlanHandle, renamed: Vec<(PlanHandle, Cost)>) -> PlanHandle {
+        if renamed.is_empty() {
+            first
+        } else {
+            self.intern(PlanOp::Merge { first, renamed })
+        }
+    }
+
     /// The candidate list of a selector: its label's posting merged with
     /// every renamed label's (rename costs applied), in renaming order.
     fn fetch_merged(
@@ -240,24 +249,21 @@ impl Compiler<'_> {
         renamings: &[(String, Cost)],
         is_leaf: bool,
     ) -> PlanHandle {
-        let mut h = self.intern(PlanOp::Fetch {
+        let first = self.intern(PlanOp::Fetch {
             label: label.to_owned(),
             ty,
             is_leaf,
         });
+        let mut renamed = Vec::with_capacity(renamings.len());
         for (ren, c_ren) in renamings {
             let r = self.intern(PlanOp::Fetch {
                 label: ren.clone(),
                 ty,
                 is_leaf,
             });
-            h = self.intern(PlanOp::Merge {
-                left: h,
-                right: r,
-                c_ren: *c_ren,
-            });
+            renamed.push((r, *c_ren));
         }
-        h
+        self.merge(first, renamed)
     }
 
     /// The renaming-merged child result of a `Node`: the child evaluated
@@ -283,20 +289,17 @@ impl Compiler<'_> {
             ty,
             is_leaf: false,
         });
-        let mut h = self.eval(child, anc0)?;
+        let first = self.eval(child, anc0)?;
+        let mut renamed = Vec::with_capacity(renamings.len());
         for (ren, c_ren) in &renamings {
             let anc = self.intern(PlanOp::Fetch {
                 label: ren.clone(),
                 ty,
                 is_leaf: false,
             });
-            let e = self.eval(child, anc)?;
-            h = self.intern(PlanOp::Merge {
-                left: h,
-                right: e,
-                c_ren: *c_ren,
-            });
+            renamed.push((self.eval(child, anc)?, *c_ren));
         }
+        let h = self.merge(first, renamed);
         self.under_memo.insert(u, h);
         Ok(h)
     }
@@ -417,8 +420,9 @@ pub trait PlanAlgebra {
     fn fetch(&self, label: &str, ty: NodeType, is_leaf: bool) -> Self::L;
     /// Add `cost` to every entry.
     fn shift(&self, l: &Self::L, cost: Cost) -> Self::L;
-    /// Merge a renamed variant (rename cost on the right side).
-    fn merge(&self, l: &Self::L, r: &Self::L, c_ren: Cost) -> Self::L;
+    /// Merge a selector's list with its renamed variants' lists, each
+    /// renamed list paying its rename cost.
+    fn merge(&self, first: &Self::L, renamed: &[(&Self::L, Cost)]) -> Self::L;
     /// Structural ancestor/descendant join.
     fn join(&self, anc: &Self::L, desc: &Self::L) -> Self::L;
     /// Join with optional (deletable) descendant.
@@ -483,7 +487,11 @@ fn run_op<A: PlanAlgebra>(alg: &A, op: &PlanOp, slots: &[Option<A::L>]) -> A::L 
     match (op, vals.as_slice()) {
         (PlanOp::Fetch { label, ty, is_leaf }, _) => alg.fetch(label, *ty, *is_leaf),
         (PlanOp::Shift { cost, .. }, [l]) => alg.shift(l, *cost),
-        (PlanOp::Merge { c_ren, .. }, [l, r]) => alg.merge(l, r, *c_ren),
+        (PlanOp::Merge { renamed, .. }, [first, lists @ ..]) => {
+            let costs = renamed.iter().map(|&(_, c)| c);
+            let lists: Vec<(&A::L, Cost)> = lists.iter().copied().zip(costs).collect();
+            alg.merge(first, &lists)
+        }
         (PlanOp::Join { .. }, [a, d]) => alg.join(a, d),
         (PlanOp::OuterJoin { delcost, .. }, [a, d]) => alg.outerjoin(a, d, *delcost),
         (PlanOp::Intersect { .. }, [l, r]) => alg.intersect(l, r),
@@ -519,7 +527,10 @@ fn op_params(op: &PlanOp) -> String {
             format!(" {kind} \"{label}\"{leaf}")
         }
         PlanOp::Shift { cost, .. } => format!(" +{cost}"),
-        PlanOp::Merge { c_ren, .. } => format!(" ren+{c_ren}"),
+        PlanOp::Merge { renamed, .. } => {
+            let costs: Vec<String> = renamed.iter().map(|(_, c)| format!("+{c}")).collect();
+            format!(" ren{}", costs.join(","))
+        }
         PlanOp::OuterJoin { delcost, .. } => format!(" del+{delcost}"),
         _ => String::new(),
     }
@@ -709,6 +720,16 @@ mod tests {
             .filter(|o| matches!(o, PlanOp::Join { .. }))
             .count();
         assert_eq!(joins, 3);
+        // `a`'s child under `a`, `x` and `y` meets in one merge.
+        let merges: Vec<&PlanOp> = p
+            .ops()
+            .iter()
+            .filter(|o| matches!(o, PlanOp::Merge { .. }))
+            .collect();
+        assert!(
+            matches!(merges[..], [PlanOp::Merge { renamed, .. }] if renamed.len() == 2),
+            "{merges:?}"
+        );
     }
 
     #[test]
@@ -782,7 +803,7 @@ mod tests {
         fn shift(&self, _: &Tracked<'a>, _: Cost) -> Tracked<'a> {
             self.list()
         }
-        fn merge(&self, _: &Tracked<'a>, _: &Tracked<'a>, _: Cost) -> Tracked<'a> {
+        fn merge(&self, _: &Tracked<'a>, _: &[(&Tracked<'a>, Cost)]) -> Tracked<'a> {
             self.list()
         }
         fn join(&self, _: &Tracked<'a>, _: &Tracked<'a>) -> Tracked<'a> {
