@@ -118,7 +118,7 @@ fn main() {
         sstats.secondary_postings,
         sstats.max_instances
     );
-    // DESIGN.md §14: the label index stores delta/varint frames; the flat
+    // DESIGN.md §14: the label index stores delta/varint runs; the flat
     // codec it replaced spent a fixed 24 bytes per posting.
     let bytes_per_posting = col.labels.byte_len() as f64 / col.labels.entry_count().max(1) as f64;
     eprintln!(

@@ -106,9 +106,9 @@ pub struct WorkCounts {
     pub second_level_queries: f64,
     /// Instances retrieved by the `secondary` executions (schema only).
     pub secondary_rows: f64,
-    /// Compressed posting frames decoded by `fetch` (§14).
+    /// Compressed posting lists decoded by `fetch` (§14).
     pub blocks_decoded: f64,
-    /// Compressed frame bytes decoded by query operators.
+    /// Run bytes of the posting lists `fetch` decodes.
     pub postings_bytes: f64,
 }
 

@@ -551,7 +551,7 @@ fn cmd_stats(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     writeln!(out, "  postings         {}", db.labels().len())?;
     writeln!(out, "  entries          {}", db.labels().entry_count())?;
     writeln!(out, "  bytes            {}", db.labels().byte_len())?;
-    // DESIGN.md §14: delta/varint frames vs. the 24-byte flat codec.
+    // DESIGN.md §14: delta/varint runs vs. the 24-byte flat codec.
     writeln!(
         out,
         "  bytes/posting    {:.2} (flat codec: 24)",
@@ -1210,12 +1210,12 @@ mod tests {
         std::fs::write(&doc, "<catalog><cd><title>sonata</title></cd></catalog>").unwrap();
         let db = dir.join("db.axql");
         run_words(&["build", db.to_str().unwrap(), doc.to_str().unwrap()]).unwrap();
-        // Both header slots as a version-5 binary wrote them (the version
+        // Both header slots as a version-6 binary wrote them (the version
         // is bytes 8..12 of each 4 KiB slot and is read before anything
         // else of the slot, its trailer included, is trusted).
         let mut bytes = std::fs::read(&db).unwrap();
         for slot in [0, 4096] {
-            bytes[slot + 8..slot + 12].copy_from_slice(&5u32.to_le_bytes());
+            bytes[slot + 8..slot + 12].copy_from_slice(&6u32.to_le_bytes());
         }
         std::fs::write(&db, &bytes).unwrap();
         let db = db.to_str().unwrap();
@@ -1227,7 +1227,7 @@ mod tests {
             let err = run_words(&words).unwrap_err();
             assert_eq!(err.exit_code(), 3, "{words:?}");
             let msg = err.to_string();
-            assert!(msg.contains("unsupported store version 5"), "{msg}");
+            assert!(msg.contains("unsupported store version 6"), "{msg}");
             assert!(msg.contains("rebuild with `approxql build`"), "{msg}");
         }
         std::fs::remove_dir_all(&dir).unwrap();

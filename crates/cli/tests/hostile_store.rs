@@ -2,10 +2,11 @@
 //!
 //! * A query reads only its own lists and its hits' segments, so
 //!   corruption is found where it is read: one planted value per keyspace
-//!   a query reads lazily (`ls#`, `lt#`, `sec#`, `doc#`), and one `ls#`
-//!   frame that does not decode behind valid skip headers. The query that
-//!   reads it exits 3 with the typed error, a query that does not
-//!   succeeds, and `check`, which reads everything, exits 3.
+//!   a query reads lazily (`ls#`, `lt#`, `sec#`, `doc#`), one `ls#` run
+//!   that does not decode behind a count its bytes can hold, and one
+//!   `sec#` run whose second entry repeats the first one's `pre`. The
+//!   query that reads it exits 3 with the typed error, a query that does
+//!   not succeeds, and `check`, which reads everything, exits 3.
 //! * Every length or count field of every blob kind, and of the leaf entry
 //!   that holds a blob, set to 0, its value + 1, 2³¹ and its maximum:
 //!   `check` and a query that reads the field, each under a 1 GiB address
@@ -134,17 +135,26 @@ const DOCS: [&str; 2] = [
     "<mc><title>sonata</title><track>allegro</track></mc>",
 ];
 
-/// A frame count no posting list of this size can hold.
-fn claim_frames(list: &mut [u8]) {
+/// An entry count no posting list of this size can hold.
+fn claim_entries(list: &mut [u8]) {
     list[..4].copy_from_slice(&u32::MAX.to_le_bytes());
 }
 
-/// A last varint that claims a next byte: the skip headers still hold,
-/// only a decode of the last frame fails.
-fn run_past_the_frame(list: &mut [u8]) {
+/// A last varint that claims a next byte: the entry count still fits the
+/// bytes, only the decode of the last entry fails.
+fn run_past_the_end(list: &mut [u8]) {
     if let Some(last) = list.last_mut() {
         *last |= 0x80;
     }
+}
+
+/// The second entry's `pre` delta set to 0, so it repeats the first
+/// entry's `pre`: a list of two instances whose four varints (pre delta
+/// and bound delta each) are one byte each.
+fn repeat_the_first_pre(list: &mut [u8]) {
+    assert_eq!(list.len(), 4 + 4, "not two instances of one-byte varints");
+    assert_eq!(list[..4], 2u32.to_le_bytes());
+    list[6] = 0;
 }
 
 /// A document segment without its magic.
@@ -154,6 +164,8 @@ fn break_magic(segment: &mut [u8]) {
 
 struct Case<'a> {
     what: &'a str,
+    /// The store the damage is planted in a copy of.
+    store: &'a str,
     key: &'a [u8],
     key_len: usize,
     damage: fn(&mut [u8]),
@@ -169,16 +181,28 @@ fn corruption_surfaces_in_the_query_that_reads_it() {
     let dir = std::env::temp_dir().join(format!("axql-cli-hostile-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let built = build(&dir, "built", &DOCS);
+    // Two `cd`s on one path: the instance list of their class holds two
+    // entries.
+    let repeated = build(
+        &dir,
+        "repeated",
+        &[
+            "<cd><title>piano</title></cd>",
+            "<cd><title>sonata</title></cd>",
+            "<mc><track>allegro</track></mc>",
+        ],
+    );
     let cd = "#0\tcost=0\tnode=#1\t<cd>";
     let mc = "#0\tcost=0\tnode=#7\t<mc>";
     let segment = [b"doc#".as_slice(), &7u32.to_be_bytes()].concat();
     let cases = [
         Case {
+            store: &built,
             what: "ls#",
             key: b"ls#composer",
             key_len: 11,
-            damage: claim_frames,
-            error: "skip headers truncated",
+            damage: claim_entries,
+            error: "entry count exceeds what the list holds",
             touching: &["--direct", "cd[composer]"],
             untouched: &[
                 (&["--direct", "mc[track]"], mc),
@@ -186,11 +210,12 @@ fn corruption_surfaces_in_the_query_that_reads_it() {
             ],
         },
         Case {
+            store: &built,
             what: "lt#",
             key: b"lt#allegro",
             key_len: 10,
-            damage: claim_frames,
-            error: "skip headers truncated",
+            damage: claim_entries,
+            error: "entry count exceeds what the list holds",
             touching: &["--direct", r#"mc[track["allegro"]]"#],
             untouched: &[
                 (&["--direct", r#"cd[title["piano"]]"#], cd),
@@ -198,11 +223,12 @@ fn corruption_surfaces_in_the_query_that_reads_it() {
             ],
         },
         Case {
+            store: &built,
             what: "sec#",
             key: b"sec#rachmaninov#",
             key_len: 20,
-            damage: claim_frames,
-            error: "skip headers truncated",
+            damage: claim_entries,
+            error: "entry count exceeds what the list holds",
             touching: &["--schema", r#"cd[composer["rachmaninov"]]"#],
             untouched: &[
                 (&["--schema", "mc[track]"], mc),
@@ -210,11 +236,12 @@ fn corruption_surfaces_in_the_query_that_reads_it() {
             ],
         },
         Case {
-            what: "ls# frame",
+            store: &built,
+            what: "ls# run",
             key: b"ls#composer",
             key_len: 11,
-            damage: run_past_the_frame,
-            error: "varint runs past the frame",
+            damage: run_past_the_end,
+            error: "varint runs past the list",
             touching: &["--direct", "cd[composer]"],
             untouched: &[
                 (&["--direct", "mc[track]"], mc),
@@ -222,6 +249,20 @@ fn corruption_surfaces_in_the_query_that_reads_it() {
             ],
         },
         Case {
+            store: &repeated,
+            what: "sec# order",
+            key: b"sec#cd#",
+            key_len: 11,
+            damage: repeat_the_first_pre,
+            error: "pre not strictly increasing",
+            touching: &["--schema", "cd[title]"],
+            untouched: &[
+                (&["--schema", "mc[track]"], mc),
+                (&["--direct", "cd[title]"], cd),
+            ],
+        },
+        Case {
+            store: &built,
             what: "doc#",
             key: segment.as_slice(),
             key_len: 8,
@@ -233,7 +274,7 @@ fn corruption_surfaces_in_the_query_that_reads_it() {
     ];
     for case in &cases {
         let db = dir.join("planted.axql");
-        std::fs::copy(&built, &db).unwrap();
+        std::fs::copy(case.store, &db).unwrap();
         plant(&db, case.key, case.key_len, case.damage);
         let db = db.to_str().unwrap();
         let query = |args: &[&str]| run(&[&["query", db][..], args].concat());
@@ -296,13 +337,8 @@ fn every_length_field_is_a_typed_error_under_a_memory_cap() {
     let classes_len = value_of(built, b"meta#classes", 12).len();
 
     use Place::{Entry, Leaf, Value};
-    // A block list: frame count u32, then per frame min_pre, max_pre,
-    // max_bound, entry count, payload offset (u32 each).
-    let frames = [
-        ("frame count", Value(0), 4),
-        ("entry count", Value(16), 4),
-        ("frame offset", Value(20), 4),
-    ];
+    // A posting list: entry count u32, then the entries' varints.
+    let run = [("entry count", Value(0), 4)];
     let catalogue: &[&str] = &["cd[composer]"];
     let segment = [b"doc#".as_slice(), &7u32.to_be_bytes()].concat();
     let keys: [Fields; 8] = [
@@ -354,18 +390,18 @@ fn every_length_field_is_a_typed_error_under_a_memory_cap() {
             &["--direct", "mc[track]"],
             &[("node count", Value(8), 4)],
         ),
-        (b"ls#composer", 11, &["--direct", "cd[composer]"], &frames),
+        (b"ls#composer", 11, &["--direct", "cd[composer]"], &run),
         (
             b"lt#allegro",
             10,
             &["--direct", r#"mc[track["allegro"]]"#],
-            &frames,
+            &run,
         ),
         (
             b"sec#rachmaninov#",
             20,
             &["--schema", r#"cd[composer["rachmaninov"]]"#],
-            &frames,
+            &run,
         ),
     ];
 

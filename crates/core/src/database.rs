@@ -987,8 +987,8 @@ impl Database {
     /// Verifies the on-disk integrity of a database file: opens the store
     /// (recovering to the newest intact commit if needed), walks every
     /// page, checksum, and B+-tree invariant, validates every compressed
-    /// posting list (skip-header monotonicity, per-frame entry counts,
-    /// decode round-trip — see DESIGN.md §14), and then performs a full
+    /// posting list (the checked decode of its run and its canonical
+    /// re-encoding — see DESIGN.md §14), and then performs a full
     /// decode so cross-structure corruption (docmap partition, segment
     /// columns, schema/secondary consistency, every live node standing in
     /// the instance list of its class) also surfaces. Returns the

@@ -420,13 +420,13 @@ mod tests {
     }
 
     #[test]
-    fn a_label_list_frame_that_does_not_decode_is_an_error() {
-        let path = temp_path("badframe");
+    fn a_label_list_that_does_not_decode_is_an_error() {
+        let path = temp_path("badrun");
         let cd = "<cd><title>piano</title><composer>bach</composer></cd>";
         let db = Database::from_xml_strs(&[cd, cd], CostModel::new()).unwrap();
         drop(DbFile::create(&path, db).unwrap());
-        // The last varint of `ls#composer` claims a next byte: its skip
-        // headers still hold, so only a decode of its frame can tell.
+        // The last varint of `ls#composer` claims a next byte: its entry
+        // count still fits its bytes, so only the decode can tell.
         let mut store = Store::open_file(&path).unwrap();
         let key = label_key(approxql_tree::NodeType::Struct, "composer");
         let mut list = store.get(&key).unwrap().unwrap();
@@ -434,7 +434,7 @@ mod tests {
         store.put(&key, &list).unwrap();
         store.commit().unwrap();
         drop(store);
-        let runs_past = |e: DatabaseError| e.to_string().contains("varint runs past the frame");
+        let runs_past = |e: DatabaseError| e.to_string().contains("varint runs past the list");
         assert!(DbFile::open(&path).err().is_some_and(runs_past));
         assert!(Database::check_file(&path).err().is_some_and(runs_past));
         // A lazily opened store fails the query that reads the list, and
@@ -449,37 +449,27 @@ mod tests {
     }
 
     #[test]
-    fn check_rejects_a_fragmented_secondary_list_and_mutation_heals_it() {
-        use approxql_index::codec::BlockList;
-        use approxql_index::InstancePosting;
-        let path = temp_path("fragmented");
+    fn check_rejects_a_non_canonical_secondary_list_and_mutation_heals_it() {
+        let path = temp_path("noncanonical");
         let xmls = path_reusing_docs();
         let refs: Vec<&str> = xmls.iter().map(String::as_str).collect();
         let db = Database::from_xml_strs(&refs[..11], CostModel::new()).unwrap();
         let query = r#"cd[title["piano"]]"#;
         let want = db.query_schema(query, 20).unwrap();
         drop(DbFile::create(&path, db).unwrap());
-        // Re-frame the `cd` instance list one entry per frame — the shape
-        // the retired tail-buffer codec left behind after insert cycles.
-        let (key, value) = stored_lists(&path)
+        // Spell the last varint of the `cd` instance list (a one-byte
+        // bound delta) in two bytes: the list decodes to the same entries,
+        // but is not their canonical encoding.
+        let (key, mut value) = stored_lists(&path)
             .into_iter()
             .find(|(k, _)| k.starts_with(b"sec#cd#"))
             .unwrap();
-        let instances = BlockList::<InstancePosting>::from_bytes(&value)
-            .unwrap()
-            .try_decode()
-            .unwrap();
-        assert_eq!(instances.len(), 11);
-        let (mut headers, mut payload) = (Vec::new(), Vec::new());
-        for instance in &instances {
-            let one = BlockList::from_entries(std::slice::from_ref(instance)).to_bytes();
-            headers.extend_from_slice(&one[4..20]);
-            headers.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            payload.extend_from_slice(&one[24..]);
-        }
-        let fragmented = [&11u32.to_le_bytes()[..], &headers, &payload].concat();
+        assert_eq!(value[..4], 11u32.to_le_bytes());
+        let last = value.pop().unwrap();
+        assert!(last < 0x80);
+        value.extend([last | 0x80, 0]);
         let mut store = Store::open_file(&path).unwrap();
-        store.put(&key, &fragmented).unwrap();
+        store.put(&key, &value).unwrap();
         store.commit().unwrap();
         drop(store);
         // Reported by check, yet it opens and answers as before …

@@ -623,8 +623,8 @@ mod tests {
     }
 
     #[test]
-    fn fetch_decodes_every_frame_with_the_seed() {
-        // 300 postings: three compressed frames.
+    fn fetch_decodes_the_list_with_the_seed() {
+        // 300 postings in one compressed run.
         let postings: Vec<Posting> = (0..300)
             .map(|i| posting(i * 10 + 1, i * 10 + 6, 1, 0))
             .collect();

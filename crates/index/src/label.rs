@@ -6,8 +6,9 @@ use approxql_metrics::{time, Metric, TimerMetric};
 use approxql_tree::{DataTree, LabelId, NodeType};
 use std::collections::HashMap;
 
-/// Maps each `(type, label)` to the block-compressed, preorder-sorted
-/// posting of all nodes carrying that label (DESIGN.md §14). One
+/// Maps each `(type, label)` to the delta/varint-compressed,
+/// preorder-sorted posting of all nodes carrying that label (DESIGN.md
+/// §14). One
 /// `LabelIndex` instance serves as both `I_struct` and `I_text` (the node
 /// type is part of the key).
 #[derive(Debug, Clone, Default)]
@@ -36,7 +37,7 @@ impl LabelIndex {
 
     /// The posting for `(ty, label)`, fully decoded; empty if the label
     /// never occurs with that type. This is the `fetch` primitive of
-    /// Section 6.4: every frame is decoded once, here.
+    /// Section 6.4: the list is decoded once, here.
     pub fn fetch(&self, ty: NodeType, label: LabelId) -> Vec<Posting> {
         Metric::IndexLabelFetches.incr();
         let Some(blocks) = self.map.get(&(ty, label)) else {
@@ -78,19 +79,17 @@ impl LabelIndex {
             .insert((ty, label), BlockList::from_entries(&posting));
     }
 
-    /// Inserts the posting of `(ty, label)` from its stored value. Every
-    /// frame is decoded and held against its header
-    /// ([`BlockList::validate`]), so a list that loads is one that `fetch`
-    /// decodes in full; the frames stay compressed.
+    /// Inserts the posting of `(ty, label)` from its stored value. The
+    /// list goes through the checked decode ([`BlockList::from_bytes`]),
+    /// so a list that loads is one that `fetch` decodes in full; it stays
+    /// compressed.
     pub fn insert_bytes(
         &mut self,
         ty: NodeType,
         label: LabelId,
         value: &[u8],
     ) -> Result<(), PostingDecodeError> {
-        let list = BlockList::from_bytes(value)?;
-        list.validate()?;
-        self.map.insert((ty, label), list);
+        self.map.insert((ty, label), BlockList::from_bytes(value)?);
         Ok(())
     }
 
@@ -101,8 +100,8 @@ impl LabelIndex {
     }
 
     /// Appends postings (all with `pre` past the current maximum) to the
-    /// list of `(ty, label)`, creating it if absent. Only the partial tail
-    /// frame is re-encoded (DESIGN.md §15).
+    /// list of `(ty, label)`, creating it if absent. The run is continued,
+    /// nothing already stored is re-encoded (DESIGN.md §15).
     pub fn append_postings(&mut self, ty: NodeType, label: LabelId, new: &[Posting]) {
         if new.is_empty() {
             return;

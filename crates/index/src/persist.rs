@@ -16,9 +16,9 @@
 //!   label — what a query that reads only its own labels fetches
 //!   (DESIGN.md §6). The class id is the key's last four bytes.
 //!
-//! Every `ls#`/`lt#`/`sec#` value is one [`BlockList`] in canonical form
-//! (DESIGN.md §14), and every writer puts its keys in sorted order, so the
-//! same collection always produces the same store file.
+//! Every `ls#`/`lt#`/`sec#` value is one [`BlockList`] run in canonical
+//! form (DESIGN.md §14), and every writer puts its keys in sorted order,
+//! so the same collection always produces the same store file.
 //!
 //! Labels are stored as strings; on load they are resolved against the
 //! interner of the (already loaded) data tree, so label ids stay consistent.
@@ -120,7 +120,7 @@ pub fn load_blob(store: &mut Store, name: &'static str) -> Result<Vec<u8>, Persi
     store.get(&k)?.ok_or(PersistError::MissingBlob(name))
 }
 
-/// The one save routine: puts `lists` (store key, framed value) in sorted
+/// The one save routine: puts `lists` (store key, encoded value) in sorted
 /// key order. The order a B+-tree is filled in decides its page layout,
 /// so sorted puts are what makes equal collections equal files.
 pub fn put_lists(
@@ -159,9 +159,8 @@ fn load_lists<K>(
     Ok(())
 }
 
-/// The one check routine: structural skip-header validation, per-frame
-/// decode, the decode round-trip against the headers and the
-/// canonical-form check for every list under `prefix`.
+/// The one check routine: the checked decode and the canonical-form check
+/// for every list under `prefix`.
 fn check_lists<E: FrameEntry>(store: &mut Store, prefix: &[u8]) -> Result<(), PersistError> {
     let mut lists = store.scan_prefix(prefix)?;
     while let Some((_, value)) = lists.next_entry()? {
@@ -334,9 +333,9 @@ pub fn load_secondary_lists(
 }
 
 /// Walks every stored posting list (`ls#`/`lt#`/`sec#` values) and runs
-/// the full block-integrity check. Used by `approxql check` (DESIGN.md
-/// §14); any failure means the compressed frames contradict their skip
-/// headers or are not the canonical encoding of their entries.
+/// the full integrity check. Used by `approxql check` (DESIGN.md §14);
+/// any failure means a run does not decode to a strictly pre-sorted list
+/// of its entry count, or is not the canonical encoding of its entries.
 pub fn check_posting_blocks(store: &mut Store) -> Result<(), PersistError> {
     for (prefix, _) in LABEL_PREFIXES {
         check_lists::<Posting>(store, prefix)?;
@@ -556,21 +555,26 @@ mod tests {
     }
 
     #[test]
-    fn check_posting_blocks_flags_contradictory_frames() {
+    fn check_posting_blocks_flags_a_count_the_run_does_not_hold() {
         let t = tree();
         let idx = LabelIndex::build(&t);
         let mut store = Store::in_memory().unwrap();
         save_label_index(&mut store, &idx, t.interner()).unwrap();
         check_posting_blocks(&mut store).unwrap();
-        // Bump the count field of the first skip header: the bytes stay
-        // structurally valid, but the frame no longer matches its header,
-        // which only the decode round-trip of `check_integrity` catches.
+        // Bump the entry count: the run holds one entry fewer than the
+        // count claims, which the check and every load report.
         let key = label_key(NodeType::Struct, "cd");
         let mut bad = store.get(&key).unwrap().unwrap();
-        let count_off = 4 + 12; // u32 block count, then min/max/max_bound
-        bad[count_off] = bad[count_off].wrapping_add(1);
+        bad[0] = bad[0].wrapping_add(1);
         store.put(&key, &bad).unwrap();
-        assert!(check_posting_blocks(&mut store).is_err());
+        assert!(matches!(
+            check_posting_blocks(&mut store),
+            Err(PersistError::Decode(_))
+        ));
+        assert!(matches!(
+            load_label_index(&mut store, t.interner()),
+            Err(PersistError::Decode(_))
+        ));
     }
 
     #[test]

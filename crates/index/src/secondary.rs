@@ -34,8 +34,8 @@ pub struct InstancePosting {
 /// nobody gave a numbering reads ids as pres.
 ///
 /// Lists are resident as plain preorder-sorted vectors (nearly all of them
-/// are far shorter than one frame); they meet the frame codec only at the
-/// store boundary, [`SecondaryIndex::list_bytes`] on the way out and
+/// are a dozen entries or so); they meet the run codec only at the store
+/// boundary, [`SecondaryIndex::list_bytes`] on the way out and
 /// [`SecondaryIndex::insert_bytes`] on the way in, so a reopened index is
 /// the same object as the one that was saved.
 #[derive(Debug, Clone, Default)]
@@ -139,20 +139,20 @@ impl SecondaryIndex {
         self.map.iter().map(|(&k, v)| (k, v.as_slice()))
     }
 
-    /// The stored value of an instance list: its canonical frames.
+    /// The stored value of an instance list: its canonical run.
     pub fn list_bytes(list: &[InstancePosting]) -> Vec<u8> {
         BlockList::from_entries(list).to_bytes()
     }
 
     /// Inserts the posting of `(class, label)` from its stored value,
-    /// validating the skip headers and decoding every frame.
+    /// through the checked decode ([`BlockList::decode`]).
     pub fn insert_bytes(
         &mut self,
         class: u32,
         label: LabelId,
         value: &[u8],
     ) -> Result<(), PostingDecodeError> {
-        let list = BlockList::<InstancePosting>::from_bytes(value)?.try_decode()?;
+        let list = BlockList::<InstancePosting>::decode(value)?;
         self.map.insert((class, label), list);
         Ok(())
     }

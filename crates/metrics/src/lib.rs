@@ -49,7 +49,7 @@ pub enum Layer {
     Topk,
     /// Physical-plan compilation and the keyed plan cache.
     Plan,
-    /// Block-compressed posting frames (decode/skip traffic).
+    /// Compressed posting lists decoded at query time.
     Postings,
     /// Whole-evaluator events.
     Eval,
@@ -148,10 +148,10 @@ metrics! {
     PlanCacheMisses => (Plan, "plan.cache_misses", "Plan-cache lookups that had to compile."),
     PlanCseReuses => (Plan, "plan.cse_reuses", "Subplans shared by common-subexpression elimination during compiles."),
     PlanCacheInvalidations => (Plan, "plan.cache_invalidations", "Cached plans evicted because a mutation touched one of their fetch labels."),
-    // -- block-compressed postings ----------------------------------------
-    PostingsBlocksDecoded => (Postings, "postings.blocks_decoded", "Compressed posting blocks decoded by query operators."),
-    PostingsBlocksSkipped => (Postings, "postings.blocks_skipped", "Compressed posting blocks skipped via skip headers without decoding."),
-    PostingsBytes => (Postings, "postings.bytes", "Compressed frame bytes decoded by query operators."),
+    // -- compressed postings ----------------------------------------------
+    PostingsBlocksDecoded => (Postings, "postings.blocks_decoded", "Stored posting lists decoded by `fetch`, one per fetched list."),
+    PostingsBlocksSkipped => (Postings, "postings.blocks_skipped", "Always 0: nothing skips part of a posting list; registered because the benchmark driver reads it."),
+    PostingsBytes => (Postings, "postings.bytes", "Delta/varint run bytes of the posting lists `fetch` decodes."),
     // -- evaluators -------------------------------------------------------
     EvalDirectRuns => (Eval, "eval.direct_runs", "Direct (algorithm `primary`) evaluations."),
     EvalDirectFetches => (Eval, "eval.direct_fetches", "Index fetches issued by the direct evaluator."),

@@ -21,7 +21,7 @@
 //!
 //! ## Durability model
 //!
-//! The store is crash-safe at commit granularity (format version 6; a file
+//! The store is crash-safe at commit granularity (format version 7; a file
 //! of another version is a typed [`StorageError::BadVersion`] and is
 //! rebuilt from its XML — there is one reader):
 //! reopening a store after a crash — at *any* backend write — yields

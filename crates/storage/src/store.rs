@@ -45,10 +45,13 @@ const MAGIC: &[u8; 8] = b"AXQLSTOR";
 /// so no trailer of an older file verifies; version 6 again changed no
 /// page but the order of a `sec#` key above it (label first, then class
 /// id, so one prefix scan finds every list of a label), which a version-5
-/// reader would split in the wrong place. Files of any other version
-/// are rejected with [`StorageError::BadVersion`] — there is one reader,
-/// so an older store is rebuilt from its XML, not converted.
-pub const FORMAT_VERSION: u32 = 6;
+/// reader would split in the wrong place; version 7 changed no page but
+/// the value of every `ls#`/`lt#`/`sec#` key above it (one delta/varint
+/// run behind an entry count, where version 6 had 128-entry frames behind
+/// 20-byte skip headers). Files of any other version are rejected with
+/// [`StorageError::BadVersion`] — there is one reader, so an older store
+/// is rebuilt from its XML, not converted.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// First page a B+-tree node or value run may occupy (0 and 1 are the
 /// header slots).
@@ -692,9 +695,9 @@ mod tests {
     }
 
     #[test]
-    fn open_rejects_version_5_files() {
-        // Two commits fill both header slots; a version-5 binary would
-        // have written the same pages with 5 in the version field. The
+    fn open_rejects_version_6_files() {
+        // Two commits fill both header slots; a version-6 binary would
+        // have written the same pages with 6 in the version field. The
         // trailers are left as they are: whether they verify must not
         // matter, the version is read first.
         let shared = SharedMemBackend::new();
@@ -707,12 +710,12 @@ mod tests {
             let mut buf = [0u8; PAGE_SIZE];
             disk.read_page(slot, &mut buf).unwrap();
             assert_eq!(buf[8..12], FORMAT_VERSION.to_le_bytes());
-            buf[8..12].copy_from_slice(&5u32.to_le_bytes());
+            buf[8..12].copy_from_slice(&6u32.to_le_bytes());
             disk.write_page(slot, &buf).unwrap();
         }
         assert!(matches!(
             Store::open(Box::new(disk)),
-            Err(StorageError::BadVersion(5))
+            Err(StorageError::BadVersion(6))
         ));
     }
 

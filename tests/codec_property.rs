@@ -1,9 +1,11 @@
-//! Property tests for the posting-frame codec (DESIGN.md §14): arbitrary
+//! Property tests for the posting-run codec (DESIGN.md §14): arbitrary
 //! preorder-sorted lists must encode → serialize → deserialize → decode
-//! byte-identically, and any interleaving of appends and range removals
-//! must leave the list byte-identical to a batch build over a `Vec` model.
-//! Every property is one generic body, run for both entry types — label
-//! postings (`ls#`/`lt#` values) and instance postings (`sec#` values).
+//! byte-identically, any interleaving of appends and range removals must
+//! leave the list byte-identical to a batch build over a `Vec` model, and
+//! no truncation or single-byte change of a stored list loads as anything
+//! but a strictly pre-sorted list. Every property is one generic body, run
+//! for both entry types — label postings (`ls#`/`lt#` values) and instance
+//! postings (`sec#` values).
 
 use approxql::crates::index::codec::{BlockList, FrameEntry};
 use approxql::crates::index::{InstancePosting, Posting};
@@ -24,7 +26,7 @@ fn gen_cost() -> impl Strategy<Value = Cost> {
 /// two costs (which instance entries drop).
 type Raw = (u32, u32, Cost, Cost);
 
-/// Zero to several frames' worth of entries with irregular gaps.
+/// Zero to several hundred entries with irregular gaps.
 fn gen_raw(
     max_gap: u32,
     max_span: u32,
@@ -142,8 +144,45 @@ fn mutations_match_vec_model<E: Drawn>(
     Ok(())
 }
 
+/// Every truncation of a valid list, and the list with each byte in turn
+/// XORed with `mask`, either fails to load or loads — and decodes, on and
+/// off the query path — to a strictly pre-sorted list with `bound ≥ pre`.
+/// Nothing panics.
+fn damage_fails_or_loads_an_ordered_list<E: Drawn>(
+    raw: &[Raw],
+    mask: u8,
+) -> Result<(), TestCaseError> {
+    let bytes = BlockList::from_entries(&entries::<E>(0, raw)).to_bytes();
+    let changed = (0..bytes.len()).map(|at| {
+        let mut changed = bytes.clone();
+        changed[at] ^= mask;
+        changed
+    });
+    let truncated = (0..bytes.len()).map(|len| bytes[..len].to_vec());
+    for damaged in truncated.chain(changed) {
+        let Ok(loaded) = BlockList::<E>::from_bytes(&damaged) else {
+            continue;
+        };
+        let list = loaded.try_decode().unwrap();
+        prop_assert!(list.windows(2).all(|w| w[0].pre() < w[1].pre()));
+        prop_assert!(list.iter().all(|e| e.bound() >= e.pre()));
+        prop_assert_eq!(loaded.entry_count(), list.len());
+        prop_assert_eq!(loaded.decode_all(), list);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn damaged_lists_fail_or_load_ordered(
+        raw in gen_raw(5_000, 10_000, 0..40),
+        mask in 1u8..=255,
+    ) {
+        damage_fails_or_loads_an_ordered_list::<Posting>(&raw, mask)?;
+        damage_fails_or_loads_an_ordered_list::<InstancePosting>(&raw, mask)?;
+    }
 
     #[test]
     fn block_list_roundtrips(raw in gen_raw(5_000, 10_000, 0..400)) {

@@ -79,10 +79,10 @@ fn direct_figure2_query_op_counts() {
             (Metric::PlanCompile, 1),
             (Metric::PlanCacheMisses, 1),
             (Metric::PlanCseReuses, 31),
-            // Each fetch decodes its frames once: one frame per fetched
-            // list, 7 in all.
+            // Each fetch decodes its list once, 7 in all.
             (Metric::PostingsBlocksDecoded, 7),
-            (Metric::PostingsBytes, 37),
+            // A run stores each list's first `pre` delta (37 → 44).
+            (Metric::PostingsBytes, 44),
             (Metric::EvalDirectRuns, 1),
             (Metric::EvalDirectFetches, 12),
         ],
@@ -141,7 +141,8 @@ fn schema_figure2_query_op_counts() {
             (Metric::PlanCacheMisses, 1),
             (Metric::PlanCseReuses, 31),
             (Metric::PostingsBlocksDecoded, 22),
-            (Metric::PostingsBytes, 90),
+            // A run stores each list's first `pre` delta (90 → 112).
+            (Metric::PostingsBytes, 112),
             (Metric::EvalSchemaRuns, 3),
             (Metric::EvalSchemaRounds, 3),
             (Metric::EvalSecondLevelQueries, 32),
@@ -288,7 +289,9 @@ fn reopened_database_counts_like_the_resident_one() {
     // every key, which `open` left in the page cache — seven node and page
     // reads, no miss. They step over the nine `sec#` lists of those labels
     // (`title` and `piano` have two classes each) and the key that ends
-    // each scan, and decode 229 bytes of frames.
+    // each scan, and decode 58 bytes of lists (229 → 58: a list's 20-byte
+    // skip header and 4-byte frame count became a 4-byte entry count and
+    // its first `pre` delta).
     let nonzero: Vec<_> = reopened_storage
         .into_iter()
         .filter(|&(_, v)| v != 0)
@@ -299,7 +302,7 @@ fn reopened_database_counts_like_the_resident_one() {
             (Metric::PagerPageReads, 7),
             (Metric::BtreeNodeReads, 7),
             (Metric::BtreeScanSteps, 16),
-            (Metric::IndexBytesDecoded, 229),
+            (Metric::IndexBytesDecoded, 58),
         ]
     );
 }
@@ -337,10 +340,11 @@ fn generated_collection_op_counts() {
             (Metric::ListEntriesProduced, 407),
             (Metric::PlanCompile, 1),
             (Metric::PlanCacheMisses, 1),
-            // Each fetch decodes its frames once: the three fetched lists
-            // hold 6 frames.
-            (Metric::PostingsBlocksDecoded, 6),
-            (Metric::PostingsBytes, 1620),
+            // Each fetch decodes its list once: the three fetched lists
+            // held 6 frames (6 → 3).
+            (Metric::PostingsBlocksDecoded, 3),
+            // A run stores every first `pre` delta (1620 → 1627).
+            (Metric::PostingsBytes, 1627),
             (Metric::EvalDirectRuns, 1),
             (Metric::EvalDirectFetches, 3),
         ],
@@ -358,7 +362,8 @@ fn generated_collection_op_counts() {
             // the schema evaluator finds it in the shared cache.
             (Metric::PlanCacheHits, 1),
             (Metric::PostingsBlocksDecoded, 7),
-            (Metric::PostingsBytes, 613),
+            // A run stores each list's first `pre` delta (613 → 620).
+            (Metric::PostingsBytes, 620),
             (Metric::EvalSchemaRuns, 2),
             (Metric::EvalSchemaRounds, 2),
         ],
