@@ -14,6 +14,11 @@
 //! one thread, as the paper measured. This is the paper-figure
 //! reproduction; the end-to-end and per-layer trajectory is
 //! `axbench` (EXPERIMENTS.md).
+//!
+//! Both evaluators must return as many results as each other in every
+//! cell (the schema-driven answer is a prefix of the direct one): a cell
+//! where the two `mean_results` differ is named on stderr after the
+//! table, and the exit status is 1.
 
 use approxql_bench::{
     build_collection, make_queries, time_direct, time_schema, Measurement, WorkCounts, PATTERNS,
@@ -134,6 +139,7 @@ fn main() {
         WorkCounts::tsv_header()
     );
     let mut rows: Vec<Measurement> = Vec::new();
+    let mut disagree: Vec<String> = Vec::new();
     for &p in &args.patterns {
         let (pattern_name, pattern) = PATTERNS[p];
         for &r in &args.renamings {
@@ -141,6 +147,13 @@ fn main() {
             for &n in &args.ns {
                 let (direct_ms, direct_res, direct_work) = time_direct(&col, &queries, n);
                 let (schema_ms, schema_res, schema_work) = time_schema(&col, &queries, n);
+                if direct_res != schema_res {
+                    disagree.push(format!(
+                        "{pattern_name}, {r} renamings, n = {}: direct {direct_res:.1} \
+                         results per query, schema {schema_res:.1}",
+                        fmt_n(n)
+                    ));
+                }
                 for (alg, ms, res, work) in [
                     ("direct", direct_ms, direct_res, direct_work),
                     ("schema", schema_ms, schema_res, schema_work),
@@ -210,5 +223,11 @@ fn main() {
                 .collect();
             eprintln!("#   {pattern_name}, {r} renamings -> {}", wins.join(", "));
         }
+    }
+    for cell in &disagree {
+        eprintln!("error: direct and schema results differ: {cell}");
+    }
+    if !disagree.is_empty() {
+        std::process::exit(1);
     }
 }

@@ -33,13 +33,18 @@
 //! [`Algebra`] is the backend a compiled plan executes against
 //! ([`approxql_plan::PlanAlgebra`]). Its operands are [`List`]s: `fetch`
 //! decodes a label's compressed list once, and every operator runs its
-//! walk over decoded lists (DESIGN.md §14.2).
+//! walk over decoded lists (DESIGN.md §14.2). The plan hands each output
+//! back once no consumer reads it any more, and later outputs of the
+//! same query are written into those buffers; they are freed when the
+//! `Algebra` is dropped, at the end of the query.
 
 use approxql_index::{LabelIndex, Posting};
 use approxql_metrics::Metric;
 use approxql_plan::PlanAlgebra;
 use approxql_tree::{Cost, Interner, LabelId, NodeType};
+use std::cell::RefCell;
 use std::cmp::Ordering;
+use std::thread::LocalKey;
 
 /// A preorder-sorted list (strictly increasing `pre`): one value per node.
 pub type List<V> = Vec<(Posting, V)>;
@@ -49,7 +54,7 @@ pub type List<V> = Vec<(Posting, V)>;
 /// domain only ever sees values.
 pub trait CostDomain {
     /// The per-node value.
-    type V: Clone;
+    type V: Clone + 'static;
     /// What an open ancestor has collected from its descendant interval.
     type Acc;
 
@@ -90,6 +95,9 @@ pub trait CostDomain {
     /// Counts one operation, named by its `list.*` counter, and the
     /// entries it produced.
     fn record(&self, op: Metric, produced: usize);
+    /// This thread's spare buffers for lists of this domain: the outputs
+    /// the running [`Algebra`] was handed back, emptied.
+    fn spare() -> &'static LocalKey<RefCell<Vec<List<Self::V>>>>;
 }
 
 /// `distance(a, d) + cost(d)` from the key `pathcost(d) + cost(d)` of a
@@ -202,6 +210,14 @@ impl CostDomain for TwoChannel {
         op.incr();
         Metric::ListEntriesProduced.add(produced as u64);
     }
+
+    fn spare() -> &'static LocalKey<RefCell<Vec<List<Channels>>>> {
+        &SPARE
+    }
+}
+
+thread_local! {
+    static SPARE: RefCell<Vec<List<Channels>>> = const { RefCell::new(Vec::new()) };
 }
 
 fn debug_check_sorted<V>(l: &[(Posting, V)]) {
@@ -226,20 +242,17 @@ fn paid<D: CostDomain>(dom: &D, v: &D::V, c: Cost) -> D::V {
 /// Nodes of any of `lists`, in one walk: a node held by several lists
 /// takes the domain's alternative of their values, folded in input
 /// order. Each list's values pay its cost first (`merge`: the rename
-/// cost; `union`: nothing). `expected` sizes the output: an operator
-/// output lives until its last consumer has run, so over-allocation is
-/// resident memory.
+/// cost; `union`: nothing). The nodes are appended to `out`.
 ///
 /// The walk takes the two lists whose next nodes come first and merges
 /// them as a pair up to the node where a third list's next node is due.
 /// So two lists (`union`) are one pairwise merge, and k lists cost O(k)
 /// per pair of lists taken.
-fn either<D: CostDomain>(dom: &D, lists: &[Paying<'_, D::V>], expected: usize) -> List<D::V> {
+fn either<D: CostDomain>(dom: &D, lists: &[Paying<'_, D::V>], mut out: List<D::V>) -> List<D::V> {
     for (l, _) in lists {
         debug_check_sorted(l);
     }
     let mut rest = lists.to_vec();
-    let mut out = Vec::with_capacity(expected);
     loop {
         // The three smallest keys: a list's next node above, its number
         // below, so that ties go to the earlier list; `u64::MAX` for none.
@@ -330,11 +343,15 @@ fn pair<D: CostDomain>(
 }
 
 /// Nodes present in both lists, with the domain's conjunction of their
-/// two values.
-fn both<D: CostDomain>(dom: &D, left: &[(Posting, D::V)], right: &[(Posting, D::V)]) -> List<D::V> {
+/// two values, appended to `out`.
+fn both<D: CostDomain>(
+    dom: &D,
+    left: &[(Posting, D::V)],
+    right: &[(Posting, D::V)],
+    mut out: List<D::V>,
+) -> List<D::V> {
     debug_check_sorted(left);
     debug_check_sorted(right);
-    let mut out = Vec::new();
     let (mut i, mut j) = (0, 0);
     while let (Some(a), Some(b)) = (left.get(i), right.get(j)) {
         match a.0.pre.cmp(&b.0.pre) {
@@ -371,12 +388,13 @@ fn first_after<V>(l: &[(Posting, V)], j: usize, pre: u32) -> usize {
 }
 
 /// Every ancestor with what the domain makes of its descendant interval
-/// (`join`; with a finite `c_del`, `outerjoin`).
+/// (`join`; with a finite `c_del`, `outerjoin`), appended to `out`.
 fn interval<D: CostDomain>(
     dom: &D,
     ancestors: &[(Posting, D::V)],
     descendants: &[(Posting, D::V)],
     c_del: Cost,
+    mut out: List<D::V>,
 ) -> List<D::V> {
     debug_check_sorted(ancestors);
     debug_check_sorted(descendants);
@@ -435,11 +453,9 @@ fn interval<D: CostDomain>(
         }
     }
     close_until(&mut stack, &mut collected, u32::MAX);
-    ancestors
-        .iter()
-        .zip(collected)
-        .filter_map(|(a, acc)| Some((a.0, dom.close(a, acc, descendants, c_del)?)))
-        .collect()
+    let closed = ancestors.iter().zip(collected);
+    out.extend(closed.filter_map(|(a, acc)| Some((a.0, dom.close(a, acc, descendants, c_del)?))));
+    out
 }
 
 /// Entries `l` stands for in the work counters.
@@ -451,7 +467,13 @@ pub(crate) fn weight<D: CostDomain>(l: &[(Posting, D::V)]) -> usize {
 /// a compiled plan executes against — [`TwoChannel`] over the data
 /// indexes for the direct evaluation, [`crate::topk::KBest`] over the
 /// schema's for the adapted `primary`.
-pub struct Algebra<'a, D> {
+///
+/// One `Algebra` serves one query. Outputs handed back through `recycle`
+/// wait on the domain's spare list ([`CostDomain::spare`]) and later
+/// outputs take their buffers from it; dropping the `Algebra` empties the
+/// list, so no buffer outlives its query. The list is a thread-local
+/// rather than a field so that an `Algebra` stays a plain struct literal.
+pub struct Algebra<'a, D: CostDomain> {
     /// The label index `fetch` reads.
     pub index: &'a LabelIndex,
     /// Resolves the plan's label strings.
@@ -464,6 +486,27 @@ impl<D: CostDomain> Algebra<'_, D> {
     fn done(&self, op: Metric, out: List<D::V>) -> List<D::V> {
         self.domain.record(op, weight::<D>(&out));
         out
+    }
+
+    /// The smallest spare buffer that holds `n` entries, if one does.
+    fn spare(&self, n: usize) -> Option<List<D::V>> {
+        D::spare().with(|spare| {
+            let mut spare = spare.borrow_mut();
+            let fits = spare.iter().enumerate().filter(|(_, b)| b.capacity() >= n);
+            let (at, _) = fits.min_by_key(|(_, b)| b.capacity())?;
+            Some(spare.swap_remove(at))
+        })
+    }
+
+    /// An empty output buffer for exactly `n` entries.
+    fn buffer(&self, n: usize) -> List<D::V> {
+        self.spare(n).unwrap_or_else(|| Vec::with_capacity(n))
+    }
+}
+
+impl<D: CostDomain> Drop for Algebra<'_, D> {
+    fn drop(&mut self) {
+        D::spare().with(|spare| spare.take());
     }
 }
 
@@ -482,13 +525,15 @@ impl<D: CostDomain> PlanAlgebra for Algebra<'_, D> {
         };
         let seed = self.domain.seed(id, is_leaf);
         let postings = self.index.fetch(ty, id);
-        let list = postings.into_iter().map(|p| (p, seed.clone())).collect();
+        let mut list = self.buffer(postings.len());
+        list.extend(postings.into_iter().map(|p| (p, seed.clone())));
         self.done(Metric::ListFetchOps, list)
     }
 
     /// The deferred edge cost of an `or` branch.
     fn shift(&self, l: &Self::L, cost: Cost) -> Self::L {
-        let mut out = l.clone();
+        let mut out = self.buffer(l.len());
+        out.extend_from_slice(l);
         if cost != Cost::ZERO {
             for (_, v) in &mut out {
                 self.domain.shift(v, cost);
@@ -506,14 +551,15 @@ impl<D: CostDomain> PlanAlgebra for Algebra<'_, D> {
     fn merge(&self, first: &Self::L, renamed: &[(&Self::L, Cost)]) -> Self::L {
         let mut lists = vec![(first.as_slice(), Cost::ZERO)];
         lists.extend(renamed.iter().map(|&(l, c)| (l.as_slice(), c)));
-        let expected = lists.iter().map(|(l, _)| l.len()).sum();
-        self.done(Metric::ListMergeOps, either(&self.domain, &lists, expected))
+        let out = self.buffer(lists.iter().map(|(l, _)| l.len()).sum());
+        self.done(Metric::ListMergeOps, either(&self.domain, &lists, out))
     }
 
     /// `join`: every ancestor that has a descendant, with
     /// `distance + cost(d)` of its best descendants.
     fn join(&self, anc: &Self::L, desc: &Self::L) -> Self::L {
-        let out = interval(&self.domain, anc, desc, Cost::INFINITY);
+        let out = self.spare(anc.len()).unwrap_or_default();
+        let out = interval(&self.domain, anc, desc, Cost::INFINITY, out);
         self.done(Metric::ListJoinOps, out)
     }
 
@@ -521,20 +567,30 @@ impl<D: CostDomain> PlanAlgebra for Algebra<'_, D> {
     /// cost `delcost` is one more alternative, so with a finite `delcost`
     /// every ancestor survives.
     fn outerjoin(&self, anc: &Self::L, desc: &Self::L, delcost: Cost) -> Self::L {
-        let out = interval(&self.domain, anc, desc, delcost);
+        let out = self.spare(anc.len()).unwrap_or_default();
+        let out = interval(&self.domain, anc, desc, delcost, out);
         self.done(Metric::ListOuterjoinOps, out)
     }
 
     fn intersect(&self, l: &Self::L, r: &Self::L) -> Self::L {
-        self.done(Metric::ListIntersectOps, both(&self.domain, l, r))
+        let out = self.spare(l.len().min(r.len())).unwrap_or_default();
+        self.done(Metric::ListIntersectOps, both(&self.domain, l, r, out))
     }
 
     /// `union`: the two branches of an `or` below the same ancestors,
     /// so mostly the same nodes.
     fn union(&self, l: &Self::L, r: &Self::L) -> Self::L {
         let lists = [(l.as_slice(), Cost::ZERO), (r.as_slice(), Cost::ZERO)];
-        let out = either(&self.domain, &lists, l.len().max(r.len()));
+        let out = either(&self.domain, &lists, self.buffer(l.len().max(r.len())));
         self.done(Metric::ListUnionOps, out)
+    }
+
+    /// Keeps `l`'s buffer, emptied, for a later output of this query.
+    fn recycle(&self, mut l: Self::L) {
+        l.clear();
+        if l.capacity() > 0 {
+            D::spare().with(|spare| spare.borrow_mut().push(l));
+        }
     }
 }
 
@@ -572,6 +628,7 @@ pub fn sort_best(
 mod tests {
     use super::*;
     use crate::topk::{Candidate, KBest};
+    use std::rc::Rc;
 
     type DataList = List<Channels>;
 
@@ -618,6 +675,13 @@ mod tests {
         alg().outerjoin(anc, desc, c_del)
     }
 
+    /// A k-best value: the `k` cheapest of `v`, ties in `v`'s order.
+    fn best(k: usize, mut v: Vec<Candidate>) -> Vec<Candidate> {
+        v.sort_by_key(|c| c.cost);
+        v.truncate(k);
+        v
+    }
+
     fn pres<V>(l: &[(Posting, V)]) -> Vec<u32> {
         l.iter().map(|(n, _)| n.pre).collect()
     }
@@ -644,6 +708,37 @@ mod tests {
         }
         assert!(alg.fetch("a", NodeType::Text, true).is_empty());
         assert!(alg.fetch("b", NodeType::Struct, true).is_empty());
+    }
+
+    #[test]
+    fn spare_buffers_serve_later_outputs_and_die_with_the_algebra() {
+        let spares = || {
+            TwoChannel::spare().with(|s| s.borrow().iter().map(Vec::capacity).collect::<Vec<_>>())
+        };
+        let l: DataList = (0..100).map(|i| e(i, i, 0, 1, 0, Some(0))).collect();
+        let half = l[..50].to_vec();
+        {
+            let alg = alg();
+            let hundred = alg.shift(&l, Cost::ZERO);
+            let at = hundred.as_ptr();
+            alg.recycle(hundred);
+            alg.recycle(Vec::with_capacity(200));
+            alg.recycle(Vec::with_capacity(10));
+            assert_eq!(spares(), [100, 200, 10]);
+            // 50 entries take the smallest buffer that holds them.
+            let out = alg.shift(&half, Cost::finite(1));
+            assert_eq!(out.as_ptr(), at);
+            assert_eq!(out.len(), 50);
+            assert!(out.iter().all(|(_, v)| v.any == Cost::finite(1)));
+            assert_eq!(spares(), [10, 200]);
+            // No spare holds 300 entries: a new buffer.
+            assert_eq!(
+                alg.merge(&l, &[(&l, Cost::ZERO), (&l, Cost::ZERO)]).len(),
+                100
+            );
+            assert_eq!(spares(), [10, 200]);
+        }
+        assert!(spares().is_empty());
     }
 
     #[test]
@@ -804,7 +899,7 @@ mod tests {
             .collect();
         for c_del in dels {
             assert_eq!(
-                interval(&TwoChannel, &anc, &desc, c_del),
+                interval(&TwoChannel, &anc, &desc, c_del, Vec::new()),
                 outerjoin_paper(&TwoChannel, &anc, &desc, c_del)
             );
         }
@@ -815,7 +910,7 @@ mod tests {
             cost: Cost::finite(cost),
             has_leaf,
             label: LabelId(1),
-            children: Vec::new(),
+            children: Rc::new([]),
         };
         for k in [1, 2, 3, 64] {
             let dom = KBest { k };
@@ -828,11 +923,11 @@ mod tests {
                 .map(|&(n, any, leaf)| {
                     let mut v = vec![cand(any, false), cand(any + 1, false)];
                     v.extend(leaf.map(|c| cand(c, true)));
-                    (n, dom.either(Vec::new(), v))
+                    (n, best(k, v))
                 })
                 .collect();
             for c_del in dels {
-                let walked = interval(&dom, &anc, &desc, c_del);
+                let walked = interval(&dom, &anc, &desc, c_del, Vec::new());
                 assert_eq!(walked, outerjoin_paper(&dom, &anc, &desc, c_del));
                 assert!(walked.iter().all(|(_, v)| v.len() <= k));
             }
@@ -925,7 +1020,7 @@ mod tests {
         let folded = lists
             .iter()
             .fold(Vec::new(), |acc, (l, c)| merge_two(dom, &acc, l, *c));
-        assert_eq!(either(dom, &walked, 0), folded);
+        assert_eq!(either(dom, &walked, Vec::new()), folded);
     }
 
     #[test]
@@ -965,13 +1060,10 @@ mod tests {
                             cost: Cost::finite(draw(3)),
                             has_leaf: draw(2) == 0,
                             label: LabelId(i as u32),
-                            children: Vec::new(),
+                            children: Rc::new([]),
                         })
                         .collect();
-                    s.push((
-                        posting(pre, pre, 0, 1),
-                        KBest { k }.either(Vec::new(), candidates),
-                    ));
+                    s.push((posting(pre, pre, 0, 1), best(k, candidates)));
                 }
                 data.push((d, c));
                 schema.push((s, c));
@@ -987,7 +1079,7 @@ mod tests {
                 cost: Cost::finite(cost),
                 has_leaf: true,
                 label: LabelId(label),
-                children: Vec::new(),
+                children: Rc::new([]),
             }];
             vec![(posting(5, 5, 0, 1), v)]
         };
@@ -1000,7 +1092,7 @@ mod tests {
         either_agrees_with_fold(&dom, &lists);
         let walked: Vec<Paying<'_, Vec<Candidate>>> =
             lists.iter().map(|(l, c)| (&l[..], *c)).collect();
-        let labels: Vec<LabelId> = either(&dom, &walked, 0)[0]
+        let labels: Vec<LabelId> = either(&dom, &walked, Vec::new())[0]
             .1
             .iter()
             .map(|c| c.label)

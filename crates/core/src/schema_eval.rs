@@ -161,7 +161,7 @@ fn skeleton_key(s: &topk::Skeleton, out: &mut Vec<u32>) {
     out.push(s.pre);
     out.push(s.label.0);
     out.push(s.children.len() as u32);
-    for c in &s.children {
+    for c in s.children.iter() {
         skeleton_key(c, out);
     }
 }

@@ -38,7 +38,7 @@ fn semijoin(
 /// skeleton (Figure 5).
 pub fn execute(skeleton: &Skeleton, index: &SecondaryIndex) -> Vec<InstancePosting> {
     let mut ancestors = index.fetch(skeleton.pre, skeleton.label).to_vec();
-    for child in &skeleton.children {
+    for child in skeleton.children.iter() {
         if ancestors.is_empty() {
             break;
         }
@@ -52,17 +52,17 @@ pub fn execute(skeleton: &Skeleton, index: &SecondaryIndex) -> Vec<InstancePosti
 mod tests {
     use super::*;
     use approxql_tree::LabelId;
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     fn ip(pre: u32, bound: u32) -> InstancePosting {
         InstancePosting { pre, bound }
     }
 
-    fn skel(pre: u32, label: u32, children: Vec<Arc<Skeleton>>) -> Skeleton {
+    fn skel(pre: u32, label: u32, children: Vec<Rc<Skeleton>>) -> Skeleton {
         Skeleton {
             pre,
             label: LabelId(label),
-            children,
+            children: children.into(),
         }
     }
 
@@ -103,7 +103,7 @@ mod tests {
         let s = skel(
             2,
             7,
-            vec![Arc::new(skel(3, 8, vec![])), Arc::new(skel(5, 9, vec![]))],
+            vec![Rc::new(skel(3, 8, vec![])), Rc::new(skel(5, 9, vec![]))],
         );
         assert_eq!(execute(&s, &idx), vec![ip(4, 8)]);
     }
@@ -121,7 +121,7 @@ mod tests {
         let s = skel(
             1,
             1,
-            vec![Arc::new(skel(2, 2, vec![Arc::new(skel(3, 3, vec![]))]))],
+            vec![Rc::new(skel(2, 2, vec![Rc::new(skel(3, 3, vec![]))]))],
         );
         assert_eq!(execute(&s, &idx), vec![ip(10, 20)]);
     }

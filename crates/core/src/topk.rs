@@ -4,21 +4,39 @@
 //! embedding per (query subtree, schema subtree) but the best **k** — each
 //! one a distinct *second-level query*. The list algebra is the one of
 //! [`crate::list`]; this module plugs in its value: per schema node, the
-//! at most `k` cheapest [`Candidate`]s, sorted by cost.
+//! at most `k` cheapest [`Candidate`]s, sorted by cost, ties in creation
+//! order.
 //!
 //! A candidate carries the matched, possibly renamed `label` and
 //! `children` pointers to the skeleton nodes of the embedding image (the
 //! paper's `pointers` set); a root candidate plus the nodes reachable
-//! through the pointers *is* the second-level query.
+//! through the pointers *is* the second-level query. A pointer set is
+//! shared and immutable ([`Pointers`]), so copying a candidate copies a
+//! reference count, not the set.
+//!
+//! Every operator reads its inputs as the sorted vectors they are and
+//! stops at `k`, so its work per node is O(k), not the O(k²) of building
+//! every combination and sorting it: `either`, `fold` and `close` are
+//! bounded merges, `offer` stops at the first candidate that no longer
+//! fits, and `both` walks the pairs cheapest first from a frontier heap
+//! (O(k log k)) and builds the pointer sets of the `k` it keeps only.
 //!
 //! Unlike the direct evaluation's grouped minima, each candidate is one
 //! concrete embedding, so the leaf rule reduces to a boolean flag.
 
-use crate::list::{below, CostDomain};
+use crate::list::{below, CostDomain, List};
 use approxql_index::Posting;
 use approxql_metrics::Metric;
 use approxql_tree::{Cost, LabelId};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::rc::Rc;
+use std::thread::LocalKey;
+
+/// A pointer set: the skeletons of an embedding's matched descendants.
+/// Immutable once built, so candidates and skeletons share it.
+pub type Pointers = Rc<[Rc<Skeleton>]>;
 
 /// A node of a second-level query: a schema node, the (possibly renamed)
 /// label it must carry, and the required descendant skeletons.
@@ -30,7 +48,7 @@ pub struct Skeleton {
     /// for text classes: the matched word).
     pub label: LabelId,
     /// Required descendants.
-    pub children: Vec<Arc<Skeleton>>,
+    pub children: Pointers,
 }
 
 impl Skeleton {
@@ -52,18 +70,53 @@ pub struct Candidate {
     /// The matched label (the paper's `label` component).
     pub label: LabelId,
     /// Skeletons of the matched descendants (the paper's `pointers`).
-    pub children: Vec<Arc<Skeleton>>,
+    pub children: Pointers,
 }
 
 impl Candidate {
     /// Materializes the skeleton of this embedding rooted at node `pre`.
-    pub fn skeleton(&self, pre: u32) -> Arc<Skeleton> {
-        Arc::new(Skeleton {
+    pub fn skeleton(&self, pre: u32) -> Rc<Skeleton> {
+        Rc::new(Skeleton {
             pre,
             label: self.label,
-            children: self.children.clone(),
+            children: Rc::clone(&self.children),
         })
     }
+}
+
+/// The pointer set of a pair: `a`'s pointers, then `b`'s.
+fn united(a: &Pointers, b: &Pointers) -> Pointers {
+    if b.is_empty() {
+        Rc::clone(a)
+    } else if a.is_empty() {
+        Rc::clone(b)
+    } else {
+        a.iter().chain(b.iter()).cloned().collect()
+    }
+}
+
+/// The first `k` items of the merge of the sorted sequences `a` and `b`;
+/// on a tie, `a`'s item comes first (`le` is the order's `≤`).
+fn merged<T>(
+    k: usize,
+    a: impl IntoIterator<Item = T>,
+    b: impl IntoIterator<Item = T>,
+    le: impl Fn(&T, &T) -> bool,
+) -> Vec<T> {
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    let mut out = Vec::new();
+    while out.len() < k {
+        let next = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if !le(x, y) => b.next(),
+            (Some(_), _) => a.next(),
+            (None, _) => b.next(),
+        };
+        match next {
+            Some(item) => out.push(item),
+            None => break,
+        }
+    }
+    out
 }
 
 /// The k-best domain of the adapted `primary`: a value is the candidates
@@ -77,20 +130,21 @@ pub struct KBest {
 }
 
 impl KBest {
-    fn capped(&self, mut candidates: Vec<Candidate>) -> Vec<Candidate> {
-        candidates.sort_by_key(|c| c.cost); // stable: creation order breaks ties
-        candidates.truncate(self.k);
-        candidates
-    }
-
-    /// Small k: linear maintenance is fine.
-    fn keep(&self, acc: &mut Vec<(Cost, usize, usize)>, item: (Cost, usize, usize)) {
+    /// Inserts `item` into the sorted accumulator if it ranks among the
+    /// `k` smallest; `false` if it does not, and then no larger item does.
+    fn keep(&self, acc: &mut Vec<(Cost, usize, usize)>, item: (Cost, usize, usize)) -> bool {
         let pos = acc.partition_point(|x| *x <= item);
-        if item.0.is_finite() && pos < self.k {
-            acc.insert(pos, item);
-            acc.truncate(self.k);
+        if !item.0.is_finite() || pos >= self.k {
+            return false;
         }
+        acc.truncate(self.k - 1);
+        acc.insert(pos, item);
+        true
     }
+}
+
+thread_local! {
+    static SPARE: RefCell<Vec<List<Vec<Candidate>>>> = const { RefCell::new(Vec::new()) };
 }
 
 impl CostDomain for KBest {
@@ -104,7 +158,7 @@ impl CostDomain for KBest {
             cost: Cost::ZERO,
             has_leaf: is_leaf,
             label,
-            children: Vec::new(),
+            children: Rc::new([]),
         }]
     }
 
@@ -114,51 +168,73 @@ impl CostDomain for KBest {
         }
     }
 
-    fn either(&self, mut a: Vec<Candidate>, b: Vec<Candidate>) -> Vec<Candidate> {
-        a.extend(b);
-        self.capped(a)
+    /// The first `k` of the merge, `a`'s candidates first on a tie.
+    fn either(&self, a: Vec<Candidate>, b: Vec<Candidate>) -> Vec<Candidate> {
+        merged(self.k, a, b, |x, y| x.cost <= y.cost)
     }
 
-    /// The `k` cheapest pairs; pointer sets are united.
+    /// The `k` cheapest pairs, in `(cost, i, j)` order — cost, then
+    /// creation order; pointer sets are united. Pair `(i, j + 1)` and, from
+    /// the first column, `(i + 1, 0)` cost no less than `(i, j)` and come
+    /// after it, so a frontier heap seeded with `(0, 0)` yields the pairs
+    /// in exactly that order: k pops of a heap of at most k + 1, and only
+    /// the kept pairs are built.
     fn both(&self, a: &Vec<Candidate>, b: &Vec<Candidate>) -> Option<Vec<Candidate>> {
-        let mut pairs = Vec::with_capacity(a.len() * b.len());
-        for x in a {
-            for y in b {
-                let cost = x.cost + y.cost;
-                if cost.is_finite() {
-                    let mut children = x.children.clone();
-                    children.extend(y.children.iter().cloned());
-                    pairs.push(Candidate {
+        let pair = |i: usize, j: usize| Some(Reverse((a.get(i)?.cost + b.get(j)?.cost, i, j)));
+        let mut frontier: BinaryHeap<_> = pair(0, 0).into_iter().collect();
+        let mut out = Vec::new();
+        while out.len() < self.k {
+            match frontier.pop() {
+                Some(Reverse((cost, i, j))) if cost.is_finite() => {
+                    let (x, y) = (&a[i], &b[j]);
+                    out.push(Candidate {
                         cost,
                         has_leaf: x.has_leaf || y.has_leaf,
                         label: x.label,
-                        children,
+                        children: united(&x.children, &y.children),
                     });
+                    frontier.extend(pair(i, j + 1));
+                    if j == 0 {
+                        frontier.extend(pair(i + 1, 0));
+                    }
                 }
+                // The rest cost at least as much: infinite.
+                _ => break,
             }
         }
-        Some(self.capped(pairs)).filter(|p| !p.is_empty())
+        Some(out).filter(|v| !v.is_empty())
     }
 
     fn open(&self) -> Self::Acc {
         Vec::new()
     }
 
+    /// `v` is sorted, so its keys rise: the first candidate that does not
+    /// fit ends the offer.
     fn offer(&self, acc: &mut Self::Acc, j: usize, (d, v): &(Posting, Vec<Candidate>)) {
         for (c, cand) in v.iter().enumerate() {
-            self.keep(acc, (d.pathcost + cand.cost, j, c));
+            if !self.keep(acc, (d.pathcost + cand.cost, j, c)) {
+                break;
+            }
         }
     }
 
     fn fold(&self, parent: &mut Self::Acc, closed: &Self::Acc) {
-        for &item in closed {
-            self.keep(parent, item);
+        if !closed.is_empty() {
+            let folded = merged(
+                self.k,
+                parent.iter().copied(),
+                closed.iter().copied(),
+                |x, y| x <= y,
+            );
+            *parent = folded;
         }
     }
 
     /// One candidate per kept descendant, pointer set initialized with
     /// that descendant, plus the deletion alternative (empty pointer set)
-    /// competing for the `k` slots.
+    /// competing for the `k` slots. The kept descendants come sorted; the
+    /// deletion, created after them, goes behind those of equal cost.
     fn close(
         &self,
         (a, seed): &(Posting, Vec<Candidate>),
@@ -167,22 +243,30 @@ impl CostDomain for KBest {
         c_del: Cost,
     ) -> Option<Vec<Candidate>> {
         let label = seed.first()?.label;
-        let kept = acc.into_iter().map(|(key, j, c)| {
+        let kept = |&(key, j, c): &(Cost, usize, usize)| {
             let (d, v) = &descendants[j];
             Candidate {
                 cost: below(a, key),
                 has_leaf: v[c].has_leaf,
                 label,
-                children: vec![v[c].skeleton(d.pre)],
+                children: Rc::new([v[c].skeleton(d.pre)]),
             }
-        });
+        };
         let deleted = c_del.is_finite().then(|| Candidate {
             cost: c_del,
             has_leaf: false,
             label,
-            children: Vec::new(),
+            children: Rc::new([]),
         });
-        Some(self.capped(kept.chain(deleted).collect())).filter(|v| !v.is_empty())
+        let at = acc.partition_point(|&(key, _, _)| below(a, key) <= c_del);
+        let out: Vec<Candidate> = acc[..at]
+            .iter()
+            .map(kept)
+            .chain(deleted)
+            .chain(acc[at..].iter().map(kept))
+            .take(self.k)
+            .collect();
+        Some(out).filter(|v| !v.is_empty())
     }
 
     fn weight(v: &Vec<Candidate>) -> usize {
@@ -193,6 +277,10 @@ impl CostDomain for KBest {
         Metric::TopkOps.incr();
         Metric::TopkEntriesProduced.add(produced as u64);
     }
+
+    fn spare() -> &'static LocalKey<RefCell<Vec<List<Vec<Candidate>>>>> {
+        &SPARE
+    }
 }
 
 /// A second-level query: the skeleton to execute against the
@@ -202,7 +290,7 @@ impl CostDomain for KBest {
 pub struct SecondLevelQuery {
     /// Embedding cost shared by all results of this query.
     pub cost: Cost,
-    root: Arc<Skeleton>,
+    root: Rc<Skeleton>,
 }
 
 impl SecondLevelQuery {
@@ -250,7 +338,7 @@ mod tests {
             cost: Cost::finite(cost),
             has_leaf: true,
             label: LabelId(label),
-            children: Vec::new(),
+            children: Rc::new([]),
         }
     }
 
@@ -332,16 +420,16 @@ mod tests {
     #[test]
     fn intersect_takes_best_pairs_and_unions_pointers() {
         let leaf = |pre, label| {
-            Arc::new(Skeleton {
+            Rc::new(Skeleton {
                 pre,
                 label: LabelId(label),
-                children: vec![],
+                children: Rc::new([]),
             })
         };
         let mut a1 = cand(1, 0);
-        a1.children = vec![leaf(3, 1)];
+        a1.children = Rc::new([leaf(3, 1)]);
         let mut b1 = cand(2, 0);
-        b1.children = vec![leaf(4, 2)];
+        b1.children = Rc::new([leaf(4, 2)]);
         let x = alg(4).intersect(
             &vec![node(2, 5, 0, vec![a1])],
             &vec![node(2, 5, 0, vec![b1])],
@@ -430,17 +518,263 @@ mod tests {
     #[test]
     fn skeleton_size_counts_nodes() {
         let leaf = |pre| {
-            Arc::new(Skeleton {
+            Rc::new(Skeleton {
                 pre,
                 label: LabelId(pre),
-                children: vec![],
+                children: Rc::new([]),
             })
         };
         let s = Skeleton {
             pre: 0,
             label: LabelId(0),
-            children: vec![leaf(1), leaf(2)],
+            children: Rc::new([leaf(1), leaf(2)]),
         };
         assert_eq!(s.size(), 3);
+    }
+
+    /// The operators as they were first written, exhaustively: every
+    /// combination, a stable sort by cost, the first `k`.
+    #[derive(Clone, Copy)]
+    struct Exhaustive(KBest);
+
+    impl Exhaustive {
+        fn capped(&self, mut candidates: Vec<Candidate>) -> Vec<Candidate> {
+            candidates.sort_by_key(|c| c.cost);
+            candidates.truncate(self.0.k);
+            candidates
+        }
+
+        fn keep(&self, acc: &mut Vec<(Cost, usize, usize)>, item: (Cost, usize, usize)) {
+            let pos = acc.partition_point(|x| *x <= item);
+            if item.0.is_finite() && pos < self.0.k {
+                acc.insert(pos, item);
+                acc.truncate(self.0.k);
+            }
+        }
+    }
+
+    impl CostDomain for Exhaustive {
+        type V = Vec<Candidate>;
+        type Acc = Vec<(Cost, usize, usize)>;
+
+        fn seed(&self, label: LabelId, is_leaf: bool) -> Vec<Candidate> {
+            self.0.seed(label, is_leaf)
+        }
+
+        fn shift(&self, v: &mut Vec<Candidate>, c: Cost) {
+            self.0.shift(v, c);
+        }
+
+        fn either(&self, mut a: Vec<Candidate>, b: Vec<Candidate>) -> Vec<Candidate> {
+            a.extend(b);
+            self.capped(a)
+        }
+
+        fn both(&self, a: &Vec<Candidate>, b: &Vec<Candidate>) -> Option<Vec<Candidate>> {
+            let mut pairs = Vec::new();
+            for x in a {
+                for y in b {
+                    let cost = x.cost + y.cost;
+                    if cost.is_finite() {
+                        let mut children = x.children.to_vec();
+                        children.extend(y.children.iter().cloned());
+                        pairs.push(Candidate {
+                            cost,
+                            has_leaf: x.has_leaf || y.has_leaf,
+                            label: x.label,
+                            children: children.into(),
+                        });
+                    }
+                }
+            }
+            Some(self.capped(pairs)).filter(|p| !p.is_empty())
+        }
+
+        fn open(&self) -> Self::Acc {
+            Vec::new()
+        }
+
+        fn offer(&self, acc: &mut Self::Acc, j: usize, (d, v): &(Posting, Vec<Candidate>)) {
+            for (c, cand) in v.iter().enumerate() {
+                self.keep(acc, (d.pathcost + cand.cost, j, c));
+            }
+        }
+
+        fn fold(&self, parent: &mut Self::Acc, closed: &Self::Acc) {
+            for &item in closed {
+                self.keep(parent, item);
+            }
+        }
+
+        fn close(
+            &self,
+            (a, seed): &(Posting, Vec<Candidate>),
+            acc: Self::Acc,
+            descendants: &[(Posting, Vec<Candidate>)],
+            c_del: Cost,
+        ) -> Option<Vec<Candidate>> {
+            let label = seed.first()?.label;
+            let kept = acc.into_iter().map(|(key, j, c)| {
+                let (d, v) = &descendants[j];
+                Candidate {
+                    cost: below(a, key),
+                    has_leaf: v[c].has_leaf,
+                    label,
+                    children: Rc::new([v[c].skeleton(d.pre)]),
+                }
+            });
+            let deleted = c_del.is_finite().then(|| Candidate {
+                cost: c_del,
+                has_leaf: false,
+                label,
+                children: Rc::new([]),
+            });
+            Some(self.capped(kept.chain(deleted).collect())).filter(|v| !v.is_empty())
+        }
+
+        fn weight(v: &Vec<Candidate>) -> usize {
+            v.len()
+        }
+
+        fn record(&self, op: Metric, produced: usize) {
+            self.0.record(op, produced);
+        }
+
+        fn spare() -> &'static LocalKey<RefCell<Vec<List<Vec<Candidate>>>>> {
+            KBest::spare()
+        }
+    }
+
+    /// Random lists over one random forest: nested intervals, descendant
+    /// path costs that cover every ancestor's, and sorted candidate
+    /// vectors whose costs tie often. Every candidate points at a skeleton
+    /// of its own, so a candidate kept out of order shows.
+    struct Lists {
+        state: u64,
+        skeletons: u32,
+    }
+
+    impl Lists {
+        fn draw(&mut self, below: u64) -> u64 {
+            self.state = self
+                .state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.state >> 33) % below
+        }
+
+        /// 40 nodes in preorder, each under a random open node.
+        fn forest(&mut self) -> Vec<Posting> {
+            let mut nodes: Vec<Posting> = Vec::new();
+            let mut open: Vec<usize> = Vec::new();
+            for pre in 0..40 {
+                let depth = self.draw(open.len() as u64 + 1) as usize;
+                open.truncate(depth);
+                let pathcost = match open.last() {
+                    Some(&p) => nodes[p].pathcost + nodes[p].inscost + Cost::finite(self.draw(2)),
+                    None => Cost::finite(self.draw(3)),
+                };
+                for &p in &open {
+                    nodes[p].bound = pre;
+                }
+                open.push(nodes.len());
+                nodes.push(Posting {
+                    pre,
+                    bound: pre,
+                    pathcost,
+                    inscost: Cost::finite(self.draw(3)),
+                });
+            }
+            nodes
+        }
+
+        /// A k-best value of 1 to `min(k, 12)` candidates.
+        fn value(&mut self, k: usize, label: u32) -> Vec<Candidate> {
+            let len = 1 + self.draw(k.min(12) as u64) as usize;
+            let mut v: Vec<Candidate> = (0..len)
+                .map(|_| {
+                    self.skeletons += 1;
+                    let pointed = Rc::new(Skeleton {
+                        pre: 1000 + self.skeletons,
+                        label: LabelId(label),
+                        children: Rc::new([]),
+                    });
+                    Candidate {
+                        cost: Cost::finite(self.draw(4)),
+                        has_leaf: self.draw(2) == 0,
+                        label: LabelId(label),
+                        children: if self.draw(3) == 0 {
+                            Rc::new([])
+                        } else {
+                            Rc::new([pointed])
+                        },
+                    }
+                })
+                .collect();
+            v.sort_by_key(|c| c.cost);
+            v
+        }
+
+        /// The nodes of `forest` a list of this density holds (none at
+        /// density 0).
+        fn list(&mut self, forest: &[Posting], k: usize, label: u32) -> List<Vec<Candidate>> {
+            let density = [0, 3, 7, 10][self.draw(4) as usize];
+            let mut l = Vec::new();
+            for &node in forest {
+                if self.draw(10) < density {
+                    l.push((node, self.value(k, label)));
+                }
+            }
+            l
+        }
+    }
+
+    #[test]
+    fn operators_equal_their_exhaustive_definitions() {
+        static EMPTY: std::sync::OnceLock<(LabelIndex, Interner)> = std::sync::OnceLock::new();
+        let (index, interner) = EMPTY.get_or_init(Default::default);
+        let mut gen = Lists {
+            state: 0x2002,
+            skeletons: 0,
+        };
+        let renames = [Cost::ZERO, Cost::finite(1), Cost::finite(3), Cost::INFINITY];
+        let dels = [Cost::ZERO, Cost::finite(2), Cost::INFINITY];
+        for k in [1, 2, 3, 5, 8, 64] {
+            let fast = Algebra {
+                index,
+                interner,
+                domain: KBest { k },
+            };
+            let slow = Algebra {
+                index,
+                interner,
+                domain: Exhaustive(KBest { k }),
+            };
+            for case in 0..150 {
+                let forest = gen.forest();
+                let [l, r, s] = [0, 1, 2].map(|label| gen.list(&forest, k, label));
+                let (c1, c2) = (renames[gen.draw(4) as usize], renames[gen.draw(4) as usize]);
+                let del = dels[gen.draw(3) as usize];
+                let at = |op: &str| format!("{op} at k = {k}, case {case}");
+
+                let m = fast.merge(&l, &[(&r, c1), (&s, c2)]);
+                assert_eq!(m, slow.merge(&l, &[(&r, c1), (&s, c2)]), "{}", at("merge"));
+                assert_eq!(fast.union(&l, &r), slow.union(&l, &r), "{}", at("union"));
+                for (a, b) in [(&l, &r), (&m, &s)] {
+                    assert_eq!(
+                        fast.intersect(a, b),
+                        slow.intersect(a, b),
+                        "{}",
+                        at("intersect")
+                    );
+                }
+                for (a, d) in [(&l, &r), (&s, &m)] {
+                    assert_eq!(fast.join(a, d), slow.join(a, d), "{}", at("join"));
+                    let (x, y) = (fast.outerjoin(a, d, del), slow.outerjoin(a, d, del));
+                    assert_eq!(x, y, "{}", at("outerjoin"));
+                    assert!(x.iter().all(|(_, v)| !v.is_empty() && v.len() <= k));
+                }
+            }
+        }
     }
 }

@@ -431,6 +431,11 @@ pub trait PlanAlgebra {
     fn intersect(&self, l: &Self::L, r: &Self::L) -> Self::L;
     /// `or` combination.
     fn union(&self, l: &Self::L, r: &Self::L) -> Self::L;
+    /// Takes back an output that no consumer still to run reads, so that
+    /// its memory can serve a later output. The default drops it.
+    fn recycle(&self, l: Self::L) {
+        drop(l);
+    }
 }
 
 /// Executes every list-valued operator of `plan` exactly once, in handle
@@ -440,9 +445,9 @@ pub trait PlanAlgebra {
 ///
 /// `seen` is shown each operator's output once, right after it is
 /// produced. An output is then kept only while a consumer that has not
-/// run yet needs it: it is dropped as soon as its last consumer has run,
-/// so at most the lists still to be read are resident. The root list is
-/// never dropped.
+/// run yet needs it: it is handed to [`PlanAlgebra::recycle`] as soon as
+/// its last consumer has run, so at most the lists still to be read are
+/// resident. The root list is never recycled.
 pub fn execute<A: PlanAlgebra>(
     plan: &Plan,
     alg: &A,
@@ -465,7 +470,9 @@ pub fn execute<A: PlanAlgebra>(
             if let Some(p) = pending.get_mut(i) {
                 *p = p.saturating_sub(1);
                 if *p == 0 {
-                    slots[i] = None;
+                    if let Some(l) = slots[i].take() {
+                        alg.recycle(l);
+                    }
                 }
             }
         }
@@ -766,11 +773,13 @@ mod tests {
     }
 
     /// Lists that know which of them are alive: the `n`-th list created
-    /// has id `n`, and dropping it takes it out of `alive`.
+    /// has id `n`, and dropping it takes it out of `alive`. `recycled`
+    /// holds the ids handed back, in order.
     #[derive(Default)]
     struct Live {
         created: std::cell::Cell<usize>,
         alive: std::cell::RefCell<std::collections::BTreeSet<usize>>,
+        recycled: std::cell::RefCell<Vec<usize>>,
     }
 
     struct Tracked<'a>(usize, &'a Live);
@@ -818,6 +827,9 @@ mod tests {
         fn union(&self, _: &Tracked<'a>, _: &Tracked<'a>) -> Tracked<'a> {
             self.list()
         }
+        fn recycle(&self, l: Tracked<'a>) {
+            self.0.recycled.borrow_mut().push(l.0);
+        }
     }
 
     #[test]
@@ -849,10 +861,22 @@ mod tests {
                 .filter(|&j| j == h || last[j].is_some_and(|c| c >= h))
                 .collect();
             assert_eq!(*live.alive.borrow(), want, "at operator {h}");
+            // Every output dropped so far went through `recycle`, once.
+            let mut recycled = live.recycled.borrow().clone();
+            recycled.sort_unstable();
+            let dropped: Vec<usize> = (0..=h).filter(|j| !want.contains(j)).collect();
+            assert_eq!(recycled, dropped, "at operator {h}");
         });
         let root = root.expect("the root list is returned");
         assert_eq!(root.0, p.root_list());
         assert_eq!(*live.alive.borrow(), [p.root_list()].into());
+        // Every output but the root list was recycled, each once.
+        let mut recycled = live.recycled.borrow().clone();
+        recycled.sort_unstable();
+        let others: Vec<usize> = (0..live.created.get())
+            .filter(|&j| j != p.root_list())
+            .collect();
+        assert_eq!(recycled, others);
         assert_eq!(live.created.get(), p.ops().len() - 1);
         drop(root);
         assert!(live.alive.borrow().is_empty());
