@@ -324,8 +324,8 @@ fn every_length_field_is_a_typed_error_under_a_memory_cap() {
     let built = Path::new(&built);
 
     // The whole-tree dump of the schema: magic 8 | version u32 | string
-    // count u32 | (length u32, bytes)* | node count u64 | 29 B per node |
-    // span count u32 | spans.
+    // count u32 | (length u32, bytes)* | node count u64 | two varints per
+    // node | two 8-byte costs per node | span count u32 | spans.
     let schema = value_of(built, b"meta#schema", 11);
     let word = |at: usize| u32::from_le_bytes(schema[at..at + 4].try_into().unwrap()) as usize;
     let mut nodes_at = 16;
@@ -333,7 +333,12 @@ fn every_length_field_is_a_typed_error_under_a_memory_cap() {
         nodes_at += 4 + word(nodes_at);
     }
     let nodes = u64::from_le_bytes(schema[nodes_at..nodes_at + 8].try_into().unwrap());
-    let spans_at = nodes_at + 8 + 29 * nodes as usize;
+    let mut spans_at = nodes_at + 8;
+    for _ in 0..2 * nodes {
+        approxql_tree::read_varint(&schema, &mut spans_at).unwrap();
+    }
+    spans_at += 16 * nodes as usize;
+    assert_eq!(schema.len(), spans_at + 4 + 9 * word(spans_at));
     let classes_len = value_of(built, b"meta#classes", 12).len();
 
     use Place::{Entry, Leaf, Value};

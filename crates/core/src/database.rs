@@ -553,8 +553,9 @@ impl Database {
     /// those costs enter only through query expansion, so the model and
     /// its plan-cache fingerprint are all that change, and class ids and
     /// schema preorder numbers stay as they are. Insert costs are baked
-    /// into the stored tree and every posting, so a model that changes
-    /// the insert cost of a label of the collection, or the default, is
+    /// into every posting (the stored tree derives its own from the
+    /// build-time model when it loads), so a model that changes the
+    /// insert cost of a label of the collection, or the default, is
     /// refused and nothing changes.
     pub fn set_query_costs(&mut self, costs: CostModel) -> Result<(), InsertCostChanged> {
         let built = &self.costs;

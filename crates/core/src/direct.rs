@@ -79,11 +79,7 @@ pub(crate) fn best_n_plan_counted(
 ) -> (Vec<(u32, Cost)>, DirectStats, Vec<u64>) {
     Metric::EvalDirectRuns.incr();
     let timer = time(TimerMetric::EvalDirect);
-    let alg = Algebra {
-        index,
-        interner,
-        domain: TwoChannel,
-    };
+    let alg = Algebra::new(index, interner, TwoChannel);
     let mut counts = vec![0u64; plan.ops().len()];
     // Entries as `list.entries_produced` counts them: a `shift` passes its
     // input's entries on, and `sort_best` adds the pairs it keeps.

@@ -44,7 +44,6 @@ use approxql_plan::PlanAlgebra;
 use approxql_tree::{Cost, Interner, LabelId, NodeType};
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::thread::LocalKey;
 
 /// A preorder-sorted list (strictly increasing `pre`): one value per node.
 pub type List<V> = Vec<(Posting, V)>;
@@ -95,9 +94,6 @@ pub trait CostDomain {
     /// Counts one operation, named by its `list.*` counter, and the
     /// entries it produced.
     fn record(&self, op: Metric, produced: usize);
-    /// This thread's spare buffers for lists of this domain: the outputs
-    /// the running [`Algebra`] was handed back, emptied.
-    fn spare() -> &'static LocalKey<RefCell<Vec<List<Self::V>>>>;
 }
 
 /// `distance(a, d) + cost(d)` from the key `pathcost(d) + cost(d)` of a
@@ -210,14 +206,6 @@ impl CostDomain for TwoChannel {
         op.incr();
         Metric::ListEntriesProduced.add(produced as u64);
     }
-
-    fn spare() -> &'static LocalKey<RefCell<Vec<List<Channels>>>> {
-        &SPARE
-    }
-}
-
-thread_local! {
-    static SPARE: RefCell<Vec<List<Channels>>> = const { RefCell::new(Vec::new()) };
 }
 
 fn debug_check_sorted<V>(l: &[(Posting, V)]) {
@@ -469,10 +457,8 @@ pub(crate) fn weight<D: CostDomain>(l: &[(Posting, D::V)]) -> usize {
 /// schema's for the adapted `primary`.
 ///
 /// One `Algebra` serves one query. Outputs handed back through `recycle`
-/// wait on the domain's spare list ([`CostDomain::spare`]) and later
-/// outputs take their buffers from it; dropping the `Algebra` empties the
-/// list, so no buffer outlives its query. The list is a thread-local
-/// rather than a field so that an `Algebra` stays a plain struct literal.
+/// wait on its spare list and later outputs take their buffers from it;
+/// the list dies with the `Algebra`, so no buffer outlives its query.
 pub struct Algebra<'a, D: CostDomain> {
     /// The label index `fetch` reads.
     pub index: &'a LabelIndex,
@@ -480,9 +466,21 @@ pub struct Algebra<'a, D: CostDomain> {
     pub interner: &'a Interner,
     /// The cost domain of the lists.
     pub domain: D,
+    /// Recycled outputs, emptied, for later outputs of the same query.
+    spare: RefCell<Vec<List<D::V>>>,
 }
 
-impl<D: CostDomain> Algebra<'_, D> {
+impl<'a, D: CostDomain> Algebra<'a, D> {
+    /// An algebra over `index` in `domain`, with no spare buffers yet.
+    pub fn new(index: &'a LabelIndex, interner: &'a Interner, domain: D) -> Self {
+        Algebra {
+            index,
+            interner,
+            domain,
+            spare: RefCell::default(),
+        }
+    }
+
     fn done(&self, op: Metric, out: List<D::V>) -> List<D::V> {
         self.domain.record(op, weight::<D>(&out));
         out
@@ -490,23 +488,15 @@ impl<D: CostDomain> Algebra<'_, D> {
 
     /// The smallest spare buffer that holds `n` entries, if one does.
     fn spare(&self, n: usize) -> Option<List<D::V>> {
-        D::spare().with(|spare| {
-            let mut spare = spare.borrow_mut();
-            let fits = spare.iter().enumerate().filter(|(_, b)| b.capacity() >= n);
-            let (at, _) = fits.min_by_key(|(_, b)| b.capacity())?;
-            Some(spare.swap_remove(at))
-        })
+        let mut spare = self.spare.borrow_mut();
+        let fits = spare.iter().enumerate().filter(|(_, b)| b.capacity() >= n);
+        let (at, _) = fits.min_by_key(|(_, b)| b.capacity())?;
+        Some(spare.swap_remove(at))
     }
 
     /// An empty output buffer for exactly `n` entries.
     fn buffer(&self, n: usize) -> List<D::V> {
         self.spare(n).unwrap_or_else(|| Vec::with_capacity(n))
-    }
-}
-
-impl<D: CostDomain> Drop for Algebra<'_, D> {
-    fn drop(&mut self) {
-        D::spare().with(|spare| spare.take());
     }
 }
 
@@ -589,7 +579,7 @@ impl<D: CostDomain> PlanAlgebra for Algebra<'_, D> {
     fn recycle(&self, mut l: Self::L) {
         l.clear();
         if l.capacity() > 0 {
-            D::spare().with(|spare| spare.borrow_mut().push(l));
+            self.spare.borrow_mut().push(l);
         }
     }
 }
@@ -660,11 +650,7 @@ mod tests {
     fn alg() -> Algebra<'static, TwoChannel> {
         static EMPTY: std::sync::OnceLock<(LabelIndex, Interner)> = std::sync::OnceLock::new();
         let (index, interner) = EMPTY.get_or_init(Default::default);
-        Algebra {
-            index,
-            interner,
-            domain: TwoChannel,
-        }
+        Algebra::new(index, interner, TwoChannel)
     }
 
     fn join(anc: &DataList, desc: &DataList) -> DataList {
@@ -696,11 +682,7 @@ mod tests {
         let label = interner.intern("a");
         let mut index = LabelIndex::default();
         index.insert_posting(NodeType::Struct, label, postings.clone());
-        let alg = Algebra {
-            index: &index,
-            interner: &interner,
-            domain: TwoChannel,
-        };
+        let alg = Algebra::new(&index, &interner, TwoChannel);
         for is_leaf in [false, true] {
             let seed = TwoChannel.seed(label, is_leaf);
             let want: DataList = postings.iter().map(|&p| (p, seed)).collect();
@@ -712,33 +694,44 @@ mod tests {
 
     #[test]
     fn spare_buffers_serve_later_outputs_and_die_with_the_algebra() {
-        let spares = || {
-            TwoChannel::spare().with(|s| s.borrow().iter().map(Vec::capacity).collect::<Vec<_>>())
+        let spares = |alg: &Algebra<'_, TwoChannel>| {
+            alg.spare
+                .borrow()
+                .iter()
+                .map(Vec::capacity)
+                .collect::<Vec<_>>()
         };
         let l: DataList = (0..100).map(|i| e(i, i, 0, 1, 0, Some(0))).collect();
         let half = l[..50].to_vec();
         {
-            let alg = alg();
-            let hundred = alg.shift(&l, Cost::ZERO);
+            let query = alg();
+            let hundred = query.shift(&l, Cost::ZERO);
             let at = hundred.as_ptr();
-            alg.recycle(hundred);
-            alg.recycle(Vec::with_capacity(200));
-            alg.recycle(Vec::with_capacity(10));
-            assert_eq!(spares(), [100, 200, 10]);
+            query.recycle(hundred);
+            query.recycle(Vec::with_capacity(200));
+            query.recycle(Vec::with_capacity(10));
+            assert_eq!(spares(&query), [100, 200, 10]);
+            // Another query's algebra sees none of them.
+            let other = alg();
+            assert!(spares(&other).is_empty());
+            let elsewhere = other.shift(&half, Cost::ZERO);
+            assert_ne!(elsewhere.as_ptr(), at);
             // 50 entries take the smallest buffer that holds them.
-            let out = alg.shift(&half, Cost::finite(1));
+            let out = query.shift(&half, Cost::finite(1));
             assert_eq!(out.as_ptr(), at);
             assert_eq!(out.len(), 50);
             assert!(out.iter().all(|(_, v)| v.any == Cost::finite(1)));
-            assert_eq!(spares(), [10, 200]);
+            assert_eq!(spares(&query), [10, 200]);
             // No spare holds 300 entries: a new buffer.
             assert_eq!(
-                alg.merge(&l, &[(&l, Cost::ZERO), (&l, Cost::ZERO)]).len(),
+                query.merge(&l, &[(&l, Cost::ZERO), (&l, Cost::ZERO)]).len(),
                 100
             );
-            assert_eq!(spares(), [10, 200]);
+            assert_eq!(spares(&query), [10, 200]);
         }
-        assert!(spares().is_empty());
+        // The buffers went with their algebra: a later query starts
+        // without them.
+        assert!(spares(&alg()).is_empty());
     }
 
     #[test]

@@ -126,11 +126,7 @@ pub fn best_k_second_level_plan(
 ) -> SecondLevelRun {
     Metric::EvalSchemaRuns.incr();
     let _timer = time(TimerMetric::EvalSchema);
-    let alg = Algebra {
-        index: schema.labels(),
-        interner,
-        domain: KBest { k },
-    };
+    let alg = Algebra::new(schema.labels(), interner, KBest { k });
     let mut entries = 0usize;
     // `possibly_capped`: whether any accounted candidate vector reached
     // length `k` — a conservative signal that the cap may have truncated

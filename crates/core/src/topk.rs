@@ -24,15 +24,13 @@
 //! Unlike the direct evaluation's grouped minima, each candidate is one
 //! concrete embedding, so the leaf rule reduces to a boolean flag.
 
-use crate::list::{below, CostDomain, List};
+use crate::list::{below, CostDomain};
 use approxql_index::Posting;
 use approxql_metrics::Metric;
 use approxql_tree::{Cost, LabelId};
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
-use std::thread::LocalKey;
 
 /// A pointer set: the skeletons of an embedding's matched descendants.
 /// Immutable once built, so candidates and skeletons share it.
@@ -141,10 +139,6 @@ impl KBest {
         acc.insert(pos, item);
         true
     }
-}
-
-thread_local! {
-    static SPARE: RefCell<Vec<List<Vec<Candidate>>>> = const { RefCell::new(Vec::new()) };
 }
 
 impl CostDomain for KBest {
@@ -277,10 +271,6 @@ impl CostDomain for KBest {
         Metric::TopkOps.incr();
         Metric::TopkEntriesProduced.add(produced as u64);
     }
-
-    fn spare() -> &'static LocalKey<RefCell<Vec<List<Vec<Candidate>>>>> {
-        &SPARE
-    }
 }
 
 /// A second-level query: the skeleton to execute against the
@@ -328,7 +318,7 @@ pub fn sort_k_best(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::list::Algebra;
+    use crate::list::{Algebra, List};
     use approxql_index::LabelIndex;
     use approxql_plan::PlanAlgebra;
     use approxql_tree::Interner;
@@ -362,11 +352,7 @@ mod tests {
     fn alg(k: usize) -> Algebra<'static, KBest> {
         static EMPTY: std::sync::OnceLock<(LabelIndex, Interner)> = std::sync::OnceLock::new();
         let (index, interner) = EMPTY.get_or_init(Default::default);
-        Algebra {
-            index,
-            interner,
-            domain: KBest { k },
-        }
+        Algebra::new(index, interner, KBest { k })
     }
 
     fn costs(v: &[Candidate]) -> Vec<Cost> {
@@ -639,10 +625,6 @@ mod tests {
         fn record(&self, op: Metric, produced: usize) {
             self.0.record(op, produced);
         }
-
-        fn spare() -> &'static LocalKey<RefCell<Vec<List<Vec<Candidate>>>>> {
-            KBest::spare()
-        }
     }
 
     /// Random lists over one random forest: nested intervals, descendant
@@ -740,16 +722,8 @@ mod tests {
         let renames = [Cost::ZERO, Cost::finite(1), Cost::finite(3), Cost::INFINITY];
         let dels = [Cost::ZERO, Cost::finite(2), Cost::INFINITY];
         for k in [1, 2, 3, 5, 8, 64] {
-            let fast = Algebra {
-                index,
-                interner,
-                domain: KBest { k },
-            };
-            let slow = Algebra {
-                index,
-                interner,
-                domain: Exhaustive(KBest { k }),
-            };
+            let fast = Algebra::new(index, interner, KBest { k });
+            let slow = Algebra::new(index, interner, Exhaustive(KBest { k }));
             for case in 0..150 {
                 let forest = gen.forest();
                 let [l, r, s] = [0, 1, 2].map(|label| gen.list(&forest, k, label));

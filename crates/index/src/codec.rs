@@ -12,7 +12,7 @@
 
 use crate::{InstancePosting, Posting};
 use approxql_metrics::Metric;
-use approxql_tree::Cost;
+use approxql_tree::{read_varint, write_varint, Cost, VarintError};
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -32,40 +32,14 @@ impl std::error::Error for PostingDecodeError {}
 // each crate that decodes a list; the varint and cost helpers they call
 // per entry must be inlinable from there.
 
-/// Unsigned LEB128.
-#[inline]
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            break;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-#[inline]
-fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64, PostingDecodeError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let Some(&b) = data.get(*pos) else {
-            return Err(PostingDecodeError("varint runs past the list"));
-        };
-        *pos += 1;
-        if shift == 63 && b & 0x7e != 0 {
-            return Err(PostingDecodeError("varint exceeds 64 bits"));
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(PostingDecodeError("varint exceeds 64 bits"));
-        }
+/// The one varint codec of the workspace, with the list's words for its
+/// two failures.
+impl From<VarintError> for PostingDecodeError {
+    fn from(e: VarintError) -> Self {
+        PostingDecodeError(match e {
+            VarintError::RunsPast => "varint runs past the list",
+            VarintError::Overlong => "varint exceeds 64 bits",
+        })
     }
 }
 
@@ -596,16 +570,5 @@ mod tests {
         bl.remove_range(0, u32::MAX);
         assert_eq!(bl, BlockList::default());
         assert_eq!(bl.remove_range(0, u32::MAX), 0);
-    }
-
-    #[test]
-    fn varints_roundtrip() {
-        for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX] {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
-            assert_eq!(pos, buf.len());
-        }
     }
 }

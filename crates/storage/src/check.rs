@@ -43,7 +43,8 @@ pub struct CheckReport {
     pub inline_entries: u64,
     /// Pages occupied by live out-of-line values.
     pub value_pages: u64,
-    /// Pages referenced by no live structure (leaked until compaction).
+    /// Pages referenced by no live structure (leaked until the file is
+    /// rewritten).
     pub leaked_pages: u64,
 }
 

@@ -21,7 +21,7 @@
 //!
 //! ## Durability model
 //!
-//! The store is crash-safe at commit granularity (format version 7; a file
+//! The store is crash-safe at commit granularity (format version 8; a file
 //! of another version is a typed [`StorageError::BadVersion`] and is
 //! rebuilt from its XML — there is one reader):
 //! reopening a store after a crash — at *any* backend write — yields
@@ -73,7 +73,8 @@
 //!
 //! Pages are never reclaimed (there is no free list); deleting or
 //! overwriting keys leaks the old value runs until the file is rewritten
-//! with [`Store::compact_into`]. Copy-on-write relocation adds to the
+//! whole: `Database::save` writes a fresh store beside the file and
+//! renames it into place ([`Store::replace_file`]). Copy-on-write relocation adds to the
 //! leak, which matches the access pattern of the reproduction: indexes are
 //! bulk-built once and then read.
 

@@ -745,13 +745,14 @@ mod tests {
         // `FORMAT_VERSION`, not a refactor.
         assert_eq!(page_checksum(&[0u8; PAGE_DATA]), 0x5089_2070_DE9B_9331);
         assert_eq!(page_checksum(&counting_payload()), 0x4138_FF8C_7B00_2DBE);
-        // Commit 1 of an empty store: magic, version 7, root 2, csn 1,
-        // 3 pages — and its trailer is that sum.
+        // Commit 1 of an empty store: magic, version 8, root 2, csn 1,
+        // 3 pages — and its trailer is that sum (re-pinned with the
+        // version field: 0xDF70_AD59_9C42_B335 at version 7).
         let shared = crate::SharedMemBackend::new();
         drop(crate::Store::create(Box::new(shared.clone())).unwrap());
         let mut slot = [0u8; PAGE_SIZE];
         shared.snapshot().read_page(PageId(1), &mut slot).unwrap();
-        assert_eq!(page_checksum(&slot[..PAGE_DATA]), 0xDF70_AD59_9C42_B335);
+        assert_eq!(page_checksum(&slot[..PAGE_DATA]), 0xB5D6_F3C9_5612_53E8);
         assert!(trailer_ok(&slot));
     }
 

@@ -48,10 +48,14 @@ const MAGIC: &[u8; 8] = b"AXQLSTOR";
 /// reader would split in the wrong place; version 7 changed no page but
 /// the value of every `ls#`/`lt#`/`sec#` key above it (one delta/varint
 /// run behind an entry count, where version 6 had 128-entry frames behind
-/// 20-byte skip headers). Files of any other version are rejected with
+/// 20-byte skip headers); version 8 changed no page but the value of every
+/// `doc#` key (two varints per node, label with type and subtree size,
+/// where version 7 had 29 bytes of six fixed-width columns) and of
+/// `meta#schema` (the same two varints plus the two cost columns). Files
+/// of any other version are rejected with
 /// [`StorageError::BadVersion`] — there is one reader, so an older store
 /// is rebuilt from its XML, not converted.
-pub const FORMAT_VERSION: u32 = 7;
+pub const FORMAT_VERSION: u32 = 8;
 
 /// First page a B+-tree node or value run may occupy (0 and 1 are the
 /// header slots).
@@ -263,7 +267,7 @@ impl Store {
     }
 
     /// Inserts or replaces `key`. The old value's pages (if any) are
-    /// leaked until [`Store::compact_into`].
+    /// leaked until the file is rewritten ([`Store::replace_file`]).
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
         let value = if value.len() <= INLINE_MAX {
             Value::Inline(value.to_vec())
@@ -375,21 +379,6 @@ impl Store {
     /// [`CheckReport`].
     pub fn check(&mut self) -> Result<CheckReport> {
         crate::check::run_check(&mut self.pager, self.tree.root, self.csn)
-    }
-
-    /// Copies every live entry into `target`, dropping leaked pages.
-    pub fn compact_into(&mut self, target: &mut Store) -> Result<()> {
-        let mut entries = Vec::new();
-        {
-            let mut it = self.iter_all()?;
-            while let Some((k, v)) = it.next_entry()? {
-                entries.push((k, v));
-            }
-        }
-        for (k, v) in entries {
-            target.put(&k, &v)?;
-        }
-        target.commit()
     }
 }
 
@@ -695,9 +684,9 @@ mod tests {
     }
 
     #[test]
-    fn open_rejects_version_6_files() {
-        // Two commits fill both header slots; a version-6 binary would
-        // have written the same pages with 6 in the version field. The
+    fn open_rejects_version_7_files() {
+        // Two commits fill both header slots; a version-7 binary would
+        // have written the same pages with 7 in the version field. The
         // trailers are left as they are: whether they verify must not
         // matter, the version is read first.
         let shared = SharedMemBackend::new();
@@ -710,12 +699,12 @@ mod tests {
             let mut buf = [0u8; PAGE_SIZE];
             disk.read_page(slot, &mut buf).unwrap();
             assert_eq!(buf[8..12], FORMAT_VERSION.to_le_bytes());
-            buf[8..12].copy_from_slice(&6u32.to_le_bytes());
+            buf[8..12].copy_from_slice(&7u32.to_le_bytes());
             disk.write_page(slot, &buf).unwrap();
         }
         assert!(matches!(
             Store::open(Box::new(disk)),
-            Err(StorageError::BadVersion(6))
+            Err(StorageError::BadVersion(7))
         ));
     }
 
@@ -773,21 +762,6 @@ mod tests {
         assert_eq!(s.get(b"after").unwrap(), Some(b"3".to_vec()));
         s.check().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn compact_drops_leaked_pages() {
-        let mut s = Store::in_memory().unwrap();
-        let big = vec![1u8; PAGE_SIZE * 4];
-        for _ in 0..10 {
-            s.put(b"k", &big).unwrap(); // 9 leaked runs
-        }
-        let before = s.page_count();
-        let mut t = Store::in_memory().unwrap();
-        s.compact_into(&mut t).unwrap();
-        assert!(t.page_count() < before);
-        assert_eq!(t.get(b"k").unwrap(), Some(big));
-        t.check().unwrap();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Storage edge cases: maximum-length keys, prefix scans crossing leaf
 //! splits, multi-page out-of-line value runs, and the open-path failure
 //! matrix — torn headers, zero-length/truncated files, over-claiming
-//! headers, and reopening after compaction. Every bad input must yield a
+//! headers. Every bad input must yield a
 //! typed error (or a clean rollback), never a panic.
 
 use approxql_metrics::Metric;
@@ -253,35 +253,5 @@ fn header_claiming_more_pages_than_the_file_holds() {
         Store::open_file(&path),
         Err(StorageError::Truncated { .. })
     ));
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn reopen_after_compact_into() {
-    let dir = tmpdir("compact");
-    let src_path = dir.join("src.db");
-    let dst_path = dir.join("dst.db");
-    {
-        let mut src = Store::create_file(&src_path).unwrap();
-        let big = vec![3u8; PAGE_SIZE * 2 + 100];
-        for i in 0..50u32 {
-            src.put(format!("k{i:02}").as_bytes(), &big).unwrap();
-            src.put(format!("k{i:02}").as_bytes(), &[i as u8; 40])
-                .unwrap(); // leak the run
-        }
-        src.commit().unwrap();
-        let mut dst = Store::create_file(&dst_path).unwrap();
-        src.compact_into(&mut dst).unwrap();
-        assert!(dst.page_count() < src.page_count());
-    }
-    let mut dst = Store::open_file(&dst_path).unwrap();
-    let all = dst.iter_all().unwrap().collect_all().unwrap();
-    assert_eq!(all.len(), 50);
-    for (i, (k, v)) in all.iter().enumerate() {
-        assert_eq!(k, format!("k{i:02}").as_bytes());
-        assert_eq!(v, &vec![i as u8; 40]);
-    }
-    let report = dst.check().unwrap();
-    assert_eq!(report.entries, 50);
     std::fs::remove_dir_all(&dir).unwrap();
 }

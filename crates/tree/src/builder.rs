@@ -1,10 +1,10 @@
 //! Building data trees from XML documents or programmatically.
 
-use crate::interner::{Interner, LabelId};
+use crate::interner::Interner;
 use crate::text::split_words;
 use crate::tree::{DataTree, NodeId};
 use approxql_cost::{Cost, CostModel, NodeType};
-use approxql_xml::{Document, Element, XmlNode};
+use approxql_xml::Document;
 
 /// The unique label of the virtual super-root added above all documents
 /// (Section 4: "We add a new root node with a unique label to the
@@ -20,11 +20,8 @@ pub const VIRTUAL_ROOT_LABEL: &str = "\u{0}root";
 /// the synthetic data generator use.
 #[derive(Debug)]
 pub struct DataTreeBuilder {
-    interner: Interner,
-    labels: Vec<LabelId>,
-    types: Vec<NodeType>,
-    parents: Vec<u32>,
-    bounds: Vec<u32>,
+    /// The nodes added so far; bounds and costs are derived by `build`.
+    tree: DataTree,
     /// Preorder numbers of currently open struct nodes.
     stack: Vec<u32>,
 }
@@ -38,32 +35,27 @@ impl Default for DataTreeBuilder {
 impl DataTreeBuilder {
     /// Creates a builder holding only the virtual root.
     pub fn new() -> DataTreeBuilder {
-        let mut b = DataTreeBuilder {
-            interner: Interner::new(),
-            labels: Vec::new(),
-            types: Vec::new(),
-            parents: Vec::new(),
-            bounds: Vec::new(),
-            stack: Vec::new(),
+        let mut interner = Interner::new();
+        let root = interner.intern(VIRTUAL_ROOT_LABEL);
+        let tree = DataTree {
+            labels: vec![root],
+            types: vec![NodeType::Struct],
+            parents: vec![u32::MAX],
+            bounds: vec![0],
+            inscosts: vec![Cost::ZERO],
+            pathcosts: vec![Cost::ZERO],
+            interner,
+            docs: Vec::new(),
         };
-        let root_label = b.interner.intern(VIRTUAL_ROOT_LABEL);
-        b.labels.push(root_label);
-        b.types.push(NodeType::Struct);
-        b.parents.push(u32::MAX);
-        b.bounds.push(0);
-        b.stack.push(0);
-        b
+        DataTreeBuilder {
+            tree,
+            stack: vec![0],
+        }
     }
 
     fn push_node(&mut self, label: &str, ty: NodeType) -> u32 {
-        let pre = u32::try_from(self.labels.len()).expect("more than u32::MAX nodes");
-        let id = self.interner.intern(label);
-        self.labels.push(id);
-        self.types.push(ty);
-        self.parents
-            .push(*self.stack.last().expect("virtual root is always open"));
-        self.bounds.push(pre);
-        pre
+        let parent = *self.stack.last().expect("virtual root is always open");
+        self.tree.append_node(label, ty, parent)
     }
 
     /// Opens a new struct node below the currently open node.
@@ -104,20 +96,6 @@ impl DataTreeBuilder {
         self.end();
     }
 
-    fn add_element(&mut self, el: &Element) {
-        self.begin_struct(&el.name);
-        for (name, value) in &el.attributes {
-            self.add_attribute(name, value);
-        }
-        for child in &el.children {
-            match child {
-                XmlNode::Element(e) => self.add_element(e),
-                XmlNode::Text(t) => self.add_text(t),
-            }
-        }
-        self.end();
-    }
-
     /// Adds a whole document below the virtual root.
     pub fn add_document(&mut self, doc: &Document) {
         assert_eq!(
@@ -125,12 +103,12 @@ impl DataTreeBuilder {
             1,
             "add_document must be called at the top level"
         );
-        self.add_element(&doc.root);
+        self.tree.append_element(&doc.root, 0);
     }
 
     /// Number of nodes added so far (including the virtual root).
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.tree.len()
     }
 
     /// `false`: the builder always contains at least the virtual root.
@@ -143,59 +121,28 @@ impl DataTreeBuilder {
     ///
     /// # Panics
     /// Panics if struct nodes are still open (unbalanced `begin`/`end`).
-    pub fn build(mut self, costs: &CostModel) -> DataTree {
+    pub fn build(self, costs: &CostModel) -> DataTree {
         assert_eq!(
             self.stack.len(),
             1,
             "unbalanced begin_struct/end: {} nodes still open",
             self.stack.len() - 1
         );
-        let n = self.labels.len();
-        // bounds: sweep right-to-left; bound(u) = max(pre of u, bound of
-        // children), computed by propagating to parents.
-        for i in (1..n).rev() {
-            let p = self.parents[i] as usize;
-            if self.bounds[i] > self.bounds[p] {
-                self.bounds[p] = self.bounds[i];
-            }
-        }
-        // per-label insert costs, resolved once.
-        let mut label_inscost: Vec<Option<Cost>> = vec![None; self.interner.len()];
-        let mut inscosts = Vec::with_capacity(n);
-        let mut pathcosts = vec![Cost::ZERO; n];
-        for i in 0..n {
-            let lid = self.labels[i];
-            let c = *label_inscost[lid.index()].get_or_insert_with(|| {
-                costs.insert_cost(self.types[i], self.interner.resolve(lid))
-            });
-            inscosts.push(c);
-        }
-        for i in 1..n {
-            let p = self.parents[i] as usize;
-            pathcosts[i] = pathcosts[p] + inscosts[p];
-        }
+        let mut tree = self.tree;
+        let n = tree.len();
+        tree.seal(0, costs);
         // Document registry: one span per child of the virtual root.
-        let mut docs = Vec::new();
-        let mut c = 1usize;
+        let mut c = 1;
         while c < n {
-            let bound = self.bounds[c];
-            docs.push(crate::tree::DocSpan {
+            let bound = tree.bounds[c];
+            tree.docs.push(crate::tree::DocSpan {
                 start: c as u32,
                 bound,
                 alive: true,
             });
             c = bound as usize + 1;
         }
-        DataTree {
-            labels: self.labels,
-            types: self.types,
-            parents: self.parents,
-            bounds: self.bounds,
-            inscosts,
-            pathcosts,
-            interner: self.interner,
-            docs,
-        }
+        tree
     }
 }
 

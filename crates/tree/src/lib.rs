@@ -25,6 +25,7 @@ mod interner;
 mod ser;
 pub mod text;
 mod tree;
+mod varint;
 
 pub use builder::{DataTreeBuilder, VIRTUAL_ROOT_LABEL};
 pub use interner::{Interner, LabelId};
@@ -33,6 +34,7 @@ pub use ser::{
     TreeDecodeError,
 };
 pub use tree::{live_doc_of, DataTree, DocSpan, NodeId, TreeError, TreeStats};
+pub use varint::{read_varint, write_varint, VarintError};
 
 // Re-export the shared vocabulary types so downstream crates can name them
 // without depending on approxql-cost directly.

@@ -1,17 +1,23 @@
 //! Binary (de)serialization of [`DataTree`], used by the storage layer to
 //! persist a database image.
 //!
-//! Three body codecs are written once: the per-node **columns** of a
+//! Three body codecs are written once: the structural **columns** of a
 //! preorder range (`put_columns` / `take_columns`), the interner
 //! **strings** (`put_strings` / `take_strings`) and the document **spans**
-//! (`put_spans` / `take_spans`). Every structural rule a hostile blob can
-//! break is checked in exactly one of the three `take_*` functions. Two
-//! families of formats frame those bodies with a magic and their counts:
+//! (`put_spans` / `take_spans`). A node's columns are two varints,
+//! `label << 1 | type` and its subtree size `bound − pre` (the region
+//! encoding of Section 6.2 with `pre` implicit); its parent follows from
+//! the sizes (`link`) and its costs from the cost model
+//! ([`DataTree::seal`]). Every structural rule a hostile blob can
+//! break is checked in exactly one of `take_columns`, `link`,
+//! `take_strings` and `take_spans`. Two families of formats frame those
+//! bodies with a magic and their counts:
 //!
 //! * the whole-tree dump ([`DataTree::to_bytes`] / [`DataTree::from_bytes`]):
-//!   magic, version, strings, node count, columns, spans. Any other
-//!   version (including the pre-registry version 1, which nothing writes
-//!   any more) is a typed `BadVersion`.
+//!   magic, version, strings, node count, columns, the `inscost` and
+//!   `pathcost` columns (`u64` each: the dump is read without a cost
+//!   model), spans. Any other version (including 1 and 2, which nothing
+//!   writes any more) is a typed `BadVersion`.
 //! * the segmented layout used by mutable stores: a standalone interner
 //!   blob (magic, strings), a document map (magic, total length, spans),
 //!   and one self-contained segment per live document (magic, node count,
@@ -22,6 +28,7 @@
 use crate::builder::VIRTUAL_ROOT_LABEL;
 use crate::interner::{Interner, LabelId};
 use crate::tree::{DataTree, DocSpan};
+use crate::varint::{read_varint, write_varint, VarintError};
 use approxql_cost::{Cost, CostModel, NodeType};
 use std::fmt;
 use std::ops::Range;
@@ -30,7 +37,7 @@ const MAGIC: &[u8; 8] = b"AXQLTREE";
 const SEGMENT_MAGIC: &[u8; 8] = b"AXQLDSEG";
 const DOCMAP_MAGIC: &[u8; 8] = b"AXQLDMAP";
 const INTERNER_MAGIC: &[u8; 8] = b"AXQLINTR";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Errors raised while decoding a serialized tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,7 +50,8 @@ pub enum TreeDecodeError {
     Truncated,
     /// A string is not valid UTF-8.
     BadString,
-    /// A structural invariant does not hold (e.g. a parent id out of range).
+    /// A structural invariant does not hold (e.g. a subtree size out of
+    /// range).
     Corrupt(&'static str),
 }
 
@@ -97,6 +105,13 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    fn varint(&mut self) -> Result<u64, TreeDecodeError> {
+        read_varint(self.data, &mut self.pos).map_err(|e| match e {
+            VarintError::RunsPast => TreeDecodeError::Truncated,
+            VarintError::Overlong => TreeDecodeError::Corrupt("varint exceeds 64 bits"),
+        })
+    }
+
     /// Bounds a decoded element count before it sizes an allocation: `n`
     /// entries of at least `per` bytes each must still fit in the input.
     /// A hostile header claiming billions of entries in a 20-byte blob is
@@ -118,126 +133,103 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// The decoded node columns of one preorder range (absolute preorder
-/// addressing, ready to splice into a [`DataTree`]).
+/// The decoded columns of one preorder range (absolute preorder
+/// addressing, ready to splice into a [`DataTree`]). Parents and costs are
+/// not stored: [`DataTree::from_doc_segments`] derives them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DocSegment {
     /// Label ids, resolved against the standalone interner blob.
     pub labels: Vec<LabelId>,
     /// Node types.
     pub types: Vec<NodeType>,
-    /// Absolute parent preorder numbers (the document root's parent is 0).
-    pub parents: Vec<u32>,
     /// Absolute subtree bounds.
     pub bounds: Vec<u32>,
-    /// Insert costs.
-    pub inscosts: Vec<Cost>,
-    /// Root-path costs.
-    pub pathcosts: Vec<Cost>,
 }
 
-/// Writes the six node columns of the preorder range `r`, one column after
-/// the other.
+/// Writes the columns of the preorder range `r`: per node, in preorder,
+/// `varint(label << 1 | type)` and `varint(bound − pre)`.
 fn put_columns(out: &mut Vec<u8>, t: &DataTree, r: Range<usize>) {
-    for &l in &t.labels[r.clone()] {
-        out.extend_from_slice(&l.0.to_le_bytes());
-    }
-    for &ty in &t.types[r.clone()] {
-        out.push(match ty {
-            NodeType::Struct => 0,
-            NodeType::Text => 1,
-        });
-    }
-    for &p in &t.parents[r.clone()] {
-        out.extend_from_slice(&p.to_le_bytes());
-    }
-    for &b in &t.bounds[r.clone()] {
-        out.extend_from_slice(&b.to_le_bytes());
-    }
-    for &c in t.inscosts[r.clone()].iter().chain(&t.pathcosts[r]) {
-        out.extend_from_slice(&c.raw().to_le_bytes());
+    for pre in r {
+        let text = u64::from(t.types[pre] == NodeType::Text);
+        write_varint(out, u64::from(t.labels[pre].0) << 1 | text);
+        write_varint(out, u64::from(t.bounds[pre]) - pre as u64);
     }
 }
 
-/// Reads the columns of the `n` nodes with preorder numbers `base..base + n`
-/// and checks that they form one subtree: the first node hangs off
-/// `root_parent` and spans the whole range, every other node's parent is an
-/// earlier structural node of the range, and its interval nests in its
-/// parent's. Label ids must be below `nlabels`.
+/// Reads the columns of the `n` nodes with preorder numbers
+/// `base..base + n`: label ids below `nlabels`, subtree sizes that fit in
+/// the range, and no subtree below a text node. Whether the subtrees nest
+/// is [`link`]'s check.
 fn take_columns(
     cur: &mut Cursor<'_>,
     n: usize,
     base: usize,
-    root_parent: u32,
     nlabels: usize,
 ) -> Result<DocSegment, TreeDecodeError> {
     use TreeDecodeError::Corrupt;
     if n == 0 {
         return Err(Corrupt("empty node range"));
     }
-    // 29 B/node floor: label 4 + type 1 + parent 4 + bound 4 + two costs 16.
-    cur.claim(n, 29)?;
+    // 2 B/node floor: two varints of at least one byte each.
+    cur.claim(n, 2)?;
     let last = base + n - 1;
-    let mut labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        let l = cur.u32()?;
-        if l as usize >= nlabels {
-            return Err(Corrupt("label id out of range"));
-        }
-        labels.push(LabelId(l));
-    }
-    let mut types = Vec::with_capacity(n);
-    for _ in 0..n {
-        types.push(match cur.u8()? {
-            0 => NodeType::Struct,
-            1 => NodeType::Text,
-            _ => return Err(Corrupt("invalid node type")),
-        });
-    }
-    let mut parents = Vec::with_capacity(n);
-    for pre in base..=last {
-        let p = cur.u32()?;
-        if pre == base {
-            if p != root_parent {
-                return Err(Corrupt("root of the range has the wrong parent"));
-            }
-        } else if (p as usize) < base || p as usize >= pre {
-            return Err(Corrupt("parent must precede child"));
-        } else if types[p as usize - base] == NodeType::Text {
-            return Err(Corrupt("text node used as a parent"));
-        }
-        parents.push(p);
-    }
-    let mut bounds: Vec<u32> = Vec::with_capacity(n);
-    for pre in base..=last {
-        let b = cur.u32()?;
-        if (b as usize) < pre || b as usize > last {
-            return Err(Corrupt("bound out of range"));
-        }
-        if pre == base {
-            if b as usize != last {
-                return Err(Corrupt("root bound must equal the range bound"));
-            }
-        } else if b > bounds[parents[pre - base] as usize - base] {
-            return Err(Corrupt("child bound exceeds its parent's"));
-        }
-        bounds.push(b);
-    }
-    let mut costs = || -> Result<Vec<Cost>, TreeDecodeError> {
-        let mut column = Vec::with_capacity(n);
-        for _ in 0..n {
-            column.push(Cost::from_raw(cur.u64()?));
-        }
-        Ok(column)
+    let mut seg = DocSegment {
+        labels: Vec::with_capacity(n),
+        types: Vec::with_capacity(n),
+        bounds: Vec::with_capacity(n),
     };
-    Ok(DocSegment {
-        labels,
-        types,
-        parents,
-        bounds,
-        inscosts: costs()?,
-        pathcosts: costs()?,
-    })
+    for pre in base..=last {
+        let tagged = cur.varint()?;
+        let label = match u32::try_from(tagged >> 1) {
+            Ok(l) if (l as usize) < nlabels => LabelId(l),
+            _ => return Err(Corrupt("label id out of range")),
+        };
+        let ty = [NodeType::Struct, NodeType::Text][(tagged & 1) as usize];
+        let size = cur.varint()?;
+        let bound = (pre as u64)
+            .checked_add(size)
+            .filter(|&b| b <= last as u64)
+            .and_then(|b| u32::try_from(b).ok())
+            .ok_or(Corrupt("subtree size out of range"))?;
+        if ty == NodeType::Text && size != 0 {
+            return Err(Corrupt("text node has a subtree"));
+        }
+        seg.labels.push(label);
+        seg.types.push(ty);
+        seg.bounds.push(bound);
+    }
+    Ok(seg)
+}
+
+/// Derives the parents of the preorder range `base..base + bounds.len()`
+/// from its subtree bounds and checks that they describe one subtree: the
+/// first node spans the range, and every other nests in its parent, the
+/// nearest earlier node whose subtree holds it. `parent` receives the
+/// parent of every node but the first, in preorder.
+fn link(bounds: &[u32], base: u32, mut parent: impl FnMut(u32)) -> Result<(), TreeDecodeError> {
+    use TreeDecodeError::Corrupt;
+    let Some((&root, rest)) = bounds.split_first() else {
+        return Err(Corrupt("empty node range"));
+    };
+    if root as usize != base as usize + rest.len() {
+        return Err(Corrupt("root must span the range"));
+    }
+    // The nodes below the root whose subtrees are still open, innermost
+    // last, as (pre, bound); the root's stays open to the end.
+    let mut open: Vec<(u32, u32)> = Vec::new();
+    for (i, &bound) in rest.iter().enumerate() {
+        let pre = base + 1 + i as u32;
+        while open.last().is_some_and(|&(_, b)| b < pre) {
+            open.pop();
+        }
+        let (p, b) = open.last().copied().unwrap_or((base, root));
+        if bound > b {
+            return Err(Corrupt("subtree exceeds its parent's"));
+        }
+        parent(p);
+        open.push((pre, bound));
+    }
+    Ok(())
 }
 
 /// Writes the interner's strings in id order.
@@ -310,12 +302,15 @@ impl DataTree {
     /// Serializes the tree to a byte vector.
     pub fn to_bytes(&self) -> Vec<u8> {
         let n = self.labels.len();
-        let mut out = Vec::with_capacity(32 + n * 29);
+        let mut out = Vec::with_capacity(32 + n * 20);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         put_strings(&mut out, &self.interner);
         out.extend_from_slice(&(n as u64).to_le_bytes());
         put_columns(&mut out, self, 0..n);
+        for c in self.inscosts.iter().chain(&self.pathcosts) {
+            out.extend_from_slice(&c.raw().to_le_bytes());
+        }
         put_spans(&mut out, &self.docs);
         out
     }
@@ -329,32 +324,39 @@ impl DataTree {
         }
         let interner = take_strings(&mut cur)?;
         let n = cur.u64()? as usize;
-        let columns = take_columns(&mut cur, n, 0, u32::MAX, interner.len())?;
+        let DocSegment {
+            labels,
+            types,
+            bounds,
+        } = take_columns(&mut cur, n, 0, interner.len())?;
+        let mut parents = Vec::with_capacity(n);
+        parents.push(u32::MAX);
+        link(&bounds, 0, |p| parents.push(p))?;
+        // 16 B/node: the two cost columns.
+        cur.claim(n, 16)?;
+        let mut costs = || -> Result<Vec<Cost>, TreeDecodeError> {
+            (0..n).map(|_| Ok(Cost::from_raw(cur.u64()?))).collect()
+        };
+        let (inscosts, pathcosts) = (costs()?, costs()?);
         let docs = take_spans(&mut cur, n)?;
         cur.end()?;
-        Ok(DataTree::from_columns(columns, interner, docs))
-    }
-
-    /// A tree is the columns of its whole preorder range plus the interner
-    /// and the document registry.
-    fn from_columns(columns: DocSegment, interner: Interner, docs: Vec<DocSpan>) -> DataTree {
-        DataTree {
-            labels: columns.labels,
-            types: columns.types,
-            parents: columns.parents,
-            bounds: columns.bounds,
-            inscosts: columns.inscosts,
-            pathcosts: columns.pathcosts,
+        Ok(DataTree {
+            labels,
+            types,
+            parents,
+            bounds,
+            inscosts,
+            pathcosts,
             interner,
             docs,
-        }
+        })
     }
 
     /// Serializes the document `span` as a self-contained segment
     /// (absolute preorder addressing; decoded by [`decode_doc_segment`]).
     pub fn doc_segment_bytes(&self, span: DocSpan) -> Vec<u8> {
         let r = span.start as usize..span.bound as usize + 1;
-        let mut out = Vec::with_capacity(12 + r.len() * 29);
+        let mut out = Vec::with_capacity(12 + r.len() * 4);
         out.extend_from_slice(SEGMENT_MAGIC);
         out.extend_from_slice(&(r.len() as u32).to_le_bytes());
         put_columns(&mut out, self, r);
@@ -363,9 +365,10 @@ impl DataTree {
 
     /// Reassembles a tree from the segmented layout: the standalone
     /// interner, the document map (`total_len` + spans), and one decoded
-    /// segment per *live* document. Tombstoned ranges become inert filler
-    /// nodes that the liveness checks hide; the virtual root is
-    /// reconstructed from `costs`.
+    /// segment per *live* document. Parents follow from the segments'
+    /// bounds, `inscost` and `pathcost` from `costs`. Tombstoned ranges
+    /// become inert filler nodes below the virtual root that the liveness
+    /// checks hide.
     pub fn from_doc_segments(
         interner: Interner,
         total_len: u32,
@@ -393,25 +396,21 @@ impl DataTree {
             column.resize(n, fill);
             Ok(column)
         }
-        let mut all = DocSegment {
+        let mut t = DataTree {
             labels: column(n, root_label)?,
             types: column(n, NodeType::Struct)?,
             parents: column(n, 0)?,
             bounds: column(n, 0)?,
             inscosts: column(n, Cost::ZERO)?,
             pathcosts: column(n, Cost::ZERO)?,
+            interner,
+            docs: Vec::new(),
         };
-        all.parents[0] = u32::MAX;
-        all.bounds[0] = total_len - 1;
-        all.inscosts[0] = costs.insert_cost(NodeType::Struct, VIRTUAL_ROOT_LABEL);
+        t.parents[0] = u32::MAX;
         // Filler for tombstoned ranges: point every bound at the doc bound
         // so the child iterator's jump clears the gap in one step.
-        for d in &docs {
-            if !d.alive {
-                for b in &mut all.bounds[d.start as usize..=d.bound as usize] {
-                    *b = d.bound;
-                }
-            }
+        for d in docs.iter().filter(|d| !d.alive) {
+            t.bounds[d.start as usize..=d.bound as usize].fill(d.bound);
         }
         let mut seg_iter = segments.iter();
         for d in docs.iter().filter(|d| d.alive) {
@@ -423,27 +422,29 @@ impl DataTree {
                     "segment does not match its doc span",
                 ));
             }
-            let lo = d.start as usize;
-            let hi = d.bound as usize + 1;
-            if seg.labels.len() != hi - lo {
+            let r = d.start as usize..d.bound as usize + 1;
+            if [seg.labels.len(), seg.types.len(), seg.bounds.len()] != [r.len(); 3] {
                 return Err(TreeDecodeError::Corrupt("segment length mismatch"));
             }
-            all.labels[lo..hi].copy_from_slice(&seg.labels);
-            all.types[lo..hi].copy_from_slice(&seg.types);
-            all.parents[lo..hi].copy_from_slice(&seg.parents);
-            all.bounds[lo..hi].copy_from_slice(&seg.bounds);
-            all.inscosts[lo..hi].copy_from_slice(&seg.inscosts);
-            all.pathcosts[lo..hi].copy_from_slice(&seg.pathcosts);
+            if seg.labels.iter().any(|l| l.index() >= t.interner.len()) {
+                return Err(TreeDecodeError::Corrupt("label id out of range"));
+            }
+            t.labels[r.clone()].copy_from_slice(&seg.labels);
+            t.types[r.clone()].copy_from_slice(&seg.types);
+            t.bounds[r.clone()].copy_from_slice(&seg.bounds);
+            let mut below = t.parents[r.start + 1..r.end].iter_mut();
+            link(&seg.bounds, d.start, |p| {
+                if let Some(slot) = below.next() {
+                    *slot = p;
+                }
+            })?;
         }
         if seg_iter.next().is_some() {
             return Err(TreeDecodeError::Corrupt("extra segment without a live doc"));
         }
-        for label in all.labels.iter().skip(1) {
-            if label.index() >= interner.len() {
-                return Err(TreeDecodeError::Corrupt("label id out of range"));
-            }
-        }
-        Ok(DataTree::from_columns(all, interner, docs))
+        t.docs = docs;
+        t.seal(0, costs);
+        Ok(t)
     }
 }
 
@@ -460,7 +461,8 @@ pub fn decode_doc_segment(
     if span.start as usize + n != span.bound as usize + 1 {
         return Err(TreeDecodeError::Corrupt("segment length mismatch"));
     }
-    let segment = take_columns(&mut cur, n, span.start as usize, 0, nlabels)?;
+    let segment = take_columns(&mut cur, n, span.start as usize, nlabels)?;
+    link(&segment.bounds, span.start, |_| {})?;
     cur.end()?;
     Ok(segment)
 }
@@ -509,6 +511,9 @@ mod tests {
     use crate::builder::DataTreeBuilder;
     use crate::tree::NodeId;
     use approxql_cost::CostModel;
+    use approxql_xml::parse_document;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample() -> DataTree {
         let mut b = DataTreeBuilder::new();
@@ -623,18 +628,17 @@ mod tests {
     }
 
     #[test]
-    fn rejects_version_one_input() {
-        // A v1 blob is a v2 blob minus the docs section, with version 1.
-        // Nothing writes it and store format v3 cannot contain it.
-        let t = sample();
-        let mut bytes = t.to_bytes();
-        let docs_bytes = 4 + t.documents().len() * 9;
-        bytes.truncate(bytes.len() - docs_bytes);
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            DataTree::from_bytes(&bytes).unwrap_err(),
-            TreeDecodeError::BadVersion(1)
-        );
+    fn rejects_older_dump_versions() {
+        // Version 1 had no docs section, version 2 fixed-width columns
+        // with parents. Nothing writes either, and no store can hold one.
+        for v in [1u32, 2] {
+            let mut bytes = sample().to_bytes();
+            bytes[8..12].copy_from_slice(&v.to_le_bytes());
+            assert_eq!(
+                DataTree::from_bytes(&bytes).unwrap_err(),
+                TreeDecodeError::BadVersion(v)
+            );
+        }
     }
 
     #[test]
@@ -703,6 +707,30 @@ mod tests {
         assert!(decode_doc_segment(&blob, wrong, t.interner().len()).is_err());
     }
 
+    /// The stored columns of `nodes`: `(label << 1 | type, subtree size)`
+    /// per node.
+    fn columns(nodes: &[(u64, u64)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &(tagged, size) in nodes {
+            write_varint(&mut out, tagged);
+            write_varint(&mut out, size);
+        }
+        out
+    }
+
+    /// The column pairs of every node of `t`, as `put_columns` writes them.
+    fn column_pairs(t: &DataTree) -> Vec<(u64, u64)> {
+        t.nodes()
+            .map(|n| {
+                let text = u64::from(t.node_type(n) == NodeType::Text);
+                (
+                    u64::from(t.label_id(n).0) << 1 | text,
+                    u64::from(t.bound(n) - n.0),
+                )
+            })
+            .collect()
+    }
+
     /// A checksum-valid blob whose columns do not describe one subtree must
     /// not decode into a tree: each violation is planted in the dump and in
     /// the segment of the same document and hits the same check.
@@ -723,47 +751,211 @@ mod tests {
         };
         let d = t.documents()[0];
         let (dump, segment) = (t.to_bytes(), t.doc_segment_bytes(d));
-        // Columns: labels 4 B, types 1 B, parents 4 B, bounds 4 B per node.
-        // The dump's columns end 13 B (one span) before its end, 29 B per node.
-        let dump_columns = dump.len() - 13 - 29 * t.len();
-        let plant = |blob: &[u8], columns: usize, n: usize, column: usize, at: usize, v: u32| {
-            let mut bad = blob.to_vec();
-            let pos = columns + (5 + 4 * column) * n + 4 * at;
-            bad[pos..pos + 4].copy_from_slice(&v.to_le_bytes());
-            bad
-        };
-        const PARENTS: usize = 0;
-        const BOUNDS: usize = 1;
+        let good = column_pairs(&t);
+        let good_len = columns(&good).len();
+        // The dump's columns end before its two 8-byte cost columns and
+        // its one 9-byte span behind a 4-byte count.
+        let dump_at = dump.len() - 13 - 16 * t.len() - good_len;
+        assert_eq!(&dump[dump_at..dump_at + good_len], columns(&good));
+        assert_eq!(&segment[12..], columns(&good[1..]));
         let nlabels = t.interner().len();
-        for (what, column, node, value) in [
-            ("parent must precede child", PARENTS, 2, 2),
-            ("text node used as a parent", PARENTS, 4, 3),
-            ("bound out of range", BOUNDS, 6, 7),
-            ("bound out of range", BOUNDS, 4, 3),
-            ("child bound exceeds its parent's", BOUNDS, 4, 6),
+        let plant = |node: usize, column: (u64, u64)| {
+            let mut nodes = good.clone();
+            nodes[node] = column;
+            let dump = [
+                &dump[..dump_at],
+                &columns(&nodes),
+                &dump[dump_at + good_len..],
+            ]
+            .concat();
+            let segment = [&segment[..12], &columns(&nodes[1..])].concat();
+            (dump, segment)
+        };
+        let nlabels_tag = (nlabels as u64) << 1;
+        for (what, node, column) in [
+            ("label id out of range", 2, (nlabels_tag, 2)),
+            // composer's subtree would end past "rachmaninov", the last node.
+            ("subtree size out of range", 5, (good[5].0, 2)),
+            ("text node has a subtree", 3, (good[3].0, 1)),
+            // title's subtree would hold composer's first node, not its last.
+            ("subtree exceeds its parent's", 2, (good[2].0, 3)),
         ] {
-            let bad = plant(&dump, dump_columns, t.len(), column, node, value);
+            let (bad_dump, bad_segment) = plant(node, column);
             assert_eq!(
-                DataTree::from_bytes(&bad).unwrap_err(),
+                DataTree::from_bytes(&bad_dump).unwrap_err(),
                 TreeDecodeError::Corrupt(what),
                 "dump: node {node}"
             );
-            let bad = plant(&segment, 12, t.len() - 1, column, node - 1, value);
             assert_eq!(
-                decode_doc_segment(&bad, d, nlabels).unwrap_err(),
+                decode_doc_segment(&bad_segment, d, nlabels).unwrap_err(),
                 TreeDecodeError::Corrupt(what),
                 "segment: node {node}"
             );
         }
         // The first node of either range must span all of it.
-        let short_root = TreeDecodeError::Corrupt("root bound must equal the range bound");
-        let bad = plant(&dump, dump_columns, t.len(), BOUNDS, 0, 5);
-        assert_eq!(DataTree::from_bytes(&bad).unwrap_err(), short_root);
-        let bad = plant(&segment, 12, t.len() - 1, BOUNDS, 0, 5);
+        let short_root = TreeDecodeError::Corrupt("root must span the range");
+        let (bad_dump, _) = plant(0, (good[0].0, 5));
+        assert_eq!(DataTree::from_bytes(&bad_dump).unwrap_err(), short_root);
+        let (_, bad_segment) = plant(1, (good[1].0, 4));
         assert_eq!(
-            decode_doc_segment(&bad, d, nlabels).unwrap_err(),
+            decode_doc_segment(&bad_segment, d, nlabels).unwrap_err(),
             short_root
         );
+    }
+
+    /// A random document: elements from a small name pool, words from a
+    /// small vocabulary that shares `title` with the names.
+    fn random_xml(rng: &mut StdRng, depth: usize) -> String {
+        const NAMES: [&str; 4] = ["a", "b", "title", "c"];
+        const WORDS: [&str; 4] = ["x", "title", "y", "z"];
+        let name = NAMES[rng.gen_range(0..NAMES.len())];
+        let mut xml = format!("<{name}");
+        if rng.gen_bool(0.3) {
+            xml += &format!(r#" k="{} {}""#, WORDS[0], WORDS[rng.gen_range(0..4usize)]);
+        }
+        xml += ">";
+        for _ in 0..rng.gen_range(0..4usize) {
+            if depth < 4 && rng.gen_bool(0.5) {
+                xml += &random_xml(rng, depth + 1);
+            } else {
+                xml += &format!(" {} ", WORDS[rng.gen_range(0..WORDS.len())]);
+            }
+        }
+        xml + &format!("</{name}>")
+    }
+
+    /// The live documents' segments of `t`, each written and decoded.
+    fn decoded_segments(t: &DataTree) -> Vec<(DocSpan, DocSegment)> {
+        let nlabels = t.interner().len();
+        t.documents()
+            .iter()
+            .filter(|d| d.alive)
+            .map(|&d| {
+                (
+                    d,
+                    decode_doc_segment(&t.doc_segment_bytes(d), d, nlabels).unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    /// Parents, `inscost` and `pathcost` derived from decoded segments are
+    /// the columns the builder and `append_document` computed, under a
+    /// model whose insert costs depend on label and type, with appended
+    /// and tombstoned documents.
+    #[test]
+    fn segments_derive_the_in_memory_columns_exactly() {
+        let costs = CostModel::builder()
+            .insert_default(2)
+            .insert(NodeType::Struct, VIRTUAL_ROOT_LABEL, Cost::finite(4))
+            .insert(NodeType::Struct, "a", Cost::finite(3))
+            .insert(NodeType::Struct, "title", Cost::finite(5))
+            .insert(NodeType::Text, "title", Cost::finite(7))
+            .insert(NodeType::Text, "x", Cost::ZERO)
+            .build();
+        let mut rng = StdRng::seed_from_u64(38);
+        for _ in 0..64 {
+            let mut b = DataTreeBuilder::new();
+            for _ in 0..rng.gen_range(1..4usize) {
+                b.add_document(&parse_document(&random_xml(&mut rng, 0)).unwrap());
+            }
+            let mut t = b.build(&costs);
+            for _ in 0..rng.gen_range(0..3usize) {
+                t.append_document(&parse_document(&random_xml(&mut rng, 0)).unwrap(), &costs);
+            }
+            for d in t.documents().to_vec() {
+                if rng.gen_bool(0.3) {
+                    t.delete_document(NodeId(d.start)).unwrap();
+                }
+            }
+            let u = DataTree::from_doc_segments(
+                t.interner().clone(),
+                t.len() as u32,
+                t.documents().to_vec(),
+                &decoded_segments(&t),
+                &costs,
+            )
+            .unwrap();
+            let live: Vec<usize> = t.live_nodes().map(NodeId::index).collect();
+            fn at<T: Copy>(column: &[T], live: &[usize]) -> Vec<T> {
+                live.iter().map(|&i| column[i]).collect()
+            }
+            assert_eq!(u.len(), t.len());
+            assert_eq!(u.documents(), t.documents());
+            assert_eq!(at(&u.labels, &live), at(&t.labels, &live));
+            assert_eq!(at(&u.types, &live), at(&t.types, &live));
+            assert_eq!(at(&u.parents, &live), at(&t.parents, &live));
+            assert_eq!(at(&u.bounds, &live), at(&t.bounds, &live));
+            assert_eq!(at(&u.inscosts, &live), at(&t.inscosts, &live));
+            assert_eq!(at(&u.pathcosts, &live), at(&t.pathcosts, &live));
+            // And both are the model's, not merely each other's.
+            for n in u.live_nodes() {
+                let own = costs.insert_cost(u.node_type(n), u.label(n));
+                assert_eq!(u.inscost(n), own, "inscost of {n}");
+                let mut above = Cost::ZERO;
+                let mut cur = n;
+                while let Some(p) = u.parent(cur) {
+                    above += costs.insert_cost(u.node_type(p), u.label(p));
+                    cur = p;
+                }
+                assert_eq!(u.pathcost(n), above, "pathcost of {n}");
+            }
+        }
+    }
+
+    /// A damaged segment is a typed error or the segment of a tree whose
+    /// columns hold the §6.2 invariants: every single-byte XOR of every
+    /// segment of a three-document collection.
+    #[test]
+    fn every_single_byte_xor_of_a_segment_is_an_error_or_a_tree() {
+        let costs = CostModel::new();
+        let mut b = DataTreeBuilder::new();
+        for xml in [
+            r#"<cd year="1901"><title>piano concerto</title></cd>"#,
+            "<mc><track><title>allegro</title></track><track/></mc>",
+            "<cd><composer>rachmaninov</composer></cd>",
+        ] {
+            b.add_document(&parse_document(xml).unwrap());
+        }
+        let t = b.build(&costs);
+        let nlabels = t.interner().len();
+        let mut decoded = 0;
+        for (i, &(d, _)) in decoded_segments(&t).iter().enumerate() {
+            let blob = t.doc_segment_bytes(d);
+            for at in 0..blob.len() {
+                for mask in 1..=255u8 {
+                    let mut bad = blob.clone();
+                    bad[at] ^= mask;
+                    let Ok(seg) = decode_doc_segment(&bad, d, nlabels) else {
+                        continue;
+                    };
+                    decoded += 1;
+                    let mut segments = decoded_segments(&t);
+                    segments[i].1 = seg;
+                    let u = DataTree::from_doc_segments(
+                        t.interner().clone(),
+                        t.len() as u32,
+                        t.documents().to_vec(),
+                        &segments,
+                        &costs,
+                    )
+                    .unwrap();
+                    for n in u.live_nodes().skip(1) {
+                        let p = u.parent(n).unwrap();
+                        assert!(u.is_ancestor(p, n), "{n} under {p}");
+                        assert!(u.bound(n) <= u.bound(p), "{n} nests in {p}");
+                        assert_eq!(u.node_type(p), NodeType::Struct);
+                        if u.node_type(n) == NodeType::Text {
+                            assert_eq!(u.bound(n), n.0);
+                        }
+                        assert_eq!(u.pathcost(n), u.pathcost(p) + u.inscost(p));
+                        assert!(u.children(p).any(|c| c == n), "{n} is a child of {p}");
+                    }
+                }
+            }
+        }
+        // Relabelled nodes and reshaped subtrees decode: the check ran.
+        assert!(decoded > 0);
     }
 
     #[test]
@@ -774,8 +966,8 @@ mod tests {
         let blob = encode_docmap(t.len() as u32, &docs);
         assert!(decode_docmap(&blob).is_err());
     }
-    /// The stored bytes of all four blob kinds (tree dump version 2, store
-    /// format v3) for a three-document tree with one tombstone. The dump and
+    /// The stored bytes of all four blob kinds (tree dump version 3, store
+    /// format 8) for a three-document tree with one tombstone. The dump and
     /// the segmented blobs share their bodies: strings, columns, spans.
     #[test]
     fn blob_bytes_are_the_v2_v3_layout() {
@@ -810,37 +1002,37 @@ mod tests {
             3, 0, 0, 0, 3, 0, 0, 0, 0,
             4, 0, 0, 0, 5, 0, 0, 0, 1,
         ];
+        // Per node: varint(label << 1 | type), varint(bound − pre), with
+        // struct 0 and text 1.
         #[rustfmt::skip]
         let all_columns: &[u8] = &[
-            0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0, // labels
-            0, 0, 1, 0, 0, 1, // types: struct 0, text 1
-            255, 255, 255, 255, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, // parents
-            5, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 5, 0, 0, 0, 5, 0, 0, 0, // bounds
+            0, 5, // root: label 0, struct; subtree of 5 nodes below it
+            2, 1, // a
+            5, 0, // "x": label 2, text
+            6, 0, // b (tombstoned: the dump keeps its columns)
+            8, 1, // c
+            11, 0, // "y"
+        ];
+        #[rustfmt::skip]
+        let costs: &[u8] = &[
             1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, // inscosts
             1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
             0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, // pathcosts
             1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
         ];
-        #[rustfmt::skip]
-        let doc_columns: &[u8] = &[
-            4, 0, 0, 0, 5, 0, 0, 0, // labels
-            0, 1, // types
-            0, 0, 0, 0, 4, 0, 0, 0, // parents, absolute
-            5, 0, 0, 0, 5, 0, 0, 0, // bounds, absolute
-            1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, // inscosts
-            1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, // pathcosts
-        ];
 
-        // dump: magic, version u32, strings, node count u64, columns, spans
+        // dump: magic, version u32, strings, node count u64, columns, the
+        // cost columns, spans
         let node_count: &[u8] = &[6, 0, 0, 0, 0, 0, 0, 0];
         assert_eq!(
             t.to_bytes(),
             [
                 b"AXQLTREE",
-                &[2, 0, 0, 0][..],
+                &[3, 0, 0, 0][..],
                 strings,
                 node_count,
                 all_columns,
+                costs,
                 spans
             ]
             .concat()
@@ -848,7 +1040,7 @@ mod tests {
         // segment: magic, node count u32, columns of the range
         assert_eq!(
             t.doc_segment_bytes(t.documents()[2]),
-            [b"AXQLDSEG", &[2, 0, 0, 0][..], doc_columns].concat()
+            [b"AXQLDSEG", &[2, 0, 0, 0][..], &[8, 1, 11, 0][..]].concat()
         );
         // interner: magic, strings
         assert_eq!(

@@ -288,18 +288,9 @@ impl DataTree {
     /// verbatim (gap-based labelling); only the virtual root's bound grows.
     pub fn append_document(&mut self, doc: &Document, costs: &CostModel) -> DocSpan {
         let start = self.labels.len() as u32;
-        self.append_element(&doc.root, 0, costs);
-        let n = self.labels.len();
-        // Bounds right-to-left within the new range: propagate each child's
-        // bound to its parent (mirrors DataTreeBuilder::build).
-        for i in (start as usize..n).rev() {
-            let p = self.parents[i] as usize;
-            if p >= start as usize && self.bounds[i] > self.bounds[p] {
-                self.bounds[p] = self.bounds[i];
-            }
-        }
-        let bound = (n - 1) as u32;
-        self.bounds[0] = bound;
+        self.append_element(&doc.root, 0);
+        self.seal(start as usize, costs);
+        let bound = self.bounds[0];
         let span = DocSpan {
             start,
             bound,
@@ -322,32 +313,63 @@ impl DataTree {
         Some(*d)
     }
 
-    fn append_node(&mut self, label: &str, ty: NodeType, parent: u32, costs: &CostModel) -> u32 {
+    /// Derives the bound and both costs (Section 6.2) of every node from
+    /// `start` on, whose labels, types and parents are in place and whose
+    /// bounds are their own `pre` or already final: each subtree's bound
+    /// is propagated to its parent, the virtual root spans the tree, a
+    /// node's insert cost comes from `costs`, resolved once per label and
+    /// type, and its path cost is the sum of its proper ancestors'.
+    pub(crate) fn seal(&mut self, start: usize, costs: &CostModel) {
+        for i in (start.max(1)..self.len()).rev() {
+            let p = self.parents[i] as usize;
+            if p >= start && self.bounds[i] > self.bounds[p] {
+                self.bounds[p] = self.bounds[i];
+            }
+        }
+        self.bounds[0] = (self.len() - 1) as u32;
+        self.inscosts.resize(self.len(), Cost::ZERO);
+        self.pathcosts.resize(self.len(), Cost::ZERO);
+        let mut resolved: Vec<[Option<Cost>; 2]> = vec![[None; 2]; self.interner.len()];
+        for i in start..self.len() {
+            let (label, ty) = (self.labels[i], self.types[i]);
+            let slot = &mut resolved[label.index()][usize::from(ty == NodeType::Text)];
+            let interner = &self.interner;
+            self.inscosts[i] =
+                *slot.get_or_insert_with(|| costs.insert_cost(ty, interner.resolve(label)));
+            if i > 0 {
+                let p = self.parents[i] as usize;
+                self.pathcosts[i] = self.pathcosts[p] + self.inscosts[p];
+            }
+        }
+    }
+
+    /// Appends one node, its bound and costs left for [`Self::seal`].
+    pub(crate) fn append_node(&mut self, label: &str, ty: NodeType, parent: u32) -> u32 {
         let pre = u32::try_from(self.labels.len()).expect("tree larger than u32 preorder space");
         self.labels.push(self.interner.intern(label));
         self.types.push(ty);
         self.parents.push(parent);
         self.bounds.push(pre);
-        self.inscosts.push(costs.insert_cost(ty, label));
-        let p = parent as usize;
-        self.pathcosts.push(self.pathcosts[p] + self.inscosts[p]);
         pre
     }
 
-    fn append_element(&mut self, el: &Element, parent: u32, costs: &CostModel) {
-        let pre = self.append_node(&el.name, NodeType::Struct, parent, costs);
+    /// Appends `el` and everything below it under `parent`, in preorder
+    /// (Section 4: attributes become a struct node over the words of the
+    /// value, text becomes one text node per word).
+    pub(crate) fn append_element(&mut self, el: &Element, parent: u32) {
+        let pre = self.append_node(&el.name, NodeType::Struct, parent);
         for (name, value) in &el.attributes {
-            let a = self.append_node(name, NodeType::Struct, pre, costs);
+            let a = self.append_node(name, NodeType::Struct, pre);
             for w in split_words(value) {
-                self.append_node(&w, NodeType::Text, a, costs);
+                self.append_node(&w, NodeType::Text, a);
             }
         }
         for child in &el.children {
             match child {
-                XmlNode::Element(e) => self.append_element(e, pre, costs),
+                XmlNode::Element(e) => self.append_element(e, pre),
                 XmlNode::Text(t) => {
                     for w in split_words(t) {
-                        self.append_node(&w, NodeType::Text, pre, costs);
+                        self.append_node(&w, NodeType::Text, pre);
                     }
                 }
             }

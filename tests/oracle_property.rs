@@ -412,8 +412,8 @@ proptest! {
         let interner = tree.interner();
 
         let (mut minima, mut k_best) = (vec![None; compiled.ops().len()], vec![None; compiled.ops().len()]);
-        plan::execute(&compiled, &Algebra { index: &index, interner, domain: TwoChannel }, |h, l| minima[h] = Some(l.clone()));
-        plan::execute(&compiled, &Algebra { index: &index, interner, domain: KBest { k: K } }, |h, l| k_best[h] = Some(l.clone()));
+        plan::execute(&compiled, &Algebra::new(&index, interner, TwoChannel), |h, l| minima[h] = Some(l.clone()));
+        plan::execute(&compiled, &Algebra::new(&index, interner, KBest { k: K }), |h, l| k_best[h] = Some(l.clone()));
         for (h, op) in compiled.ops().iter().enumerate() {
             let (Some(min), Some(best)) = (&minima[h], &k_best[h]) else {
                 prop_assert_eq!(h, compiled.result(), "operator {} was not executed", h);
