@@ -617,7 +617,7 @@ pub fn sort_best(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topk::{Candidate, KBest};
+    use crate::topk::{Candidate, CandidateStream, KBest};
     use std::rc::Rc;
 
     type DataList = List<Channels>;
@@ -907,16 +907,16 @@ mod tests {
         };
         for k in [1, 2, 3, 64] {
             let dom = KBest { k };
-            let anc: List<Vec<Candidate>> = nodes_a
+            let anc: List<CandidateStream> = nodes_a
                 .iter()
                 .map(|&n| (n, dom.seed(LabelId(7), false)))
                 .collect();
-            let desc: List<Vec<Candidate>> = nodes_d
+            let desc: List<CandidateStream> = nodes_d
                 .iter()
                 .map(|&(n, any, leaf)| {
                     let mut v = vec![cand(any, false), cand(any + 1, false)];
                     v.extend(leaf.map(|c| cand(c, true)));
-                    (n, best(k, v))
+                    (n, dom.value(best(k, v)))
                 })
                 .collect();
             for c_del in dels {
@@ -1056,7 +1056,10 @@ mod tests {
                             children: Rc::new([]),
                         })
                         .collect();
-                    s.push((posting(pre, pre, 0, 1), best(k, candidates)));
+                    s.push((
+                        posting(pre, pre, 0, 1),
+                        KBest { k }.value(best(k, candidates)),
+                    ));
                 }
                 data.push((d, c));
                 schema.push((s, c));
@@ -1074,7 +1077,7 @@ mod tests {
                 label: LabelId(label),
                 children: Rc::new([]),
             }];
-            vec![(posting(5, 5, 0, 1), v)]
+            vec![(posting(5, 5, 0, 1), KBest { k: 2 }.value(v))]
         };
         let lists = [
             (one(1, 0), Cost::ZERO),
@@ -1083,7 +1086,7 @@ mod tests {
         ];
         let dom = KBest { k: 2 };
         either_agrees_with_fold(&dom, &lists);
-        let walked: Vec<Paying<'_, Vec<Candidate>>> =
+        let walked: Vec<Paying<'_, CandidateStream>> =
             lists.iter().map(|(l, c)| (&l[..], *c)).collect();
         let labels: Vec<LabelId> = either(&dom, &walked, Vec::new())[0]
             .1

@@ -1,11 +1,15 @@
 //! Schema-driven evaluation (Sections 7.2–7.4).
 //!
 //! The adapted algorithm `primary` runs against the *schema* indexes in
-//! the k-best domain of [`crate::topk`], producing the best `k`
-//! second-level queries. Algorithm `secondary` executes each of
-//! them against the path-dependent index. The incremental driver
-//! ([`best_n_schema`], Figure 6) grows `k` by `δ` until `n` results are
-//! found or the second-level queries are exhausted.
+//! the k-best domain of [`crate::topk`], producing second-level queries
+//! cheapest first. Algorithm `secondary` executes each of them against
+//! the path-dependent index. The driver ([`ResultStream`], Figure 6)
+//! executes the plan once per query and then draws second-level queries
+//! one at a time from the root list's candidate streams, until `n`
+//! results are found or the queries are exhausted. The paper raises `k`
+//! and re-runs `primary`; here a stream extends itself instead, so what
+//! is left of `k` is pacing: queries are drawn in batches (`k` grows by
+//! `δ` or doubles per batch), and at most `max_k` are drawn.
 //!
 //! Because second-level queries are processed in increasing cost order and
 //! all results of one second-level query share its (exact, Section 7.1)
@@ -14,34 +18,36 @@
 //!
 //! The adapted `primary` executes the same compiled physical plan as the
 //! direct evaluation (see [`approxql_plan`]) through the same list
-//! algebra ([`crate::list`]): only the cost domain differs — the best `k`
-//! candidates per node where the direct evaluation keeps a minimum, `k` a
-//! run-time field, so one compiled plan serves every incremental round.
+//! algebra ([`crate::list`]): only the cost domain differs — a stream of
+//! candidates per node where the direct evaluation keeps a minimum.
 
 use crate::direct::{fetch_count, EvalOptions};
-use crate::list::{self, Algebra};
+use crate::list::Algebra;
 use crate::secondary;
-use crate::topk::{self, KBest, SecondLevelQuery};
-use approxql_metrics::{time, Metric, TimerMetric};
-use approxql_plan::{self as plan, Plan, PlanOp};
+use crate::topk::{self, KBest, SecondLevelQueries, SecondLevelQuery};
+use approxql_metrics::{time, Metric, MetricsRegistry, TimerMetric};
+use approxql_plan::{self as plan, Plan};
 use approxql_query::expand::{ExpandedNode, ExpandedQuery};
 use approxql_schema::Schema;
 use approxql_tree::{Cost, Interner};
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
+use std::iter::Peekable;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// Tuning knobs of the incremental driver.
+/// How the driver paces its draws of second-level queries.
 #[derive(Debug, Clone, Copy)]
 pub struct SchemaEvalConfig {
-    /// Initial `k` (number of second-level queries of the first round).
-    /// `None` derives it from `n` (the paper: "a good initial guess of k
-    /// is crucial").
+    /// Size of the first batch of second-level queries. `None` derives it
+    /// from `n` (the paper: "a good initial guess of k is crucial").
     pub initial_k: Option<usize>,
-    /// Increment `δ` added to `k` when the current queries did not yield
-    /// `n` results. `None` doubles `k` instead (geometric growth keeps the
-    /// number of re-runs logarithmic; the paper's driver uses a fixed δ).
+    /// Increment `δ` added to `k` when a batch did not yield `n` results.
+    /// `None` doubles `k` instead. Either way the plan is not re-run: the
+    /// next batch is drawn from the same candidate streams, so this only
+    /// sets how many batches ([`EvalStats::rounds`]) a query counts.
     pub delta: Option<usize>,
-    /// Hard upper bound on `k`, `usize::MAX` (no bound) by default.
+    /// Hard upper bound on the number of second-level queries drawn,
+    /// `usize::MAX` (no bound) by default.
     ///
     /// Second-level queries are combinatorial in the number of renamings
     /// and deletions (a Boolean query with 10 renamings per label can have
@@ -69,54 +75,51 @@ impl Default for SchemaEvalConfig {
 /// Counters describing one schema-driven evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Rounds of the incremental loop (primary re-runs).
+    /// Batches of second-level queries drawn (the paper's rounds of the
+    /// incremental loop; the plan runs once for all of them).
     pub rounds: usize,
-    /// Final `k` used.
+    /// The bound `k` of the last batch.
     pub k_final: usize,
     /// Second-level queries executed against the data.
     pub second_level_queries: usize,
     /// Total instances returned by all `secondary` executions.
     pub secondary_rows: usize,
-    /// Total entries produced by the top-k list operations (all rounds).
+    /// Candidates the top-k list operations produced (drawn).
     pub primary_entries: usize,
-    /// Index fetches (all rounds).
+    /// Index fetches of the plan's one execution.
     pub fetches: usize,
-}
-
-/// Whether an operator's output takes part in the entry/cap accounting.
-/// Leaf fetches and the intermediate merge/shift lists are building
-/// blocks whose content reappears in their consumer; counting the
-/// materialized candidate lists and combination results matches the
-/// completeness argument: a truncation can only originate in an operator
-/// that applies the per-segment cap to a combined list.
-fn counts_toward_entries(op: &PlanOp) -> bool {
-    match op {
-        PlanOp::Fetch { is_leaf, .. } => !is_leaf,
-        PlanOp::Join { .. }
-        | PlanOp::OuterJoin { .. }
-        | PlanOp::Intersect { .. }
-        | PlanOp::Union { .. } => true,
-        PlanOp::Merge { .. } | PlanOp::Shift { .. } | PlanOp::SortBest { .. } => false,
-    }
 }
 
 /// The outcome of one adapted-`primary` run against the schema.
 pub struct SecondLevelRun {
     /// The best `k` second-level queries, cost-sorted.
     pub queries: Vec<SecondLevelQuery>,
-    /// Entries produced by the top-k list operations.
+    /// Candidates the top-k list operations produced to yield them.
     pub entries: usize,
     /// Index fetches performed.
     pub fetches: usize,
-    /// `true` iff the enumeration is provably complete: no candidate
-    /// vector hit the cap and the root list was not truncated, so a
-    /// larger `k` cannot produce additional second-level queries.
+    /// `true` iff there is no further second-level query: a larger `k`
+    /// cannot produce another one.
     pub complete: bool,
+}
+
+/// Executes the compiled plan over the schema's label index in the
+/// [`KBest`] domain, with no cap on the candidates; the root list's
+/// second-level queries are drawn from the result.
+fn second_level_queries(
+    plan: &Plan,
+    schema: &Schema,
+    interner: &Interner,
+    opts: EvalOptions,
+) -> SecondLevelQueries {
+    let alg = Algebra::new(schema.labels(), interner, KBest { k: usize::MAX });
+    let roots = plan::execute(plan, &alg, |_, _| {}).unwrap_or_default();
+    SecondLevelQueries::new(roots, opts.enforce_leaf_match)
 }
 
 /// Runs the adapted `primary` — the compiled plan over the schema's label
 /// index in the [`KBest`] domain — returning the best `k` second-level
-/// queries (root candidates of the flattened, cost-sorted list).
+/// queries: the first `k` the driver draws for this plan.
 pub fn best_k_second_level_plan(
     plan: &Plan,
     schema: &Schema,
@@ -126,33 +129,20 @@ pub fn best_k_second_level_plan(
 ) -> SecondLevelRun {
     Metric::EvalSchemaRuns.incr();
     let _timer = time(TimerMetric::EvalSchema);
-    let alg = Algebra::new(schema.labels(), interner, KBest { k });
-    let mut entries = 0usize;
-    // `possibly_capped`: whether any accounted candidate vector reached
-    // length `k` — a conservative signal that the cap may have truncated
-    // embeddings. If it never fires, the enumeration is provably complete
-    // at this `k`.
-    let mut possibly_capped = false;
-    let root_list = plan::execute(plan, &alg, |h, list| {
-        if plan.ops().get(h).is_some_and(counts_toward_entries) {
-            entries += list::weight::<KBest>(list);
-            possibly_capped = possibly_capped || list.iter().any(|(_, v)| v.len() >= k);
-        }
-    })
-    .unwrap_or_default();
-    entries += list::weight::<KBest>(&root_list);
-    let best = topk::sort_k_best(k, &root_list, opts.enforce_leaf_match);
-    let complete = !possibly_capped && best.len() < k;
+    let before = Metric::TopkEntriesProduced.value();
+    let mut stream = second_level_queries(plan, schema, interner, opts).peekable();
+    let queries: Vec<SecondLevelQuery> = stream.by_ref().take(k).collect();
+    let complete = stream.peek().is_none();
     SecondLevelRun {
-        queries: best,
-        entries,
+        queries,
+        entries: (Metric::TopkEntriesProduced.value() - before) as usize,
         fetches: fetch_count(plan),
         complete,
     }
 }
 
 /// Structural identity of a skeleton (for deduplicating second-level
-/// queries across incremental rounds without relying on list order).
+/// queries that two embeddings share).
 fn skeleton_key(s: &topk::Skeleton, out: &mut Vec<u32>) {
     out.push(s.pre);
     out.push(s.label.0);
@@ -173,6 +163,8 @@ fn entry_key(q: &SecondLevelQuery) -> Vec<u32> {
 /// of its renamings. Once that many distinct roots have been retrieved,
 /// no further second-level query can contribute — an early exit the
 /// paper's driver does not have (it changes no results, only time).
+/// Counted through the accessors that record no query-time metric: it
+/// is bookkeeping, not evaluation.
 fn possible_roots(expanded: &ExpandedQuery, schema: &Schema, interner: &Interner) -> usize {
     let (label, ty, renamings) = match &expanded.nodes[expanded.root] {
         ExpandedNode::Leaf {
@@ -189,12 +181,17 @@ fn possible_roots(expanded: &ExpandedQuery, schema: &Schema, interner: &Interner
         } => (label, *ty, renamings),
         _ => return usize::MAX,
     };
+    let secondary = schema.secondary();
     let mut total = 0usize;
     for l in std::iter::once(label.as_str()).chain(renamings.iter().map(|(l, _)| l.as_str())) {
-        if let Some(id) = interner.get(l) {
-            for posting in schema.labels().fetch(ty, id) {
-                total += schema.secondary().fetch(posting.pre, id).len();
-            }
+        let Some(id) = interner.get(l) else { continue };
+        let Some(list) = schema.labels().blocks(ty, id) else {
+            continue;
+        };
+        // A list that does not decode is one `fetch` reads as empty.
+        for posting in list.try_decode().unwrap_or_default() {
+            let class = secondary.class_of_pre(posting.pre);
+            total += secondary.get(class, id).map_or(0, <[_]>::len);
         }
     }
     total
@@ -205,38 +202,41 @@ fn possible_roots(expanded: &ExpandedQuery, schema: &Schema, interner: &Interner
 /// schema-driven approach ("the results can be sent immediately to the
 /// user", Section 9).
 ///
-/// The stream compiles its query once and drives the Figure 6 loop on
-/// demand: second-level queries are generated in batches of `k` and
-/// executed one by one as the consumer pulls results; `k` grows (by `δ`
-/// or doubling) only when the current batch runs dry.
+/// The stream executes its compiled plan once, at the first pull, and
+/// then draws second-level queries one by one as the consumer pulls
+/// results, each executed as soon as it is drawn. The draws are counted
+/// in batches: the first `k` queries are batch one, and the next batch
+/// (`k` grown by `δ` or doubled) starts only when a further query exists
+/// and fewer than `max_k` have been drawn.
 pub struct ResultStream<'a> {
-    /// The compiled plan shared by all driver rounds (`k` is a runtime
-    /// parameter of the top-k algebra, not a plan constant). `None` when
-    /// the expanded query does not compile: the stream is empty.
+    /// The compiled plan, executed at the first pull. `None` when the
+    /// expanded query does not compile: the stream is empty.
     plan: Option<Arc<Plan>>,
     schema: &'a Schema,
     interner: &'a Interner,
     opts: EvalOptions,
     cfg: SchemaEvalConfig,
+    /// The root list's second-level queries, once the plan has run.
+    queries: Option<Peekable<SecondLevelQueries>>,
+    /// Second-level queries drawn so far.
+    drawn: usize,
+    /// How many the current batch ends at.
     k: usize,
-    queries: Vec<SecondLevelQuery>,
-    pos: usize,
-    last_run_complete: bool,
-    started: bool,
     done: bool,
-    prev_len: usize,
     executed: HashSet<Vec<u32>>,
     seen_roots: HashSet<u32>,
-    pending: std::collections::VecDeque<(u32, Cost)>,
+    pending: VecDeque<(u32, Cost)>,
     max_roots: usize,
+    /// Time spent executing the plan and drawing from its streams.
+    first_level: Duration,
     stats: EvalStats,
 }
 
 impl<'a> ResultStream<'a> {
     /// Creates a stream over the plan compiled from `expanded` (`None`
-    /// yields an empty stream). When `cfg.initial_k` is `None`, the first
-    /// batch size defaults to 16 (the stream cannot know the consumer's
-    /// `n`).
+    /// yields an empty stream). Nothing is evaluated until the first
+    /// pull. When `cfg.initial_k` is `None`, the first batch size defaults
+    /// to 16 (the stream cannot know the consumer's `n`).
     pub fn with_plan(
         expanded: &ExpandedQuery,
         plan: Option<Arc<Plan>>,
@@ -253,17 +253,15 @@ impl<'a> ResultStream<'a> {
             interner,
             opts,
             cfg,
+            queries: None,
+            drawn: 0,
             k,
-            queries: Vec::new(),
-            pos: 0,
-            last_run_complete: false,
-            started: false,
             done: false,
-            prev_len: usize::MAX,
             executed: HashSet::new(),
             seen_roots: HashSet::new(),
-            pending: std::collections::VecDeque::new(),
+            pending: VecDeque::new(),
             max_roots,
+            first_level: Duration::ZERO,
             stats: EvalStats::default(),
         }
     }
@@ -273,47 +271,39 @@ impl<'a> ResultStream<'a> {
         self.stats
     }
 
-    /// Runs (or re-runs) the adapted primary at the current `k`, reusing
-    /// the plan compiled once at stream construction.
-    fn refill(&mut self) {
-        let Some(plan) = self.plan.clone() else {
-            self.queries.clear();
-            self.started = true;
-            self.done = true;
-            return;
-        };
+    /// Counts the start of a batch that ends at `self.k`.
+    fn start_batch(&mut self) {
         self.stats.rounds += 1;
-        Metric::EvalSchemaRounds.incr();
         self.stats.k_final = self.k;
-        let run = best_k_second_level_plan(&plan, self.schema, self.interner, self.k, self.opts);
-        self.stats.primary_entries += run.entries;
-        self.stats.fetches += run.fetches;
-        self.queries = run.queries;
-        self.last_run_complete = run.complete;
-        self.pos = 0;
-        self.started = true;
+        Metric::EvalSchemaRounds.incr();
+        Metric::EvalSchemaRuns.incr();
     }
 
-    /// Advances past the current batch: either declare exhaustion or grow
-    /// `k` and refill.
-    fn advance_k(&mut self) {
-        // Exhausted? Either provably (nothing was capped at this k), or
-        // heuristically (the flattened root list stopped growing), or the
-        // configured ceiling was reached.
-        if self.last_run_complete
-            || (self.queries.len() < self.k && self.queries.len() == self.prev_len)
-            || self.k >= self.cfg.max_k
-        {
-            self.done = true;
-            return;
+    /// The next second-level query, executing the plan on the first call;
+    /// `None` once the queries are exhausted or `max_k` are drawn.
+    fn draw(&mut self) -> Option<SecondLevelQuery> {
+        if self.queries.is_none() {
+            let plan = self.plan.clone()?;
+            self.start_batch();
+            self.stats.fetches += fetch_count(&plan);
+            let queries = second_level_queries(&plan, self.schema, self.interner, self.opts);
+            self.queries = Some(queries.peekable());
         }
-        self.prev_len = self.queries.len();
-        self.k = match self.cfg.delta {
-            Some(delta) => self.k.saturating_add(delta),
-            None => self.k.saturating_mul(2),
+        if self.drawn >= self.k {
+            let more = self.queries.as_mut().is_some_and(|q| q.peek().is_some());
+            if !more || self.k >= self.cfg.max_k {
+                return None;
+            }
+            self.k = match self.cfg.delta {
+                Some(delta) => self.k.saturating_add(delta),
+                None => self.k.saturating_mul(2),
+            }
+            .min(self.cfg.max_k);
+            self.start_batch();
         }
-        .min(self.cfg.max_k);
-        self.refill();
+        let query = self.queries.as_mut()?.next()?;
+        self.drawn += 1;
+        Some(query)
     }
 }
 
@@ -328,18 +318,16 @@ impl Iterator for ResultStream<'_> {
             if self.done {
                 return None;
             }
-            if !self.started {
-                self.refill();
+            let (start, before) = (Instant::now(), Metric::TopkEntriesProduced.value());
+            let entry = self.draw();
+            self.first_level += start.elapsed();
+            self.stats.primary_entries += (Metric::TopkEntriesProduced.value() - before) as usize;
+            let Some(entry) = entry else {
+                self.done = true;
                 continue;
-            }
-            if self.pos >= self.queries.len() {
-                self.advance_k();
-                continue;
-            }
-            let entry = self.queries[self.pos].clone();
-            self.pos += 1;
+            };
             if !self.executed.insert(entry_key(&entry)) {
-                // Evaluated in an earlier round.
+                // Another embedding drew the same query.
                 continue;
             }
             self.stats.second_level_queries += 1;
@@ -360,6 +348,16 @@ impl Iterator for ResultStream<'_> {
             if self.seen_roots.len() >= self.max_roots {
                 self.done = true;
             }
+        }
+    }
+}
+
+/// Records the first level's time as one `eval.schema` sample, if the
+/// plan ran.
+impl Drop for ResultStream<'_> {
+    fn drop(&mut self) {
+        if self.queries.is_some() {
+            MetricsRegistry::with(|r| r.record_timing(TimerMetric::EvalSchema, self.first_level));
         }
     }
 }
@@ -627,6 +625,41 @@ mod stream_tests {
         let mut sorted = streamed.clone();
         sorted.sort_by_key(|&(pre, c)| (c, pre));
         assert_eq!(sorted, batch);
+    }
+
+    #[test]
+    fn a_stream_reads_no_index_until_pulled() {
+        let costs = paper_section6_costs();
+        let mut b = DataTreeBuilder::new();
+        b.begin_struct("cd");
+        b.begin_struct("title");
+        b.add_text("piano concerto");
+        b.end();
+        b.end();
+        let tree = b.build(&costs);
+        let schema = Schema::build(&tree, &costs);
+        let q = parse_query(r#"cd[title["piano"]]"#).unwrap();
+        let ex = approxql_query::expand::ExpandedQuery::build(&q, &costs);
+        let plan = plan::compile(&ex).ok().map(Arc::new);
+        let before = approxql_metrics::snapshot();
+        let mut stream = ResultStream::with_plan(
+            &ex,
+            plan,
+            &schema,
+            tree.interner(),
+            EvalOptions::default(),
+            SchemaEvalConfig::default(),
+        );
+        let read = |m: Metric| m.name().starts_with("index.") || m.name().starts_with("postings.");
+        let diff = approxql_metrics::snapshot().diff(&before);
+        let touched: Vec<_> = diff.counters().filter(|&(m, c)| read(m) && c > 0).collect();
+        assert!(touched.is_empty(), "{touched:?}");
+        // The first pull runs the plan: 3 fetches, and a 3-node query.
+        assert_eq!(stream.next(), Some((1, Cost::ZERO)));
+        let diff = approxql_metrics::snapshot().diff(&before);
+        assert_eq!(diff.get(Metric::IndexLabelFetches), 3);
+        assert_eq!(diff.get(Metric::PostingsBlocksDecoded), 3);
+        assert_eq!(diff.get(Metric::IndexSecondaryFetches), 3);
     }
 
     #[test]

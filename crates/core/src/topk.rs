@@ -3,9 +3,10 @@
 //! Run against the *schema*, the evaluation must keep not just the best
 //! embedding per (query subtree, schema subtree) but the best **k** — each
 //! one a distinct *second-level query*. The list algebra is the one of
-//! [`crate::list`]; this module plugs in its value: per schema node, the
-//! at most `k` cheapest [`Candidate`]s, sorted by cost, ties in creation
-//! order.
+//! [`crate::list`]; this module plugs in its value: per schema node, a
+//! [`CandidateStream`] of [`Candidate`]s, cheapest first, ties in creation
+//! order, drawn only when someone reads them — lazy k-best enumeration
+//! (Huang & Chiang, "Better k-best parsing", 2005, Algorithm 3).
 //!
 //! A candidate carries the matched, possibly renamed `label` and
 //! `children` pointers to the skeleton nodes of the embedding image (the
@@ -14,12 +15,27 @@
 //! shared and immutable ([`Pointers`]), so copying a candidate copies a
 //! reference count, not the set.
 //!
-//! Every operator reads its inputs as the sorted vectors they are and
-//! stops at `k`, so its work per node is O(k), not the O(k²) of building
-//! every combination and sorting it: `either`, `fold` and `close` are
-//! bounded merges, `offer` stops at the first candidate that no longer
-//! fits, and `both` walks the pairs cheapest first from a frontier heap
-//! (O(k log k)) and builds the pointer sets of the `k` it keeps only.
+//! A stream is a shared handle over the prefix drawn so far plus the state
+//! that yields the next candidate, so a candidate read twice, or through
+//! two copies of a list, is drawn once. Each operator keeps the state its
+//! eager form would have thrown away after `k` steps:
+//!
+//! * `either` and `fold` are a two-way merge, ties to the first input;
+//! * `both` keeps its frontier heap of pairs `(cost, i, j)` between draws;
+//! * `close` turns the ancestor's descendant interval — a range of the
+//!   descendant list, which is all the walk's accumulator is — into a heap
+//!   over those descendants' streams keyed `(pathcost + cost, j, c)`, the
+//!   deletion candidate behind equal costs.
+//!
+//! A heap entry whose candidate has not been drawn yet carries a lower
+//! bound of its key instead (a descendant's `pathcost`, the key of the
+//! entry it follows); it is drawn only when that bound comes first. So a
+//! stream draws from its inputs exactly the candidates that could come
+//! next, and every stream yields the order the eager operator sorted by:
+//! the first `k` candidates of a stream are the `k`-vector the operator
+//! would have built. [`SecondLevelQueries`] does the same for the root
+//! list: the second-level queries in `(cost, pre, position)` order, one
+//! at a time.
 //!
 //! Unlike the direct evaluation's grouped minima, each candidate is one
 //! concrete embedding, so the leaf rule reduces to a boolean flag.
@@ -28,8 +44,11 @@ use crate::list::{below, CostDomain};
 use approxql_index::Posting;
 use approxql_metrics::Metric;
 use approxql_tree::{Cost, LabelId};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// A pointer set: the skeletons of an embedding's matched descendants.
@@ -93,183 +112,373 @@ fn united(a: &Pointers, b: &Pointers) -> Pointers {
     }
 }
 
-/// The first `k` items of the merge of the sorted sequences `a` and `b`;
-/// on a tie, `a`'s item comes first (`le` is the order's `≤`).
-fn merged<T>(
-    k: usize,
-    a: impl IntoIterator<Item = T>,
-    b: impl IntoIterator<Item = T>,
-    le: impl Fn(&T, &T) -> bool,
-) -> Vec<T> {
-    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
-    let mut out = Vec::new();
-    while out.len() < k {
-        let next = match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) if !le(x, y) => b.next(),
-            (Some(_), _) => a.next(),
-            (None, _) => b.next(),
-        };
-        match next {
-            Some(item) => out.push(item),
-            None => break,
-        }
-    }
-    out
+/// A heap entry `(key, x, y, drawn)`, smallest first. `(x, y)` names the
+/// candidate (a pair's two indices, a descendant and its candidate, a
+/// root and its candidate) and is unique within one heap. While `drawn` is
+/// `false` the candidate has not been drawn and `key` is only a lower
+/// bound of its key; as no other entry shares `(x, y)`, the bound sorts
+/// no later than the key it stands for.
+type Entry = Reverse<(Cost, usize, usize, bool)>;
+
+/// The candidates of one schema node, cheapest first, ties in creation
+/// order, drawn on demand: the value of the [`KBest`] domain.
+///
+/// Clones share what has been drawn. `shift` adds to the costs read
+/// through one handle only, so `shift` is O(1) and leaves the other
+/// copies alone.
+#[derive(Clone)]
+pub struct CandidateStream {
+    memo: Rc<RefCell<Memo>>,
+    /// Added to the cost of every candidate read through this handle.
+    shift: Cost,
 }
 
-/// The k-best domain of the adapted `primary`: a value is the candidates
-/// of one schema node, cost-sorted (ties in creation order), at most `k`.
-/// `k` is a run-time field, so one compiled plan serves every round of
-/// the incremental driver.
+/// What a stream has drawn, and what yields the rest.
+struct Memo {
+    /// The candidates drawn so far, without any handle's shift.
+    drawn: Vec<Candidate>,
+    /// The most candidates the stream yields (the domain's `k`).
+    cap: usize,
+    source: Source,
+}
+
+/// The state that yields a stream's next candidate.
+enum Source {
+    /// Nothing more: the stream is what it has drawn.
+    Done,
+    /// `either`: the merge of `a` from its `i`-th candidate on and `b` from
+    /// its `j`-th; `a` first on a tie.
+    Merge {
+        a: CandidateStream,
+        b: CandidateStream,
+        i: usize,
+        j: usize,
+    },
+    /// `both`: the pairs `(i, j)` of `a × b` in `(cost, i, j)` order. Pair
+    /// `(i, j + 1)` and, from the first column, `(i + 1, 0)` cost no less
+    /// than `(i, j)` and come after it, so the frontier grows from `(0, 0)`
+    /// by at most two entries per drawn pair.
+    Pairs {
+        a: CandidateStream,
+        b: CandidateStream,
+        frontier: BinaryHeap<Entry>,
+    },
+    /// `close`: one ancestor's candidates.
+    Below(Box<Below>),
+}
+
+/// The state of `close`: the descendants of the ancestor's interval, each
+/// with its next candidate in the heap.
+struct Below {
+    ancestor: Posting,
+    label: LabelId,
+    /// The finite cost of deleting the descendant, until drawn.
+    deletion: Option<Cost>,
+    /// `(pre, pathcost, candidates)` per descendant of the interval.
+    descendants: Vec<(u32, Cost, CandidateStream)>,
+    /// `(pathcost + cost, descendant, candidate)`.
+    heap: BinaryHeap<Entry>,
+}
+
+impl CandidateStream {
+    fn new(cap: usize, drawn: Vec<Candidate>, source: Source) -> CandidateStream {
+        CandidateStream {
+            memo: Rc::new(RefCell::new(Memo { drawn, cap, source })),
+            shift: Cost::ZERO,
+        }
+    }
+
+    /// Draws up to candidate `i`; `false` if the stream ends before it.
+    fn reach(&self, i: usize) -> bool {
+        let mut memo = self.memo.borrow_mut();
+        let Memo { drawn, cap, source } = &mut *memo;
+        if i >= *cap {
+            return false;
+        }
+        while drawn.len() <= i {
+            let Some(c) = source.next() else {
+                // Let go of the inputs.
+                *source = Source::Done;
+                return false;
+            };
+            Metric::TopkEntriesProduced.incr();
+            drawn.push(c);
+            if drawn.len() >= *cap {
+                *source = Source::Done;
+            }
+        }
+        true
+    }
+
+    /// The cost of candidate `i`, drawing it if need be; `None` if the
+    /// stream has fewer candidates.
+    pub fn cost(&self, i: usize) -> Option<Cost> {
+        if !self.reach(i) {
+            return None;
+        }
+        Some(self.memo.borrow().drawn.get(i)?.cost + self.shift)
+    }
+
+    /// Candidate `i`, drawing it if need be.
+    pub fn get(&self, i: usize) -> Option<Candidate> {
+        if !self.reach(i) {
+            return None;
+        }
+        let mut c = self.memo.borrow().drawn.get(i)?.clone();
+        c.cost += self.shift;
+        Some(c)
+    }
+
+    /// The candidates in order, each drawn when the iterator reaches it.
+    pub fn iter(&self) -> impl Iterator<Item = Candidate> + '_ {
+        (0..).map_while(|i| self.get(i))
+    }
+
+    /// Number of candidates; draws them all.
+    pub fn len(&self) -> usize {
+        let mut n = 0;
+        while self.reach(n) {
+            n += 1;
+        }
+        n
+    }
+
+    /// `true` if the stream has no candidate.
+    pub fn is_empty(&self) -> bool {
+        !self.reach(0)
+    }
+}
+
+/// Equal when the two streams yield the same candidates; draws both.
+impl PartialEq for CandidateStream {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+/// Lists the candidates; draws them all.
+impl fmt::Debug for CandidateStream {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Source {
+    fn next(&mut self) -> Option<Candidate> {
+        match self {
+            Source::Done => None,
+            Source::Merge { a, b, i, j } => {
+                let first = match (a.cost(*i), b.cost(*j)) {
+                    (Some(x), Some(y)) => x <= y,
+                    (x, _) => x.is_some(),
+                };
+                let (from, at) = if first { (a, i) } else { (b, j) };
+                *at += 1;
+                from.get(*at - 1)
+            }
+            Source::Pairs { a, b, frontier } => loop {
+                let Reverse((cost, i, j, drawn)) = frontier.pop()?;
+                if !cost.is_finite() {
+                    // The rest cost at least as much: infinite.
+                    return None;
+                }
+                if !drawn {
+                    if let (Some(x), Some(y)) = (a.cost(i), b.cost(j)) {
+                        frontier.push(Reverse((x + y, i, j, true)));
+                    }
+                    continue;
+                }
+                let (x, y) = (a.get(i)?, b.get(j)?);
+                frontier.push(Reverse((cost, i, j + 1, false)));
+                if j == 0 {
+                    frontier.push(Reverse((cost, i + 1, 0, false)));
+                }
+                return Some(Candidate {
+                    cost,
+                    has_leaf: x.has_leaf || y.has_leaf,
+                    label: x.label,
+                    children: united(&x.children, &y.children),
+                });
+            },
+            Source::Below(below) => below.next(),
+        }
+    }
+}
+
+impl Below {
+    fn candidate(&self, cost: Cost, has_leaf: bool, children: Pointers) -> Candidate {
+        Candidate {
+            cost,
+            has_leaf,
+            label: self.label,
+            children,
+        }
+    }
+
+    fn next(&mut self) -> Option<Candidate> {
+        loop {
+            let top = self.heap.peek().map(|&Reverse(entry)| entry);
+            // The deletion goes behind every descendant candidate of equal
+            // cost, before the first dearer one (a bound that is dearer
+            // stands for a key that is).
+            let due = |&del: &Cost| top.is_none_or(|(key, ..)| below(&self.ancestor, key) > del);
+            if let Some(del) = self.deletion.filter(due) {
+                self.deletion = None;
+                return Some(self.candidate(del, false, Rc::new([])));
+            }
+            let (key, j, c, drawn) = top?;
+            self.heap.pop();
+            let (pre, pathcost, stream) = self.descendants.get(j)?;
+            if !drawn {
+                if let Some(cost) = stream.cost(c) {
+                    let key = *pathcost + cost;
+                    if key.is_finite() {
+                        self.heap.push(Reverse((key, j, c, true)));
+                    }
+                }
+                continue;
+            }
+            let cand = stream.get(c)?;
+            self.heap.push(Reverse((key, j, c + 1, false)));
+            let children: Pointers = Rc::new([cand.skeleton(*pre)]);
+            return Some(self.candidate(below(&self.ancestor, key), cand.has_leaf, children));
+        }
+    }
+}
+
+/// The k-best domain of the adapted `primary`: a value is the
+/// [`CandidateStream`] of one schema node, at most `k` candidates.
+/// `k` is a run-time field; the schema driver runs with no cap and draws
+/// as many second-level queries as it needs.
 #[derive(Clone, Copy, Debug)]
 pub struct KBest {
-    /// The cap on every candidate vector.
+    /// The most candidates a value yields.
     pub k: usize,
 }
 
 impl KBest {
-    /// Inserts `item` into the sorted accumulator if it ranks among the
-    /// `k` smallest; `false` if it does not, and then no larger item does.
-    fn keep(&self, acc: &mut Vec<(Cost, usize, usize)>, item: (Cost, usize, usize)) -> bool {
-        let pos = acc.partition_point(|x| *x <= item);
-        if !item.0.is_finite() || pos >= self.k {
-            return false;
-        }
-        acc.truncate(self.k - 1);
-        acc.insert(pos, item);
-        true
+    fn stream_of(&self, drawn: Vec<Candidate>, source: Source) -> CandidateStream {
+        CandidateStream::new(self.k, drawn, source)
+    }
+
+    /// A value holding `candidates`, which must be sorted by cost; only
+    /// the first `k` are read.
+    pub fn value(&self, candidates: Vec<Candidate>) -> CandidateStream {
+        self.stream_of(candidates, Source::Done)
     }
 }
 
 impl CostDomain for KBest {
-    type V = Vec<Candidate>;
-    /// The `k` smallest `(key, descendant, candidate)` triples, sorted;
-    /// the two indices make the order total and deterministic.
-    type Acc = Vec<(Cost, usize, usize)>;
+    type V = CandidateStream;
+    /// The descendants the ancestor's interval holds, as a range of the
+    /// descendant list: the walk offers them in order, and a closed inner
+    /// ancestor's range lies within its parent's.
+    type Acc = Range<usize>;
 
-    fn seed(&self, label: LabelId, is_leaf: bool) -> Vec<Candidate> {
-        vec![Candidate {
+    fn seed(&self, label: LabelId, is_leaf: bool) -> CandidateStream {
+        let seed = Candidate {
             cost: Cost::ZERO,
             has_leaf: is_leaf,
             label,
             children: Rc::new([]),
-        }]
+        };
+        self.value(vec![seed])
     }
 
-    fn shift(&self, v: &mut Vec<Candidate>, c: Cost) {
-        for cand in v {
-            cand.cost += c;
+    fn shift(&self, v: &mut CandidateStream, c: Cost) {
+        v.shift += c;
+    }
+
+    /// The merge, `a`'s candidates first on a tie.
+    fn either(&self, a: CandidateStream, b: CandidateStream) -> CandidateStream {
+        self.stream_of(Vec::new(), Source::Merge { a, b, i: 0, j: 0 })
+    }
+
+    /// The pairs in `(cost, i, j)` order — cost, then creation order;
+    /// pointer sets are united. `None` if the cheapest pair is infinite.
+    fn both(&self, a: &CandidateStream, b: &CandidateStream) -> Option<CandidateStream> {
+        let cost = a.cost(0)? + b.cost(0)?;
+        let frontier = BinaryHeap::from(vec![Reverse((cost, 0, 0, true))]);
+        let (a, b) = (a.clone(), b.clone());
+        cost.is_finite()
+            .then(|| self.stream_of(Vec::new(), Source::Pairs { a, b, frontier }))
+    }
+
+    fn open(&self) -> Range<usize> {
+        0..0
+    }
+
+    fn offer(&self, acc: &mut Range<usize>, j: usize, _d: &(Posting, CandidateStream)) {
+        if acc.start == acc.end {
+            *acc = j..j + 1;
+        } else {
+            acc.end = j + 1;
         }
     }
 
-    /// The first `k` of the merge, `a`'s candidates first on a tie.
-    fn either(&self, a: Vec<Candidate>, b: Vec<Candidate>) -> Vec<Candidate> {
-        merged(self.k, a, b, |x, y| x.cost <= y.cost)
-    }
-
-    /// The `k` cheapest pairs, in `(cost, i, j)` order — cost, then
-    /// creation order; pointer sets are united. Pair `(i, j + 1)` and, from
-    /// the first column, `(i + 1, 0)` cost no less than `(i, j)` and come
-    /// after it, so a frontier heap seeded with `(0, 0)` yields the pairs
-    /// in exactly that order: k pops of a heap of at most k + 1, and only
-    /// the kept pairs are built.
-    fn both(&self, a: &Vec<Candidate>, b: &Vec<Candidate>) -> Option<Vec<Candidate>> {
-        let pair = |i: usize, j: usize| Some(Reverse((a.get(i)?.cost + b.get(j)?.cost, i, j)));
-        let mut frontier: BinaryHeap<_> = pair(0, 0).into_iter().collect();
-        let mut out = Vec::new();
-        while out.len() < self.k {
-            match frontier.pop() {
-                Some(Reverse((cost, i, j))) if cost.is_finite() => {
-                    let (x, y) = (&a[i], &b[j]);
-                    out.push(Candidate {
-                        cost,
-                        has_leaf: x.has_leaf || y.has_leaf,
-                        label: x.label,
-                        children: united(&x.children, &y.children),
-                    });
-                    frontier.extend(pair(i, j + 1));
-                    if j == 0 {
-                        frontier.extend(pair(i + 1, 0));
-                    }
-                }
-                // The rest cost at least as much: infinite.
-                _ => break,
-            }
-        }
-        Some(out).filter(|v| !v.is_empty())
-    }
-
-    fn open(&self) -> Self::Acc {
-        Vec::new()
-    }
-
-    /// `v` is sorted, so its keys rise: the first candidate that does not
-    /// fit ends the offer.
-    fn offer(&self, acc: &mut Self::Acc, j: usize, (d, v): &(Posting, Vec<Candidate>)) {
-        for (c, cand) in v.iter().enumerate() {
-            if !self.keep(acc, (d.pathcost + cand.cost, j, c)) {
-                break;
-            }
+    fn fold(&self, parent: &mut Range<usize>, closed: &Range<usize>) {
+        if parent.start == parent.end {
+            *parent = closed.clone();
+        } else if closed.start < closed.end {
+            *parent = parent.start.min(closed.start)..parent.end.max(closed.end);
         }
     }
 
-    fn fold(&self, parent: &mut Self::Acc, closed: &Self::Acc) {
-        if !closed.is_empty() {
-            let folded = merged(
-                self.k,
-                parent.iter().copied(),
-                closed.iter().copied(),
-                |x, y| x <= y,
-            );
-            *parent = folded;
-        }
-    }
-
-    /// One candidate per kept descendant, pointer set initialized with
-    /// that descendant, plus the deletion alternative (empty pointer set)
-    /// competing for the `k` slots. The kept descendants come sorted; the
-    /// deletion, created after them, goes behind those of equal cost.
+    /// One candidate per candidate of a descendant in the interval, its
+    /// pointer set that descendant's skeleton, plus the deletion
+    /// alternative (empty pointer set), in `(key, descendant, candidate)`
+    /// order, the deletion behind the candidates of equal cost. `None`
+    /// when there is neither a finite deletion nor a descendant candidate
+    /// of finite cost.
     fn close(
         &self,
-        (a, seed): &(Posting, Vec<Candidate>),
-        acc: Self::Acc,
-        descendants: &[(Posting, Vec<Candidate>)],
+        (a, seed): &(Posting, CandidateStream),
+        acc: Range<usize>,
+        descendants: &[(Posting, CandidateStream)],
         c_del: Cost,
-    ) -> Option<Vec<Candidate>> {
-        let label = seed.first()?.label;
-        let kept = |&(key, j, c): &(Cost, usize, usize)| {
-            let (d, v) = &descendants[j];
-            Candidate {
-                cost: below(a, key),
-                has_leaf: v[c].has_leaf,
-                label,
-                children: Rc::new([v[c].skeleton(d.pre)]),
-            }
-        };
-        let deleted = c_del.is_finite().then(|| Candidate {
-            cost: c_del,
-            has_leaf: false,
-            label,
-            children: Rc::new([]),
-        });
-        let at = acc.partition_point(|&(key, _, _)| below(a, key) <= c_del);
-        let out: Vec<Candidate> = acc[..at]
+    ) -> Option<CandidateStream> {
+        let label = seed.get(0)?.label;
+        let descendants: Vec<(u32, Cost, CandidateStream)> = descendants
+            .get(acc)
+            .unwrap_or_default()
             .iter()
-            .map(kept)
-            .chain(deleted)
-            .chain(acc[at..].iter().map(kept))
-            .take(self.k)
+            .map(|(d, v)| (d.pre, d.pathcost, v.clone()))
             .collect();
-        Some(out).filter(|v| !v.is_empty())
+        let deletion = c_del.is_finite().then_some(c_del);
+        let finite = |(_, pathcost, v): &(u32, Cost, CandidateStream)| {
+            v.cost(0).is_some_and(|c| (*pathcost + c).is_finite())
+        };
+        if deletion.is_none() && !descendants.iter().any(finite) {
+            return None;
+        }
+        let heap = descendants
+            .iter()
+            .enumerate()
+            .map(|(j, &(_, pathcost, _))| Reverse((pathcost, j, 0, false)))
+            .collect();
+        let below = Below {
+            ancestor: *a,
+            label,
+            deletion,
+            descendants,
+            heap,
+        };
+        Some(self.stream_of(Vec::new(), Source::Below(Box::new(below))))
     }
 
-    fn weight(v: &Vec<Candidate>) -> usize {
-        v.len()
+    /// A value stands for one list entry; its candidates are counted as
+    /// they are drawn.
+    fn weight(_: &CandidateStream) -> usize {
+        1
     }
 
-    fn record(&self, _op: Metric, produced: usize) {
+    /// `topk.entries_produced` takes a fetch's seeds, one per node, here;
+    /// every other candidate when it is drawn.
+    fn record(&self, op: Metric, produced: usize) {
         Metric::TopkOps.incr();
-        Metric::TopkEntriesProduced.add(produced as u64);
+        if op == Metric::ListFetchOps {
+            Metric::TopkEntriesProduced.add(produced as u64);
+        }
     }
 }
 
@@ -290,29 +499,59 @@ impl SecondLevelQuery {
     }
 }
 
-/// Final `sort` for the schema run: flattens the root list into the best
-/// `k` second-level queries, ordered by `(cost, pre, position)`.
-pub fn sort_k_best(
-    k: usize,
-    list: &[(Posting, Vec<Candidate>)],
+/// The final `sort` of the schema run: the root list's candidates as
+/// second-level queries, in `(cost, pre, position)` order, drawn one at a
+/// time from a heap over the root nodes' streams. Infinite candidates
+/// are never yielded, and with `require_leaf` neither are those that
+/// match no query leaf.
+pub struct SecondLevelQueries {
+    roots: Vec<(Posting, CandidateStream)>,
+    /// `(cost, root, candidate)`; the list is sorted by `pre`, so root
+    /// order is preorder.
+    heap: BinaryHeap<Entry>,
     require_leaf: bool,
-) -> Vec<SecondLevelQuery> {
-    let mut roots: Vec<(u32, &Candidate)> = list
-        .iter()
-        .flat_map(|(node, v)| v.iter().map(|c| (node.pre, c)))
-        .filter(|(_, c)| c.cost.is_finite() && (!require_leaf || c.has_leaf))
-        .collect();
-    roots.sort_by_key(|&(pre, c)| (c.cost, pre)); // stable: position breaks ties
-    roots.truncate(k);
-    Metric::TopkOps.incr();
-    Metric::TopkEntriesProduced.add(roots.len() as u64);
-    roots
-        .into_iter()
-        .map(|(pre, c)| SecondLevelQuery {
-            cost: c.cost,
-            root: c.skeleton(pre),
-        })
-        .collect()
+}
+
+impl SecondLevelQueries {
+    /// The queries of the root list `roots`. Nothing is drawn yet.
+    pub fn new(roots: Vec<(Posting, CandidateStream)>, require_leaf: bool) -> SecondLevelQueries {
+        Metric::TopkOps.incr();
+        let heap = (0..roots.len())
+            .map(|r| Reverse((Cost::ZERO, r, 0, false)))
+            .collect();
+        SecondLevelQueries {
+            roots,
+            heap,
+            require_leaf,
+        }
+    }
+}
+
+impl Iterator for SecondLevelQueries {
+    type Item = SecondLevelQuery;
+
+    fn next(&mut self) -> Option<SecondLevelQuery> {
+        while let Some(Reverse((cost, r, c, drawn))) = self.heap.pop() {
+            let (node, stream) = self.roots.get(r)?;
+            if !drawn {
+                if let Some(cost) = stream.cost(c).filter(|c| c.is_finite()) {
+                    self.heap.push(Reverse((cost, r, c, true)));
+                }
+                continue;
+            }
+            let cand = stream.get(c)?;
+            self.heap.push(Reverse((cost, r, c + 1, false)));
+            if self.require_leaf && !cand.has_leaf {
+                continue;
+            }
+            Metric::TopkEntriesProduced.incr();
+            return Some(SecondLevelQuery {
+                cost,
+                root: cand.skeleton(node.pre),
+            });
+        }
+        None
+    }
 }
 
 #[cfg(test)]
@@ -332,20 +571,20 @@ mod tests {
         }
     }
 
-    /// A node with insert cost 1 and the given candidates.
+    /// A node with insert cost 1 and the given (uncapped) candidates.
     fn node(
         pre: u32,
         bound: u32,
         pathcost: u64,
         cands: Vec<Candidate>,
-    ) -> (Posting, Vec<Candidate>) {
+    ) -> (Posting, CandidateStream) {
         let n = Posting {
             pre,
             bound,
             pathcost: Cost::finite(pathcost),
             inscost: Cost::finite(1),
         };
-        (n, cands)
+        (n, KBest { k: usize::MAX }.value(cands))
     }
 
     /// The k-best algebra over an empty index.
@@ -355,7 +594,7 @@ mod tests {
         Algebra::new(index, interner, KBest { k })
     }
 
-    fn costs(v: &[Candidate]) -> Vec<Cost> {
+    fn costs(v: &CandidateStream) -> Vec<Cost> {
         v.iter().map(|c| c.cost).collect()
     }
 
@@ -369,9 +608,9 @@ mod tests {
         ];
         let j = alg(2).join(&anc, &desc);
         assert_eq!(j.len(), 1);
-        let v = &j[0].1;
+        let v: Vec<Candidate> = j[0].1.iter().collect();
         // distance = 2 - 0 - 1 = 1; best costs 1+1=2 and 3+1=4.
-        assert_eq!(costs(v), vec![Cost::finite(2), Cost::finite(4)]);
+        assert_eq!(costs(&j[0].1), vec![Cost::finite(2), Cost::finite(4)]);
         // pointers reference the matched descendants.
         assert_eq!(v[0].children[0].pre, 4);
         assert_eq!(v[1].children[0].pre, 5);
@@ -380,6 +619,9 @@ mod tests {
         // k = 1 is the minimum.
         let j = alg(1).join(&anc, &desc);
         assert_eq!(costs(&j[0].1), vec![Cost::finite(2)]);
+        // With no cap, every descendant is a candidate.
+        let j = alg(usize::MAX).join(&anc, &desc);
+        assert_eq!(j[0].1.len(), 3);
     }
 
     #[test]
@@ -387,11 +629,15 @@ mod tests {
         let anc = vec![node(1, 9, 0, vec![cand(0, 0)])];
         let desc = vec![node(3, 3, 2, vec![cand(5, 1)])]; // match cost 6
         let oj = alg(2).outerjoin(&anc, &desc, Cost::finite(4));
-        let v = &oj[0].1;
-        assert_eq!(costs(v), vec![Cost::finite(4), Cost::finite(6)]);
+        let v: Vec<Candidate> = oj[0].1.iter().collect();
+        assert_eq!(costs(&oj[0].1), vec![Cost::finite(4), Cost::finite(6)]);
         assert!(!v[0].has_leaf); // deletion first
         assert!(v[0].children.is_empty());
         assert!(v[1].has_leaf);
+        // On a tie the deletion goes behind.
+        let oj = alg(2).outerjoin(&anc, &desc, Cost::finite(6));
+        assert!(oj[0].1.get(0).unwrap().has_leaf);
+        assert!(!oj[0].1.get(1).unwrap().has_leaf);
     }
 
     #[test]
@@ -421,7 +667,7 @@ mod tests {
             &vec![node(2, 5, 0, vec![b1])],
         );
         assert_eq!(costs(&x[0].1), vec![Cost::finite(3)]);
-        assert_eq!(x[0].1[0].children.len(), 2);
+        assert_eq!(x[0].1.get(0).unwrap().children.len(), 2);
     }
 
     #[test]
@@ -460,14 +706,56 @@ mod tests {
         // shared node 2: original (0) beats renamed (2); k=1 keeps 1.
         assert_eq!(m.len(), 2);
         assert_eq!(costs(&m[0].1), vec![Cost::ZERO]);
-        assert_eq!(m[0].1[0].label, LabelId(10));
+        assert_eq!(m[0].1.get(0).unwrap().label, LabelId(10));
         assert_eq!(m[1].0.pre, 3);
         assert_eq!(costs(&m[1].1), vec![Cost::finite(2)]);
-        assert_eq!(m[1].1[0].label, LabelId(11));
+        assert_eq!(m[1].1.get(0).unwrap().label, LabelId(11));
     }
 
     #[test]
-    fn sort_k_best_filters_and_orders() {
+    fn shift_applies_to_one_handle_only() {
+        let (_, v) = node(1, 1, 0, vec![cand(1, 0), cand(2, 0)]);
+        let mut shifted = v.clone();
+        KBest { k: 2 }.shift(&mut shifted, Cost::finite(3));
+        KBest { k: 2 }.shift(&mut shifted, Cost::INFINITY);
+        assert_eq!(costs(&v), vec![Cost::finite(1), Cost::finite(2)]);
+        assert_eq!(costs(&shifted), vec![Cost::INFINITY, Cost::INFINITY]);
+    }
+
+    #[test]
+    fn streams_draw_only_what_is_read() {
+        let drawn = |f: &dyn Fn()| {
+            let before = Metric::TopkEntriesProduced.value();
+            f();
+            Metric::TopkEntriesProduced.value() - before
+        };
+        let l: List<CandidateStream> = vec![node(2, 5, 0, (0..50).map(|c| cand(c, 0)).collect())];
+        let r: List<CandidateStream> = vec![node(2, 5, 0, (0..50).map(|c| cand(c, 1)).collect())];
+        let alg = alg(usize::MAX);
+        let built = RefCell::new(Vec::new());
+        // Building the operators draws nothing.
+        assert_eq!(
+            drawn(&|| {
+                let x = alg.intersect(&l, &r);
+                let u = alg.union(&x, &l);
+                built.borrow_mut().extend([x, u]);
+            }),
+            0
+        );
+        let (x, u) = (built.borrow()[0].clone(), built.borrow()[1].clone());
+        // The union's first three candidates are x0 (cost 0), l0 (0) and
+        // x1 (1): three merged candidates and two pairs drawn.
+        assert_eq!(
+            drawn(&|| assert_eq!(u[0].1.cost(2), Some(Cost::finite(1)))),
+            3 + 2
+        );
+        // Reading them again draws nothing.
+        assert_eq!(drawn(&|| assert_eq!(u[0].1.cost(1), Some(Cost::ZERO))), 0);
+        assert_eq!(x[0].1.len(), 2500);
+    }
+
+    #[test]
+    fn second_level_queries_filter_and_order() {
         let mut no_leaf = cand(0, 0);
         no_leaf.has_leaf = false;
         let l = vec![
@@ -475,12 +763,18 @@ mod tests {
             node(5, 5, 0, vec![no_leaf]),
             node(9, 9, 0, vec![cand(1, 0), cand(2, 0)]),
         ];
-        let pres = |best: Vec<SecondLevelQuery>| -> Vec<u32> {
-            best.iter().map(|q| q.skeleton().pre).collect()
+        let pres = |best: SecondLevelQueries, k: usize| -> Vec<u32> {
+            best.take(k).map(|q| q.skeleton().pre).collect()
         };
-        assert_eq!(pres(sort_k_best(10, &l, true)), vec![1, 9, 9]);
-        assert_eq!(pres(sort_k_best(10, &l, false)), vec![5, 1, 9, 9]);
-        assert_eq!(pres(sort_k_best(2, &l, false)), vec![5, 1]);
+        assert_eq!(
+            pres(SecondLevelQueries::new(l.clone(), true), 10),
+            vec![1, 9, 9]
+        );
+        assert_eq!(
+            pres(SecondLevelQueries::new(l.clone(), false), 10),
+            vec![5, 1, 9, 9]
+        );
+        assert_eq!(pres(SecondLevelQueries::new(l, false), 2), vec![5, 1]);
     }
 
     #[test]
@@ -498,7 +792,7 @@ mod tests {
         let j = alg(2).join(&anc, &desc);
         assert_eq!(j[0].1.len(), 2);
         assert_eq!(j[1].1.len(), 1);
-        assert_eq!(j[1].1[0].children[0].pre, 4);
+        assert_eq!(j[1].1.get(0).unwrap().children[0].pre, 4);
     }
 
     #[test]
@@ -516,239 +810,5 @@ mod tests {
             children: Rc::new([leaf(1), leaf(2)]),
         };
         assert_eq!(s.size(), 3);
-    }
-
-    /// The operators as they were first written, exhaustively: every
-    /// combination, a stable sort by cost, the first `k`.
-    #[derive(Clone, Copy)]
-    struct Exhaustive(KBest);
-
-    impl Exhaustive {
-        fn capped(&self, mut candidates: Vec<Candidate>) -> Vec<Candidate> {
-            candidates.sort_by_key(|c| c.cost);
-            candidates.truncate(self.0.k);
-            candidates
-        }
-
-        fn keep(&self, acc: &mut Vec<(Cost, usize, usize)>, item: (Cost, usize, usize)) {
-            let pos = acc.partition_point(|x| *x <= item);
-            if item.0.is_finite() && pos < self.0.k {
-                acc.insert(pos, item);
-                acc.truncate(self.0.k);
-            }
-        }
-    }
-
-    impl CostDomain for Exhaustive {
-        type V = Vec<Candidate>;
-        type Acc = Vec<(Cost, usize, usize)>;
-
-        fn seed(&self, label: LabelId, is_leaf: bool) -> Vec<Candidate> {
-            self.0.seed(label, is_leaf)
-        }
-
-        fn shift(&self, v: &mut Vec<Candidate>, c: Cost) {
-            self.0.shift(v, c);
-        }
-
-        fn either(&self, mut a: Vec<Candidate>, b: Vec<Candidate>) -> Vec<Candidate> {
-            a.extend(b);
-            self.capped(a)
-        }
-
-        fn both(&self, a: &Vec<Candidate>, b: &Vec<Candidate>) -> Option<Vec<Candidate>> {
-            let mut pairs = Vec::new();
-            for x in a {
-                for y in b {
-                    let cost = x.cost + y.cost;
-                    if cost.is_finite() {
-                        let mut children = x.children.to_vec();
-                        children.extend(y.children.iter().cloned());
-                        pairs.push(Candidate {
-                            cost,
-                            has_leaf: x.has_leaf || y.has_leaf,
-                            label: x.label,
-                            children: children.into(),
-                        });
-                    }
-                }
-            }
-            Some(self.capped(pairs)).filter(|p| !p.is_empty())
-        }
-
-        fn open(&self) -> Self::Acc {
-            Vec::new()
-        }
-
-        fn offer(&self, acc: &mut Self::Acc, j: usize, (d, v): &(Posting, Vec<Candidate>)) {
-            for (c, cand) in v.iter().enumerate() {
-                self.keep(acc, (d.pathcost + cand.cost, j, c));
-            }
-        }
-
-        fn fold(&self, parent: &mut Self::Acc, closed: &Self::Acc) {
-            for &item in closed {
-                self.keep(parent, item);
-            }
-        }
-
-        fn close(
-            &self,
-            (a, seed): &(Posting, Vec<Candidate>),
-            acc: Self::Acc,
-            descendants: &[(Posting, Vec<Candidate>)],
-            c_del: Cost,
-        ) -> Option<Vec<Candidate>> {
-            let label = seed.first()?.label;
-            let kept = acc.into_iter().map(|(key, j, c)| {
-                let (d, v) = &descendants[j];
-                Candidate {
-                    cost: below(a, key),
-                    has_leaf: v[c].has_leaf,
-                    label,
-                    children: Rc::new([v[c].skeleton(d.pre)]),
-                }
-            });
-            let deleted = c_del.is_finite().then(|| Candidate {
-                cost: c_del,
-                has_leaf: false,
-                label,
-                children: Rc::new([]),
-            });
-            Some(self.capped(kept.chain(deleted).collect())).filter(|v| !v.is_empty())
-        }
-
-        fn weight(v: &Vec<Candidate>) -> usize {
-            v.len()
-        }
-
-        fn record(&self, op: Metric, produced: usize) {
-            self.0.record(op, produced);
-        }
-    }
-
-    /// Random lists over one random forest: nested intervals, descendant
-    /// path costs that cover every ancestor's, and sorted candidate
-    /// vectors whose costs tie often. Every candidate points at a skeleton
-    /// of its own, so a candidate kept out of order shows.
-    struct Lists {
-        state: u64,
-        skeletons: u32,
-    }
-
-    impl Lists {
-        fn draw(&mut self, below: u64) -> u64 {
-            self.state = self
-                .state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (self.state >> 33) % below
-        }
-
-        /// 40 nodes in preorder, each under a random open node.
-        fn forest(&mut self) -> Vec<Posting> {
-            let mut nodes: Vec<Posting> = Vec::new();
-            let mut open: Vec<usize> = Vec::new();
-            for pre in 0..40 {
-                let depth = self.draw(open.len() as u64 + 1) as usize;
-                open.truncate(depth);
-                let pathcost = match open.last() {
-                    Some(&p) => nodes[p].pathcost + nodes[p].inscost + Cost::finite(self.draw(2)),
-                    None => Cost::finite(self.draw(3)),
-                };
-                for &p in &open {
-                    nodes[p].bound = pre;
-                }
-                open.push(nodes.len());
-                nodes.push(Posting {
-                    pre,
-                    bound: pre,
-                    pathcost,
-                    inscost: Cost::finite(self.draw(3)),
-                });
-            }
-            nodes
-        }
-
-        /// A k-best value of 1 to `min(k, 12)` candidates.
-        fn value(&mut self, k: usize, label: u32) -> Vec<Candidate> {
-            let len = 1 + self.draw(k.min(12) as u64) as usize;
-            let mut v: Vec<Candidate> = (0..len)
-                .map(|_| {
-                    self.skeletons += 1;
-                    let pointed = Rc::new(Skeleton {
-                        pre: 1000 + self.skeletons,
-                        label: LabelId(label),
-                        children: Rc::new([]),
-                    });
-                    Candidate {
-                        cost: Cost::finite(self.draw(4)),
-                        has_leaf: self.draw(2) == 0,
-                        label: LabelId(label),
-                        children: if self.draw(3) == 0 {
-                            Rc::new([])
-                        } else {
-                            Rc::new([pointed])
-                        },
-                    }
-                })
-                .collect();
-            v.sort_by_key(|c| c.cost);
-            v
-        }
-
-        /// The nodes of `forest` a list of this density holds (none at
-        /// density 0).
-        fn list(&mut self, forest: &[Posting], k: usize, label: u32) -> List<Vec<Candidate>> {
-            let density = [0, 3, 7, 10][self.draw(4) as usize];
-            let mut l = Vec::new();
-            for &node in forest {
-                if self.draw(10) < density {
-                    l.push((node, self.value(k, label)));
-                }
-            }
-            l
-        }
-    }
-
-    #[test]
-    fn operators_equal_their_exhaustive_definitions() {
-        static EMPTY: std::sync::OnceLock<(LabelIndex, Interner)> = std::sync::OnceLock::new();
-        let (index, interner) = EMPTY.get_or_init(Default::default);
-        let mut gen = Lists {
-            state: 0x2002,
-            skeletons: 0,
-        };
-        let renames = [Cost::ZERO, Cost::finite(1), Cost::finite(3), Cost::INFINITY];
-        let dels = [Cost::ZERO, Cost::finite(2), Cost::INFINITY];
-        for k in [1, 2, 3, 5, 8, 64] {
-            let fast = Algebra::new(index, interner, KBest { k });
-            let slow = Algebra::new(index, interner, Exhaustive(KBest { k }));
-            for case in 0..150 {
-                let forest = gen.forest();
-                let [l, r, s] = [0, 1, 2].map(|label| gen.list(&forest, k, label));
-                let (c1, c2) = (renames[gen.draw(4) as usize], renames[gen.draw(4) as usize]);
-                let del = dels[gen.draw(3) as usize];
-                let at = |op: &str| format!("{op} at k = {k}, case {case}");
-
-                let m = fast.merge(&l, &[(&r, c1), (&s, c2)]);
-                assert_eq!(m, slow.merge(&l, &[(&r, c1), (&s, c2)]), "{}", at("merge"));
-                assert_eq!(fast.union(&l, &r), slow.union(&l, &r), "{}", at("union"));
-                for (a, b) in [(&l, &r), (&m, &s)] {
-                    assert_eq!(
-                        fast.intersect(a, b),
-                        slow.intersect(a, b),
-                        "{}",
-                        at("intersect")
-                    );
-                }
-                for (a, d) in [(&l, &r), (&s, &m)] {
-                    assert_eq!(fast.join(a, d), slow.join(a, d), "{}", at("join"));
-                    let (x, y) = (fast.outerjoin(a, d, del), slow.outerjoin(a, d, del));
-                    assert_eq!(x, y, "{}", at("outerjoin"));
-                    assert!(x.iter().all(|(_, v)| !v.is_empty() && v.len() <= k));
-                }
-            }
-        }
     }
 }

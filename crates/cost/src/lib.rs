@@ -80,14 +80,9 @@ impl Cost {
     /// Saturating addition: anything plus infinity is infinity.
     #[inline]
     pub fn saturating_add(self, rhs: Cost) -> Cost {
-        if !self.is_finite() || !rhs.is_finite() {
-            Cost::INFINITY
-        } else {
-            match self.0.checked_add(rhs.0) {
-                Some(v) if v != u64::MAX => Cost(v),
-                _ => Cost::INFINITY,
-            }
-        }
+        // Infinity is `u64::MAX`: an infinite operand, an overflow and a sum
+        // of exactly `u64::MAX` all saturate to it.
+        Cost(self.0.saturating_add(rhs.0))
     }
 
     /// Checked subtraction between finite costs.
@@ -108,11 +103,7 @@ impl Cost {
     /// The smaller of two costs.
     #[inline]
     pub fn min(self, rhs: Cost) -> Cost {
-        if self <= rhs {
-            self
-        } else {
-            rhs
-        }
+        Cost(self.0.min(rhs.0))
     }
 }
 
@@ -197,6 +188,30 @@ mod tests {
     fn addition_overflow_saturates() {
         let near_max = Cost::finite(u64::MAX - 2);
         assert_eq!(near_max + Cost::finite(100), Cost::INFINITY);
+    }
+
+    #[test]
+    fn addition_and_min_at_the_boundaries() {
+        let max_finite = Cost::finite(u64::MAX - 1);
+        let below_max = Cost::finite(u64::MAX - 2);
+        // Infinite operands.
+        assert_eq!(Cost::INFINITY + Cost::ZERO, Cost::INFINITY);
+        assert_eq!(Cost::ZERO + Cost::INFINITY, Cost::INFINITY);
+        assert_eq!(max_finite + Cost::INFINITY, Cost::INFINITY);
+        // The largest finite sum stays finite.
+        assert_eq!(below_max + Cost::finite(1), max_finite);
+        assert!((below_max + Cost::finite(1)).is_finite());
+        assert_eq!(max_finite + Cost::ZERO, max_finite);
+        // A sum landing exactly on the sentinel, and one past it.
+        assert_eq!(below_max + Cost::finite(2), Cost::INFINITY);
+        assert_eq!(max_finite + Cost::finite(1), Cost::INFINITY);
+        assert_eq!(max_finite + max_finite, Cost::INFINITY);
+        // `min` at the same boundaries.
+        assert_eq!(max_finite.min(Cost::INFINITY), max_finite);
+        assert_eq!(Cost::INFINITY.min(max_finite), max_finite);
+        assert_eq!(Cost::INFINITY.min(Cost::INFINITY), Cost::INFINITY);
+        assert_eq!(below_max.min(max_finite), below_max);
+        assert_eq!(Cost::ZERO.min(Cost::ZERO), Cost::ZERO);
     }
 
     #[test]

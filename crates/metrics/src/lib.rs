@@ -141,7 +141,7 @@ metrics! {
     ListEntriesProduced => (List, "list.entries_produced", "Entries in the output lists of all list ops."),
     // -- best-k list algebra (Section 7) ----------------------------------
     TopkOps => (Topk, "topk.ops", "Best-k list operations (fetch/shift/merge/join/…)."),
-    TopkEntriesProduced => (Topk, "topk.entries_produced", "Entries in the output k-lists of all best-k ops."),
+    TopkEntriesProduced => (Topk, "topk.entries_produced", "Candidates the best-k ops produced: fetch seeds, drawn candidates and drawn second-level queries."),
     // -- physical plans ---------------------------------------------------
     PlanCompile => (Plan, "plan.compile", "Physical-plan compilations from expanded queries."),
     PlanCacheHits => (Plan, "plan.cache_hits", "Plan-cache lookups answered without compiling."),
@@ -155,8 +155,8 @@ metrics! {
     // -- evaluators -------------------------------------------------------
     EvalDirectRuns => (Eval, "eval.direct_runs", "Direct (algorithm `primary`) evaluations."),
     EvalDirectFetches => (Eval, "eval.direct_fetches", "Index fetches issued by the direct evaluator."),
-    EvalSchemaRuns => (Eval, "eval.schema_runs", "Schema-driven best-n evaluations."),
-    EvalSchemaRounds => (Eval, "eval.schema_rounds", "k-escalation rounds across schema evaluations."),
+    EvalSchemaRuns => (Eval, "eval.schema_runs", "Batches of second-level queries drawn from schema-plan executions (one per best-k run)."),
+    EvalSchemaRounds => (Eval, "eval.schema_rounds", "Batches of second-level queries drawn by the schema driver."),
     EvalSecondLevelQueries => (Eval, "eval.second_level_queries", "Second-level queries executed (Section 7.4)."),
     EvalSecondaryRows => (Eval, "eval.secondary_rows", "Instance postings scanned by second-level queries."),
 }
@@ -304,6 +304,12 @@ impl Metric {
     #[inline]
     pub fn add(self, n: u64) {
         MetricsRegistry::with(|r| r.add(self, n));
+    }
+
+    /// This counter's value on the current thread.
+    #[inline]
+    pub fn value(self) -> u64 {
+        MetricsRegistry::with(|r| r.counters[self as usize].get())
     }
 }
 

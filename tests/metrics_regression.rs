@@ -13,6 +13,7 @@
 
 mod common;
 
+use approxql::crates::core::SchemaEvalConfig;
 use approxql::crates::gen::{DataGenConfig, DataGenerator};
 use approxql::{Cost, CostModel, Database, EvalOptions, Metric, MetricsSnapshot};
 
@@ -129,26 +130,72 @@ fn schema_figure2_query_op_counts() {
     assert_counts(
         &diff,
         &[
-            (Metric::IndexLabelFetches, 22),
-            (Metric::IndexPostingsFetched, 28),
-            (Metric::IndexSecondaryFetches, 130),
-            (Metric::IndexSecondaryRows, 171),
-            // Three rounds without the intermediate link of `cd`'s
-            // merge chain: 207 → 204 operations, 525 → 463 entries.
-            (Metric::TopkOps, 204),
-            (Metric::TopkEntriesProduced, 463),
+            // The plan runs once for all three batches (3 × 7 fetches),
+            // and counting the possible roots fetches nothing (+1 label,
+            // +1 secondary fetch, +2 rows): 22 → 7, 130 → 129.
+            (Metric::IndexLabelFetches, 7),
+            (Metric::IndexPostingsFetched, 9),
+            (Metric::IndexSecondaryFetches, 129),
+            (Metric::IndexSecondaryRows, 169),
+            // One execution's 67 operators and the root queue (204 → 68);
+            // the candidates the 32 drawn queries need (463 → 151).
+            (Metric::TopkOps, 68),
+            (Metric::TopkEntriesProduced, 151),
             (Metric::PlanCompile, 1),
             (Metric::PlanCacheMisses, 1),
             (Metric::PlanCseReuses, 31),
-            (Metric::PostingsBlocksDecoded, 22),
-            // A run stores each list's first `pre` delta (90 → 112).
-            (Metric::PostingsBytes, 112),
+            (Metric::PostingsBlocksDecoded, 7),
+            (Metric::PostingsBytes, 36),
+            // Batches of 10, 20 and 40 queries: three, as before.
             (Metric::EvalSchemaRuns, 3),
             (Metric::EvalSchemaRounds, 3),
             (Metric::EvalSecondLevelQueries, 32),
             (Metric::EvalSecondaryRows, 16),
         ],
     );
+}
+
+#[test]
+fn schema_driver_executes_its_plan_once_over_all_batches() {
+    // Batches of 1, 2, 3 … queries: `n = 2` needs at least two of them,
+    // and every batch draws from the streams of one plan execution.
+    let db = Database::from_xml_str(CATALOG, paper_costs()).unwrap();
+    let query = r#"cd[title["piano"]]"#;
+    let parsed = approxql::parse_query(query).unwrap();
+    let expanded = approxql::ExpandedQuery::build(&parsed, &paper_costs());
+    let compiled = approxql::crates::plan::compile(&expanded).unwrap();
+    let is_fetch = |op: &&approxql::crates::plan::PlanOp| {
+        matches!(op, approxql::crates::plan::PlanOp::Fetch { .. })
+    };
+    let fetches = compiled.ops().iter().filter(is_fetch).count();
+    let mut stats = None;
+    let diff = diff_over(|| {
+        let cfg = SchemaEvalConfig {
+            initial_k: Some(1),
+            delta: Some(1),
+            ..SchemaEvalConfig::default()
+        };
+        let (hits, s) = db
+            .query_schema_with(query, 2, EvalOptions::default(), cfg)
+            .unwrap();
+        assert_eq!(hits.len(), 2);
+        stats = Some(s);
+    });
+    let stats = stats.unwrap();
+    assert!(stats.rounds >= 2, "{stats:?}");
+    assert_eq!(stats.fetches, fetches);
+    assert_eq!(diff.get(Metric::EvalSchemaRounds), stats.rounds as u64);
+    // A fetch of a label the collection lacks reads no index, so the
+    // index sees what one execution of the plan reads: what the direct
+    // evaluation's one execution reads.
+    let direct = diff_over(|| {
+        db.query_direct(query, None).unwrap();
+    });
+    assert_eq!(
+        diff.get(Metric::IndexLabelFetches),
+        direct.get(Metric::IndexLabelFetches)
+    );
+    assert!(direct.get(Metric::IndexLabelFetches) > 0);
 }
 
 #[test]
@@ -352,20 +399,24 @@ fn generated_collection_op_counts() {
     assert_counts(
         &schema_diff,
         &[
-            (Metric::IndexLabelFetches, 7),
-            (Metric::IndexPostingsFetched, 155),
-            (Metric::IndexSecondaryFetches, 1),
-            (Metric::IndexSecondaryRows, 2),
-            (Metric::TopkOps, 14),
-            (Metric::TopkEntriesProduced, 208),
+            // The plan runs once (two rounds of three fetches were 6 of
+            // the 7), and counting the possible roots fetches nothing
+            // (the 7th fetch, its secondary fetch and 2 rows). The root
+            // list is empty.
+            (Metric::IndexLabelFetches, 3),
+            (Metric::IndexPostingsFetched, 77),
+            // One execution's operators (14 → 7); 77 seeds, and with
+            // no root there is no candidate to draw (208 → 77).
+            (Metric::TopkOps, 7),
+            (Metric::TopkEntriesProduced, 77),
             // The direct run above already compiled this query's plan, so
             // the schema evaluator finds it in the shared cache.
             (Metric::PlanCacheHits, 1),
-            (Metric::PostingsBlocksDecoded, 7),
-            // A run stores each list's first `pre` delta (613 → 620).
-            (Metric::PostingsBytes, 620),
-            (Metric::EvalSchemaRuns, 2),
-            (Metric::EvalSchemaRounds, 2),
+            (Metric::PostingsBlocksDecoded, 3),
+            (Metric::PostingsBytes, 308),
+            // Nothing to draw after the first batch: one batch (2 → 1).
+            (Metric::EvalSchemaRuns, 1),
+            (Metric::EvalSchemaRounds, 1),
         ],
     );
 }

@@ -11,6 +11,13 @@
 //! entries additionally pin the CSE win: the shared-subplan compile must
 //! do strictly fewer `merge` executions than the old per-ancestor
 //! re-evaluation (65 for these queries) while returning identical hits.
+//!
+//! The schema counters (`sctr`) are re-captured from the schema driver
+//! that executes its plan once per query and draws second-level queries
+//! from candidate streams: the hits are the captured ones, while the
+//! counters lose the re-run of the one two-round query, the fetches of
+//! the possible-roots count (which records no metric), and the
+//! candidates no draw reads.
 
 use approxql::crates::core::schema_eval::{best_n_schema, SchemaEvalConfig};
 use approxql::crates::core::{direct, EvalOptions};
@@ -27,63 +34,63 @@ const ORACLE: &str = r#"TIERA	11	p0	1	name051["term1095"]
   dhitsall_len 7 tail ["8647:2", "10220:2", "8636:3"]
   dctrall ["eval.direct_fetches=2", "eval.direct_runs=1", "index.label_fetches=2", "index.postings_fetched=226", "list.entries_produced=240", "list.fetch_ops=2", "list.outerjoin_ops=1", "list.sort_ops=1"]
   shits ["8691:0", "10572:0", "8680:1", "10495:1", "8647:2", "10220:2", "8636:3"]
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "eval.second_level_queries=7", "eval.secondary_rows=7", "index.label_fetches=3", "index.postings_fetched=11", "index.secondary_fetches=18", "index.secondary_rows=523", "topk.entries_produced=21", "topk.ops=4"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "eval.second_level_queries=7", "eval.secondary_rows=7", "index.label_fetches=2", "index.postings_fetched=7", "index.secondary_fetches=14", "index.secondary_rows=300", "topk.entries_produced=21", "topk.ops=4"]
 TIERA	11	p0	2	name051["term1"]
   dhits10 ["7998:0", "8053:0", "8064:0", "8086:0", "8163:0", "8218:0", "8251:0", "8284:0", "8306:0", "8317:0"]
   dctr10 ["eval.direct_fetches=2", "eval.direct_runs=1", "index.label_fetches=2", "index.postings_fetched=644", "list.entries_produced=753", "list.fetch_ops=2", "list.outerjoin_ops=1", "list.sort_ops=1"]
   dhitsall_len 99 tail ["9252:2", "9461:2", "10220:2"]
   dctrall ["eval.direct_fetches=2", "eval.direct_runs=1", "index.label_fetches=2", "index.postings_fetched=644", "list.entries_produced=842", "list.fetch_ops=2", "list.outerjoin_ops=1", "list.sort_ops=1"]
   shits ["7998:0", "8284:0", "8416:0", "8647:0", "8746:0", "8812:0", "8845:0", "9395:0", "9780:0", "9791:0"]
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "eval.second_level_queries=3", "eval.secondary_rows=20", "index.label_fetches=3", "index.postings_fetched=80", "index.secondary_fetches=10", "index.secondary_rows=319", "topk.entries_produced=96", "topk.ops=4"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "eval.second_level_queries=3", "eval.secondary_rows=20", "index.label_fetches=2", "index.postings_fetched=76", "index.secondary_fetches=6", "index.secondary_rows=96", "topk.entries_produced=84", "topk.ops=4"]
 TIERA	11	p0	3	name037["term867"]
   dhits10 ["3983:0", "3961:1", "3840:2", "3829:3", "3818:4"]
   dctr10 ["eval.direct_fetches=2", "eval.direct_runs=1", "index.label_fetches=2", "index.postings_fetched=243", "list.entries_produced=253", "list.fetch_ops=2", "list.outerjoin_ops=1", "list.sort_ops=1"]
   dhitsall_len 5 tail ["3840:2", "3829:3", "3818:4"]
   dctrall ["eval.direct_fetches=2", "eval.direct_runs=1", "index.label_fetches=2", "index.postings_fetched=243", "list.entries_produced=253", "list.fetch_ops=2", "list.outerjoin_ops=1", "list.sort_ops=1"]
   shits ["3983:0", "3961:1", "3840:2", "3829:3", "3818:4"]
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "eval.second_level_queries=5", "eval.secondary_rows=5", "index.label_fetches=3", "index.postings_fetched=14", "index.secondary_fetches=15", "index.secondary_rows=483", "topk.entries_produced=19", "topk.ops=4"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "eval.second_level_queries=5", "eval.secondary_rows=5", "index.label_fetches=2", "index.postings_fetched=9", "index.secondary_fetches=10", "index.secondary_rows=244", "topk.entries_produced=19", "topk.ops=4"]
 TIERA	11	p1	1	name037[name051["term37708"]]
   dhits10 []
   dctr10 ["eval.direct_fetches=3", "eval.direct_runs=1", "index.label_fetches=3", "index.postings_fetched=463", "list.entries_produced=463", "list.fetch_ops=3", "list.join_ops=1", "list.outerjoin_ops=1", "list.sort_ops=1"]
   dhitsall_len 0 tail []
   dctrall ["eval.direct_fetches=3", "eval.direct_runs=1", "index.label_fetches=3", "index.postings_fetched=463", "list.entries_produced=463", "list.fetch_ops=3", "list.join_ops=1", "list.outerjoin_ops=1", "list.sort_ops=1"]
   shits []
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=4", "index.postings_fetched=15", "index.secondary_fetches=5", "index.secondary_rows=239", "topk.entries_produced=10", "topk.ops=6"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=3", "index.postings_fetched=10", "topk.entries_produced=10", "topk.ops=6"]
 TIERA	11	p1	2	name072[name090["term2575"]]
   dhits10 []
   dctr10 ["eval.direct_fetches=3", "eval.direct_runs=1", "index.label_fetches=3", "index.postings_fetched=114", "list.entries_produced=114", "list.fetch_ops=3", "list.join_ops=1", "list.outerjoin_ops=1", "list.sort_ops=1"]
   dhitsall_len 0 tail []
   dctrall ["eval.direct_fetches=3", "eval.direct_runs=1", "index.label_fetches=3", "index.postings_fetched=114", "list.entries_produced=114", "list.fetch_ops=3", "list.join_ops=1", "list.outerjoin_ops=1", "list.sort_ops=1"]
   shits []
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=4", "index.postings_fetched=14", "index.secondary_fetches=1", "index.secondary_rows=2", "topk.entries_produced=13", "topk.ops=6"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=3", "index.postings_fetched=13", "topk.entries_produced=13", "topk.ops=6"]
 TIERA	11	p1	3	name037[name051["term2868"]]
   dhits10 []
   dctr10 ["eval.direct_fetches=3", "eval.direct_runs=1", "index.label_fetches=3", "index.postings_fetched=463", "list.entries_produced=463", "list.fetch_ops=3", "list.join_ops=1", "list.outerjoin_ops=1", "list.sort_ops=1"]
   dhitsall_len 0 tail []
   dctrall ["eval.direct_fetches=3", "eval.direct_runs=1", "index.label_fetches=3", "index.postings_fetched=463", "list.entries_produced=463", "list.fetch_ops=3", "list.join_ops=1", "list.outerjoin_ops=1", "list.sort_ops=1"]
   shits []
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=4", "index.postings_fetched=15", "index.secondary_fetches=5", "index.secondary_rows=239", "topk.entries_produced=10", "topk.ops=6"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=3", "index.postings_fetched=10", "topk.entries_produced=10", "topk.ops=6"]
 TIERA	11	p2	1	name051[name040["term7398" and ("term1633" or "term2575")]]
   dhits10 []
   dctr10 ["eval.direct_fetches=5", "eval.direct_runs=1", "index.label_fetches=5", "index.postings_fetched=294", "list.entries_produced=294", "list.fetch_ops=5", "list.intersect_ops=1", "list.join_ops=1", "list.outerjoin_ops=3", "list.shift_ops=1", "list.sort_ops=1", "list.union_ops=1"]
   dhitsall_len 0 tail []
   dctrall ["eval.direct_fetches=5", "eval.direct_runs=1", "index.label_fetches=5", "index.postings_fetched=294", "list.entries_produced=294", "list.fetch_ops=5", "list.intersect_ops=1", "list.join_ops=1", "list.outerjoin_ops=3", "list.shift_ops=1", "list.sort_ops=1", "list.union_ops=1"]
   shits []
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=6", "index.postings_fetched=18", "index.secondary_fetches=4", "index.secondary_rows=223", "topk.entries_produced=14", "topk.ops=13"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=5", "index.postings_fetched=14", "topk.entries_produced=14", "topk.ops=13"]
 TIERA	11	p2	2	name021[name049["term6532" and ("term96" or "term86")]]
   dhits10 []
   dctr10 ["eval.direct_fetches=5", "eval.direct_runs=1", "index.label_fetches=5", "index.postings_fetched=29", "list.entries_produced=31", "list.fetch_ops=5", "list.intersect_ops=1", "list.join_ops=1", "list.outerjoin_ops=3", "list.shift_ops=1", "list.sort_ops=1", "list.union_ops=1"]
   dhitsall_len 0 tail []
   dctrall ["eval.direct_fetches=5", "eval.direct_runs=1", "index.label_fetches=5", "index.postings_fetched=29", "list.entries_produced=31", "list.fetch_ops=5", "list.intersect_ops=1", "list.join_ops=1", "list.outerjoin_ops=3", "list.shift_ops=1", "list.sort_ops=1", "list.union_ops=1"]
   shits []
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=6", "index.postings_fetched=22", "index.secondary_fetches=2", "index.secondary_rows=4", "topk.entries_produced=22", "topk.ops=13"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=5", "index.postings_fetched=20", "topk.entries_produced=20", "topk.ops=13"]
 TIERA	11	p2	3	name003[name000["term1913" and ("term360" or "term4")]]
   dhits10 []
   dctr10 ["eval.direct_fetches=5", "eval.direct_runs=1", "index.label_fetches=5", "index.postings_fetched=185", "list.entries_produced=194", "list.fetch_ops=5", "list.intersect_ops=1", "list.join_ops=1", "list.outerjoin_ops=3", "list.shift_ops=1", "list.sort_ops=1", "list.union_ops=1"]
   dhitsall_len 0 tail []
   dctrall ["eval.direct_fetches=5", "eval.direct_runs=1", "index.label_fetches=5", "index.postings_fetched=185", "list.entries_produced=194", "list.fetch_ops=5", "list.intersect_ops=1", "list.join_ops=1", "list.outerjoin_ops=3", "list.shift_ops=1", "list.sort_ops=1", "list.union_ops=1"]
   shits []
-  sctr ["eval.schema_rounds=2", "eval.schema_runs=2", "index.label_fetches=11", "index.postings_fetched=121", "index.secondary_fetches=1", "index.secondary_rows=3", "topk.entries_produced=308", "topk.ops=26"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=5", "index.postings_fetched=60", "topk.entries_produced=64", "topk.ops=13"]
 TIERB	11	p1	0	name037[name074["term55"]]
   dhits10 ["3939:2", "5864:2", "5875:2", "3917:3", "5842:3", "8416:3", "9164:3", "3840:4", "3884:4", "3994:4"]
   shits ["3939:2", "5864:2", "5875:2", "3917:3", "5842:3", "8416:3", "9164:3", "4159:4", "4522:4", "4654:4"]
@@ -108,63 +115,63 @@ TIERA	12	p0	1	name060["term4"]
   dhitsall_len 5 tail ["6733:0", "9043:0", "10616:0"]
   dctrall ["eval.direct_fetches=2", "eval.direct_runs=1", "index.label_fetches=2", "index.postings_fetched=181", "list.entries_produced=191", "list.fetch_ops=2", "list.outerjoin_ops=1", "list.sort_ops=1"]
   shits ["188:0", "3873:0", "6733:0", "9043:0", "10616:0"]
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "eval.second_level_queries=3", "eval.secondary_rows=5", "index.label_fetches=3", "index.postings_fetched=100", "index.secondary_fetches=9", "index.secondary_rows=31", "topk.entries_produced=103", "topk.ops=4"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "eval.second_level_queries=3", "eval.secondary_rows=5", "index.label_fetches=2", "index.postings_fetched=97", "index.secondary_fetches=6", "index.secondary_rows=18", "topk.entries_produced=103", "topk.ops=4"]
 TIERA	12	p0	2	name020["term0"]
   dhits10 ["78:0", "111:0", "133:0", "551:0", "562:0", "848:0", "881:0", "1750:0", "2949:0", "2960:0"]
   dctr10 ["eval.direct_fetches=2", "eval.direct_runs=1", "index.label_fetches=2", "index.postings_fetched=871", "list.entries_produced=915", "list.fetch_ops=2", "list.outerjoin_ops=1", "list.sort_ops=1"]
   dhitsall_len 34 tail ["10319:1", "10374:1", "10484:1"]
   dctrall ["eval.direct_fetches=2", "eval.direct_runs=1", "index.label_fetches=2", "index.postings_fetched=871", "list.entries_produced=939", "list.fetch_ops=2", "list.outerjoin_ops=1", "list.sort_ops=1"]
   shits ["78:0", "111:0", "551:0", "562:0", "881:0", "3697:0", "3895:0", "3917:0", "10385:0", "10429:0"]
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "eval.second_level_queries=2", "eval.secondary_rows=11", "index.label_fetches=3", "index.postings_fetched=195", "index.secondary_fetches=11", "index.secondary_rows=78", "topk.entries_produced=235", "topk.ops=4"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "eval.second_level_queries=2", "eval.secondary_rows=11", "index.label_fetches=2", "index.postings_fetched=188", "index.secondary_fetches=4", "index.secondary_rows=35", "topk.entries_produced=193", "topk.ops=4"]
 TIERA	12	p0	3	name053["term254"]
   dhits10 []
   dctr10 ["eval.direct_fetches=2", "eval.direct_runs=1", "index.label_fetches=2", "index.postings_fetched=28", "list.entries_produced=28", "list.fetch_ops=2", "list.outerjoin_ops=1", "list.sort_ops=1"]
   dhitsall_len 0 tail []
   dctrall ["eval.direct_fetches=2", "eval.direct_runs=1", "index.label_fetches=2", "index.postings_fetched=28", "list.entries_produced=28", "list.fetch_ops=2", "list.outerjoin_ops=1", "list.sort_ops=1"]
   shits []
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=3", "index.postings_fetched=11", "index.secondary_fetches=5", "index.secondary_rows=27", "topk.entries_produced=6", "topk.ops=4"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=2", "index.postings_fetched=6", "topk.entries_produced=6", "topk.ops=4"]
 TIERA	12	p1	1	name060[name018["term3844"]]
   dhits10 []
   dctr10 ["eval.direct_fetches=3", "eval.direct_runs=1", "index.label_fetches=3", "index.postings_fetched=29", "list.entries_produced=29", "list.fetch_ops=3", "list.join_ops=1", "list.outerjoin_ops=1", "list.sort_ops=1"]
   dhitsall_len 0 tail []
   dctrall ["eval.direct_fetches=3", "eval.direct_runs=1", "index.label_fetches=3", "index.postings_fetched=29", "list.entries_produced=29", "list.fetch_ops=3", "list.join_ops=1", "list.outerjoin_ops=1", "list.sort_ops=1"]
   shits []
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=4", "index.postings_fetched=12", "index.secondary_fetches=3", "index.secondary_rows=13", "topk.entries_produced=9", "topk.ops=6"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=3", "index.postings_fetched=9", "topk.entries_produced=9", "topk.ops=6"]
 TIERA	12	p1	2	name048[name020["term15268"]]
   dhits10 []
   dctr10 ["eval.direct_fetches=3", "eval.direct_runs=1", "index.label_fetches=3", "index.postings_fetched=219", "list.entries_produced=219", "list.fetch_ops=3", "list.join_ops=1", "list.outerjoin_ops=1", "list.sort_ops=1"]
   dhitsall_len 0 tail []
   dctrall ["eval.direct_fetches=3", "eval.direct_runs=1", "index.label_fetches=3", "index.postings_fetched=219", "list.entries_produced=219", "list.fetch_ops=3", "list.join_ops=1", "list.outerjoin_ops=1", "list.sort_ops=1"]
   shits []
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=4", "index.postings_fetched=26", "index.secondary_fetches=9", "index.secondary_rows=175", "topk.entries_produced=17", "topk.ops=6"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=3", "index.postings_fetched=17", "topk.entries_produced=17", "topk.ops=6"]
 TIERA	12	p1	3	name013[name048["term1586"]]
   dhits10 []
   dctr10 ["eval.direct_fetches=3", "eval.direct_runs=1", "index.label_fetches=3", "index.postings_fetched=199", "list.entries_produced=199", "list.fetch_ops=3", "list.join_ops=1", "list.outerjoin_ops=1", "list.sort_ops=1"]
   dhitsall_len 0 tail []
   dctrall ["eval.direct_fetches=3", "eval.direct_runs=1", "index.label_fetches=3", "index.postings_fetched=199", "list.entries_produced=199", "list.fetch_ops=3", "list.join_ops=1", "list.outerjoin_ops=1", "list.sort_ops=1"]
   shits []
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=4", "index.postings_fetched=20", "index.secondary_fetches=5", "index.secondary_rows=23", "topk.entries_produced=15", "topk.ops=6"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=3", "index.postings_fetched=15", "topk.entries_produced=15", "topk.ops=6"]
 TIERA	12	p2	1	name060[name018["term3844" and ("term4" or "term1329")]]
   dhits10 []
   dctr10 ["eval.direct_fetches=5", "eval.direct_runs=1", "index.label_fetches=5", "index.postings_fetched=199", "list.entries_produced=215", "list.fetch_ops=5", "list.intersect_ops=1", "list.join_ops=1", "list.outerjoin_ops=3", "list.shift_ops=1", "list.sort_ops=1", "list.union_ops=1"]
   dhitsall_len 0 tail []
   dctrall ["eval.direct_fetches=5", "eval.direct_runs=1", "index.label_fetches=5", "index.postings_fetched=199", "list.entries_produced=215", "list.fetch_ops=5", "list.intersect_ops=1", "list.join_ops=1", "list.outerjoin_ops=3", "list.shift_ops=1", "list.sort_ops=1", "list.union_ops=1"]
   shits []
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=6", "index.postings_fetched=108", "index.secondary_fetches=3", "index.secondary_rows=13", "topk.entries_produced=123", "topk.ops=13"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=5", "index.postings_fetched=105", "topk.entries_produced=105", "topk.ops=13"]
 TIERA	12	p2	2	name043[name063["term0" and ("term41873" or "term1586")]]
   dhits10 []
   dctr10 ["eval.direct_fetches=5", "eval.direct_runs=1", "index.label_fetches=5", "index.postings_fetched=872", "list.entries_produced=883", "list.fetch_ops=5", "list.intersect_ops=1", "list.join_ops=1", "list.outerjoin_ops=3", "list.shift_ops=1", "list.sort_ops=1", "list.union_ops=1"]
   dhitsall_len 0 tail []
   dctrall ["eval.direct_fetches=5", "eval.direct_runs=1", "index.label_fetches=5", "index.postings_fetched=872", "list.entries_produced=883", "list.fetch_ops=5", "list.intersect_ops=1", "list.join_ops=1", "list.outerjoin_ops=3", "list.shift_ops=1", "list.sort_ops=1", "list.union_ops=1"]
   shits []
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=6", "index.postings_fetched=195", "index.secondary_fetches=4", "index.secondary_rows=22", "topk.entries_produced=194", "topk.ops=13"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=5", "index.postings_fetched=191", "topk.entries_produced=191", "topk.ops=13"]
 TIERA	12	p2	3	name048[name065["term19" and ("term32" or "term68928")]]
   dhits10 []
   dctr10 ["eval.direct_fetches=5", "eval.direct_runs=1", "index.label_fetches=5", "index.postings_fetched=263", "list.entries_produced=264", "list.fetch_ops=5", "list.intersect_ops=1", "list.join_ops=1", "list.outerjoin_ops=3", "list.shift_ops=1", "list.sort_ops=1", "list.union_ops=1"]
   dhitsall_len 0 tail []
   dctrall ["eval.direct_fetches=5", "eval.direct_runs=1", "index.label_fetches=5", "index.postings_fetched=263", "list.entries_produced=264", "list.fetch_ops=5", "list.intersect_ops=1", "list.join_ops=1", "list.outerjoin_ops=3", "list.shift_ops=1", "list.sort_ops=1", "list.union_ops=1"]
   shits []
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=6", "index.postings_fetched=90", "index.secondary_fetches=9", "index.secondary_rows=175", "topk.entries_produced=82", "topk.ops=13"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "index.label_fetches=5", "index.postings_fetched=81", "topk.entries_produced=81", "topk.ops=13"]
 TIERB	12	p1	0	name061[name043["term435"]]
   dhits10 ["1486:7", "1508:7", "2388:7", "2476:7", "3147:7", "4467:7", "5534:7", "6931:7", "7855:7", "8251:7"]
   shits ["1486:7", "1508:7", "2388:7", "2476:7", "4467:7", "5534:7", "6931:7", "7855:7", "8251:7", "9736:7"]
