@@ -45,7 +45,8 @@ impl Default for EvalOptions {
 /// Counters describing one direct evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirectStats {
-    /// Number of index fetches.
+    /// Index lookups: the fetches of labels the collection knows (what
+    /// `index.label_fetches` counts).
     pub fetches: usize,
     /// Entries produced by the list operations, as the
     /// `list.entries_produced` counter counts them.
@@ -56,13 +57,6 @@ pub struct DirectStats {
     /// Structurally shared subplans merged by the compiler's CSE pass
     /// (each one a subtree evaluation avoided at execution time).
     pub cse_reuses: usize,
-}
-
-/// Index fetches one execution of `plan` performs: every operator but the
-/// terminal `SortBest` runs exactly once.
-pub(crate) fn fetch_count(plan: &Plan) -> usize {
-    let is_fetch = |op: &&PlanOp| matches!(op, PlanOp::Fetch { .. });
-    plan.ops().iter().filter(is_fetch).count()
 }
 
 /// The best-n-pairs problem (Definition 12) by direct evaluation over a
@@ -92,7 +86,7 @@ pub(crate) fn best_n_plan_counted(
     })
     .unwrap_or_default();
     drop(timer);
-    let fetches = fetch_count(plan);
+    let fetches = alg.fetches();
     Metric::EvalDirectFetches.add(fetches as u64);
     let best = list::sort_best(n, &result, opts.enforce_leaf_match);
     let stats = DirectStats {

@@ -42,7 +42,7 @@ use approxql_index::{LabelIndex, Posting};
 use approxql_metrics::Metric;
 use approxql_plan::PlanAlgebra;
 use approxql_tree::{Cost, Interner, LabelId, NodeType};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 
 /// A preorder-sorted list (strictly increasing `pre`): one value per node.
@@ -468,6 +468,8 @@ pub struct Algebra<'a, D: CostDomain> {
     pub domain: D,
     /// Recycled outputs, emptied, for later outputs of the same query.
     spare: RefCell<Vec<List<D::V>>>,
+    /// Index lookups `fetch` has made.
+    fetches: Cell<usize>,
 }
 
 impl<'a, D: CostDomain> Algebra<'a, D> {
@@ -478,7 +480,14 @@ impl<'a, D: CostDomain> Algebra<'a, D> {
             interner,
             domain,
             spare: RefCell::default(),
+            fetches: Cell::new(0),
         }
+    }
+
+    /// Index lookups made so far: one per `fetch` of a label the
+    /// interner knows (the fetches of other labels read no index).
+    pub fn fetches(&self) -> usize {
+        self.fetches.get()
     }
 
     fn done(&self, op: Metric, out: List<D::V>) -> List<D::V> {
@@ -514,6 +523,7 @@ impl<D: CostDomain> PlanAlgebra for Algebra<'_, D> {
             return self.empty();
         };
         let seed = self.domain.seed(id, is_leaf);
+        self.fetches.set(self.fetches.get() + 1);
         let postings = self.index.fetch(ty, id);
         let mut list = self.buffer(postings.len());
         list.extend(postings.into_iter().map(|p| (p, seed.clone())));

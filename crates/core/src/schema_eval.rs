@@ -16,15 +16,23 @@
 //! cost, the first occurrence of each embedding root is its minimum cost —
 //! the driver only needs to deduplicate roots.
 //!
+//! The drawn queries share their work through one
+//! [`secondary::Executor`](crate::secondary::Executor) per stream, dropped
+//! with it: each distinct sub-skeleton is evaluated once per query and
+//! memoised, the empty result included, and a node with an empty child
+//! is empty before its own list is fetched. The executor also
+//! deduplicates the drawn queries (two embeddings can draw the same one)
+//! by root id, so the driver keeps no key of its own.
+//!
 //! The adapted `primary` executes the same compiled physical plan as the
 //! direct evaluation (see [`approxql_plan`]) through the same list
 //! algebra ([`crate::list`]): only the cost domain differs — a stream of
 //! candidates per node where the direct evaluation keeps a minimum.
 
-use crate::direct::{fetch_count, EvalOptions};
+use crate::direct::EvalOptions;
 use crate::list::Algebra;
-use crate::secondary;
-use crate::topk::{self, KBest, SecondLevelQueries, SecondLevelQuery};
+use crate::secondary::Executor;
+use crate::topk::{KBest, SecondLevelQueries, SecondLevelQuery};
 use approxql_metrics::{time, Metric, MetricsRegistry, TimerMetric};
 use approxql_plan::{self as plan, Plan};
 use approxql_query::expand::{ExpandedNode, ExpandedQuery};
@@ -105,16 +113,18 @@ pub struct SecondLevelRun {
 
 /// Executes the compiled plan over the schema's label index in the
 /// [`KBest`] domain, with no cap on the candidates; the root list's
-/// second-level queries are drawn from the result.
+/// second-level queries are drawn from the result. Also returns the
+/// index fetches the execution performed.
 fn second_level_queries(
     plan: &Plan,
     schema: &Schema,
     interner: &Interner,
     opts: EvalOptions,
-) -> SecondLevelQueries {
+) -> (SecondLevelQueries, usize) {
     let alg = Algebra::new(schema.labels(), interner, KBest { k: usize::MAX });
     let roots = plan::execute(plan, &alg, |_, _| {}).unwrap_or_default();
-    SecondLevelQueries::new(roots, opts.enforce_leaf_match)
+    let queries = SecondLevelQueries::new(roots, opts.enforce_leaf_match);
+    (queries, alg.fetches())
 }
 
 /// Runs the adapted `primary` — the compiled plan over the schema's label
@@ -130,32 +140,16 @@ pub fn best_k_second_level_plan(
     Metric::EvalSchemaRuns.incr();
     let _timer = time(TimerMetric::EvalSchema);
     let before = Metric::TopkEntriesProduced.value();
-    let mut stream = second_level_queries(plan, schema, interner, opts).peekable();
+    let (stream, fetches) = second_level_queries(plan, schema, interner, opts);
+    let mut stream = stream.peekable();
     let queries: Vec<SecondLevelQuery> = stream.by_ref().take(k).collect();
     let complete = stream.peek().is_none();
     SecondLevelRun {
         queries,
         entries: (Metric::TopkEntriesProduced.value() - before) as usize,
-        fetches: fetch_count(plan),
+        fetches,
         complete,
     }
-}
-
-/// Structural identity of a skeleton (for deduplicating second-level
-/// queries that two embeddings share).
-fn skeleton_key(s: &topk::Skeleton, out: &mut Vec<u32>) {
-    out.push(s.pre);
-    out.push(s.label.0);
-    out.push(s.children.len() as u32);
-    for c in s.children.iter() {
-        skeleton_key(c, out);
-    }
-}
-
-fn entry_key(q: &SecondLevelQuery) -> Vec<u32> {
-    let mut key = Vec::with_capacity(8);
-    skeleton_key(q.skeleton(), &mut key);
-    key
 }
 
 /// Number of data nodes that can possibly be an embedding root: the
@@ -204,10 +198,11 @@ fn possible_roots(expanded: &ExpandedQuery, schema: &Schema, interner: &Interner
 ///
 /// The stream executes its compiled plan once, at the first pull, and
 /// then draws second-level queries one by one as the consumer pulls
-/// results, each executed as soon as it is drawn. The draws are counted
-/// in batches: the first `k` queries are batch one, and the next batch
-/// (`k` grown by `δ` or doubled) starts only when a further query exists
-/// and fewer than `max_k` have been drawn.
+/// results, each executed as soon as it is drawn, through the stream's
+/// own executor (its memo lives as long as the stream). The draws are
+/// counted in batches: the first `k` queries are batch one, and the next
+/// batch (`k` grown by `δ` or doubled) starts only when a further query
+/// exists and fewer than `max_k` have been drawn.
 pub struct ResultStream<'a> {
     /// The compiled plan, executed at the first pull. `None` when the
     /// expanded query does not compile: the stream is empty.
@@ -223,7 +218,9 @@ pub struct ResultStream<'a> {
     /// How many the current batch ends at.
     k: usize,
     done: bool,
-    executed: HashSet<Vec<u32>>,
+    /// Executes the drawn queries, each distinct sub-skeleton once; it
+    /// dies with the stream.
+    executor: Executor<'a>,
     seen_roots: HashSet<u32>,
     pending: VecDeque<(u32, Cost)>,
     max_roots: usize,
@@ -257,7 +254,7 @@ impl<'a> ResultStream<'a> {
             drawn: 0,
             k,
             done: false,
-            executed: HashSet::new(),
+            executor: Executor::new(schema.secondary()),
             seen_roots: HashSet::new(),
             pending: VecDeque::new(),
             max_roots,
@@ -285,8 +282,9 @@ impl<'a> ResultStream<'a> {
         if self.queries.is_none() {
             let plan = self.plan.clone()?;
             self.start_batch();
-            self.stats.fetches += fetch_count(&plan);
-            let queries = second_level_queries(&plan, self.schema, self.interner, self.opts);
+            let (queries, fetches) =
+                second_level_queries(&plan, self.schema, self.interner, self.opts);
+            self.stats.fetches += fetches;
             self.queries = Some(queries.peekable());
         }
         if self.drawn >= self.k {
@@ -326,16 +324,14 @@ impl Iterator for ResultStream<'_> {
                 self.done = true;
                 continue;
             };
-            if !self.executed.insert(entry_key(&entry)) {
+            let start = Instant::now();
+            let Some(instances) = self.executor.execute(entry.skeleton()) else {
                 // Another embedding drew the same query.
                 continue;
-            }
+            };
+            MetricsRegistry::with(|r| r.record_timing(TimerMetric::SecondLevel, start.elapsed()));
             self.stats.second_level_queries += 1;
             Metric::EvalSecondLevelQueries.incr();
-            let instances = {
-                let _timer = time(TimerMetric::SecondLevel);
-                secondary::execute(entry.skeleton(), self.schema.secondary())
-            };
             self.stats.secondary_rows += instances.len();
             Metric::EvalSecondaryRows.add(instances.len() as u64);
             for inst in instances {

@@ -1,5 +1,5 @@
-//! Algorithm `secondary` (Section 7.3, Figure 5): executing a second-level
-//! query against the path-dependent secondary index.
+//! Algorithm `secondary` (Section 7.3, Figure 5): executing second-level
+//! queries against the path-dependent secondary index.
 //!
 //! A second-level query is a [`Skeleton`]: schema nodes with the labels
 //! their instances must carry, connected by ancestor–descendant edges of
@@ -7,52 +7,255 @@
 //! insert-cost distance apart — Section 7.1). Executing it therefore needs
 //! no cost computation at all: fetch the instances of the root, and keep
 //! those that have a descendant instance for every child skeleton.
+//!
+//! The second-level queries of one best-n query share most of their work:
+//! consecutive draws differ in a renamed label or a deleted subtree and
+//! keep the rest, and most of them retrieve nothing ("not every included
+//! schema tree is a tree class", Section 7.4). An [`Executor`] serves the
+//! draws of one query — the schema driver's
+//! [`ResultStream`](crate::ResultStream) owns one and drops it with the
+//! stream, so nothing is cached across queries — and evaluates every
+//! distinct sub-skeleton at most once:
+//!
+//! * **Hash-consing.** A sub-skeleton becomes a dense id keyed by `(pre,
+//!   label, child ids)`. A child `Rc<Skeleton>` the executor has resolved
+//!   before resolves by its address; that is sound only because the
+//!   executor keeps every such `Rc` alive, so no address is reused while
+//!   it runs.
+//! * **Memo.** Each id keeps its result, the empty one included. A
+//!   childless node's result is the index's own slice; a filtered node's
+//!   is an `Rc<[InstancePosting]>` its parents share.
+//! * **An empty child stops its parent.** A node looks at its memoised
+//!   children first and returns empty at its first empty child, before
+//!   its own list is fetched. Otherwise it semijoins its list with the
+//!   smallest child result first, scanning the shorter side and
+//!   binary-searching the longer.
+//!
+//! Drawn queries are deduplicated by root id over the roots executed so
+//! far, never by "id seen": a root can equal a sub-skeleton of an earlier
+//! query and must still run. [`execute`] is the one-shot use of the same
+//! executor.
 
 use crate::topk::Skeleton;
 use approxql_index::{InstancePosting, SecondaryIndex};
+use approxql_tree::LabelId;
+use std::collections::HashMap;
+use std::rc::Rc;
 
-/// Keeps the ancestors that have at least one descendant in `descendants`.
+/// Keeps the ancestors that have at least one descendant in
+/// `descendants`: some `d` with `a.pre < d.pre <= a.bound`.
 ///
-/// Both lists are instance postings of schema nodes: preorder-sorted, and
-/// non-nesting within each list (all instances of one schema node sit at
-/// the same depth), so a single forward scan suffices.
+/// Both lists are instance postings of one schema node each:
+/// preorder-sorted, and non-nesting (all instances of one schema node sit
+/// at the same depth). So the scan walks the shorter list and
+/// binary-searches the longer one: an ancestor's first descendant past
+/// its `pre` decides it, and a descendant lies in the last ancestor that
+/// starts before it or in none.
 fn semijoin(
-    ancestors: Vec<InstancePosting>,
+    ancestors: &[InstancePosting],
     descendants: &[InstancePosting],
 ) -> Vec<InstancePosting> {
-    let mut out = Vec::with_capacity(ancestors.len());
-    let mut j = 0;
-    for a in ancestors {
-        while j < descendants.len() && descendants[j].pre <= a.pre {
-            j += 1;
+    let mut out = Vec::new();
+    if ancestors.len() <= descendants.len() {
+        let mut rest = descendants;
+        for &a in ancestors {
+            rest = &rest[rest.partition_point(|d| d.pre <= a.pre)..];
+            match rest.first() {
+                None => break,
+                Some(d) if d.pre <= a.bound => out.push(a),
+                Some(_) => {}
+            }
         }
-        if j < descendants.len() && descendants[j].pre <= a.bound {
-            out.push(a);
+    } else {
+        let mut rest = ancestors;
+        for d in descendants {
+            let i = rest.partition_point(|a| a.pre < d.pre);
+            let Some(&a) = i.checked_sub(1).and_then(|at| rest.get(at)) else {
+                continue;
+            };
+            if d.pre <= a.bound {
+                out.push(a);
+            }
+            // No later descendant lies in `a` unseen: it is kept or ends
+            // before `d`.
+            rest = &rest[i..];
         }
     }
     out
 }
 
-/// Finds all exact results of the second-level query `skeleton` — the
-/// instances of its root whose subtrees contain instances of every child
-/// skeleton (Figure 5).
-pub fn execute(skeleton: &Skeleton, index: &SecondaryIndex) -> Vec<InstancePosting> {
-    let mut ancestors = index.fetch(skeleton.pre, skeleton.label).to_vec();
-    for child in skeleton.children.iter() {
-        if ancestors.is_empty() {
-            break;
+/// The instances a sub-skeleton retrieves.
+#[derive(Clone)]
+enum Rows<'a> {
+    /// The index's own list (a childless node, or one no child filtered).
+    Index(&'a [InstancePosting]),
+    /// A filtered list, shared by every parent that reads it.
+    Filtered(Rc<[InstancePosting]>),
+}
+
+impl<'a> Rows<'a> {
+    const EMPTY: Rows<'static> = Rows::Index(&[]);
+
+    fn as_slice(&self) -> &[InstancePosting] {
+        match self {
+            Rows::Index(rows) => rows,
+            Rows::Filtered(rows) => rows,
         }
-        let descendants = execute(child, index);
-        ancestors = semijoin(ancestors, &descendants);
     }
-    ancestors
+
+    /// These rows, less the ancestors without a descendant in `kid`.
+    fn semijoin(self, kid: &[InstancePosting]) -> Rows<'a> {
+        let kept = semijoin(self.as_slice(), kid);
+        if kept.len() == self.as_slice().len() {
+            self
+        } else if kept.is_empty() {
+            Rows::EMPTY
+        } else {
+            Rows::Filtered(kept.into())
+        }
+    }
+}
+
+/// One distinct sub-skeleton.
+struct Node<'a> {
+    /// `[pre, label, child ids…]`, shared with the structural map.
+    key: Rc<[u32]>,
+    /// Its result, once evaluated.
+    rows: Option<Rows<'a>>,
+    /// Whether a query rooted here has been executed.
+    executed: bool,
+}
+
+/// Executes the second-level queries of one best-n query, each distinct
+/// sub-skeleton at most once (see the module docs).
+pub struct Executor<'a> {
+    index: &'a SecondaryIndex,
+    /// Indexed by id.
+    nodes: Vec<Node<'a>>,
+    by_key: HashMap<Rc<[u32]>, u32>,
+    by_addr: HashMap<*const Skeleton, u32>,
+    /// Every `Rc` resolved by address, kept alive so that no address in
+    /// `by_addr` is reused by another skeleton.
+    alive: Vec<Rc<Skeleton>>,
+    /// Keys under construction, a child's above its parent's.
+    key: Vec<u32>,
+}
+
+impl<'a> Executor<'a> {
+    /// An executor over `index` that has evaluated nothing.
+    pub fn new(index: &'a SecondaryIndex) -> Executor<'a> {
+        Executor {
+            index,
+            nodes: Vec::new(),
+            by_key: HashMap::new(),
+            by_addr: HashMap::new(),
+            alive: Vec::new(),
+            key: Vec::new(),
+        }
+    }
+
+    /// Finds the exact results of the second-level query `skeleton` — the
+    /// instances of its root whose subtrees contain instances of every
+    /// child skeleton (Figure 5). `None` if a query equal to `skeleton`
+    /// has been executed through this executor before.
+    pub fn execute(&mut self, skeleton: &Skeleton) -> Option<&[InstancePosting]> {
+        let id = self.intern(skeleton);
+        if std::mem::replace(&mut self.nodes[id].executed, true) {
+            return None;
+        }
+        self.eval(id);
+        self.nodes[id].rows.as_ref().map(Rows::as_slice)
+    }
+
+    /// The id of `s`, by structure.
+    fn intern(&mut self, s: &Skeleton) -> usize {
+        let start = self.key.len();
+        self.key.extend([s.pre, s.label.0]);
+        for child in s.children.iter() {
+            let id = self.intern_shared(child);
+            self.key.push(id as u32);
+        }
+        let key = &self.key[start..];
+        let id = match self.by_key.get(key) {
+            Some(&id) => id as usize,
+            None => {
+                let key: Rc<[u32]> = key.into();
+                self.by_key.insert(Rc::clone(&key), self.nodes.len() as u32);
+                self.nodes.push(Node {
+                    key,
+                    rows: None,
+                    executed: false,
+                });
+                self.nodes.len() - 1
+            }
+        };
+        self.key.truncate(start);
+        id
+    }
+
+    /// The id of `s`, by address if it has been resolved before.
+    fn intern_shared(&mut self, s: &Rc<Skeleton>) -> usize {
+        if let Some(&id) = self.by_addr.get(&Rc::as_ptr(s)) {
+            return id as usize;
+        }
+        let id = self.intern(s);
+        self.by_addr.insert(Rc::as_ptr(s), id as u32);
+        self.alive.push(Rc::clone(s));
+        id
+    }
+
+    /// The result of the sub-skeleton `id`, evaluated once.
+    fn eval(&mut self, id: usize) -> Rows<'a> {
+        if let Some(rows) = &self.nodes[id].rows {
+            return rows.clone();
+        }
+        let key = Rc::clone(&self.nodes[id].key);
+        let rows = self.filter(key[0], LabelId(key[1]), &key[2..]);
+        self.nodes[id].rows = Some(rows.clone());
+        rows
+    }
+
+    /// The instances of `(pre, label)` with a descendant in every child's
+    /// result: empty at the first empty child, memoised ones looked at
+    /// first, before the list is fetched.
+    fn filter(&mut self, pre: u32, label: LabelId, children: &[u32]) -> Rows<'a> {
+        let empty = |node: &Node| node.rows.as_ref().is_some_and(|r| r.as_slice().is_empty());
+        if children.iter().any(|&c| empty(&self.nodes[c as usize])) {
+            return Rows::EMPTY;
+        }
+        let mut kids = Vec::with_capacity(children.len());
+        for &c in children {
+            let rows = self.eval(c as usize);
+            if rows.as_slice().is_empty() {
+                return Rows::EMPTY;
+            }
+            kids.push(rows);
+        }
+        kids.sort_by_key(|kid| kid.as_slice().len());
+        let mut rows = Rows::Index(self.index.fetch(pre, label));
+        for kid in &kids {
+            if rows.as_slice().is_empty() {
+                break;
+            }
+            rows = rows.semijoin(kid.as_slice());
+        }
+        rows
+    }
+}
+
+/// Finds all exact results of the second-level query `skeleton` (Figure
+/// 5): one query through a fresh [`Executor`].
+pub fn execute(skeleton: &Skeleton, index: &SecondaryIndex) -> Vec<InstancePosting> {
+    let mut executor = Executor::new(index);
+    executor
+        .execute(skeleton)
+        .map(<[_]>::to_vec)
+        .unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use approxql_tree::LabelId;
-    use std::rc::Rc;
 
     fn ip(pre: u32, bound: u32) -> InstancePosting {
         InstancePosting { pre, bound }
@@ -66,19 +269,64 @@ mod tests {
         }
     }
 
+    /// `semijoin` walking the ancestors (they are the shorter side).
+    fn scan_ancestors(anc: &[InstancePosting], desc: &[InstancePosting]) -> Vec<InstancePosting> {
+        assert!(anc.len() <= desc.len());
+        semijoin(anc, desc)
+    }
+
+    /// `semijoin` walking the descendants (they are the shorter side).
+    fn scan_descendants(anc: &[InstancePosting], desc: &[InstancePosting]) -> Vec<InstancePosting> {
+        assert!(anc.len() > desc.len());
+        semijoin(anc, desc)
+    }
+
     #[test]
     fn semijoin_keeps_matching_ancestors() {
-        let anc = vec![ip(1, 5), ip(10, 15), ip(20, 25)];
-        let desc = vec![ip(3, 3), ip(22, 22)];
-        let out = semijoin(anc, &desc);
-        assert_eq!(out, vec![ip(1, 5), ip(20, 25)]);
+        let anc = [ip(1, 5), ip(10, 15), ip(20, 25)];
+        let want = vec![ip(1, 5), ip(20, 25)];
+        assert_eq!(scan_descendants(&anc, &[ip(3, 3), ip(22, 22)]), want);
+        let desc = [ip(3, 3), ip(12, 12), ip(16, 16), ip(22, 22)];
+        assert_eq!(scan_ancestors(&[ip(1, 5), ip(20, 25)], &desc), want);
+        // Several descendants in one ancestor keep it once.
+        let desc = [ip(2, 2), ip(3, 3), ip(4, 4), ip(11, 11), ip(12, 12)];
+        assert_eq!(scan_ancestors(&anc, &desc), vec![ip(1, 5), ip(10, 15)]);
+        let anc = [ip(1, 5), ip(10, 15), ip(20, 25), ip(30, 35)];
+        let desc = [ip(2, 2), ip(3, 3), ip(11, 11)];
+        assert_eq!(scan_descendants(&anc, &desc), vec![ip(1, 5), ip(10, 15)]);
     }
 
     #[test]
     fn semijoin_self_pre_does_not_count() {
-        let anc = vec![ip(5, 9)];
-        let desc = vec![ip(5, 9)];
-        assert!(semijoin(anc, &desc).is_empty());
+        assert!(scan_ancestors(&[ip(5, 9)], &[ip(5, 9)]).is_empty());
+        assert!(scan_descendants(&[ip(1, 3), ip(5, 9)], &[ip(5, 9)]).is_empty());
+    }
+
+    #[test]
+    fn semijoin_descendant_at_the_bound_counts() {
+        assert_eq!(scan_ancestors(&[ip(5, 9)], &[ip(9, 9)]), vec![ip(5, 9)]);
+        let anc = [ip(1, 4), ip(5, 9)];
+        assert_eq!(scan_descendants(&anc, &[ip(9, 9)]), vec![ip(5, 9)]);
+        assert_eq!(scan_descendants(&anc, &[ip(4, 4)]), vec![ip(1, 4)]);
+        // One past the bound is outside.
+        assert!(scan_ancestors(&[ip(5, 9)], &[ip(10, 10)]).is_empty());
+        assert!(scan_descendants(&anc, &[ip(10, 10)]).is_empty());
+    }
+
+    #[test]
+    fn semijoin_descendant_past_the_last_ancestor() {
+        let desc = [ip(3, 3), ip(12, 12), ip(14, 14)];
+        assert_eq!(scan_ancestors(&[ip(1, 4), ip(5, 9)], &desc), vec![ip(1, 4)]);
+        assert!(scan_ancestors(&[ip(5, 9)], &[ip(12, 12)]).is_empty());
+        let anc = [ip(1, 4), ip(5, 9), ip(10, 11)];
+        assert!(scan_descendants(&anc, &[ip(12, 12), ip(14, 14)]).is_empty());
+        assert_eq!(
+            scan_descendants(&anc, &[ip(2, 2), ip(12, 12)]),
+            vec![ip(1, 4)]
+        );
+        // Before the first ancestor, too.
+        assert!(scan_ancestors(&[ip(5, 9)], &[ip(2, 2), ip(3, 3)]).is_empty());
+        assert!(scan_descendants(&anc, &[ip(0, 0)]).is_empty());
     }
 
     #[test]
@@ -130,5 +378,42 @@ mod tests {
     fn execute_unknown_key_is_empty() {
         let idx = SecondaryIndex::new();
         assert!(execute(&skel(1, 1, vec![]), &idx).is_empty());
+    }
+
+    #[test]
+    fn an_empty_child_stops_its_parent_before_its_fetch() {
+        // Node 2's list exists, but its child (node 3, label 9) has no
+        // instance: the parent's list is never fetched, and a second
+        // query over the same child fetches nothing at all.
+        let mut idx = SecondaryIndex::new();
+        idx.push(2, LabelId(7), ip(4, 8));
+        let empty_child = Rc::new(skel(3, 9, vec![]));
+        let mut executor = Executor::new(&idx);
+        let before = approxql_metrics::snapshot();
+        let q = skel(2, 7, vec![Rc::clone(&empty_child)]);
+        assert_eq!(executor.execute(&q), Some(&[][..]));
+        let diff = approxql_metrics::snapshot().diff(&before);
+        assert_eq!(diff.get(approxql_metrics::Metric::IndexSecondaryFetches), 1);
+        let q = skel(5, 7, vec![Rc::new(skel(6, 8, vec![])), empty_child]);
+        assert_eq!(executor.execute(&q), Some(&[][..]));
+        let diff = approxql_metrics::snapshot().diff(&before);
+        assert_eq!(diff.get(approxql_metrics::Metric::IndexSecondaryFetches), 1);
+    }
+
+    #[test]
+    fn a_repeated_root_is_not_executed_again() {
+        let mut idx = SecondaryIndex::new();
+        idx.push(2, LabelId(7), ip(4, 8));
+        idx.push(3, LabelId(8), ip(5, 5));
+        let leaf = Rc::new(skel(3, 8, vec![]));
+        let mut executor = Executor::new(&idx);
+        let q = skel(2, 7, vec![Rc::clone(&leaf)]);
+        assert_eq!(executor.execute(&q), Some(&[ip(4, 8)][..]));
+        // Structurally equal, built from distinct `Rc`s.
+        let again = skel(2, 7, vec![Rc::new(skel(3, 8, vec![]))]);
+        assert_eq!(executor.execute(&again), None);
+        // The earlier query's sub-skeleton as a root of its own still runs.
+        assert_eq!(executor.execute(&leaf), Some(&[ip(5, 5)][..]));
+        assert_eq!(executor.execute(&leaf), None);
     }
 }

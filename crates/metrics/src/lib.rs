@@ -126,8 +126,8 @@ metrics! {
     // -- label / secondary index ------------------------------------------
     IndexLabelFetches => (Index, "index.label_fetches", "Posting-list lookups in the label index."),
     IndexPostingsFetched => (Index, "index.postings_fetched", "Postings returned by those lookups."),
-    IndexSecondaryFetches => (Index, "index.secondary_fetches", "Instance-list lookups in the secondary index."),
-    IndexSecondaryRows => (Index, "index.secondary_rows", "Instance postings returned by those lookups."),
+    IndexSecondaryFetches => (Index, "index.secondary_fetches", "Secondary-index lookups: one per distinct sub-skeleton a query's second-level queries evaluate."),
+    IndexSecondaryRows => (Index, "index.secondary_rows", "Instance postings those lookups return."),
     IndexBytesDecoded => (Index, "index.bytes_decoded", "Bytes run through the posting codecs (decode side)."),
     // -- list algebra (Section 6.4) ---------------------------------------
     ListFetchOps => (List, "list.fetch_ops", "fetch: posting-list materializations."),
@@ -154,11 +154,11 @@ metrics! {
     PostingsBytes => (Postings, "postings.bytes", "Delta/varint run bytes of the posting lists `fetch` decodes."),
     // -- evaluators -------------------------------------------------------
     EvalDirectRuns => (Eval, "eval.direct_runs", "Direct (algorithm `primary`) evaluations."),
-    EvalDirectFetches => (Eval, "eval.direct_fetches", "Index fetches issued by the direct evaluator."),
+    EvalDirectFetches => (Eval, "eval.direct_fetches", "Label-index lookups of the direct evaluator (a label the collection lacks makes none)."),
     EvalSchemaRuns => (Eval, "eval.schema_runs", "Batches of second-level queries drawn from schema-plan executions (one per best-k run)."),
     EvalSchemaRounds => (Eval, "eval.schema_rounds", "Batches of second-level queries drawn by the schema driver."),
     EvalSecondLevelQueries => (Eval, "eval.second_level_queries", "Second-level queries executed (Section 7.4)."),
-    EvalSecondaryRows => (Eval, "eval.secondary_rows", "Instance postings scanned by second-level queries."),
+    EvalSecondaryRows => (Eval, "eval.secondary_rows", "Instances returned by the executed second-level queries."),
 }
 
 const METRIC_COUNT: usize = Metric::ALL.len();
@@ -187,7 +187,7 @@ macro_rules! timer_metrics {
 timer_metrics! {
     EvalDirect => ("eval.direct", "One direct evaluation, end to end."),
     EvalSchema => ("eval.schema", "One schema-driven evaluation, end to end."),
-    SecondLevel => ("eval.second_level", "One second-level query batch."),
+    SecondLevel => ("eval.second_level", "One second-level query's execution."),
     StoreCommit => ("storage.commit", "One store commit (flush + header write)."),
     IndexBuild => ("index.build", "One label-index build."),
 }

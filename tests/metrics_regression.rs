@@ -13,6 +13,7 @@
 
 mod common;
 
+use approxql::crates::core::schema_eval::best_k_second_level_plan;
 use approxql::crates::core::SchemaEvalConfig;
 use approxql::crates::gen::{DataGenConfig, DataGenerator};
 use approxql::{Cost, CostModel, Database, EvalOptions, Metric, MetricsSnapshot};
@@ -85,7 +86,9 @@ fn direct_figure2_query_op_counts() {
             // A run stores each list's first `pre` delta (37 → 44).
             (Metric::PostingsBytes, 44),
             (Metric::EvalDirectRuns, 1),
-            (Metric::EvalDirectFetches, 12),
+            // The index lookups, not the plan's 12 `Fetch` ops: the 5
+            // fetches of labels the collection lacks read no index.
+            (Metric::EvalDirectFetches, 7),
         ],
     );
 }
@@ -115,6 +118,48 @@ fn direct_stats_count_entries_like_the_registry() {
 }
 
 #[test]
+fn fetch_counts_are_the_index_lookups_of_one_execution() {
+    // Every evaluator reports the fetches its one execution makes of the
+    // index — what `index.label_fetches` counts — not its plan's `Fetch`
+    // ops: a fetch of a label the collection lacks reads no index.
+    let db = Database::from_xml_str(CATALOG, paper_costs()).unwrap();
+    let query = r#"cd[track[title["piano" and "concerto"]] and composer["rachmaninov"]]"#;
+    let parsed = approxql::parse_query(query).unwrap();
+    let expanded = approxql::ExpandedQuery::build(&parsed, &paper_costs());
+    let compiled = approxql::crates::plan::compile(&expanded).unwrap();
+    let is_fetch = |op: &&approxql::crates::plan::PlanOp| {
+        matches!(op, approxql::crates::plan::PlanOp::Fetch { .. })
+    };
+    assert_eq!(compiled.ops().iter().filter(is_fetch).count(), 12);
+    let opts = EvalOptions::default();
+
+    let mut direct = None;
+    let diff = diff_over(|| direct = Some(db.query_direct_with(query, None, opts).unwrap().1));
+    assert_eq!(diff.get(Metric::IndexLabelFetches), 7);
+    assert_eq!(direct.unwrap().fetches as u64, 7);
+    assert_eq!(diff.get(Metric::EvalDirectFetches), 7);
+
+    let mut schema_stats = None;
+    let diff = diff_over(|| {
+        let cfg = SchemaEvalConfig::default();
+        schema_stats = Some(db.query_schema_with(query, 5, opts, cfg).unwrap().1);
+    });
+    assert_eq!(diff.get(Metric::IndexLabelFetches), 7);
+    assert_eq!(schema_stats.unwrap().fetches as u64, 7);
+
+    let schema = approxql::crates::schema::Schema::build(db.tree(), &paper_costs());
+    let interner = db.tree().interner();
+    let mut run = None;
+    let diff = diff_over(|| {
+        run = Some(best_k_second_level_plan(
+            &compiled, &schema, interner, 4, opts,
+        ));
+    });
+    assert_eq!(diff.get(Metric::IndexLabelFetches), 7);
+    assert_eq!(run.unwrap().fetches as u64, 7);
+}
+
+#[test]
 fn schema_figure2_query_op_counts() {
     let db = Database::from_xml_str(CATALOG, paper_costs()).unwrap();
     let diff = diff_over(|| {
@@ -135,8 +180,11 @@ fn schema_figure2_query_op_counts() {
             // +1 secondary fetch, +2 rows): 22 → 7, 130 → 129.
             (Metric::IndexLabelFetches, 7),
             (Metric::IndexPostingsFetched, 9),
-            (Metric::IndexSecondaryFetches, 129),
-            (Metric::IndexSecondaryRows, 169),
+            // The 32 queries' distinct sub-skeletons, each evaluated once
+            // per query, and none of a node with an empty child fetched
+            // (129 → 47 lookups, 169 → 83 rows).
+            (Metric::IndexSecondaryFetches, 47),
+            (Metric::IndexSecondaryRows, 83),
             // One execution's 67 operators and the root queue (204 → 68);
             // the candidates the 32 drawn queries need (463 → 151).
             (Metric::TopkOps, 68),
@@ -161,13 +209,6 @@ fn schema_driver_executes_its_plan_once_over_all_batches() {
     // and every batch draws from the streams of one plan execution.
     let db = Database::from_xml_str(CATALOG, paper_costs()).unwrap();
     let query = r#"cd[title["piano"]]"#;
-    let parsed = approxql::parse_query(query).unwrap();
-    let expanded = approxql::ExpandedQuery::build(&parsed, &paper_costs());
-    let compiled = approxql::crates::plan::compile(&expanded).unwrap();
-    let is_fetch = |op: &&approxql::crates::plan::PlanOp| {
-        matches!(op, approxql::crates::plan::PlanOp::Fetch { .. })
-    };
-    let fetches = compiled.ops().iter().filter(is_fetch).count();
     let mut stats = None;
     let diff = diff_over(|| {
         let cfg = SchemaEvalConfig {
@@ -183,7 +224,7 @@ fn schema_driver_executes_its_plan_once_over_all_batches() {
     });
     let stats = stats.unwrap();
     assert!(stats.rounds >= 2, "{stats:?}");
-    assert_eq!(stats.fetches, fetches);
+    assert_eq!(stats.fetches as u64, diff.get(Metric::IndexLabelFetches));
     assert_eq!(diff.get(Metric::EvalSchemaRounds), stats.rounds as u64);
     // A fetch of a label the collection lacks reads no index, so the
     // index sees what one execution of the plan reads: what the direct

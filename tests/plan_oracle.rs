@@ -17,7 +17,12 @@
 //! from candidate streams: the hits are the captured ones, while the
 //! counters lose the re-run of the one two-round query, the fetches of
 //! the possible-roots count (which records no metric), and the
-//! candidates no draw reads.
+//! candidates no draw reads. Their `index.secondary_*` counts were
+//! re-captured once more when a query's second-level queries began to
+//! share one executor: each distinct sub-skeleton is looked up once per
+//! query, so two lines (`name051["term1095"]`, 14 → 9 lookups, and
+//! `name037["term867"]`, 10 → 6) lose the lookups of repeated
+//! sub-skeletons; every other counter and every hit is the captured one.
 
 use approxql::crates::core::schema_eval::{best_n_schema, SchemaEvalConfig};
 use approxql::crates::core::{direct, EvalOptions};
@@ -34,7 +39,7 @@ const ORACLE: &str = r#"TIERA	11	p0	1	name051["term1095"]
   dhitsall_len 7 tail ["8647:2", "10220:2", "8636:3"]
   dctrall ["eval.direct_fetches=2", "eval.direct_runs=1", "index.label_fetches=2", "index.postings_fetched=226", "list.entries_produced=240", "list.fetch_ops=2", "list.outerjoin_ops=1", "list.sort_ops=1"]
   shits ["8691:0", "10572:0", "8680:1", "10495:1", "8647:2", "10220:2", "8636:3"]
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "eval.second_level_queries=7", "eval.secondary_rows=7", "index.label_fetches=2", "index.postings_fetched=7", "index.secondary_fetches=14", "index.secondary_rows=300", "topk.entries_produced=21", "topk.ops=4"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "eval.second_level_queries=7", "eval.secondary_rows=7", "index.label_fetches=2", "index.postings_fetched=7", "index.secondary_fetches=9", "index.secondary_rows=295", "topk.entries_produced=21", "topk.ops=4"]
 TIERA	11	p0	2	name051["term1"]
   dhits10 ["7998:0", "8053:0", "8064:0", "8086:0", "8163:0", "8218:0", "8251:0", "8284:0", "8306:0", "8317:0"]
   dctr10 ["eval.direct_fetches=2", "eval.direct_runs=1", "index.label_fetches=2", "index.postings_fetched=644", "list.entries_produced=753", "list.fetch_ops=2", "list.outerjoin_ops=1", "list.sort_ops=1"]
@@ -48,7 +53,7 @@ TIERA	11	p0	3	name037["term867"]
   dhitsall_len 5 tail ["3840:2", "3829:3", "3818:4"]
   dctrall ["eval.direct_fetches=2", "eval.direct_runs=1", "index.label_fetches=2", "index.postings_fetched=243", "list.entries_produced=253", "list.fetch_ops=2", "list.outerjoin_ops=1", "list.sort_ops=1"]
   shits ["3983:0", "3961:1", "3840:2", "3829:3", "3818:4"]
-  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "eval.second_level_queries=5", "eval.secondary_rows=5", "index.label_fetches=2", "index.postings_fetched=9", "index.secondary_fetches=10", "index.secondary_rows=244", "topk.entries_produced=19", "topk.ops=4"]
+  sctr ["eval.schema_rounds=1", "eval.schema_runs=1", "eval.second_level_queries=5", "eval.secondary_rows=5", "index.label_fetches=2", "index.postings_fetched=9", "index.secondary_fetches=6", "index.secondary_rows=240", "topk.entries_produced=19", "topk.ops=4"]
 TIERA	11	p1	1	name037[name051["term37708"]]
   dhits10 []
   dctr10 ["eval.direct_fetches=3", "eval.direct_runs=1", "index.label_fetches=3", "index.postings_fetched=463", "list.entries_produced=463", "list.fetch_ops=3", "list.join_ops=1", "list.outerjoin_ops=1", "list.sort_ops=1"]
