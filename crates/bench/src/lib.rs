@@ -100,8 +100,6 @@ pub struct WorkCounts {
     pub topk_ops: f64,
     /// Entries produced by the top-k operations.
     pub topk_entries: f64,
-    /// Incremental-driver rounds (schema only).
-    pub rounds: f64,
     /// Second-level queries executed against the data (schema only).
     pub second_level_queries: f64,
     /// Instances retrieved by the `secondary` executions (schema only).
@@ -129,7 +127,6 @@ impl WorkCounts {
             list_entries: per(d.get(Metric::ListEntriesProduced)),
             topk_ops: per(d.get(Metric::TopkOps)),
             topk_entries: per(d.get(Metric::TopkEntriesProduced)),
-            rounds: per(d.get(Metric::EvalSchemaRounds)),
             second_level_queries: per(d.get(Metric::EvalSecondLevelQueries)),
             secondary_rows: per(d.get(Metric::EvalSecondaryRows)),
             blocks_decoded: per(d.get(Metric::PostingsBlocksDecoded)),
@@ -139,20 +136,19 @@ impl WorkCounts {
 
     /// TSV column names, matching [`WorkCounts::to_tsv_fields`].
     pub fn tsv_header() -> &'static str {
-        "index_fetches\tpostings\tlist_ops\tlist_entries\ttopk_ops\ttopk_entries\trounds\tsecond_level\tsecondary_rows\tblocks_decoded\tpostings_bytes"
+        "index_fetches\tpostings\tlist_ops\tlist_entries\ttopk_ops\ttopk_entries\tsecond_level\tsecondary_rows\tblocks_decoded\tpostings_bytes"
     }
 
     /// TSV column values (one decimal: the counts are per-query means).
     pub fn to_tsv_fields(&self) -> String {
         format!(
-            "{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}",
+            "{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.1}",
             self.index_fetches,
             self.postings_fetched,
             self.list_ops,
             self.list_entries,
             self.topk_ops,
             self.topk_entries,
-            self.rounds,
             self.second_level_queries,
             self.secondary_rows,
             self.blocks_decoded,
@@ -234,13 +230,7 @@ pub fn time_schema(
                 // "all results": ask for the known total and allow the
                 // driver to enumerate however many second-level queries
                 // that takes.
-                None => (
-                    total.max(1),
-                    SchemaEvalConfig {
-                        max_k: 1 << 26,
-                        ..SchemaEvalConfig::default()
-                    },
-                ),
+                None => (total.max(1), SchemaEvalConfig { max_k: 1 << 26 }),
             };
             let start = Instant::now();
             let (hits, _) =
@@ -305,7 +295,6 @@ mod tests {
         assert!(direct_work.list_ops > 0.0 && direct_work.index_fetches > 0.0);
         assert_eq!(direct_work.second_level_queries, 0.0);
         assert!(schema_work.topk_ops > 0.0 && schema_work.second_level_queries > 0.0);
-        assert!(schema_work.rounds >= 1.0);
     }
 
     #[test]

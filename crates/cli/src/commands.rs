@@ -506,11 +506,8 @@ fn cmd_query(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
                 print_hits(out, &db, &hits, as_xml)?;
                 if show_stats {
                     eprintln!(
-                        "schema: {} rounds (k={}), {} second-level queries, {} rows",
-                        stats.rounds,
-                        stats.k_final,
-                        stats.second_level_queries,
-                        stats.secondary_rows
+                        "schema: {} second-level queries, {} rows, {} fetches",
+                        stats.second_level_queries, stats.secondary_rows, stats.fetches
                     );
                 }
             }

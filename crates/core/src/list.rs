@@ -89,8 +89,6 @@ pub trait CostDomain {
         descendants: &[(Posting, Self::V)],
         c_del: Cost,
     ) -> Option<Self::V>;
-    /// Entries `v` stands for in the work counters.
-    fn weight(v: &Self::V) -> usize;
     /// Counts one operation, named by its `list.*` counter, and the
     /// entries it produced.
     fn record(&self, op: Metric, produced: usize);
@@ -195,11 +193,6 @@ impl CostDomain for TwoChannel {
             any,
             leaf: below(a, acc.leaf),
         })
-    }
-
-    #[inline]
-    fn weight(_: &Channels) -> usize {
-        1
     }
 
     fn record(&self, op: Metric, produced: usize) {
@@ -446,11 +439,6 @@ fn interval<D: CostDomain>(
     out
 }
 
-/// Entries `l` stands for in the work counters.
-pub(crate) fn weight<D: CostDomain>(l: &[(Posting, D::V)]) -> usize {
-    l.iter().map(|(_, v)| D::weight(v)).sum()
-}
-
 /// The list algebra over one label index in one cost domain: the backend
 /// a compiled plan executes against — [`TwoChannel`] over the data
 /// indexes for the direct evaluation, [`crate::topk::KBest`] over the
@@ -491,7 +479,7 @@ impl<'a, D: CostDomain> Algebra<'a, D> {
     }
 
     fn done(&self, op: Metric, out: List<D::V>) -> List<D::V> {
-        self.domain.record(op, weight::<D>(&out));
+        self.domain.record(op, out.len());
         out
     }
 
@@ -908,7 +896,7 @@ mod tests {
         }
 
         // The same nodes with two or three candidates each (the leaf-less
-        // alternative first on a cost tie), at caps that truncate.
+        // alternative first on a cost tie), cut to the first k.
         let cand = |cost: u64, has_leaf: bool| Candidate {
             cost: Cost::finite(cost),
             has_leaf,
@@ -916,7 +904,7 @@ mod tests {
             children: Rc::new([]),
         };
         for k in [1, 2, 3, 64] {
-            let dom = KBest { k };
+            let dom = KBest;
             let anc: List<CandidateStream> = nodes_a
                 .iter()
                 .map(|&n| (n, dom.seed(LabelId(7), false)))
@@ -932,7 +920,6 @@ mod tests {
             for c_del in dels {
                 let walked = interval(&dom, &anc, &desc, c_del, Vec::new());
                 assert_eq!(walked, outerjoin_paper(&dom, &anc, &desc, c_del));
-                assert!(walked.iter().all(|(_, v)| v.len() <= k));
             }
         }
     }
@@ -1066,20 +1053,17 @@ mod tests {
                             children: Rc::new([]),
                         })
                         .collect();
-                    s.push((
-                        posting(pre, pre, 0, 1),
-                        KBest { k }.value(best(k, candidates)),
-                    ));
+                    s.push((posting(pre, pre, 0, 1), KBest.value(best(k, candidates))));
                 }
                 data.push((d, c));
                 schema.push((s, c));
             }
             either_agrees_with_fold(&TwoChannel, &data);
-            either_agrees_with_fold(&KBest { k }, &schema);
+            either_agrees_with_fold(&KBest, &schema);
         }
 
         // One node in three lists, every candidate at cost 1 once paid:
-        // the cap keeps the first two lists' candidates, in input order.
+        // the best two are the first two lists' candidates, in input order.
         let one = |cost: u64, label: u32| {
             let v = vec![Candidate {
                 cost: Cost::finite(cost),
@@ -1087,20 +1071,21 @@ mod tests {
                 label: LabelId(label),
                 children: Rc::new([]),
             }];
-            vec![(posting(5, 5, 0, 1), KBest { k: 2 }.value(v))]
+            vec![(posting(5, 5, 0, 1), KBest.value(v))]
         };
         let lists = [
             (one(1, 0), Cost::ZERO),
             (one(0, 1), Cost::finite(1)),
             (one(1, 2), Cost::ZERO),
         ];
-        let dom = KBest { k: 2 };
+        let dom = KBest;
         either_agrees_with_fold(&dom, &lists);
         let walked: Vec<Paying<'_, CandidateStream>> =
             lists.iter().map(|(l, c)| (&l[..], *c)).collect();
         let labels: Vec<LabelId> = either(&dom, &walked, Vec::new())[0]
             .1
             .iter()
+            .take(2)
             .map(|c| c.label)
             .collect();
         assert_eq!(labels, [LabelId(0), LabelId(1)]);

@@ -8,8 +8,7 @@
 //! one at a time from the root list's candidate streams, until `n`
 //! results are found or the queries are exhausted. The paper raises `k`
 //! and re-runs `primary`; here a stream extends itself instead, so what
-//! is left of `k` is pacing: queries are drawn in batches (`k` grows by
-//! `δ` or doubles per batch), and at most `max_k` are drawn.
+//! is left of `k` is one bound: at most `max_k` queries are drawn.
 //!
 //! Because second-level queries are processed in increasing cost order and
 //! all results of one second-level query share its (exact, Section 7.1)
@@ -39,23 +38,14 @@ use approxql_query::expand::{ExpandedNode, ExpandedQuery};
 use approxql_schema::Schema;
 use approxql_tree::{Cost, Interner};
 use std::collections::{HashSet, VecDeque};
-use std::iter::Peekable;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How the driver paces its draws of second-level queries.
+/// The driver's bound on its draws of second-level queries.
 #[derive(Debug, Clone, Copy)]
 pub struct SchemaEvalConfig {
-    /// Size of the first batch of second-level queries. `None` derives it
-    /// from `n` (the paper: "a good initial guess of k is crucial").
-    pub initial_k: Option<usize>,
-    /// Increment `δ` added to `k` when a batch did not yield `n` results.
-    /// `None` doubles `k` instead. Either way the plan is not re-run: the
-    /// next batch is drawn from the same candidate streams, so this only
-    /// sets how many batches ([`EvalStats::rounds`]) a query counts.
-    pub delta: Option<usize>,
-    /// Hard upper bound on the number of second-level queries drawn,
-    /// `usize::MAX` (no bound) by default.
+    /// Hard upper bound on the number of second-level queries drawn (0
+    /// draws none), `usize::MAX` (no bound) by default.
     ///
     /// Second-level queries are combinatorial in the number of renamings
     /// and deletions (a Boolean query with 10 renamings per label can have
@@ -72,28 +62,17 @@ pub struct SchemaEvalConfig {
 
 impl Default for SchemaEvalConfig {
     fn default() -> Self {
-        SchemaEvalConfig {
-            initial_k: None,
-            delta: None,
-            max_k: usize::MAX,
-        }
+        SchemaEvalConfig { max_k: usize::MAX }
     }
 }
 
 /// Counters describing one schema-driven evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Batches of second-level queries drawn (the paper's rounds of the
-    /// incremental loop; the plan runs once for all of them).
-    pub rounds: usize,
-    /// The bound `k` of the last batch.
-    pub k_final: usize,
     /// Second-level queries executed against the data.
     pub second_level_queries: usize,
     /// Total instances returned by all `secondary` executions.
     pub secondary_rows: usize,
-    /// Candidates the top-k list operations produced (drawn).
-    pub primary_entries: usize,
     /// Index fetches of the plan's one execution.
     pub fetches: usize,
 }
@@ -102,8 +81,6 @@ pub struct EvalStats {
 pub struct SecondLevelRun {
     /// The best `k` second-level queries, cost-sorted.
     pub queries: Vec<SecondLevelQuery>,
-    /// Candidates the top-k list operations produced to yield them.
-    pub entries: usize,
     /// Index fetches performed.
     pub fetches: usize,
     /// `true` iff there is no further second-level query: a larger `k`
@@ -121,7 +98,7 @@ fn second_level_queries(
     interner: &Interner,
     opts: EvalOptions,
 ) -> (SecondLevelQueries, usize) {
-    let alg = Algebra::new(schema.labels(), interner, KBest { k: usize::MAX });
+    let alg = Algebra::new(schema.labels(), interner, KBest);
     let roots = plan::execute(plan, &alg, |_, _| {}).unwrap_or_default();
     let queries = SecondLevelQueries::new(roots, opts.enforce_leaf_match);
     (queries, alg.fetches())
@@ -139,14 +116,12 @@ pub fn best_k_second_level_plan(
 ) -> SecondLevelRun {
     Metric::EvalSchemaRuns.incr();
     let _timer = time(TimerMetric::EvalSchema);
-    let before = Metric::TopkEntriesProduced.value();
     let (stream, fetches) = second_level_queries(plan, schema, interner, opts);
     let mut stream = stream.peekable();
     let queries: Vec<SecondLevelQuery> = stream.by_ref().take(k).collect();
     let complete = stream.peek().is_none();
     SecondLevelRun {
         queries,
-        entries: (Metric::TopkEntriesProduced.value() - before) as usize,
         fetches,
         complete,
     }
@@ -199,10 +174,8 @@ fn possible_roots(expanded: &ExpandedQuery, schema: &Schema, interner: &Interner
 /// The stream executes its compiled plan once, at the first pull, and
 /// then draws second-level queries one by one as the consumer pulls
 /// results, each executed as soon as it is drawn, through the stream's
-/// own executor (its memo lives as long as the stream). The draws are
-/// counted in batches: the first `k` queries are batch one, and the next
-/// batch (`k` grown by `δ` or doubled) starts only when a further query
-/// exists and fewer than `max_k` have been drawn.
+/// own executor (its memo lives as long as the stream), until `max_k`
+/// have been drawn.
 pub struct ResultStream<'a> {
     /// The compiled plan, executed at the first pull. `None` when the
     /// expanded query does not compile: the stream is empty.
@@ -210,13 +183,12 @@ pub struct ResultStream<'a> {
     schema: &'a Schema,
     interner: &'a Interner,
     opts: EvalOptions,
-    cfg: SchemaEvalConfig,
+    /// The most second-level queries drawn.
+    max_k: usize,
     /// The root list's second-level queries, once the plan has run.
-    queries: Option<Peekable<SecondLevelQueries>>,
+    queries: Option<SecondLevelQueries>,
     /// Second-level queries drawn so far.
     drawn: usize,
-    /// How many the current batch ends at.
-    k: usize,
     done: bool,
     /// Executes the drawn queries, each distinct sub-skeleton once; it
     /// dies with the stream.
@@ -232,8 +204,7 @@ pub struct ResultStream<'a> {
 impl<'a> ResultStream<'a> {
     /// Creates a stream over the plan compiled from `expanded` (`None`
     /// yields an empty stream). Nothing is evaluated until the first
-    /// pull. When `cfg.initial_k` is `None`, the first batch size defaults
-    /// to 16 (the stream cannot know the consumer's `n`).
+    /// pull.
     pub fn with_plan(
         expanded: &ExpandedQuery,
         plan: Option<Arc<Plan>>,
@@ -242,17 +213,15 @@ impl<'a> ResultStream<'a> {
         opts: EvalOptions,
         cfg: SchemaEvalConfig,
     ) -> ResultStream<'a> {
-        let k = cfg.initial_k.unwrap_or(16).min(cfg.max_k).max(1);
         let max_roots = possible_roots(expanded, schema, interner);
         ResultStream {
             plan,
             schema,
             interner,
             opts,
-            cfg,
+            max_k: cfg.max_k,
             queries: None,
             drawn: 0,
-            k,
             done: false,
             executor: Executor::new(schema.secondary()),
             seen_roots: HashSet::new(),
@@ -268,36 +237,19 @@ impl<'a> ResultStream<'a> {
         self.stats
     }
 
-    /// Counts the start of a batch that ends at `self.k`.
-    fn start_batch(&mut self) {
-        self.stats.rounds += 1;
-        self.stats.k_final = self.k;
-        Metric::EvalSchemaRounds.incr();
-        Metric::EvalSchemaRuns.incr();
-    }
-
     /// The next second-level query, executing the plan on the first call;
     /// `None` once the queries are exhausted or `max_k` are drawn.
     fn draw(&mut self) -> Option<SecondLevelQuery> {
         if self.queries.is_none() {
             let plan = self.plan.clone()?;
-            self.start_batch();
+            Metric::EvalSchemaRuns.incr();
             let (queries, fetches) =
                 second_level_queries(&plan, self.schema, self.interner, self.opts);
             self.stats.fetches += fetches;
-            self.queries = Some(queries.peekable());
+            self.queries = Some(queries);
         }
-        if self.drawn >= self.k {
-            let more = self.queries.as_mut().is_some_and(|q| q.peek().is_some());
-            if !more || self.k >= self.cfg.max_k {
-                return None;
-            }
-            self.k = match self.cfg.delta {
-                Some(delta) => self.k.saturating_add(delta),
-                None => self.k.saturating_mul(2),
-            }
-            .min(self.cfg.max_k);
-            self.start_batch();
+        if self.drawn >= self.max_k {
+            return None;
         }
         let query = self.queries.as_mut()?.next()?;
         self.drawn += 1;
@@ -316,10 +268,9 @@ impl Iterator for ResultStream<'_> {
             if self.done {
                 return None;
             }
-            let (start, before) = (Instant::now(), Metric::TopkEntriesProduced.value());
+            let start = Instant::now();
             let entry = self.draw();
             self.first_level += start.elapsed();
-            self.stats.primary_entries += (Metric::TopkEntriesProduced.value() - before) as usize;
             let Some(entry) = entry else {
                 self.done = true;
                 continue;
@@ -390,10 +341,6 @@ pub fn best_n_schema_with_plan(
     if n == 0 {
         return (Vec::new(), EvalStats::default());
     }
-    let cfg = SchemaEvalConfig {
-        initial_k: Some(cfg.initial_k.unwrap_or_else(|| (2 * n.min(1 << 20)).max(8))),
-        ..cfg
-    };
     let mut stream = ResultStream::with_plan(expanded, plan, schema, interner, opts, cfg);
     let mut results: Vec<(u32, Cost)> = Vec::with_capacity(n.min(1024));
     for pair in stream.by_ref() {
@@ -499,27 +446,28 @@ mod tests {
     }
 
     #[test]
-    fn incremental_growth_when_k_too_small() {
+    fn max_k_bounds_the_queries_drawn() {
         let costs = paper_section6_costs();
         let tree = catalog(&costs);
         let q = parse_query(r#"cd[title["piano"]]"#).unwrap();
         let ex = approxql_query::expand::ExpandedQuery::build(&q, &costs);
         let schema = Schema::build(&tree, &costs);
-        let cfg = SchemaEvalConfig {
-            initial_k: Some(1),
-            delta: Some(1),
-            max_k: usize::MAX,
+        let run = |max_k| {
+            let cfg = SchemaEvalConfig { max_k };
+            let opts = EvalOptions::default();
+            best_n_schema(&ex, &schema, tree.interner(), 2, opts, cfg)
         };
-        let (hits, stats) = best_n_schema(
-            &ex,
-            &schema,
-            tree.interner(),
-            2,
-            EvalOptions::default(),
-            cfg,
-        );
+        // The two cds come from two second-level queries.
+        let (hits, stats) = run(usize::MAX);
         assert_eq!(hits.len(), 2);
-        assert!(stats.rounds > 1, "expected multiple rounds, got {stats:?}");
+        assert!(stats.second_level_queries >= 2, "{stats:?}");
+        // The cheapest query alone finds the exact match; none finds none.
+        let (hits, stats) = run(1);
+        assert_eq!(hits, vec![(1, Cost::ZERO)]);
+        assert_eq!(stats.second_level_queries, 1);
+        let (hits, stats) = run(0);
+        assert!(hits.is_empty());
+        assert_eq!(stats.second_level_queries, 0);
     }
 
     #[test]
@@ -659,7 +607,7 @@ mod stream_tests {
     }
 
     #[test]
-    fn stream_is_lazy_about_k() {
+    fn first_pull_executes_one_second_level_query() {
         let costs = paper_section6_costs();
         let mut b = DataTreeBuilder::new();
         for _ in 0..5 {
@@ -679,19 +627,15 @@ mod stream_tests {
             &schema,
             tree.interner(),
             EvalOptions::default(),
-            SchemaEvalConfig {
-                initial_k: Some(1),
-                delta: Some(1),
-                ..Default::default()
-            },
+            SchemaEvalConfig::default(),
         );
-        // The first result must arrive after a single round with k = 1.
+        // The first result arrives after exactly one second-level query.
         let first = stream.next().unwrap();
         assert_eq!(first.1, Cost::ZERO);
-        assert_eq!(stream.stats().rounds, 1);
-        assert_eq!(stream.stats().k_final, 1);
-        // Draining pulls the rest without recomputing per result.
+        assert_eq!(stream.stats().second_level_queries, 1);
+        // That query found all five cds: draining executes no other.
         let rest: Vec<_> = stream.by_ref().collect();
         assert_eq!(rest.len(), 4);
+        assert_eq!(stream.stats().second_level_queries, 1);
     }
 }

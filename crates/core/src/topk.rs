@@ -17,8 +17,9 @@
 //!
 //! A stream is a shared handle over the prefix drawn so far plus the state
 //! that yields the next candidate, so a candidate read twice, or through
-//! two copies of a list, is drawn once. Each operator keeps the state its
-//! eager form would have thrown away after `k` steps:
+//! two copies of a list, is drawn once. A stream has no cap: its reader
+//! decides how many candidates are drawn. Each operator keeps the state
+//! its eager form would have thrown away after `k` steps:
 //!
 //! * `either` and `fold` are a two-way merge, ties to the first input;
 //! * `both` keeps its frontier heap of pairs `(cost, i, j)` between draws;
@@ -137,8 +138,6 @@ pub struct CandidateStream {
 struct Memo {
     /// The candidates drawn so far, without any handle's shift.
     drawn: Vec<Candidate>,
-    /// The most candidates the stream yields (the domain's `k`).
-    cap: usize,
     source: Source,
 }
 
@@ -181,9 +180,9 @@ struct Below {
 }
 
 impl CandidateStream {
-    fn new(cap: usize, drawn: Vec<Candidate>, source: Source) -> CandidateStream {
+    fn new(drawn: Vec<Candidate>, source: Source) -> CandidateStream {
         CandidateStream {
-            memo: Rc::new(RefCell::new(Memo { drawn, cap, source })),
+            memo: Rc::new(RefCell::new(Memo { drawn, source })),
             shift: Cost::ZERO,
         }
     }
@@ -191,10 +190,7 @@ impl CandidateStream {
     /// Draws up to candidate `i`; `false` if the stream ends before it.
     fn reach(&self, i: usize) -> bool {
         let mut memo = self.memo.borrow_mut();
-        let Memo { drawn, cap, source } = &mut *memo;
-        if i >= *cap {
-            return false;
-        }
+        let Memo { drawn, source } = &mut *memo;
         while drawn.len() <= i {
             let Some(c) = source.next() else {
                 // Let go of the inputs.
@@ -203,9 +199,6 @@ impl CandidateStream {
             };
             Metric::TopkEntriesProduced.incr();
             drawn.push(c);
-            if drawn.len() >= *cap {
-                *source = Source::Done;
-            }
         }
         true
     }
@@ -347,24 +340,15 @@ impl Below {
 }
 
 /// The k-best domain of the adapted `primary`: a value is the
-/// [`CandidateStream`] of one schema node, at most `k` candidates.
-/// `k` is a run-time field; the schema driver runs with no cap and draws
-/// as many second-level queries as it needs.
+/// [`CandidateStream`] of one schema node, whose first `k` candidates are
+/// the node's best `k` for every `k` its reader draws.
 #[derive(Clone, Copy, Debug)]
-pub struct KBest {
-    /// The most candidates a value yields.
-    pub k: usize,
-}
+pub struct KBest;
 
 impl KBest {
-    fn stream_of(&self, drawn: Vec<Candidate>, source: Source) -> CandidateStream {
-        CandidateStream::new(self.k, drawn, source)
-    }
-
-    /// A value holding `candidates`, which must be sorted by cost; only
-    /// the first `k` are read.
+    /// A value holding `candidates`, which must be sorted by cost.
     pub fn value(&self, candidates: Vec<Candidate>) -> CandidateStream {
-        self.stream_of(candidates, Source::Done)
+        CandidateStream::new(candidates, Source::Done)
     }
 }
 
@@ -391,7 +375,7 @@ impl CostDomain for KBest {
 
     /// The merge, `a`'s candidates first on a tie.
     fn either(&self, a: CandidateStream, b: CandidateStream) -> CandidateStream {
-        self.stream_of(Vec::new(), Source::Merge { a, b, i: 0, j: 0 })
+        CandidateStream::new(Vec::new(), Source::Merge { a, b, i: 0, j: 0 })
     }
 
     /// The pairs in `(cost, i, j)` order — cost, then creation order;
@@ -401,7 +385,7 @@ impl CostDomain for KBest {
         let frontier = BinaryHeap::from(vec![Reverse((cost, 0, 0, true))]);
         let (a, b) = (a.clone(), b.clone());
         cost.is_finite()
-            .then(|| self.stream_of(Vec::new(), Source::Pairs { a, b, frontier }))
+            .then(|| CandidateStream::new(Vec::new(), Source::Pairs { a, b, frontier }))
     }
 
     fn open(&self) -> Range<usize> {
@@ -463,13 +447,10 @@ impl CostDomain for KBest {
             descendants,
             heap,
         };
-        Some(self.stream_of(Vec::new(), Source::Below(Box::new(below))))
-    }
-
-    /// A value stands for one list entry; its candidates are counted as
-    /// they are drawn.
-    fn weight(_: &CandidateStream) -> usize {
-        1
+        Some(CandidateStream::new(
+            Vec::new(),
+            Source::Below(Box::new(below)),
+        ))
     }
 
     /// `topk.entries_produced` takes a fetch's seeds, one per node, here;
@@ -571,7 +552,7 @@ mod tests {
         }
     }
 
-    /// A node with insert cost 1 and the given (uncapped) candidates.
+    /// A node with insert cost 1 and the given candidates.
     fn node(
         pre: u32,
         bound: u32,
@@ -584,43 +565,46 @@ mod tests {
             pathcost: Cost::finite(pathcost),
             inscost: Cost::finite(1),
         };
-        (n, KBest { k: usize::MAX }.value(cands))
+        (n, KBest.value(cands))
     }
 
     /// The k-best algebra over an empty index.
-    fn alg(k: usize) -> Algebra<'static, KBest> {
+    fn alg() -> Algebra<'static, KBest> {
         static EMPTY: std::sync::OnceLock<(LabelIndex, Interner)> = std::sync::OnceLock::new();
         let (index, interner) = EMPTY.get_or_init(Default::default);
-        Algebra::new(index, interner, KBest { k })
+        Algebra::new(index, interner, KBest)
     }
 
     fn costs(v: &CandidateStream) -> Vec<Cost> {
         v.iter().map(|c| c.cost).collect()
     }
 
+    /// The costs of the first `k` candidates: the node's best `k`.
+    fn first(v: &CandidateStream, k: usize) -> Vec<Cost> {
+        v.iter().take(k).map(|c| c.cost).collect()
+    }
+
     #[test]
-    fn join_keeps_k_candidates_per_ancestor() {
+    fn join_yields_the_best_k_candidates_per_ancestor() {
         let anc = vec![node(1, 9, 0, vec![cand(0, 7)])];
         let desc = vec![
             node(3, 3, 2, vec![cand(5, 1)]),
             node(4, 4, 2, vec![cand(1, 2)]),
             node(5, 5, 2, vec![cand(3, 3)]),
         ];
-        let j = alg(2).join(&anc, &desc);
+        let j = alg().join(&anc, &desc);
         assert_eq!(j.len(), 1);
         let v: Vec<Candidate> = j[0].1.iter().collect();
         // distance = 2 - 0 - 1 = 1; best costs 1+1=2 and 3+1=4.
-        assert_eq!(costs(&j[0].1), vec![Cost::finite(2), Cost::finite(4)]);
+        assert_eq!(first(&j[0].1, 2), vec![Cost::finite(2), Cost::finite(4)]);
         // pointers reference the matched descendants.
         assert_eq!(v[0].children[0].pre, 4);
         assert_eq!(v[1].children[0].pre, 5);
         // the ancestor's own label is preserved.
         assert_eq!(v[0].label, LabelId(7));
         // k = 1 is the minimum.
-        let j = alg(1).join(&anc, &desc);
-        assert_eq!(costs(&j[0].1), vec![Cost::finite(2)]);
-        // With no cap, every descendant is a candidate.
-        let j = alg(usize::MAX).join(&anc, &desc);
+        assert_eq!(first(&j[0].1, 1), vec![Cost::finite(2)]);
+        // Every descendant is a candidate.
         assert_eq!(j[0].1.len(), 3);
     }
 
@@ -628,14 +612,14 @@ mod tests {
     fn outerjoin_inserts_deletion_candidate_in_order() {
         let anc = vec![node(1, 9, 0, vec![cand(0, 0)])];
         let desc = vec![node(3, 3, 2, vec![cand(5, 1)])]; // match cost 6
-        let oj = alg(2).outerjoin(&anc, &desc, Cost::finite(4));
+        let oj = alg().outerjoin(&anc, &desc, Cost::finite(4));
         let v: Vec<Candidate> = oj[0].1.iter().collect();
         assert_eq!(costs(&oj[0].1), vec![Cost::finite(4), Cost::finite(6)]);
         assert!(!v[0].has_leaf); // deletion first
         assert!(v[0].children.is_empty());
         assert!(v[1].has_leaf);
         // On a tie the deletion goes behind.
-        let oj = alg(2).outerjoin(&anc, &desc, Cost::finite(6));
+        let oj = alg().outerjoin(&anc, &desc, Cost::finite(6));
         assert!(oj[0].1.get(0).unwrap().has_leaf);
         assert!(!oj[0].1.get(1).unwrap().has_leaf);
     }
@@ -643,9 +627,9 @@ mod tests {
     #[test]
     fn outerjoin_keeps_ancestor_without_descendants() {
         let anc = vec![node(1, 9, 0, vec![cand(0, 0)])];
-        let oj = alg(3).outerjoin(&anc, &vec![], Cost::finite(4));
+        let oj = alg().outerjoin(&anc, &vec![], Cost::finite(4));
         assert_eq!(costs(&oj[0].1), vec![Cost::finite(4)]);
-        let oj = alg(3).outerjoin(&anc, &vec![], Cost::INFINITY);
+        let oj = alg().outerjoin(&anc, &vec![], Cost::INFINITY);
         assert!(oj.is_empty());
     }
 
@@ -662,7 +646,7 @@ mod tests {
         a1.children = Rc::new([leaf(3, 1)]);
         let mut b1 = cand(2, 0);
         b1.children = Rc::new([leaf(4, 2)]);
-        let x = alg(4).intersect(
+        let x = alg().intersect(
             &vec![node(2, 5, 0, vec![a1])],
             &vec![node(2, 5, 0, vec![b1])],
         );
@@ -671,14 +655,15 @@ mod tests {
     }
 
     #[test]
-    fn intersect_caps_pairs_at_k() {
+    fn intersect_yields_the_best_k_pairs() {
         let l = vec![node(2, 5, 0, vec![cand(0, 0), cand(1, 0)])];
         let r = vec![node(2, 5, 0, vec![cand(0, 0), cand(10, 0)])];
-        let x = alg(3).intersect(&l, &r);
+        let x = alg().intersect(&l, &r);
         assert_eq!(
-            costs(&x[0].1),
+            first(&x[0].1, 3),
             vec![Cost::ZERO, Cost::finite(1), Cost::finite(10)]
         );
+        assert_eq!(x[0].1.len(), 4);
     }
 
     #[test]
@@ -688,24 +673,25 @@ mod tests {
             node(2, 5, 0, vec![cand(1, 0)]),
             node(7, 7, 0, vec![cand(0, 0)]),
         ];
-        let u = alg(1).union(&l, &r);
-        // node 2 keeps only the cheaper candidate; node 7 is copied.
+        let u = alg().union(&l, &r);
+        // node 2's cheaper candidate comes first; node 7 is copied.
         assert_eq!(u.len(), 2);
-        assert_eq!(costs(&u[0].1), vec![Cost::finite(1)]);
+        assert_eq!(first(&u[0].1, 1), vec![Cost::finite(1)]);
+        assert_eq!(u[0].1.len(), 2);
         assert_eq!(u[1].0.pre, 7);
     }
 
     #[test]
-    fn merge_charges_renames_and_recaps() {
+    fn merge_charges_renames() {
         let l = vec![node(2, 5, 0, vec![cand(0, 10)])];
         let r = vec![
             node(2, 5, 0, vec![cand(0, 11)]),
             node(3, 3, 0, vec![cand(0, 11)]),
         ];
-        let m = alg(1).merge(&l, &[(&r, Cost::finite(2))]);
-        // shared node 2: original (0) beats renamed (2); k=1 keeps 1.
+        let m = alg().merge(&l, &[(&r, Cost::finite(2))]);
+        // shared node 2: original (0) beats renamed (2); k = 1 reads it.
         assert_eq!(m.len(), 2);
-        assert_eq!(costs(&m[0].1), vec![Cost::ZERO]);
+        assert_eq!(first(&m[0].1, 1), vec![Cost::ZERO]);
         assert_eq!(m[0].1.get(0).unwrap().label, LabelId(10));
         assert_eq!(m[1].0.pre, 3);
         assert_eq!(costs(&m[1].1), vec![Cost::finite(2)]);
@@ -716,8 +702,8 @@ mod tests {
     fn shift_applies_to_one_handle_only() {
         let (_, v) = node(1, 1, 0, vec![cand(1, 0), cand(2, 0)]);
         let mut shifted = v.clone();
-        KBest { k: 2 }.shift(&mut shifted, Cost::finite(3));
-        KBest { k: 2 }.shift(&mut shifted, Cost::INFINITY);
+        KBest.shift(&mut shifted, Cost::finite(3));
+        KBest.shift(&mut shifted, Cost::INFINITY);
         assert_eq!(costs(&v), vec![Cost::finite(1), Cost::finite(2)]);
         assert_eq!(costs(&shifted), vec![Cost::INFINITY, Cost::INFINITY]);
     }
@@ -731,7 +717,7 @@ mod tests {
         };
         let l: List<CandidateStream> = vec![node(2, 5, 0, (0..50).map(|c| cand(c, 0)).collect())];
         let r: List<CandidateStream> = vec![node(2, 5, 0, (0..50).map(|c| cand(c, 1)).collect())];
-        let alg = alg(usize::MAX);
+        let alg = alg();
         let built = RefCell::new(Vec::new());
         // Building the operators draws nothing.
         assert_eq!(
@@ -789,7 +775,7 @@ mod tests {
             node(4, 4, 2, vec![cand(0, 1)]),
             node(7, 7, 1, vec![cand(0, 2)]),
         ];
-        let j = alg(2).join(&anc, &desc);
+        let j = alg().join(&anc, &desc);
         assert_eq!(j[0].1.len(), 2);
         assert_eq!(j[1].1.len(), 1);
         assert_eq!(j[1].1.get(0).unwrap().children[0].pre, 4);

@@ -155,8 +155,8 @@ metrics! {
     // -- evaluators -------------------------------------------------------
     EvalDirectRuns => (Eval, "eval.direct_runs", "Direct (algorithm `primary`) evaluations."),
     EvalDirectFetches => (Eval, "eval.direct_fetches", "Label-index lookups of the direct evaluator (a label the collection lacks makes none)."),
-    EvalSchemaRuns => (Eval, "eval.schema_runs", "Batches of second-level queries drawn from schema-plan executions (one per best-k run)."),
-    EvalSchemaRounds => (Eval, "eval.schema_rounds", "Batches of second-level queries drawn by the schema driver."),
+    EvalSchemaRuns => (Eval, "eval.schema_runs", "Schema-plan executions: one per schema-driven query that runs its plan, one per best-k run."),
+    EvalSchemaRounds => (Eval, "eval.schema_rounds", "Always 0: the schema driver no longer draws in batches; registered because the benchmark driver reads it."),
     EvalSecondLevelQueries => (Eval, "eval.second_level_queries", "Second-level queries executed (Section 7.4)."),
     EvalSecondaryRows => (Eval, "eval.secondary_rows", "Instances returned by the executed second-level queries."),
 }

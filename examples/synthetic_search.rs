@@ -75,10 +75,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             dstats.list_entries
         );
         println!(
-            "  schema: best {} in {schema_ms:.2} ms ({} second-level queries, k={})",
+            "  schema: best {} in {schema_ms:.2} ms ({} second-level queries)",
             top10.len(),
-            sstats.second_level_queries,
-            sstats.k_final
+            sstats.second_level_queries
         );
         if let (Some(d), Some(s)) = (all.first(), top10.first()) {
             assert_eq!(d, s, "both algorithms must agree on the best result");

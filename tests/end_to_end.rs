@@ -150,7 +150,6 @@ fn stats_are_populated() {
             SchemaEvalConfig::default(),
         )
         .unwrap();
-    assert!(sstats.rounds >= 1);
     assert!(sstats.fetches > 0);
 }
 

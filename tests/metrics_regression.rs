@@ -194,9 +194,9 @@ fn schema_figure2_query_op_counts() {
             (Metric::PlanCseReuses, 31),
             (Metric::PostingsBlocksDecoded, 7),
             (Metric::PostingsBytes, 36),
-            // Batches of 10, 20 and 40 queries: three, as before.
-            (Metric::EvalSchemaRuns, 3),
-            (Metric::EvalSchemaRounds, 3),
+            // One plan execution for all 32 draws (3 → 1: the batches of
+            // 10, 20 and 40 queries it used to count are gone).
+            (Metric::EvalSchemaRuns, 1),
             (Metric::EvalSecondLevelQueries, 32),
             (Metric::EvalSecondaryRows, 16),
         ],
@@ -205,17 +205,13 @@ fn schema_figure2_query_op_counts() {
 
 #[test]
 fn schema_driver_executes_its_plan_once_over_all_batches() {
-    // Batches of 1, 2, 3 … queries: `n = 2` needs at least two of them,
-    // and every batch draws from the streams of one plan execution.
+    // `n = 2` needs at least two second-level queries, and every one is
+    // drawn from the streams of one plan execution.
     let db = Database::from_xml_str(CATALOG, paper_costs()).unwrap();
     let query = r#"cd[title["piano"]]"#;
     let mut stats = None;
     let diff = diff_over(|| {
-        let cfg = SchemaEvalConfig {
-            initial_k: Some(1),
-            delta: Some(1),
-            ..SchemaEvalConfig::default()
-        };
+        let cfg = SchemaEvalConfig::default();
         let (hits, s) = db
             .query_schema_with(query, 2, EvalOptions::default(), cfg)
             .unwrap();
@@ -223,9 +219,9 @@ fn schema_driver_executes_its_plan_once_over_all_batches() {
         stats = Some(s);
     });
     let stats = stats.unwrap();
-    assert!(stats.rounds >= 2, "{stats:?}");
+    assert!(stats.second_level_queries >= 2, "{stats:?}");
     assert_eq!(stats.fetches as u64, diff.get(Metric::IndexLabelFetches));
-    assert_eq!(diff.get(Metric::EvalSchemaRounds), stats.rounds as u64);
+    assert_eq!(diff.get(Metric::EvalSchemaRuns), 1);
     // A fetch of a label the collection lacks reads no index, so the
     // index sees what one execution of the plan reads: what the direct
     // evaluation's one execution reads.
@@ -455,9 +451,8 @@ fn generated_collection_op_counts() {
             (Metric::PlanCacheHits, 1),
             (Metric::PostingsBlocksDecoded, 3),
             (Metric::PostingsBytes, 308),
-            // Nothing to draw after the first batch: one batch (2 → 1).
+            // One plan execution.
             (Metric::EvalSchemaRuns, 1),
-            (Metric::EvalSchemaRounds, 1),
         ],
     );
 }
@@ -488,9 +483,9 @@ fn repeated_runs_count_identically() {
 #[test]
 fn eval_harness_op_counts() {
     // One pass of the figure-2 fixture golden: nine (query, evaluator)
-    // runs, four direct and five schema-driven. One schema query needs a
-    // second k-escalation round, and every round is one schema run, so
-    // five queries make six runs.
+    // runs, four direct and five schema-driven, each of which executes
+    // its plan once (6 → 5: the second batch of one query no longer
+    // counts as a run).
     let fixtures = common::load("figure2");
     let dbs: Vec<Database> = fixtures
         .iter()
@@ -504,8 +499,8 @@ fn eval_harness_op_counts() {
         }
     });
     assert_eq!(diff.get(Metric::EvalDirectRuns), 4);
-    assert_eq!(diff.get(Metric::EvalSchemaRuns), 6);
-    assert_eq!(diff.get(Metric::EvalSchemaRounds), 6);
+    assert_eq!(diff.get(Metric::EvalSchemaRuns), 5);
+    assert_eq!(diff.get(Metric::EvalSchemaRounds), 0);
     assert_eq!(diff.get(Metric::EvalSecondLevelQueries), 56);
 }
 

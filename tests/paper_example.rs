@@ -3,8 +3,6 @@
 //! indexes, and the exact root–cost pairs of the example queries — checked
 //! against all three evaluators (direct, schema-driven, naive oracle).
 
-use approxql::crates::core::schema_eval::SchemaEvalConfig;
-use approxql::crates::core::EvalOptions;
 use approxql::crates::index::LabelIndex;
 use approxql::crates::schema::Schema;
 use approxql::{tables, Cost, Database, NodeId, NodeType, ReferenceEvaluator};
@@ -206,24 +204,4 @@ fn results_materialize_as_xml() {
     assert!(el.find_child("tracks").is_some());
     let xml = approxql::Document { root: el }.to_xml_string();
     assert!(xml.contains("<track>"));
-}
-
-#[test]
-fn incremental_schema_driver_reports_rounds() {
-    let db = db();
-    let (hits, stats) = db
-        .query_schema_with(
-            r#"cd[title["piano"]]"#,
-            2,
-            EvalOptions::default(),
-            SchemaEvalConfig {
-                initial_k: Some(1),
-                delta: Some(1),
-                ..SchemaEvalConfig::default()
-            },
-        )
-        .unwrap();
-    assert_eq!(hits.len(), 2);
-    assert!(stats.rounds >= 2);
-    assert!(stats.second_level_queries >= 2);
 }

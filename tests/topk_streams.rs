@@ -141,10 +141,6 @@ impl CostDomain for Exhaustive {
         Some(self.capped(kept.chain(deleted).collect())).filter(|v| !v.is_empty())
     }
 
-    fn weight(v: &Vec<Candidate>) -> usize {
-        v.len()
-    }
-
     fn record(&self, _op: Metric, _produced: usize) {}
 }
 
@@ -245,8 +241,7 @@ impl Lists {
 }
 
 /// Each operator on random lists, through the algebra of both domains: a
-/// stream's first `k` are the eager `k`-vector, and a stream capped at
-/// `k` is that vector.
+/// stream's first `k` are the eager `k`-vector.
 #[test]
 fn operators_on_random_lists_yield_the_eager_order() {
     let (index, interner) = (LabelIndex::default(), Interner::default());
@@ -256,21 +251,22 @@ fn operators_on_random_lists_yield_the_eager_order() {
     };
     let renames = [Cost::ZERO, Cost::finite(1), Cost::finite(3), Cost::INFINITY];
     let dels = [Cost::ZERO, Cost::finite(2), Cost::INFINITY];
-    let lazy = Algebra::new(&index, &interner, KBest { k: usize::MAX });
+    let lazy = Algebra::new(&index, &interner, KBest);
     for k in [1, 2, 3, 5, 8, 64] {
         let eager = Algebra::new(&index, &interner, Exhaustive { k });
-        let capped = Algebra::new(&index, &interner, KBest { k });
         for case in 0..150 {
             let forest = gen.forest();
             // The eager inputs are cut at k, as an eager operator's output
             // would be; the streams hold every candidate.
             let full = [0, 1, 2].map(|label| gen.list(&forest, label));
-            let streams = |dom: &KBest| -> Vec<List<CandidateStream>> {
-                let value = |v: &Vec<Candidate>| dom.value(v.clone());
-                full.iter()
-                    .map(|l| l.iter().map(|(n, v)| (*n, value(v))).collect())
-                    .collect()
-            };
+            let s: Vec<List<CandidateStream>> = full
+                .iter()
+                .map(|l| {
+                    l.iter()
+                        .map(|(n, v)| (*n, KBest.value(v.clone())))
+                        .collect()
+                })
+                .collect();
             let cut: Vec<List<Vec<Candidate>>> = full
                 .iter()
                 .map(|l| {
@@ -282,29 +278,21 @@ fn operators_on_random_lists_yield_the_eager_order() {
             let (c1, c2) = (renames[gen.draw(4) as usize], renames[gen.draw(4) as usize]);
             let del = dels[gen.draw(3) as usize];
             let at = |op: &str| format!("{op} at k = {k}, case {case}");
-            for (domain, s) in [
-                (&lazy, streams(&KBest { k: usize::MAX })),
-                (&capped, streams(&KBest { k })),
-            ] {
-                let (l, r, t) = (&s[0], &s[1], &s[2]);
-                let (el, er, et) = (&cut[0], &cut[1], &cut[2]);
-                let m = domain.merge(l, &[(r, c1), (t, c2)]);
-                let em = eager.merge(el, &[(er, c1), (et, c2)]);
-                first_k_agree(&m, &em, k, &at("merge"));
-                first_k_agree(&domain.union(l, r), &eager.union(el, er), k, &at("union"));
-                for ((a, b), (ea, eb)) in [((l, r), (el, er)), ((&m, t), (&em, et))] {
-                    let x = domain.intersect(a, b);
-                    first_k_agree(&x, &eager.intersect(ea, eb), k, &at("intersect"));
-                }
-                for ((a, d), (ea, ed)) in [((l, r), (el, er)), ((t, &m), (et, &em))] {
-                    first_k_agree(&domain.join(a, d), &eager.join(ea, ed), k, &at("join"));
-                    let x = domain.outerjoin(a, d, del);
-                    first_k_agree(&x, &eager.outerjoin(ea, ed, del), k, &at("outerjoin"));
-                }
+            let (l, r, t) = (&s[0], &s[1], &s[2]);
+            let (el, er, et) = (&cut[0], &cut[1], &cut[2]);
+            let m = lazy.merge(l, &[(r, c1), (t, c2)]);
+            let em = eager.merge(el, &[(er, c1), (et, c2)]);
+            first_k_agree(&m, &em, k, &at("merge"));
+            first_k_agree(&lazy.union(l, r), &eager.union(el, er), k, &at("union"));
+            for ((a, b), (ea, eb)) in [((l, r), (el, er)), ((&m, t), (&em, et))] {
+                let x = lazy.intersect(a, b);
+                first_k_agree(&x, &eager.intersect(ea, eb), k, &at("intersect"));
             }
-            // A capped stream ends at k.
-            let x = capped.intersect(&streams(&KBest { k })[0], &streams(&KBest { k })[1]);
-            assert!(x.iter().all(|(_, v)| !v.is_empty() && v.len() <= k));
+            for ((a, d), (ea, ed)) in [((l, r), (el, er)), ((t, &m), (et, &em))] {
+                first_k_agree(&lazy.join(a, d), &eager.join(ea, ed), k, &at("join"));
+                let x = lazy.outerjoin(a, d, del);
+                first_k_agree(&x, &eager.outerjoin(ea, ed, del), k, &at("outerjoin"));
+            }
         }
     }
 }
@@ -369,16 +357,14 @@ proptest! {
 
     /// Every operator of a generated plan, executed once with streams and
     /// once eagerly at each `k`: the streams' first `k` candidates are the
-    /// eager vectors. The queries the driver draws, batch after batch,
-    /// are the first `k` of the exhaustive root order.
+    /// eager vectors. The queries the driver draws are the first `k` of
+    /// the exhaustive root order, and it draws no more than `max_k`.
     #[test]
     fn streams_and_draws_follow_the_eager_definition(
         seed in 0u64..1_000_000,
         pattern in 0usize..3,
         renamings in 0usize..3,
         leaf_rule in any::<bool>(),
-        first_batch in 1usize..4,
-        delta in 0usize..3,
     ) {
         let (tree, ex) = generated(seed, pattern, renamings);
         let compiled = Arc::new(plan::compile(&ex).unwrap());
@@ -388,7 +374,7 @@ proptest! {
 
         let ops = compiled.ops().len();
         let mut streams = vec![None; ops];
-        let lazy = Algebra::new(schema.labels(), interner, KBest { k: usize::MAX });
+        let lazy = Algebra::new(schema.labels(), interner, KBest);
         plan::execute(&compiled, &lazy, |h, l| streams[h] = Some(l.clone()));
         for k in [1, 2, 3, 8, 64] {
             let mut vectors = vec![None; ops];
@@ -404,7 +390,7 @@ proptest! {
         // The exact root order: eager at a k no vector reaches.
         let all = Algebra::new(schema.labels(), interner, Exhaustive { k: 1 << 16 });
         let roots = plan::execute(&compiled, &all, |_, _| {}).unwrap_or_default();
-        for k in [1, 2, 3, 8, 64] {
+        for k in [0, 1, 2, 3, 8, 64] {
             let run = best_k_second_level_plan(&compiled, &schema, interner, k, opts);
             let drawn: Vec<(Cost, &Skeleton)> =
                 run.queries.iter().map(|q| (q.cost, q.skeleton())).collect();
@@ -414,10 +400,9 @@ proptest! {
             prop_assert_eq!(drawn, want, "best {} second-level queries", k);
             prop_assert_eq!(run.complete, exact.len() <= k, "complete at k = {}", k);
 
-            // The driver, pacing its draws in batches, stops at k drawn
-            // queries: its hits are those of the first k, in order.
-            let delta = (delta > 0).then_some(delta);
-            let cfg = SchemaEvalConfig { initial_k: Some(first_batch), delta, max_k: k };
+            // The driver stops at k drawn queries: its hits are those of
+            // the first k, in order.
+            let cfg = SchemaEvalConfig { max_k: k };
             let (hits, stats) = best_n_schema_with_plan(
                 &ex, Some(Arc::clone(&compiled)), &schema, interner, usize::MAX, opts, cfg);
             let (mut executed, mut seen, mut want) = (HashSet::new(), HashSet::new(), Vec::new());
