@@ -18,12 +18,16 @@
 //! Both evaluators must return as many results as each other in every
 //! cell (the schema-driven answer is a prefix of the direct one): a cell
 //! where the two `mean_results` differ is named on stderr after the
-//! table, and the exit status is 1.
+//! table, and the exit status is 1. The table goes through one buffered
+//! writer; a reader that goes away (`figure7 … | head -1`) ends the run
+//! quietly with exit status 0.
 
 use approxql_bench::{
     build_collection, make_queries, time_direct, time_schema, Measurement, WorkCounts, PATTERNS,
     RENAMINGS,
 };
+use std::io::{self, BufWriter, ErrorKind, Write};
+use std::process::ExitCode;
 
 struct Args {
     scale_div: usize,
@@ -98,8 +102,28 @@ fn fmt_n(n: Option<usize>) -> String {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = parse_args();
+    let mut out = BufWriter::new(io::stdout().lock());
+    let done = run(&args, &mut out).and_then(|agree| {
+        out.flush()?;
+        Ok(agree)
+    });
+    match done {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
+        // The reader of the table went away: nobody is left to report to.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(1)
+        }
+    }
+}
+
+/// Measures every cell and writes the table to `out`; `false` if the two
+/// evaluators disagree in some cell (named on stderr).
+fn run(args: &Args, out: &mut impl Write) -> io::Result<bool> {
     eprintln!(
         "# building collection at 1/{} of the paper scale …",
         args.scale_div
@@ -134,10 +158,11 @@ fn main() {
     );
 
     let measure_start = std::time::Instant::now();
-    println!(
+    writeln!(
+        out,
         "pattern\trenamings\tn\talgorithm\tmean_ms\tmean_results\tbytes_per_posting\t{}",
         WorkCounts::tsv_header()
-    );
+    )?;
     let mut rows: Vec<Measurement> = Vec::new();
     let mut disagree: Vec<String> = Vec::new();
     for &p in &args.patterns {
@@ -167,7 +192,8 @@ fn main() {
                         mean_results: res,
                         work,
                     };
-                    println!(
+                    writeln!(
+                        out,
                         "{}\t{}\t{}\t{}\t{:.3}\t{:.1}\t{:.2}\t{}",
                         m.pattern,
                         m.renamings,
@@ -177,7 +203,7 @@ fn main() {
                         m.mean_results,
                         bytes_per_posting,
                         m.work.to_tsv_fields()
-                    );
+                    )?;
                     rows.push(m);
                 }
             }
@@ -227,7 +253,5 @@ fn main() {
     for cell in &disagree {
         eprintln!("error: direct and schema results differ: {cell}");
     }
-    if !disagree.is_empty() {
-        std::process::exit(1);
-    }
+    Ok(disagree.is_empty())
 }

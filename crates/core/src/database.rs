@@ -29,7 +29,7 @@ use approxql_tree::{
 use approxql_xml::{parse_document, Document, Element, XmlError};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -140,16 +140,16 @@ const PLAN_CACHE_CAP: usize = 32;
 /// The keyed plan cache: most-recently-used first. Keys pair the
 /// normalized query text (the parsed query's canonical rendering) with
 /// the cost-model fingerprint, so a plan is only reused when both the
-/// structure *and* the expansion-driving costs are unchanged. Each entry
-/// records the set of labels its plan fetches so mutations can evict
-/// exactly the plans whose inputs they touched (DESIGN.md §15).
+/// structure *and* the expansion-driving costs are unchanged. Those are
+/// all a plan depends on — its fetches name labels by text, resolved when
+/// it runs — so no mutation evicts an entry (DESIGN.md §15.4).
 struct PlanCache {
     entries: Vec<PlanCacheEntry>,
 }
 
-/// One cache entry: `(cost fingerprint, normalized query)` key, the
-/// compiled plan, and its fetch-label invalidation footprint.
-type PlanCacheEntry = ((u64, String), Arc<Plan>, HashSet<String>);
+/// One cache entry: `(cost fingerprint, normalized query)` key and the
+/// compiled plan.
+type PlanCacheEntry = ((u64, String), Arc<Plan>);
 
 /// The `(type, label)` of every fetch of `plan`: the only lists either
 /// evaluator reads when it runs the plan.
@@ -160,15 +160,9 @@ fn fetches(plan: &Plan) -> impl Iterator<Item = (NodeType, &str)> {
     })
 }
 
-/// The labels a compiled plan reads from the label indexes — the entry's
-/// invalidation footprint.
-fn fetch_labels(plan: &Plan) -> HashSet<String> {
-    fetches(plan).map(|(_, label)| label.to_owned()).collect()
-}
-
 impl PlanCache {
     fn get(&mut self, key: &(u64, String)) -> Option<Arc<Plan>> {
-        let pos = self.entries.iter().position(|(k, _, _)| k == key)?;
+        let pos = self.entries.iter().position(|(k, _)| k == key)?;
         let hit = self.entries.remove(pos);
         let plan = Arc::clone(&hit.1);
         self.entries.insert(0, hit);
@@ -176,19 +170,9 @@ impl PlanCache {
     }
 
     fn insert(&mut self, key: (u64, String), plan: Arc<Plan>) {
-        self.entries.retain(|(k, _, _)| *k != key);
-        let labels = fetch_labels(&plan);
-        self.entries.insert(0, (key, plan, labels));
+        self.entries.retain(|(k, _)| *k != key);
+        self.entries.insert(0, (key, plan));
         self.entries.truncate(PLAN_CACHE_CAP);
-    }
-
-    /// Drops every entry whose fetch set intersects `touched`; returns the
-    /// eviction count.
-    fn invalidate_touching(&mut self, touched: &HashSet<String>) -> u64 {
-        let before = self.entries.len();
-        self.entries
-            .retain(|(_, _, labels)| labels.is_disjoint(touched));
-        (before - self.entries.len()) as u64
     }
 }
 
@@ -205,22 +189,18 @@ fn cost_fingerprint(costs: &CostModel) -> u64 {
 
 /// What one document mutation changed, at the granularity the
 /// persistence layer writes: the affected preorder span, the data-level
-/// label postings rewritten or emptied, the schema-side delta, and
-/// whether the mutation interned new labels. Produced by
+/// label postings it changed, and the schema-side delta. Produced by
 /// [`Database::insert_document`] / [`Database::delete_document`] and
 /// consumed by [`crate::DbFile`] to persist only the changed keys.
 #[derive(Debug)]
 pub struct MutationDelta {
     /// Preorder range of the inserted or tombstoned document.
     pub span: DocSpan,
-    /// Label postings whose block lists changed (rewrite their keys).
-    pub touched_labels: Vec<(NodeType, LabelId)>,
-    /// Label postings that emptied entirely (delete their keys).
-    pub removed_labels: Vec<(NodeType, LabelId)>,
+    /// Label postings whose block lists changed, sorted, each once: a
+    /// list that still exists is rewritten, one that emptied is gone.
+    pub changed_labels: Vec<(NodeType, LabelId)>,
     /// Schema-side changes (secondary postings, structural rebuild flag).
     pub schema: SchemaDelta,
-    /// `true` when the mutation added strings to the interner.
-    pub interner_changed: bool,
 }
 
 impl MutationDelta {
@@ -233,10 +213,8 @@ impl MutationDelta {
                 bound: 0,
                 alive: false,
             },
-            touched_labels: Vec::new(),
-            removed_labels: Vec::new(),
+            changed_labels: Vec::new(),
             schema: SchemaDelta::default(),
-            interner_changed: false,
         }
     }
 }
@@ -409,10 +387,6 @@ pub struct Database {
     costs: CostModel,
     /// Fingerprint of `costs` (part of every plan-cache key).
     costs_fp: u64,
-    /// Bumped once per document mutation: external caches keyed on query
-    /// results (anything outside the plan cache) compare stamps to detect
-    /// staleness.
-    generation: u64,
     /// Compiled physical plans keyed by (cost fingerprint, query text).
     plan_cache: Mutex<PlanCache>,
 }
@@ -441,7 +415,6 @@ impl Database {
             parts,
             costs,
             costs_fp,
-            generation: 0,
             plan_cache: Mutex::new(PlanCache {
                 entries: Vec::new(),
             }),
@@ -542,12 +515,6 @@ impl Database {
         &self.resident_or_empty().schema
     }
 
-    /// The mutation generation stamp: starts at 0 and increments once per
-    /// [`Database::insert_document`] / [`Database::delete_document`].
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// From here on, queries expand with `costs` — how `approxql query
     /// --costs FILE` changes rename and delete costs. Nothing is rebuilt:
     /// those costs enter only through query expansion, so the model and
@@ -584,8 +551,7 @@ impl Database {
     /// Appends one document to the collection, incrementally maintaining
     /// the label indexes, secondary index, and schema (DESIGN.md §15).
     /// The new document's nodes take fresh preorder numbers past the
-    /// current maximum; no existing node is relabelled. Cached plans that
-    /// fetch any label occurring in the document are evicted. A database
+    /// current maximum; no existing node is relabelled. A database
     /// opened from a file is decoded first, and holds its parts from then
     /// on. If its store does not decode, nothing changes — the delta's
     /// span is not alive and it touches nothing — and every later query,
@@ -601,42 +567,21 @@ impl Database {
         else {
             return MutationDelta::unchanged();
         };
-        let interner_before = tree.interner().len();
         let span = tree.append_document(doc, costs);
-        let mut grouped: HashMap<(NodeType, LabelId), Vec<Posting>> = HashMap::new();
-        for pre in span.start..=span.bound {
-            let n = NodeId(pre);
-            grouped
-                .entry((tree.node_type(n), tree.label_id(n)))
-                .or_default()
-                .push(Posting::from_node(tree, n));
-        }
-        let mut touched_labels: Vec<(NodeType, LabelId)> = grouped.keys().copied().collect();
-        for (&(ty, label), posting) in &grouped {
-            // Preorder iteration above leaves each group pre-sorted.
-            labels.append_postings(ty, label, posting);
-        }
+        let nodes = (span.start..=span.bound).map(NodeId);
+        labels.append_nodes(tree, nodes.clone());
         // The virtual root's bound just grew: rewrite its one-entry
         // posting so the index stays identical to a batch rebuild.
         let root = NodeId(0);
-        let root_label = tree.label_id(root);
         labels.insert_posting(
             NodeType::Struct,
-            root_label,
+            tree.label_id(root),
             vec![Posting::from_node(tree, root)],
         );
-        touched_labels.push((NodeType::Struct, root_label));
-        touched_labels.sort_unstable_by_key(|&(t, l)| (t as u8, l.index()));
-        touched_labels.dedup();
-        let schema = schema.insert_range(tree, span, costs);
-        let interner_changed = tree.interner().len() != interner_before;
-        self.after_mutation(&touched_labels);
         MutationDelta {
             span,
-            touched_labels,
-            removed_labels: Vec::new(),
-            schema,
-            interner_changed,
+            changed_labels: label_keys(tree, std::iter::once(root).chain(nodes)),
+            schema: schema.insert_range(tree, span, costs),
         }
     }
 
@@ -654,55 +599,16 @@ impl Database {
             schema,
         } = resident_mut(&mut self.parts)?;
         let span = tree.delete_document(root)?;
-        let mut keys: Vec<(NodeType, LabelId)> = (span.start..=span.bound)
-            .map(|pre| {
-                let n = NodeId(pre);
-                (tree.node_type(n), tree.label_id(n))
-            })
-            .collect();
-        keys.sort_unstable_by_key(|&(t, l)| (t as u8, l.index()));
-        keys.dedup();
-        let mut touched_labels = Vec::new();
-        let mut removed_labels = Vec::new();
-        for &(ty, label) in &keys {
+        let changed_labels = label_keys(tree, (span.start..=span.bound).map(NodeId));
+        for &(ty, label) in &changed_labels {
             let removed = labels.remove_range(ty, label, span.start, span.bound);
             debug_assert!(removed > 0, "tombstoned node missing from label index");
-            if labels.blocks(ty, label).is_some() {
-                touched_labels.push((ty, label));
-            } else {
-                removed_labels.push((ty, label));
-            }
         }
-        let schema = schema.delete_range(tree, span);
-        self.after_mutation(&keys);
         Some(MutationDelta {
             span,
-            touched_labels,
-            removed_labels,
-            schema,
-            interner_changed: false,
+            changed_labels,
+            schema: schema.delete_range(tree, span),
         })
-    }
-
-    /// Post-mutation bookkeeping: evict cached plans that fetch a touched
-    /// label (counted by `plan.cache_invalidations`) and bump the
-    /// generation stamp.
-    fn after_mutation(&mut self, touched: &[(NodeType, LabelId)]) {
-        let interner = self.interner();
-        let names: HashSet<String> = touched
-            .iter()
-            .map(|&(_, l)| interner.resolve(l).to_string())
-            .collect();
-        let mut cache = self
-            .plan_cache
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let evicted = cache.invalidate_touching(&names);
-        drop(cache);
-        if evicted > 0 {
-            Metric::PlanCacheInvalidations.add(evicted);
-        }
-        self.generation += 1;
     }
 
     /// Parses, normalizes, and expands a query against this database's
@@ -1014,6 +920,17 @@ impl Database {
     }
 }
 
+/// The `(type, label)` keys of `nodes`, sorted, each once: the label
+/// lists a mutation of those nodes changes.
+fn label_keys(tree: &DataTree, nodes: impl Iterator<Item = NodeId>) -> Vec<(NodeType, LabelId)> {
+    let mut keys: Vec<_> = nodes
+        .map(|n| (tree.node_type(n), tree.label_id(n)))
+        .collect();
+    keys.sort_unstable_by_key(|&(t, l)| (t as u8, l.index()));
+    keys.dedup();
+    keys
+}
+
 /// The store key of a live document's column segment: `doc#` + the
 /// big-endian start preorder (big-endian so a prefix scan yields
 /// documents in preorder).
@@ -1287,8 +1204,7 @@ mod tests {
         assert_eq!(opened.query_direct("cd[title]", None).unwrap().len(), 1);
         let delta =
             opened.insert_document(&parse_document("<cd><title>harp</title></cd>").unwrap());
-        assert!(!delta.span.alive && delta.touched_labels.is_empty());
-        assert_eq!(opened.generation(), 0);
+        assert!(!delta.span.alive && delta.changed_labels.is_empty());
         assert!(opened.delete_document(NodeId(1)).is_none());
         let decode = |r: Result<(), DatabaseError>| matches!(r, Err(DatabaseError::TreeDecode(_)));
         assert!(decode(opened.materialize()));
@@ -1405,7 +1321,6 @@ mod tests {
         let batch = Database::from_xml_strs(&docs, paper_section6_costs()).unwrap();
         // Same tree bytes, same postings, same schema parts.
         assert_eq!(grown.tree().to_bytes(), batch.tree().to_bytes());
-        assert_eq!(grown.generation(), 2);
         for q in [r#"cd[title["piano"]]"#, r#"mc[track]"#, r#"cd[composer]"#] {
             assert_eq!(
                 grown.query_direct(q, None).unwrap(),
@@ -1429,27 +1344,33 @@ mod tests {
     }
 
     #[test]
-    fn delete_hides_document_and_invalidates_plans() {
+    fn delete_hides_document_and_keeps_cached_plans() {
         let docs = [
             "<cd><title>piano</title></cd>",
             "<cd><title>cello</title></cd>",
         ];
         let mut db = Database::from_xml_strs(&docs, paper_section6_costs()).unwrap();
-        let before = approxql_metrics::snapshot();
-        // Warm the cache, then mutate a touched label: the entry must go.
+        // Warm the cache, then delete a document the plan's labels occur
+        // in: the plan is reused, and it answers from what is left.
         let all = db.query_direct(r#"cd[title]"#, None).unwrap();
         assert_eq!(all.len(), 2);
         let first = db.tree().documents()[0];
+        let before = approxql_metrics::snapshot();
         let delta = db.delete_document(NodeId(first.start)).expect("live root");
         assert_eq!(delta.span.start, first.start);
-        let d = approxql_metrics::snapshot().diff(&before);
-        assert_eq!(d.get(Metric::PlanCacheInvalidations), 1);
         let left = db.query_direct(r#"cd[title]"#, None).unwrap();
-        assert_eq!(left.len(), 1);
+        let d = approxql_metrics::snapshot().diff(&before);
+        assert_eq!(d.get(Metric::PlanCacheMisses), 0);
+        assert_eq!(d.get(Metric::PlanCacheHits), 1);
+        assert_eq!(d.get(Metric::PlanCacheInvalidations), 0);
+        assert_eq!(left, all[1..]);
+        let fresh = Database::from_xml_strs(&docs[1..], paper_section6_costs()).unwrap();
+        let fresh_hits = fresh.query_direct(r#"cd[title]"#, None).unwrap();
+        assert_eq!(left.len(), fresh_hits.len());
+        assert_eq!(left[0].cost, fresh_hits[0].cost);
         assert!(left[0].root.0 > first.bound);
         // Double delete is a no-op.
         assert!(db.delete_document(NodeId(first.start)).is_none());
-        assert_eq!(db.generation(), 1);
     }
 
     #[test]

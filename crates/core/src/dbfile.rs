@@ -74,13 +74,14 @@ impl DbFile {
     pub fn insert_documents(&mut self, docs: &[Document]) -> Result<Vec<DocSpan>, DatabaseError> {
         let mut spans = Vec::with_capacity(docs.len());
         for doc in docs {
+            let interned = self.db.tree().interner().len();
             let delta = self.db.insert_document(doc);
             save_blob(
                 &mut self.store,
                 "docmap",
                 &encode_docmap(self.db.tree().len() as u32, self.db.tree().documents()),
             )?;
-            if delta.interner_changed {
+            if self.db.tree().interner().len() != interned {
                 save_blob(
                     &mut self.store,
                     "interner",
@@ -128,44 +129,33 @@ impl DbFile {
     }
 
     /// The one update writer: deletes the key of every posting list the
-    /// mutation emptied and puts the current value of every list it
-    /// touched — `ls#`/`lt#` and `sec#` alike, in sorted key order. A
-    /// mutation that grew the schema comes the same way: `sec#` keys
-    /// carry class ids, and those do not move.
+    /// mutation emptied and puts the current value of every other list it
+    /// changed — `ls#`/`lt#` and `sec#` alike, each group in sorted key
+    /// order. A mutation that grew the schema comes the same way: `sec#`
+    /// keys carry class ids, and those do not move.
     fn write_updates(&mut self, delta: &MutationDelta) -> Result<(), DatabaseError> {
         let (labels, secondary) = (self.db.labels(), self.db.schema().secondary());
         let name = |label| self.db.tree().interner().resolve(label);
-        let mut gone: Vec<Vec<u8>> = delta
-            .removed_labels
-            .iter()
-            .map(|&(ty, l)| label_key(ty, name(l)))
-            .collect();
-        let removed_sec = &delta.schema.removed_sec;
-        gone.extend(
-            removed_sec
-                .iter()
-                .map(|&(class, l)| sec_key(class, name(l))),
-        );
+        let label_lists = delta.changed_labels.iter().map(|&(ty, l)| {
+            let list = labels.blocks(ty, l).map(|list| list.to_bytes());
+            (label_key(ty, name(l)), list)
+        });
+        let sec_lists = delta.schema.changed_sec.iter().map(|&(class, l)| {
+            let list = secondary.get(class, l).map(SecondaryIndex::list_bytes);
+            (sec_key(class, name(l)), list)
+        });
+        let (mut gone, mut puts) = (Vec::new(), Vec::new());
+        for (key, list) in label_lists.chain(sec_lists) {
+            match list {
+                Some(list) => puts.push((key, list)),
+                None => gone.push(key),
+            }
+        }
         gone.sort_unstable();
         for key in gone {
             self.store.delete(&key)?;
         }
-        let puts = delta
-            .touched_labels
-            .iter()
-            .map(|&(ty, l)| {
-                let list = labels.blocks(ty, l).map(|list| list.to_bytes());
-                (label_key(ty, name(l)), list)
-            })
-            .chain(delta.schema.touched_sec.iter().map(|&(class, l)| {
-                let list = secondary.get(class, l).map(SecondaryIndex::list_bytes);
-                (sec_key(class, name(l)), list)
-            }))
-            .filter_map(|(key, list)| {
-                debug_assert!(list.is_some(), "touched posting missing from its index");
-                Some((key, list?))
-            });
-        Ok(put_lists(&mut self.store, puts)?)
+        Ok(put_lists(&mut self.store, puts.into_iter())?)
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::codec::{BlockList, PostingDecodeError};
 use crate::Posting;
 use approxql_metrics::{time, Metric, TimerMetric};
-use approxql_tree::{DataTree, LabelId, NodeType};
+use approxql_tree::{DataTree, LabelId, NodeId, NodeType};
 use std::collections::HashMap;
 
 /// Maps each `(type, label)` to the delta/varint-compressed,
@@ -17,22 +17,13 @@ pub struct LabelIndex {
 }
 
 impl LabelIndex {
-    /// Builds the index with one pass over the tree. Postings come out
-    /// preorder-sorted because nodes are visited in preorder; each label's
-    /// list is compressed once collection is complete.
+    /// Builds the index: every live node appended, in one pass over the
+    /// tree ([`LabelIndex::append_nodes`]).
     pub fn build(tree: &DataTree) -> LabelIndex {
         let _timer = time(TimerMetric::IndexBuild);
-        let mut flat: HashMap<(NodeType, LabelId), Vec<Posting>> = HashMap::new();
-        for n in tree.live_nodes() {
-            flat.entry((tree.node_type(n), tree.label_id(n)))
-                .or_default()
-                .push(Posting::from_node(tree, n));
-        }
-        let map = flat
-            .into_iter()
-            .map(|(k, v)| (k, BlockList::from_entries(&v)))
-            .collect();
-        LabelIndex { map }
+        let mut index = LabelIndex::default();
+        index.append_nodes(tree, tree.live_nodes());
+        index
     }
 
     /// The posting for `(ty, label)`, fully decoded; empty if the label
@@ -99,14 +90,18 @@ impl LabelIndex {
         self.map.get(&(ty, label))
     }
 
-    /// Appends postings (all with `pre` past the current maximum) to the
-    /// list of `(ty, label)`, creating it if absent. The run is continued,
-    /// nothing already stored is re-encoded (DESIGN.md §15).
-    pub fn append_postings(&mut self, ty: NodeType, label: LabelId, new: &[Posting]) {
-        if new.is_empty() {
-            return;
+    /// Appends the posting of each of `nodes` to the list of its
+    /// `(type, label)`, creating lists as needed. Nodes come in preorder,
+    /// each past the last `pre` of its list, so lists stay sorted; the
+    /// runs are continued, nothing already stored is re-encoded (DESIGN.md
+    /// §15).
+    pub fn append_nodes(&mut self, tree: &DataTree, nodes: impl IntoIterator<Item = NodeId>) {
+        for n in nodes {
+            self.map
+                .entry((tree.node_type(n), tree.label_id(n)))
+                .or_default()
+                .append(&[Posting::from_node(tree, n)]);
         }
-        self.map.entry((ty, label)).or_default().append(new);
     }
 
     /// Removes a whole posting. Returns `true` if it existed.

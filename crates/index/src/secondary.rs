@@ -92,16 +92,20 @@ impl SecondaryIndex {
             .unwrap_or(&schema_pre)
     }
 
-    /// Appends an instance to the posting of `(class, label)`.
-    /// Instances must be added in increasing preorder (the schema builder
-    /// walks the data tree in preorder, so this holds naturally).
-    pub fn push(&mut self, class: u32, label: LabelId, instance: InstancePosting) {
+    /// Appends an instance to the posting of `(class, label)` and returns
+    /// the `pre` of the instance the list ended with before, `None` if the
+    /// key is new. Instances must be added in increasing preorder (the
+    /// schema builder walks the data tree in preorder, so this holds
+    /// naturally).
+    pub fn push(&mut self, class: u32, label: LabelId, instance: InstancePosting) -> Option<u32> {
         let list = self.map.entry((class, label)).or_default();
+        let last = list.last().map(|last| last.pre);
         debug_assert!(
-            list.last().is_none_or(|last| last.pre < instance.pre),
+            last.is_none_or(|last| last < instance.pre),
             "instances must be pushed in increasing preorder"
         );
         list.push(instance);
+        last
     }
 
     /// The instances of the class at `schema_pre` that carry `label`,

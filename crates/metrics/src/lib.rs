@@ -147,7 +147,7 @@ metrics! {
     PlanCacheHits => (Plan, "plan.cache_hits", "Plan-cache lookups answered without compiling."),
     PlanCacheMisses => (Plan, "plan.cache_misses", "Plan-cache lookups that had to compile."),
     PlanCseReuses => (Plan, "plan.cse_reuses", "Subplans shared by common-subexpression elimination during compiles."),
-    PlanCacheInvalidations => (Plan, "plan.cache_invalidations", "Cached plans evicted because a mutation touched one of their fetch labels."),
+    PlanCacheInvalidations => (Plan, "plan.cache_invalidations", "Always 0: a cached plan depends only on the query text and the cost model, so no mutation evicts one; registered because the benchmark driver reads it."),
     // -- compressed postings ----------------------------------------------
     PostingsBlocksDecoded => (Postings, "postings.blocks_decoded", "Stored posting lists decoded by `fetch`, one per fetched list."),
     PostingsBlocksSkipped => (Postings, "postings.blocks_skipped", "Always 0: nothing skips part of a posting list; registered because the benchmark driver reads it."),

@@ -63,10 +63,9 @@ impl std::error::Error for SchemaAssembleError {}
 /// are named by their **class id**, the number that never moves.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SchemaDelta {
-    /// `(class id, label)` keys whose instance posting changed.
-    pub touched_sec: Vec<(u32, LabelId)>,
-    /// `(class id, label)` keys that emptied and were dropped.
-    pub removed_sec: Vec<(u32, LabelId)>,
+    /// `(class id, label)` keys whose instance list changed, each once:
+    /// a list that still exists is rewritten, one that emptied is gone.
+    pub changed_sec: Vec<(u32, LabelId)>,
     /// `true` when a new label-type path grew the schema tree: schema
     /// preorder numbers may have moved, so the `schema` tree blob and the
     /// `classes` numbering must be rewritten. No `sec#` key moves — those
@@ -79,8 +78,6 @@ pub struct SchemaDelta {
 pub struct SchemaStats {
     /// Nodes in the schema tree (including the root and text classes).
     pub schema_nodes: usize,
-    /// Nodes in the underlying data tree.
-    pub data_nodes: usize,
     /// Number of distinct `(schema node, label)` postings in `I_sec`.
     pub secondary_postings: usize,
     /// Largest number of instances of any node class (the paper's `s_d`).
@@ -96,89 +93,65 @@ type ChildKey = (u32, Option<LabelId>);
 ///
 /// A node class has two numbers. Its **class id** is the order in which
 /// its label-type path was first seen; it never changes, and it is what
-/// every stored or long-lived structure holds (`class_of`, the shape, the
-/// keys of `I_sec`). Its **schema pre** is its preorder number in the
-/// schema tree, which is what the evaluators compute with and which moves
-/// when a new path lands in the middle of the tree. The secondary index
-/// carries the table between the two.
+/// every stored or long-lived structure holds (the shape, the keys of
+/// `I_sec`). Its **schema pre** is its preorder number in the schema
+/// tree, which is what the evaluators compute with and which moves when a
+/// new path lands in the middle of the tree. The secondary index carries
+/// the table between the two.
+///
+/// No data node stores its class: one walk (`classify`) takes data nodes
+/// in preorder and follows each node's label from its parent's class in
+/// the shape — Definition 15, with the shape as the function's table.
 ///
 /// A **view** ([`Schema::view`]) is the part of a persisted schema one
 /// query reads: the tree, and the secondary index with only the lists of
-/// the query's labels. It has no classification (`class_of`, shape), which
-/// only mutations and [`Schema::check_instances`] read.
+/// the query's labels. It has no shape, which only mutations,
+/// [`Schema::class_of`] and [`Schema::check_instances`] read.
 #[derive(Clone)]
 pub struct Schema {
     tree: DataTree,
     labels: LabelIndex,
     secondary: SecondaryIndex,
-    /// `class_of[data_pre] = class id`. Entries of tombstoned data nodes
-    /// go stale and must not be read (liveness is checked at the tree).
-    class_of: Vec<u32>,
-    /// The shape the tree was linearized from, over class ids: kept so
-    /// inserts classify new nodes without an O(data) pass and new paths
-    /// append to it.
+    /// The shape the tree was linearized from, over class ids: it
+    /// classifies data nodes, and new paths append to it.
     shape: Shape,
 }
 
 impl Schema {
-    /// Builds the schema of `data`. `costs` supplies the insert costs for
-    /// the schema tree's encoding (use the same model as for the data tree
-    /// so that schema distances equal instance distances).
+    /// Builds the schema of `data`: the empty schema with every live node
+    /// appended at once. `costs` supplies the insert costs for the schema
+    /// tree's encoding (use the same model as for the data tree so that
+    /// schema distances equal instance distances).
     pub fn build(data: &DataTree, costs: &CostModel) -> Schema {
-        // One pass discovers the shape and fills I_sec: a class's id is
-        // known the moment its path is first seen.
-        let mut shape = Shape::with_classes(1);
-        let mut class_of: Vec<u32> = vec![0; data.len()];
+        // The root class alone: what linearizing a one-class shape gives.
         let mut secondary = SecondaryIndex::new();
-        for node in data.live_nodes().filter(|n| n.0 != 0) {
-            let parent_class = class_of[data.parent(node).expect("non-root").index()];
-            let class = shape.child(child_key(data, node, parent_class));
-            class_of[node.index()] = class;
-            secondary.push(
-                class,
-                data.label_id(node),
-                InstancePosting {
-                    pre: node.0,
-                    bound: data.bound(node),
-                },
-            );
-        }
-        let (tree, pre_of_class) = shape.linearize(data, costs);
         secondary
-            .set_numbering(pre_of_class)
-            .expect("a linearization numbers every class exactly once");
-        let labels = derive_label_index(&tree, &secondary);
-        Schema {
-            tree,
-            labels,
-            secondary,
-            class_of,
-            shape,
-        }
+            .set_numbering(vec![0])
+            .expect("the root alone is a numbering");
+        let mut schema = Schema::view(DataTreeBuilder::new().build(costs), secondary);
+        schema.shape = Shape::with_classes(1);
+        schema.append(data, data.live_nodes().filter(|n| n.0 != 0), costs);
+        schema
     }
 
     /// Reassembles a schema from its persisted parts: the schema tree and
     /// the secondary index with its class numbering (all maintained
-    /// incrementally and committed with every mutation). The label index,
-    /// the node classes of the live data nodes, and the shape are derived
-    /// — this reproduces the incremental state *exactly*, class ids and
-    /// schema preorder numbers included, so recovered stores answer
-    /// queries byte-identically.
+    /// incrementally and committed with every mutation). The label index
+    /// and the shape are derived, and every live data node must have a
+    /// class in it — this reproduces the incremental state *exactly*,
+    /// class ids and schema preorder numbers included, so recovered
+    /// stores answer queries byte-identically.
     pub fn assemble(
         data: &DataTree,
         tree: DataTree,
         secondary: SecondaryIndex,
     ) -> Result<Schema, SchemaAssembleError> {
         let shape = Shape::of_tree(&tree, data.interner(), &secondary)?;
-        let mut class_of: Vec<u32> = vec![0; data.len()];
-        for node in data.live_nodes().filter(|n| n.0 != 0) {
-            let parent_class = class_of[data.parent(node).expect("non-root").index()];
-            let Some(class) = shape.find(child_key(data, node, parent_class)) else {
-                return Err(SchemaAssembleError(
-                    "a live data node has no class in the schema tree",
-                ));
-            };
-            class_of[node.index()] = class;
+        let live = data.live_nodes().filter(|n| n.0 != 0);
+        if !classify(data, live, |key| shape.find(key), |_, _| {}) {
+            return Err(SchemaAssembleError(
+                "a live data node has no class in the schema tree",
+            ));
         }
         for ((class, _), _) in secondary.iter() {
             if class as usize >= tree.len() {
@@ -192,7 +165,6 @@ impl Schema {
             tree,
             labels,
             secondary,
-            class_of,
             shape,
         })
     }
@@ -222,7 +194,6 @@ impl Schema {
             tree,
             labels,
             secondary,
-            class_of: Vec::new(),
             shape: Shape::default(),
         }
     }
@@ -234,14 +205,20 @@ impl Schema {
     /// other check.
     pub fn check_instances(&self, data: &DataTree) -> Result<(), SchemaAssembleError> {
         let listed: usize = self.secondary.iter().map(|(_, list)| list.len()).sum();
-        let stands_in_its_list = |node: NodeId| {
-            let (class, label) = (self.class_of[node.index()], data.label_id(node));
-            let list = self.secondary.get(class, label).unwrap_or_default();
-            let found = list.binary_search_by_key(&node.0, |i| i.pre);
-            found.is_ok_and(|at| list[at].bound == data.bound(node))
-        };
-        let mut nodes = data.live_nodes().filter(|n| n.0 != 0);
-        if listed + 1 != data.live_node_count() || !nodes.all(stands_in_its_list) {
+        let mut consistent = listed + 1 == data.live_node_count();
+        let live = data.live_nodes().filter(|n| n.0 != 0);
+        let classified = classify(
+            data,
+            live,
+            |key| self.shape.find(key),
+            |node, class| {
+                let list = self.secondary.get(class, data.label_id(node));
+                let list = list.unwrap_or_default();
+                let at = list.binary_search_by_key(&node.0, |i| i.pre);
+                consistent &= at.is_ok_and(|at| list[at].bound == data.bound(node));
+            },
+        );
+        if !(classified && consistent) {
             return Err(SchemaAssembleError(
                 "secondary index contradicts the classification",
             ));
@@ -261,57 +238,7 @@ impl Schema {
         span: DocSpan,
         costs: &CostModel,
     ) -> SchemaDelta {
-        let mut delta = SchemaDelta::default();
-        if self.class_of.len() < data.len() {
-            self.class_of.resize(data.len(), 0);
-        }
-        // Classify first: an unseen path appends a class to the shape,
-        // and the tree must be current before instances are added.
-        for pre in span.start..=span.bound {
-            let node = NodeId(pre);
-            let parent_class = self.class_of[data.parent(node).expect("non-root").index()];
-            self.class_of[node.index()] = self.shape.child(child_key(data, node, parent_class));
-        }
-        if self.shape.children.len() != self.tree.len() {
-            self.relinearize(data, costs);
-            delta.rebuilt = true;
-        }
-        let mut touched: Vec<(u32, LabelId)> = Vec::new();
-        for pre in span.start..=span.bound {
-            let node = NodeId(pre);
-            let class = self.class_of[node.index()];
-            let label = data.label_id(node);
-            if self.secondary.get(class, label).is_none() {
-                // A key new to I_sec: the schema label index gains this
-                // schema node for the label (small list, re-encoded).
-                let schema_node = NodeId(self.secondary.pre_of_class(class));
-                let ty = self.tree.node_type(schema_node);
-                let mut posting = self
-                    .labels
-                    .blocks(ty, label)
-                    .map(|b| b.decode_all())
-                    .unwrap_or_default();
-                let entry = Posting::from_node(&self.tree, schema_node);
-                if let Err(pos) = posting.binary_search_by_key(&schema_node.0, |p: &Posting| p.pre)
-                {
-                    posting.insert(pos, entry);
-                    self.labels.insert_posting(ty, label, posting);
-                }
-            }
-            self.secondary.push(
-                class,
-                label,
-                InstancePosting {
-                    pre,
-                    bound: data.bound(node),
-                },
-            );
-            touched.push((class, label));
-        }
-        touched.sort_unstable_by_key(|&(c, l)| (c, l.0));
-        touched.dedup();
-        delta.touched_sec = touched;
-        delta
+        self.append(data, (span.start..=span.bound).map(NodeId), costs)
     }
 
     /// Incrementally removes a tombstoned document range from the
@@ -319,45 +246,116 @@ impl Schema {
     /// instance-less path nodes (they are harmless: with no instances they
     /// can never produce a hit), so a deletion moves no number at all.
     pub fn delete_range(&mut self, data: &DataTree, span: DocSpan) -> SchemaDelta {
-        let mut keys: Vec<(u32, LabelId)> = (span.start..=span.bound)
-            .map(|pre| (self.class_of[pre as usize], data.label_id(NodeId(pre))))
-            .collect();
+        let mut keys: Vec<(u32, LabelId)> = Vec::new();
+        let nodes = (span.start..=span.bound).map(NodeId);
+        let shape = &self.shape;
+        let classified = classify(
+            data,
+            nodes,
+            |key| shape.find(key),
+            |node, class| keys.push((class, data.label_id(node))),
+        );
+        debug_assert!(classified, "dead range node without a class");
         keys.sort_unstable_by_key(|&(c, l)| (c, l.0));
         keys.dedup();
-        let mut delta = SchemaDelta::default();
-        for (class, label) in keys {
+        for &(class, label) in &keys {
             let removed = self
                 .secondary
                 .remove_range(class, label, span.start, span.bound);
             debug_assert!(removed > 0, "dead range instance missing from I_sec");
             if self.secondary.get(class, label).is_none() {
-                // The key emptied: drop this schema node from the label's
-                // schema-level posting.
-                delta.removed_sec.push((class, label));
-                let schema_pre = self.secondary.pre_of_class(class);
-                let ty = self.tree.node_type(NodeId(schema_pre));
-                let mut posting = self
-                    .labels
-                    .blocks(ty, label)
-                    .map(|b| b.decode_all())
-                    .unwrap_or_default();
-                posting.retain(|p| p.pre != schema_pre);
-                if posting.is_empty() {
-                    self.labels.remove_entry(ty, label);
-                } else {
-                    self.labels.insert_posting(ty, label, posting);
-                }
-            } else {
-                delta.touched_sec.push((class, label));
+                self.set_schema_posting(class, label, false);
             }
         }
-        delta
+        SchemaDelta {
+            changed_sec: keys,
+            rebuilt: false,
+        }
+    }
+
+    /// Absorbs `nodes` — live data nodes in preorder, past every listed
+    /// instance, each a child of the root or of a node before it — which
+    /// is all that [`Schema::build`] and [`Schema::insert_range`] do:
+    /// classify them (an unseen path takes the next class id), list them
+    /// in `I_sec`, and then bring the tree up to date — one
+    /// re-linearization, which derives the schema label index, if the
+    /// shape grew; else the schema nodes of the keys new to `I_sec` join
+    /// their labels' schema-level postings.
+    fn append(
+        &mut self,
+        data: &DataTree,
+        nodes: impl IntoIterator<Item = NodeId>,
+        costs: &CostModel,
+    ) -> SchemaDelta {
+        let mut nodes = nodes.into_iter().peekable();
+        let since = nodes.peek().map_or(0, |n| n.0);
+        let mut changed: Vec<(u32, LabelId)> = Vec::new();
+        let (shape, secondary) = (&mut self.shape, &mut self.secondary);
+        classify(
+            data,
+            nodes,
+            |key| Some(shape.child(key)),
+            |node, class| {
+                let label = data.label_id(node);
+                let instance = InstancePosting {
+                    pre: node.0,
+                    bound: data.bound(node),
+                };
+                if secondary
+                    .push(class, label, instance)
+                    .is_none_or(|last| last < since)
+                {
+                    changed.push((class, label));
+                }
+            },
+        );
+        let rebuilt = self.shape.children.len() != self.tree.len();
+        if rebuilt {
+            self.relinearize(data, costs);
+        } else {
+            for &(class, label) in &changed {
+                // A list that starts in this append is a key new to I_sec.
+                let list = self.secondary.get(class, label).unwrap_or_default();
+                if list.first().is_some_and(|first| first.pre >= since) {
+                    self.set_schema_posting(class, label, true);
+                }
+            }
+        }
+        SchemaDelta {
+            changed_sec: changed,
+            rebuilt,
+        }
+    }
+
+    /// Adds (`listed`) or removes the schema node of `class` in the
+    /// schema-level posting of `label`, as the key `(class, label)` joins
+    /// or leaves `I_sec`; the small list is re-encoded.
+    fn set_schema_posting(&mut self, class: u32, label: LabelId, listed: bool) {
+        let schema_node = NodeId(self.secondary.pre_of_class(class));
+        let ty = self.tree.node_type(schema_node);
+        let mut posting = self
+            .labels
+            .blocks(ty, label)
+            .map(|b| b.decode_all())
+            .unwrap_or_default();
+        match posting.binary_search_by_key(&schema_node.0, |p| p.pre) {
+            Err(at) if listed => posting.insert(at, Posting::from_node(&self.tree, schema_node)),
+            Ok(at) if !listed => {
+                posting.remove(at);
+            }
+            _ => return,
+        }
+        if posting.is_empty() {
+            self.labels.remove_entry(ty, label);
+        } else {
+            self.labels.insert_posting(ty, label, posting);
+        }
     }
 
     /// Linearizes the grown shape into a new schema tree (existing
     /// siblings keep their order; new children stand after them) and
     /// installs the numbering that comes with it — the only table a
-    /// structural extension moves.
+    /// structural extension moves — and the label index derived from it.
     fn relinearize(&mut self, data: &DataTree, costs: &CostModel) {
         let (tree, pre_of_class) = self.shape.linearize(data, costs);
         self.secondary
@@ -383,14 +381,18 @@ impl Schema {
         &self.secondary
     }
 
-    /// The node class of a data node (Definition 15), as a node of the
-    /// schema tree. A [`Schema::view`] has no classification to answer
-    /// from.
-    pub fn class_of(&self, data_node: NodeId) -> NodeId {
-        NodeId(
-            self.secondary
-                .pre_of_class(self.class_of[data_node.index()]),
-        )
+    /// The node class of `node`, a node of `data` (Definition 15), as a
+    /// node of the schema tree: where its label-type path leads in the
+    /// shape, walked down from the root. `None` if the path is not in the
+    /// schema — always so for a [`Schema::view`], which has no shape.
+    pub fn class_of(&self, data: &DataTree, node: NodeId) -> Option<NodeId> {
+        let mut path: Vec<NodeId> = std::iter::successors(Some(node), |&n| data.parent(n))
+            .filter(|n| n.0 != 0)
+            .collect();
+        path.reverse();
+        let mut class = 0;
+        let found = classify(data, path, |key| self.shape.find(key), |_, c| class = c);
+        found.then(|| NodeId(self.secondary.pre_of_class(class)))
     }
 
     /// The instances of a schema node that carry `label`.
@@ -402,7 +404,6 @@ impl Schema {
     pub fn stats(&self) -> SchemaStats {
         SchemaStats {
             schema_nodes: self.tree.len(),
-            data_nodes: self.class_of.len(),
             secondary_postings: self.secondary.len(),
             max_instances: self
                 .secondary
@@ -412,6 +413,37 @@ impl Schema {
                 .unwrap_or(0),
         }
     }
+}
+
+/// Classifies `nodes` — data nodes in preorder, each a child of the root
+/// or of a node before it — the one way a data node gets its class: the
+/// class of its parent's child under its label (all words under a class
+/// share one text class). `class` reads that child off the shape —
+/// [`Shape::child`] appends a path it has not seen, [`Shape::find`] only
+/// looks — and `visit` sees every node with its class id. `false` as soon
+/// as a node has no class; the walk stops there.
+fn classify(
+    data: &DataTree,
+    nodes: impl IntoIterator<Item = NodeId>,
+    mut class: impl FnMut(ChildKey) -> Option<u32>,
+    mut visit: impl FnMut(NodeId, u32),
+) -> bool {
+    // `(pre, class)` of the walk's ancestors of the node at hand; the
+    // root, class 0, stands below them all.
+    let mut open: Vec<(u32, u32)> = Vec::new();
+    for node in nodes {
+        let parent = data.parent(node).map_or(0, |p| p.0);
+        while open.last().is_some_and(|&(pre, _)| pre != parent) {
+            open.pop();
+        }
+        let parent_class = open.last().map_or(0, |&(_, c)| c);
+        let Some(c) = class(child_key(data, node, parent_class)) else {
+            return false;
+        };
+        visit(node, c);
+        open.push((node.0, c));
+    }
+    true
 }
 
 /// The classification key of `node` under a parent of class `parent`.
@@ -634,7 +666,7 @@ mod tests {
             assert!(paths.insert(path), "duplicate label-type path in schema");
         }
         for n in d.nodes() {
-            let class = s.class_of(n);
+            let class = s.class_of(&d, n).unwrap();
             assert_eq!(d.depth(n), s.tree().depth(class));
         }
     }
@@ -644,7 +676,7 @@ mod tests {
         let d = data();
         let s = Schema::build(&d, &CostModel::new());
         for n in d.nodes() {
-            let c = s.class_of(n);
+            let c = s.class_of(&d, n).unwrap();
             assert_eq!(s.tree().node_type(c), d.node_type(n));
             match d.node_type(n) {
                 NodeType::Struct => {
@@ -657,7 +689,7 @@ mod tests {
                 }
             }
             if let Some(p) = d.parent(n) {
-                assert_eq!(s.tree().parent(c), Some(s.class_of(p)));
+                assert_eq!(s.tree().parent(c), s.class_of(&d, p));
             }
         }
     }
@@ -749,9 +781,10 @@ mod tests {
         let cd_data = NodeId(1);
         let piano_data = NodeId(3);
         let dist_data = d.distance(cd_data, piano_data);
-        let dist_schema = s
-            .tree()
-            .distance(s.class_of(cd_data), s.class_of(piano_data));
+        let dist_schema = s.tree().distance(
+            s.class_of(&d, cd_data).unwrap(),
+            s.class_of(&d, piano_data).unwrap(),
+        );
         assert_eq!(dist_data, dist_schema);
         assert_eq!(dist_data, Cost::finite(3)); // title sits in between
     }
@@ -771,8 +804,21 @@ mod tests {
         let s = Schema::build(&d, &CostModel::new());
         let st = s.stats();
         assert_eq!(st.schema_nodes, 9);
-        assert_eq!(st.data_nodes, d.len());
         assert_eq!(st.max_instances, 2); // the two cd instances
+    }
+
+    /// The class id of every live node of `tree`, by preorder (0 for a
+    /// tombstoned one).
+    fn class_ids(schema: &Schema, tree: &DataTree) -> Vec<u32> {
+        tree.nodes()
+            .map(|n| match tree.is_live(n) {
+                true => {
+                    let class = schema.class_of(tree, n).unwrap();
+                    schema.secondary.class_of_pre(class.0)
+                }
+                false => 0,
+            })
+            .collect()
     }
 
     /// Decoded `I_sec` contents: `(schema pre, label)` → instance spans.
@@ -828,11 +874,11 @@ mod tests {
         for d in &docs[1..] {
             // The "stable" in stable class id: across any extension, no
             // existing node changes class and no existing path its ids.
-            let (classes, paths) = (schema.class_of.clone(), schema.shape.keys());
+            let (classes, paths) = (class_ids(&schema, &tree), schema.shape.keys());
             let pres = schema.secondary.numbering().to_vec();
             let span = tree.append_document(&parse_document(d).unwrap(), &costs);
             let delta = schema.insert_range(&tree, span, &costs);
-            assert_eq!(schema.class_of[..classes.len()], classes[..]);
+            assert_eq!(class_ids(&schema, &tree)[..classes.len()], classes[..]);
             let grown = schema.shape.keys();
             assert_eq!(grown[..paths.len()], paths[..]);
             assert_eq!(delta.rebuilt, grown.len() > paths.len());
@@ -849,7 +895,7 @@ mod tests {
         };
         let batch = Schema::build(&batch_tree, &costs);
         assert_eq!(snapshot(&schema), snapshot(&batch));
-        assert_eq!(schema.class_of, batch.class_of);
+        assert_eq!(class_ids(&schema, &tree), class_ids(&batch, &batch_tree));
         assert_eq!(schema.shape, batch.shape);
     }
 
@@ -869,7 +915,7 @@ mod tests {
         );
         let delta = schema.insert_range(&tree, span, &costs);
         assert!(!delta.rebuilt, "no new path must not rebuild");
-        assert!(!delta.touched_sec.is_empty());
+        assert!(!delta.changed_sec.is_empty());
         let span = tree.append_document(
             &parse_document("<lp><title>organ</title></lp>").unwrap(),
             &costs,
@@ -893,15 +939,18 @@ mod tests {
         tree.delete_document(NodeId(first.start)).unwrap();
         let delta = schema.delete_range(&tree, first);
         assert!(!delta.rebuilt);
-        // "piano" survives in doc 2, so its key is touched, not removed.
+        // "piano" survives in doc 2, so its key changed and stays.
         let piano = tree.lookup_label("piano").unwrap();
-        assert!(delta.touched_sec.iter().any(|&(_, l)| l == piano));
+        let sec = schema.secondary();
+        assert!(delta
+            .changed_sec
+            .iter()
+            .any(|&(c, l)| l == piano && sec.get(c, l).is_some()));
         // Deleting the second doc empties everything.
         let second = tree.documents()[1];
         tree.delete_document(NodeId(second.start)).unwrap();
         let delta = schema.delete_range(&tree, second);
-        assert!(delta.touched_sec.is_empty());
-        assert!(!delta.removed_sec.is_empty());
+        assert!(!delta.changed_sec.is_empty());
         assert!(schema.secondary().is_empty());
         assert!(schema.labels().is_empty());
 
@@ -933,7 +982,7 @@ mod tests {
         let assembled =
             Schema::assemble(&tree, schema.tree().clone(), schema.secondary().clone()).unwrap();
         assert_eq!(snapshot(&assembled), snapshot(&schema));
-        assert_eq!(assembled.class_of, schema.class_of);
+        assert_eq!(class_ids(&assembled, &tree), class_ids(&schema, &tree));
         assert_eq!(assembled.shape, schema.shape);
 
         // A numbering of another length never reaches the table lookups.

@@ -157,7 +157,7 @@ impl Skeletons<'_> {
 
     /// A skeleton over the data node `d` and some of its descendants.
     fn instance(&mut self, d: NodeId, depth: usize) -> Rc<Skeleton> {
-        let pre = self.keys.schema.class_of(d).0;
+        let pre = self.keys.schema.class_of(&self.keys.tree, d).unwrap().0;
         let label = self.keys.tree.label_id(d);
         let children = self.children(pre, depth, |b| {
             let below = d.0 + 1..=b.keys.tree.bound(d);
