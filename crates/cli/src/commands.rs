@@ -1269,6 +1269,11 @@ mod tests {
         assert_eq!(nf.exit_code(), 3);
         let io = CliError::Io(std::io::Error::other("boom"));
         assert_eq!(io.exit_code(), 1);
+        // A label too long to store is the input's fault, not the store's.
+        assert_eq!(
+            CliError::Db(DatabaseError::LabelTooLong(600)).exit_code(),
+            1
+        );
     }
 
     #[test]

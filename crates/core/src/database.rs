@@ -13,6 +13,7 @@ use approxql_cost::{parse_cost_file, write_cost_file, Cost, CostFileError, CostM
 use approxql_index::persist::{
     load_blob, load_class_numbering, load_label_index, load_label_list, load_secondary_index,
     load_secondary_lists, save_blob, save_label_index, save_secondary_index, PersistError,
+    MAX_LABEL_LEN,
 };
 use approxql_index::{LabelIndex, Posting, SecondaryIndex};
 use approxql_metrics::Metric;
@@ -53,6 +54,13 @@ pub enum DatabaseError {
     CostFile(CostFileError),
     /// The persisted schema parts contradict the data tree.
     Schema(SchemaAssembleError),
+    /// A label of this many bytes is too long to be stored: its keys
+    /// would exceed the store's key limit ([`MAX_LABEL_LEN`] bytes).
+    LabelTooLong(usize),
+    /// A [`crate::DbFile`] mutation failed before its commit, so the file
+    /// refuses further mutations: the store still holds its last commit,
+    /// which a reopen reads.
+    Interrupted,
 }
 
 impl fmt::Display for DatabaseError {
@@ -66,6 +74,11 @@ impl fmt::Display for DatabaseError {
             DatabaseError::TreeDecode(e) => write!(f, "{e}"),
             DatabaseError::CostFile(e) => write!(f, "{e}"),
             DatabaseError::Schema(e) => write!(f, "{e}"),
+            DatabaseError::LabelTooLong(len) => write!(
+                f,
+                "a label of {len} bytes exceeds the {MAX_LABEL_LEN}-byte limit of a store"
+            ),
+            DatabaseError::Interrupted => write!(f, "an earlier mutation failed; reopen the store"),
         }
     }
 }
@@ -940,6 +953,15 @@ pub(crate) fn doc_key(start: u32) -> Vec<u8> {
     k
 }
 
+/// Fails with [`DatabaseError::LabelTooLong`] when a label of `len` bytes
+/// does not fit a store key.
+pub(crate) fn check_label_len(len: usize) -> Result<(), DatabaseError> {
+    if len > MAX_LABEL_LEN {
+        return Err(DatabaseError::LabelTooLong(len));
+    }
+    Ok(())
+}
+
 /// Writes every key of the segmented layout into `store` (no commit).
 /// Shared by [`Database::save`] and [`crate::DbFile`]'s full rewrites.
 pub(crate) fn write_full_image(store: &mut Store, db: &Database) -> Result<(), DatabaseError> {
@@ -948,6 +970,10 @@ pub(crate) fn write_full_image(store: &mut Store, db: &Database) -> Result<(), D
         labels,
         schema,
     } = db.resident()?;
+    let longest = labels
+        .iter()
+        .map(|((_, l), _)| tree.interner().resolve(l).len());
+    check_label_len(longest.max().unwrap_or(0))?;
     save_blob(store, "costs", write_cost_file(&db.costs).as_bytes())?;
     save_blob(store, "interner", &encode_interner(tree.interner()))?;
     save_blob(
@@ -1092,6 +1118,19 @@ mod tests {
     fn a_database_is_shared_across_threads() {
         fn shared<T: Send + Sync>() {}
         shared::<Database>();
+    }
+
+    #[test]
+    fn save_rejects_a_label_too_long_to_store_and_writes_nothing() {
+        let name = "e".repeat(MAX_LABEL_LEN + 1);
+        let xml = format!("<cd><{name}>piano</{name}></cd>");
+        let db = Database::from_xml_str(&xml, CostModel::new()).unwrap();
+        let dir = std::env::temp_dir().join(format!("axql-db-long-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = db.save(dir.join("long.axql")).unwrap_err();
+        assert!(matches!(err, DatabaseError::LabelTooLong(n) if n == MAX_LABEL_LEN + 1));
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -9,14 +9,21 @@
 //! commit per document**. A crash at any point therefore rolls back to
 //! the last committed document boundary — never to a half-indexed state —
 //! which is what the mutation crash-torture suite sweeps for.
+//!
+//! A mutation that fails before its commit leaves memory ahead of the
+//! last commit and uncommitted pages in the pager, which the next commit
+//! would seal. So the file then refuses every further mutation with
+//! [`DatabaseError::Interrupted`], and the caller reopens, which reads the
+//! last commit. A document with a label too long to store is rejected
+//! before anything changes.
 
 use crate::database::MutationDelta;
-use crate::database::{doc_key, write_full_image, Database, DatabaseError};
+use crate::database::{check_label_len, doc_key, write_full_image, Database, DatabaseError};
 use approxql_index::persist::{label_key, put_lists, save_blob, save_class_numbering, sec_key};
 use approxql_index::SecondaryIndex;
 use approxql_metrics::Metric;
 use approxql_storage::Store;
-use approxql_tree::{encode_docmap, encode_interner, DocSpan, NodeId};
+use approxql_tree::{encode_docmap, encode_interner, longest_label, DocSpan, NodeId};
 use approxql_xml::Document;
 use std::path::Path;
 
@@ -26,6 +33,9 @@ use std::path::Path;
 pub struct DbFile {
     store: Store,
     db: Database,
+    /// Set from the start of a mutation until its commit. Still set when
+    /// the next one starts, it means a mutation failed on the way.
+    in_flight: bool,
 }
 
 impl DbFile {
@@ -34,7 +44,7 @@ impl DbFile {
     /// into place, so `db` may have been opened from `path`.
     pub fn create(path: impl AsRef<Path>, db: Database) -> Result<DbFile, DatabaseError> {
         let store = Store::replace_file(path, |store| write_full_image(store, &db))?;
-        Ok(DbFile { store, db })
+        Ok(DbFile::new(store, db))
     }
 
     /// Like [`DbFile::create`] over an already-constructed (fresh) store —
@@ -42,7 +52,15 @@ impl DbFile {
     pub fn create_in(mut store: Store, db: Database) -> Result<DbFile, DatabaseError> {
         write_full_image(&mut store, &db)?;
         store.commit()?;
-        Ok(DbFile { store, db })
+        Ok(DbFile::new(store, db))
+    }
+
+    fn new(store: Store, db: Database) -> DbFile {
+        DbFile {
+            store,
+            db,
+            in_flight: false,
+        }
     }
 
     /// Opens the database stored at `path` for reading and mutation.
@@ -53,7 +71,7 @@ impl DbFile {
     /// Like [`DbFile::open`] over an already-opened store.
     pub fn open_in(mut store: Store) -> Result<DbFile, DatabaseError> {
         let db = Database::from_store(&mut store)?;
-        Ok(DbFile { store, db })
+        Ok(DbFile::new(store, db))
     }
 
     /// The in-memory database (query entry points live here).
@@ -70,10 +88,16 @@ impl DbFile {
     /// Inserts each parsed document as its own atomically-committed
     /// mutation, returning the new documents' preorder spans. If the
     /// process dies partway through, every fully-committed document
-    /// survives recovery and the in-flight one vanishes entirely.
+    /// survives recovery and the in-flight one vanishes entirely. A
+    /// document with a label longer than a store takes fails the call
+    /// before any document is inserted.
     pub fn insert_documents(&mut self, docs: &[Document]) -> Result<Vec<DocSpan>, DatabaseError> {
+        for doc in docs {
+            check_label_len(longest_label(doc))?;
+        }
         let mut spans = Vec::with_capacity(docs.len());
         for doc in docs {
+            self.begin()?;
             let interned = self.db.tree().interner().len();
             let delta = self.db.insert_document(doc);
             save_blob(
@@ -101,6 +125,7 @@ impl DbFile {
                 save_class_numbering(&mut self.store, schema.secondary())?;
             }
             self.store.commit()?;
+            self.in_flight = false;
             Metric::StoreDocInserts.incr();
             spans.push(delta.span);
         }
@@ -111,7 +136,9 @@ impl DbFile {
     /// removed span, or `None` (with nothing written) when `root` is not
     /// a live document root.
     pub fn delete_document(&mut self, root: NodeId) -> Result<Option<DocSpan>, DatabaseError> {
+        self.begin()?;
         let Some(delta) = self.db.delete_document(root) else {
+            self.in_flight = false;
             return Ok(None);
         };
         save_blob(
@@ -124,8 +151,18 @@ impl DbFile {
         // nodes are retained).
         self.write_updates(&delta)?;
         self.store.commit()?;
+        self.in_flight = false;
         Metric::StoreDocDeletes.incr();
         Ok(Some(delta.span))
+    }
+
+    /// Marks a mutation as running; `Err` if one failed before.
+    fn begin(&mut self) -> Result<(), DatabaseError> {
+        if self.in_flight {
+            return Err(DatabaseError::Interrupted);
+        }
+        self.in_flight = true;
+        Ok(())
     }
 
     /// The one update writer: deletes the key of every posting list the
@@ -163,6 +200,7 @@ impl DbFile {
 mod tests {
     use super::*;
     use approxql_cost::CostModel;
+    use approxql_index::persist::MAX_LABEL_LEN;
     use approxql_xml::parse_document;
 
     fn doc(xml: &str) -> Document {
@@ -546,5 +584,53 @@ mod tests {
         assert_eq!(delta.get(Metric::StoreDocDeletes), 1);
         // One commit per mutation: 2 inserts + 1 delete.
         assert_eq!(file.commit_sequence(), csn_created + 3);
+    }
+
+    #[test]
+    fn a_label_too_long_to_store_fails_the_insert_before_any_write() {
+        let path = temp_path("long-label");
+        let db = Database::from_xml_str("<cd><title>piano</title></cd>", CostModel::new()).unwrap();
+        let mut file = DbFile::create(&path, db).unwrap();
+        let committed = file.commit_sequence();
+        let titled = |len| doc(&format!("<cd><title>{}</title></cd>", "a".repeat(len)));
+        let docs = [doc("<cd/>"), titled(MAX_LABEL_LEN + 1)];
+        let err = file.insert_documents(&docs).unwrap_err();
+        assert!(matches!(err, DatabaseError::LabelTooLong(n) if n == MAX_LABEL_LEN + 1));
+        // Neither document went in, and the file takes the next insert.
+        assert_eq!(file.commit_sequence(), committed);
+        let ok = [doc("<cd><title>cello</title></cd>"), titled(MAX_LABEL_LEN)];
+        file.insert_documents(&ok).unwrap();
+        drop(file);
+        Database::check_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn a_mutation_that_fails_before_its_commit_stops_the_file() {
+        use approxql_storage::{FaultBackend, FaultConfig, SharedMemBackend};
+        let disk = SharedMemBackend::new();
+        // Creating the store and its image takes the first four syncs.
+        let cfg = FaultConfig {
+            fail_sync_at: Some(4),
+            ..FaultConfig::default()
+        };
+        let store = Store::create(Box::new(FaultBackend::new(Box::new(disk.clone()), cfg)));
+        let db = Database::from_xml_str("<cd><title>piano</title></cd>", CostModel::new()).unwrap();
+        let mut file = DbFile::create_in(store.unwrap(), db).unwrap();
+        let committed = file.commit_sequence();
+        assert!(file
+            .insert_documents(&[doc("<cd><title>cello</title></cd>")])
+            .is_err());
+        // The next commit would seal the failed insert's pages: refused.
+        let err = file.insert_documents(&[doc("<cd><title>organ</title></cd>")]);
+        assert!(matches!(err, Err(DatabaseError::Interrupted)));
+        let err = file.delete_document(NodeId(1));
+        assert!(matches!(err, Err(DatabaseError::Interrupted)));
+        // A reopen reads the last commit.
+        let store = Store::open(Box::new(SharedMemBackend::from(disk.snapshot()))).unwrap();
+        let reopened = DbFile::open_in(store).unwrap();
+        assert_eq!(reopened.commit_sequence(), committed);
+        let hits = reopened.database().query_direct("cd", None).unwrap();
+        assert_eq!(hits.len(), 1);
     }
 }

@@ -28,7 +28,7 @@
 
 use crate::codec::{BlockList, FrameEntry, PostingDecodeError};
 use crate::{InstancePosting, LabelIndex, Posting, SecondaryIndex};
-use approxql_storage::{StorageError, Store};
+use approxql_storage::{StorageError, Store, MAX_KEY_LEN};
 use approxql_tree::{Interner, LabelId, NodeType};
 use std::fmt;
 
@@ -88,6 +88,10 @@ pub fn label_key(ty: NodeType, label: &str) -> Vec<u8> {
     k.extend_from_slice(label.as_bytes());
     k
 }
+
+/// The longest label, in bytes, whose keys fit [`MAX_KEY_LEN`]: its
+/// longest key is the [`sec_key`] `sec#<label>#` plus four bytes.
+pub const MAX_LABEL_LEN: usize = MAX_KEY_LEN - b"sec##".len() - 4;
 
 /// The store key of a secondary posting:
 /// `sec#<label>#<class id, big-endian u32>`.

@@ -19,10 +19,8 @@
 //!   and [`MetricsSnapshot::diff`] the two; nothing needs to be zeroed to
 //!   measure, so nested measurements compose.
 //! * **Renderable.** Snapshots print as a human table
-//!   ([`MetricsSnapshot::render_table`]), JSON
-//!   ([`MetricsSnapshot::to_json`]), and TSV
-//!   ([`MetricsSnapshot::to_tsv_row`]) for machine consumption by the
-//!   bench harness.
+//!   ([`MetricsSnapshot::render_table`]) and JSON
+//!   ([`MetricsSnapshot::to_json`]).
 //!
 //! The counter set is the closed enum [`Metric`]: adding a counter is a
 //! one-line enum addition, and the registry is a fixed array — no
@@ -502,24 +500,6 @@ impl MetricsSnapshot {
         out.push_str("}}");
         out
     }
-
-    /// Tab-separated counter names, matching [`MetricsSnapshot::to_tsv_row`].
-    pub fn tsv_header() -> String {
-        Metric::ALL
-            .iter()
-            .map(|m| m.name())
-            .collect::<Vec<_>>()
-            .join("\t")
-    }
-
-    /// Tab-separated counter values (full set, zeros included).
-    pub fn to_tsv_row(&self) -> String {
-        self.counters
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join("\t")
-    }
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -621,13 +601,6 @@ mod tests {
         let json = d.to_json();
         assert!(json.contains("\"list.merge_ops\":2"));
         assert!(json.contains("\"pager.page_reads\":0"), "json keeps zeros");
-        let header = MetricsSnapshot::tsv_header();
-        let row = d.to_tsv_row();
-        assert_eq!(
-            header.split('\t').count(),
-            row.split('\t').count(),
-            "header/row column mismatch"
-        );
     }
 
     #[test]

@@ -108,6 +108,40 @@ pub struct DataTree {
     pub(crate) docs: Vec<DocSpan>,
 }
 
+/// Calls `node(label, type, parent)` for each node `el` and everything
+/// below it make under `parent`, in preorder, where `node` returns the
+/// preorder number it gave the node (Section 4: attributes become a struct
+/// node over the words of the value, text becomes one text node per word).
+fn walk_element(el: &Element, parent: u32, node: &mut impl FnMut(&str, NodeType, u32) -> u32) {
+    let pre = node(&el.name, NodeType::Struct, parent);
+    for (name, value) in &el.attributes {
+        let a = node(name, NodeType::Struct, pre);
+        for w in split_words(value) {
+            node(&w, NodeType::Text, a);
+        }
+    }
+    for child in &el.children {
+        match child {
+            XmlNode::Element(e) => walk_element(e, pre, node),
+            XmlNode::Text(t) => {
+                for w in split_words(t) {
+                    node(&w, NodeType::Text, pre);
+                }
+            }
+        }
+    }
+}
+
+/// The length in bytes of the longest label `doc` adds to a tree.
+pub fn longest_label(doc: &Document) -> usize {
+    let mut longest = 0;
+    walk_element(&doc.root, 0, &mut |label, _, _| {
+        longest = longest.max(label.len());
+        0
+    });
+    longest
+}
+
 impl DataTree {
     /// Number of nodes, including the virtual root.
     pub fn len(&self) -> usize {
@@ -353,27 +387,11 @@ impl DataTree {
         pre
     }
 
-    /// Appends `el` and everything below it under `parent`, in preorder
-    /// (Section 4: attributes become a struct node over the words of the
-    /// value, text becomes one text node per word).
+    /// Appends `el` and everything below it under `parent`, in preorder.
     pub(crate) fn append_element(&mut self, el: &Element, parent: u32) {
-        let pre = self.append_node(&el.name, NodeType::Struct, parent);
-        for (name, value) in &el.attributes {
-            let a = self.append_node(name, NodeType::Struct, pre);
-            for w in split_words(value) {
-                self.append_node(&w, NodeType::Text, a);
-            }
-        }
-        for child in &el.children {
-            match child {
-                XmlNode::Element(e) => self.append_element(e, pre),
-                XmlNode::Text(t) => {
-                    for w in split_words(t) {
-                        self.append_node(&w, NodeType::Text, pre);
-                    }
-                }
-            }
-        }
+        walk_element(el, parent, &mut |label, ty, parent| {
+            self.append_node(label, ty, parent)
+        });
     }
 
     /// The name of the live struct node `n` — what [`Self::subtree_element`]
