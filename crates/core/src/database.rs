@@ -232,11 +232,6 @@ impl MutationDelta {
     }
 }
 
-/// The page cache of a database opened from a file: 1 MiB. A query reads
-/// its lists once each, and [`Database::materialize`] every page once, so
-/// a cache the size of the store would only hold on to what was decoded.
-const READER_CACHE_PAGES: usize = 256;
-
 /// What a query reads and a mutation changes, all in memory: the data
 /// tree, its label indexes and the schema.
 struct Resident {
@@ -894,7 +889,7 @@ impl Database {
     /// [`Database::materialize`]). The database reads the commit that was
     /// current at open for its whole life.
     pub fn open(path: impl AsRef<Path>) -> Result<Database, DatabaseError> {
-        let mut store = Store::open_file_with_cache(path, READER_CACHE_PAGES)?;
+        let mut store = Store::open_file(path)?;
         let (costs, catalogue) = read_catalogue(&mut store)?;
         let stored = Stored {
             store: Mutex::new(store),

@@ -74,13 +74,6 @@ pub struct Skeleton {
     pub children: Pointers,
 }
 
-impl Skeleton {
-    /// Number of nodes in this skeleton.
-    pub fn size(&self) -> usize {
-        1 + self.children.iter().map(|c| c.size()).sum::<usize>()
-    }
-}
-
 /// One embedding of the current query subtree at a schema node (Section
 /// 7.2's extended entry structure, without the node numbers the list
 /// keeps).
@@ -861,22 +854,5 @@ mod tests {
         assert_eq!(j[0].1.len(), 2);
         assert_eq!(j[1].1.len(), 1);
         assert_eq!(j[1].1.get(0).unwrap().children[0].pre, 4);
-    }
-
-    #[test]
-    fn skeleton_size_counts_nodes() {
-        let leaf = |pre| {
-            Rc::new(Skeleton {
-                pre,
-                label: LabelId(pre),
-                children: Rc::new([]),
-            })
-        };
-        let s = Skeleton {
-            pre: 0,
-            label: LabelId(0),
-            children: Rc::new([leaf(1), leaf(2)]),
-        };
-        assert_eq!(s.size(), 3);
     }
 }

@@ -101,13 +101,12 @@ macro_rules! metrics {
 
 metrics! {
     // -- pager ------------------------------------------------------------
-    PagerPageReads => (Pager, "pager.page_reads", "Pages requested from the pager (cache hits included)."),
-    PagerCacheMisses => (Pager, "pager.cache_misses", "Page requests that had to hit the backend."),
-    PagerPageWrites => (Pager, "pager.page_writes", "Pages written through the pager (dirtied in cache)."),
+    PagerPageReads => (Pager, "pager.page_reads", "Pages requested from the pager."),
+    PagerCacheMisses => (Pager, "pager.cache_misses", "Page reads the backend served: every read of a page the open transaction did not write."),
+    PagerPageWrites => (Pager, "pager.page_writes", "Pages written through the pager (held dirty until the next flush)."),
     PagerPageAllocs => (Pager, "pager.page_allocs", "Fresh pages allocated."),
     PagerBackendWrites => (Pager, "pager.backend_writes", "Dirty pages pushed to the backend by flushes."),
     PagerFlushes => (Pager, "pager.flushes", "Write-back flushes (commit points)."),
-    PagerEvictions => (Pager, "pager.evictions", "Clean pages evicted by the clock sweep."),
     PagerChecksumFailures => (Pager, "pager.checksum_failures", "Backend page reads whose trailer checksum failed to validate."),
     // -- store (commit/recovery) ------------------------------------------
     StoreCommits => (Store, "store.commits", "Successful dual-slot commits."),

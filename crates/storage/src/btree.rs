@@ -275,7 +275,6 @@ fn write_node_cow(pager: &mut Pager, id: PageId, node: &Node) -> Result<PageId> 
     if pager.is_committed(id) {
         let fresh = pager.allocate();
         write_node(pager, fresh, node)?;
-        pager.discard(id);
         Ok(fresh)
     } else {
         write_node(pager, id, node)?;

@@ -32,9 +32,10 @@
 //!   ([`PAGE_SIZE`] − [`PAGE_DATA`]) for the [`page_checksum`] of the
 //!   preceding payload — a word-wise, four-lane sum that costs about what
 //!   reading the page costs — stamped when the page is flushed and
-//!   verified on every cache miss. A torn 4 KiB write or a flipped bit surfaces as
-//!   [`StorageError::CorruptPage`] (and a `pager.checksum_failures`
-//!   metric), never as silently wrong query results.
+//!   verified on every read from the backend. A torn 4 KiB write or a
+//!   flipped bit surfaces as [`StorageError::CorruptPage`] (and a
+//!   `pager.checksum_failures` metric), never as silently wrong query
+//!   results.
 //!
 //! * **Copy-on-write pages.** Pages covered by the last commit are
 //!   immutable; modifying one relocates it to a freshly allocated page,
@@ -51,7 +52,7 @@
 //!   was torn. The commit point is thus a single page write that never
 //!   overwrites the previous commit's slot.
 //!
-//! A failed flush or sync leaves the affected pages dirty in the cache, so
+//! A failed flush or sync leaves the affected pages dirty in the pager, so
 //! a commit that returned an error can simply be retried. Integrity of an
 //! existing file can be audited offline with [`Store::check`] (exposed as
 //! `approxql check <db>`), which re-walks every B+-tree invariant, value
@@ -107,8 +108,7 @@ mod store;
 pub use check::CheckReport;
 pub use fault::{CrashMode, FaultBackend, FaultConfig, OpCounter, SharedMemBackend};
 pub use pager::{
-    page_checksum, seal_page, Backend, FileBackend, MemBackend, PageId, Pager, DEFAULT_CACHE_PAGES,
-    PAGE_DATA, PAGE_SIZE,
+    page_checksum, seal_page, Backend, FileBackend, MemBackend, PageId, Pager, PAGE_DATA, PAGE_SIZE,
 };
 pub use store::{Store, StoreIter, FORMAT_VERSION};
 

@@ -1,10 +1,16 @@
-//! Page-granular I/O with a write-back cache, per-page trailer checksums,
-//! and pluggable backends.
+//! Page-granular I/O: the pages of the open transaction, per-page trailer
+//! checksums, and pluggable backends.
+//!
+//! The [`Pager`] holds in memory exactly the pages the open transaction
+//! allocated or wrote. Every other read goes to the backend, into one
+//! reusable buffer, and is verified there: no clean page is kept, so what
+//! the pager holds is what the next commit writes, and damage done to the
+//! backing store is reported on the next read of the page.
 //!
 //! Every page that goes through [`Pager::flush`] carries an 8-byte
 //! [`page_checksum`] trailer over its first [`PAGE_DATA`] bytes. The trailer is
-//! stamped when a dirty page is written back and verified on every cache
-//! miss, so a torn write or a flipped bit on the backing store surfaces as
+//! stamped when a dirty page is written back and verified on every backend
+//! read, so a torn write or a flipped bit on the backing store surfaces as
 //! [`StorageError::CorruptPage`] instead of silently feeding garbage to
 //! the B+-tree.
 //!
@@ -17,11 +23,12 @@
 
 use crate::{Result, StorageError};
 use approxql_metrics::Metric;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::ffi::OsString;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// The fixed page size of the store.
@@ -55,7 +62,7 @@ fn absorb(state: u64, word: u64) -> u64 {
 /// The 64-bit checksum of a page payload — the one sum behind every page
 /// trailer and both header slots. Not cryptographic: it has to catch torn
 /// writes and media bit rot, and it has to cost about what reading the
-/// page costs, because the pager runs it on every cache miss.
+/// page costs, because the pager runs it on every backend read.
 ///
 /// The payload is read as little-endian `u64` words in 32-byte stripes;
 /// word *i* of a stripe is absorbed into lane *i* (`absorb`: xor, odd
@@ -124,18 +131,6 @@ pub fn seal_page(page: &mut [u8; PAGE_SIZE]) {
 pub(crate) fn trailer_ok(buf: &[u8; PAGE_SIZE]) -> bool {
     let stored = u64::from_le_bytes(crate::le_array(&buf[PAGE_DATA..]));
     stored == page_checksum(&buf[..PAGE_DATA])
-}
-
-/// The cached frame for `id`, which the caller has just ensured is present.
-/// A missing frame is an internal invariant failure; the storage layer
-/// promises typed errors, never a panic, so it surfaces as a corrupt-page
-/// error instead of an `unwrap`. Free function (not a method) so callers
-/// keep field-level borrows on the rest of the pager.
-fn frame_mut(cache: &mut HashMap<PageId, Frame>, id: PageId) -> Result<&mut Frame> {
-    cache.get_mut(&id).ok_or(StorageError::CorruptPage(
-        id,
-        "page frame missing from cache",
-    ))
 }
 
 /// A page number within the store file. Pages 0 and 1 are the header slots.
@@ -225,15 +220,13 @@ impl FileBackend {
 impl Backend for FileBackend {
     fn read_page(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
         self.file
-            .seek(SeekFrom::Start(id.0 as u64 * PAGE_SIZE as u64))?;
-        self.file.read_exact(buf)?;
+            .read_exact_at(buf, id.0 as u64 * PAGE_SIZE as u64)?;
         Ok(())
     }
 
     fn write_page(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> Result<()> {
         self.file
-            .seek(SeekFrom::Start(id.0 as u64 * PAGE_SIZE as u64))?;
-        self.file.write_all(buf)?;
+            .write_all_at(buf, id.0 as u64 * PAGE_SIZE as u64)?;
         if id.0 >= self.pages {
             self.pages = id.0 + 1;
         }
@@ -292,44 +285,17 @@ impl Backend for MemBackend {
     }
 }
 
-/// Default cache capacity in pages (16 MiB at the 4 KiB page size) —
-/// large enough that index builds and the regression workloads never
-/// evict, small enough to bound memory on big stores.
-pub const DEFAULT_CACHE_PAGES: usize = 4096;
-
-/// One cached page.
-struct Frame {
-    buf: Box<[u8; PAGE_SIZE]>,
-    dirty: bool,
-    /// Second-chance bit: set on access, cleared (once) by the clock hand
-    /// before the frame becomes an eviction candidate.
-    referenced: bool,
-}
-
-/// A write-back page cache in front of a [`Backend`].
+/// The pages the open transaction allocated or wrote, in front of a
+/// [`Backend`] that serves, verified, every other read.
 ///
-/// All reads and writes go through the cache; [`Pager::flush`] writes every
-/// dirty page back. The cache is *bounded*: when it reaches its capacity, a
-/// clock (second-chance) sweep evicts clean pages to make room. Dirty pages
-/// are never evicted — they hold unflushed data — so a burst of allocations
-/// may temporarily exceed the capacity until the next [`Pager::flush`]
-/// makes the pages clean (and thus evictable) again. The `dirty` counter
-/// keeps that burst O(1) per touch: when no clean page exists the sweep is
-/// skipped entirely instead of scanning the whole (all-dirty) ring on
-/// every insertion — without it, one large uncommitted transaction
-/// degrades to a quadratic number of futile clock steps.
+/// [`Pager::flush`] seals and writes the pages back, syncs, and only then
+/// drops them, so a failed write or sync leaves every page of the batch
+/// dirty and the flush retryable.
 pub struct Pager {
     backend: Box<dyn Backend>,
-    cache: HashMap<PageId, Frame>,
-    /// Clock ring over the cached page ids. May contain stale ids (pages
-    /// evicted through [`Pager::evict_clean`]); the hand removes them
-    /// lazily as it passes.
-    ring: Vec<PageId>,
-    hand: usize,
-    capacity: usize,
-    /// Number of cached frames with `dirty == true` (maintained on every
-    /// dirty-flag transition; only clean frames are eviction candidates).
-    dirty: usize,
+    dirty: HashMap<PageId, Box<[u8; PAGE_SIZE]>>,
+    /// Where [`Pager::read`] puts a page the backend serves.
+    scratch: Box<[u8; PAGE_SIZE]>,
     next_page: u32,
     /// Pages `< committed` belong to the last committed state and must
     /// never be rewritten in place (copy-on-write discipline).
@@ -337,34 +303,16 @@ pub struct Pager {
 }
 
 impl Pager {
-    /// Creates a pager over `backend` with the default cache capacity.
+    /// Creates a pager over `backend`.
     pub fn new(backend: Box<dyn Backend>) -> Pager {
-        Pager::with_capacity(backend, DEFAULT_CACHE_PAGES)
-    }
-
-    /// Creates a pager whose cache holds at most `capacity` clean pages.
-    pub fn with_capacity(backend: Box<dyn Backend>, capacity: usize) -> Pager {
         let next_page = backend.page_count();
         Pager {
             backend,
-            cache: HashMap::new(),
-            ring: Vec::new(),
-            hand: 0,
-            capacity: capacity.max(1),
-            dirty: 0,
+            dirty: HashMap::new(),
+            scratch: Box::new([0u8; PAGE_SIZE]),
             next_page,
             committed: next_page,
         }
-    }
-
-    /// The configured cache capacity in pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of pages currently held in the cache.
-    pub fn cached_pages(&self) -> usize {
-        self.cache.len()
     }
 
     /// Number of pages the raw backend currently holds.
@@ -389,9 +337,9 @@ impl Pager {
         self.committed = self.next_page;
     }
 
-    /// `true` if any cached page holds unflushed data.
+    /// `true` if any page holds unflushed data.
     pub fn has_dirty(&self) -> bool {
-        self.dirty > 0
+        !self.dirty.is_empty()
     }
 
     /// Rewinds the allocation cursor to `pages` (recovery rollback: pages
@@ -399,69 +347,7 @@ impl Pager {
     /// will be overwritten by future allocations).
     pub fn truncate_to(&mut self, pages: u32) {
         self.next_page = pages;
-        self.cache.retain(|id, _| id.0 < pages);
-        let cache = &self.cache;
-        self.ring.retain(|id| cache.contains_key(id));
-        self.hand = 0;
-        self.dirty = self.cache.values().filter(|f| f.dirty).count();
-    }
-
-    /// Evicts one clean page via the clock sweep. Returns `false` when
-    /// nothing is evictable (every cached page is dirty).
-    fn evict_one(&mut self) -> bool {
-        // At most two passes: the first clears second-chance bits, the
-        // second then finds a victim — unless everything is dirty.
-        let mut scanned = 0;
-        while !self.ring.is_empty() && scanned < 2 * self.ring.len() {
-            if self.hand >= self.ring.len() {
-                self.hand = 0;
-            }
-            let id = self.ring[self.hand];
-            match self.cache.get_mut(&id) {
-                // Stale ring entry (page already gone): drop it in place.
-                // `swap_remove` moves the tail here, so the hand stays.
-                None => {
-                    self.ring.swap_remove(self.hand);
-                }
-                Some(frame) if frame.dirty => {
-                    self.hand += 1;
-                    scanned += 1;
-                }
-                Some(frame) if frame.referenced => {
-                    frame.referenced = false;
-                    self.hand += 1;
-                    scanned += 1;
-                }
-                Some(_) => {
-                    self.cache.remove(&id);
-                    self.ring.swap_remove(self.hand);
-                    Metric::PagerEvictions.incr();
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Inserts a page, evicting first so the new page itself can never be
-    /// the victim (callers hand out references to it immediately).
-    fn insert_frame(&mut self, id: PageId, frame: Frame) {
-        while self.cache.len() >= self.capacity && self.cache.len() > self.dirty && self.evict_one()
-        {
-        }
-        if frame.dirty {
-            self.dirty += 1;
-        }
-        self.cache.insert(id, frame);
-        self.ring.push(id);
-    }
-
-    /// Shrinks an over-budget cache (e.g. after a flush turned a burst of
-    /// dirty allocations clean) back under its capacity.
-    fn enforce_budget(&mut self) {
-        while self.cache.len() > self.capacity && self.cache.len() > self.dirty && self.evict_one()
-        {
-        }
+        self.dirty.retain(|id, _| id.0 < pages);
     }
 
     /// Allocates a fresh page (zero-filled) and returns its id.
@@ -469,14 +355,7 @@ impl Pager {
         Metric::PagerPageAllocs.incr();
         let id = PageId(self.next_page);
         self.next_page += 1;
-        self.insert_frame(
-            id,
-            Frame {
-                buf: Box::new([0u8; PAGE_SIZE]),
-                dirty: true,
-                referenced: false,
-            },
-        );
+        self.dirty.insert(id, Box::new([0u8; PAGE_SIZE]));
         id
     }
 
@@ -494,114 +373,82 @@ impl Pager {
         self.next_page
     }
 
-    /// Reads a page from the backend into a fresh frame buffer, verifying
-    /// the trailer checksum.
-    fn fetch_checked(&mut self, id: PageId) -> Result<Box<[u8; PAGE_SIZE]>> {
+    /// Reads page `id` from the backend into `buf`, verifying the trailer
+    /// checksum.
+    fn fetch_checked(
+        backend: &mut dyn Backend,
+        id: PageId,
+        buf: &mut [u8; PAGE_SIZE],
+    ) -> Result<()> {
         Metric::PagerCacheMisses.incr();
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
-        self.backend.read_page(id, &mut buf)?;
-        if !trailer_ok(&buf) {
+        backend.read_page(id, buf)?;
+        if !trailer_ok(buf) {
             Metric::PagerChecksumFailures.incr();
             return Err(StorageError::CorruptPage(
                 id,
                 "page trailer checksum mismatch",
             ));
         }
-        Ok(buf)
+        Ok(())
     }
 
-    /// Reads page `id` (through the cache).
+    /// Reads page `id`: the transaction's copy if it wrote the page,
+    /// otherwise the backend's, verified.
     pub fn read(&mut self, id: PageId) -> Result<&[u8; PAGE_SIZE]> {
         Metric::PagerPageReads.incr();
-        self.enforce_budget();
-        if !self.cache.contains_key(&id) {
-            let buf = self.fetch_checked(id)?;
-            self.insert_frame(
-                id,
-                Frame {
-                    buf,
-                    dirty: false,
-                    referenced: false,
-                },
-            );
+        if let Some(buf) = self.dirty.get(&id) {
+            return Ok(buf);
         }
-        let frame = frame_mut(&mut self.cache, id)?;
-        frame.referenced = true;
-        Ok(&frame.buf)
+        Pager::fetch_checked(self.backend.as_mut(), id, &mut self.scratch)?;
+        Ok(&self.scratch)
     }
 
     /// Returns a mutable view of page `id`, marking it dirty.
     pub fn write(&mut self, id: PageId) -> Result<&mut [u8; PAGE_SIZE]> {
         Metric::PagerPageWrites.incr();
-        self.enforce_budget();
-        if !self.cache.contains_key(&id) {
-            let buf = if id.0 < self.backend.page_count() {
-                self.fetch_checked(id)?
-            } else {
-                Metric::PagerCacheMisses.incr();
-                Box::new([0u8; PAGE_SIZE])
-            };
-            self.insert_frame(
-                id,
-                Frame {
-                    buf,
-                    dirty: false,
-                    referenced: false,
-                },
-            );
-        }
-        let frame = frame_mut(&mut self.cache, id)?;
-        if !frame.dirty {
-            self.dirty += 1;
-            frame.dirty = true;
-        }
-        frame.referenced = true;
-        Ok(&mut frame.buf)
+        let buf = match self.dirty.entry(id) {
+            Entry::Occupied(page) => page.into_mut(),
+            Entry::Vacant(slot) => {
+                let mut buf = Box::new([0u8; PAGE_SIZE]);
+                if id.0 < self.backend.page_count() {
+                    Pager::fetch_checked(self.backend.as_mut(), id, &mut buf)?;
+                }
+                slot.insert(buf)
+            }
+        };
+        Ok(buf)
     }
 
     /// Writes all dirty pages back (stamping their checksum trailers) and
-    /// syncs the backend. Pages are only marked clean after the sync
-    /// succeeds: a failed backend write or sync leaves every page of the
-    /// batch dirty, so the whole flush is retryable and nothing is lost
-    /// from the cache.
+    /// syncs the backend. Pages are only dropped after the sync succeeds:
+    /// a failed backend write or sync leaves every page of the batch
+    /// dirty, so the whole flush is retryable and nothing is lost.
     pub fn flush(&mut self) -> Result<()> {
-        let mut dirty: Vec<PageId> = self
-            .cache
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(&id, _)| id)
-            .collect();
-        dirty.sort();
+        let mut pages: Vec<_> = self.dirty.iter_mut().collect();
+        pages.sort_unstable_by_key(|&(&id, _)| id);
         Metric::PagerFlushes.incr();
-        for &id in &dirty {
+        for (&id, buf) in pages {
             // Copy-on-write invariant: committed pages are immutable, so a
             // crash mid-flush can only tear pages the committed header
             // never references.
             debug_assert!(
-                !self.is_committed(id),
+                id.0 >= self.committed,
                 "flush would overwrite committed page {id}"
             );
-            let frame = frame_mut(&mut self.cache, id)?;
-            seal_page(&mut frame.buf);
-            self.backend.write_page(id, &frame.buf)?;
+            seal_page(buf);
+            self.backend.write_page(id, buf)?;
             Metric::PagerBackendWrites.incr();
         }
         self.backend.sync()?;
-        for id in dirty {
-            frame_mut(&mut self.cache, id)?.dirty = false;
-        }
-        self.dirty = 0;
+        self.dirty.clear();
         Ok(())
     }
 
-    /// Writes one page straight to the backend, bypassing the write-back
-    /// cache (used for the atomic header-slot write of the commit
-    /// protocol). Any cached copy of the page is dropped so the cache never
-    /// shadows the slot.
+    /// Writes one page straight to the backend, bypassing the dirty map
+    /// (used for the atomic header-slot write of the commit protocol). Any
+    /// dirty copy of the page is dropped so it never shadows the slot.
     pub fn write_direct(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> Result<()> {
-        if self.cache.remove(&id).is_some_and(|f| f.dirty) {
-            self.dirty -= 1;
-        }
+        self.dirty.remove(&id);
         self.backend.write_page(id, buf)?;
         if id.0 >= self.next_page {
             self.next_page = id.0 + 1;
@@ -615,37 +462,10 @@ impl Pager {
     }
 
     /// Reads one page straight from the backend without trailer
-    /// verification or caching (header-slot parsing and integrity scans do
-    /// their own validation).
+    /// verification (header-slot parsing and integrity scans do their own
+    /// validation).
     pub fn read_raw(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
         self.backend.read_page(id, buf)
-    }
-
-    /// Drops the cached copy of committed page `id` once copy-on-write has
-    /// relocated it: no structure of the transaction reads it again, and
-    /// were it read, the backend holds it as committed. A writer's cache
-    /// would otherwise keep every page it ever relocated.
-    pub fn discard(&mut self, id: PageId) {
-        if self.is_committed(id) && self.cache.get(&id).is_some_and(|f| !f.dirty) {
-            self.cache.remove(&id);
-            // The clock ring keeps the id until its hand passes, which it
-            // never does while the cache is under budget: drop stale ids
-            // once they are half the ring.
-            if self.ring.len() > 2 * self.cache.len() {
-                let cache = &self.cache;
-                self.ring.retain(|id| cache.contains_key(id));
-                self.hand = 0;
-            }
-        }
-    }
-
-    /// Drops the clean cache contents (testing aid to force re-reads).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn evict_clean(&mut self) {
-        self.cache.retain(|_, f| f.dirty);
-        let cache = &self.cache;
-        self.ring.retain(|id| cache.contains_key(id));
-        self.hand = 0;
     }
 }
 
@@ -688,38 +508,61 @@ mod tests {
     }
 
     #[test]
-    fn discard_drops_only_committed_clean_pages() {
-        let mut p = Pager::new(Box::new(MemBackend::new()));
-        let old = p.allocate();
-        p.write(old).unwrap()[0] = 7;
-        p.flush().unwrap();
-        p.mark_committed();
-        let fresh = p.allocate();
-        p.discard(fresh);
-        assert_eq!(p.cached_pages(), 2, "an uncommitted page stays");
-        p.discard(old);
-        assert_eq!(p.cached_pages(), 1);
-        // Read again, it comes back from the backend, verified.
-        assert_eq!(p.read(old).unwrap()[0], 7);
-        // A writer that relocates page after page keeps a bounded ring.
-        for _ in 0..1000 {
-            let id = p.allocate();
-            p.flush().unwrap();
-            p.mark_committed();
-            p.read(id).unwrap();
-            p.discard(id);
-        }
-        assert!(p.ring.len() <= 2 * p.cached_pages() + 1, "{}", p.ring.len());
-    }
-
-    #[test]
     fn pager_flush_persists_to_backend() {
         let mut p = Pager::new(Box::new(MemBackend::new()));
         let a = p.allocate();
         p.write(a).unwrap()[10] = 9;
         p.flush().unwrap();
-        p.evict_clean();
         assert_eq!(p.read(a).unwrap()[10], 9);
+    }
+
+    #[test]
+    fn a_flush_drops_every_page_and_the_next_read_goes_to_the_backend() {
+        let mut p = Pager::new(Box::new(MemBackend::new()));
+        let a = p.allocate();
+        p.write(a).unwrap()[0] = 5;
+        let before = approxql_metrics::snapshot();
+        assert_eq!(p.read(a).unwrap()[0], 5);
+        let delta = approxql_metrics::snapshot().diff(&before);
+        assert_eq!(
+            delta.get(Metric::PagerCacheMisses),
+            0,
+            "a dirty page is the pager's"
+        );
+        p.flush().unwrap();
+        assert!(p.dirty.is_empty(), "a flushed page stays in the pager");
+        let before = approxql_metrics::snapshot();
+        assert_eq!(p.read(a).unwrap()[0], 5);
+        let delta = approxql_metrics::snapshot().diff(&before);
+        assert_eq!(delta.get(Metric::PagerPageReads), 1);
+        assert_eq!(delta.get(Metric::PagerCacheMisses), 1);
+        assert!(p.dirty.is_empty(), "a read keeps no page");
+    }
+
+    #[test]
+    fn write_direct_and_truncate_drop_dirty_pages() {
+        let mut p = Pager::new(Box::new(MemBackend::new()));
+        let ids: Vec<PageId> = (0..4).map(|_| p.allocate()).collect();
+        p.flush().unwrap();
+        assert!(!p.has_dirty());
+        // `write_direct` drops a dirty copy (the commit header path), so
+        // it never shadows what went to the backend.
+        p.write(ids[1]).unwrap()[0] = 2;
+        assert!(p.has_dirty());
+        p.write_direct(ids[1], &[9u8; PAGE_SIZE]).unwrap();
+        assert!(!p.has_dirty());
+        let mut raw = [0u8; PAGE_SIZE];
+        p.read_raw(ids[1], &mut raw).unwrap();
+        assert_eq!(raw[0], 9);
+        // A recovery rollback drops the dirty pages past the extent and
+        // keeps the ones below it.
+        p.write(ids[2]).unwrap()[0] = 3;
+        p.write(ids[3]).unwrap()[0] = 4;
+        p.truncate_to(3);
+        assert_eq!(p.dirty.len(), 1);
+        assert_eq!(p.read(ids[2]).unwrap()[0], 3);
+        p.truncate_to(0);
+        assert!(!p.has_dirty());
     }
 
     #[test]
@@ -897,12 +740,9 @@ mod tests {
         // Every page of the failed batch must still be dirty (retryable),
         // including the ones whose backend write succeeded before the
         // failure: nothing was synced, so nothing may be forgotten.
-        assert!(p.has_dirty());
-        let dirty_count = ids.iter().filter(|_| true).count();
-        assert_eq!(dirty_count, 4);
+        assert_eq!(p.dirty.len(), 4);
         p.flush().unwrap();
         assert!(!p.has_dirty());
-        p.evict_clean();
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(p.read(id).unwrap()[0], i as u8 + 1);
         }
@@ -954,121 +794,6 @@ mod tests {
         assert_eq!(p.page_count(), 3);
         let next = p.allocate();
         assert_eq!(next, PageId(3));
-    }
-
-    #[test]
-    fn scan_larger_than_cache_stays_within_budget() {
-        const CAPACITY: usize = 8;
-        const PAGES: u32 = 64;
-        let mut p = Pager::with_capacity(Box::new(MemBackend::new()), CAPACITY);
-        assert_eq!(p.capacity(), CAPACITY);
-        for i in 0..PAGES {
-            let id = p.allocate();
-            p.write(id).unwrap()[0] = i as u8;
-        }
-        // Unflushed pages are all dirty: the cache must hold every one.
-        assert_eq!(p.cached_pages(), PAGES as usize);
-        p.flush().unwrap();
-        let before = approxql_metrics::snapshot();
-        // Two full scans over a store 8x the cache: every page comes back
-        // intact and the cache never exceeds its budget.
-        for _ in 0..2 {
-            for i in 0..PAGES {
-                assert_eq!(p.read(PageId(i)).unwrap()[0], i as u8);
-                assert!(
-                    p.cached_pages() <= CAPACITY,
-                    "cache exceeded budget: {} > {CAPACITY}",
-                    p.cached_pages()
-                );
-            }
-        }
-        let delta = approxql_metrics::snapshot().diff(&before);
-        assert!(
-            delta.get(Metric::PagerEvictions) >= (PAGES as u64 - CAPACITY as u64),
-            "expected clock evictions, got {}",
-            delta.get(Metric::PagerEvictions)
-        );
-        assert!(delta.get(Metric::PagerCacheMisses) > 0);
-    }
-
-    #[test]
-    fn dirty_pages_survive_cache_pressure() {
-        let mut p = Pager::with_capacity(Box::new(MemBackend::new()), 4);
-        let ids: Vec<PageId> = (0..16).map(|_| p.allocate()).collect();
-        for (i, &id) in ids.iter().enumerate() {
-            p.write(id).unwrap()[7] = i as u8 + 1;
-        }
-        // Nothing has been flushed: every page is dirty and must still be
-        // cached (the budget yields rather than lose data).
-        assert_eq!(p.cached_pages(), 16);
-        for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(p.read(id).unwrap()[7], i as u8 + 1);
-        }
-        // After a flush the pages are clean; new traffic shrinks the
-        // cache back under its capacity.
-        p.flush().unwrap();
-        for &id in &ids {
-            let _ = p.read(id).unwrap();
-            assert!(p.cached_pages() <= 16);
-        }
-        assert!(p.cached_pages() <= 4 + 1);
-    }
-
-    #[test]
-    fn dirty_counter_tracks_every_transition() {
-        let mut p = Pager::with_capacity(Box::new(MemBackend::new()), 4);
-        let ids: Vec<PageId> = (0..16).map(|_| p.allocate()).collect();
-        // Re-marking an already-dirty page must not double-count.
-        for &id in &ids {
-            p.write(id).unwrap()[0] = 1;
-        }
-        assert!(p.has_dirty());
-        assert_eq!(p.cached_pages(), 16);
-        p.flush().unwrap();
-        assert!(!p.has_dirty());
-        // Clean pages are evictable again: the next touch shrinks the
-        // over-budget cache.
-        let _ = p.read(ids[0]).unwrap();
-        assert!(p.cached_pages() <= 4 + 1);
-        // `write_direct` drops a dirty cached copy without leaking the
-        // counter (the commit header path).
-        p.write(ids[1]).unwrap()[0] = 2;
-        assert!(p.has_dirty());
-        p.write_direct(ids[1], &[0u8; PAGE_SIZE]).unwrap();
-        assert!(!p.has_dirty());
-        // A recovery rollback recomputes the counter over the survivors.
-        p.write(ids[2]).unwrap()[0] = 3;
-        assert!(p.has_dirty());
-        p.truncate_to(0);
-        assert!(!p.has_dirty());
-    }
-
-    #[test]
-    fn clock_gives_rereferenced_pages_a_second_chance() {
-        let mut p = Pager::with_capacity(Box::new(MemBackend::new()), 4);
-        for i in 0..6u32 {
-            let id = p.allocate();
-            p.write(id).unwrap()[0] = i as u8;
-        }
-        p.flush().unwrap();
-        p.evict_clean();
-        for i in 0..4u32 {
-            let _ = p.read(PageId(i)).unwrap();
-        }
-        // The first eviction sweeps the reference bits of pages 1..=3.
-        let _ = p.read(PageId(4)).unwrap();
-        // Re-reference page 1: the next sweep must skip it (second
-        // chance) and evict one of the untouched pages instead.
-        let _ = p.read(PageId(1)).unwrap();
-        let _ = p.read(PageId(5)).unwrap();
-        let before = approxql_metrics::snapshot();
-        let _ = p.read(PageId(1)).unwrap();
-        let delta = approxql_metrics::snapshot().diff(&before);
-        assert_eq!(
-            delta.get(Metric::PagerCacheMisses),
-            0,
-            "re-referenced page 1 was evicted despite its second chance"
-        );
     }
 
     #[test]

@@ -151,11 +151,7 @@ impl Store {
     /// Opens a store from an existing backend, recovering to the newest
     /// commit whose header slot validates.
     pub fn open(backend: Box<dyn Backend>) -> Result<Store> {
-        Store::recover(Pager::new(backend))
-    }
-
-    /// [`Store::open`] over the pager's backend, with the pager's cache.
-    fn recover(mut pager: Pager) -> Result<Store> {
+        let mut pager = Pager::new(backend);
         let backend_pages = pager.backend_pages();
         let mut best: Option<Header> = None;
         let mut rejected_real_slot = false;
@@ -249,16 +245,6 @@ impl Store {
     /// Opens an existing store file.
     pub fn open_file(path: impl AsRef<Path>) -> Result<Store> {
         Store::open(Box::new(FileBackend::open(path.as_ref())?))
-    }
-
-    /// Opens an existing store file with a page cache of at most
-    /// `cache_pages` clean pages instead of [`DEFAULT_CACHE_PAGES`]: what a
-    /// reader that keeps its store open for a few lists at a time holds.
-    ///
-    /// [`DEFAULT_CACHE_PAGES`]: crate::DEFAULT_CACHE_PAGES
-    pub fn open_file_with_cache(path: impl AsRef<Path>, cache_pages: usize) -> Result<Store> {
-        let backend = FileBackend::open(path.as_ref())?;
-        Store::recover(Pager::with_capacity(Box::new(backend), cache_pages))
     }
 
     /// Creates an ephemeral in-memory store.

@@ -64,6 +64,7 @@ const DISK_WRITES: &[&str] = &[
     ".sync_all(",
     ".sync_data(",
     ".write_page(",
+    ".write_all_at(",
 ];
 
 /// The live lines of a Rust source, numbered from 1, with `//` comments
@@ -134,6 +135,7 @@ fn only_the_pager_writes_the_disk() {
         "fs::remove_file",
         ".sync_data(",
         ".write_page(",
+        ".write_all_at(",
     ] {
         assert!(
             pager.iter().any(|&(_, call)| call == known),
