@@ -46,7 +46,8 @@ pub enum DatabaseError {
     Tree(TreeError),
     /// Storage-layer failure.
     Storage(StorageError),
-    /// Index (de)serialization failure.
+    /// Index (de)serialization failure. A storage failure under it is
+    /// [`DatabaseError::Storage`].
     Persist(PersistError),
     /// Serialized tree decoding failure.
     TreeDecode(TreeDecodeError),
@@ -99,10 +100,20 @@ from_error!(Xml, XmlError);
 from_error!(Query, ParseError);
 from_error!(Tree, TreeError);
 from_error!(Storage, StorageError);
-from_error!(Persist, PersistError);
 from_error!(TreeDecode, TreeDecodeError);
 from_error!(CostFile, CostFileError);
 from_error!(Schema, SchemaAssembleError);
+
+/// A storage failure met under an index load is reported as the storage
+/// error itself, so a caller matches one shape whichever layer met it.
+impl From<PersistError> for DatabaseError {
+    fn from(e: PersistError) -> Self {
+        match e {
+            PersistError::Storage(e) => DatabaseError::Storage(e),
+            e => DatabaseError::Persist(e),
+        }
+    }
+}
 
 /// Why [`Database::set_query_costs`] refused a cost model: it changes an
 /// insert cost, which the stored encoding has baked into every `pathcost`

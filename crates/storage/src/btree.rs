@@ -10,7 +10,15 @@
 //! Bit 31 of `vlen` set: the `vlen & 0x7fff_ffff` (≤ [`INLINE_MAX`]) value
 //! bytes follow inline. Bit 31 clear: the value is `vlen` (> `INLINE_MAX`)
 //! bytes long and `payload` is the `first_page u32` of its out-of-line run
-//! (see [`crate::heap`]). Every value has exactly one encoding.
+//! (see [`crate::heap`]). Every value has exactly one encoding. Entries
+//! are packed behind the node header and the rest of the page is zero.
+//!
+//! A [`NodeView`] checks every length and extent of a page once and keeps
+//! only where each entry starts; lookups binary-search those offsets
+//! against the key bytes in the page. A put or delete edits a copy of its
+//! node's bytes: it shifts the entries behind its position and writes its
+//! one entry there, and the copy goes back to the page (or to its
+//! copy-on-write relocation) exactly as a fresh encoding would.
 //!
 //! Pages covered by the last commit are immutable (see the crate-level
 //! durability model): modifying a committed node writes the new version to
@@ -46,7 +54,10 @@ const TAG_LEAF: u8 = 2;
 /// four of them always fit one leaf (`3 + 4 * 998 <= PAGE_DATA`) and a
 /// split can always find a cut that leaves both halves within a page.
 pub(crate) const INLINE_MAX: usize = 480;
-const _: () = assert!(LEAF_HEADER + 4 * (2 + MAX_KEY_LEN + 4 + INLINE_MAX) <= PAGE_DATA);
+const _: () = assert!(LEAF_HEADER + 4 * MAX_ENTRY <= PAGE_DATA);
+
+/// The largest entry: a maximal key with a maximal inline value.
+const MAX_ENTRY: usize = 2 + MAX_KEY_LEN + 4 + INLINE_MAX;
 
 /// Flag bit of a leaf entry's `vlen`: the value bytes follow inline.
 const INLINE_FLAG: u32 = 1 << 31;
@@ -79,30 +90,6 @@ impl Value {
     }
 }
 
-/// A leaf entry: key and value.
-pub(crate) type Entry = (Vec<u8>, Value);
-
-fn leaf_entry_size((key, value): &Entry) -> usize {
-    2 + key.len()
-        + 4
-        + match value {
-            Value::Inline(bytes) => bytes.len(),
-            Value::Run(_) => 4,
-        }
-}
-
-fn leaf_size(entries: &[Entry]) -> usize {
-    LEAF_HEADER + entries.iter().map(leaf_entry_size).sum::<usize>()
-}
-
-fn separator_size(key: &[u8]) -> usize {
-    2 + key.len() + 4
-}
-
-fn internal_size(keys: &[Vec<u8>]) -> usize {
-    INTERNAL_HEADER + keys.iter().map(|k| separator_size(k)).sum::<usize>()
-}
-
 /// The cut `i` (`lo <= i <= hi`) at which `sizes[..i]` first reaches half
 /// of the total: both `sizes[..i]` and `sizes[i..]` then stay within half
 /// the total plus one item.
@@ -119,174 +106,253 @@ fn byte_midpoint(sizes: impl Iterator<Item = usize> + Clone, lo: usize, hi: usiz
     cut.clamp(lo, hi)
 }
 
-/// Parsed form of a tree page.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Node {
-    /// Routing node: `children.len() == keys.len() + 1`; keys separate the
-    /// children (`< key` goes left of it, `>= key` right).
-    Internal {
-        keys: Vec<Vec<u8>>,
-        children: Vec<PageId>,
-    },
-    /// Data node: sorted `(key, value)` entries.
-    Leaf { entries: Vec<Entry> },
+fn u16_at(page: &[u8], at: usize) -> usize {
+    u16::from_le_bytes(crate::le_array(&page[at..at + 2])) as usize
 }
 
-impl Node {
-    pub(crate) fn serialized_size(&self) -> usize {
-        match self {
-            Node::Internal { keys, .. } => internal_size(keys),
-            Node::Leaf { entries } => leaf_size(entries),
-        }
-    }
+/// The key of the entry that starts at `at`.
+fn key_at(page: &[u8], at: usize) -> &[u8] {
+    &page[at + 2..at + 2 + u16_at(page, at)]
+}
 
-    fn serialize_into(&self, buf: &mut [u8; PAGE_SIZE]) {
-        debug_assert!(self.serialized_size() <= PAGE_DATA);
-        buf.fill(0);
-        let mut pos = 0;
-        let mut put = |bytes: &[u8], pos: &mut usize| {
-            buf[*pos..*pos + bytes.len()].copy_from_slice(bytes);
-            *pos += bytes.len();
-        };
-        match self {
-            Node::Internal { keys, children } => {
-                put(&[TAG_INTERNAL], &mut pos);
-                put(&(keys.len() as u16).to_le_bytes(), &mut pos);
-                put(&children[0].0.to_le_bytes(), &mut pos);
-                for (k, c) in keys.iter().zip(&children[1..]) {
-                    put(&(k.len() as u16).to_le_bytes(), &mut pos);
-                    put(k, &mut pos);
-                    put(&c.0.to_le_bytes(), &mut pos);
-                }
-            }
-            Node::Leaf { entries } => {
-                put(&[TAG_LEAF], &mut pos);
-                put(&(entries.len() as u16).to_le_bytes(), &mut pos);
-                for (k, v) in entries {
-                    put(&(k.len() as u16).to_le_bytes(), &mut pos);
-                    put(k, &mut pos);
-                    match v {
-                        Value::Inline(bytes) => {
-                            debug_assert!(bytes.len() <= INLINE_MAX);
-                            put(&(INLINE_FLAG | bytes.len() as u32).to_le_bytes(), &mut pos);
-                            put(bytes, &mut pos);
-                        }
-                        Value::Run(vref) => {
-                            debug_assert!(vref.len as usize > INLINE_MAX && vref.len < INLINE_FLAG);
-                            put(&vref.len.to_le_bytes(), &mut pos);
-                            put(&vref.first_page.0.to_le_bytes(), &mut pos);
-                        }
-                    }
-                }
-            }
-        }
-    }
+fn u32_at(page: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(crate::le_array(&page[at..at + 4]))
+}
 
-    /// Parses page `id` of a store of `page_count` pages. Every stored
-    /// length is bounded here, before anything is allocated for it: keys
-    /// by [`MAX_KEY_LEN`], inline values by [`INLINE_MAX`], both by the
-    /// page, and a run by the store's extent — so no reader ever sizes a
-    /// buffer from an unchecked field.
-    pub(crate) fn parse(id: PageId, buf: &[u8; PAGE_SIZE], page_count: u32) -> Result<Node> {
+/// A node page checked for use: the bytes, and where each entry starts
+/// followed by where the last one ends. Every offset and every length
+/// field behind one has been bounded by [`NodeView::parse`], so reading an
+/// entry only slices; an owned view (`P = Vec<u8>`) holds the used bytes
+/// alone and is what an edit changes.
+pub(crate) struct NodeView<P> {
+    page: P,
+    offs: Vec<usize>,
+}
+
+impl<'a> NodeView<&'a [u8; PAGE_SIZE]> {
+    /// Checks page `id` of a store of `page_count` pages. Every stored
+    /// length is bounded here: keys by [`MAX_KEY_LEN`], inline values by
+    /// [`INLINE_MAX`], all of them by the page, and a run by the store's
+    /// extent — so no reader ever sizes a buffer from an unchecked field.
+    fn parse(id: PageId, page: &'a [u8; PAGE_SIZE], page_count: u32) -> Result<Self> {
         let corrupt = |what| StorageError::CorruptPage(id, what);
-        let mut pos = 0usize;
-        let take = |n: usize, pos: &mut usize| -> Result<&[u8]> {
-            if *pos + n > PAGE_DATA {
-                return Err(StorageError::CorruptPage(id, "page overrun"));
-            }
-            let s = &buf[*pos..*pos + n];
+        let take = |n: usize, pos: &mut usize| {
             *pos += n;
-            Ok(s)
+            (*pos <= PAGE_DATA)
+                .then_some(*pos - n)
+                .ok_or(corrupt("page overrun"))
         };
-        let take_u16 = |pos: &mut usize| -> Result<usize> {
-            Ok(u16::from_le_bytes(crate::le_array(take(2, pos)?)) as usize)
+        let leaf = match page[0] {
+            TAG_INTERNAL => false,
+            TAG_LEAF => true,
+            _ => return Err(corrupt("unknown node tag")),
         };
-        let take_u32 = |pos: &mut usize| -> Result<u32> {
-            Ok(u32::from_le_bytes(crate::le_array(take(4, pos)?)))
-        };
-        let take_key = |pos: &mut usize| -> Result<Vec<u8>> {
-            let klen = take_u16(pos)?;
+        let n = u16_at(page, 1);
+        let mut pos = if leaf { LEAF_HEADER } else { INTERNAL_HEADER };
+        // An entry takes at least six bytes.
+        let mut offs = Vec::with_capacity(1 + n.min(PAGE_DATA / 6));
+        for _ in 0..n {
+            offs.push(pos);
+            let klen = u16_at(page, take(2, &mut pos)?);
             if klen > MAX_KEY_LEN {
-                return Err(StorageError::CorruptPage(id, "key too long"));
+                return Err(corrupt("key too long"));
             }
-            Ok(take(klen, pos)?.to_vec())
-        };
-        let tag = take(1, &mut pos)?[0];
-        let n = take_u16(&mut pos)?;
-        match tag {
-            TAG_INTERNAL => {
-                let mut children = Vec::with_capacity(n + 1);
-                children.push(PageId(take_u32(&mut pos)?));
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    keys.push(take_key(&mut pos)?);
-                    children.push(PageId(take_u32(&mut pos)?));
+            take(klen, &mut pos)?;
+            let field = take(4, &mut pos)?;
+            if !leaf {
+                continue;
+            }
+            let len = u32_at(page, field);
+            if len & INLINE_FLAG != 0 {
+                if (len & !INLINE_FLAG) as usize > INLINE_MAX {
+                    return Err(corrupt("inline value too long"));
                 }
-                Ok(Node::Internal { keys, children })
-            }
-            TAG_LEAF => {
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let key = take_key(&mut pos)?;
-                    let vlen = take_u32(&mut pos)?;
-                    let value = if vlen & INLINE_FLAG != 0 {
-                        let len = (vlen & !INLINE_FLAG) as usize;
-                        if len > INLINE_MAX {
-                            return Err(corrupt("inline value too long"));
-                        }
-                        Value::Inline(take(len, &mut pos)?.to_vec())
-                    } else {
-                        let vref = ValueRef {
-                            first_page: PageId(take_u32(&mut pos)?),
-                            len: vlen,
-                        };
-                        if vlen as usize <= INLINE_MAX {
-                            return Err(corrupt("value run short enough to be inline"));
-                        }
-                        if !run_in_extent(vref, page_count) {
-                            return Err(corrupt("value run outside the data extent"));
-                        }
-                        Value::Run(vref)
-                    };
-                    entries.push((key, value));
+                take((len & !INLINE_FLAG) as usize, &mut pos)?;
+            } else {
+                let first_page = PageId(u32_at(page, take(4, &mut pos)?));
+                if len as usize <= INLINE_MAX {
+                    return Err(corrupt("value run short enough to be inline"));
                 }
-                Ok(Node::Leaf { entries })
+                if !run_in_extent(ValueRef { first_page, len }, page_count) {
+                    return Err(corrupt("value run outside the data extent"));
+                }
             }
-            _ => Err(corrupt("unknown node tag")),
         }
+        offs.push(pos);
+        Ok(NodeView { page, offs })
+    }
+
+    /// A copy of the node's used bytes, with room for one more entry.
+    pub(crate) fn into_owned(self) -> NodeView<Vec<u8>> {
+        let mut page = Vec::with_capacity(PAGE_DATA + MAX_ENTRY);
+        page.extend_from_slice(&self.page[..self.end()]);
+        let offs = self.offs;
+        NodeView { page, offs }
     }
 }
 
-pub(crate) fn read_node(pager: &mut Pager, id: PageId) -> Result<Node> {
+impl<P: AsRef<[u8]>> NodeView<P> {
+    fn bytes(&self) -> &[u8] {
+        self.page.as_ref()
+    }
+
+    pub(crate) fn is_leaf(&self) -> bool {
+        self.bytes()[0] == TAG_LEAF
+    }
+
+    /// Entries (leaf) or separators (internal node).
+    pub(crate) fn len(&self) -> usize {
+        self.offs.len() - 1
+    }
+
+    /// The bytes the node uses, header included.
+    pub(crate) fn end(&self) -> usize {
+        self.offs[self.len()]
+    }
+
+    fn sizes(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        self.offs.windows(2).map(|w| w[1] - w[0])
+    }
+
+    pub(crate) fn key(&self, i: usize) -> &[u8] {
+        key_at(self.bytes(), self.offs[i])
+    }
+
+    /// Child `i` of an internal node: the four bytes in front of entry
+    /// `i`, which close the header (the leftmost child) or separator `i - 1`.
+    pub(crate) fn child(&self, i: usize) -> PageId {
+        PageId(u32_at(self.bytes(), self.offs[i] - 4))
+    }
+
+    /// The value of leaf entry `i`.
+    pub(crate) fn value(&self, i: usize) -> Value {
+        let at = self.offs[i] + 2 + self.key(i).len();
+        let len = u32_at(self.bytes(), at);
+        if len & INLINE_FLAG != 0 {
+            Value::Inline(self.bytes()[at + 4..self.offs[i + 1]].to_vec())
+        } else {
+            let first_page = PageId(u32_at(self.bytes(), at + 4));
+            Value::Run(ValueRef { first_page, len })
+        }
+    }
+
+    /// The number of leading keys `k` with `before(k)`.
+    fn partition_point(&self, before: impl Fn(&[u8]) -> bool) -> usize {
+        self.offs[..self.len()].partition_point(|&at| before(key_at(self.bytes(), at)))
+    }
+
+    /// Where `key` is in a leaf, or where it would go.
+    fn search(&self, key: &[u8]) -> std::result::Result<usize, usize> {
+        let i = self.partition_point(|k| k < key);
+        (i < self.len() && self.key(i) == key).then_some(i).ok_or(i)
+    }
+
+    /// The child of an internal node that holds `key`: the one behind
+    /// every separator `<= key`.
+    fn route(&self, key: &[u8]) -> usize {
+        self.partition_point(|k| k <= key)
+    }
+}
+
+impl NodeView<Vec<u8>> {
+    /// Replaces entries `i..i + removed` by the one entry `parts` spell
+    /// out, or by none when `parts` is empty: the bytes behind move once.
+    fn splice(&mut self, i: usize, removed: usize, parts: &[&[u8]]) {
+        let (start, old_end) = (self.offs[i], self.offs[i + removed]);
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        self.page
+            .splice(start..old_end, std::iter::repeat_n(0, len));
+        put_parts(&mut self.page[start..], parts);
+        let entry = (!parts.is_empty()).then_some(start);
+        self.offs.splice(i..i + removed, entry);
+        for off in &mut self.offs[i + usize::from(entry.is_some())..] {
+            *off = *off + start + len - old_end;
+        }
+        self.set_count();
+    }
+
+    /// Drops entries `n..`.
+    fn truncate(&mut self, n: usize) {
+        self.page.truncate(self.offs[n]);
+        self.offs.truncate(n + 1);
+        self.set_count();
+    }
+
+    fn set_count(&mut self) {
+        let count = count(self.len());
+        self.page[1..3].copy_from_slice(&count);
+    }
+
+    fn set_child(&mut self, i: usize, child: PageId) {
+        let at = self.offs[i] - 4;
+        self.page[at..at + 4].copy_from_slice(&child.0.to_le_bytes());
+    }
+
+    /// Writes the node to page `id` copy-on-write. A node over a page is
+    /// cut first, at its byte midpoint or, after an append to the whole
+    /// tree (`appended`), behind its old entries; the right half goes to a
+    /// fresh page, and an appended leaf's left half is the page as stored.
+    fn store(mut self, pager: &mut Pager, id: PageId, appended: bool) -> Result<InsertResult> {
+        if self.end() <= PAGE_DATA {
+            let id = write_node(pager, id, &[&self.page])?;
+            return Ok(InsertResult::Done { id });
+        }
+        Metric::BtreeNodeSplits.incr();
+        // An internal node's separator `mid` moves up, and the child behind
+        // it leads the right sibling.
+        let (n, up) = (self.len(), usize::from(!self.is_leaf()));
+        let mid = if appended {
+            n - 1 - up
+        } else {
+            byte_midpoint(self.sizes(), 1, n - 1 - up)
+        };
+        let sep = self.key(mid).to_vec();
+        let [lo, hi] = count(n - mid - up);
+        let body = &self.page[self.offs[mid + up] - 4 * up..];
+        let right = pager.allocate();
+        write_node(pager, right, &[&[self.page[0], lo, hi], body])?;
+        let id = if appended && up == 0 {
+            id
+        } else {
+            self.truncate(mid);
+            write_node(pager, id, &[&self.page])?
+        };
+        Ok(InsertResult::Split { id, sep, right })
+    }
+}
+
+pub(crate) fn read_node(pager: &mut Pager, id: PageId) -> Result<NodeView<&[u8; PAGE_SIZE]>> {
     Metric::BtreeNodeReads.incr();
     let page_count = pager.page_count();
-    Node::parse(id, pager.read(id)?, page_count)
+    NodeView::parse(id, pager.read(id)?, page_count)
 }
 
-fn write_node(pager: &mut Pager, id: PageId, node: &Node) -> Result<()> {
-    node.serialize_into(pager.write(id)?);
-    Ok(())
+/// Copies `parts` one behind the other to the front of `buf`; returns
+/// where they end.
+fn put_parts(buf: &mut [u8], parts: &[&[u8]]) -> usize {
+    parts.iter().fold(0, |at, part| {
+        buf[at..at + part.len()].copy_from_slice(part);
+        at + part.len()
+    })
 }
 
-/// Writes `node` copy-on-write: in place when `id` is uncommitted,
-/// otherwise to a freshly allocated page. Returns the id that now holds
-/// the node.
-fn write_node_cow(pager: &mut Pager, id: PageId, node: &Node) -> Result<PageId> {
-    if pager.is_committed(id) {
-        let fresh = pager.allocate();
-        write_node(pager, fresh, node)?;
-        Ok(fresh)
+/// Writes the node `parts` spell out and zeroes the rest of its page:
+/// to page `id` when it is uncommitted, otherwise to a freshly allocated
+/// page (copy-on-write). Returns the id that now holds the node.
+fn write_node(pager: &mut Pager, id: PageId, parts: &[&[u8]]) -> Result<PageId> {
+    let id = if pager.is_committed(id) {
+        pager.allocate()
     } else {
-        write_node(pager, id, node)?;
-        Ok(id)
-    }
+        id
+    };
+    let buf = pager.write(id)?;
+    let end = put_parts(buf, parts);
+    buf[end..].fill(0);
+    Ok(id)
 }
 
-/// Writes `node` to a freshly allocated page and returns its id.
-fn write_node_fresh(pager: &mut Pager, node: &Node) -> Result<PageId> {
-    let id = pager.allocate();
-    write_node(pager, id, node)?;
-    Ok(id)
+fn count(n: usize) -> [u8; 2] {
+    (n as u16).to_le_bytes()
 }
 
 fn too_deep(page: PageId) -> StorageError {
@@ -313,12 +379,8 @@ enum InsertResult {
 impl BTree {
     /// Creates an empty tree (a single empty leaf).
     pub fn create(pager: &mut Pager) -> Result<BTree> {
-        let root = write_node_fresh(
-            pager,
-            &Node::Leaf {
-                entries: Vec::new(),
-            },
-        )?;
+        let root = pager.allocate();
+        write_node(pager, root, &[&[TAG_LEAF, 0, 0]])?;
         Ok(BTree { root })
     }
 
@@ -332,18 +394,11 @@ impl BTree {
         Metric::BtreeGets.incr();
         let mut page = self.root;
         for _ in 0..MAX_DEPTH {
-            match read_node(pager, page)? {
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| k.as_slice() <= key);
-                    page = children[idx];
-                }
-                Node::Leaf { mut entries } => {
-                    return Ok(entries
-                        .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                        .ok()
-                        .map(|i| entries.swap_remove(i).1));
-                }
+            let node = read_node(pager, page)?;
+            if node.is_leaf() {
+                return Ok(node.search(key).ok().map(|i| node.value(i)));
             }
+            page = node.child(node.route(key));
         }
         Err(too_deep(page))
     }
@@ -354,16 +409,14 @@ impl BTree {
             return Err(StorageError::KeyTooLong(key.len()));
         }
         Metric::BtreeInserts.incr();
-        match self.insert_rec(pager, self.root, key, value, 0, true)? {
+        match self.insert_rec(pager, self.root, key, &value, 0, true)? {
             InsertResult::Done { id } => self.root = id,
             InsertResult::Split { id, sep, right } => {
-                self.root = write_node_fresh(
-                    pager,
-                    &Node::Internal {
-                        keys: vec![sep],
-                        children: vec![id, right],
-                    },
-                )?;
+                let (left, klen, right) =
+                    (id.0.to_le_bytes(), count(sep.len()), right.0.to_le_bytes());
+                self.root = pager.allocate();
+                let parts: [&[u8]; 5] = [&[TAG_INTERNAL, 1, 0], &left, &klen, &sep, &right];
+                write_node(pager, self.root, &parts)?;
             }
         }
         Ok(())
@@ -376,113 +429,47 @@ impl BTree {
         pager: &mut Pager,
         page: PageId,
         key: &[u8],
-        value: Value,
+        value: &Value,
         depth: usize,
         is_rightmost: bool,
     ) -> Result<InsertResult> {
         if depth >= MAX_DEPTH {
             return Err(too_deep(page));
         }
-        match read_node(pager, page)? {
-            Node::Leaf { mut entries } => {
-                let appended = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        entries[i].1 = value;
-                        false
-                    }
-                    Err(i) => {
-                        entries.insert(i, (key.to_vec(), value));
-                        is_rightmost && i + 1 == entries.len()
-                    }
-                };
-                if leaf_size(&entries) <= PAGE_DATA {
-                    let id = write_node_cow(pager, page, &Node::Leaf { entries })?;
-                    return Ok(InsertResult::Done { id });
+        let view = read_node(pager, page)?;
+        if view.is_leaf() {
+            let (i, replaced) = match view.search(key) {
+                Ok(i) => (i, 1),
+                Err(i) => (i, 0),
+            };
+            let mut node = view.into_owned();
+            let run;
+            let (len, payload) = match value {
+                Value::Inline(bytes) => (INLINE_FLAG | bytes.len() as u32, bytes.as_slice()),
+                Value::Run(vref) => {
+                    run = vref.first_page.0.to_le_bytes();
+                    (vref.len, &run[..])
                 }
-                Metric::BtreeNodeSplits.incr();
-                let mid = if appended {
-                    entries.len() - 1
-                } else {
-                    byte_midpoint(entries.iter().map(leaf_entry_size), 1, entries.len() - 1)
-                };
-                let right_entries = entries.split_off(mid);
-                let sep = right_entries[0].0.clone();
-                let right = write_node_fresh(
-                    pager,
-                    &Node::Leaf {
-                        entries: right_entries,
-                    },
-                )?;
-                // After an append the page as stored is the left half.
-                let id = if appended {
-                    page
-                } else {
-                    write_node_cow(pager, page, &Node::Leaf { entries })?
-                };
-                Ok(InsertResult::Split { id, sep, right })
+            };
+            let entry = [&count(key.len()), key, &len.to_le_bytes(), payload];
+            node.splice(i, replaced, &entry);
+            let appended = is_rightmost && replaced == 0 && i + 1 == node.len();
+            return node.store(pager, page, appended);
+        }
+        let idx = view.route(key);
+        let (child, last) = (view.child(idx), idx == view.len());
+        let mut node = view.into_owned();
+        match self.insert_rec(pager, child, key, value, depth + 1, is_rightmost && last)? {
+            // Child updated in place: this node is untouched.
+            InsertResult::Done { id } if id == child => Ok(InsertResult::Done { id: page }),
+            InsertResult::Done { id } => {
+                node.set_child(idx, id);
+                node.store(pager, page, false)
             }
-            Node::Internal {
-                mut keys,
-                mut children,
-            } => {
-                let idx = keys.partition_point(|k| k.as_slice() <= key);
-                let last = idx + 1 == children.len();
-                match self.insert_rec(
-                    pager,
-                    children[idx],
-                    key,
-                    value,
-                    depth + 1,
-                    is_rightmost && last,
-                )? {
-                    InsertResult::Done { id } => {
-                        if id == children[idx] {
-                            // Child updated in place: this node is untouched.
-                            return Ok(InsertResult::Done { id: page });
-                        }
-                        children[idx] = id;
-                        let new_id =
-                            write_node_cow(pager, page, &Node::Internal { keys, children })?;
-                        Ok(InsertResult::Done { id: new_id })
-                    }
-                    InsertResult::Split { id, sep, right } => {
-                        children[idx] = id;
-                        keys.insert(idx, sep);
-                        children.insert(idx + 1, right);
-                        if internal_size(&keys) <= PAGE_DATA {
-                            let new_id =
-                                write_node_cow(pager, page, &Node::Internal { keys, children })?;
-                            return Ok(InsertResult::Done { id: new_id });
-                        }
-                        Metric::BtreeNodeSplits.incr();
-                        // Key `mid` moves up; the right sibling takes what
-                        // lies behind it. An append keeps the full node
-                        // (less its last separator) and gives the sibling
-                        // the new separator alone.
-                        let mid = if is_rightmost && last {
-                            keys.len() - 2
-                        } else {
-                            byte_midpoint(keys.iter().map(|k| separator_size(k)), 1, keys.len() - 2)
-                        };
-                        let up = keys.remove(mid);
-                        let right_keys = keys.split_off(mid);
-                        let right_children = children.split_off(mid + 1);
-                        let right_page = write_node_fresh(
-                            pager,
-                            &Node::Internal {
-                                keys: right_keys,
-                                children: right_children,
-                            },
-                        )?;
-                        let new_id =
-                            write_node_cow(pager, page, &Node::Internal { keys, children })?;
-                        Ok(InsertResult::Split {
-                            id: new_id,
-                            sep: up,
-                            right: right_page,
-                        })
-                    }
-                }
+            InsertResult::Split { id, sep, right } => {
+                node.set_child(idx, id);
+                node.splice(idx, 0, &[&count(sep.len()), &sep, &right.0.to_le_bytes()]);
+                node.store(pager, page, is_rightmost && last)
             }
         }
     }
@@ -509,64 +496,66 @@ impl BTree {
         if depth >= MAX_DEPTH {
             return Err(too_deep(page));
         }
-        match read_node(pager, page)? {
-            Node::Leaf { mut entries } => {
-                match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        entries.remove(i);
-                        let id = write_node_cow(pager, page, &Node::Leaf { entries })?;
-                        Ok((true, (id != page).then_some(id)))
-                    }
-                    Err(_) => Ok((false, None)),
-                }
-            }
-            Node::Internal { keys, mut children } => {
-                let idx = keys.partition_point(|k| k.as_slice() <= key);
-                let (existed, relocated) = self.delete_rec(pager, children[idx], key, depth + 1)?;
-                match relocated {
-                    None => Ok((existed, None)),
-                    Some(child) => {
-                        children[idx] = child;
-                        let id = write_node_cow(pager, page, &Node::Internal { keys, children })?;
-                        Ok((existed, (id != page).then_some(id)))
-                    }
-                }
-            }
+        let view = read_node(pager, page)?;
+        let (mut node, existed);
+        if view.is_leaf() {
+            let Ok(i) = view.search(key) else {
+                return Ok((false, None));
+            };
+            node = view.into_owned();
+            node.splice(i, 1, &[]);
+            existed = true;
+        } else {
+            let idx = view.route(key);
+            let child = view.child(idx);
+            node = view.into_owned();
+            let (found, relocated) = self.delete_rec(pager, child, key, depth + 1)?;
+            let Some(moved) = relocated else {
+                return Ok((found, None));
+            };
+            node.set_child(idx, moved);
+            existed = found;
         }
+        let id = write_node(pager, page, &[&node.page])?;
+        Ok((existed, (id != page).then_some(id)))
     }
 
     /// Positions a cursor at the first entry with key `>= start`.
     pub fn seek(&self, pager: &mut Pager, start: &[u8]) -> Result<Cursor> {
-        let mut cursor = Cursor {
-            ancestors: Vec::new(),
-            leaf: Vec::new().into_iter(),
-        };
-        cursor.descend(pager, self.root, Some(start))?;
-        Ok(cursor)
+        let mut ancestors = Vec::new();
+        let (leaf, at) = descend(&mut ancestors, pager, self.root, Some(start))?;
+        Ok(Cursor {
+            ancestors,
+            leaf,
+            at,
+        })
     }
 }
 
 /// A forward cursor over leaf entries.
 ///
-/// Owns what is left to visit: the remaining entries of the leaf it stands
-/// on and, per ancestor, the children to the right of the path. Every node
-/// is therefore read and parsed once per visit, and entries are handed out
-/// by move. When a leaf runs out the cursor takes the next child of the
-/// nearest ancestor that has one and descends to its leftmost leaf. The
-/// store is borrowed mutably for as long as a cursor lives, so the tree
-/// cannot change under it.
+/// Owns what is left to visit: a copy of the leaf it stands on with the
+/// position of its next entry and, per ancestor, the children to the right
+/// of the path. Every node is therefore read once per visit, and an entry
+/// is copied out only when it is handed out. When a leaf runs out the
+/// cursor takes the next child of the nearest ancestor that has one and
+/// descends to its leftmost leaf. The store is borrowed mutably for as
+/// long as a cursor lives, so the tree cannot change under it.
 pub struct Cursor {
     ancestors: Vec<std::vec::IntoIter<PageId>>,
-    leaf: std::vec::IntoIter<Entry>,
+    leaf: NodeView<Vec<u8>>,
+    at: usize,
 }
 
 impl Cursor {
     /// Returns the next entry, advancing the cursor.
-    pub fn next(&mut self, pager: &mut Pager) -> Result<Option<Entry>> {
+    pub fn next(&mut self, pager: &mut Pager) -> Result<Option<(Vec<u8>, Value)>> {
         loop {
-            if let Some(entry) = self.leaf.next() {
+            if self.at < self.leaf.len() {
+                let i = self.at;
+                self.at += 1;
                 Metric::BtreeScanSteps.incr();
-                return Ok(Some(entry));
+                return Ok(Some((self.leaf.key(i).to_vec(), self.leaf.value(i))));
             }
             // Leaf exhausted (possibly empty after deletions): move to the
             // next leaf in key order.
@@ -574,37 +563,40 @@ impl Cursor {
                 return Ok(None);
             };
             match siblings.next() {
-                Some(child) => self.descend(pager, child, None)?,
+                Some(child) => {
+                    (self.leaf, self.at) = descend(&mut self.ancestors, pager, child, None)?;
+                }
                 None => {
                     self.ancestors.pop();
                 }
             }
         }
     }
+}
 
-    /// Pushes the path from `page` down to a leaf: towards `start` when
-    /// given (the leaf's entries `< start` are skipped), else leftmost.
-    fn descend(&mut self, pager: &mut Pager, mut page: PageId, start: Option<&[u8]>) -> Result<()> {
-        loop {
-            if self.ancestors.len() >= MAX_DEPTH {
-                return Err(too_deep(page));
-            }
-            match read_node(pager, page)? {
-                Node::Internal { keys, mut children } => {
-                    let idx = start.map_or(0, |s| keys.partition_point(|k| k.as_slice() <= s));
-                    self.ancestors.push(children.split_off(idx + 1).into_iter());
-                    page = children[idx];
-                }
-                Node::Leaf { mut entries } => {
-                    if let Some(s) = start {
-                        let idx = entries.partition_point(|(k, _)| k.as_slice() < s);
-                        entries.drain(..idx);
-                    }
-                    self.leaf = entries.into_iter();
-                    return Ok(());
-                }
-            }
+/// Pushes the path from `page` down to a leaf onto `ancestors` (each
+/// ancestor's children right of the path) and returns the leaf with the
+/// position to read from: towards `start` when given (the leaf's entries
+/// `< start` are skipped), else leftmost.
+fn descend(
+    ancestors: &mut Vec<std::vec::IntoIter<PageId>>,
+    pager: &mut Pager,
+    mut page: PageId,
+    start: Option<&[u8]>,
+) -> Result<(NodeView<Vec<u8>>, usize)> {
+    loop {
+        if ancestors.len() >= MAX_DEPTH {
+            return Err(too_deep(page));
         }
+        let node = read_node(pager, page)?;
+        if node.is_leaf() {
+            let at = start.map_or(0, |s| node.partition_point(|k| k < s));
+            return Ok((node.into_owned(), at));
+        }
+        let idx = start.map_or(0, |s| node.route(s));
+        let right: Vec<PageId> = (idx + 1..=node.len()).map(|i| node.child(i)).collect();
+        ancestors.push(right.into_iter());
+        page = node.child(idx);
     }
 }
 
@@ -626,20 +618,62 @@ mod tests {
         Value::Inline(n.to_le_bytes().to_vec())
     }
 
+    type Leaves = Vec<(PageId, NodeView<Vec<u8>>)>;
+
     /// Every leaf of the tree in key order, as `(page, node)`, plus the
     /// number of internal nodes above them.
-    fn leaves(p: &mut Pager, t: &BTree) -> (Vec<(PageId, Node)>, u64) {
+    fn leaves(p: &mut Pager, t: &BTree) -> (Leaves, u64) {
         let (mut out, mut internal, mut todo) = (Vec::new(), 0, vec![t.root]);
         while let Some(page) = todo.pop() {
-            match read_node(p, page).unwrap() {
-                Node::Internal { children, .. } => {
-                    internal += 1;
-                    todo.extend(children.into_iter().rev());
-                }
-                leaf => out.push((page, leaf)),
+            let node = read_node(p, page).unwrap().into_owned();
+            if node.is_leaf() {
+                out.push((page, node));
+            } else {
+                internal += 1;
+                todo.extend((0..=node.len()).rev().map(|i| node.child(i)));
             }
         }
         (out, internal)
+    }
+
+    /// A copy of page `id` as the tree left it.
+    fn page_bytes(p: &mut Pager, id: PageId) -> [u8; PAGE_SIZE] {
+        *p.read(id).unwrap()
+    }
+
+    /// The page a fresh encoding of the entries `node` reads back gives:
+    /// header, entries packed behind it, the rest zero — what the tree
+    /// wrote when it decoded every node and encoded it whole.
+    fn reference_page(node: &NodeView<&[u8; PAGE_SIZE]>) -> Vec<u8> {
+        let mut out = vec![if node.is_leaf() {
+            TAG_LEAF
+        } else {
+            TAG_INTERNAL
+        }];
+        out.extend((node.len() as u16).to_le_bytes());
+        if !node.is_leaf() {
+            out.extend(node.child(0).0.to_le_bytes());
+        }
+        for i in 0..node.len() {
+            out.extend((node.key(i).len() as u16).to_le_bytes());
+            out.extend(node.key(i));
+            if !node.is_leaf() {
+                out.extend(node.child(i + 1).0.to_le_bytes());
+                continue;
+            }
+            match node.value(i) {
+                Value::Inline(bytes) => {
+                    out.extend((INLINE_FLAG | bytes.len() as u32).to_le_bytes());
+                    out.extend(bytes);
+                }
+                Value::Run(vref) => {
+                    out.extend(vref.len.to_le_bytes());
+                    out.extend(vref.first_page.0.to_le_bytes());
+                }
+            }
+        }
+        out.resize(PAGE_DATA, 0);
+        out
     }
 
     #[test]
@@ -838,39 +872,44 @@ mod tests {
     }
 
     #[test]
-    fn node_page_roundtrip() {
-        let internal = Node::Internal {
-            keys: vec![b"m".to_vec()],
-            children: vec![PageId(3), PageId(4)],
-        };
-        let mut buf = [0u8; PAGE_SIZE];
-        internal.serialize_into(&mut buf);
-        assert_eq!(Node::parse(PageId(9), &buf, 10).unwrap(), internal);
-
-        let leaf = Node::Leaf {
-            entries: vec![(b"a".to_vec(), vr(7))],
-        };
-        leaf.serialize_into(&mut buf);
-        assert_eq!(Node::parse(PageId(9), &buf, 10).unwrap(), leaf);
+    fn internal_node_view_reads_what_was_written() {
+        let mut p = Pager::new(Box::new(MemBackend::new()));
+        let id = p.allocate();
+        let parts: [&[u8]; 5] = [
+            &[TAG_INTERNAL, 1, 0],
+            &3u32.to_le_bytes(),
+            &[1, 0],
+            b"m",
+            &4u32.to_le_bytes(),
+        ];
+        write_node(&mut p, id, &parts).unwrap();
+        let node = read_node(&mut p, id).unwrap();
+        assert!(!node.is_leaf());
+        assert_eq!((node.len(), node.key(0)), (1, &b"m"[..]));
+        assert_eq!((node.child(0), node.child(1)), (PageId(3), PageId(4)));
+        assert_eq!(
+            (node.route(b"a"), node.route(b"m"), node.route(b"z")),
+            (0, 1, 1)
+        );
     }
 
     #[test]
     fn leaf_bytes_are_the_v3_layout() {
         let long = vec![0xAB; INLINE_MAX];
-        let leaf = Node::Leaf {
-            entries: vec![
-                (b"e".to_vec(), Value::Inline(Vec::new())),
-                (b"in".to_vec(), Value::Inline(b"xyz".to_vec())),
-                (b"max".to_vec(), Value::Inline(long.clone())),
-                (
-                    b"run".to_vec(),
-                    Value::Run(ValueRef {
-                        first_page: PageId(7),
-                        len: 5000,
-                    }),
-                ),
-            ],
-        };
+        let run = Value::Run(ValueRef {
+            first_page: PageId(7),
+            len: 5000,
+        });
+        let (mut p, mut t) = setup();
+        // Out of key order, and one replaced: every entry is written into
+        // the page between the ones already there.
+        t.insert(&mut p, b"run", vr(1)).unwrap();
+        t.insert(&mut p, b"in", Value::Inline(b"xyz".to_vec()))
+            .unwrap();
+        t.insert(&mut p, b"max", Value::Inline(long.clone()))
+            .unwrap();
+        t.insert(&mut p, b"e", Value::Inline(Vec::new())).unwrap();
+        t.insert(&mut p, b"run", run.clone()).unwrap();
         let mut want = vec![TAG_LEAF, 4, 0];
         // klen | key | vlen with bit 31 set | no payload
         want.extend([1, 0, b'e', 0, 0, 0, 0x80]);
@@ -881,15 +920,15 @@ mod tests {
         want.extend(&long);
         // klen | key | vlen = 5000 = 0x1388, bit 31 clear | first page
         want.extend([3, 0, b'r', b'u', b'n', 0x88, 0x13, 0, 0, 7, 0, 0, 0]);
-        assert_eq!(leaf.serialized_size(), want.len());
-        let mut buf = [0xFFu8; PAGE_SIZE];
-        leaf.serialize_into(&mut buf);
+        let buf = page_bytes(&mut p, t.root);
         assert_eq!(&buf[..want.len()], &want[..]);
         assert!(buf[want.len()..].iter().all(|&b| b == 0), "tail not zeroed");
         // Page 7 + ceil(5000 / PAGE_DATA) = 2 pages needs a 9-page store.
-        assert_eq!(Node::parse(PageId(2), &buf, 9).unwrap(), leaf);
+        let node = NodeView::parse(PageId(2), &buf, 9).unwrap();
+        assert_eq!(node.end(), want.len());
+        assert_eq!(node.value(3), run);
         assert!(matches!(
-            Node::parse(PageId(2), &buf, 8),
+            NodeView::parse(PageId(2), &buf, 8),
             Err(StorageError::CorruptPage(
                 PageId(2),
                 "value run outside the data extent"
@@ -905,7 +944,7 @@ mod tests {
             if i == 4 {
                 let (all, _) = leaves(&mut p, &t);
                 assert_eq!(all.len(), 1, "four maximal entries must share a leaf");
-                assert_eq!(all[0].1.serialized_size(), LEAF_HEADER + 4 * 998);
+                assert_eq!(all[0].1.end(), LEAF_HEADER + 4 * 998);
             }
             let value = Value::Inline(vec![i; INLINE_MAX]);
             // Descending keys: no insert is an append.
@@ -915,10 +954,10 @@ mod tests {
             .diff(&before)
             .get(Metric::BtreeNodeSplits);
         assert_eq!(splits, 1);
-        // `leaves` re-parses both halves from their serialized pages.
+        // `leaves` reads both halves back from their pages.
         let (all, internal) = leaves(&mut p, &t);
         assert_eq!((all.len(), internal), (2, 1));
-        let sizes: Vec<usize> = all.iter().map(|(_, n)| n.serialized_size()).collect();
+        let sizes: Vec<usize> = all.iter().map(|(_, n)| n.end()).collect();
         assert_eq!(sizes, [LEAF_HEADER + 3 * 998, LEAF_HEADER + 2 * 998]);
         for i in 0..5u8 {
             assert_eq!(
@@ -942,7 +981,7 @@ mod tests {
         // Every leaf but the one still being filled is full up to the
         // entry that did not fit any more.
         for (page, leaf) in &all[..all.len() - 1] {
-            let used = leaf.serialized_size();
+            let used = leaf.end();
             assert!(used * 10 >= PAGE_DATA * 9, "leaf {page} holds {used} bytes");
         }
         let report = crate::check::run_check(&mut p, t.root, 1).unwrap();
@@ -970,7 +1009,7 @@ mod tests {
         // later inserts only add to it — but for the rightmost leaf, which
         // a new largest key starts afresh.
         for (page, leaf) in &all[..all.len() - 1] {
-            let used = leaf.serialized_size();
+            let used = leaf.end();
             assert!(
                 (PAGE_DATA / 2 - 500..=PAGE_DATA).contains(&used),
                 "leaf {page} holds {used} bytes"
@@ -1008,7 +1047,7 @@ mod tests {
     #[test]
     fn parse_rejects_unknown_tag() {
         let buf = [9u8; PAGE_SIZE];
-        assert!(Node::parse(PageId(0), &buf, 1).is_err());
+        assert!(NodeView::parse(PageId(0), &buf, 1).is_err());
     }
 
     #[test]
@@ -1016,11 +1055,13 @@ mod tests {
         // A root that points at itself must surface as CorruptPage.
         let mut p = Pager::new(Box::new(MemBackend::new()));
         let root = p.allocate();
-        let node = Node::Internal {
-            keys: vec![b"m".to_vec()],
-            children: vec![root, root],
-        };
-        write_node(&mut p, root, &node).unwrap();
+        let id = root.0.to_le_bytes();
+        write_node(
+            &mut p,
+            root,
+            &[&[TAG_INTERNAL, 1, 0], &id, &[1, 0], b"m", &id],
+        )
+        .unwrap();
         let t = BTree::open(root);
         assert!(matches!(
             t.get(&mut p, b"q"),
@@ -1028,5 +1069,90 @@ mod tests {
         ));
         let err = t.seek(&mut p, b"");
         assert!(matches!(err, Err(StorageError::CorruptPage(_, _))));
+    }
+    /// Every node page reachable from `t`'s root equals the reference
+    /// encoding of the entries its view reads back.
+    fn assert_pages_canonical(p: &mut Pager, t: &BTree) {
+        let mut todo = vec![t.root];
+        while let Some(id) = todo.pop() {
+            let buf = page_bytes(p, id);
+            let node = NodeView::parse(id, &buf, p.page_count()).unwrap();
+            assert_eq!(&buf[..PAGE_DATA], &reference_page(&node)[..], "page {id}");
+            if !node.is_leaf() {
+                todo.extend((0..=node.len()).map(|i| node.child(i)));
+            }
+        }
+    }
+
+    #[test]
+    fn random_puts_and_deletes_leave_canonical_pages() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Most keys are short; some run up to the limit, so a leaf
+            // holds from four entries to hundreds.
+            let keys: Vec<Vec<u8>> = (0..400)
+                .map(|_| {
+                    let len = match rng.gen_range(0..10u32) {
+                        0 => rng.gen_range(0..=MAX_KEY_LEN),
+                        _ => rng.gen_range(0..12),
+                    };
+                    (0..len).map(|_| rng.gen_range(b'a'..=b'd')).collect()
+                })
+                .collect();
+            let (mut p, mut t) = setup();
+            let mut model = BTreeMap::new();
+            for op in 0..1_500 {
+                let key = &keys[rng.gen_range(0..keys.len())];
+                if rng.gen_range(0..4u32) == 0 {
+                    assert_eq!(t.delete(&mut p, key).unwrap(), model.remove(key).is_some());
+                } else {
+                    // Values on both sides of the inline limit.
+                    let len = match rng.gen_range(0..8u32) {
+                        0 => rng.gen_range(INLINE_MAX + 1..3 * PAGE_DATA),
+                        1 => INLINE_MAX,
+                        _ => rng.gen_range(0..64),
+                    };
+                    let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
+                    let value = if len <= INLINE_MAX {
+                        Value::Inline(bytes.clone())
+                    } else {
+                        Value::Run(crate::heap::write_value(&mut p, &bytes).unwrap())
+                    };
+                    t.insert(&mut p, key, value).unwrap();
+                    model.insert(key.clone(), bytes);
+                }
+                if op % 100 == 99 {
+                    // Commit, so that the next edits relocate their pages.
+                    p.flush().unwrap();
+                    p.mark_committed();
+                    assert_pages_canonical(&mut p, &t);
+                }
+            }
+            assert_pages_canonical(&mut p, &t);
+            let mut cursor = t.seek(&mut p, b"").unwrap();
+            let mut stored = Vec::new();
+            while let Some((key, value)) = cursor.next(&mut p).unwrap() {
+                stored.push((key, value));
+            }
+            let stored: Vec<(Vec<u8>, Vec<u8>)> = stored
+                .into_iter()
+                .map(|(k, v)| (k, v.into_bytes(&mut p).unwrap()))
+                .collect();
+            assert!(
+                stored.iter().eq(model
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect::<Vec<_>>()
+                    .iter()),
+                "seed {seed}"
+            );
+            for (key, bytes) in &model {
+                let value = t.get(&mut p, key).unwrap().unwrap();
+                assert_eq!(&value.into_bytes(&mut p).unwrap(), bytes);
+            }
+        }
     }
 }

@@ -17,7 +17,7 @@
 //! inactive slot legitimately holds the torn remains of the interrupted
 //! commit, and a recovered store must still pass `check`.
 
-use crate::btree::{read_node, Node, Value};
+use crate::btree::{read_node, Value};
 use crate::heap::read_value;
 use crate::pager::{trailer_ok, PageId, Pager, PAGE_SIZE};
 use crate::store::FIRST_DATA_PAGE;
@@ -120,61 +120,61 @@ pub(crate) fn run_check(pager: &mut Pager, root: PageId, csn: u64) -> Result<Che
         if !visited.insert(page.0) {
             return corrupt(page, "page reachable via two tree paths");
         }
-        match read_node(pager, page)? {
-            Node::Internal { keys, children } => {
-                if keys.is_empty() {
-                    return corrupt(page, "internal node without separators");
-                }
-                if keys.windows(2).any(|w| w[0] >= w[1]) {
-                    return corrupt(page, "separators out of order");
-                }
-                if keys.iter().any(|k| !in_bounds(k, &lo, &hi)) {
-                    return corrupt(page, "separator violates ancestor bounds");
-                }
-                for (i, &child) in children.iter().enumerate() {
-                    stack.push(Frame {
-                        page: child,
-                        depth: depth + 1,
-                        lo: if i == 0 {
-                            lo.clone()
-                        } else {
-                            Some(keys[i - 1].clone())
-                        },
-                        hi: if i == keys.len() {
-                            hi.clone()
-                        } else {
-                            Some(keys[i].clone())
-                        },
-                    });
-                }
+        // An owned copy: reading a value run below needs the pager.
+        let node = read_node(pager, page)?.into_owned();
+        let n = node.len();
+        if !node.is_leaf() {
+            if n == 0 {
+                return corrupt(page, "internal node without separators");
             }
-            Node::Leaf { entries: leaf } => {
-                match leaf_depth {
-                    None => leaf_depth = Some(depth),
-                    Some(d) if d != depth => {
-                        return corrupt(page, "leaves at unequal depths");
-                    }
-                    Some(_) => {}
-                }
-                if leaf.windows(2).any(|w| w[0].0 >= w[1].0) {
-                    return corrupt(page, "leaf keys out of order");
-                }
-                for (key, value) in &leaf {
-                    if !in_bounds(key, &lo, &hi) {
-                        return corrupt(page, "leaf key violates ancestor bounds");
-                    }
-                    entries += 1;
-                    match value {
-                        Value::Inline(_) => inline_entries += 1,
-                        // `read_node` placed the run inside the store;
-                        // reading it verifies the trailer of every page.
-                        Value::Run(vref) => {
-                            let span = vref.page_span();
-                            value_pages += span as u64;
-                            value_runs.push((vref.first_page, span));
-                            read_value(pager, *vref)?;
-                        }
-                    }
+            if (1..n).any(|i| node.key(i - 1) >= node.key(i)) {
+                return corrupt(page, "separators out of order");
+            }
+            if (0..n).any(|i| !in_bounds(node.key(i), &lo, &hi)) {
+                return corrupt(page, "separator violates ancestor bounds");
+            }
+            for i in 0..=n {
+                stack.push(Frame {
+                    page: node.child(i),
+                    depth: depth + 1,
+                    lo: if i == 0 {
+                        lo.clone()
+                    } else {
+                        Some(node.key(i - 1).to_vec())
+                    },
+                    hi: if i == n {
+                        hi.clone()
+                    } else {
+                        Some(node.key(i).to_vec())
+                    },
+                });
+            }
+            continue;
+        }
+        match leaf_depth {
+            None => leaf_depth = Some(depth),
+            Some(d) if d != depth => {
+                return corrupt(page, "leaves at unequal depths");
+            }
+            Some(_) => {}
+        }
+        if (1..n).any(|i| node.key(i - 1) >= node.key(i)) {
+            return corrupt(page, "leaf keys out of order");
+        }
+        for i in 0..n {
+            if !in_bounds(node.key(i), &lo, &hi) {
+                return corrupt(page, "leaf key violates ancestor bounds");
+            }
+            entries += 1;
+            match node.value(i) {
+                Value::Inline(_) => inline_entries += 1,
+                // `read_node` placed the run inside the store; reading it
+                // verifies the trailer of every page.
+                Value::Run(vref) => {
+                    let span = vref.page_span();
+                    value_pages += span as u64;
+                    value_runs.push((vref.first_page, span));
+                    read_value(pager, vref)?;
                 }
             }
         }

@@ -65,19 +65,20 @@ fn operations_fail_gracefully_once_the_backend_dies() {
     }
     store.commit().unwrap();
 
-    // Kill the backend; every operation that needs uncached pages must
-    // return Err rather than panic.
+    // Kill the backend: every operation that needs it must return Err
+    // rather than panic. A commit syncs, so it fails.
     fuse.store(0, Ordering::Relaxed);
-    // Reads may still succeed from the page cache; a commit (which syncs)
-    // must fail.
     assert!(store.commit().is_err());
-    // New value writes allocate fresh pages in cache and only fail at
-    // commit time; scan of cached data may succeed. The key property is
-    // that *no* operation panics — exercise a mix:
+    // The pager holds only the pages the open transaction wrote, and the
+    // last commit left it none: every read of a committed page goes to the
+    // dead backend, so lookups and scans fail too.
     let _ = store.put(b"late", b"value");
-    let _ = store.get(b"key0007");
+    assert!(store.get(b"key0007").is_err());
     let _ = store.delete(b"key0001");
-    let _ = store.scan_prefix(b"key").and_then(|it| it.collect_all());
+    assert!(store
+        .scan_prefix(b"key")
+        .and_then(|it| it.collect_all())
+        .is_err());
     assert!(store.commit().is_err());
 }
 

@@ -3,7 +3,6 @@
 //! reported by the next query that reads the damaged pages, never
 //! answered from a copy the reader read before the damage.
 
-use approxql::crates::index::persist::PersistError;
 use approxql::crates::storage::{StorageError, PAGE_SIZE};
 use approxql::{Database, DatabaseError};
 use std::os::unix::fs::FileExt;
@@ -36,16 +35,13 @@ fn damage_every_data_page(path: &std::path::Path) {
     file.sync_all().unwrap();
 }
 
-/// Whether `result` is the storage layer's `CorruptPage`, as the
-/// database reports it: directly, or from under the decode of a list that
-/// a query loads.
+/// Whether `result` is the storage layer's `CorruptPage`. The database
+/// reports a storage error in this one shape, also when it met it under
+/// the decode of a list that a query loads.
 fn is_corrupt_page<T>(result: &Result<T, DatabaseError>) -> bool {
     matches!(
         result,
         Err(DatabaseError::Storage(StorageError::CorruptPage(_, _)))
-            | Err(DatabaseError::Persist(PersistError::Storage(
-                StorageError::CorruptPage(_, _)
-            )))
     )
 }
 
