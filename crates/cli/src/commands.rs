@@ -167,18 +167,6 @@ impl Flags {
     }
 }
 
-/// Parses `--surface` (`None` = auto-detect from the query text).
-fn surface_flag(flags: &Flags) -> Result<Option<Surface>, CliError> {
-    match flags.option("--surface") {
-        None => Ok(None),
-        Some(name) => Surface::from_name(name).map(Some).ok_or_else(|| {
-            usage(format!(
-                "invalid value `{name}` for --surface (classic, json, or xpath)"
-            ))
-        }),
-    }
-}
-
 fn load_costs(flags: &Flags) -> Result<CostModel, CliError> {
     match flags.option("--costs") {
         None => Ok(CostModel::new()),
@@ -399,21 +387,13 @@ const QUERY: Accepts = Accepts {
         "--stats-json",
         "--explain",
     ],
-    options: &[
-        "-n",
-        "--costs",
-        "--threads",
-        "--format",
-        "--repeat",
-        "--surface",
-    ],
+    options: &["-n", "--costs", "--threads", "--format", "--repeat"],
     usage: "  approxql query   <db.axql> <QUERY> [-n N] [--direct|--schema]
                    [--costs FILE] [--threads 1] [--xml] [--stats] [--stats-json]
-                   [--explain] [--format text|json] [--repeat N] [--surface S]
+                   [--explain] [--format text|json] [--repeat N]
       run an approximate query; results are ranked by transformation cost
-      (QUERY may be written in any surface — classic approXQL, the
-       versioned JSON query-IR `{\"v\":1,…}`, or XPath-lite `/a//b[c]`;
-       auto-detected, or pinned with --surface classic|json|xpath;
+      (QUERY is classic approXQL, or the versioned JSON query-IR
+       `{\"v\":1,…}` when it starts with `{`;
        --stats prints per-layer operation counters to stderr,
        --stats-json the same as one JSON object; evaluation is
        single-threaded, so --threads takes only 1;
@@ -449,7 +429,6 @@ fn cmd_query(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
             )))
         }
     };
-    let surface = surface_flag(flags)?;
     let repeat: usize = flags.option_parsed("--repeat")?.unwrap_or(1);
     if repeat == 0 {
         return Err(usage("--repeat must be at least 1"));
@@ -469,10 +448,7 @@ fn cmd_query(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     // The registry is process-wide; diff against a baseline so the report
     // covers exactly this query's evaluation.
     let before = approxql_metrics::snapshot();
-    let input = QueryInput {
-        text: query,
-        surface,
-    };
+    let input = QueryInput::new(query);
     for round in 0..repeat {
         // Repeat rounds re-execute through the plan cache (visible in the
         // plan.cache_hits counter) but print only once.
@@ -569,8 +545,8 @@ fn cmd_stats(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
 const EXPLAIN: Accepts = Accepts {
     verb: "explain",
     switches: &[],
-    options: &["--costs", "-k", "--surface"],
-    usage: "  approxql explain <db.axql> <QUERY> [--costs FILE] [-k K] [--surface S]
+    options: &["--costs", "-k"],
+    usage: "  approxql explain <db.axql> <QUERY> [--costs FILE] [-k K]
       show the expanded representation and the best K second-level queries",
 };
 
@@ -579,14 +555,10 @@ fn cmd_explain(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
         return Err(usage("explain needs a database path and a query string"));
     };
     let k: usize = flags.option_parsed("-k")?.unwrap_or(5);
-    let surface = surface_flag(flags)?;
     let db = open_with_costs(db_path, flags)?;
     db.materialize()?;
     let metrics_before = approxql_metrics::snapshot();
-    let (parsed, expanded) = db.compile(QueryInput {
-        text: query,
-        surface,
-    })?;
+    let (parsed, expanded) = db.compile(query)?;
     writeln!(out, "query (canonical): {parsed}")?;
     writeln!(
         out,
@@ -640,38 +612,29 @@ fn cmd_explain(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
 const TRANSLATE: Accepts = Accepts {
     verb: "translate",
     switches: &[],
-    options: &["--surface", "--to", "--out"],
-    usage: "  approxql translate <QUERY> [--surface S] [--to classic|json|xpath]
-                   [--out FILE]
-      parse QUERY (any surface, auto-detected or pinned with --surface)
-      and print its canonical form in the --to surface (default: json,
-      the versioned query-IR). Equivalent queries translate to identical
-      canonical forms regardless of the input surface; malformed queries
-      exit 2 with a caret-annotated syntax error",
+    options: &["--to", "--out"],
+    usage: "  approxql translate <QUERY> [--to classic|json] [--out FILE]
+      parse QUERY (classic, or JSON query-IR when it starts with `{`) and
+      print its canonical form in the --to surface (default: json, the
+      versioned query-IR). Equivalent queries translate to identical
+      canonical forms in either spelling; malformed queries exit 2 with a
+      caret-annotated syntax error",
 };
 
 fn cmd_translate(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
     let [query] = flags.positional.as_slice() else {
         return Err(usage("translate needs a query string"));
     };
-    let surface = surface_flag(flags)?;
     let to = match flags.option("--to") {
         None => Surface::Json,
-        Some(name) => Surface::from_name(name).ok_or_else(|| {
-            usage(format!(
-                "invalid value `{name}` for --to (classic, json, or xpath)"
-            ))
-        })?,
-    };
-    let input = QueryInput {
-        text: query,
-        surface,
+        Some(name) => Surface::from_name(name)
+            .ok_or_else(|| usage(format!("invalid value `{name}` for --to (classic or json)")))?,
     };
     // A malformed query is a usage-class failure (exit 2): translate
     // validates input, it has no system under test.
-    let parsed = input
+    let parsed = QueryInput::new(query)
         .parse()
-        .map_err(|e| usage(format!("{} query: {e}", input.surface())))?;
+        .map_err(|e| usage(format!("{} query: {e}", Surface::detect(query))))?;
     let mut rendered = to.render(&parsed);
     rendered.push('\n');
     match flags.option("--out") {
@@ -1119,6 +1082,22 @@ mod tests {
             run_words(&["query", "a", "b", "--direct", "--schema"]),
             Err(CliError::Usage(_))
         ));
+        // The surface is read off the query; no verb pins it.
+        for words in [
+            &["query", "db", "cd", "--surface", "classic"][..],
+            &["explain", "db", "cd", "--surface", "json"][..],
+            &["translate", "cd", "--surface", "json"][..],
+        ] {
+            let err = run_words(words).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{words:?}");
+            assert!(err.to_string().contains("`--surface`"), "{err}");
+        }
+        let err = run_words(&["translate", "cd", "--to", "xpath"]).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        assert!(
+            err.to_string().contains("invalid value `xpath` for --to"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1293,8 +1272,8 @@ mod tests {
     fn translate_converts_between_surfaces() {
         let dir = tmpdir("translate");
         let classic = r#"cd[title["piano"] and composer]"#;
-        // classic → json → xpath → classic via --out files comes back to
-        // the canonical classic form.
+        // classic → json → classic via --out files comes back to the
+        // canonical classic form.
         let json_out = dir.join("q.json");
         run_words(&["translate", classic, "--out", json_out.to_str().unwrap()]).unwrap();
         let json = std::fs::read_to_string(&json_out).unwrap();
@@ -1302,22 +1281,10 @@ mod tests {
             json.trim_end(),
             r#"{"v":1,"query":{"name":"cd","child":{"and":[{"name":"title","child":{"text":"piano"}},{"name":"composer"}]}}}"#
         );
-        let xpath_out = dir.join("q.xpath");
-        run_words(&[
-            "translate",
-            json.trim_end(),
-            "--to",
-            "xpath",
-            "--out",
-            xpath_out.to_str().unwrap(),
-        ])
-        .unwrap();
-        let xpath = std::fs::read_to_string(&xpath_out).unwrap();
-        assert_eq!(xpath.trim_end(), format!("/{classic}"));
         let classic_out = dir.join("q.axq");
         run_words(&[
             "translate",
-            xpath.trim_end(),
+            json.trim_end(),
             "--to",
             "classic",
             "--out",
@@ -1328,16 +1295,6 @@ mod tests {
             std::fs::read_to_string(&classic_out).unwrap().trim_end(),
             classic
         );
-        // Pinning a surface overrides detection — and a classic query is
-        // not valid JSON-IR.
-        assert!(matches!(
-            run_words(&["translate", classic, "--surface", "json"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run_words(&["translate", classic, "--surface", "sql"]),
-            Err(CliError::Usage(_))
-        ));
         assert!(matches!(
             run_words(&["translate", classic, "--to", "sql"]),
             Err(CliError::Usage(_))
@@ -1381,7 +1338,7 @@ mod tests {
     }
 
     #[test]
-    fn query_accepts_all_surfaces() {
+    fn query_accepts_both_surfaces() {
         let dir = tmpdir("surfaces");
         let doc = dir.join("catalog.xml");
         std::fs::write(
@@ -1394,19 +1351,12 @@ mod tests {
         for query in [
             r#"cd[title["piano"]]"#,
             r#"{"v":1,"query":{"name":"cd","child":{"name":"title","child":{"text":"piano"}}}}"#,
-            r#"/cd//title["piano"]"#,
         ] {
             run_words(&["query", db.to_str().unwrap(), query, "--direct"]).unwrap();
         }
-        // Pinned surface must match the text.
+        // Path notation is a classic syntax error.
         assert!(matches!(
-            run_words(&[
-                "query",
-                db.to_str().unwrap(),
-                r#"/cd//title"#,
-                "--surface",
-                "classic",
-            ]),
+            run_words(&["query", db.to_str().unwrap(), r#"/cd//title"#]),
             Err(CliError::Db(DatabaseError::Query(_)))
         ));
         // --explain --format json; --format without --explain is misuse.

@@ -4,11 +4,10 @@
 //! to each verb's flag declaration in `commands` (`commands::usage_text`),
 //! and a usage error prints only the stanza of the verb it concerns.
 //!
-//! Queries are accepted in three surfaces — classic approXQL
-//! (`cd[title["piano"]]`), the versioned JSON query-IR
-//! (`{"v":1,"query":…}`), and XPath-lite (`/cd//title["piano"]`) — all
-//! compiling to the same physical plan; the surface is auto-detected
-//! unless pinned with `--surface`.
+//! Queries are accepted in two spellings — classic approXQL
+//! (`cd[title["piano"]]`) and the versioned JSON query-IR
+//! (`{"v":1,"query":…}`) — both compiling to the same physical plan; a
+//! query that starts with `{` is JSON-IR.
 //!
 //! Exit codes: 0 success, 1 generic failure, 2 usage error, 3 database
 //! file unreadable / corrupt / failed verification.

@@ -631,11 +631,11 @@ impl Database {
     }
 
     /// Parses, normalizes, and expands a query against this database's
-    /// cost model. Accepts any query surface: a plain `&str` auto-detects
-    /// (classic / JSON query-IR / XPath-lite), a [`QueryInput`] pins one.
-    /// Normalization makes the returned `Query` — and so its canonical
-    /// rendering, the plan-cache key — surface-independent: equivalent
-    /// queries from different surfaces share one cached plan.
+    /// cost model. Accepts either query surface, classic or JSON query-IR,
+    /// detected from the text ([`QueryInput`]). Normalization makes the
+    /// returned `Query` — and so its canonical rendering, the plan-cache
+    /// key — surface-independent: equivalent queries in either spelling
+    /// share one cached plan.
     pub fn compile<'a>(
         &self,
         query: impl Into<QueryInput<'a>>,
@@ -1069,7 +1069,6 @@ fn load_resident(store: &mut Store) -> Result<(CostModel, Resident), DatabaseErr
 mod tests {
     use super::*;
     use approxql_cost::tables::paper_section6_costs;
-    use approxql_query::Surface;
 
     const CATALOG: &str = r#"<catalog>
         <cd><title>Piano Concerto</title><composer>Rachmaninov</composer></cd>
@@ -1299,24 +1298,16 @@ mod tests {
         let classic = r#"cd[title["piano"]]"#;
         let json =
             r#"{"v":1,"query":{"name":"cd","child":{"name":"title","child":{"text":"piano"}}}}"#;
-        let xpath = r#"/cd//title["piano"]"#;
         let before = approxql_metrics::snapshot();
         let first = db.query_direct(classic, None).unwrap();
-        // The other two surfaces auto-detect and hit the classic entry:
-        // one compile total, cross-surface cache hits.
+        // The JSON-IR spelling is detected and hits the classic entry:
+        // one compile total, a cross-surface cache hit.
         let via_json = db.query_direct(json, None).unwrap();
-        let via_xpath = db.query_direct(xpath, None).unwrap();
         let delta = approxql_metrics::snapshot().diff(&before);
         assert_eq!(delta.get(Metric::PlanCacheMisses), 1);
-        assert_eq!(delta.get(Metric::PlanCacheHits), 2);
+        assert_eq!(delta.get(Metric::PlanCacheHits), 1);
         assert_eq!(delta.get(Metric::PlanCompile), 1);
         assert_eq!(first, via_json);
-        assert_eq!(first, via_xpath);
-        // Pinning the surface explicitly works too.
-        let pinned = db
-            .query_direct(QueryInput::with_surface(json, Surface::Json), None)
-            .unwrap();
-        assert_eq!(first, pinned);
     }
 
     #[test]
@@ -1329,9 +1320,13 @@ mod tests {
         let parsed = approxql_query::json::parse(&doc).unwrap();
         let fp = parsed.get("fingerprint").unwrap().as_str().unwrap();
         assert!(fp.starts_with("0x"), "{fp}");
-        // Same fingerprint for the equivalent XPath-lite spelling.
+        // Same fingerprint for the equivalent JSON-IR spelling.
         let other = db
-            .explain_direct_json(r#"/cd//title["piano"]"#, Some(10), opts)
+            .explain_direct_json(
+                r#"{"v":1,"query":{"name":"cd","child":{"name":"title","child":{"text":"piano"}}}}"#,
+                Some(10),
+                opts,
+            )
             .unwrap();
         assert_eq!(doc, other, "explain JSON must be surface-independent");
     }

@@ -54,8 +54,7 @@ impl QueryNode {
     /// to the same plan — normalization is what makes the plan-cache key
     /// (the canonical rendering) honest. The classic parser always builds
     /// left-associated chains, so this is the identity on its output; the
-    /// JSON query-IR's n-ary `and`/`or` arrays and XPath-lite's predicate
-    /// conjunctions lower through the same fold.
+    /// JSON query-IR's n-ary `and`/`or` arrays lower through the same fold.
     pub fn normalize(self) -> QueryNode {
         match self {
             QueryNode::Name { label, child } => QueryNode::Name {

@@ -178,7 +178,7 @@ fn string_field(j: &Json, key: &str) -> Result<String, String> {
 }
 
 /// Element names must satisfy the classic lexer's name rules so that any
-/// accepted query renders back into every surface.
+/// accepted query renders back into the classic surface.
 fn check_label(label: &str) -> Result<(), String> {
     let mut chars = label.chars();
     let valid = match chars.next() {

@@ -21,10 +21,6 @@ pub enum Token {
     And,
     /// keyword `or`
     Or,
-    /// `/` — a child/self step separator (XPath-lite surface only).
-    Slash,
-    /// `//` — a descendant step separator (XPath-lite surface only).
-    DSlash,
 }
 
 impl fmt::Display for Token {
@@ -38,8 +34,6 @@ impl fmt::Display for Token {
             Token::RParen => write!(f, "`)`"),
             Token::And => write!(f, "`and`"),
             Token::Or => write!(f, "`or`"),
-            Token::Slash => write!(f, "`/`"),
-            Token::DSlash => write!(f, "`//`"),
         }
     }
 }
@@ -102,16 +96,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, LexError> {
                     token: Token::RParen,
                     offset,
                 });
-            }
-            '/' => {
-                iter.next();
-                let token = if matches!(iter.peek(), Some(&(_, '/'))) {
-                    iter.next();
-                    Token::DSlash
-                } else {
-                    Token::Slash
-                };
-                tokens.push(Spanned { token, offset });
             }
             quote @ ('"' | '\'') => {
                 iter.next();
@@ -233,23 +217,6 @@ mod tests {
                 Token::RParen
             ]
         );
-    }
-
-    #[test]
-    fn slashes_lex_greedily() {
-        assert_eq!(
-            toks("/a//b[c]"),
-            vec![
-                Token::Slash,
-                Token::Name("a".into()),
-                Token::DSlash,
-                Token::Name("b".into()),
-                Token::LBracket,
-                Token::Name("c".into()),
-                Token::RBracket,
-            ]
-        );
-        assert_eq!(toks("///x")[..2], [Token::DSlash, Token::Slash]);
     }
 
     #[test]

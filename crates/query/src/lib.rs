@@ -11,21 +11,22 @@
 //!
 //! Example: `cd[title["piano" and "concerto"] and composer["rachmaninov"]]`.
 //!
-//! That grammar is the **classic surface** — one of three concrete
-//! syntaxes accepted by the multi-surface front-end ([`surface`]):
+//! That grammar is the **classic surface**, one of the two spellings of
+//! the language ([`surface`]):
 //!
-//! * **classic** — the hand-written syntax above ([`parse_query`]),
+//! * **classic** — the bracket syntax above ([`parse_query`]),
 //! * **json** — a versioned machine-friendly JSON query-IR,
-//!   `{"v":1,"query":…}` ([`json_ir`], [`parse_json_query`]),
-//! * **xpath** — an XPath-lite navigational syntax, `/cd//title["piano"]`
-//!   ([`xpath`], [`parse_xpath_query`]).
+//!   `{"v":1,"query":…}` ([`json_ir`], [`parse_json_query`]).
 //!
-//! All three parse to the same [`Query`] AST, are normalized
-//! ([`Query::normalize`]) and lower through one shared path to the
-//! physical plan, so equivalent queries produce byte-identical plans and
-//! share a plan-cache entry regardless of surface. Any accepted query
-//! renders canonically into every surface ([`Surface::render`],
-//! [`Query::to_json_ir`], [`Query::to_xpath`]).
+//! The first character decides the spelling (`{` is JSON-IR), so there
+//! is no surface to pin. Both parse to the same [`Query`] AST, are
+//! normalized ([`Query::normalize`]) and lower through one shared path to
+//! the physical plan, so equivalent queries produce byte-identical plans
+//! and share a plan-cache entry whichever way they are spelled. Any
+//! accepted query renders canonically into either surface
+//! ([`Surface::render`], [`Query::to_json_ir`]). A query nests at most
+//! 256 levels in either spelling, and has at most [`MAX_SELECTORS`]
+//! selectors, checked where the two parses meet ([`Surface::parse`]).
 //!
 //! Three representations are provided:
 //!
@@ -45,11 +46,9 @@ pub mod json_ir;
 mod lexer;
 mod parser;
 pub mod surface;
-pub mod xpath;
 
 pub use ast::{Query, QueryNode};
 pub use conjunctive::{ConjunctiveNode, ConjunctiveQuery};
 pub use json_ir::{parse_json_query, JSON_IR_VERSION};
-pub use parser::{parse_query, ParseError};
+pub use parser::{parse_query, ParseError, MAX_SELECTORS};
 pub use surface::{QueryInput, Surface};
-pub use xpath::parse_xpath_query;

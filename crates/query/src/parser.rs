@@ -1,25 +1,20 @@
-//! Recursive-descent parser for approXQL — the only one. Path notation
-//! (the XPath-lite surface, [`crate::xpath`]) and bracket notation (the
-//! classic surface) are two spellings of one tree pattern, so they differ
-//! in one production, `step`, and share every other one.
+//! Recursive-descent parser for the classic approXQL syntax.
 //!
 //! Grammar (with `and` binding tighter than `or`):
 //!
 //! ```text
-//! query   := step                          classic
-//!          | sep step                      XPath-lite (absolute paths only)
-//! step    := NAME [ '[' expr ']' ]         classic
-//!          | NAME pred* ( sep step )?      XPath-lite
-//! pred    := '[' expr ']'
-//! sep     := '/' | '//'
+//! query   := step
+//! step    := NAME [ '[' expr ']' ]
 //! expr    := andexpr ( 'or' andexpr )*
 //! andexpr := primary ( 'and' primary )*
 //! primary := '(' expr ')' | step | STRING
 //! ```
 //!
-//! Nesting — brackets, parentheses and path steps — is bounded by
-//! [`MAX_DEPTH`]: the parser recurses once per level, and a query is an
-//! argument anybody can make 30,000 levels deep.
+//! Nesting — brackets and parentheses — is bounded by [`MAX_DEPTH`]: the
+//! parser recurses once per level, and a query is an argument anybody can
+//! make 30,000 levels deep. How many selectors a query may have is
+//! bounded by [`MAX_SELECTORS`], checked where the classic and JSON-IR
+//! parses meet ([`crate::Surface::parse`]).
 //!
 //! String literals are normalized with the same word splitting as document
 //! text (Section 4); a multi-word literal like `"piano concerto"` becomes
@@ -33,8 +28,8 @@ use std::fmt;
 /// A syntax error with the position where it was detected and a rendered
 /// caret snippet pointing into the offending source line.
 ///
-/// All three query surfaces (classic, JSON query-IR, XPath-lite) report
-/// failures through this type, so every front-end error carries a
+/// Both query surfaces (classic and JSON query-IR) report failures
+/// through this type, so every front-end error carries a
 /// line/column and a `^` marker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -121,50 +116,43 @@ fn conjoin(parts: impl IntoIterator<Item = QueryNode>) -> Option<QueryNode> {
 /// pattern) has stack for.
 pub const MAX_DEPTH: usize = 256;
 
-/// The one recursive-descent parser. `paths` selects the XPath-lite `step`
-/// production ([`crate::xpath`]); every other production is shared.
-pub(crate) struct Parser<'a> {
+/// How many selectors (name and text selectors, each word of a string
+/// literal counted) a query may have. Far beyond any query a person
+/// writes or the workloads run; without a bound, the memory the
+/// schema-driven evaluator takes grows with the square of a long
+/// conjunction's length (1.5 GB for 20,000 conjuncts). Checked by
+/// [`crate::Surface::parse`], where both spellings meet.
+pub const MAX_SELECTORS: usize = 1024;
+
+/// The recursive-descent parser.
+struct Parser<'a> {
     input: &'a str,
     tokens: Vec<Spanned>,
     pos: usize,
-    paths: bool,
-    /// Open `[`, `(` and path separators around the current token.
+    /// Open `[` and `(` around the current token.
     depth: usize,
 }
 
 impl Parser<'_> {
-    /// The whole of `input` as one `step` — behind the leading separator
-    /// of an absolute path when `paths`.
-    pub(crate) fn parse(input: &str, paths: bool) -> Result<Query, ParseError> {
+    /// The whole of `input` as one `step`.
+    fn parse(input: &str) -> Result<Query, ParseError> {
         let tokens =
             tokenize(input).map_err(|e| ParseError::at_offset(input, e.offset, e.message))?;
         let mut p = Parser {
             input,
             tokens,
             pos: 0,
-            paths,
             depth: 0,
         };
-        if paths {
-            if !p.at_separator() {
-                return Err(p.err("an XPath-lite query is an absolute path: expected `/` or `//`"));
-            }
-            p.pos += 1;
-        }
         let root = p.step()?;
         if p.peek().is_some() {
-            let what = if paths { "path" } else { "query" };
-            return Err(p.err(format!("unexpected trailing input after the {what}")));
+            return Err(p.err("unexpected trailing input after the query"));
         }
         Ok(Query { root })
     }
 
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos).map(|s| &s.token)
-    }
-
-    fn at_separator(&self) -> bool {
-        matches!(self.peek(), Some(Token::Slash | Token::DSlash))
     }
 
     /// An error at the current token (or at the end of the input).
@@ -188,9 +176,9 @@ impl Parser<'_> {
         Ok(())
     }
 
-    /// Steps over the token that opens a nesting level — `[`, `(` or a
-    /// path separator — and parses what stands inside it, unless the
-    /// token is one level too deep.
+    /// Steps over the token that opens a nesting level — `[` or `(` — and
+    /// parses what stands inside it, unless the token is one level too
+    /// deep.
     fn nested(
         &mut self,
         inner: fn(&mut Self) -> Result<QueryNode, ParseError>,
@@ -205,31 +193,18 @@ impl Parser<'_> {
         node
     }
 
-    /// Classic: `step := NAME [ '[' expr ']' ]`. With `paths`:
-    /// `step := NAME pred* ( sep step )?`, `pred := '[' expr ']'` — the
-    /// predicates and the path tail conjoin in source order.
+    /// `step := NAME [ '[' expr ']' ]`
     fn step(&mut self) -> Result<QueryNode, ParseError> {
         let Some(Token::Name(label)) = self.peek().cloned() else {
-            let what = if self.paths {
-                "step name"
-            } else {
-                "name selector"
-            };
-            return Err(self.expected(format_args!("a {what}")));
+            return Err(self.expected("a name selector"));
         };
         self.pos += 1;
-        let mut parts = Vec::new();
-        while self.peek() == Some(&Token::LBracket) && (self.paths || parts.is_empty()) {
-            parts.push(self.nested(Self::expr)?);
+        let mut child = None;
+        if self.peek() == Some(&Token::LBracket) {
+            child = Some(Box::new(self.nested(Self::expr)?));
             self.expect(&Token::RBracket)?;
         }
-        if self.paths && self.at_separator() {
-            parts.push(self.nested(Self::step)?);
-        }
-        Ok(QueryNode::Name {
-            label,
-            child: conjoin(parts).map(Box::new),
-        })
+        Ok(QueryNode::Name { label, child })
     }
 
     /// `primary := '(' expr ')' | step | STRING` — a string literal becomes
@@ -285,12 +260,13 @@ impl Parser<'_> {
 /// assert_eq!(q.selector_count(), 4);
 /// ```
 pub fn parse_query(input: &str) -> Result<Query, ParseError> {
-    Parser::parse(input, false)
+    Parser::parse(input)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Surface;
 
     #[test]
     fn parses_paper_query() {
@@ -468,21 +444,53 @@ mod tests {
             (err.offset, err.col),
             (2 * MAX_DEPTH + 1, 2 * MAX_DEPTH + 2)
         );
-        // Parentheses and path steps are levels like any other.
+        // Parentheses are levels like any other.
         let parens = |n: usize| format!("a[{}b{}]", "(".repeat(n), ")".repeat(n));
         parse_query(&parens(MAX_DEPTH - 1)).unwrap();
         let err = parse_query(&parens(MAX_DEPTH)).unwrap_err();
         assert_eq!(err.offset, 2 + MAX_DEPTH - 1);
-        Parser::parse(&"/a".repeat(MAX_DEPTH + 1), true).unwrap();
-        let err = Parser::parse(&"/a".repeat(MAX_DEPTH + 2), true).unwrap_err();
-        assert_eq!(err.offset, 2 * (MAX_DEPTH + 1));
         // What used to abort the process: 60 KB of open brackets.
         let started = std::time::Instant::now();
-        for (root, paths) in [("", false), ("/", true)] {
-            let query = format!("{root}{}", "a[".repeat(30_000));
-            let err = Parser::parse(&query, paths).unwrap_err();
-            assert!(err.message.contains("deeper than"), "{}", err.message);
-        }
+        let err = parse_query(&"a[".repeat(30_000)).unwrap_err();
+        assert!(err.message.contains("deeper than"), "{}", err.message);
         assert!(started.elapsed().as_secs() < 5);
+    }
+
+    /// `a[b and … and b]` with `selectors` selectors, in both spellings.
+    fn conjunction(selectors: usize) -> [(Surface, String); 2] {
+        let classic = format!("a[{}]", vec!["b"; selectors - 1].join(" and "));
+        let json = format!(
+            r#"{{"v":1,"query":{{"name":"a","child":{{"and":[{}]}}}}}}"#,
+            vec![r#"{"name":"b"}"#; selectors - 1].join(",")
+        );
+        [(Surface::Classic, classic), (Surface::Json, json)]
+    }
+
+    #[test]
+    fn size_is_bounded_at_the_selector_that_goes_over() {
+        for (surface, text) in conjunction(MAX_SELECTORS) {
+            let q = surface.parse(&text).unwrap();
+            assert_eq!(q.selector_count(), MAX_SELECTORS, "{surface}");
+        }
+        for (surface, text) in conjunction(MAX_SELECTORS + 1) {
+            let err = surface.parse(&text).unwrap_err();
+            assert_eq!(
+                err.message, "query has 1025 selectors, more than 1024",
+                "{surface}"
+            );
+            assert_eq!((err.offset, err.col), (0, 1), "{surface}");
+        }
+        // Each word of a string literal is a selector.
+        let words = |n: usize| format!(r#"a["{}"]"#, vec!["w"; n].join(" "));
+        Surface::Classic.parse(&words(MAX_SELECTORS - 1)).unwrap();
+        Surface::Classic.parse(&words(MAX_SELECTORS)).unwrap_err();
+        let text = |n: usize| {
+            format!(
+                r#"{{"v":1,"query":{{"name":"a","child":{{"text":"{}"}}}}}}"#,
+                vec!["w"; n].join(" ")
+            )
+        };
+        Surface::Json.parse(&text(MAX_SELECTORS - 1)).unwrap();
+        Surface::Json.parse(&text(MAX_SELECTORS)).unwrap_err();
     }
 }

@@ -1,18 +1,24 @@
-//! The multi-surface front-end: one semantics, three spellings.
+//! The two spellings of one query language.
 //!
-//! Every surface parses to the same [`Query`] AST and lowers through the
-//! single shared path — surface AST → normalized AST →
-//! [`crate::expand::ExpandedQuery`] → physical plan. [`QueryInput`]
-//! bundles a query string with an optional surface selection (`None`
-//! auto-detects) and is what the `Database` entry points accept; its
-//! [`QueryInput::parse`] normalizes the AST, so the canonical rendering —
-//! and with it the plan-cache key and cost-model fingerprint — is
-//! surface-independent.
+//! A query is written in the classic bracket syntax or in the versioned
+//! JSON query-IR; both parse to the same [`Query`] AST and lower through
+//! one shared path — normalized AST → [`crate::expand::ExpandedQuery`] →
+//! physical plan. The first character decides the spelling: `{` is
+//! JSON-IR, anything else is classic (a classic query starts with a name
+//! selector). So there is nothing to pin: a valid query is read the same
+//! way whatever one would pin, and pinning would only change which error
+//! an invalid one gets. [`QueryInput`] is what the `Database` entry
+//! points accept; its [`QueryInput::parse`] normalizes the AST, so the
+//! canonical rendering — and with it the plan-cache key and cost-model
+//! fingerprint — is the same for both spellings.
+//!
+//! [`Surface::parse`] is where the two parses meet, and so where a
+//! query's size is bounded: a query with more than [`MAX_SELECTORS`]
+//! selectors is a [`ParseError`] in either spelling.
 
 use crate::ast::Query;
 use crate::json_ir::parse_json_query;
-use crate::parser::{parse_query, ParseError};
-use crate::xpath::parse_xpath_query;
+use crate::parser::{parse_query, ParseError, MAX_SELECTORS};
 use std::fmt;
 
 /// A query surface: which concrete syntax a query string is written in.
@@ -23,58 +29,60 @@ pub enum Surface {
     /// The versioned JSON query-IR: `{"v":1,"query":{…}}` (see
     /// [`crate::json_ir`]).
     Json,
-    /// The XPath-lite navigational syntax: `/cd//title["piano"]` (see
-    /// [`crate::xpath`]).
-    Xpath,
 }
 
 impl Surface {
     /// All surfaces, in canonical order.
-    pub const ALL: [Surface; 3] = [Surface::Classic, Surface::Json, Surface::Xpath];
+    pub const ALL: [Surface; 2] = [Surface::Classic, Surface::Json];
 
-    /// The surface's CLI/dataset name.
+    /// The surface's name, as `translate --to` and dataset `surface`
+    /// fields spell it.
     pub fn name(self) -> &'static str {
         match self {
             Surface::Classic => "classic",
             Surface::Json => "json",
-            Surface::Xpath => "xpath",
         }
     }
 
-    /// Parses a surface name as used by `--surface` and dataset `surface`
-    /// fields.
+    /// Parses a surface name (see [`Surface::name`]).
     pub fn from_name(name: &str) -> Option<Surface> {
         match name {
             "classic" => Some(Surface::Classic),
             "json" => Some(Surface::Json),
-            "xpath" => Some(Surface::Xpath),
             _ => None,
         }
     }
 
-    /// Guesses the surface from the query text. Unambiguous: a classic
-    /// query starts with a name selector, which can begin with neither
-    /// `{` nor `/`; a JSON-IR document is an object; an XPath-lite query
-    /// is an absolute path.
+    /// The surface a query text is written in: a JSON-IR document is an
+    /// object, and a classic query starts with a name selector, which
+    /// cannot begin with `{`.
     pub fn detect(text: &str) -> Surface {
-        let trimmed = text.trim_start();
-        if trimmed.starts_with('{') {
+        if text.trim_start().starts_with('{') {
             Surface::Json
-        } else if trimmed.starts_with('/') {
-            Surface::Xpath
         } else {
             Surface::Classic
         }
     }
 
-    /// Parses `text` in this surface. The result is **not** normalized;
-    /// use [`QueryInput::parse`] for the compilation path.
+    /// Parses `text` in this surface and bounds its size: a query with
+    /// more than [`MAX_SELECTORS`] selectors is an error. The result is
+    /// **not** normalized; use [`QueryInput::parse`] for the compilation
+    /// path.
     pub fn parse(self, text: &str) -> Result<Query, ParseError> {
-        match self {
+        let query = match self {
             Surface::Classic => parse_query(text),
             Surface::Json => parse_json_query(text),
-            Surface::Xpath => parse_xpath_query(text),
+        }?;
+        let selectors = query.selector_count();
+        if selectors > MAX_SELECTORS {
+            let start = text.len() - text.trim_start().len();
+            return Err(ParseError::at_offset(
+                text,
+                start,
+                format!("query has {selectors} selectors, more than {MAX_SELECTORS}"),
+            ));
         }
+        Ok(query)
     }
 
     /// Renders `query` in this surface's canonical form. Every rendering
@@ -83,7 +91,6 @@ impl Surface {
         match self {
             Surface::Classic => query.to_string(),
             Surface::Json => query.to_json_ir(),
-            Surface::Xpath => query.to_xpath(),
         }
     }
 }
@@ -94,46 +101,28 @@ impl fmt::Display for Surface {
     }
 }
 
-/// A query string plus an optional surface selection — the input type of
-/// the `Database` query entry points. `From<&str>` keeps plain strings
-/// working everywhere (with auto-detection).
+/// A query string — the input type of the `Database` query entry points.
+/// `From<&str>` keeps plain strings working everywhere.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryInput<'a> {
-    /// The query text.
+    /// The query text, in either surface.
     pub text: &'a str,
-    /// The surface to parse with; `None` auto-detects via
-    /// [`Surface::detect`].
-    pub surface: Option<Surface>,
 }
 
 impl<'a> QueryInput<'a> {
-    /// An auto-detected input.
+    /// The input `text`; its surface is detected ([`Surface::detect`]).
     pub fn new(text: &'a str) -> Self {
-        QueryInput {
-            text,
-            surface: None,
-        }
-    }
-
-    /// An input pinned to a specific surface.
-    pub fn with_surface(text: &'a str, surface: Surface) -> Self {
-        QueryInput {
-            text,
-            surface: Some(surface),
-        }
-    }
-
-    /// The effective surface (explicit selection or auto-detected).
-    pub fn surface(&self) -> Surface {
-        self.surface.unwrap_or_else(|| Surface::detect(self.text))
+        QueryInput { text }
     }
 
     /// Parses and normalizes: the single entry onto the shared lowering
-    /// path. Equivalent queries from any surface return equal `Query`
+    /// path. Equivalent queries in either surface return equal `Query`
     /// values here, and therefore equal canonical renderings, plan-cache
     /// keys, and plans.
     pub fn parse(&self) -> Result<Query, ParseError> {
-        self.surface().parse(self.text).map(Query::normalize)
+        Surface::detect(self.text)
+            .parse(self.text)
+            .map(Query::normalize)
     }
 }
 
@@ -155,12 +144,6 @@ impl<'a, 'b: 'a> From<&'a &'b str> for QueryInput<'a> {
     }
 }
 
-impl<'a> From<(&'a str, Surface)> for QueryInput<'a> {
-    fn from((text, surface): (&'a str, Surface)) -> Self {
-        QueryInput::with_surface(text, surface)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,7 +157,6 @@ mod tests {
             Surface::Json
         );
         assert_eq!(Surface::detect("  {"), Surface::Json);
-        assert_eq!(Surface::detect("/cd//title"), Surface::Xpath);
     }
 
     #[test]
@@ -184,54 +166,43 @@ mod tests {
             assert_eq!(s.to_string(), s.name());
         }
         assert_eq!(Surface::from_name("sql"), None);
+        assert_eq!(Surface::from_name("xpath"), None);
     }
 
     #[test]
-    fn all_surfaces_parse_to_the_same_normalized_query() {
+    fn both_surfaces_parse_to_the_same_normalized_query() {
         let classic = "cd[title[\"piano\" and \"concerto\"] and composer]";
         let json = r#"{"v":1,"query":{"name":"cd","child":{"and":[
             {"name":"title","child":{"text":"piano concerto"}},
             {"name":"composer"}]}}}"#;
-        let xpath = r#"/cd[title["piano" and "concerto"]]//composer"#;
         let want = QueryInput::new(classic).parse().unwrap();
-        for (text, surface) in [(json, Surface::Json), (xpath, Surface::Xpath)] {
-            // Auto-detection and explicit selection agree.
-            assert_eq!(QueryInput::new(text).surface(), surface);
-            assert_eq!(QueryInput::new(text).parse().unwrap(), want, "{surface}");
-            assert_eq!(
-                QueryInput::with_surface(text, surface).parse().unwrap(),
-                want
-            );
-        }
+        assert_eq!(Surface::detect(json), Surface::Json);
+        assert_eq!(QueryInput::new(json).parse().unwrap(), want);
     }
 
-    /// Path notation is a dialect of the one parser, not a superset of
-    /// the classic surface: every XPath-only construct is still a classic
-    /// syntax error, at the token where the classic grammar ends.
+    /// Path notation is no spelling of the language: a slash is a
+    /// classic syntax error where it stands.
     #[test]
-    fn classic_rejects_every_path_only_construct() {
+    fn classic_rejects_path_notation() {
+        for (text, offset) in [("cd/x", 2), ("cd//x", 2), ("cd[a/b]", 4), ("/cd", 0)] {
+            let err = QueryInput::new(text).parse().unwrap_err();
+            assert_eq!(
+                (err.offset, err.message.as_str()),
+                (offset, "unexpected character `/`"),
+                "{text}"
+            );
+        }
         for (text, offset, needle) in [
-            ("cd/x", 2, "unexpected trailing input after the query"),
-            ("cd//x", 2, "unexpected trailing input after the query"),
             ("cd[a][b]", 5, "unexpected trailing input after the query"),
-            ("cd[a/b]", 4, "expected `]`, found `/`"),
             ("cd[a[b][c]]", 7, "expected `]`, found `[`"),
-            ("/cd", 0, "expected a name selector, found `/`"),
         ] {
-            let err = Surface::Classic.parse(text).unwrap_err();
+            let err = QueryInput::new(text).parse().unwrap_err();
             assert_eq!(
                 (err.offset, err.message.as_str()),
                 (offset, needle),
                 "{text}"
             );
         }
-        assert_eq!(
-            Surface::Xpath.parse("/cd[a][b]/x").unwrap().normalize(),
-            Surface::Classic
-                .parse("cd[a and b and x]")
-                .unwrap()
-                .normalize()
-        );
     }
 
     #[test]

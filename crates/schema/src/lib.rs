@@ -130,7 +130,7 @@ impl Schema {
             .expect("the root alone is a numbering");
         let mut schema = Schema::view(DataTreeBuilder::new().build(costs), secondary);
         schema.shape = Shape::with_classes(1);
-        schema.append(data, data.live_nodes().filter(|n| n.0 != 0), costs);
+        schema.append(data, data.live_nodes().filter(|n| n.0 != 0), costs, false);
         schema
     }
 
@@ -238,7 +238,7 @@ impl Schema {
         span: DocSpan,
         costs: &CostModel,
     ) -> SchemaDelta {
-        self.append(data, (span.start..=span.bound).map(NodeId), costs)
+        self.append(data, (span.start..=span.bound).map(NodeId), costs, true)
     }
 
     /// Incrementally removes a tombstoned document range from the
@@ -280,12 +280,15 @@ impl Schema {
     /// in `I_sec`, and then bring the tree up to date — one
     /// re-linearization, which derives the schema label index, if the
     /// shape grew; else the schema nodes of the keys new to `I_sec` join
-    /// their labels' schema-level postings.
+    /// their labels' schema-level postings. Without `delta` the changed
+    /// keys are not collected, so the shape must grow (or `nodes` be
+    /// empty): what a build is, where every path is new.
     fn append(
         &mut self,
         data: &DataTree,
         nodes: impl IntoIterator<Item = NodeId>,
         costs: &CostModel,
+        delta: bool,
     ) -> SchemaDelta {
         let mut nodes = nodes.into_iter().peekable();
         let since = nodes.peek().map_or(0, |n| n.0);
@@ -301,10 +304,8 @@ impl Schema {
                     pre: node.0,
                     bound: data.bound(node),
                 };
-                if secondary
-                    .push(class, label, instance)
-                    .is_none_or(|last| last < since)
-                {
+                let last = secondary.push(class, label, instance);
+                if delta && last.is_none_or(|last| last < since) {
                     changed.push((class, label));
                 }
             },

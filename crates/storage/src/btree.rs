@@ -71,11 +71,11 @@ const INTERNAL_HEADER: usize = 1 + 2 + 4;
 /// page cycle in a corrupt file, so it errors instead of looping forever.
 const MAX_DEPTH: usize = 64;
 
-/// A value as its leaf entry holds it.
+/// A value as its leaf entry holds it: read back owned, put borrowed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Value {
+pub(crate) enum Value<B = Vec<u8>> {
     /// The bytes themselves (at most [`INLINE_MAX`]).
-    Inline(Vec<u8>),
+    Inline(B),
     /// An out-of-line run of more than [`INLINE_MAX`] bytes.
     Run(ValueRef),
 }
@@ -404,7 +404,12 @@ impl BTree {
     }
 
     /// Inserts or replaces `key`.
-    pub fn insert(&mut self, pager: &mut Pager, key: &[u8], value: Value) -> Result<()> {
+    pub fn insert(
+        &mut self,
+        pager: &mut Pager,
+        key: &[u8],
+        value: Value<impl AsRef<[u8]>>,
+    ) -> Result<()> {
         if key.len() > MAX_KEY_LEN {
             return Err(StorageError::KeyTooLong(key.len()));
         }
@@ -429,7 +434,7 @@ impl BTree {
         pager: &mut Pager,
         page: PageId,
         key: &[u8],
-        value: &Value,
+        value: &Value<impl AsRef<[u8]>>,
         depth: usize,
         is_rightmost: bool,
     ) -> Result<InsertResult> {
@@ -445,7 +450,7 @@ impl BTree {
             let mut node = view.into_owned();
             let run;
             let (len, payload) = match value {
-                Value::Inline(bytes) => (INLINE_FLAG | bytes.len() as u32, bytes.as_slice()),
+                Value::Inline(bytes) => (INLINE_FLAG | bytes.as_ref().len() as u32, bytes.as_ref()),
                 Value::Run(vref) => {
                     run = vref.first_page.0.to_le_bytes();
                     (vref.len, &run[..])

@@ -256,7 +256,7 @@ impl Store {
     /// leaked until the file is rewritten ([`Store::replace_file`]).
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
         let value = if value.len() <= INLINE_MAX {
-            Value::Inline(value.to_vec())
+            Value::Inline(value)
         } else {
             Value::Run(write_value(&mut self.pager, value)?)
         };

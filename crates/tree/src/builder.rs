@@ -87,15 +87,6 @@ impl DataTreeBuilder {
         }
     }
 
-    /// Adds an attribute: a struct node labeled with the attribute name
-    /// whose children are the words of the value (Section 4: "Attributes
-    /// are mapped to two nodes in parent-child relationship").
-    pub fn add_attribute(&mut self, name: &str, value: &str) {
-        self.begin_struct(name);
-        self.add_text(value);
-        self.end();
-    }
-
     /// Adds a whole document below the virtual root.
     pub fn add_document(&mut self, doc: &Document) {
         assert_eq!(

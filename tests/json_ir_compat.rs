@@ -27,7 +27,7 @@ fn committed_v1_fixtures_keep_parsing() {
                       or mc["sonata" or track]]"#,
         ),
     ] {
-        let from_ir = QueryInput::with_surface(fixture, Surface::Json)
+        let from_ir = QueryInput::new(fixture)
             .parse()
             .unwrap_or_else(|e| panic!("v1 fixture stopped parsing: {e}\n{fixture}"));
         let want = parse_query(classic).unwrap().normalize();
@@ -62,9 +62,7 @@ fn lenient_json_is_a_caret_parse_error() {
         (r#"{"v":1,"query":{"name":"\u+063d"}}"#, 27),
         (r#"{"v":01,"query":{"name":"\u+063d"}}"#, 7),
     ] {
-        let err = QueryInput::with_surface(text, Surface::Json)
-            .parse()
-            .unwrap_err();
+        let err = QueryInput::new(text).parse().unwrap_err();
         assert_eq!((err.line, err.col), (1, col), "{text}: {err}");
         let caret = format!("\n  {text}\n  {:>col$}", "^");
         assert!(err.to_string().ends_with(&caret), "{err}");

@@ -1,14 +1,14 @@
-//! Plan-identity golden suite for the three query surfaces.
+//! Plan-identity golden suite for the two query surfaces.
 //!
-//! The multi-surface front-end promises that the surface a query is
-//! written in is *invisible* past the parser: classic approXQL, the JSON
-//! query-IR, and XPath-lite forms of the same query must compile to the
+//! The front-end promises that the surface a query is written in is
+//! *invisible* past the parser: the classic approXQL and JSON query-IR
+//! forms of the same query must compile to the
 //! **byte-identical** rendered plan, carry the same plan fingerprint,
 //! share one plan-cache entry (one compile, cross-surface cache hits),
 //! and return byte-identical results.
 //!
 //! The queries are read from the committed figure-2 and figure-7 fixture
-//! datasets (`tests/common`); their JSON-IR and XPath-lite spellings are derived with the
+//! datasets (`tests/common`); their JSON-IR spellings are derived with the
 //! canonical emitters (`approxql translate` uses the same code), so this
 //! suite also pins the emitters against the parsers.
 
@@ -26,13 +26,12 @@ fn queries(dataset: &str) -> Vec<String> {
     common::load(dataset).into_iter().map(|f| f.query).collect()
 }
 
-/// The three spellings of a classic query: (classic, json-ir, xpath-lite).
-fn spellings(classic: &str) -> [(Surface, String); 3] {
+/// The two spellings of a classic query: (classic, json-ir).
+fn spellings(classic: &str) -> [(Surface, String); 2] {
     let q = QueryInput::new(classic).parse().unwrap();
     [
         (Surface::Classic, classic.to_string()),
         (Surface::Json, q.to_json_ir()),
-        (Surface::Xpath, q.to_xpath()),
     ]
 }
 
@@ -65,8 +64,8 @@ fn surfaces_compile_to_byte_identical_plans() {
             let before = approxql::metrics_snapshot();
             let mut explains = Vec::new();
             let mut fingerprints = Vec::new();
-            for (surface, text) in spellings(classic) {
-                let input = QueryInput::with_surface(&text, surface);
+            for (_, text) in spellings(classic) {
+                let input = QueryInput::new(&text);
                 explains.push(db.explain_direct(input, Some(10), opts).unwrap());
                 let (q, ex) = db.compile(input).unwrap();
                 let plan = db.plan_for(&q, &ex).unwrap();
@@ -77,14 +76,9 @@ fn surfaces_compile_to_byte_identical_plans() {
                 explains[0], explains[1],
                 "classic vs JSON-IR explain differs for {classic}"
             );
-            assert_eq!(
-                explains[0], explains[2],
-                "classic vs XPath-lite explain differs for {classic}"
-            );
             assert_eq!(fingerprints[0], fingerprints[1], "{classic}");
-            assert_eq!(fingerprints[0], fingerprints[2], "{classic}");
             // One compile for the first surface; everything after —
-            // including the five follow-up `plan_for` lookups — hits the
+            // including the three follow-up lookups — hits the
             // shared cache entry.
             assert_eq!(delta.get(Metric::PlanCompile), 1, "{classic}");
             assert_eq!(delta.get(Metric::PlanCacheMisses), 1, "{classic}");
@@ -109,7 +103,7 @@ fn surface_results_are_identical() {
         for classic in &queries {
             let baseline = db.query_direct(classic.as_str(), Some(10)).unwrap();
             for (surface, text) in spellings(classic) {
-                let input = QueryInput::with_surface(&text, surface);
+                let input = QueryInput::new(&text);
                 let hits = db.query_direct(input, Some(10)).unwrap();
                 assert_eq!(hits, baseline, "{classic} via {surface}");
             }
@@ -126,13 +120,12 @@ fn explain_json_is_surface_independent() {
     for classic in &queries("figure2") {
         let docs: Vec<String> = spellings(classic)
             .into_iter()
-            .map(|(surface, text)| {
-                db.explain_direct_json(QueryInput::with_surface(&text, surface), Some(10), opts)
+            .map(|(_, text)| {
+                db.explain_direct_json(QueryInput::new(&text), Some(10), opts)
                     .unwrap()
             })
             .collect();
         assert_eq!(docs[0], docs[1], "{classic}");
-        assert_eq!(docs[0], docs[2], "{classic}");
         let parsed = approxql::crates::query::json::parse(&docs[0]).unwrap();
         let rendered_fp = parsed
             .get("fingerprint")

@@ -1,12 +1,12 @@
-//! Property tests for the multi-surface front-end (random query shapes).
+//! Property tests for the two query surfaces (random query shapes).
 //!
 //! Two families of invariants:
 //!
 //! 1. **Canonical rendering is a fixed point.** Parsing the classic
 //!    rendering of any normalized query returns the same query, and
 //!    re-rendering is byte-stable — the plan-cache key is well-defined.
-//! 2. **Surface translation is invisible.** The canonical JSON-IR and
-//!    XPath-lite renderings of a random query compile to plans with the
+//! 2. **Surface translation is invisible.** The canonical JSON-IR
+//!    rendering of a random query compiles to a plan with the
 //!    same fingerprint as the classic form, and return byte-identical
 //!    top-k results against a seeded Section 8.1 synthetic collection.
 //!
@@ -57,9 +57,9 @@ fn expr_strategy() -> impl Strategy<Value = QueryNode> {
 }
 
 /// One query in four is *deep*: its expression sits under a chain of 30 to
-/// 80 more names, so every surface's nesting — brackets, path steps, JSON
-/// objects, each bounded at 256 levels — is exercised far from the shallow
-/// shapes and well inside what all three admit.
+/// 80 more names, so both surfaces' nesting — brackets and JSON objects,
+/// each bounded at 256 levels — is exercised far from the shallow shapes
+/// and well inside what both admit.
 fn query_strategy() -> impl Strategy<Value = Query> {
     let child = proptest::option::of(expr_strategy());
     (label_strategy(), child, 0usize..4, 30usize..81).prop_map(|(label, child, pick, levels)| {
@@ -96,7 +96,7 @@ proptest! {
         prop_assert_eq!(reparsed.to_string(), rendered, "rendering is not stable");
     }
 
-    /// All three canonical renderings reparse (in their own, auto-detected
+    /// Both canonical renderings reparse (in their own, auto-detected
     /// surface) to the same normalized query.
     #[test]
     fn surface_translations_agree(q in query_strategy()) {
@@ -121,7 +121,7 @@ proptest! {
         let baseline = db.query_direct(classic.as_str(), Some(5)).unwrap();
         for surface in Surface::ALL {
             let rendered = surface.render(&q);
-            let input = QueryInput::with_surface(&rendered, surface);
+            let input = QueryInput::new(&rendered);
             let (sq, sex) = db.compile(input).unwrap();
             prop_assert_eq!(
                 db.plan_for(&sq, &sex).map(|p| plan::fingerprint(&p)),
