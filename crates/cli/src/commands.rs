@@ -1,7 +1,7 @@
 //! Command implementations for the `approxql` binary.
 
 use approxql_core::schema_eval::{best_k_second_level_plan, SchemaEvalConfig};
-use approxql_core::{Database, DatabaseError, DbFile, EvalOptions, QueryHit, QueryInput, Surface};
+use approxql_core::{Database, DatabaseError, DbFile, EvalOptions, NamedHit, QueryInput, Surface};
 use approxql_cost::{parse_cost_file, CostModel};
 use approxql_gen::{DataGenConfig, DataGenerator};
 use approxql_tree::NodeId;
@@ -350,11 +350,11 @@ fn cmd_delete(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
 fn print_hits(
     out: &mut impl Write,
     db: &Database,
-    hits: &[QueryHit],
+    hits: &[NamedHit<'_>],
     as_xml: bool,
 ) -> Result<(), CliError> {
-    if as_xml {
-        for (rank, &hit) in hits.iter().enumerate() {
+    for (rank, &(hit, name)) in hits.iter().enumerate() {
+        if as_xml {
             let el = db.result_element(hit)?;
             writeln!(
                 out,
@@ -362,17 +362,13 @@ fn print_hits(
                 hit.cost,
                 Document { root: el }.to_xml_string()
             )?;
+        } else {
+            writeln!(
+                out,
+                "#{rank}\tcost={}\tnode={}\t<{name}>",
+                hit.cost, hit.root
+            )?;
         }
-        return Ok(());
-    }
-    let roots: Vec<NodeId> = hits.iter().map(|hit| hit.root).collect();
-    let names = db.element_names(&roots)?;
-    for (rank, (hit, name)) in hits.iter().zip(names).enumerate() {
-        writeln!(
-            out,
-            "#{rank}\tcost={}\tnode={}\t<{name}>",
-            hit.cost, hit.root
-        )?;
     }
     Ok(())
 }
@@ -465,7 +461,7 @@ fn cmd_query(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
                 write!(out, "{text}")?;
             }
         } else if use_direct {
-            let (hits, stats) = db.query_direct_with(input, Some(n), opts)?;
+            let (hits, stats) = db.query_direct_named(input, Some(n), opts)?;
             if printing {
                 print_hits(out, &db, &hits, as_xml)?;
                 if show_stats {
@@ -477,7 +473,7 @@ fn cmd_query(flags: &Flags, out: &mut impl Write) -> Result<(), CliError> {
             }
         } else {
             let (hits, stats) =
-                db.query_schema_with(input, n, opts, SchemaEvalConfig::default())?;
+                db.query_schema_named(input, n, opts, SchemaEvalConfig::default())?;
             if printing {
                 print_hits(out, &db, &hits, as_xml)?;
                 if show_stats {

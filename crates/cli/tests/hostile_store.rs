@@ -1,12 +1,16 @@
 //! Stores with planted damage behind valid page checksums.
 //!
-//! * A query reads only its own lists and its hits' segments, so
+//! * A query reads only what its answer needs — its plan's `ls#`/`lt#`
+//!   lists, or the `sec#` keys of its labels and the `sec#` lists its
+//!   draws execute, and a hit's `doc#` segment only for `--xml` — so
 //!   corruption is found where it is read: one planted value per keyspace
 //!   a query reads lazily (`ls#`, `lt#`, `sec#`, `doc#`), one `ls#` run
 //!   that does not decode behind a count its bytes can hold, and one
 //!   `sec#` run whose second entry repeats the first one's `pre`. The
 //!   query that reads it exits 3 with the typed error, a query that does
-//!   not succeeds, and `check`, which reads everything, exits 3.
+//!   not succeeds (plain text output of a hit whose segment is damaged
+//!   among them: its name comes from the lists), and `check`, which reads
+//!   everything, exits 3.
 //! * Every length or count field of every blob kind, and of the leaf entry
 //!   that holds a blob, set to 0, its value + 1, 2³¹ and its maximum:
 //!   `check` and a query that reads the field, each under a 1 GiB address
@@ -268,8 +272,12 @@ fn corruption_surfaces_in_the_query_that_reads_it() {
             key_len: 8,
             damage: break_magic,
             error: "bad magic",
-            touching: &["--direct", "mc[track]"],
-            untouched: &[(&["--direct", "cd[composer]"], cd)],
+            touching: &["--direct", "--xml", "mc[track]"],
+            untouched: &[
+                (&["--direct", "mc[track]"], mc),
+                (&["--schema", "mc[track]"], mc),
+                (&["--direct", "cd[composer]"], cd),
+            ],
         },
     ];
     for case in &cases {
@@ -392,7 +400,7 @@ fn every_length_field_is_a_typed_error_under_a_memory_cap() {
         (
             &segment,
             8,
-            &["--direct", "mc[track]"],
+            &["--direct", "--xml", "mc[track]"],
             &[("node count", Value(8), 4)],
         ),
         (b"ls#composer", 11, &["--direct", "cd[composer]"], &run),

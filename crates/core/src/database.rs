@@ -3,19 +3,25 @@
 //! A database built in memory (or by [`crate::DbFile`]) holds all of its
 //! parts. One opened from a file with [`Database::open`] holds only the
 //! store's catalogue — cost model, interner, document map, schema tree and
-//! class numbering — and each query fetches the lists of its own plan's
-//! labels, and the segments of its hits' documents, from the store
-//! (DESIGN.md §10).
+//! class numbering — and each query reads from the store what its answer
+//! needs: the lists of its own plan's labels, and for a schema-driven
+//! query only the `sec#` keys of those labels before it reads the lists
+//! its second-level queries execute. Hit names come from those lists; no
+//! document segment is read but for a hit's XML (DESIGN.md §10).
 
 use crate::direct::{self, DirectStats, EvalOptions};
-use crate::schema_eval::{self, EvalStats, SchemaEvalConfig};
+use crate::schema_eval::{
+    self, root_selector, EvalStats, LabelledHit, ResultStream, SchemaEvalConfig,
+};
+use crate::secondary::{Executor, ReadList};
 use approxql_cost::{parse_cost_file, write_cost_file, Cost, CostFileError, CostModel, NodeType};
+use approxql_index::codec::BlockList;
 use approxql_index::persist::{
     load_blob, load_class_numbering, load_label_index, load_label_list, load_secondary_index,
-    load_secondary_lists, save_blob, save_label_index, save_secondary_index, PersistError,
-    MAX_LABEL_LEN,
+    load_secondary_list, load_secondary_lists, save_blob, save_label_index, save_secondary_index,
+    secondary_keys, PersistError, MAX_LABEL_LEN,
 };
-use approxql_index::{LabelIndex, Posting, SecondaryIndex};
+use approxql_index::{InstancePosting, LabelIndex, Posting, SecondaryIndex};
 use approxql_metrics::Metric;
 use approxql_plan::{self as plan, Plan, PlanOp};
 use approxql_query::expand::ExpandedQuery;
@@ -23,13 +29,11 @@ use approxql_query::{ParseError, Query, QueryInput};
 use approxql_schema::{Schema, SchemaAssembleError, SchemaDelta};
 use approxql_storage::{CheckReport, StorageError, Store};
 use approxql_tree::{
-    decode_doc_segment, decode_docmap, decode_interner, encode_docmap, encode_interner,
-    live_doc_of, DataTree, DataTreeBuilder, DocSegment, DocSpan, Interner, LabelId, NodeId,
-    TreeDecodeError, TreeError, VIRTUAL_ROOT_LABEL,
+    decode_doc_segment, decode_docmap, decode_interner, encode_docmap, encode_interner, DataTree,
+    DataTreeBuilder, DocSegment, DocSpan, Interner, LabelId, NodeId, TreeDecodeError, TreeError,
 };
 use approxql_xml::{parse_document, Document, Element, XmlError};
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -154,6 +158,18 @@ pub struct QueryHit {
     pub root: NodeId,
     /// Embedding cost (0 = exact match).
     pub cost: Cost,
+}
+
+/// A hit with the name of its element, as `approxql query` prints it.
+pub type NamedHit<'db> = (QueryHit, &'db str);
+
+impl QueryHit {
+    fn of(pre: u32, cost: Cost) -> QueryHit {
+        QueryHit {
+            root: NodeId(pre),
+            cost,
+        }
+    }
 }
 
 /// Capacity of the per-database compiled-plan LRU cache. Production
@@ -288,7 +304,7 @@ struct Catalogue {
 /// A database opened from a file: its catalogue and the store everything
 /// else is read from.
 struct Stored {
-    /// Locked while a query fetches its lists or a hit its segment, never
+    /// Locked while a query reads its keys or one of its lists, never
     /// while anything evaluates.
     store: Mutex<Store>,
     catalogue: Catalogue,
@@ -343,46 +359,73 @@ impl Stored {
         Ok(index)
     }
 
-    /// The schema view a schema-driven evaluation of `plan` reads: the
-    /// `sec#` lists of its labels, one prefix scan each.
-    fn schema_for(&self, plan: Option<&Plan>) -> Result<Schema, DatabaseError> {
+    /// What a schema-driven evaluation of `plan` reads before its first
+    /// draw: the `sec#` keys of the plan's labels, one key scan each, from
+    /// which the schema-level label index is derived, and whole the lists
+    /// of the labels of the root selector of `ex` — the first lists the
+    /// draws execute, and what bounds the roots a query can find. Every
+    /// other list is left to the [`StoredLists`] returned with them.
+    fn schema_for(
+        &self,
+        plan: Option<&Plan>,
+        ex: &ExpandedQuery,
+    ) -> Result<(LabelIndex, SecondaryIndex, StoredLists<'_>), DatabaseError> {
         let mut wanted: Vec<&str> = plan.into_iter().flat_map(fetches).map(|f| f.1).collect();
         wanted.sort_unstable();
         wanted.dedup();
-        let catalogue = &self.catalogue;
-        let mut secondary = catalogue.numbering.clone();
+        let roots: Vec<&str> = root_selector(ex).into_iter().flat_map(|r| r.1).collect();
+        let Catalogue {
+            interner,
+            numbering,
+            schema_tree,
+            ..
+        } = &self.catalogue;
+        let mut lists = numbering.clone();
+        let mut rest = StoredLists {
+            stored: self,
+            inline: HashMap::new(),
+        };
         let mut store = self.lock();
         for label in wanted {
-            load_secondary_lists(&mut store, &catalogue.interner, &mut secondary, label)?;
+            if roots.contains(&label) {
+                load_secondary_lists(&mut store, interner, &mut lists, label)?;
+            } else if let Some(id) = interner.get(label) {
+                for (class, value) in secondary_keys(&mut store, interner, numbering, label)? {
+                    rest.inline.insert((class, id), value);
+                }
+            }
         }
         drop(store);
-        Ok(Schema::view(catalogue.schema_tree.clone(), secondary))
+        let keys = lists.iter().map(|(key, _)| key);
+        let labels = Schema::label_index(
+            schema_tree,
+            numbering,
+            rest.inline.keys().copied().chain(keys),
+        );
+        Ok((labels, lists, rest))
     }
+}
 
-    /// The names of `nodes`, each from the segment of its own document;
-    /// a document several of them share is read once.
-    fn element_names(&self, nodes: &[NodeId]) -> Result<Vec<&str>, DatabaseError> {
-        let interner = &self.catalogue.interner;
-        let mut segments: HashMap<u32, DocSegment> = HashMap::new();
-        let mut store = self.lock();
-        let mut names = Vec::with_capacity(nodes.len());
-        for &n in nodes {
-            if n.0 == 0 {
-                names.push(VIRTUAL_ROOT_LABEL);
-                continue;
+/// The `sec#` lists of one schema-driven query over a stored database
+/// that its draws may execute, each read the first time one does: from
+/// the value its key scan found inline, or else with one point get.
+struct StoredLists<'s> {
+    stored: &'s Stored,
+    /// Every key of the plan's labels but the root's, with its value if
+    /// the value is stored inline.
+    inline: HashMap<(u32, LabelId), Option<Vec<u8>>>,
+}
+
+impl ReadList for StoredLists<'_> {
+    fn read(&self, class: u32, label: LabelId) -> Result<Vec<InstancePosting>, DatabaseError> {
+        match self.inline.get(&(class, label)) {
+            Some(Some(value)) => Ok(BlockList::decode(value).map_err(PersistError::Decode)?),
+            Some(None) => {
+                let label = self.stored.catalogue.interner.resolve(label);
+                Ok(load_secondary_list(&mut self.stored.lock(), class, label)?)
             }
-            let span = live_doc_of(&self.catalogue.docs, n.0).ok_or(TreeError::InvalidNode(n))?;
-            let segment = match segments.entry(span.start) {
-                Entry::Occupied(read) => read.into_mut(),
-                Entry::Vacant(slot) => slot.insert(read_segment(&mut store, span, interner.len())?),
-            };
-            let i = (n.0 - span.start) as usize;
-            match (segment.types.get(i), segment.labels.get(i)) {
-                (Some(NodeType::Struct), Some(&label)) => names.push(interner.resolve(label)),
-                _ => return Err(TreeError::NotAStructNode(n).into()),
-            }
+            None => Ok(Vec::new()),
         }
-        Ok(names)
     }
 }
 
@@ -686,16 +729,56 @@ impl Database {
         }
     }
 
-    /// The schema a schema-driven evaluation of `plan` reads: the resident
-    /// one, or for a database opened from a file a view holding the `sec#`
-    /// lists of the plan's labels, read from the store for this query.
-    fn schema_for(&self, plan: Option<&Plan>) -> Result<Cow<'_, Schema>, DatabaseError> {
-        match &self.parts {
-            Parts::Stored(stored) => Ok(Cow::Owned(stored.schema_for(plan)?)),
-            Parts::Resident(_) | Parts::Undecodable(_) => {
-                Ok(Cow::Borrowed(&self.resident()?.schema))
-            }
+    /// The best `n` schema-driven hits of `ex` (sorted by cost, ties by
+    /// preorder), each with the label of its element, and the evaluation
+    /// counters. A database opened from a file reads what
+    /// [`Stored::schema_for`] names, then each list a draw executes; a
+    /// list that fails to load fails the evaluation.
+    fn schema_hits(
+        &self,
+        ex: &ExpandedQuery,
+        plan: Option<Arc<Plan>>,
+        n: usize,
+        opts: EvalOptions,
+        cfg: SchemaEvalConfig,
+    ) -> Result<(Vec<LabelledHit>, EvalStats), DatabaseError> {
+        let interner = self.interner();
+        let Parts::Stored(stored) = &self.parts else {
+            let schema = &self.resident()?.schema;
+            let mut stream = ResultStream::with_plan(ex, plan, schema, interner, opts, cfg);
+            return Ok(schema_eval::best_n(&mut stream, n));
+        };
+        let (labels, lists, rest) = stored.schema_for(plan.as_deref(), ex)?;
+        let executor = Executor::reading(&lists, &rest);
+        let mut stream = ResultStream::over(ex, plan, &labels, executor, interner, opts, cfg);
+        let found = schema_eval::best_n(&mut stream, n);
+        match stream.take_failure() {
+            Some(e) => Err(e),
+            None => Ok(found),
         }
+    }
+
+    /// Direct evaluation of `query`, whose `(pre, cost)` pairs `hits`
+    /// turns into hits, with the expanded query and the label index the
+    /// plan read at hand.
+    fn direct_hits<'a, H>(
+        &self,
+        query: impl Into<QueryInput<'a>>,
+        n: Option<usize>,
+        opts: EvalOptions,
+        hits: impl FnOnce(
+            &ExpandedQuery,
+            &LabelIndex,
+            Vec<(u32, Cost)>,
+        ) -> Result<Vec<H>, DatabaseError>,
+    ) -> Result<(Vec<H>, DirectStats), DatabaseError> {
+        let (q, ex) = self.compile(query)?;
+        let Some(p) = self.plan_for(&q, &ex) else {
+            return Ok((Vec::new(), DirectStats::default()));
+        };
+        let labels = self.labels_for(&p)?;
+        let (pairs, stats) = direct::best_n_plan(&p, &labels, self.interner(), n, opts);
+        Ok((hits(&ex, &labels, pairs)?, stats))
     }
 
     /// Direct evaluation (Section 6): finds **all** approximate results,
@@ -715,24 +798,38 @@ impl Database {
         n: Option<usize>,
         opts: EvalOptions,
     ) -> Result<(Vec<QueryHit>, DirectStats), DatabaseError> {
-        let (q, ex) = self.compile(query)?;
-        let (pairs, stats) = match self.plan_for(&q, &ex) {
-            Some(p) => {
-                let labels = self.labels_for(&p)?;
-                direct::best_n_plan(&p, &labels, self.interner(), n, opts)
-            }
-            None => (Vec::new(), DirectStats::default()),
-        };
-        Ok((
-            pairs
+        self.direct_hits(query, n, opts, |_, _, pairs| {
+            Ok(pairs
                 .into_iter()
-                .map(|(pre, cost)| QueryHit {
-                    root: NodeId(pre),
-                    cost,
-                })
-                .collect(),
-            stats,
-        ))
+                .map(|(pre, cost)| QueryHit::of(pre, cost))
+                .collect())
+        })
+    }
+
+    /// [`Database::query_direct_with`], each hit with the name of its
+    /// element, as `approxql query --direct` prints them: the label of
+    /// the root selector's list that holds the hit, a list the plan has
+    /// read. No document is read.
+    pub fn query_direct_named<'a>(
+        &self,
+        query: impl Into<QueryInput<'a>>,
+        n: Option<usize>,
+        opts: EvalOptions,
+    ) -> Result<(Vec<NamedHit<'_>>, DirectStats), DatabaseError> {
+        let interner = self.interner();
+        self.direct_hits(query, n, opts, |ex, labels, pairs| {
+            let lists = root_lists(ex, labels, interner)?;
+            let name = |(pre, cost): (u32, Cost)| {
+                let holds = |(_, list): &&(_, Vec<Posting>)| {
+                    list.binary_search_by_key(&pre, |p| p.pre).is_ok()
+                };
+                match lists.iter().find(holds) {
+                    Some(&(label, _)) => Ok((QueryHit::of(pre, cost), interner.resolve(label))),
+                    None => Err(TreeError::InvalidNode(NodeId(pre)).into()),
+                }
+            };
+            pairs.into_iter().map(name).collect()
+        })
     }
 
     /// Schema-driven evaluation (Section 7): finds the best `n` results by
@@ -763,19 +860,32 @@ impl Database {
     ) -> Result<(Vec<QueryHit>, EvalStats), DatabaseError> {
         let (q, ex) = self.compile(query)?;
         let plan = self.plan_for(&q, &ex);
-        let schema = self.schema_for(plan.as_deref())?;
-        let (pairs, stats) =
-            schema_eval::best_n_schema_with_plan(&ex, plan, &schema, self.interner(), n, opts, cfg);
-        Ok((
-            pairs
-                .into_iter()
-                .map(|(pre, cost)| QueryHit {
-                    root: NodeId(pre),
-                    cost,
-                })
-                .collect(),
-            stats,
-        ))
+        let (hits, stats) = self.schema_hits(&ex, plan, n, opts, cfg)?;
+        let hits = hits
+            .into_iter()
+            .map(|(pre, cost, _)| QueryHit::of(pre, cost));
+        Ok((hits.collect(), stats))
+    }
+
+    /// [`Database::query_schema_with`], each hit with the name of its
+    /// element, as `approxql query --schema` prints them: the label of the
+    /// root schema node of the second-level query that found the hit. No
+    /// document is read.
+    pub fn query_schema_named<'a>(
+        &self,
+        query: impl Into<QueryInput<'a>>,
+        n: usize,
+        opts: EvalOptions,
+        cfg: SchemaEvalConfig,
+    ) -> Result<(Vec<NamedHit<'_>>, EvalStats), DatabaseError> {
+        let (q, ex) = self.compile(query)?;
+        let plan = self.plan_for(&q, &ex);
+        let (hits, stats) = self.schema_hits(&ex, plan, n, opts, cfg)?;
+        let interner = self.interner();
+        let named = hits
+            .into_iter()
+            .map(|(pre, cost, label)| (QueryHit::of(pre, cost), interner.resolve(label)));
+        Ok((named.collect(), stats))
     }
 
     /// Opens a lazy result stream (incremental retrieval, Section 9):
@@ -854,21 +964,6 @@ impl Database {
         self.explain_with(query, n, opts, plan::render_json, "{\"v\":1,\"ops\":[]}")
     }
 
-    /// The names of the live struct nodes `nodes` — the elements hits
-    /// root, as `approxql query` prints them. A database opened from a file
-    /// reads them from the segments of the nodes' own documents, each once,
-    /// and decodes nothing else.
-    pub fn element_names(&self, nodes: &[NodeId]) -> Result<Vec<&str>, DatabaseError> {
-        match &self.parts {
-            Parts::Stored(stored) => stored.element_names(nodes),
-            Parts::Resident(_) | Parts::Undecodable(_) => {
-                let tree = &self.resident()?.tree;
-                let name = |&n: &NodeId| Ok(tree.element_name(n)?);
-                nodes.iter().map(name).collect()
-            }
-        }
-    }
-
     /// Materializes the result subtree of a hit as an XML element
     /// (the "additional step" after Definition 12). A database opened from
     /// a file decodes its tree for this.
@@ -937,6 +1032,26 @@ impl Database {
             costs,
         ))
     }
+}
+
+/// The decoded struct lists of the root selector's labels in `labels`,
+/// each with its label: where a direct hit's element name is found.
+fn root_lists(
+    ex: &ExpandedQuery,
+    labels: &LabelIndex,
+    interner: &Interner,
+) -> Result<Vec<(LabelId, Vec<Posting>)>, DatabaseError> {
+    let mut lists = Vec::new();
+    for label in root_selector(ex).into_iter().flat_map(|r| r.1) {
+        let Some(id) = interner.get(label) else {
+            continue;
+        };
+        if let Some(list) = labels.blocks(NodeType::Struct, id) {
+            let list = list.try_decode().map_err(PersistError::Decode)?;
+            lists.push((id, list));
+        }
+    }
+    Ok(lists)
 }
 
 /// The `(type, label)` keys of `nodes`, sorted, each once: the label
@@ -1151,22 +1266,25 @@ mod tests {
         assert_eq!(before, after);
         let via_schema = db2.query_schema(r#"cd[title["piano"]]"#, 2).unwrap();
         assert_eq!(before, via_schema);
-        // Hit names come from the hits' own segments; the tree is never
-        // decoded for them.
-        let roots: Vec<NodeId> = after.iter().map(|h| h.root).collect();
-        assert_eq!(db2.element_names(&roots).unwrap(), ["cd", "cd"]);
+        // Hit names come from the lists the evaluation read; the tree is
+        // never decoded for them.
+        let opts = EvalOptions::default();
+        let cfg = SchemaEvalConfig::default();
+        for q in [r#"cd[title["piano"]]"#, r#"title["piano"]"#] {
+            let stored = db2.query_direct_named(q, None, opts).unwrap().0;
+            let resident = db.query_direct_named(q, None, opts).unwrap().0;
+            assert_eq!(stored, resident, "{q}");
+            let stored = db2.query_schema_named(q, 5, opts, cfg).unwrap().0;
+            let schema = db.query_schema_named(q, 5, opts, cfg).unwrap().0;
+            assert_eq!(stored, schema, "{q}");
+            for (hit, name) in resident.into_iter().chain(schema) {
+                assert_eq!(db.tree().element_name(hit.root).unwrap(), name, "{q}");
+            }
+        }
         let Parts::Stored(stored) = &db2.parts else {
             panic!("an opened database holds its store");
         };
         assert!(stored.resident.get().is_none());
-        let word = NodeId(roots[0].0 + 2);
-        assert!(matches!(
-            db2.element_names(&[roots[0], word]),
-            Err(DatabaseError::Tree(TreeError::NotAStructNode(_)))
-        ));
-        let root = [NodeId(0)];
-        let names = [db2.element_names(&root), db.element_names(&root)];
-        assert_eq!(names[0].as_ref().unwrap(), names[1].as_ref().unwrap());
         assert_eq!(
             db2.result_element(after[0]).unwrap(),
             db.result_element(before[0]).unwrap()
@@ -1222,6 +1340,76 @@ mod tests {
     }
 
     #[test]
+    fn a_stored_schema_query_reads_its_drawn_lists_inline_or_by_point_get() {
+        let dir = std::env::temp_dir().join(format!("axql-db-drawn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("db.axql");
+        // 300 `piano`s under one path: a list too long for its leaf entry.
+        let mut docs = vec!["<cd><title>piano</title></cd>"; 300];
+        docs.push("<cd><title>cello piano</title><year>1999</year></cd>");
+        let db = Database::from_xml_strs(&docs, CostModel::new()).unwrap();
+        db.save(&path).unwrap();
+        let stored = Database::open(&path).unwrap();
+        let opts = EvalOptions::default();
+        let cfg = SchemaEvalConfig::default();
+        for (query, gets) in [(r#"cd[title["piano"]]"#, 2), (r#"cd[year["1999"]]"#, 0)] {
+            let before = approxql_metrics::snapshot();
+            let got = stored.query_schema_named(query, 400, opts, cfg).unwrap();
+            let diff = approxql_metrics::snapshot().diff(&before);
+            // The root's lists come with its key scan; a drawn list that
+            // is stored inline comes with its own, and one that is not
+            // with a point get.
+            assert_eq!(diff.get(Metric::BtreeGets), gets, "{query}");
+            let want = db.query_schema_named(query, 400, opts, cfg).unwrap();
+            assert_eq!(got, want, "{query}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_drawn_list_that_does_not_decode_fails_the_query_at_once() {
+        let dir = std::env::temp_dir().join(format!("axql-db-baddraw-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("db.axql");
+        let db = Database::from_xml_strs(
+            &[
+                "<cd><title>piano concerto</title></cd>",
+                "<cd><title>piano</title></cd>",
+                "<cd><title>cello</title></cd>",
+            ],
+            paper_section6_costs(),
+        )
+        .unwrap();
+        db.save(&path).unwrap();
+        let query = r#"cd[title["piano" and "concerto"]]"#;
+        let run = |db: &Database| {
+            let before = approxql_metrics::snapshot();
+            let hits = db.query_schema(query, 10);
+            let diff = approxql_metrics::snapshot().diff(&before);
+            (hits, diff.get(Metric::EvalSecondLevelQueries))
+        };
+        let (hits, drawn) = run(&Database::open(&path).unwrap());
+        assert!(hits.unwrap().len() > 1 && drawn > 1, "{drawn}");
+        // Every list of `concerto` claims more entries than it holds: the
+        // first draw reads one, and nothing is drawn after it.
+        let mut store = Store::open_file(&path).unwrap();
+        let lists = store.scan_prefix(b"sec#concerto#").unwrap();
+        for (key, mut value) in lists.collect_all().unwrap() {
+            value[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+            store.put(&key, &value).unwrap();
+        }
+        store.commit().unwrap();
+        drop(store);
+        let (hits, drawn) = run(&Database::open(&path).unwrap());
+        assert!(matches!(
+            hits,
+            Err(DatabaseError::Persist(PersistError::Decode(_)))
+        ));
+        assert_eq!(drawn, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn a_mutation_of_an_undecodable_store_changes_nothing() {
         let dir = std::env::temp_dir().join(format!("axql-db-undecodable-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1258,7 +1446,10 @@ mod tests {
         // would answer from is not the one the caller mutated.
         assert!(decode(opened.query_direct("cd[title]", None).map(drop)));
         assert!(decode(opened.query_schema("cd[title]", 5).map(drop)));
-        assert!(decode(opened.element_names(&[NodeId(1)]).map(drop)));
+        let opts = EvalOptions::default();
+        assert!(decode(
+            opened.query_direct_named("cd", None, opts).map(drop)
+        ));
         assert_eq!(opened.tree().len(), 1, "the empty collection");
         // The file is the damaged store it was, and nothing lies beside it.
         assert!(std::fs::read(&path).unwrap() == damaged);

@@ -65,7 +65,7 @@ pub mod topk;
 
 pub use approxql_query::{QueryInput, Surface};
 pub use approxql_storage::CheckReport;
-pub use database::{Database, DatabaseError, InsertCostChanged, MutationDelta, QueryHit};
+pub use database::{Database, DatabaseError, InsertCostChanged, MutationDelta, NamedHit, QueryHit};
 pub use dbfile::DbFile;
 pub use direct::{DirectStats, EvalOptions};
 pub use reference::ReferenceEvaluator;

@@ -28,18 +28,23 @@
 //! algebra ([`crate::list`]): only the cost domain differs — a stream of
 //! candidates per node where the direct evaluation keeps a minimum.
 
+use crate::database::DatabaseError;
 use crate::direct::EvalOptions;
 use crate::list::Algebra;
 use crate::secondary::Executor;
 use crate::topk::{KBest, SecondLevelQueries, SecondLevelQuery};
+use approxql_index::{LabelIndex, SecondaryIndex};
 use approxql_metrics::{time, Metric, MetricsRegistry, TimerMetric};
 use approxql_plan::{self as plan, Plan};
 use approxql_query::expand::{ExpandedNode, ExpandedQuery};
 use approxql_schema::Schema;
-use approxql_tree::{Cost, Interner};
+use approxql_tree::{Cost, Interner, LabelId, NodeType};
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A hit — root and cost — with the label of its element.
+pub(crate) type LabelledHit = (u32, Cost, LabelId);
 
 /// The driver's bound on its draws of second-level queries.
 #[derive(Debug, Clone, Copy)]
@@ -94,11 +99,11 @@ pub struct SecondLevelRun {
 /// index fetches the execution performed.
 fn second_level_queries(
     plan: &Plan,
-    schema: &Schema,
+    labels: &LabelIndex,
     interner: &Interner,
     opts: EvalOptions,
 ) -> (SecondLevelQueries, usize) {
-    let alg = Algebra::new(schema.labels(), interner, KBest);
+    let alg = Algebra::new(labels, interner, KBest);
     let roots = plan::execute(plan, &alg, |_, _| {}).unwrap_or_default();
     let queries = SecondLevelQueries::new(roots, opts.enforce_leaf_match);
     (queries, alg.fetches())
@@ -116,7 +121,7 @@ pub fn best_k_second_level_plan(
 ) -> SecondLevelRun {
     Metric::EvalSchemaRuns.incr();
     let _timer = time(TimerMetric::EvalSchema);
-    let (stream, fetches) = second_level_queries(plan, schema, interner, opts);
+    let (stream, fetches) = second_level_queries(plan, schema.labels(), interner, opts);
     let mut stream = stream.peekable();
     let queries: Vec<SecondLevelQuery> = stream.by_ref().take(k).collect();
     let complete = stream.peek().is_none();
@@ -127,14 +132,11 @@ pub fn best_k_second_level_plan(
     }
 }
 
-/// Number of data nodes that can possibly be an embedding root: the
-/// instances of every schema node carrying the query root's label or one
-/// of its renamings. Once that many distinct roots have been retrieved,
-/// no further second-level query can contribute — an early exit the
-/// paper's driver does not have (it changes no results, only time).
-/// Counted through the accessors that record no query-time metric: it
-/// is bookkeeping, not evaluation.
-fn possible_roots(expanded: &ExpandedQuery, schema: &Schema, interner: &Interner) -> usize {
+/// The type of the query root's selector and the labels it matches: its
+/// own and its renamings'. `None` for a root that is no selector.
+pub(crate) fn root_selector(
+    expanded: &ExpandedQuery,
+) -> Option<(NodeType, impl Iterator<Item = &str>)> {
     let (label, ty, renamings) = match &expanded.nodes[expanded.root] {
         ExpandedNode::Leaf {
             label,
@@ -148,13 +150,32 @@ fn possible_roots(expanded: &ExpandedQuery, schema: &Schema, interner: &Interner
             renamings,
             ..
         } => (label, *ty, renamings),
-        _ => return usize::MAX,
+        _ => return None,
     };
-    let secondary = schema.secondary();
+    let labels = std::iter::once(label.as_str()).chain(renamings.iter().map(|(l, _)| l.as_str()));
+    Some((ty, labels))
+}
+
+/// Number of data nodes that can possibly be an embedding root: the
+/// instances of every schema node carrying the query root's label or one
+/// of its renamings. Once that many distinct roots have been retrieved,
+/// no further second-level query can contribute — an early exit the
+/// paper's driver does not have (it changes no results, only time).
+/// Counted through the accessors that record no query-time metric: it
+/// is bookkeeping, not evaluation. `secondary` must hold these lists.
+fn possible_roots(
+    expanded: &ExpandedQuery,
+    labels: &LabelIndex,
+    secondary: &SecondaryIndex,
+    interner: &Interner,
+) -> usize {
+    let Some((ty, root_labels)) = root_selector(expanded) else {
+        return usize::MAX;
+    };
     let mut total = 0usize;
-    for l in std::iter::once(label.as_str()).chain(renamings.iter().map(|(l, _)| l.as_str())) {
+    for l in root_labels {
         let Some(id) = interner.get(l) else { continue };
-        let Some(list) = schema.labels().blocks(ty, id) else {
+        let Some(list) = labels.blocks(ty, id) else {
             continue;
         };
         // A list that does not decode is one `fetch` reads as empty.
@@ -180,7 +201,8 @@ pub struct ResultStream<'a> {
     /// The compiled plan, executed at the first pull. `None` when the
     /// expanded query does not compile: the stream is empty.
     plan: Option<Arc<Plan>>,
-    schema: &'a Schema,
+    /// The schema-level label index the plan runs over.
+    labels: &'a LabelIndex,
     interner: &'a Interner,
     opts: EvalOptions,
     /// The most second-level queries drawn.
@@ -194,7 +216,9 @@ pub struct ResultStream<'a> {
     /// dies with the stream.
     executor: Executor<'a>,
     seen_roots: HashSet<u32>,
-    pending: VecDeque<(u32, Cost)>,
+    /// Hits not yet pulled, each with the label of the schema node it is
+    /// an instance of: the root of the query that found it.
+    pending: VecDeque<LabelledHit>,
     max_roots: usize,
     /// Time spent executing the plan and drawing from its streams.
     first_level: Duration,
@@ -213,17 +237,41 @@ impl<'a> ResultStream<'a> {
         opts: EvalOptions,
         cfg: SchemaEvalConfig,
     ) -> ResultStream<'a> {
-        let max_roots = possible_roots(expanded, schema, interner);
+        let executor = Executor::new(schema.secondary());
+        ResultStream::over(
+            expanded,
+            plan,
+            schema.labels(),
+            executor,
+            interner,
+            opts,
+            cfg,
+        )
+    }
+
+    /// A stream whose plan runs over the schema-level label index
+    /// `labels` and whose second-level queries run through `executor`,
+    /// whose index holds the lists of the root selector's labels.
+    pub(crate) fn over(
+        expanded: &ExpandedQuery,
+        plan: Option<Arc<Plan>>,
+        labels: &'a LabelIndex,
+        executor: Executor<'a>,
+        interner: &'a Interner,
+        opts: EvalOptions,
+        cfg: SchemaEvalConfig,
+    ) -> ResultStream<'a> {
+        let max_roots = possible_roots(expanded, labels, executor.index(), interner);
         ResultStream {
             plan,
-            schema,
+            labels,
             interner,
             opts,
             max_k: cfg.max_k,
             queries: None,
             drawn: 0,
             done: false,
-            executor: Executor::new(schema.secondary()),
+            executor,
             seen_roots: HashSet::new(),
             pending: VecDeque::new(),
             max_roots,
@@ -237,6 +285,12 @@ impl<'a> ResultStream<'a> {
         self.stats
     }
 
+    /// The error of a list that failed to load, which ended the stream:
+    /// the hits it returned are no answer.
+    pub(crate) fn take_failure(&mut self) -> Option<DatabaseError> {
+        self.executor.take_failure()
+    }
+
     /// The next second-level query, executing the plan on the first call;
     /// `None` once the queries are exhausted or `max_k` are drawn.
     fn draw(&mut self) -> Option<SecondLevelQuery> {
@@ -244,7 +298,7 @@ impl<'a> ResultStream<'a> {
             let plan = self.plan.clone()?;
             Metric::EvalSchemaRuns.incr();
             let (queries, fetches) =
-                second_level_queries(&plan, self.schema, self.interner, self.opts);
+                second_level_queries(&plan, self.labels, self.interner, self.opts);
             self.stats.fetches += fetches;
             self.queries = Some(queries);
         }
@@ -255,12 +309,10 @@ impl<'a> ResultStream<'a> {
         self.drawn += 1;
         Some(query)
     }
-}
 
-impl Iterator for ResultStream<'_> {
-    type Item = (u32, Cost);
-
-    fn next(&mut self) -> Option<(u32, Cost)> {
+    /// The next hit, with the label of the root schema node of the
+    /// second-level query that found it — the name of its element.
+    pub(crate) fn next_labelled(&mut self) -> Option<LabelledHit> {
         loop {
             if let Some(r) = self.pending.pop_front() {
                 return Some(r);
@@ -276,6 +328,7 @@ impl Iterator for ResultStream<'_> {
                 continue;
             };
             let start = Instant::now();
+            let label = entry.skeleton().label;
             let Some(instances) = self.executor.execute(entry.skeleton()) else {
                 // Another embedding drew the same query.
                 continue;
@@ -287,15 +340,25 @@ impl Iterator for ResultStream<'_> {
             Metric::EvalSecondaryRows.add(instances.len() as u64);
             for inst in instances {
                 if self.seen_roots.insert(inst.pre) {
-                    self.pending.push_back((inst.pre, entry.cost));
+                    self.pending.push_back((inst.pre, entry.cost, label));
                 }
             }
             // Once every possible root has been seen, nothing further can
             // contribute (an early exit the paper's driver does not have).
-            if self.seen_roots.len() >= self.max_roots {
+            // A list that failed to load ends the stream: its caller
+            // reports the error, so no further query is worth drawing.
+            if self.seen_roots.len() >= self.max_roots || self.executor.failed() {
                 self.done = true;
             }
         }
+    }
+}
+
+impl Iterator for ResultStream<'_> {
+    type Item = (u32, Cost);
+
+    fn next(&mut self) -> Option<(u32, Cost)> {
+        self.next_labelled().map(|(pre, cost, _)| (pre, cost))
     }
 }
 
@@ -338,18 +401,24 @@ pub fn best_n_schema_with_plan(
     opts: EvalOptions,
     cfg: SchemaEvalConfig,
 ) -> (Vec<(u32, Cost)>, EvalStats) {
-    if n == 0 {
-        return (Vec::new(), EvalStats::default());
-    }
     let mut stream = ResultStream::with_plan(expanded, plan, schema, interner, opts, cfg);
-    let mut results: Vec<(u32, Cost)> = Vec::with_capacity(n.min(1024));
-    for pair in stream.by_ref() {
-        results.push(pair);
-        if results.len() >= n {
+    let (hits, stats) = best_n(&mut stream, n);
+    let pairs = hits.into_iter().map(|(pre, cost, _)| (pre, cost)).collect();
+    (pairs, stats)
+}
+
+/// The first `n` hits of `stream`, each with the label of its element,
+/// sorted by cost, ties by preorder, and the evaluation counters. Hits
+/// arrive in nondecreasing cost order, so they are the best `n`.
+pub(crate) fn best_n(stream: &mut ResultStream<'_>, n: usize) -> (Vec<LabelledHit>, EvalStats) {
+    let mut results = Vec::with_capacity(n.min(1024));
+    while results.len() < n {
+        let Some(hit) = stream.next_labelled() else {
             break;
-        }
+        };
+        results.push(hit);
     }
-    results.sort_by_key(|&(pre, c)| (c, pre));
+    results.sort_by_key(|&(pre, c, _)| (c, pre));
     (results, stream.stats())
 }
 

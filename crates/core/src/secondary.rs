@@ -25,6 +25,12 @@
 //! * **Memo.** Each id keeps its result, the empty one included. A
 //!   childless node's result is the index's own slice; a filtered node's
 //!   is an `Rc<[InstancePosting]>` its parents share.
+//! * **Lists read on demand.** Over a database opened from a file, the
+//!   index holds only the lists read before the first draw; the executor
+//!   reads any other list through a `ReadList` the first time a draw
+//!   executes it, once per query. A list that fails to load stops the
+//!   executor: it returns nothing from then on, and the caller reports
+//!   the error (`Executor::take_failure`) instead of any hit.
 //! * **An empty child stops its parent.** A node looks at its memoised
 //!   children first and returns empty at its first empty child, before
 //!   its own list is fetched. Otherwise it semijoins its list with the
@@ -36,11 +42,22 @@
 //! query and must still run. [`execute`] is the one-shot use of the same
 //! executor.
 
+use crate::database::DatabaseError;
 use crate::topk::Skeleton;
 use approxql_index::{InstancePosting, SecondaryIndex};
+use approxql_metrics::Metric;
 use approxql_tree::LabelId;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::rc::Rc;
+
+/// Reads the instance lists an executor's index does not hold: a database
+/// opened from a file reads them from its store.
+pub(crate) trait ReadList {
+    /// The instances of the class with id `class` that carry `label`,
+    /// preorder-sorted; empty if there are none.
+    fn read(&self, class: u32, label: LabelId) -> Result<Vec<InstancePosting>, DatabaseError>;
+}
 
 /// Keeps the ancestors that have at least one descendant in
 /// `descendants`: some `d` with `a.pre < d.pre <= a.bound`.
@@ -89,8 +106,9 @@ fn semijoin(
 enum Rows<'a> {
     /// The index's own list (a childless node, or one no child filtered).
     Index(&'a [InstancePosting]),
-    /// A filtered list, shared by every parent that reads it.
-    Filtered(Rc<[InstancePosting]>),
+    /// A filtered list, or one read on demand, shared by every parent
+    /// that reads it.
+    Shared(Rc<[InstancePosting]>),
 }
 
 impl<'a> Rows<'a> {
@@ -99,7 +117,7 @@ impl<'a> Rows<'a> {
     fn as_slice(&self) -> &[InstancePosting] {
         match self {
             Rows::Index(rows) => rows,
-            Rows::Filtered(rows) => rows,
+            Rows::Shared(rows) => rows,
         }
     }
 
@@ -111,7 +129,7 @@ impl<'a> Rows<'a> {
         } else if kept.is_empty() {
             Rows::EMPTY
         } else {
-            Rows::Filtered(kept.into())
+            Rows::Shared(kept.into())
         }
     }
 }
@@ -130,6 +148,12 @@ struct Node<'a> {
 /// sub-skeleton at most once (see the module docs).
 pub struct Executor<'a> {
     index: &'a SecondaryIndex,
+    /// Reads the lists `index` does not hold, if it does not hold all.
+    reader: Option<&'a dyn ReadList>,
+    /// The lists `reader` has read, by class id and label.
+    read: HashMap<(u32, LabelId), Rc<[InstancePosting]>>,
+    /// The first list `reader` failed to read.
+    failure: Option<DatabaseError>,
     /// Indexed by id.
     nodes: Vec<Node<'a>>,
     by_key: HashMap<Rc<[u32]>, u32>,
@@ -146,12 +170,40 @@ impl<'a> Executor<'a> {
     pub fn new(index: &'a SecondaryIndex) -> Executor<'a> {
         Executor {
             index,
+            reader: None,
+            read: HashMap::new(),
+            failure: None,
             nodes: Vec::new(),
             by_key: HashMap::new(),
             by_addr: HashMap::new(),
             alive: Vec::new(),
             key: Vec::new(),
         }
+    }
+
+    /// An executor over `index` that reads every list `index` does not
+    /// hold through `reader`.
+    pub(crate) fn reading(index: &'a SecondaryIndex, reader: &'a dyn ReadList) -> Executor<'a> {
+        Executor {
+            reader: Some(reader),
+            ..Executor::new(index)
+        }
+    }
+
+    /// The index the executor reads first.
+    pub(crate) fn index(&self) -> &'a SecondaryIndex {
+        self.index
+    }
+
+    /// Whether a list has failed to load: the executor has returned
+    /// nothing since.
+    pub(crate) fn failed(&self) -> bool {
+        self.failure.is_some()
+    }
+
+    /// The error of the first list that failed to load, if one has.
+    pub(crate) fn take_failure(&mut self) -> Option<DatabaseError> {
+        self.failure.take()
     }
 
     /// Finds the exact results of the second-level query `skeleton` — the
@@ -164,6 +216,9 @@ impl<'a> Executor<'a> {
             return None;
         }
         self.eval(id);
+        if self.failure.is_some() {
+            return Some(&[]);
+        }
         self.nodes[id].rows.as_ref().map(Rows::as_slice)
     }
 
@@ -232,13 +287,38 @@ impl<'a> Executor<'a> {
             kids.push(rows);
         }
         kids.sort_by_key(|kid| kid.as_slice().len());
-        let mut rows = Rows::Index(self.index.fetch(pre, label));
+        let mut rows = self.fetch(pre, label);
         for kid in &kids {
             if rows.as_slice().is_empty() {
                 break;
             }
             rows = rows.semijoin(kid.as_slice());
         }
+        rows
+    }
+
+    /// The instances of `(pre, label)`: the index's list, or one the
+    /// reader reads, once per executor. Counted as
+    /// [`SecondaryIndex::fetch`] counts, wherever the list comes from.
+    fn fetch(&mut self, pre: u32, label: LabelId) -> Rows<'a> {
+        let index = self.index;
+        let Some(reader) = self.reader else {
+            return Rows::Index(index.fetch(pre, label));
+        };
+        let class = index.class_of_pre(pre);
+        let rows = match (index.get(class, label), self.read.entry((class, label))) {
+            (Some(list), _) => Rows::Index(list),
+            (None, Entry::Occupied(list)) => Rows::Shared(Rc::clone(list.get())),
+            (None, Entry::Vacant(slot)) => match reader.read(class, label) {
+                Ok(list) => Rows::Shared(Rc::clone(slot.insert(list.into()))),
+                Err(e) => {
+                    self.failure.get_or_insert(e);
+                    Rows::EMPTY
+                }
+            },
+        };
+        Metric::IndexSecondaryFetches.incr();
+        Metric::IndexSecondaryRows.add(rows.as_slice().len() as u64);
         rows
     }
 }

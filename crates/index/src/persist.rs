@@ -23,8 +23,9 @@
 //! Labels are stored as strings; on load they are resolved against the
 //! interner of the (already loaded) data tree, so label ids stay consistent.
 //! Every loader validates what it reads, whether it reads a whole keyspace
-//! ([`load_label_index`], [`load_secondary_index`]) or the lists of one
-//! label ([`load_label_list`], [`load_secondary_lists`]).
+//! ([`load_label_index`], [`load_secondary_index`]), the lists of one
+//! label ([`load_label_list`], [`load_secondary_lists`]), the keys of one
+//! label ([`secondary_keys`]) or one list ([`load_secondary_list`]).
 
 use crate::codec::{BlockList, FrameEntry, PostingDecodeError};
 use crate::{InstancePosting, LabelIndex, Posting, SecondaryIndex};
@@ -297,25 +298,32 @@ pub fn load_class_numbering(store: &mut Store) -> Result<SecondaryIndex, Persist
     Ok(index)
 }
 
-/// Loads every `sec#` list of `label` into `index` with one prefix scan —
-/// the label leads the key — validated as [`load_secondary_index`]
-/// validates them, class ids against `index`'s numbering; a key under the
+/// Walks the `sec#` keys of `label` with one prefix scan — the label
+/// leads the key — and hands `each` the class id of every key of `label`
+/// with its value: every value when `runs` is set, else only one stored
+/// inline (`None` for the others, whose pages are not read). Class ids are
+/// validated against a numbering of `classes` classes; a key under the
 /// prefix that is no key of `label` must be one of a longer label of
-/// `interner`, or it is a [`PersistError::BadKey`]. A label not in
-/// `interner` loads nothing.
-pub fn load_secondary_lists(
+/// `interner`, or it is a [`PersistError::BadKey`].
+fn walk_secondary_keys(
     store: &mut Store,
     interner: &Interner,
-    index: &mut SecondaryIndex,
+    classes: usize,
     label: &str,
+    runs: bool,
+    mut each: impl FnMut(u32, Option<Vec<u8>>) -> Result<(), PersistError>,
 ) -> Result<(), PersistError> {
-    let Some(id) = interner.get(label) else {
-        return Ok(());
-    };
-    let classes = index.numbering().len();
     let prefix = sec_prefix(label);
     let mut lists = store.scan_prefix(&prefix)?;
-    while let Some((key, value)) = lists.next_entry()? {
+    loop {
+        let entry = if runs {
+            lists.next_entry()?.map(|(key, value)| (key, Some(value)))
+        } else {
+            lists.next_inline()?
+        };
+        let Some((key, value)) = entry else {
+            return Ok(());
+        };
         let bad_key = || PersistError::BadKey(String::from_utf8_lossy(&key).into_owned());
         let Ok(class) = <[u8; 4]>::try_from(&key[prefix.len()..]) else {
             // The keys of a longer label that starts with `label#` sort
@@ -331,9 +339,68 @@ pub fn load_secondary_lists(
         if class as usize >= classes {
             return Err(bad_key());
         }
-        index.insert_bytes(class, id, &value)?;
+        each(class, value)?;
     }
-    Ok(())
+}
+
+/// Loads every `sec#` list of `label` into `index` with one prefix scan,
+/// validated as [`load_secondary_index`] validates them, class ids
+/// against `index`'s numbering (see `walk_secondary_keys`). A label not
+/// in `interner` loads nothing.
+pub fn load_secondary_lists(
+    store: &mut Store,
+    interner: &Interner,
+    index: &mut SecondaryIndex,
+    label: &str,
+) -> Result<(), PersistError> {
+    let Some(id) = interner.get(label) else {
+        return Ok(());
+    };
+    let classes = index.numbering().len();
+    walk_secondary_keys(store, interner, classes, label, true, |class, value| {
+        let value = value.unwrap_or_default();
+        Ok(index.insert_bytes(class, id, &value)?)
+    })
+}
+
+/// A `sec#` key's class id with its value if the value is stored inline
+/// ([`secondary_keys`]).
+pub type ClassInline = (u32, Option<Vec<u8>>);
+
+/// The class ids of the `sec#` lists of `label`, in ascending order, each
+/// with its value if the value is stored inline, from one prefix scan
+/// that reads no out-of-line value and decodes no list. The keys are
+/// validated as by [`load_secondary_lists`], against `numbering`. A label
+/// not in `interner` has none.
+pub fn secondary_keys(
+    store: &mut Store,
+    interner: &Interner,
+    numbering: &SecondaryIndex,
+    label: &str,
+) -> Result<Vec<ClassInline>, PersistError> {
+    let mut keys = Vec::new();
+    if interner.get(label).is_some() {
+        let n = numbering.numbering().len();
+        walk_secondary_keys(store, interner, n, label, false, |class, inline| {
+            keys.push((class, inline));
+            Ok(())
+        })?;
+    }
+    Ok(keys)
+}
+
+/// The instances of `(class, label)` with one point get, through the
+/// checked decode ([`BlockList::decode`]); empty if the store has no
+/// such list.
+pub fn load_secondary_list(
+    store: &mut Store,
+    class: u32,
+    label: &str,
+) -> Result<Vec<InstancePosting>, PersistError> {
+    match store.get(&sec_key(class, label))? {
+        Some(value) => Ok(BlockList::decode(&value)?),
+        None => Ok(Vec::new()),
+    }
 }
 
 /// Walks every stored posting list (`ls#`/`lt#`/`sec#` values) and runs
@@ -436,6 +503,15 @@ mod tests {
             (one.get(1, cd), one.get(3, cd)),
             (idx.get(1, cd), idx.get(3, cd))
         );
+        // The same keys with their inline values, and one list by itself.
+        let keys = secondary_keys(&mut store, t.interner(), &one, "cd").unwrap();
+        let mut list = |class| Some(store.get(&sec_key(class, "cd")).unwrap().unwrap());
+        assert_eq!(keys, [(1, list(1)), (3, list(3))]);
+        assert_eq!(
+            load_secondary_list(&mut store, 3, "cd").unwrap(),
+            idx.get(3, cd).unwrap()
+        );
+        assert!(load_secondary_list(&mut store, 2, "cd").unwrap().is_empty());
         // A class past the numbering is a bad key here too.
         one.set_numbering(vec![0, 1, 2]).unwrap();
         assert!(matches!(
@@ -452,10 +528,12 @@ mod tests {
             let mut one = load_class_numbering(&mut store).unwrap();
             let loaded = load_secondary_lists(&mut store, t.interner(), &mut one, "cd");
             let whole = load_secondary_index(&mut store, t.interner());
+            let keys = secondary_keys(&mut store, t.interner(), &one, "cd");
             assert!(
                 matches!(loaded, Err(PersistError::BadKey(_))),
                 "{planted:?}"
             );
+            assert!(matches!(keys, Err(PersistError::BadKey(_))), "{planted:?}");
             assert!(whole.is_err(), "{planted:?}");
         }
         let mut labels = LabelIndex::default();

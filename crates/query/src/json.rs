@@ -101,6 +101,7 @@ impl std::error::Error for JsonError {}
 const MAX_DEPTH: usize = 256;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Open arrays and objects around the current position.
@@ -289,12 +290,10 @@ impl<'a> Parser<'a> {
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
                     // Copy one UTF-8 scalar (multi-byte sequences verbatim).
-                    let start = self.pos;
-                    let text = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = text
-                        .chars()
-                        .next()
+                    let ch = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|tail| tail.chars().next())
                         .ok_or_else(|| self.err("empty string tail"))?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
@@ -349,6 +348,7 @@ impl<'a> Parser<'a> {
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,

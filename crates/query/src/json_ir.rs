@@ -34,7 +34,7 @@
 
 use crate::ast::{Query, QueryNode};
 use crate::json::{self, Json};
-use crate::parser::ParseError;
+use crate::parser::{too_many_selectors, ParseError, MAX_SELECTORS};
 use approxql_tree::text::split_words;
 
 /// The query-IR version this build reads and writes.
@@ -50,7 +50,27 @@ pub const JSON_IR_VERSION: u64 = 1;
 pub fn parse_json_query(input: &str) -> Result<Query, ParseError> {
     let doc =
         json::parse(input).map_err(|e| ParseError::at_line_col(input, e.line, e.col, e.message))?;
+    // Counted before anything is lowered: an over-long query never
+    // becomes a pattern.
+    let selectors = doc.get("query").map_or(0, selectors_in);
+    if selectors > MAX_SELECTORS {
+        return Err(too_many_selectors(input, selectors));
+    }
     top_level(&doc).map_err(|message| ParseError::at_offset(input, 0, message))
+}
+
+/// The selectors of the query node `j`, counted without lowering it.
+fn selectors_in(j: &Json) -> usize {
+    if let Some(raw) = j.get("text").and_then(Json::as_str) {
+        return split_words(raw).len();
+    }
+    let operands = ["and", "or"]
+        .into_iter()
+        .filter_map(|op| j.get(op).and_then(Json::as_arr))
+        .flatten();
+    usize::from(j.get("name").is_some())
+        + j.get("child").map_or(0, selectors_in)
+        + operands.map(selectors_in).sum::<usize>()
 }
 
 /// Validates the `{"v": 1, "query": NODE}` envelope. Errors are plain

@@ -26,7 +26,7 @@
 //! accepted query renders canonically into either surface
 //! ([`Surface::render`], [`Query::to_json_ir`]). A query nests at most
 //! 256 levels in either spelling, and has at most [`MAX_SELECTORS`]
-//! selectors, checked where the two parses meet ([`Surface::parse`]).
+//! selectors, counted by each parse as it reads them.
 //!
 //! Three representations are provided:
 //!

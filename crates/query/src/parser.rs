@@ -13,8 +13,8 @@
 //! Nesting — brackets and parentheses — is bounded by [`MAX_DEPTH`]: the
 //! parser recurses once per level, and a query is an argument anybody can
 //! make 30,000 levels deep. How many selectors a query may have is
-//! bounded by [`MAX_SELECTORS`], checked where the classic and JSON-IR
-//! parses meet ([`crate::Surface::parse`]).
+//! bounded by [`MAX_SELECTORS`], counted as the parse goes: the selector
+//! past the bound ends it, before the pattern grows any further.
 //!
 //! String literals are normalized with the same word splitting as document
 //! text (Section 4); a multi-word literal like `"piano concerto"` becomes
@@ -120,9 +120,22 @@ pub const MAX_DEPTH: usize = 256;
 /// literal counted) a query may have. Far beyond any query a person
 /// writes or the workloads run; without a bound, the memory the
 /// schema-driven evaluator takes grows with the square of a long
-/// conjunction's length (1.5 GB for 20,000 conjuncts). Checked by
-/// [`crate::Surface::parse`], where both spellings meet.
+/// conjunction's length (1.5 GB for 20,000 conjuncts). Both spellings
+/// count a query's selectors before they build its pattern, so an
+/// over-long query never becomes one.
 pub const MAX_SELECTORS: usize = 1024;
+
+/// The error of a query of `selectors` selectors, more than
+/// [`MAX_SELECTORS`], in either spelling: it points at the query's first
+/// character.
+pub(crate) fn too_many_selectors(input: &str, selectors: usize) -> ParseError {
+    let start = input.len() - input.trim_start().len();
+    ParseError::at_offset(
+        input,
+        start,
+        format!("query has {selectors} selectors, more than {MAX_SELECTORS}"),
+    )
+}
 
 /// The recursive-descent parser.
 struct Parser<'a> {
@@ -131,6 +144,8 @@ struct Parser<'a> {
     pos: usize,
     /// Open `[` and `(` around the current token.
     depth: usize,
+    /// Selectors read so far.
+    selectors: usize,
 }
 
 impl Parser<'_> {
@@ -143,6 +158,7 @@ impl Parser<'_> {
             tokens,
             pos: 0,
             depth: 0,
+            selectors: 0,
         };
         let root = p.step()?;
         if p.peek().is_some() {
@@ -193,11 +209,28 @@ impl Parser<'_> {
         node
     }
 
+    /// Counts `n` more selectors. Past [`MAX_SELECTORS`] the parse ends,
+    /// and the error names every selector of the query: every name token
+    /// and every word of a string literal.
+    fn count(&mut self, n: usize) -> Result<(), ParseError> {
+        self.selectors += n;
+        if self.selectors <= MAX_SELECTORS {
+            return Ok(());
+        }
+        let selectors = self.tokens.iter().map(|t| match &t.token {
+            Token::Name(_) => 1,
+            Token::Str(raw) => split_words(raw).len(),
+            _ => 0,
+        });
+        Err(too_many_selectors(self.input, selectors.sum()))
+    }
+
     /// `step := NAME [ '[' expr ']' ]`
     fn step(&mut self) -> Result<QueryNode, ParseError> {
         let Some(Token::Name(label)) = self.peek().cloned() else {
             return Err(self.expected("a name selector"));
         };
+        self.count(1)?;
         self.pos += 1;
         let mut child = None;
         if self.peek() == Some(&Token::LBracket) {
@@ -217,8 +250,10 @@ impl Parser<'_> {
                 Ok(e)
             }
             Some(Token::Str(raw)) => {
-                let words = split_words(raw).into_iter();
-                let node = conjoin(words.map(|word| QueryNode::Text { word }))
+                let raw = raw.clone();
+                let words = split_words(&raw);
+                self.count(words.len())?;
+                let node = conjoin(words.into_iter().map(|word| QueryNode::Text { word }))
                     .ok_or_else(|| self.err(format!("text selector \"{raw}\" contains no word")))?;
                 self.pos += 1;
                 Ok(node)
@@ -492,5 +527,28 @@ mod tests {
         };
         Surface::Json.parse(&text(MAX_SELECTORS - 1)).unwrap();
         Surface::Json.parse(&text(MAX_SELECTORS)).unwrap_err();
+    }
+
+    #[test]
+    fn an_over_long_query_fails_before_its_pattern_is_built() {
+        // 100,000 conjuncts on a 2 MB stack: a pattern of that depth would
+        // overflow it (counting, normalizing or dropping it recurses once
+        // per `and`), so the parse has to stop at the selector past the
+        // bound — and still name them all.
+        let parse = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let [classic, json] = conjunction(100_001);
+                let words = format!(r#"a["{}"]"#, vec!["w"; 100_000].join(" "));
+                [classic, json, (Surface::Classic, words)].map(|(surface, text)| {
+                    let err = surface.parse(&text).unwrap_err();
+                    (surface, err.message, err.offset)
+                })
+            })
+            .unwrap();
+        for (surface, message, offset) in parse.join().unwrap() {
+            let want = "query has 100001 selectors, more than 1024";
+            assert_eq!((message.as_str(), offset), (want, 0), "{surface}");
+        }
     }
 }

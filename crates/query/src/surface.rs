@@ -12,13 +12,13 @@
 //! canonical rendering — and with it the plan-cache key and cost-model
 //! fingerprint — is the same for both spellings.
 //!
-//! [`Surface::parse`] is where the two parses meet, and so where a
-//! query's size is bounded: a query with more than [`MAX_SELECTORS`]
-//! selectors is a [`ParseError`] in either spelling.
+//! A query with more than [`MAX_SELECTORS`](crate::MAX_SELECTORS) selectors is a
+//! [`ParseError`] in either spelling, raised by the parse itself at the
+//! first selector past the bound.
 
 use crate::ast::Query;
 use crate::json_ir::parse_json_query;
-use crate::parser::{parse_query, ParseError, MAX_SELECTORS};
+use crate::parser::{parse_query, ParseError};
 use std::fmt;
 
 /// A query surface: which concrete syntax a query string is written in.
@@ -64,25 +64,14 @@ impl Surface {
         }
     }
 
-    /// Parses `text` in this surface and bounds its size: a query with
-    /// more than [`MAX_SELECTORS`] selectors is an error. The result is
-    /// **not** normalized; use [`QueryInput::parse`] for the compilation
-    /// path.
+    /// Parses `text` in this surface; a query with more than
+    /// [`MAX_SELECTORS`](crate::MAX_SELECTORS) selectors is an error. The result is **not**
+    /// normalized; use [`QueryInput::parse`] for the compilation path.
     pub fn parse(self, text: &str) -> Result<Query, ParseError> {
-        let query = match self {
+        match self {
             Surface::Classic => parse_query(text),
             Surface::Json => parse_json_query(text),
-        }?;
-        let selectors = query.selector_count();
-        if selectors > MAX_SELECTORS {
-            let start = text.len() - text.trim_start().len();
-            return Err(ParseError::at_offset(
-                text,
-                start,
-                format!("query has {selectors} selectors, more than {MAX_SELECTORS}"),
-            ));
         }
-        Ok(query)
     }
 
     /// Renders `query` in this surface's canonical form. Every rendering

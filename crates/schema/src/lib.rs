@@ -103,10 +103,10 @@ type ChildKey = (u32, Option<LabelId>);
 /// in preorder and follows each node's label from its parent's class in
 /// the shape — Definition 15, with the shape as the function's table.
 ///
-/// A **view** ([`Schema::view`]) is the part of a persisted schema one
-/// query reads: the tree, and the secondary index with only the lists of
-/// the query's labels. It has no shape, which only mutations,
-/// [`Schema::class_of`] and [`Schema::check_instances`] read.
+/// A query over a persisted schema reads less than a `Schema`: the
+/// schema-level label index of its own labels, derived from their `sec#`
+/// keys alone ([`Schema::label_index`]), and the instance lists its
+/// second-level queries execute.
 #[derive(Clone)]
 pub struct Schema {
     tree: DataTree,
@@ -128,8 +128,12 @@ impl Schema {
         secondary
             .set_numbering(vec![0])
             .expect("the root alone is a numbering");
-        let mut schema = Schema::view(DataTreeBuilder::new().build(costs), secondary);
-        schema.shape = Shape::with_classes(1);
+        let mut schema = Schema {
+            tree: DataTreeBuilder::new().build(costs),
+            labels: LabelIndex::default(),
+            secondary,
+            shape: Shape::with_classes(1),
+        };
         schema.append(data, data.live_nodes().filter(|n| n.0 != 0), costs, false);
         schema
     }
@@ -160,7 +164,7 @@ impl Schema {
                 ));
             }
         }
-        let labels = derive_label_index(&tree, &secondary);
+        let labels = derive_label_index(&tree, &secondary, secondary.iter().map(|(key, _)| key));
         Ok(Schema {
             tree,
             labels,
@@ -174,7 +178,7 @@ impl Schema {
     /// classifies any data node: the numbering covers the tree, no
     /// label-type path occurs twice, and every name is a data label. What
     /// a database opened from a file checks of its schema before any query
-    /// builds a [`Schema::view`] of it.
+    /// derives a [`Schema::label_index`] from it.
     pub fn check_tree(
         tree: &DataTree,
         interner: &Interner,
@@ -183,19 +187,19 @@ impl Schema {
         Shape::of_tree(tree, interner, numbering).map(drop)
     }
 
-    /// The view of a persisted schema one query reads: `tree`, checked by
-    /// [`Schema::check_tree`], and `secondary`, its numbering with the
-    /// `sec#` lists of the query's labels. The schema-level label index is
-    /// derived from those lists, so it holds exactly the postings of the
-    /// same labels in the whole schema.
-    pub fn view(tree: DataTree, secondary: SecondaryIndex) -> Schema {
-        let labels = derive_label_index(&tree, &secondary);
-        Schema {
-            tree,
-            labels,
-            secondary,
-            shape: Shape::default(),
-        }
+    /// The schema-level label index of the `(class id, label)` keys
+    /// `keys` of a persisted schema: `tree`, checked by
+    /// [`Schema::check_tree`], numbered by `numbering`. For the keys of
+    /// some labels, it holds exactly the postings of those labels in the
+    /// whole schema's [`Schema::labels`] — what a query over those labels
+    /// reads before it executes a second-level query, and no instance
+    /// list is needed for it.
+    pub fn label_index(
+        tree: &DataTree,
+        numbering: &SecondaryIndex,
+        keys: impl IntoIterator<Item = (u32, LabelId)>,
+    ) -> LabelIndex {
+        derive_label_index(tree, numbering, keys)
     }
 
     /// Verifies `I_sec` against the classification, for `approxql check`:
@@ -363,7 +367,8 @@ impl Schema {
             .set_numbering(pre_of_class)
             .expect("a linearization numbers every class exactly once");
         self.tree = tree;
-        self.labels = derive_label_index(&self.tree, &self.secondary);
+        let keys = self.secondary.iter().map(|(key, _)| key);
+        self.labels = derive_label_index(&self.tree, &self.secondary, keys);
     }
 
     /// The schema tree (encoded like a data tree).
@@ -385,7 +390,7 @@ impl Schema {
     /// The node class of `node`, a node of `data` (Definition 15), as a
     /// node of the schema tree: where its label-type path leads in the
     /// shape, walked down from the root. `None` if the path is not in the
-    /// schema — always so for a [`Schema::view`], which has no shape.
+    /// schema.
     pub fn class_of(&self, data: &DataTree, node: NodeId) -> Option<NodeId> {
         let mut path: Vec<NodeId> = std::iter::successors(Some(node), |&n| data.parent(n))
             .filter(|n| n.0 != 0)
@@ -594,15 +599,19 @@ impl Shape {
     }
 }
 
-/// The schema-level label index, derived from the secondary index: every
-/// `(schema node, label)` key of `I_sec` yields one posting entry — the
-/// query's `fetch` against the schema must find, for a word, all text
-/// classes under which the word occurs, and for a name, all schema nodes
-/// with that name.
-fn derive_label_index(tree: &DataTree, secondary: &SecondaryIndex) -> LabelIndex {
+/// The schema-level label index, derived from the keys of the secondary
+/// index (class ids, numbered by `numbering`): every `(schema node,
+/// label)` key of `I_sec` yields one posting entry — the query's `fetch`
+/// against the schema must find, for a word, all text classes under which
+/// the word occurs, and for a name, all schema nodes with that name.
+fn derive_label_index(
+    tree: &DataTree,
+    numbering: &SecondaryIndex,
+    keys: impl IntoIterator<Item = (u32, LabelId)>,
+) -> LabelIndex {
     let mut label_postings: HashMap<(NodeType, LabelId), Vec<Posting>> = HashMap::new();
-    for ((class, label), _) in secondary.iter() {
-        let schema_node = NodeId(secondary.pre_of_class(class));
+    for (class, label) in keys {
+        let schema_node = NodeId(numbering.pre_of_class(class));
         label_postings
             .entry((tree.node_type(schema_node), label))
             .or_default()
@@ -730,7 +739,7 @@ mod tests {
     }
 
     #[test]
-    fn a_view_reads_its_labels_like_the_whole_schema() {
+    fn the_label_index_of_some_keys_is_the_schema_s_for_their_labels() {
         let d = data();
         let s = Schema::build(&d, &CostModel::new());
         let [piano, title, cd] = ["piano", "title", "cd"].map(|l| d.lookup_label(l).unwrap());
@@ -746,16 +755,17 @@ mod tests {
             }
         }
         Schema::check_tree(s.tree(), d.interner(), &lists).unwrap();
-        let view = Schema::view(s.tree().clone(), lists);
+        let view = Schema::label_index(s.tree(), &lists, lists.iter().map(|(key, _)| key));
         for (ty, label) in [(NodeType::Text, piano), (NodeType::Struct, title)] {
             let postings = s.labels().fetch(ty, label);
-            assert_eq!(view.labels().fetch(ty, label), postings);
+            assert_eq!(view.fetch(ty, label), postings);
             for p in postings {
                 let node = NodeId(p.pre);
-                assert_eq!(view.instances(node, label), s.instances(node, label));
+                let class = lists.class_of_pre(node.0);
+                assert_eq!(lists.get(class, label).unwrap(), s.instances(node, label));
             }
         }
-        assert!(view.labels().fetch(NodeType::Struct, cd).is_empty());
+        assert!(view.fetch(NodeType::Struct, cd).is_empty());
         // The tree is checked against the interner it is read with.
         let other = DataTreeBuilder::new().build(&CostModel::new());
         let err = Schema::check_tree(s.tree(), other.interner(), s.secondary()).err();

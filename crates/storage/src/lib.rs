@@ -110,7 +110,7 @@ pub use fault::{CrashMode, FaultBackend, FaultConfig, OpCounter, SharedMemBacken
 pub use pager::{
     page_checksum, seal_page, Backend, FileBackend, MemBackend, PageId, Pager, PAGE_DATA, PAGE_SIZE,
 };
-pub use store::{Store, StoreIter, FORMAT_VERSION};
+pub use store::{KeyInline, Store, StoreIter, FORMAT_VERSION};
 
 use std::fmt;
 

@@ -368,6 +368,10 @@ impl Store {
     }
 }
 
+/// A key with its value if the value is stored inside the leaf
+/// ([`StoreIter::next_inline`]).
+pub type KeyInline = (Vec<u8>, Option<Vec<u8>>);
+
 /// A forward iterator over store entries. Call
 /// [`StoreIter::next_entry`] until it yields `None`.
 pub struct StoreIter<'a> {
@@ -390,6 +394,23 @@ impl StoreIter<'_> {
                 Ok(Some((key, value.into_bytes(&mut self.store.pager)?)))
             }
         }
+    }
+
+    /// Returns the next key in key order with its value if the value is
+    /// stored inside the leaf, `None` for an out-of-line value, whose
+    /// pages are not read.
+    pub fn next_inline(&mut self) -> Result<Option<KeyInline>> {
+        let Some((key, value)) = self.cursor.next(&mut self.store.pager)? else {
+            return Ok(None);
+        };
+        if self.end.as_deref().is_some_and(|end| key.as_slice() >= end) {
+            return Ok(None);
+        }
+        let inline = match value {
+            Value::Inline(bytes) => Some(bytes),
+            Value::Run(_) => None,
+        };
+        Ok(Some((key, inline)))
     }
 
     /// Collects the remaining entries (convenience for tests/examples).
@@ -537,6 +558,39 @@ mod tests {
             .map(|(k, _)| String::from_utf8(k).unwrap())
             .collect();
         assert_eq!(keys, vec!["a#1", "a#2"]);
+    }
+
+    #[test]
+    fn next_inline_reads_no_out_of_line_value() {
+        let mut s = Store::in_memory().unwrap();
+        s.put(b"a#big", &[7u8; 3 * PAGE_SIZE]).unwrap();
+        s.put(b"a#small", b"x").unwrap();
+        s.put(b"b#1", b"y").unwrap();
+        fn keys(s: &mut Store) -> Vec<KeyInline> {
+            let mut scan = s.scan_prefix(b"a#").unwrap();
+            let mut keys = Vec::new();
+            while let Some(entry) = scan.next_inline().unwrap() {
+                keys.push(entry);
+            }
+            keys
+        }
+        let reads = |s: &mut Store, f: fn(&mut Store)| {
+            let before = approxql_metrics::snapshot();
+            f(s);
+            approxql_metrics::snapshot()
+                .diff(&before)
+                .get(Metric::PagerPageReads)
+        };
+        let want = [
+            (b"a#big".to_vec(), None),
+            (b"a#small".to_vec(), Some(b"x".to_vec())),
+        ];
+        assert_eq!(keys(&mut s), want);
+        let key_scan = reads(&mut s, |s| drop(keys(s)));
+        let value_scan = reads(&mut s, |s| {
+            drop(s.scan_prefix(b"a#").unwrap().collect_all().unwrap())
+        });
+        assert_eq!(value_scan, key_scan + 4, "the big value's four pages");
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! so an element `concerto` and the word `concerto` intern to the same id
 //! but never collide semantically.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A dense identifier for an interned label string.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -20,11 +22,12 @@ impl LabelId {
     }
 }
 
-/// An append-only string interner.
+/// An append-only string interner. The map and the id-ordered list share
+/// one allocation per string.
 #[derive(Clone, Debug, Default)]
 pub struct Interner {
-    map: HashMap<Box<str>, LabelId>,
-    strings: Vec<Box<str>>,
+    map: HashMap<Arc<str>, LabelId>,
+    strings: Vec<Arc<str>>,
 }
 
 impl Interner {
@@ -33,16 +36,44 @@ impl Interner {
         Interner::default()
     }
 
+    /// Creates an empty interner with room for `n` strings.
+    pub fn with_capacity(n: usize) -> Interner {
+        Interner {
+            map: HashMap::with_capacity(n),
+            strings: Vec::with_capacity(n),
+        }
+    }
+
+    /// The id the next new string gets.
+    fn next_id(&self) -> LabelId {
+        LabelId(u32::try_from(self.strings.len()).expect("more than u32::MAX labels"))
+    }
+
     /// Interns `s`, returning its id (existing or fresh).
     pub fn intern(&mut self, s: &str) -> LabelId {
         if let Some(&id) = self.map.get(s) {
             return id;
         }
-        let id = LabelId(u32::try_from(self.strings.len()).expect("more than u32::MAX labels"));
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.map.insert(boxed, id);
+        let id = self.next_id();
+        let shared: Arc<str> = s.into();
+        self.strings.push(Arc::clone(&shared));
+        self.map.insert(shared, id);
         id
+    }
+
+    /// Interns `s` if it is new — one hash and one allocation — and returns
+    /// its fresh id; `None` if `s` is interned already. How a decoded
+    /// interner, whose strings are distinct, is filled.
+    pub fn intern_new(&mut self, s: &str) -> Option<LabelId> {
+        let id = self.next_id();
+        match self.map.entry(s.into()) {
+            Entry::Occupied(_) => None,
+            Entry::Vacant(slot) => {
+                self.strings.push(Arc::clone(slot.key()));
+                slot.insert(id);
+                Some(id)
+            }
+        }
     }
 
     /// Looks up an already-interned string.
@@ -122,6 +153,18 @@ mod tests {
         i.intern("a");
         let all: Vec<_> = i.iter().map(|(id, s)| (id.0, s.to_owned())).collect();
         assert_eq!(all, vec![(0, "b".to_owned()), (1, "a".to_owned())]);
+    }
+
+    #[test]
+    fn intern_new_refuses_a_known_string() {
+        let mut i = Interner::with_capacity(2);
+        assert_eq!(i.intern_new("a"), Some(LabelId(0)));
+        assert_eq!(i.intern_new("b"), Some(LabelId(1)));
+        assert_eq!(i.intern_new("a"), None);
+        assert_eq!(
+            (i.len(), i.get("b"), i.resolve(LabelId(0))),
+            (2, Some(LabelId(1)), "a")
+        );
     }
 
     #[test]

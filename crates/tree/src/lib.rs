@@ -33,7 +33,7 @@ pub use ser::{
     decode_doc_segment, decode_docmap, decode_interner, encode_docmap, encode_interner, DocSegment,
     TreeDecodeError,
 };
-pub use tree::{live_doc_of, longest_label, DataTree, DocSpan, NodeId, TreeError, TreeStats};
+pub use tree::{longest_label, DataTree, DocSpan, NodeId, TreeError, TreeStats};
 pub use varint::{read_varint, write_varint, VarintError};
 
 // Re-export the shared vocabulary types so downstream crates can name them

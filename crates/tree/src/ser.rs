@@ -243,11 +243,13 @@ fn put_strings(out: &mut Vec<u8>, interner: &Interner) {
 
 fn take_strings(cur: &mut Cursor<'_>) -> Result<Interner, TreeDecodeError> {
     let nstrings = cur.u32()?;
-    let mut interner = Interner::new();
-    for i in 0..nstrings {
+    // Every string takes at least its 4-byte length.
+    cur.claim(nstrings as usize, 4)?;
+    let mut interner = Interner::with_capacity(nstrings as usize);
+    for _ in 0..nstrings {
         let len = cur.u32()? as usize;
         let s = std::str::from_utf8(cur.take(len)?).map_err(|_| TreeDecodeError::BadString)?;
-        if interner.intern(s) != LabelId(i) {
+        if interner.intern_new(s).is_none() {
             return Err(TreeDecodeError::Corrupt("duplicate interned string"));
         }
     }
@@ -578,6 +580,36 @@ mod tests {
             "docmap",
             &encode_docmap(t.len() as u32, t.documents()),
             decode_docmap,
+        );
+    }
+
+    #[test]
+    fn an_interner_blob_rejects_a_duplicate_string_and_an_impossible_count() {
+        let mut interner = Interner::new();
+        for s in ["cd", "title", "piano"] {
+            interner.intern(s);
+        }
+        let good = encode_interner(&interner);
+        let decoded = decode_interner(&good).unwrap();
+        assert_eq!(
+            decoded.iter().collect::<Vec<_>>(),
+            interner.iter().collect::<Vec<_>>()
+        );
+        // magic 8 | count u32 | (length u32, bytes)*: spell `title` as `cd…`.
+        let mut dup = good.clone();
+        let title = 12 + 4 + 2;
+        dup[title..title + 4].copy_from_slice(&2u32.to_le_bytes());
+        dup.splice(title + 4..title + 4 + 5, *b"cd");
+        assert_eq!(
+            decode_interner(&dup).unwrap_err(),
+            TreeDecodeError::Corrupt("duplicate interned string")
+        );
+        // A count the blob cannot hold reserves nothing and is truncation.
+        let mut huge = good;
+        huge[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            decode_interner(&huge).unwrap_err(),
+            TreeDecodeError::Truncated
         );
     }
 

@@ -79,14 +79,6 @@ pub struct DocSpan {
     pub alive: bool,
 }
 
-/// The live document of the registry `docs` (spans in preorder, as
-/// [`DataTree::documents`] lists them) whose range contains `pre`, if any.
-pub fn live_doc_of(docs: &[DocSpan], pre: u32) -> Option<DocSpan> {
-    let i = docs.partition_point(|d| d.start <= pre).checked_sub(1)?;
-    let d = docs[i];
-    (pre <= d.bound && d.alive).then_some(d)
-}
-
 /// The encoded data tree (Sections 4 and 6.2).
 ///
 /// Nodes are stored in preorder; [`NodeId`] *is* the preorder number `pre`.
@@ -288,7 +280,12 @@ impl DataTree {
 
     /// The live document whose range contains `pre`, if any.
     pub fn doc_of(&self, pre: u32) -> Option<DocSpan> {
-        live_doc_of(&self.docs, pre)
+        let i = self
+            .docs
+            .partition_point(|d| d.start <= pre)
+            .checked_sub(1)?;
+        let d = self.docs[i];
+        (pre <= d.bound && d.alive).then_some(d)
     }
 
     /// `true` if `n` is the virtual root or belongs to a live document.
